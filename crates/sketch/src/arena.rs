@@ -13,15 +13,18 @@
 //!   saturated hot path rejects a non-improving value with a single
 //!   compare against the cached maximum (the last slot), and an
 //!   accepted value costs one `memmove` inside a line-sized buffer.
-//! * [`OaMap`] — an open-addressing hash table (power-of-two capacity,
-//!   linear probing) keyed by `u64`. Lookups touch one cache line in
-//!   the common case instead of walking `std` hash-map metadata.
+//! * [`OaMap`] — a `u64`-keyed map stored IndexMap-style: entries live
+//!   densely in one `Vec<(u64, V)>` in insertion order, and a
+//!   power-of-two `u32` index (linear probing, load ≤ ½, no tombstones)
+//!   maps keys to entry positions. Scans read only live entries, and
+//!   the in-place [`OaMap::keep_smallest_by`] prunes without allocating.
 //!
 //! Both are *logically* equivalent to the containers they replace: the
 //! sketch state they hold (the value set, the key→count map) is
-//! identical, every consumer canonicalizes iteration order before it
-//! affects an estimate, a trace byte or a wire byte, and the space
-//! ledger counts logical entries, not slots. The pre-arena layouts are
+//! identical, and the space ledger counts logical entries, not slots.
+//! `OaMap`'s entry order is deterministic but not canonical, so every
+//! consumer sorts (or selects under a total order) before it can affect
+//! an estimate, a trace byte or a wire byte. The pre-arena layouts are
 //! kept behind [`Backend::Reference`] so the `arena_parity` suite can
 //! prove byte-identical behavior end-to-end; select it with
 //! `KCOV_SKETCH_BACKEND=reference` (anything else, including unset,
@@ -168,17 +171,22 @@ impl SortedSlab {
 
 // ---- OaMap -----------------------------------------------------------
 
-/// Open-addressing `u64 → V` map: power-of-two slot array, linear
-/// probing, growth at ¾ load. Replaces `std` `HashMap`s in candidate
-/// lists and per-repetition sample tables.
+/// Empty marker in [`OaMap`]'s index.
+const EMPTY: u32 = u32::MAX;
+
+/// `u64 → V` map stored IndexMap-style: entries live densely in one
+/// `Vec<(u64, V)>`, and a power-of-two `u32` index (linear probing,
+/// load ≤ ½) maps a key's probe slot to its entry position. Replaces
+/// `std` `HashMap`s in candidate lists and per-repetition sample tables.
 ///
-/// Iteration order is slot order — deterministic for a fixed insertion
-/// sequence but *not* canonical; consumers sort by key before any
+/// Iteration order is entry order — deterministic for a fixed operation
+/// sequence but *not* canonical (insertion order, permuted by
+/// [`OaMap::keep_smallest_by`]); consumers sort by key before any
 /// order-sensitive use, exactly as they already did for the `std` maps.
 #[derive(Debug, Clone)]
 pub struct OaMap<V> {
-    slots: Vec<Option<(u64, V)>>,
-    len: usize,
+    entries: Vec<(u64, V)>,
+    index: Vec<u32>,
 }
 
 impl<V> Default for OaMap<V> {
@@ -191,8 +199,8 @@ impl<V> OaMap<V> {
     /// An empty map.
     pub fn new() -> Self {
         OaMap {
-            slots: Vec::new(),
-            len: 0,
+            entries: Vec::new(),
+            index: Vec::new(),
         }
     }
 
@@ -200,7 +208,8 @@ impl<V> OaMap<V> {
     pub fn with_capacity(n: usize) -> Self {
         let mut m = Self::new();
         if n > 0 {
-            m.rehash((n * 4 / 3 + 1).next_power_of_two().max(8));
+            m.entries.reserve_exact(n);
+            m.reindex((2 * n).next_power_of_two().max(8));
         }
         m
     }
@@ -208,142 +217,126 @@ impl<V> OaMap<V> {
     /// Number of resident entries.
     #[inline]
     pub fn len(&self) -> usize {
-        self.len
+        self.entries.len()
     }
 
     /// True when no entries are resident.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.entries.is_empty()
     }
 
-    #[inline]
-    fn mask(&self) -> usize {
-        self.slots.len() - 1
-    }
-
-    fn rehash(&mut self, new_cap: usize) {
-        debug_assert!(new_cap.is_power_of_two() && new_cap * 4 > self.len * 4);
-        let old = std::mem::take(&mut self.slots);
-        self.slots.resize_with(new_cap, || None);
-        for (k, v) in old.into_iter().flatten() {
-            let mask = self.mask();
+    /// Rebuild the index at `slots` slots from the entry order.
+    fn reindex(&mut self, slots: usize) {
+        debug_assert!(slots.is_power_of_two() && slots >= 2 * self.entries.len());
+        self.index.clear();
+        self.index.resize(slots, EMPTY);
+        let mask = slots - 1;
+        for (pos, &(k, _)) in self.entries.iter().enumerate() {
             let mut i = probe_mix(k) as usize & mask;
-            while self.slots[i].is_some() {
+            while self.index[i] != EMPTY {
                 i = (i + 1) & mask;
             }
-            self.slots[i] = Some((k, v));
+            self.index[i] = pos as u32;
         }
     }
 
-    #[inline]
-    fn grow_if_needed(&mut self) {
-        if self.slots.is_empty() {
-            self.rehash(8);
-        } else if (self.len + 1) * 4 > self.slots.len() * 3 {
-            self.rehash(self.slots.len() * 2);
-        }
-    }
-
-    /// Shared probe: index of `key`'s slot, or of the empty slot where
-    /// it would be inserted.
+    /// Shared probe: the index slot holding `key`'s entry position, or
+    /// the empty slot where it would go.
     #[inline]
     fn probe(&self, key: u64) -> usize {
-        debug_assert!(!self.slots.is_empty());
-        let mask = self.mask();
+        debug_assert!(!self.index.is_empty());
+        let mask = self.index.len() - 1;
         let mut i = probe_mix(key) as usize & mask;
         loop {
-            match &self.slots[i] {
-                Some((k, _)) if *k == key => return i,
-                None => return i,
-                _ => i = (i + 1) & mask,
+            let pos = self.index[i];
+            if pos == EMPTY || self.entries[pos as usize].0 == key {
+                return i;
             }
+            i = (i + 1) & mask;
         }
+    }
+
+    /// Entry position of `key`, if present.
+    #[inline]
+    fn find(&self, key: u64) -> Option<usize> {
+        if self.index.is_empty() {
+            return None;
+        }
+        match self.index[self.probe(key)] {
+            EMPTY => None,
+            pos => Some(pos as usize),
+        }
+    }
+
+    /// Entry position of `key`, appending `default()` first when absent.
+    #[inline]
+    fn find_or_insert_with(&mut self, key: u64, default: impl FnOnce() -> V) -> usize {
+        if 2 * (self.entries.len() + 1) > self.index.len() {
+            self.reindex((2 * self.index.len()).max(8));
+        }
+        let i = self.probe(key);
+        if self.index[i] == EMPTY {
+            assert!(
+                self.entries.len() < EMPTY as usize,
+                "OaMap entry positions must fit below u32::MAX"
+            );
+            self.index[i] = self.entries.len() as u32;
+            self.entries.push((key, default()));
+        }
+        self.index[i] as usize
     }
 
     /// Borrow the value for `key`, if present.
     #[inline]
     pub fn get(&self, key: u64) -> Option<&V> {
-        if self.slots.is_empty() {
-            return None;
-        }
-        match &self.slots[self.probe(key)] {
-            Some((_, v)) => Some(v),
-            None => None,
-        }
+        self.find(key).map(|pos| &self.entries[pos].1)
     }
 
     /// Mutably borrow the value for `key`, if present.
     #[inline]
     pub fn get_mut(&mut self, key: u64) -> Option<&mut V> {
-        if self.slots.is_empty() {
-            return None;
-        }
-        let i = self.probe(key);
-        match &mut self.slots[i] {
-            Some((_, v)) => Some(v),
-            None => None,
-        }
+        self.find(key).map(|pos| &mut self.entries[pos].1)
     }
 
     /// Mutably borrow the value for `key`, inserting `default()` first
     /// when absent.
     #[inline]
     pub fn get_or_insert_with(&mut self, key: u64, default: impl FnOnce() -> V) -> &mut V {
-        self.grow_if_needed();
-        let i = self.probe(key);
-        if self.slots[i].is_none() {
-            self.slots[i] = Some((key, default()));
-            self.len += 1;
-        }
-        match &mut self.slots[i] {
-            Some((_, v)) => v,
-            None => unreachable!("slot just filled"),
-        }
+        let pos = self.find_or_insert_with(key, default);
+        &mut self.entries[pos].1
     }
 
     /// Insert or overwrite.
     #[inline]
     pub fn set(&mut self, key: u64, value: V) {
-        self.grow_if_needed();
-        let i = self.probe(key);
-        if self.slots[i].is_none() {
-            self.len += 1;
+        match self.find(key) {
+            Some(pos) => self.entries[pos].1 = value,
+            None => _ = self.find_or_insert_with(key, || value),
         }
-        self.slots[i] = Some((key, value));
     }
 
-    /// Iterate entries in slot order (not canonical — sort before any
+    /// Iterate entries in entry order (not canonical — sort before any
     /// order-sensitive use).
     pub fn iter(&self) -> impl Iterator<Item = (u64, &V)> {
-        self.slots.iter().filter_map(|s| s.as_ref().map(|(k, v)| (*k, v)))
+        self.entries.iter().map(|(k, v)| (*k, v))
     }
 
-    /// Iterate entries mutably in slot order.
-    pub fn iter_mut(&mut self) -> impl Iterator<Item = (u64, &mut V)> {
-        self.slots
-            .iter_mut()
-            .filter_map(|s| s.as_mut().map(|(k, v)| (*k, &mut *v)))
-    }
-
-    /// Keep only entries satisfying the predicate, rebuilding the slot
-    /// array (tombstone-free removal; cost is one pass).
-    pub fn retain(&mut self, mut pred: impl FnMut(u64, &mut V) -> bool) {
-        let cap = self.slots.len();
-        let old = std::mem::take(&mut self.slots);
-        self.slots.resize_with(cap, || None);
-        self.len = 0;
-        for (k, mut v) in old.into_iter().flatten() {
-            if pred(k, &mut v) {
-                let mask = self.mask();
-                let mut i = probe_mix(k) as usize & mask;
-                while self.slots[i].is_some() {
-                    i = (i + 1) & mask;
-                }
-                self.slots[i] = Some((k, v));
-                self.len += 1;
-            }
+    /// Keep the `keep` smallest entries under `cmp` (a total order, so
+    /// the kept set is unique) and drop the rest, in place: one
+    /// selection over the dense entries, a truncate, and a reindex at
+    /// the current index size.
+    pub fn keep_smallest_by(
+        &mut self,
+        keep: usize,
+        cmp: impl FnMut(&(u64, V), &(u64, V)) -> std::cmp::Ordering,
+    ) {
+        if keep >= self.entries.len() {
+            return;
         }
+        self.entries.select_nth_unstable_by(keep, cmp);
+        self.entries.truncate(keep);
+        self.reindex(self.index.len());
     }
 }
 
@@ -405,44 +398,80 @@ mod tests {
         let _ = SortedSlab::from_values(2, vec![1, 2, 3]);
     }
 
+    /// Reference rule for `keep_smallest_by` under (value desc, key asc).
+    fn model_keep_top(map: &mut HashMap<u64, i64>, keep: usize) {
+        let mut all: Vec<(u64, i64)> = map.drain().collect();
+        all.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+        all.truncate(keep);
+        map.extend(all);
+    }
+
+    fn sorted_entries(oa: &OaMap<i64>) -> Vec<(u64, i64)> {
+        let mut got: Vec<(u64, i64)> = oa.iter().map(|(k, v)| (k, *v)).collect();
+        got.sort_unstable();
+        got
+    }
+
     #[test]
     fn oamap_matches_std_hashmap() {
-        let mut oa: OaMap<i64> = OaMap::new();
+        // Starts far below its final size (growth past `with_capacity`),
+        // includes key 0, and prunes in place every 250 rounds.
+        let mut oa: OaMap<i64> = OaMap::with_capacity(4);
         let mut std_map: HashMap<u64, i64> = HashMap::new();
         let mut x = 3u64;
         for round in 0..3_000i64 {
             x = probe_mix(x);
-            let key = x % 513;
-            *oa.get_or_insert_with(key, || 0) += round;
-            *std_map.entry(key).or_insert(0) += round;
+            let key = if round % 97 == 0 { 0 } else { x % 513 };
+            *oa.get_or_insert_with(key, || 0) += round % 7;
+            *std_map.entry(key).or_insert(0) += round % 7;
+            if round % 250 == 249 {
+                let keep = 40 + (round as usize / 250) * 20;
+                oa.keep_smallest_by(keep, |a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+                model_keep_top(&mut std_map, keep);
+                assert_eq!(oa.len(), std_map.len().min(keep), "round {round}");
+            }
         }
         assert_eq!(oa.len(), std_map.len());
-        let mut got: Vec<(u64, i64)> = oa.iter().map(|(k, v)| (k, *v)).collect();
-        got.sort_unstable();
         let mut want: Vec<(u64, i64)> = std_map.iter().map(|(k, v)| (*k, *v)).collect();
         want.sort_unstable();
-        assert_eq!(got, want);
+        assert_eq!(sorted_entries(&oa), want);
         for (k, v) in &want {
             assert_eq!(oa.get(*k), Some(v));
+        }
+        for k in 513..1_000u64 {
+            assert_eq!(oa.get(k), None);
         }
         assert_eq!(oa.get(u64::MAX), None);
     }
 
     #[test]
-    fn oamap_retain_rebuilds_without_loss() {
+    fn oamap_keep_smallest_by_edges() {
         let mut oa: OaMap<i64> = OaMap::new();
+        oa.keep_smallest_by(3, |a, b| a.0.cmp(&b.0)); // empty: no-op
+        assert!(oa.is_empty());
         for k in 0..100u64 {
-            oa.set(k, k as i64);
+            oa.set(k, (k % 10) as i64);
         }
-        oa.retain(|k, _| k % 3 == 0);
+        // keep >= len is a no-op.
+        oa.keep_smallest_by(100, |a, b| a.0.cmp(&b.0));
+        assert_eq!(oa.len(), 100);
+        // Smallest 34 keys survive; every other key is gone.
+        oa.keep_smallest_by(34, |a, b| a.0.cmp(&b.0));
         assert_eq!(oa.len(), 34);
         for k in 0..100u64 {
-            assert_eq!(oa.get(k).is_some(), k % 3 == 0, "key {k}");
+            assert_eq!(oa.get(k).is_some(), k < 34, "key {k}");
         }
-        // Post-retain inserts still probe correctly.
-        oa.set(1, -1);
-        assert_eq!(oa.get(1), Some(&-1));
+        // Post-prune inserts and overwrites still probe correctly.
+        oa.set(99, -1);
+        oa.set(0, -2);
+        assert_eq!(oa.get(99), Some(&-1));
+        assert_eq!(oa.get(0), Some(&-2));
         assert_eq!(oa.len(), 35);
+        // keep = 0 clears, and the map stays usable.
+        oa.keep_smallest_by(0, |a, b| a.0.cmp(&b.0));
+        assert!(oa.is_empty() && oa.get(0).is_none());
+        *oa.get_or_insert_with(7, || 1) += 1;
+        assert_eq!(sorted_entries(&oa), vec![(7, 2)]);
     }
 
     #[test]

@@ -27,11 +27,13 @@ use crate::arena::{backend, Backend, OaMap};
 use crate::count_sketch::CountSketch;
 use crate::space::SpaceUsage;
 
-/// Candidate storage: the arena keeps one flat open-addressing table;
-/// the reference backend keeps the pre-arena `std` map. Both hold the
-/// same item → count multiset, and every order-sensitive consumer
-/// (reports, wire encoding, the prune tie-break) canonicalizes by
-/// sorting, so behavior is backend-invariant.
+/// Candidate storage: the arena keeps one dense [`OaMap`]; the reference
+/// backend keeps the pre-arena `std` map. Both hold the same item →
+/// count multiset, every order-sensitive consumer (reports, wire
+/// encoding) canonicalizes by sorting, and the prune selects under a
+/// total order, so behavior is backend-invariant. Neither is sized from
+/// the tracker capacity: that may come from untrusted wire bytes, and
+/// sparse trackers never reach their high-water mark.
 #[derive(Debug, Clone)]
 enum CandidateStore {
     Oa(OaMap<i64>),
@@ -75,10 +77,21 @@ impl CandidateStore {
         }
     }
 
-    fn retain(&mut self, mut pred: impl FnMut(u64, i64) -> bool) {
+    /// Keep the first `keep` entries under (count desc, item asc). The
+    /// reference arm selects on a collected `Vec`, so the parity suite
+    /// still compares two independent containers.
+    fn keep_top(&mut self, keep: usize) {
+        let rank = |a: &(u64, i64), b: &(u64, i64)| b.1.cmp(&a.1).then(a.0.cmp(&b.0));
         match self {
-            CandidateStore::Oa(m) => m.retain(|k, c| pred(k, *c)),
-            CandidateStore::Map(m) => m.retain(|&k, c| pred(k, *c)),
+            CandidateStore::Oa(m) => m.keep_smallest_by(keep, rank),
+            CandidateStore::Map(m) => {
+                let mut entries: Vec<(u64, i64)> = m.drain().collect();
+                if keep < entries.len() {
+                    entries.select_nth_unstable_by(keep, rank);
+                    entries.truncate(keep);
+                }
+                m.extend(entries);
+            }
         }
     }
 }
@@ -157,7 +170,7 @@ impl F2HeavyHitter {
         let capacity = ((config.capacity_factor / config.phi).ceil() as usize).clamp(8, 1 << 22);
         F2HeavyHitter {
             sketch: CountSketch::new(config.rows, width, seed ^ 0x5ca1ab1e),
-            candidates: CandidateStore::with_capacity(capacity + capacity / 2 + 1),
+            candidates: CandidateStore::with_capacity(0),
             capacity,
             config,
             items_seen: 0,
@@ -201,35 +214,18 @@ impl F2HeavyHitter {
         }
     }
 
-    /// Drop the candidates with the fewest arrivals, keeping `capacity`
-    /// of them. Ties at the cut are broken by item id, never by map
-    /// iteration order: the surviving set must be a pure function of the
-    /// insertion sequence or the batched ingestion engine's
-    /// bit-identical-state guarantee breaks.
+    /// Drop the candidates with the fewest arrivals, keeping the first
+    /// `capacity` under (count desc, item asc): every count above the
+    /// `capacity`-th largest, then the smallest-id ties at it. Ties are
+    /// never broken by storage order: the surviving set must be a pure
+    /// function of the insertion sequence or the batched ingestion
+    /// engine's bit-identical-state guarantee breaks. Prunes fire every
+    /// Θ(capacity) distinct arrivals on candidate-churning streams, so
+    /// this one in-place selection is on the hot path.
     fn prune(&mut self) {
-        let keep = self.capacity;
         self.prunes += 1;
         let before = self.candidates.len();
-        // One map scan serves both the value-cut selection and the
-        // tie-break below (prunes fire every Θ(capacity) distinct
-        // arrivals on candidate-churning streams, so the scan count is
-        // on the hot path).
-        let entries = self.candidates.entries_unordered();
-        let mut counts: Vec<i64> = entries.iter().map(|&(_, c)| c).collect();
-        // k-th largest value as the cut (a value, so order-independent).
-        let cut_idx = counts.len() - keep;
-        counts.select_nth_unstable(cut_idx);
-        let cut = counts[cut_idx];
-        let above = entries.iter().filter(|&&(_, c)| c > cut).count();
-        let mut tied: Vec<u64> = entries
-            .iter()
-            .filter(|&&(_, c)| c == cut)
-            .map(|&(item, _)| item)
-            .collect();
-        tied.sort_unstable();
-        tied.truncate(keep.saturating_sub(above));
-        self.candidates
-            .retain(|item, c| c > cut || tied.binary_search(&item).is_ok());
+        self.candidates.keep_top(self.capacity);
         self.evictions += (before - self.candidates.len()) as u64;
     }
 
@@ -293,9 +289,10 @@ impl F2HeavyHitter {
         out
     }
 
-    /// Rebuild from parts (inverse of the accessors). Fails when the
-    /// sketch shape disagrees with what `config` dictates or the
-    /// candidate list exceeds its high-water mark.
+    /// Rebuild from parts (inverse of the accessors). Fails when a
+    /// configuration factor is non-finite or ≤ 0, the sketch shape
+    /// disagrees with what `config` dictates, or the candidate list
+    /// exceeds its high-water mark.
     pub fn from_parts(
         config: HeavyHitterConfig,
         sketch: CountSketch,
@@ -304,6 +301,14 @@ impl F2HeavyHitter {
     ) -> Result<Self, String> {
         if !(config.phi > 0.0 && config.phi <= 1.0) {
             return Err("phi must be in (0, 1]".into());
+        }
+        let factors = [
+            config.width_factor,
+            config.capacity_factor,
+            config.report_slack,
+        ];
+        if !factors.iter().all(|f| f.is_finite() && *f > 0.0) {
+            return Err("width, capacity and report factors must be finite and > 0".into());
         }
         let width = ((config.width_factor / config.phi).ceil() as usize).clamp(8, 1 << 22);
         let capacity = ((config.capacity_factor / config.phi).ceil() as usize).clamp(8, 1 << 22);
@@ -317,7 +322,7 @@ impl F2HeavyHitter {
                 capacity + capacity / 2
             ));
         }
-        let mut store = CandidateStore::with_capacity(capacity + capacity / 2 + 1);
+        let mut store = CandidateStore::with_capacity(candidates.len());
         for (item, count) in candidates {
             store.add(item, count);
         }
@@ -710,6 +715,125 @@ mod tests {
         .unwrap();
         assert_eq!(back.stats().prunes, 0);
         assert_eq!(back.stats().updates, 50_000);
+    }
+
+    /// Naive model of the original prune rule: a value cut at the
+    /// `cap`-th largest count, keeping every count above it and then
+    /// the smallest-id ties at it (a `BTreeMap` visits ids ascending).
+    struct ValueCutModel {
+        counts: std::collections::BTreeMap<u64, i64>,
+        cap: usize,
+    }
+
+    impl ValueCutModel {
+        fn new(cap: usize) -> Self {
+            let counts = Default::default();
+            ValueCutModel { counts, cap }
+        }
+
+        fn add(&mut self, item: u64, delta: i64) {
+            *self.counts.entry(item).or_insert(0) += delta;
+        }
+
+        fn prune_if_over(&mut self) {
+            if self.counts.len() <= self.cap + self.cap / 2 {
+                return;
+            }
+            let mut values: Vec<i64> = self.counts.values().copied().collect();
+            values.sort_unstable_by(|a, b| b.cmp(a));
+            let cut = values[self.cap - 1];
+            let mut ties_left = self.cap - values.iter().filter(|&&c| c > cut).count();
+            self.counts.retain(|_, c| {
+                let keep = *c > cut || (*c == cut && ties_left > 0);
+                if *c == cut && keep {
+                    ties_left -= 1;
+                }
+                keep
+            });
+        }
+
+        fn entries(&self) -> Vec<(u64, i64)> {
+            self.counts.iter().map(|(&k, &c)| (k, c)).collect()
+        }
+    }
+
+    fn tracker_with_capacity(cap: usize, seed: u64) -> F2HeavyHitter {
+        let config = HeavyHitterConfig {
+            phi: 1.0,
+            rows: 1,
+            width_factor: 2.0,
+            capacity_factor: cap as f64,
+            report_slack: 0.125,
+        };
+        F2HeavyHitter::new(config, seed)
+    }
+
+    /// A tie-heavy stream: a domain of three capacities, so nearly every
+    /// prune cuts through a crowd of count-1 and count-2 entries.
+    fn tie_heavy_items(cap: usize, len: usize, salt: u64) -> Vec<u64> {
+        let mut x = salt;
+        (0..len)
+            .map(|_| {
+                x = crate::arena::probe_mix(x);
+                x % (3 * cap as u64)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn prune_matches_value_cut_model_on_tie_heavy_streams() {
+        for cap in [8usize, 9, 13, 50, 200] {
+            let mut hh = tracker_with_capacity(cap, 5);
+            assert_eq!(hh.capacity, cap);
+            let mut model = ValueCutModel::new(cap);
+            let items = tie_heavy_items(cap, 12 * cap, cap as u64);
+            for (i, &item) in items.iter().enumerate() {
+                hh.insert(item);
+                model.add(item, 1);
+                model.prune_if_over();
+                let want = model.entries();
+                assert_eq!(hh.candidate_entries(), want, "cap {cap} insert {i}");
+            }
+            assert!(hh.stats().prunes > 0, "cap {cap}: the stream must prune");
+        }
+    }
+
+    #[test]
+    fn merge_prune_of_overfull_lists_matches_value_cut_model() {
+        for cap in [8usize, 21, 200] {
+            let items = tie_heavy_items(cap, 8 * cap, 17 + cap as u64);
+            let (left_items, right_items) = items.split_at(items.len() / 3);
+            let mut left = tracker_with_capacity(cap, 9);
+            let mut right = tracker_with_capacity(cap, 9);
+            let mut left_model = ValueCutModel::new(cap);
+            let mut right_model = ValueCutModel::new(cap);
+            for (hh, model, part) in [
+                (&mut left, &mut left_model, left_items),
+                (&mut right, &mut right_model, right_items),
+            ] {
+                for &item in part {
+                    hh.insert(item);
+                    model.add(item, 1);
+                    model.prune_if_over();
+                }
+            }
+            // The union overfills the high-water mark before the single
+            // merge-time prune.
+            let union: std::collections::BTreeSet<u64> = left_model
+                .counts
+                .keys()
+                .chain(right_model.counts.keys())
+                .copied()
+                .collect();
+            let high_water = cap + cap / 2;
+            assert!(union.len() > high_water, "cap {cap}: merge must overfill");
+            left.merge(&right);
+            for (item, count) in right_model.entries() {
+                left_model.add(item, count);
+            }
+            left_model.prune_if_over();
+            assert_eq!(left.candidate_entries(), left_model.entries(), "cap {cap}");
+        }
     }
 
     #[test]
