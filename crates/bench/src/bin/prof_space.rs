@@ -87,7 +87,7 @@ fn main() {
                 if lane_idx { "lane*" } else { seg }
             })
             .collect();
-        *by_path.entry(norm.join("/")).or_insert(0) += row.words;
+        *by_path.entry(norm.join("/")).or_insert(0) += row.total.words;
     }
     assert_eq!(
         by_path.values().sum::<u64>(),

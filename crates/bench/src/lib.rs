@@ -142,7 +142,7 @@ fn ledger_phases(ledger: &kcov_obs::TimeLedger) -> (u64, u64, u64) {
         if !name.starts_with("lane") {
             continue;
         }
-        update += lane.ns;
+        update += lane.own.ns;
         for (child, node) in lane.children() {
             if child == "reducer" {
                 reject += node.total_ns();

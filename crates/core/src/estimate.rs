@@ -14,7 +14,7 @@
 use std::time::Instant;
 
 use kcov_obs::{
-    apportion_by_heat, LedgerNode, Recorder, SketchStats, SpaceLedger, TimeLedger, Value,
+    apportion_by_heat, audit, LedgerNode, Recorder, SketchStats, SpaceLedger, TimeLedger, Value,
 };
 use kcov_sketch::SpaceUsage;
 use kcov_stream::Edge;
@@ -888,40 +888,29 @@ impl MaxCoverEstimator {
         rec.incr("edges.total", self.edges_seen);
         rec.incr("lanes.total", self.lanes.len() as u64);
         // Space-attribution ledger, emitted after every pre-existing
-        // event so their sequence numbers are untouched. The exact-sum
-        // invariant is the ledger's finalize contract (DESIGN.md §13):
-        // a word the tree misses (or double-counts) is a bug, not a
-        // rounding artifact.
+        // event so their sequence numbers are untouched. Its finalize
+        // contract (DESIGN.md §13): leaves-only attribution summing to
+        // `space_words` exactly.
         let ledger = self.space_ledger_tree();
+        let violations = audit::space_ledger_violations(&ledger, outcome.space_words as u64);
         assert!(
-            ledger.audit().is_empty(),
-            "space ledger schema violations: {:?}",
-            ledger.audit()
-        );
-        assert_eq!(
-            ledger.total_words(),
-            outcome.space_words as u64,
-            "space ledger must attribute every resident word exactly"
+            violations.is_empty(),
+            "space ledger violations: {violations:?}"
         );
         ledger.emit(rec);
         // Time-attribution ledger (DESIGN.md §15). Its finalize
-        // contract: leaves-only attribution (audited) and ns
-        // conservation — the apportioned total can never exceed the
-        // measured batch wall-clock times the worker-thread count,
-        // because every attributed interval nests inside a batch
-        // interval and at most `threads` lanes overlap.
+        // contract: leaves-only attribution and ns conservation against
+        // the measured batch wall clock, at most `threads` lanes
+        // overlapping.
         let times = self.time_ledger_tree();
-        assert!(
-            times.audit().is_empty(),
-            "time ledger schema violations: {:?}",
-            times.audit()
+        let violations = audit::time_ledger_violations(
+            &times,
+            self.hists.batch_ns.sum(),
+            self.threads.max(1) as u64,
         );
-        let budget = self.hists.batch_ns.sum().saturating_mul(self.threads.max(1) as u64);
         assert!(
-            times.total_ns() <= budget,
-            "time ledger attributes {} ns against a wall budget of {} ns",
-            times.total_ns(),
-            budget
+            violations.is_empty(),
+            "time ledger violations: {violations:?}"
         );
         times.emit(rec);
         rec.event(
@@ -1658,8 +1647,8 @@ mod tests {
         let mut est = MaxCoverEstimator::new(n, m, 6, 3.0, &config);
         est.ingest_sharded(&edges, 1, 256);
         let ledger = est.space_ledger_tree();
-        assert!(ledger.audit().is_empty(), "{:?}", ledger.audit());
-        assert_eq!(ledger.total_words(), est.space_words() as u64);
+        let violations = audit::space_ledger_violations(&ledger, est.space_words() as u64);
+        assert!(violations.is_empty(), "{violations:?}");
         // Per-lane partial sums match the PR 3 accounting exactly.
         assert!(!est.lanes.is_empty());
         for (i, lane) in est.lanes.iter().enumerate() {
@@ -1688,8 +1677,8 @@ mod tests {
             est.observe(Edge::new(s, 2 * s + 1));
         }
         let ledger = est.space_ledger_tree();
-        assert!(ledger.audit().is_empty(), "{:?}", ledger.audit());
-        assert_eq!(ledger.total_words(), est.space_words() as u64);
+        let violations = audit::space_ledger_violations(&ledger, est.space_words() as u64);
+        assert!(violations.is_empty(), "{violations:?}");
         let trivial = ledger.root.get("trivial").expect("trivial subtree");
         assert_eq!(
             trivial.total_words(),

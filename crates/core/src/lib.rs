@@ -80,6 +80,7 @@ pub use oracle::{Oracle, OracleDiagnostics, OracleOutput, SubroutineKind};
 pub use params::{ParamMode, Params};
 pub use report::{MaxCoverReporter, ReportedCover};
 pub use small_set::SmallSet;
+pub use telemetry::crosses_beat;
 pub use two_pass::{run_two_pass, run_two_pass_sharded, TwoPassFirst, TwoPassSecond};
 pub use universe::UniverseReducer;
 

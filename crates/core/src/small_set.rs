@@ -497,9 +497,9 @@ impl SpaceUsage for SmallSet {
             node.leaf("hashes", r.mhash.space_words() + r.ehash.space_words());
             let stored: usize = r.lanes.iter().map(|l| l.edges.len()).sum();
             let edges = node.child("edges");
-            edges.words += stored as u64;
-            edges.updates += stored as u64;
-            edges.touched_words += stored as u64;
+            edges.own.words += stored as u64;
+            edges.own.updates += stored as u64;
+            edges.own.touched_words += stored as u64;
             node.leaf("overhead", 2 * r.lanes.len());
         }
     }

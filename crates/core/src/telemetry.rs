@@ -192,8 +192,9 @@ impl StageTimes {
 
 /// Whether ingesting `added` more edges after `seen_before` crosses a
 /// multiple of `every` (the batched-path cadence test: capture at the
-/// first observation boundary at or after each multiple).
-pub(crate) fn crosses_beat(seen_before: u64, added: u64, every: u64) -> bool {
+/// first observation boundary at or after each multiple). Worker
+/// snapshots use the same rule.
+pub fn crosses_beat(seen_before: u64, added: u64, every: u64) -> bool {
     every > 0 && added > 0 && (seen_before + added) / every > seen_before / every
 }
 

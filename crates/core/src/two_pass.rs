@@ -646,17 +646,11 @@ fn record_two_pass(rec: &kcov_obs::Recorder, second: &TwoPassSecond, cover: &Rep
     // single-pass estimator (leaves-only, ns-conserving): pass 2 runs
     // lanes serially, so the wall budget is the plain batch total.
     let times = second.time_ledger_tree();
+    let violations =
+        kcov_obs::audit::time_ledger_violations(&times, second.hists.batch_ns.sum(), 1);
     assert!(
-        times.audit().is_empty(),
-        "pass-2 time ledger schema violations: {:?}",
-        times.audit()
-    );
-    let budget = second.hists.batch_ns.sum();
-    assert!(
-        times.total_ns() <= budget,
-        "pass-2 time ledger attributes {} ns against a wall budget of {} ns",
-        times.total_ns(),
-        budget
+        violations.is_empty(),
+        "pass-2 time ledger violations: {violations:?}"
     );
     times.emit(rec);
     rec.event(

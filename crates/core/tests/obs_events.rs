@@ -6,6 +6,7 @@
 //! ingest/merge/finalize.
 
 use kcov_core::{EstimatorConfig, MaxCoverEstimator};
+use kcov_obs::audit::Trace;
 use kcov_obs::Recorder;
 use kcov_sketch::SpaceUsage;
 use kcov_stream::gen::planted_cover;
@@ -93,37 +94,24 @@ fn subroutine_space_snapshots_sum_to_the_total() {
     }
     est.finalize();
 
-    let sub_sum: u64 = rec
-        .events_of("subroutine")
-        .iter()
-        .map(|e| e.u64_field("space_words").unwrap())
-        .sum();
-    assert_eq!(
-        sub_sum,
-        est.space_words() as u64,
-        "per-subroutine snapshots must sum exactly to the estimator total"
-    );
-    // The per-lane space fields partition the total minus the
-    // estimator-global shared state: the hash-once front end (the
-    // "fingerprints" subroutine event) and the lane-invariant universe
-    // mix (the "universe" event), which belong to no lane.
-    let lane_sum: u64 = rec
-        .events_of("lane")
-        .iter()
-        .map(|e| e.u64_field("space_words").unwrap())
-        .sum();
-    let global_words = |name: &str| -> u64 {
-        rec.events_of("subroutine")
-            .iter()
-            .filter(|e| e.str_field("name") == Some(name))
-            .map(|e| e.u64_field("space_words").unwrap())
-            .sum()
-    };
-    let fps_words = global_words("fingerprints");
-    let umix_words = global_words("universe");
-    assert!(fps_words > 0, "hash-once front end must be accounted");
-    assert!(umix_words > 0, "shared universe mix must be accounted");
-    assert_eq!(lane_sum + fps_words + umix_words, est.space_words() as u64);
+    // The auditor checks that the subroutine snapshots sum to the
+    // summary total and that every lane and subroutine snapshot equals
+    // its ledger subtree, whose root is the summary total: so the lane
+    // events plus the estimator-global front end and universe mix
+    // partition the total.
+    let trace = Trace::of(&rec).expect("events parse back");
+    assert!(trace.violations().is_empty(), "{:?}", trace.violations());
+    assert_eq!(trace.summary.map(|s| s.1), Some(est.space_words() as u64));
+    assert_eq!(trace.lanes.len(), est.num_lanes());
+    for name in ["fingerprints", "universe"] {
+        assert!(
+            trace
+                .subroutines
+                .iter()
+                .any(|(_, n, w)| n == name && *w > 0),
+            "{name} must be accounted"
+        );
+    }
 }
 
 #[test]
@@ -345,86 +333,34 @@ fn ledger_rows_attribute_every_word_exactly() {
     }
     est.finalize();
 
-    let rows = rec.events_of("ledger");
-    assert!(!rows.is_empty(), "finalize must emit the space ledger");
-    // The root row (the only path without a separator) is the whole
-    // estimator.
-    let root = rows
-        .iter()
-        .find(|e| !e.str_field("path").unwrap().contains('/'))
-        .expect("root ledger row");
-    assert_eq!(root.str_field("path"), Some("estimator"));
-    assert_eq!(root.u64_field("words").unwrap(), est.space_words() as u64);
+    // The auditor re-checks the emitted rows: child counts and parent
+    // sums for words and both heat counters, the root against the
+    // summary, and every subroutine and lane subtree against its event.
+    let trace = Trace::of(&rec).expect("events parse back");
+    assert!(
+        trace.space_violations().is_empty(),
+        "{:?}",
+        trace.space_violations()
+    );
+    let root = &trace.space_rows[0];
+    assert_eq!(root.path, "estimator");
+    assert_eq!(root.total.words, est.space_words() as u64);
     // Attribution lives on leaves only: leaf words partition the total.
-    let leaf_sum: u64 = rows
+    let leaf_sum: u64 = trace
+        .space_rows
         .iter()
-        .filter(|e| e.u64_field("children") == Some(0))
-        .map(|e| e.u64_field("words").unwrap())
+        .filter(|r| r.children == 0)
+        .map(|r| r.total.words)
         .sum();
-    assert_eq!(leaf_sum, est.space_words() as u64, "leaves must partition the total");
-    // Every interior row equals the sum of its immediate children —
-    // for words and for both heat counters.
-    for parent in rows.iter().filter(|e| e.u64_field("children") != Some(0)) {
-        let p = parent.str_field("path").unwrap();
-        let depth = p.matches('/').count();
-        let kids: Vec<_> = rows
-            .iter()
-            .filter(|e| {
-                let q = e.str_field("path").unwrap();
-                q.starts_with(&format!("{p}/")) && q.matches('/').count() == depth + 1
-            })
-            .collect();
-        assert_eq!(kids.len() as u64, parent.u64_field("children").unwrap(), "{p}");
-        for field in ["words", "updates", "touched_words"] {
-            let sum: u64 = kids.iter().map(|e| e.u64_field(field).unwrap()).sum();
-            assert_eq!(sum, parent.u64_field(field).unwrap(), "{p}: {field}");
-        }
-    }
+    assert_eq!(
+        leaf_sum,
+        est.space_words() as u64,
+        "leaves must partition the total"
+    );
+    assert!(!trace.subroutines.is_empty() && !trace.lanes.is_empty());
     // The heat layer saw the stream: some component recorded updates.
-    assert!(root.u64_field("updates").unwrap() > 0, "heat counters must be harvested");
-    assert!(root.u64_field("touched_words").unwrap() > 0);
-}
-
-#[test]
-fn ledger_subtrees_match_subroutine_snapshots() {
-    let (n, m, edges) = workload();
-    let rec = Recorder::enabled();
-    let mut config = fast_config(53, n);
-    config.recorder = rec.clone();
-    let mut est = MaxCoverEstimator::new(n, m, 8, 4.0, &config);
-    for &e in &edges {
-        est.observe(e);
-    }
-    est.finalize();
-
-    let rows = rec.events_of("ledger");
-    // Every PR-3 subroutine snapshot has a ledger subtree with exactly
-    // the same word count: the two accountings agree leaf-for-leaf.
-    let subs = rec.events_of("subroutine");
-    assert!(!subs.is_empty());
-    for ev in &subs {
-        let name = ev.str_field("name").unwrap();
-        let lane = ev.u64_field("lane").unwrap();
-        let path = if name == "trivial" || name == "fingerprints" || name == "universe" {
-            format!("estimator/{name}")
-        } else {
-            format!("estimator/lane{lane}/{name}")
-        };
-        assert_eq!(
-            ledger_words(&rows, &path),
-            Some(ev.u64_field("space_words").unwrap()),
-            "subroutine snapshot vs ledger subtree at {path}"
-        );
-    }
-    // And per-lane subtrees match the lane events' space fields.
-    for ev in rec.events_of("lane") {
-        let lane = ev.u64_field("lane").unwrap();
-        assert_eq!(
-            ledger_words(&rows, &format!("estimator/lane{lane}")),
-            Some(ev.u64_field("space_words").unwrap()),
-            "lane {lane} subtree"
-        );
-    }
+    assert!(root.total.updates > 0, "heat counters must be harvested");
+    assert!(root.total.touched_words > 0);
 }
 
 #[test]

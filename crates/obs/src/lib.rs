@@ -24,8 +24,18 @@
 //! * **Zero dependencies.** NDJSON rendering, escaping, and the
 //!   [`json`] parser used by the bench emitters and CI validation are
 //!   hand-rolled over `std`.
+//!
+//! Attribution lives in [`ledger`] (one tree type for space and time)
+//! and every accounting invariant in [`audit`] (live and from traces).
 
+pub mod audit;
 pub mod json;
+pub mod ledger;
+
+pub use ledger::{
+    apportion_by_heat, render_folded, render_report, Ledger, LedgerNode, Metric, Node, Row, Space,
+    SpaceLedger, Time, TimeLedger, TimeNode,
+};
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -724,607 +734,6 @@ impl Histogram {
     }
 }
 
-/// One node of a space-attribution tree (see [`SpaceLedger`]).
-///
-/// The schema keeps every attribution on **leaves**: a node either has
-/// children (a pure grouping node with `words == updates ==
-/// touched_words == 0` of its own) or is a leaf carrying resident words
-/// and heat counters. Subtree totals are computed on demand, so the
-/// finalize invariant "Σ leaf words == `space_words()`" is checked
-/// against [`LedgerNode::total_words`]. Children keep insertion order
-/// (the order the `space_ledger` implementations attribute them in),
-/// which makes emission deterministic.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct LedgerNode {
-    /// Resident 64-bit words attributed directly to this node (leaves
-    /// only under the schema).
-    pub words: u64,
-    /// Heat: sketch-update operations absorbed by this structure.
-    pub updates: u64,
-    /// Heat: resident words written by those updates (e.g. one counter
-    /// per CountSketch row per update).
-    pub touched_words: u64,
-    children: Vec<(String, LedgerNode)>,
-}
-
-impl LedgerNode {
-    /// An empty node.
-    pub fn new() -> Self {
-        LedgerNode::default()
-    }
-
-    /// Find-or-append the child `name` (insertion order is preserved,
-    /// so repeated attribution — e.g. one call per repetition — lands
-    /// in the same child).
-    pub fn child(&mut self, name: &str) -> &mut LedgerNode {
-        if let Some(i) = self.children.iter().position(|(n, _)| n == name) {
-            return &mut self.children[i].1;
-        }
-        self.children.push((name.to_string(), LedgerNode::new()));
-        &mut self.children.last_mut().expect("just pushed").1
-    }
-
-    /// Attribute `words` resident words to the leaf child `name`.
-    pub fn leaf(&mut self, name: &str, words: usize) {
-        self.child(name).words += words as u64;
-    }
-
-    /// Attribute heat to the child `name`: `updates` operations touching
-    /// `touched_words` resident words.
-    pub fn heat(&mut self, name: &str, updates: u64, touched_words: u64) {
-        let c = self.child(name);
-        c.updates += updates;
-        c.touched_words += touched_words;
-    }
-
-    /// The child `name`, if present.
-    pub fn get(&self, name: &str) -> Option<&LedgerNode> {
-        self.children.iter().find(|(n, _)| n == name).map(|(_, c)| c)
-    }
-
-    /// Resolve a `/`-separated path relative to this node.
-    pub fn at(&self, path: &str) -> Option<&LedgerNode> {
-        let mut node = self;
-        for seg in path.split('/').filter(|s| !s.is_empty()) {
-            node = node.get(seg)?;
-        }
-        Some(node)
-    }
-
-    /// Children in insertion order.
-    pub fn children(&self) -> impl Iterator<Item = (&str, &LedgerNode)> {
-        self.children.iter().map(|(n, c)| (n.as_str(), c))
-    }
-
-    /// Whether this node carries its attribution directly (no children).
-    pub fn is_leaf(&self) -> bool {
-        self.children.is_empty()
-    }
-
-    /// Subtree total of resident words (own + all descendants).
-    pub fn total_words(&self) -> u64 {
-        self.words + self.children.iter().map(|(_, c)| c.total_words()).sum::<u64>()
-    }
-
-    /// Subtree total of update operations.
-    pub fn total_updates(&self) -> u64 {
-        self.updates + self.children.iter().map(|(_, c)| c.total_updates()).sum::<u64>()
-    }
-
-    /// Subtree total of touched words.
-    pub fn total_touched_words(&self) -> u64 {
-        self.touched_words
-            + self.children.iter().map(|(_, c)| c.total_touched_words()).sum::<u64>()
-    }
-}
-
-/// One flattened row of a [`SpaceLedger`]: the `/`-joined path plus
-/// **subtree totals** (so a parent row's `words` always equals the sum
-/// of its children's — the invariant `maxkcov prof` re-checks when it
-/// reads a trace back).
-#[derive(Debug, Clone, PartialEq)]
-pub struct LedgerRow {
-    /// `/`-joined path from the ledger root (the root itself is the
-    /// bare root name).
-    pub path: String,
-    /// Subtree total resident words.
-    pub words: u64,
-    /// Subtree total update operations.
-    pub updates: u64,
-    /// Subtree total touched words.
-    pub touched_words: u64,
-    /// Number of immediate children (0 = leaf).
-    pub children: usize,
-}
-
-/// A space-attribution ledger: a named tree of [`LedgerNode`]s built by
-/// the `space_ledger` implementations across the estimator stack,
-/// rendered as nested `"ledger"` NDJSON events and as a sorted
-/// attribution report.
-#[derive(Debug, Clone, Default)]
-pub struct SpaceLedger {
-    name: String,
-    /// The root node (attribution goes into its children).
-    pub root: LedgerNode,
-}
-
-impl SpaceLedger {
-    /// An empty ledger whose root is named `name` (e.g. `"estimator"`).
-    pub fn new(name: &str) -> Self {
-        SpaceLedger {
-            name: name.to_string(),
-            root: LedgerNode::new(),
-        }
-    }
-
-    /// The root name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Total resident words attributed anywhere in the tree.
-    pub fn total_words(&self) -> u64 {
-        self.root.total_words()
-    }
-
-    /// Flatten to rows in preorder (parent before children, children in
-    /// insertion order), with subtree totals per row.
-    pub fn rows(&self) -> Vec<LedgerRow> {
-        fn walk(name: &str, node: &LedgerNode, prefix: &str, out: &mut Vec<LedgerRow>) {
-            let path = if prefix.is_empty() {
-                name.to_string()
-            } else {
-                format!("{prefix}/{name}")
-            };
-            out.push(LedgerRow {
-                words: node.total_words(),
-                updates: node.total_updates(),
-                touched_words: node.total_touched_words(),
-                children: node.children.len(),
-                path: path.clone(),
-            });
-            for (child_name, child) in node.children() {
-                walk(child_name, child, &path, out);
-            }
-        }
-        let mut out = Vec::new();
-        walk(&self.name, &self.root, "", &mut out);
-        out
-    }
-
-    /// Schema violations: grouping nodes that carry direct attribution
-    /// (every word and every heat counter must live on a leaf). Empty
-    /// means the parent-sum invariant holds at every interior node by
-    /// construction.
-    pub fn audit(&self) -> Vec<String> {
-        fn walk(name: &str, node: &LedgerNode, prefix: &str, out: &mut Vec<String>) {
-            let path = if prefix.is_empty() {
-                name.to_string()
-            } else {
-                format!("{prefix}/{name}")
-            };
-            if !node.children.is_empty()
-                && (node.words != 0 || node.updates != 0 || node.touched_words != 0)
-            {
-                out.push(format!(
-                    "{path}: grouping node carries direct attribution \
-                     ({} words, {} updates, {} touched)",
-                    node.words, node.updates, node.touched_words
-                ));
-            }
-            for (child_name, child) in node.children() {
-                walk(child_name, child, &path, out);
-            }
-        }
-        let mut out = Vec::new();
-        walk(&self.name, &self.root, "", &mut out);
-        out
-    }
-
-    /// Emit one `"ledger"` event per node (preorder, subtree totals) —
-    /// the nested-NDJSON surfacing of the tree. Deterministic: depends
-    /// only on the tree, never on clocks.
-    pub fn emit(&self, rec: &Recorder) {
-        if !rec.is_enabled() {
-            return;
-        }
-        for row in self.rows() {
-            rec.event(
-                "ledger",
-                &[
-                    ("path", row.path.as_str().into()),
-                    ("words", row.words.into()),
-                    ("updates", row.updates.into()),
-                    ("touched_words", row.touched_words.into()),
-                    ("children", (row.children as u64).into()),
-                ],
-            );
-        }
-    }
-
-    /// Render the sorted attribution report: leaves ranked by resident
-    /// words (ties by path), with share of total, updates, and
-    /// updates-per-word traffic density. `top == 0` means all leaves.
-    pub fn report(&self, top: usize) -> String {
-        render_ledger_report(&self.rows(), top)
-    }
-}
-
-/// Render an attribution report from flattened ledger rows (leaves
-/// only, ranked by words descending then path). Shared by the live
-/// [`SpaceLedger::report`] path and trace-replay tooling that rebuilds
-/// rows from `"ledger"` NDJSON events.
-pub fn render_ledger_report(rows: &[LedgerRow], top: usize) -> String {
-    let total: u64 = rows.first().map_or(0, |r| r.words);
-    let mut leaves: Vec<&LedgerRow> = rows.iter().filter(|r| r.children == 0).collect();
-    leaves.sort_by(|a, b| b.words.cmp(&a.words).then_with(|| a.path.cmp(&b.path)));
-    let shown = if top == 0 { leaves.len() } else { top.min(leaves.len()) };
-    let width = leaves
-        .iter()
-        .take(shown)
-        .map(|r| r.path.len())
-        .max()
-        .unwrap_or(4)
-        .max(4);
-    let mut out = String::new();
-    out.push_str(&format!(
-        "{:<width$}  {:>10}  {:>6}  {:>12}  {:>9}\n",
-        "path", "words", "%", "updates", "upd/word"
-    ));
-    for row in leaves.iter().take(shown) {
-        let pct = if total > 0 {
-            row.words as f64 / total as f64 * 100.0
-        } else {
-            0.0
-        };
-        let density = if row.words > 0 {
-            format!("{:.2}", row.updates as f64 / row.words as f64)
-        } else if row.updates > 0 {
-            "inf".to_string()
-        } else {
-            "0.00".to_string()
-        };
-        out.push_str(&format!(
-            "{:<width$}  {:>10}  {:>5.1}%  {:>12}  {:>9}\n",
-            row.path, row.words, pct, row.updates, density
-        ));
-    }
-    if shown < leaves.len() {
-        let rest: u64 = leaves[shown..].iter().map(|r| r.words).sum();
-        out.push_str(&format!(
-            "… {} more leaves ({} words)\n",
-            leaves.len() - shown,
-            rest
-        ));
-    }
-    out.push_str(&format!("total: {total} words\n"));
-    out
-}
-
-// ---- time-attribution ledger ----------------------------------------
-
-/// One node of a time-attribution tree (see [`TimeLedger`]).
-///
-/// Same leaves-only schema as [`LedgerNode`]: a node either has
-/// children (a pure grouping node with `ns == 0` of its own) or is a
-/// leaf carrying attributed nanoseconds. Children keep insertion order,
-/// so the *shape* of the tree is deterministic (a pure function of
-/// configuration) even though the leaf *values* are wall-clock.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct TimeNode {
-    /// Nanoseconds attributed directly to this node (leaves only under
-    /// the schema).
-    pub ns: u64,
-    children: Vec<(String, TimeNode)>,
-}
-
-impl TimeNode {
-    /// An empty node.
-    pub fn new() -> Self {
-        TimeNode::default()
-    }
-
-    /// Find-or-append the child `name` (insertion order is preserved).
-    pub fn child(&mut self, name: &str) -> &mut TimeNode {
-        if let Some(i) = self.children.iter().position(|(n, _)| n == name) {
-            return &mut self.children[i].1;
-        }
-        self.children.push((name.to_string(), TimeNode::new()));
-        &mut self.children.last_mut().expect("just pushed").1
-    }
-
-    /// Attribute `ns` nanoseconds to the leaf child `name`.
-    pub fn leaf(&mut self, name: &str, ns: u64) {
-        self.child(name).ns += ns;
-    }
-
-    /// The child `name`, if present.
-    pub fn get(&self, name: &str) -> Option<&TimeNode> {
-        self.children.iter().find(|(n, _)| n == name).map(|(_, c)| c)
-    }
-
-    /// Resolve a `/`-separated path relative to this node.
-    pub fn at(&self, path: &str) -> Option<&TimeNode> {
-        let mut node = self;
-        for seg in path.split('/').filter(|s| !s.is_empty()) {
-            node = node.get(seg)?;
-        }
-        Some(node)
-    }
-
-    /// Children in insertion order.
-    pub fn children(&self) -> impl Iterator<Item = (&str, &TimeNode)> {
-        self.children.iter().map(|(n, c)| (n.as_str(), c))
-    }
-
-    /// Whether this node carries its attribution directly (no children).
-    pub fn is_leaf(&self) -> bool {
-        self.children.is_empty()
-    }
-
-    /// Subtree total nanoseconds (own + all descendants).
-    pub fn total_ns(&self) -> u64 {
-        self.ns + self.children.iter().map(|(_, c)| c.total_ns()).sum::<u64>()
-    }
-
-    /// Additive merge: fold `other` into `self` by child-name union
-    /// (the time analogue of sketch `merge` — Σ shard ns == merged ns
-    /// exactly, since every field is a plain sum).
-    pub fn merge(&mut self, other: &TimeNode) {
-        self.ns += other.ns;
-        for (name, child) in other.children() {
-            self.child(name).merge(child);
-        }
-    }
-}
-
-/// Apportion one batch-granular wall-clock interval across the leaves
-/// of a space-attribution subtree, mirroring its structure into `out`.
-///
-/// This is the rule that buys per-sketch time attribution *without*
-/// per-sketch clock reads: the caller times a whole batched call (one
-/// monotonic read per chunk per lane) and this splits the interval over
-/// the structures that did the work, weighted by the heat counters the
-/// space ledger already maintains (`updates + touched_words`). When the
-/// subtree carries no heat at all, the split falls back to uniform
-/// weights so the time tree's shape stays a pure function of
-/// configuration. The split is exact: the cumulative-floor rule assigns
-/// `⌊ns·cum_i/W⌋ − ⌊ns·cum_{i−1}/W⌋` to leaf `i`, so assigned
-/// nanoseconds sum to `ns` with no remainder — parent == Σ children is
-/// an identity, not an approximation.
-pub fn apportion_by_heat(ns: u64, space: &LedgerNode, out: &mut TimeNode) {
-    fn collect(node: &LedgerNode, path: &mut Vec<String>, leaves: &mut Vec<(Vec<String>, u64)>) {
-        if node.is_leaf() {
-            leaves.push((path.clone(), node.updates + node.touched_words));
-            return;
-        }
-        for (name, child) in node.children() {
-            path.push(name.to_string());
-            collect(child, path, leaves);
-            path.pop();
-        }
-    }
-    let mut leaves = Vec::new();
-    collect(space, &mut Vec::new(), &mut leaves);
-    if leaves.is_empty() || (leaves.len() == 1 && leaves[0].0.is_empty()) {
-        // The subtree is itself a leaf: attribute directly.
-        out.ns += ns;
-        return;
-    }
-    let mut weights: Vec<u64> = leaves.iter().map(|(_, w)| *w).collect();
-    if weights.iter().all(|&w| w == 0) {
-        weights.iter_mut().for_each(|w| *w = 1);
-    }
-    let total: u128 = weights.iter().map(|&w| u128::from(w)).sum();
-    let mut cum: u128 = 0;
-    let mut prev: u128 = 0;
-    for ((path, _), &w) in leaves.iter().zip(&weights) {
-        cum += u128::from(w);
-        let assigned = u128::from(ns) * cum / total;
-        let share = (assigned - prev) as u64;
-        prev = assigned;
-        let mut node = &mut *out;
-        for seg in path {
-            node = node.child(seg);
-        }
-        node.ns += share;
-    }
-}
-
-/// One flattened row of a [`TimeLedger`]: the `/`-joined path plus the
-/// **subtree total** (so a parent row's `ns` always equals the sum of
-/// its children's — the invariant `maxkcov prof --time` re-checks when
-/// it reads a trace back).
-#[derive(Debug, Clone, PartialEq)]
-pub struct TimeLedgerRow {
-    /// `/`-joined path from the ledger root (the root itself is the
-    /// bare root name).
-    pub path: String,
-    /// Subtree total nanoseconds.
-    pub ns: u64,
-    /// Number of immediate children (0 = leaf).
-    pub children: usize,
-}
-
-/// A time-attribution ledger: a named tree of [`TimeNode`]s built by
-/// the `time_ledger_tree` implementations across the estimator stack
-/// (batch-granular wall intervals apportioned by heat — see
-/// [`apportion_by_heat`]), rendered as nested `"time_ledger"` NDJSON
-/// events, a sorted attribution report, and Brendan-Gregg folded
-/// stacks for flamegraph tooling.
-#[derive(Debug, Clone, Default)]
-pub struct TimeLedger {
-    name: String,
-    /// The root node (attribution goes into its children).
-    pub root: TimeNode,
-}
-
-impl TimeLedger {
-    /// An empty ledger whose root is named `name` (e.g. `"estimator"`).
-    pub fn new(name: &str) -> Self {
-        TimeLedger {
-            name: name.to_string(),
-            root: TimeNode::new(),
-        }
-    }
-
-    /// The root name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Total nanoseconds attributed anywhere in the tree.
-    pub fn total_ns(&self) -> u64 {
-        self.root.total_ns()
-    }
-
-    /// Flatten to rows in preorder (parent before children, children in
-    /// insertion order), with subtree totals per row.
-    pub fn rows(&self) -> Vec<TimeLedgerRow> {
-        fn walk(name: &str, node: &TimeNode, prefix: &str, out: &mut Vec<TimeLedgerRow>) {
-            let path = if prefix.is_empty() {
-                name.to_string()
-            } else {
-                format!("{prefix}/{name}")
-            };
-            out.push(TimeLedgerRow {
-                ns: node.total_ns(),
-                children: node.children.len(),
-                path: path.clone(),
-            });
-            for (child_name, child) in node.children() {
-                walk(child_name, child, &path, out);
-            }
-        }
-        let mut out = Vec::new();
-        walk(&self.name, &self.root, "", &mut out);
-        out
-    }
-
-    /// Schema violations: grouping nodes that carry direct attribution
-    /// (every nanosecond must live on a leaf). Empty means the
-    /// parent-sum invariant holds at every interior node by
-    /// construction.
-    pub fn audit(&self) -> Vec<String> {
-        fn walk(name: &str, node: &TimeNode, prefix: &str, out: &mut Vec<String>) {
-            let path = if prefix.is_empty() {
-                name.to_string()
-            } else {
-                format!("{prefix}/{name}")
-            };
-            if !node.children.is_empty() && node.ns != 0 {
-                out.push(format!(
-                    "{path}: grouping node carries direct attribution ({} ns)",
-                    node.ns
-                ));
-            }
-            for (child_name, child) in node.children() {
-                walk(child_name, child, &path, out);
-            }
-        }
-        let mut out = Vec::new();
-        walk(&self.name, &self.root, "", &mut out);
-        out
-    }
-
-    /// Emit one `"time_ledger"` event per node (preorder, subtree
-    /// totals). The wall-clock value rides in the field named exactly
-    /// `ns`, which every determinism-diffing normalizer in the test
-    /// suites strips — paths and child counts are a pure function of
-    /// configuration, so normalized traces stay bit-neutral.
-    pub fn emit(&self, rec: &Recorder) {
-        if !rec.is_enabled() {
-            return;
-        }
-        for row in self.rows() {
-            rec.event(
-                "time_ledger",
-                &[
-                    ("path", row.path.as_str().into()),
-                    ("ns", row.ns.into()),
-                    ("children", (row.children as u64).into()),
-                ],
-            );
-        }
-    }
-
-    /// Render Brendan-Gregg folded stacks — one line per leaf,
-    /// `root;seg;…;leaf <ns>` — directly consumable by standard
-    /// flamegraph tooling (`flamegraph.pl`, inferno, speedscope).
-    pub fn folded(&self) -> String {
-        let mut out = String::new();
-        for row in self.rows() {
-            if row.children == 0 {
-                out.push_str(&row.path.replace('/', ";"));
-                out.push(' ');
-                out.push_str(&row.ns.to_string());
-                out.push('\n');
-            }
-        }
-        out
-    }
-
-    /// Render the sorted attribution report: leaves ranked by
-    /// nanoseconds (ties by path), with share of total. `top == 0`
-    /// means all leaves.
-    pub fn report(&self, top: usize) -> String {
-        render_time_report(&self.rows(), top)
-    }
-
-    /// Additive merge by root-name match (shards of the same stage).
-    pub fn merge(&mut self, other: &TimeLedger) {
-        assert_eq!(
-            self.name, other.name,
-            "TimeLedger merge requires identical root names"
-        );
-        self.root.merge(&other.root);
-    }
-}
-
-/// Render a time-attribution report from flattened ledger rows (leaves
-/// only, ranked by ns descending then path). Shared by the live
-/// [`TimeLedger::report`] path and trace-replay tooling that rebuilds
-/// rows from `"time_ledger"` NDJSON events.
-pub fn render_time_report(rows: &[TimeLedgerRow], top: usize) -> String {
-    let total: u64 = rows.first().map_or(0, |r| r.ns);
-    let mut leaves: Vec<&TimeLedgerRow> = rows.iter().filter(|r| r.children == 0).collect();
-    leaves.sort_by(|a, b| b.ns.cmp(&a.ns).then_with(|| a.path.cmp(&b.path)));
-    let shown = if top == 0 { leaves.len() } else { top.min(leaves.len()) };
-    let width = leaves
-        .iter()
-        .take(shown)
-        .map(|r| r.path.len())
-        .max()
-        .unwrap_or(4)
-        .max(4);
-    let mut out = String::new();
-    out.push_str(&format!(
-        "{:<width$}  {:>14}  {:>6}\n",
-        "path", "ns", "%"
-    ));
-    for row in leaves.iter().take(shown) {
-        let pct = if total > 0 {
-            row.ns as f64 / total as f64 * 100.0
-        } else {
-            0.0
-        };
-        out.push_str(&format!(
-            "{:<width$}  {:>14}  {:>5.1}%\n",
-            row.path, row.ns, pct
-        ));
-    }
-    if shown < leaves.len() {
-        let rest: u64 = leaves[shown..].iter().map(|r| r.ns).sum();
-        out.push_str(&format!(
-            "… {} more leaves ({} ns)\n",
-            leaves.len() - shown,
-            rest
-        ));
-    }
-    out.push_str(&format!("total: {total} ns\n"));
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1650,256 +1059,5 @@ mod tests {
         let text = String::from_utf8(buf).unwrap();
         let parsed = json::Json::parse(text.trim()).unwrap();
         assert!(matches!(parsed.get("value"), Some(json::Json::Null)));
-    }
-
-    fn sample_ledger() -> SpaceLedger {
-        let mut ledger = SpaceLedger::new("estimator");
-        let lane = ledger.root.child("lane0");
-        let cs = lane.child("large_set").child("countsketch");
-        cs.leaf("rows", 100);
-        cs.leaf("hashes", 20);
-        cs.heat("rows", 50, 150);
-        lane.child("reducer").leaf("hash", 4);
-        ledger.root.child("fingerprints").leaf("set_base", 8);
-        ledger
-    }
-
-    #[test]
-    fn ledger_child_is_find_or_append_and_totals_sum() {
-        let ledger = sample_ledger();
-        assert_eq!(ledger.total_words(), 132);
-        let lane = ledger.root.get("lane0").unwrap();
-        assert_eq!(lane.total_words(), 124);
-        assert_eq!(lane.total_updates(), 50);
-        assert_eq!(lane.total_touched_words(), 150);
-        // Path lookup resolves nested components.
-        let rows = ledger.root.at("lane0/large_set/countsketch/rows").unwrap();
-        assert_eq!(rows.words, 100);
-        assert!(rows.is_leaf());
-        assert!(ledger.root.at("lane0/missing").is_none());
-        // Repeated attribution accumulates in the same child.
-        let mut node = LedgerNode::new();
-        node.leaf("values", 3);
-        node.leaf("values", 4);
-        assert_eq!(node.get("values").unwrap().words, 7);
-        assert_eq!(node.children().count(), 1);
-    }
-
-    #[test]
-    fn ledger_rows_are_preorder_with_subtree_totals() {
-        let ledger = sample_ledger();
-        let rows = ledger.rows();
-        assert_eq!(rows[0].path, "estimator");
-        assert_eq!(rows[0].words, 132);
-        assert!(rows[0].children > 0);
-        // Parent-sum invariant: every interior row's words equal the sum
-        // of its immediate children's.
-        for parent in rows.iter().filter(|r| r.children > 0) {
-            let prefix = format!("{}/", parent.path);
-            let child_sum: u64 = rows
-                .iter()
-                .filter(|r| {
-                    r.path.strip_prefix(&prefix).is_some_and(|rest| !rest.contains('/'))
-                })
-                .map(|r| r.words)
-                .sum();
-            assert_eq!(parent.words, child_sum, "at {}", parent.path);
-        }
-        // Leaf rows carry their own attribution verbatim.
-        let cs_rows = rows.iter().find(|r| r.path.ends_with("countsketch/rows")).unwrap();
-        assert_eq!((cs_rows.words, cs_rows.updates, cs_rows.touched_words), (100, 50, 150));
-        assert_eq!(cs_rows.children, 0);
-    }
-
-    #[test]
-    fn ledger_audit_flags_attribution_on_grouping_nodes() {
-        let mut ledger = sample_ledger();
-        assert!(ledger.audit().is_empty(), "{:?}", ledger.audit());
-        ledger.root.child("lane0").words += 5;
-        let violations = ledger.audit();
-        assert_eq!(violations.len(), 1);
-        assert!(violations[0].contains("estimator/lane0"), "{violations:?}");
-    }
-
-    #[test]
-    fn ledger_emits_one_event_per_node_and_report_ranks_leaves() {
-        let ledger = sample_ledger();
-        let rec = Recorder::enabled();
-        ledger.emit(&rec);
-        let events = rec.events_of("ledger");
-        assert_eq!(events.len(), ledger.rows().len());
-        assert_eq!(events[0].str_field("path"), Some("estimator"));
-        assert_eq!(events[0].u64_field("words"), Some(132));
-        for e in &events {
-            for key in ["path", "words", "updates", "touched_words", "children"] {
-                assert!(e.field(key).is_some(), "missing {key}: {e:?}");
-            }
-        }
-        // Disabled recorder: emit is a no-op.
-        let off = Recorder::disabled();
-        ledger.emit(&off);
-        assert!(off.events().is_empty());
-        // The report ranks leaves by words and carries the total.
-        let report = ledger.report(2);
-        let first_data_line = report.lines().nth(1).unwrap();
-        assert!(first_data_line.contains("countsketch/rows"), "{report}");
-        assert!(report.contains("total: 132 words"), "{report}");
-        assert!(report.contains("more leaves"), "{report}");
-        let full = ledger.report(0);
-        assert!(!full.contains("more leaves"), "{full}");
-    }
-
-    fn sample_time_ledger() -> TimeLedger {
-        let mut ledger = TimeLedger::new("estimator");
-        let lane = ledger.root.child("lane0");
-        lane.leaf("reducer", 40);
-        let ls = lane.child("large_set");
-        ls.leaf("countsketch", 500);
-        ls.leaf("tracker", 60);
-        ledger.root.leaf("fingerprints", 100);
-        ledger
-    }
-
-    #[test]
-    fn time_ledger_rows_are_preorder_with_subtree_totals() {
-        let ledger = sample_time_ledger();
-        assert_eq!(ledger.total_ns(), 700);
-        let rows = ledger.rows();
-        assert_eq!(rows[0].path, "estimator");
-        assert_eq!(rows[0].ns, 700);
-        for parent in rows.iter().filter(|r| r.children > 0) {
-            let prefix = format!("{}/", parent.path);
-            let child_sum: u64 = rows
-                .iter()
-                .filter(|r| {
-                    r.path.strip_prefix(&prefix).is_some_and(|rest| !rest.contains('/'))
-                })
-                .map(|r| r.ns)
-                .sum();
-            assert_eq!(parent.ns, child_sum, "at {}", parent.path);
-        }
-        let cs = ledger.root.at("lane0/large_set/countsketch").unwrap();
-        assert_eq!(cs.ns, 500);
-        assert!(cs.is_leaf());
-        assert!(ledger.root.at("lane0/missing").is_none());
-    }
-
-    #[test]
-    fn time_ledger_audit_flags_attribution_on_grouping_nodes() {
-        let mut ledger = sample_time_ledger();
-        assert!(ledger.audit().is_empty(), "{:?}", ledger.audit());
-        ledger.root.child("lane0").ns += 5;
-        let violations = ledger.audit();
-        assert_eq!(violations.len(), 1);
-        assert!(violations[0].contains("estimator/lane0"), "{violations:?}");
-    }
-
-    #[test]
-    fn time_ledger_emits_events_and_folds_leaves() {
-        let ledger = sample_time_ledger();
-        let rec = Recorder::enabled();
-        ledger.emit(&rec);
-        let events = rec.events_of("time_ledger");
-        assert_eq!(events.len(), ledger.rows().len());
-        assert_eq!(events[0].str_field("path"), Some("estimator"));
-        assert_eq!(events[0].u64_field("ns"), Some(700));
-        for e in &events {
-            for key in ["path", "ns", "children"] {
-                assert!(e.field(key).is_some(), "missing {key}: {e:?}");
-            }
-        }
-        let off = Recorder::disabled();
-        ledger.emit(&off);
-        assert!(off.events().is_empty());
-        // Folded stacks: leaves only, `/` → `;`, one trailing count.
-        let folded = ledger.folded();
-        let lines: Vec<&str> = folded.lines().collect();
-        assert_eq!(
-            lines,
-            vec![
-                "estimator;lane0;reducer 40",
-                "estimator;lane0;large_set;countsketch 500",
-                "estimator;lane0;large_set;tracker 60",
-                "estimator;fingerprints 100",
-            ]
-        );
-        // The report ranks leaves by ns and carries the total.
-        let report = ledger.report(2);
-        let first_data_line = report.lines().nth(1).unwrap();
-        assert!(first_data_line.contains("countsketch"), "{report}");
-        assert!(report.contains("total: 700 ns"), "{report}");
-        assert!(report.contains("more leaves"), "{report}");
-    }
-
-    #[test]
-    fn time_ledger_merge_is_exactly_additive() {
-        let mut a = sample_time_ledger();
-        let b = sample_time_ledger();
-        a.merge(&b);
-        assert_eq!(a.total_ns(), 1400);
-        assert_eq!(
-            a.root.at("lane0/large_set/countsketch").unwrap().ns,
-            1000
-        );
-        // Merge unions shapes: a child only in `b` appears in the merge.
-        let mut c = TimeLedger::new("estimator");
-        c.root.leaf("extra", 7);
-        a.merge(&c);
-        assert_eq!(a.root.get("extra").unwrap().ns, 7);
-        assert_eq!(a.total_ns(), 1407);
-    }
-
-    #[test]
-    fn apportion_by_heat_splits_exactly_by_weight() {
-        // Heat 50+150 on `rows`, 0 on `hashes`/`hash`/`set_base` — all
-        // weight lands on one leaf of the mirrored structure.
-        let space = sample_ledger();
-        let lane_space = space.root.get("lane0").unwrap();
-        let mut out = TimeNode::new();
-        apportion_by_heat(1000, lane_space, &mut out);
-        assert_eq!(out.total_ns(), 1000, "apportionment must be exact");
-        assert_eq!(
-            out.at("large_set/countsketch/rows").unwrap().ns,
-            1000,
-            "all heat is on rows"
-        );
-        // Mirrored shape: every space leaf exists in the time tree.
-        assert!(out.at("large_set/countsketch/hashes").is_some());
-        assert!(out.at("reducer/hash").is_some());
-    }
-
-    #[test]
-    fn apportion_by_heat_is_exact_under_awkward_remainders() {
-        let mut space = LedgerNode::new();
-        space.leaf("a", 1);
-        space.leaf("b", 1);
-        space.leaf("c", 1);
-        space.heat("a", 1, 0);
-        space.heat("b", 1, 0);
-        space.heat("c", 1, 0);
-        let mut out = TimeNode::new();
-        // 1000 into three equal weights: 333/334/333-style exact split.
-        apportion_by_heat(1000, &space, &mut out);
-        let shares: Vec<u64> = ["a", "b", "c"]
-            .iter()
-            .map(|n| out.get(n).unwrap().ns)
-            .collect();
-        assert_eq!(shares.iter().sum::<u64>(), 1000);
-        assert!(shares.iter().all(|&s| (332..=334).contains(&s)), "{shares:?}");
-    }
-
-    #[test]
-    fn apportion_by_heat_falls_back_to_uniform_without_heat() {
-        let mut space = LedgerNode::new();
-        space.leaf("a", 10);
-        space.leaf("b", 20);
-        let mut out = TimeNode::new();
-        apportion_by_heat(100, &space, &mut out);
-        assert_eq!(out.get("a").unwrap().ns, 50);
-        assert_eq!(out.get("b").unwrap().ns, 50);
-        // A bare-leaf subtree attributes directly to `out`.
-        let mut leaf_only = TimeNode::new();
-        apportion_by_heat(42, &LedgerNode::new(), &mut leaf_only);
-        assert_eq!(leaf_only.ns, 42);
     }
 }

@@ -257,7 +257,7 @@ mod tests {
         let mut node = LedgerNode::new();
         sk.space_ledger(&mut node);
         assert_eq!(node.total_words(), sk.space_words() as u64);
-        assert_eq!(node.get("counters").unwrap().words, 24);
+        assert_eq!(node.get("counters").unwrap().own.words, 24);
     }
 
     #[test]

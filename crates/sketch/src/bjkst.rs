@@ -300,7 +300,7 @@ mod tests {
         let mut node = LedgerNode::new();
         b.space_ledger(&mut node);
         assert_eq!(node.total_words(), b.space_words() as u64);
-        assert_eq!(node.get("overhead").unwrap().words, 2);
+        assert_eq!(node.get("overhead").unwrap().own.words, 2);
     }
 
     #[test]

@@ -631,8 +631,14 @@ mod tests {
         let mut node = LedgerNode::new();
         fc.space_ledger(&mut node);
         assert_eq!(node.total_words(), fc.space_words() as u64);
-        assert_eq!(node.get("hash").unwrap().words, fc.sampling_hash().space_words() as u64);
-        assert_eq!(node.get("overhead").unwrap().words, 2 * fc.num_levels() as u64);
+        assert_eq!(
+            node.get("hash").unwrap().own.words,
+            fc.sampling_hash().space_words() as u64
+        );
+        assert_eq!(
+            node.get("overhead").unwrap().own.words,
+            2 * fc.num_levels() as u64
+        );
         // Level 0 is unsampled: its CountSketch saw every update, so the
         // aggregated subtree carries at least the full stream's heat.
         assert!(node.get("levels").unwrap().total_updates() >= 168);

@@ -189,7 +189,7 @@ mod tests {
         let mut node = LedgerNode::new();
         cm.space_ledger(&mut node);
         assert_eq!(node.total_words(), cm.space_words() as u64);
-        assert_eq!(node.get("rows").unwrap().words, 96);
+        assert_eq!(node.get("rows").unwrap().own.words, 96);
     }
 
     #[test]

@@ -274,9 +274,9 @@ impl SpaceUsage for CountSketch {
     /// writes one counter per row, so `touched_words = updates × rows`.
     fn space_ledger(&self, node: &mut LedgerNode) {
         let rows = node.child("rows");
-        rows.words += self.table.len() as u64;
-        rows.updates += self.updates;
-        rows.touched_words += self.updates * self.rows as u64;
+        rows.own.words += self.table.len() as u64;
+        rows.own.updates += self.updates;
+        rows.own.touched_words += self.updates * self.rows as u64;
         node.leaf(
             "hashes",
             self.buckets.iter().map(KWise::space_words).sum::<usize>()
@@ -454,9 +454,9 @@ mod tests {
         cs.space_ledger(&mut node);
         assert_eq!(node.total_words(), cs.space_words() as u64);
         let rows = node.get("rows").unwrap();
-        assert_eq!(rows.words, 48);
-        assert_eq!(rows.updates, 18);
-        assert_eq!(rows.touched_words, 18 * 3);
+        assert_eq!(rows.own.words, 48);
+        assert_eq!(rows.own.updates, 18);
+        assert_eq!(rows.own.touched_words, 18 * 3);
         // Plain wire reconstruction starts the heat counter clean;
         // restore re-applies it.
         let mut back = CountSketch::from_parts(

@@ -423,9 +423,9 @@ impl SpaceUsage for F2HeavyHitter {
     fn space_ledger(&self, node: &mut LedgerNode) {
         self.sketch.space_ledger(node.child("countsketch"));
         let cand = node.child("candidates");
-        cand.words += 2 * self.candidates.len() as u64;
-        cand.updates += self.items_seen;
-        cand.touched_words += self.items_seen;
+        cand.own.words += 2 * self.candidates.len() as u64;
+        cand.own.updates += self.items_seen;
+        cand.own.touched_words += self.items_seen;
     }
 }
 
@@ -550,9 +550,9 @@ mod tests {
         hh.space_ledger(&mut node);
         assert_eq!(node.total_words(), hh.space_words() as u64);
         let cand = node.get("candidates").unwrap();
-        assert_eq!(cand.words, 2 * hh.candidates.len() as u64);
-        assert_eq!(cand.updates, 1_000);
-        assert_eq!(cand.touched_words, 1_000);
+        assert_eq!(cand.own.words, 2 * hh.candidates.len() as u64);
+        assert_eq!(cand.own.updates, 1_000);
+        assert_eq!(cand.own.touched_words, 1_000);
         // CountSketch subtree carries the inner sketch's own heat.
         let cs = node.get("countsketch").unwrap();
         assert_eq!(cs.total_words(), hh.sketch().space_words() as u64);

@@ -307,9 +307,9 @@ impl SpaceUsage for Kmv {
     /// resident entry).
     fn space_ledger(&self, node: &mut LedgerNode) {
         let values = node.child("values");
-        values.words += self.smallest.len() as u64;
-        values.updates += self.updates;
-        values.touched_words += self.updates;
+        values.own.words += self.smallest.len() as u64;
+        values.own.updates += self.updates;
+        values.own.touched_words += self.updates;
         node.leaf("hash", self.hash.space_words());
     }
 }

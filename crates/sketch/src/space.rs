@@ -33,7 +33,7 @@ pub trait SpaceUsage {
     /// opaque leaf; structured implementations add component children
     /// instead and must keep Σ attributed words == `space_words()`.
     fn space_ledger(&self, node: &mut LedgerNode) {
-        node.words += self.space_words() as u64;
+        node.own.words += self.space_words() as u64;
     }
 }
 
@@ -75,7 +75,7 @@ mod tests {
         let mut node = LedgerNode::new();
         Fixed(7).space_ledger(&mut node);
         Fixed(3).space_ledger(&mut node);
-        assert_eq!(node.words, 10);
+        assert_eq!(node.own.words, 10);
         assert!(node.is_leaf());
         assert_eq!(node.total_words(), Fixed(7).space_words() as u64 + 3);
     }

@@ -39,8 +39,9 @@
 //! leaf report, and re-checks the trace's accounting invariants (phase
 //! event nanos vs `time_ns.*` counters, subroutine space vs the
 //! summary total, heartbeat eviction monotonicity vs the final sketch
-//! totals, time-ledger parent sums and ns conservation against the
-//! batch wall clock), failing on violation.
+//! totals, both ledgers' parent sums, and ns conservation against the
+//! batch wall clock), failing on violation. Every check lives in
+//! `kcov_obs::audit`, shared with finalize and `prof`.
 //!
 //! `maxkcov prof` renders the space-attribution ledger (DESIGN.md §13)
 //! as a sorted words / % / updates / updates-per-word report — either
@@ -67,18 +68,16 @@
 //! recover with `--resume FILE` (resuming at the recorded edge offset,
 //! no replay of ingested edges); `--stop-after E` simulates a crash.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::fs::File;
-use std::io::{BufRead, BufReader, BufWriter};
+use std::io::{BufReader, BufWriter};
 use std::process::ExitCode;
 use std::time::Instant;
 
 use kcov_baselines::{greedy_max_cover, max_cover_exact};
-use kcov_core::{EstimatorConfig, MaxCoverEstimator, MaxCoverReporter, ParamMode};
-use kcov_obs::json::Json;
-use kcov_obs::{
-    render_ledger_report, render_time_report, Histogram, LedgerRow, Recorder, TimeLedgerRow, Value,
-};
+use kcov_core::{crosses_beat, EstimatorConfig, MaxCoverEstimator, MaxCoverReporter, ParamMode};
+use kcov_obs::audit::{self, Trace};
+use kcov_obs::{render_folded, render_report, Recorder, Row, Time, Value};
 use kcov_sketch::{SpaceUsage, WireEncode};
 use kcov_stream::gen;
 use kcov_stream::{
@@ -592,13 +591,6 @@ fn cmd_estimate(flags: &HashMap<String, String>) -> Result<(), String> {
     obs.emit(&rec)
 }
 
-/// Mirror of `telemetry::crosses_beat`: true when `[seen_before,
-/// seen_before + added]` crosses a multiple of `every` — the snapshot
-/// cadence is a pure function of the chunking, never of the clock.
-fn crosses_beat(seen_before: u64, added: u64, every: u64) -> bool {
-    every > 0 && added > 0 && (seen_before + added) / every > seen_before / every
-}
-
 /// Serialize a replica to `path` atomically (tmp + rename), so a
 /// crash mid-write never leaves a truncated snapshot behind. Returns
 /// the encoded size in bytes.
@@ -697,6 +689,8 @@ fn cmd_worker(flags: &HashMap<String, String>) -> Result<(), String> {
             stopped = true;
             break;
         }
+        // The heartbeat cadence rule: a pure function of the chunking,
+        // never of the clock.
         if crosses_beat(done - sub.len() as u64, sub.len() as u64, snapshot_every) {
             let path = snapshot.as_deref().expect("--snapshot-every implies --snapshot");
             write_replica(path, &est)?;
@@ -898,463 +892,6 @@ fn cmd_budget(flags: &HashMap<String, String>) -> Result<(), String> {
     obs.emit(&rec)
 }
 
-/// Fields accumulated per `(stage, shard, at_edges)` heartbeat row.
-#[derive(Default)]
-struct BeatRow {
-    lanes: u64,
-    lc_fill: u64,
-    ls_fill: u64,
-    ss_fill: u64,
-    evictions: u64,
-    space_words: u64,
-    /// Cumulative per-lane ingest wall clock summed over the row's
-    /// lanes — the heartbeat-aligned time trajectory (0 when the trace
-    /// predates wire v4 or the run was untimed).
-    ns: u64,
-}
-
-/// Everything `trace-summarize` extracts from one NDJSON trace.
-#[derive(Default)]
-struct TraceSummary {
-    lines: usize,
-    /// phase name → (calls, total ns) from `"phase"` events.
-    phases: BTreeMap<String, (u64, u64)>,
-    /// `"counter"` lines, keyed as written (includes `time_ns.*`).
-    counters: BTreeMap<String, u64>,
-    /// Sum of `"subroutine"` `space_words` and how many contributed.
-    subroutine_space: u64,
-    subroutines: u64,
-    /// Every `"subroutine"` event as `(lane, name, space_words)` — the
-    /// cross-check targets for the ledger subtrees.
-    subroutine_events: Vec<(u64, String, u64)>,
-    /// `(estimate, space_words, edges)` from the `"summary"` event.
-    summary: Option<(f64, u64, u64)>,
-    /// `(stage, shard, at_edges)` → per-row aggregate over lanes.
-    beats: BTreeMap<(String, u64, u64), BeatRow>,
-    /// Reconstructed `"histogram"` events, in emission order.
-    histograms: Vec<(String, Histogram)>,
-    /// `"ledger"` events as flattened rows, in emission order
-    /// (preorder of the attribution tree, subtree totals per row).
-    ledger_rows: Vec<LedgerRow>,
-    /// `"time_ledger"` events as flattened rows, in emission order
-    /// (preorder, subtree ns totals per row). A two-pass trace holds
-    /// two trees (`estimator/...` then `pass2/...`), distinguished by
-    /// their root path segment.
-    time_rows: Vec<TimeLedgerRow>,
-    /// `"time_ledger_meta"` events as `(stage, root, threads, ns)` —
-    /// one per emitted time-ledger tree, carrying the wall budget
-    /// factors for the conservation re-check.
-    time_meta: Vec<(String, String, u64, u64)>,
-    /// Sum of `"sketch"` event `evictions` and how many contributed —
-    /// the finalize-time totals the heartbeat trajectories must stay
-    /// below.
-    sketch_evictions: u64,
-    sketch_events: u64,
-}
-
-fn json_u64(doc: &Json, key: &str) -> Option<u64> {
-    doc.get(key).and_then(Json::as_f64).map(|v| v as u64)
-}
-
-fn parse_trace(path: &str) -> Result<TraceSummary, String> {
-    let file = File::open(path).map_err(|e| format!("open {path}: {e}"))?;
-    let mut out = TraceSummary::default();
-    for (i, line) in BufReader::new(file).lines().enumerate() {
-        let line = line.map_err(|e| format!("read {path}: {e}"))?;
-        if line.trim().is_empty() {
-            continue;
-        }
-        out.lines += 1;
-        let lineno = i + 1;
-        let doc = Json::parse(&line).map_err(|e| format!("{path}:{lineno}: {e}"))?;
-        let kind = doc
-            .get("kind")
-            .and_then(Json::as_str)
-            .ok_or_else(|| format!("{path}:{lineno}: missing \"kind\""))?;
-        let bad = |field: &str| format!("{path}:{lineno}: {kind} event missing \"{field}\"");
-        match kind {
-            "phase" => {
-                let name = doc
-                    .get("phase")
-                    .and_then(Json::as_str)
-                    .ok_or_else(|| bad("phase"))?;
-                let ns = json_u64(&doc, "ns").ok_or_else(|| bad("ns"))?;
-                let e = out.phases.entry(name.to_string()).or_insert((0, 0));
-                e.0 += 1;
-                e.1 += ns;
-            }
-            "counter" => {
-                let key = doc
-                    .get("key")
-                    .and_then(Json::as_str)
-                    .ok_or_else(|| bad("key"))?;
-                let value = json_u64(&doc, "value").ok_or_else(|| bad("value"))?;
-                out.counters.insert(key.to_string(), value);
-            }
-            "subroutine" => {
-                let words = json_u64(&doc, "space_words").ok_or_else(|| bad("space_words"))?;
-                let lane = json_u64(&doc, "lane").ok_or_else(|| bad("lane"))?;
-                let name = doc
-                    .get("name")
-                    .and_then(Json::as_str)
-                    .ok_or_else(|| bad("name"))?;
-                out.subroutine_space += words;
-                out.subroutines += 1;
-                out.subroutine_events.push((lane, name.to_string(), words));
-            }
-            "sketch" => {
-                out.sketch_evictions += json_u64(&doc, "evictions").ok_or_else(|| bad("evictions"))?;
-                out.sketch_events += 1;
-            }
-            "ledger" => {
-                let path = doc
-                    .get("path")
-                    .and_then(Json::as_str)
-                    .ok_or_else(|| bad("path"))?;
-                out.ledger_rows.push(LedgerRow {
-                    path: path.to_string(),
-                    words: json_u64(&doc, "words").ok_or_else(|| bad("words"))?,
-                    updates: json_u64(&doc, "updates").ok_or_else(|| bad("updates"))?,
-                    touched_words: json_u64(&doc, "touched_words")
-                        .ok_or_else(|| bad("touched_words"))?,
-                    children: json_u64(&doc, "children").ok_or_else(|| bad("children"))? as usize,
-                });
-            }
-            "time_ledger" => {
-                let path = doc
-                    .get("path")
-                    .and_then(Json::as_str)
-                    .ok_or_else(|| bad("path"))?;
-                out.time_rows.push(TimeLedgerRow {
-                    path: path.to_string(),
-                    ns: json_u64(&doc, "ns").ok_or_else(|| bad("ns"))?,
-                    children: json_u64(&doc, "children").ok_or_else(|| bad("children"))? as usize,
-                });
-            }
-            "time_ledger_meta" => {
-                let stage = doc
-                    .get("stage")
-                    .and_then(Json::as_str)
-                    .ok_or_else(|| bad("stage"))?;
-                let root = doc
-                    .get("root")
-                    .and_then(Json::as_str)
-                    .ok_or_else(|| bad("root"))?;
-                out.time_meta.push((
-                    stage.to_string(),
-                    root.to_string(),
-                    json_u64(&doc, "threads").ok_or_else(|| bad("threads"))?,
-                    json_u64(&doc, "ns").ok_or_else(|| bad("ns"))?,
-                ));
-            }
-            "summary" => {
-                let est = doc
-                    .get("estimate")
-                    .and_then(Json::as_f64)
-                    .ok_or_else(|| bad("estimate"))?;
-                let words = json_u64(&doc, "space_words").ok_or_else(|| bad("space_words"))?;
-                let edges = json_u64(&doc, "edges").ok_or_else(|| bad("edges"))?;
-                out.summary = Some((est, words, edges));
-            }
-            "heartbeat" => {
-                let stage = doc
-                    .get("stage")
-                    .and_then(Json::as_str)
-                    .ok_or_else(|| bad("stage"))?;
-                let shard = json_u64(&doc, "shard").ok_or_else(|| bad("shard"))?;
-                let at = json_u64(&doc, "at_edges").ok_or_else(|| bad("at_edges"))?;
-                let row = out
-                    .beats
-                    .entry((stage.to_string(), shard, at))
-                    .or_default();
-                row.lanes += 1;
-                row.lc_fill += json_u64(&doc, "lc_fill").unwrap_or(0);
-                row.ls_fill += json_u64(&doc, "ls_fill").unwrap_or(0);
-                row.ss_fill += json_u64(&doc, "ss_fill").unwrap_or(0);
-                row.evictions += json_u64(&doc, "evictions").unwrap_or(0);
-                row.space_words += json_u64(&doc, "space_words").unwrap_or(0);
-                row.ns += json_u64(&doc, "ns").unwrap_or(0);
-            }
-            "histogram" => {
-                let name = doc
-                    .get("name")
-                    .and_then(Json::as_str)
-                    .ok_or_else(|| bad("name"))?;
-                let sum = json_u64(&doc, "sum").ok_or_else(|| bad("sum"))?;
-                let min = json_u64(&doc, "min").ok_or_else(|| bad("min"))?;
-                let max = json_u64(&doc, "max").ok_or_else(|| bad("max"))?;
-                let mut buckets: Vec<(usize, u64)> = Vec::new();
-                if let Json::Obj(entries) = &doc {
-                    for (k, v) in entries {
-                        if let Some(idx) =
-                            k.strip_prefix('b').and_then(|s| s.parse::<usize>().ok())
-                        {
-                            buckets.push((idx, v.as_f64().unwrap_or(0.0) as u64));
-                        }
-                    }
-                }
-                let hist = Histogram::from_parts(&buckets, sum, min, max).ok_or_else(|| {
-                    format!("{path}:{lineno}: inconsistent histogram '{name}'")
-                })?;
-                let count = json_u64(&doc, "count").ok_or_else(|| bad("count"))?;
-                if hist.count() != count {
-                    return Err(format!(
-                        "{path}:{lineno}: histogram '{name}' says count={count} but buckets sum to {}",
-                        hist.count()
-                    ));
-                }
-                out.histograms.push((name.to_string(), hist));
-            }
-            // Other kinds (lane, shard, twopass, gauge, …) are valid
-            // trace content but carry nothing this summary needs.
-            _ => {}
-        }
-    }
-    Ok(out)
-}
-
-/// Re-check the accounting invariants a well-formed trace satisfies:
-/// phase event nanos sum to the matching `time_ns.*` counter in both
-/// directions, and per-subroutine resident space sums to the summary
-/// total. Returns all violations rather than stopping at the first.
-fn trace_invariant_violations(t: &TraceSummary) -> Vec<String> {
-    let mut violations = Vec::new();
-    for (name, &(_, total_ns)) in &t.phases {
-        match t.counters.get(&format!("time_ns.{name}")) {
-            Some(&c) if c == total_ns => {}
-            Some(&c) => violations.push(format!(
-                "phase '{name}': events sum to {total_ns} ns but counter time_ns.{name} = {c}"
-            )),
-            None => violations.push(format!(
-                "phase '{name}': {total_ns} ns of events but no time_ns.{name} counter"
-            )),
-        }
-    }
-    for (key, &value) in &t.counters {
-        if let Some(name) = key.strip_prefix("time_ns.") {
-            if !t.phases.contains_key(name) {
-                violations
-                    .push(format!("counter {key} = {value} has no matching phase events"));
-            }
-        }
-    }
-    if let Some((_, summary_words, _)) = t.summary {
-        if t.subroutines > 0 && t.subroutine_space != summary_words {
-            violations.push(format!(
-                "subroutine space_words sum to {} but summary reports {summary_words}",
-                t.subroutine_space
-            ));
-        }
-    }
-    // Every heartbeat records a fill/eviction delta into the ingest
-    // histograms, so a trace with heartbeats but no histogram events
-    // has been truncated or hand-edited.
-    if !t.beats.is_empty() && t.histograms.is_empty() {
-        violations.push(format!(
-            "{} heartbeat row(s) but no histogram events (every heartbeat records a delta)",
-            t.beats.len()
-        ));
-    }
-    // Heartbeat ↔ SketchStats cross-check: eviction counters are
-    // monotone per (stage, shard) in stream position (the BTreeMap
-    // iterates `at_edges` ascending within each group), and the final
-    // per-shard snapshots can never exceed the finalize-time sketch
-    // totals — the merged totals include every shard's evictions plus
-    // any the merge itself performed.
-    let mut final_ev: BTreeMap<(&str, u64), u64> = BTreeMap::new();
-    for ((stage, shard, at), row) in &t.beats {
-        let prev = final_ev.entry((stage.as_str(), *shard)).or_insert(0);
-        if row.evictions < *prev {
-            violations.push(format!(
-                "heartbeat evictions not monotone: stage '{stage}' shard {shard} \
-                 drops from {prev} to {} at {at} edges",
-                row.evictions
-            ));
-        }
-        *prev = (*prev).max(row.evictions);
-    }
-    if t.sketch_events > 0 && !final_ev.is_empty() {
-        // Only the estimate-stage trajectories: the "sketch" events are
-        // the estimator's finalize snapshot, while pass-2 lanes evict
-        // into sketches no such event covers.
-        let beats_total: u64 = final_ev
-            .iter()
-            .filter(|((stage, _), _)| *stage == "estimate")
-            .map(|(_, v)| v)
-            .sum();
-        if beats_total > t.sketch_evictions {
-            violations.push(format!(
-                "final heartbeats record {beats_total} evictions across shards but the \
-                 finalize-time sketch totals only {}",
-                t.sketch_evictions
-            ));
-        }
-    }
-    violations
-}
-
-/// Re-check the invariants of a trace's `"ledger"` events (DESIGN.md
-/// §13): every interior row's subtree totals equal the sum of its
-/// immediate children's, the root's resident words equal the summary
-/// total, and each per-subroutine subtree matches its `"subroutine"`
-/// event's `space_words` exactly. Returns all violations.
-fn ledger_invariant_violations(t: &TraceSummary) -> Vec<String> {
-    let rows = &t.ledger_rows;
-    let mut violations = Vec::new();
-    for parent in rows.iter().filter(|r| r.children > 0) {
-        let prefix = format!("{}/", parent.path);
-        let children: Vec<&LedgerRow> = rows
-            .iter()
-            .filter(|r| r.path.strip_prefix(&prefix).is_some_and(|rest| !rest.contains('/')))
-            .collect();
-        if children.len() != parent.children {
-            violations.push(format!(
-                "ledger '{}' declares {} children but the trace holds {}",
-                parent.path,
-                parent.children,
-                children.len()
-            ));
-            continue;
-        }
-        let sum = |f: fn(&LedgerRow) -> u64| children.iter().map(|r| f(r)).sum::<u64>();
-        let sums = (sum(|r| r.words), sum(|r| r.updates), sum(|r| r.touched_words));
-        if sums != (parent.words, parent.updates, parent.touched_words) {
-            violations.push(format!(
-                "ledger '{}' totals ({}, {}, {}) != children sums ({}, {}, {})",
-                parent.path,
-                parent.words,
-                parent.updates,
-                parent.touched_words,
-                sums.0,
-                sums.1,
-                sums.2
-            ));
-        }
-    }
-    let root = rows.iter().find(|r| !r.path.contains('/'));
-    if let (Some(root), Some((_, summary_words, _))) = (root, t.summary) {
-        if root.words != summary_words {
-            violations.push(format!(
-                "ledger root '{}' attributes {} words but the summary reports {summary_words}",
-                root.path, root.words
-            ));
-        }
-    }
-    // Per-subroutine partial sums: the lane-subtree child names are the
-    // subroutine event names by construction; `trivial`, `fingerprints`
-    // and the shared `universe` mix are estimator-global (their events
-    // carry lane 0).
-    for (lane, name, words) in &t.subroutine_events {
-        let path = match name.as_str() {
-            "trivial" | "fingerprints" | "universe" => format!("estimator/{name}"),
-            _ => format!("estimator/lane{lane}/{name}"),
-        };
-        match rows.iter().find(|r| r.path == path) {
-            Some(r) if r.words == *words => {}
-            Some(r) => violations.push(format!(
-                "ledger '{path}' attributes {} words but subroutine '{name}' \
-                 (lane {lane}) reports {words}",
-                r.words
-            )),
-            None => violations.push(format!(
-                "subroutine '{name}' (lane {lane}, {words} words) has no ledger subtree at '{path}'"
-            )),
-        }
-    }
-    violations
-}
-
-/// Re-check the invariants of a trace's `"time_ledger"` events
-/// (DESIGN.md §15): every interior row's subtree ns equals the sum of
-/// its immediate children's, every emitted tree has a matching
-/// `"time_ledger_meta"` event whose total agrees with the root row,
-/// and attribution is conserved — a tree's total ns can never exceed
-/// its stage's measured batch wall clock (`*.batch_ns` histogram sum)
-/// times the worker-thread count, because every attributed interval
-/// nests inside a batch interval and at most `threads` lanes overlap.
-/// Heartbeat `ns` trajectories must be monotone in stream position.
-/// Returns all violations.
-fn time_invariant_violations(t: &TraceSummary) -> Vec<String> {
-    let rows = &t.time_rows;
-    let mut violations = Vec::new();
-    for parent in rows.iter().filter(|r| r.children > 0) {
-        let prefix = format!("{}/", parent.path);
-        let children: Vec<&TimeLedgerRow> = rows
-            .iter()
-            .filter(|r| r.path.strip_prefix(&prefix).is_some_and(|rest| !rest.contains('/')))
-            .collect();
-        if children.len() != parent.children {
-            violations.push(format!(
-                "time ledger '{}' declares {} children but the trace holds {}",
-                parent.path,
-                parent.children,
-                children.len()
-            ));
-            continue;
-        }
-        let sum: u64 = children.iter().map(|r| r.ns).sum();
-        if sum != parent.ns {
-            violations.push(format!(
-                "time ledger '{}' totals {} ns != children sum {} ns",
-                parent.path, parent.ns, sum
-            ));
-        }
-    }
-    for (stage, root, threads, meta_ns) in &t.time_meta {
-        match rows.iter().find(|r| &r.path == root) {
-            Some(r) if r.ns == *meta_ns => {}
-            Some(r) => violations.push(format!(
-                "time ledger root '{root}' attributes {} ns but its meta event reports {meta_ns}",
-                r.ns
-            )),
-            None => violations.push(format!(
-                "time_ledger_meta for stage '{stage}' has no time ledger rows at root '{root}'"
-            )),
-        }
-        // The wall budget of each stage: the batch-granular clocks only
-        // run inside `observe_batch`, whose wall intervals the
-        // `batch_ns` histogram records (merged additively across shards
-        // and replicas, exactly like the ledger's ns totals).
-        let hist = match stage.as_str() {
-            "estimate" => "ingest.batch_ns",
-            "pass2" => "pass2.ingest.batch_ns",
-            other => {
-                violations.push(format!("time_ledger_meta names unknown stage '{other}'"));
-                continue;
-            }
-        };
-        let wall: u64 = t
-            .histograms
-            .iter()
-            .filter(|(name, _)| name == hist)
-            .map(|(_, h)| h.sum())
-            .sum();
-        let budget = wall.saturating_mul((*threads).max(1));
-        if *meta_ns > budget {
-            violations.push(format!(
-                "time ledger stage '{stage}' attributes {meta_ns} ns but the wall budget is \
-                 {budget} ns ({hist} sum {wall} x {threads} thread(s))"
-            ));
-        }
-    }
-    // Heartbeat `ns` payloads are cumulative per lane, so each
-    // (stage, shard) trajectory summed over its (constant) lane set is
-    // monotone in stream position.
-    let mut last_ns: BTreeMap<(&str, u64), u64> = BTreeMap::new();
-    for ((stage, shard, at), row) in &t.beats {
-        let prev = last_ns.entry((stage.as_str(), *shard)).or_insert(0);
-        if row.ns < *prev {
-            violations.push(format!(
-                "heartbeat ns not monotone: stage '{stage}' shard {shard} drops from {prev} \
-                 to {} at {at} edges",
-                row.ns
-            ));
-        }
-        *prev = (*prev).max(row.ns);
-    }
-    violations
-}
-
 /// `maxkcov prof` — render the space-attribution ledger, from a trace
 /// file (positional) or a live run (`--input`), re-checking the ledger
 /// invariants either way.
@@ -1379,64 +916,97 @@ fn cmd_prof(files: &[String], flags: &HashMap<String, String>) -> Result<(), Str
     }
 }
 
+/// Print an audit verdict: `ok` on stdout when there are no violations
+/// (if given), else every violation on stderr and an error counting them
+/// as `what`.
+fn verdict(violations: &[String], ok: Option<&str>, what: &str) -> Result<(), String> {
+    if violations.is_empty() {
+        if let Some(ok) = ok {
+            println!("{ok}");
+        }
+        return Ok(());
+    }
+    for v in violations {
+        eprintln!("invariant violated: {v}");
+    }
+    Err(format!("{} {what}", violations.len()))
+}
+
 /// `maxkcov prof --time TRACE` — render the time-attribution ledger of
 /// a trace (one report per emitted tree: `estimator`, and `pass2` for
 /// two-pass traces), or its folded stacks with `--folded`, re-checking
 /// the time invariants either way.
 fn cmd_prof_time_trace(path: &str, top: usize, folded: bool) -> Result<(), String> {
-    let t = parse_trace(path)?;
+    let t = Trace::read(path)?;
     if t.time_rows.is_empty() {
         return Err(format!(
             "trace {path} contains no time_ledger events (written by --trace since the \
              time-attribution ledger landed; re-run the traced command)"
         ));
     }
-    let violations = time_invariant_violations(&t);
     if folded {
         // Folded stacks only on stdout, so the output pipes straight
         // into flamegraph.pl / inferno-flamegraph.
-        for row in t.time_rows.iter().filter(|r| r.children == 0) {
-            println!("{} {}", row.path.replace('/', ";"), row.ns);
-        }
+        print!("{}", render_folded(&t.time_rows));
     } else {
         println!("trace          = {path}");
         println!("time nodes     = {}", t.time_rows.len());
         // Emission order groups each tree's preorder rows contiguously;
         // rendering per root keeps the % column scaled per tree.
-        let mut trees: Vec<Vec<TimeLedgerRow>> = Vec::new();
-        for row in &t.time_rows {
-            let root = row.path.split('/').next().unwrap_or("");
-            match trees.last_mut() {
-                Some(rows)
-                    if rows
-                        .first()
-                        .is_some_and(|r| r.path.split('/').next() == Some(root)) =>
-                {
-                    rows.push(row.clone());
-                }
-                _ => trees.push(vec![row.clone()]),
+        let mut trees: Vec<&[Row<Time>]> = Vec::new();
+        let mut start = 0;
+        for (i, row) in t.time_rows.iter().enumerate().skip(1) {
+            if !row.path.contains('/') {
+                trees.push(&t.time_rows[start..i]);
+                start = i;
             }
         }
-        for rows in &trees {
+        trees.push(&t.time_rows[start..]);
+        for rows in trees {
             println!();
-            print!("{}", render_time_report(rows, top));
+            print!("{}", render_report(rows, top));
         }
         println!();
     }
-    if violations.is_empty() {
-        if !folded {
-            println!("time invariants OK");
-        }
-        Ok(())
+    let ok = (!folded).then_some("time invariants OK");
+    verdict(
+        &t.time_violations(),
+        ok,
+        &format!("time invariant(s) violated in {path}"),
+    )
+}
+
+/// Ingest `--input` for a live `prof` run, batched (default chunk 1024)
+/// or stream-sharded, with `rec` attached. Returns the estimator, the
+/// run's one-line description, the ingest wall clock, and its
+/// parallelism (threads × shards: how many attributed intervals can
+/// overlap).
+fn prof_ingest(
+    flags: &HashMap<String, String>,
+    rec: Recorder,
+) -> Result<(MaxCoverEstimator, String, u64, u64), String> {
+    let system = load(flags)?;
+    let k: usize = parse_num(req(flags, "k")?, "k")?;
+    let alpha: f64 = parse_num(req(flags, "alpha")?, "alpha")?;
+    let order = parse_order(flags)?;
+    let mut config = parse_config(flags)?;
+    config.recorder = rec;
+    let batch = parse_batch(flags)?.unwrap_or(1024);
+    let edges = edge_stream(&system, order);
+    let mut est =
+        MaxCoverEstimator::new(system.num_elements(), system.num_sets(), k, alpha, &config);
+    let t0 = Instant::now();
+    if config.shards > 1 {
+        est.ingest_sharded(&edges, config.shards, batch);
     } else {
-        for v in &violations {
-            eprintln!("invariant violated: {v}");
+        for chunk in edges.chunks(batch) {
+            est.observe_batch(chunk);
         }
-        Err(format!(
-            "{} time invariant(s) violated in {path}",
-            violations.len()
-        ))
     }
+    let wall_ns = t0.elapsed().as_nanos() as u64;
+    let parallelism = (config.threads.max(1) * config.shards.max(1)) as u64;
+    let run = format!("{} edges, k={k}, alpha={alpha}", edges.len());
+    Ok((est, run, wall_ns, parallelism))
 }
 
 /// `maxkcov prof --time --input FILE …` — run an ingest with the
@@ -1448,138 +1018,63 @@ fn cmd_prof_time_live(
     top: usize,
     folded: bool,
 ) -> Result<(), String> {
-    let system = load(flags)?;
-    let k: usize = parse_num(req(flags, "k")?, "k")?;
-    let alpha: f64 = parse_num(req(flags, "alpha")?, "alpha")?;
-    let order = parse_order(flags)?;
-    let mut config = parse_config(flags)?;
     // The batch-granular clocks only run against a live recorder
     // (disabled-recorder runs must stay zero-overhead), so attach one
     // even though prof never emits its event stream.
-    config.recorder = Recorder::enabled();
-    let batch = parse_batch(flags)?;
-    let edges = edge_stream(&system, order);
-    let mut est =
-        MaxCoverEstimator::new(system.num_elements(), system.num_sets(), k, alpha, &config);
-    let t0 = Instant::now();
-    if config.shards > 1 {
-        est.ingest_sharded(&edges, config.shards, batch.unwrap_or(1024));
-    } else {
-        for chunk in edges.chunks(batch.unwrap_or(1024)) {
-            est.observe_batch(chunk);
-        }
-    }
-    let wall_ns = t0.elapsed().as_nanos() as u64;
+    let (est, run, wall_ns, parallelism) = prof_ingest(flags, Recorder::enabled())?;
     let times = est.time_ledger_tree();
-    let mut violations = times.audit();
-    // Conservation against the measured wall clock: every attributed
-    // interval nests inside the ingest wall, at most `threads` lanes
-    // overlap within a replica, and `shards` replicas run concurrently.
-    let budget = wall_ns
-        .saturating_mul(config.threads.max(1) as u64)
-        .saturating_mul(config.shards.max(1) as u64);
-    if times.total_ns() > budget {
-        violations.push(format!(
-            "time ledger attributes {} ns but the ingest wall budget is {budget} ns \
-             ({wall_ns} ns x {} thread(s) x {} shard(s))",
-            times.total_ns(),
-            config.threads.max(1),
-            config.shards.max(1)
-        ));
-    }
     if folded {
         print!("{}", times.folded());
     } else {
-        println!("live run       = {} edges, k={k}, alpha={alpha}", edges.len());
+        println!("live run       = {run}");
         println!("time nodes     = {}", times.rows().len());
         println!();
         print!("{}", times.report(top));
         println!();
     }
-    if violations.is_empty() {
-        if !folded {
-            println!("time invariants OK");
-        }
-        Ok(())
-    } else {
-        for v in &violations {
-            eprintln!("invariant violated: {v}");
-        }
-        Err(format!("{} time invariant(s) violated", violations.len()))
-    }
+    let violations = audit::time_ledger_violations(&times, wall_ns, parallelism);
+    let ok = (!folded).then_some("time invariants OK");
+    verdict(&violations, ok, "time invariant(s) violated")
 }
 
 fn cmd_prof_trace(path: &str, top: usize) -> Result<(), String> {
-    let t = parse_trace(path)?;
-    if t.ledger_rows.is_empty() {
+    let t = Trace::read(path)?;
+    if t.space_rows.is_empty() {
         return Err(format!(
             "trace {path} contains no ledger events (written by --trace since the \
              space-attribution ledger landed; re-run the traced command)"
         ));
     }
     println!("trace          = {path}");
-    println!("ledger nodes   = {}", t.ledger_rows.len());
+    println!("ledger nodes   = {}", t.space_rows.len());
     println!();
-    print!("{}", render_ledger_report(&t.ledger_rows, top));
-    let violations = ledger_invariant_violations(&t);
+    print!("{}", render_report(&t.space_rows, top));
     println!();
-    if violations.is_empty() {
-        println!("ledger invariants OK");
-        Ok(())
-    } else {
-        for v in &violations {
-            eprintln!("invariant violated: {v}");
-        }
-        Err(format!(
-            "{} ledger invariant(s) violated in {path}",
-            violations.len()
-        ))
-    }
+    verdict(
+        &t.space_violations(),
+        Some("ledger invariants OK"),
+        &format!("ledger invariant(s) violated in {path}"),
+    )
 }
 
 fn cmd_prof_live(flags: &HashMap<String, String>, top: usize) -> Result<(), String> {
-    let system = load(flags)?;
-    let k: usize = parse_num(req(flags, "k")?, "k")?;
-    let alpha: f64 = parse_num(req(flags, "alpha")?, "alpha")?;
-    let order = parse_order(flags)?;
-    let config = parse_config(flags)?;
-    let batch = parse_batch(flags)?;
-    let edges = edge_stream(&system, order);
-    let mut est =
-        MaxCoverEstimator::new(system.num_elements(), system.num_sets(), k, alpha, &config);
-    if config.shards > 1 {
-        est.ingest_sharded(&edges, config.shards, batch.unwrap_or(1024));
-    } else {
-        for chunk in edges.chunks(batch.unwrap_or(1024)) {
-            est.observe_batch(chunk);
-        }
-    }
+    let (est, run, _, _) = prof_ingest(flags, Recorder::disabled())?;
     let ledger = est.space_ledger_tree();
-    println!("live run       = {} edges, k={k}, alpha={alpha}", edges.len());
+    println!("live run       = {run}");
     println!("ledger nodes   = {}", ledger.rows().len());
     println!();
     print!("{}", ledger.report(top));
     println!();
-    let mut violations = ledger.audit();
-    let (total, expected) = (ledger.total_words(), est.space_words() as u64);
-    if total != expected {
-        violations.push(format!(
-            "ledger attributes {total} words but space_words reports {expected}"
-        ));
-    }
-    if violations.is_empty() {
-        println!("ledger invariants OK");
-        Ok(())
-    } else {
-        for v in &violations {
-            eprintln!("invariant violated: {v}");
-        }
-        Err(format!("{} ledger invariant(s) violated", violations.len()))
-    }
+    let violations = audit::space_ledger_violations(&ledger, est.space_words() as u64);
+    verdict(
+        &violations,
+        Some("ledger invariants OK"),
+        "ledger invariant(s) violated",
+    )
 }
 
 fn cmd_trace_summarize(path: &str) -> Result<(), String> {
-    let t = parse_trace(path)?;
+    let t = Trace::read(path)?;
     if t.lines == 0 {
         return Err(format!("trace {path} contains no events"));
     }
@@ -1597,10 +1092,11 @@ fn cmd_trace_summarize(path: &str) -> Result<(), String> {
         println!("summary estimate         = {est:.1}");
         println!("summary space (words)    = {words}");
         println!("summary edges            = {edges}");
-        if t.subroutines > 0 {
+        if !t.subroutines.is_empty() {
             println!(
                 "subroutine space (words) = {} across {} subroutines",
-                t.subroutine_space, t.subroutines
+                t.subroutines.iter().map(|(_, _, w)| w).sum::<u64>(),
+                t.subroutines.len()
             );
         }
     }
@@ -1645,21 +1141,12 @@ fn cmd_trace_summarize(path: &str) -> Result<(), String> {
             );
         }
     }
-    let mut violations = trace_invariant_violations(&t);
-    violations.extend(time_invariant_violations(&t));
     println!();
-    if violations.is_empty() {
-        println!("invariants OK");
-        Ok(())
-    } else {
-        for v in &violations {
-            eprintln!("invariant violated: {v}");
-        }
-        Err(format!(
-            "{} trace invariant(s) violated in {path}",
-            violations.len()
-        ))
-    }
+    verdict(
+        &t.violations(),
+        Some("invariants OK"),
+        &format!("trace invariant(s) violated in {path}"),
+    )
 }
 
 fn cmd_setcover(flags: &HashMap<String, String>) -> Result<(), String> {

@@ -292,39 +292,17 @@ fn trace_and_metrics_add_output_without_changing_estimates() {
     assert!(traced.status.success(), "{}", String::from_utf8_lossy(&traced.stderr));
     assert_eq!(plain.stdout, traced.stdout, "--trace must not change stdout");
 
-    // The trace file is line-delimited JSON with the required records,
-    // and its accounting matches the stream and the reported space.
-    let ndjson = std::fs::read_to_string(&trace).expect("trace file written");
-    let mut lanes = 0u64;
-    let mut sub_space = 0u64;
-    let mut summary_space = None;
-    let mut summary_edges = None;
-    let mut phases = Vec::new();
-    for line in ndjson.lines() {
-        let doc = maxkcov::obs::json::Json::parse(line)
-            .unwrap_or_else(|e| panic!("invalid NDJSON line: {e}\n{line}"));
-        let kind = doc.get("kind").and_then(|k| k.as_str()).expect("kind key").to_string();
-        assert!(doc.get("seq").and_then(|s| s.as_f64()).is_some(), "seq key: {line}");
-        match kind.as_str() {
-            "lane" => lanes += 1,
-            "subroutine" => {
-                sub_space += doc.get("space_words").and_then(|v| v.as_f64()).unwrap() as u64;
-            }
-            "summary" => {
-                summary_space = doc.get("space_words").and_then(|v| v.as_f64());
-                summary_edges = doc.get("edges").and_then(|v| v.as_f64());
-            }
-            "phase" => {
-                phases.push(doc.get("phase").and_then(|p| p.as_str()).unwrap().to_string());
-            }
-            _ => {}
-        }
-    }
-    assert!(lanes > 0, "per-lane records present");
-    let summary_space = summary_space.expect("summary record") as u64;
-    assert_eq!(sub_space, summary_space, "subroutine snapshots sum to the total");
-    assert!(phases.contains(&"ingest".to_string()));
-    assert!(phases.contains(&"finalize".to_string()));
+    // The trace file is line-delimited JSON (every line with seq and
+    // kind) with the required records, and its accounting closes: the
+    // auditor checks subroutine and lane snapshots against the summary
+    // and the ledger.
+    let t = maxkcov::obs::audit::Trace::read(trace_s).expect("trace parses");
+    assert!(t.violations().is_empty(), "{:?}", t.violations());
+    assert!(!t.lanes.is_empty(), "per-lane records present");
+    assert!(!t.subroutines.is_empty(), "per-subroutine records present");
+    let (_, summary_space, summary_edges) = t.summary.expect("summary record");
+    assert!(t.phases.contains_key("ingest"));
+    assert!(t.phases.contains_key("finalize"));
 
     // The reported space and edge count agree with the normal output.
     let text = String::from_utf8_lossy(&plain.stdout);
@@ -335,13 +313,13 @@ fn trace_and_metrics_add_output_without_changing_estimates() {
         .and_then(|v| v.trim().parse().ok())
         .expect("space line");
     assert_eq!(summary_space, stdout_space);
-    let stdout_edges: f64 = text
+    let stdout_edges: u64 = text
         .lines()
         .find(|l| l.starts_with("stream edges"))
         .and_then(|l| l.split('=').nth(1))
         .and_then(|v| v.trim().parse().ok())
         .expect("edges line");
-    assert_eq!(summary_edges.unwrap(), stdout_edges);
+    assert_eq!(summary_edges, stdout_edges);
 
     // --metrics: the plain lines come first, then the summary table.
     let mut args = base.to_vec();
