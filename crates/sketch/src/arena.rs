@@ -19,40 +19,15 @@
 //!   maps keys to entry positions. Scans read only live entries, and
 //!   the in-place [`OaMap::keep_smallest_by`] prunes without allocating.
 //!
-//! Both are *logically* equivalent to the containers they replace: the
-//! sketch state they hold (the value set, the key→count map) is
-//! identical, and the space ledger counts logical entries, not slots.
-//! `OaMap`'s entry order is deterministic but not canonical, so every
-//! consumer sorts (or selects under a total order) before it can affect
-//! an estimate, a trace byte or a wire byte. The pre-arena layouts are
-//! kept behind [`Backend::Reference`] so the `arena_parity` suite can
-//! prove byte-identical behavior end-to-end; select it with
-//! `KCOV_SKETCH_BACKEND=reference` (anything else, including unset,
-//! selects the arena layout).
-
-use std::sync::OnceLock;
-
-/// Which storage layout sketches allocate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Backend {
-    /// Flat arena storage (default): [`SortedSlab`] / [`OaMap`].
-    Arena,
-    /// Pre-arena layout (`BTreeSet` / `std` `HashMap`), retained for the
-    /// differential parity suite.
-    Reference,
-}
-
-static BACKEND: OnceLock<Backend> = OnceLock::new();
-
-/// The storage backend for this process, resolved once from the
-/// `KCOV_SKETCH_BACKEND` environment variable (`reference` selects the
-/// pre-arena layout; anything else is the arena).
-pub fn backend() -> Backend {
-    *BACKEND.get_or_init(|| match std::env::var("KCOV_SKETCH_BACKEND") {
-        Ok(v) if v == "reference" => Backend::Reference,
-        _ => Backend::Arena,
-    })
-}
+//! Both are *logically* equivalent to the `std` containers they
+//! replace: the sketch state they hold (the value set, the key→count
+//! map) is identical, and the space ledger counts logical entries, not
+//! slots. The unit tests below check each against its `std` model
+//! (`BTreeSet` bottom-k, `HashMap` with a top-k prune). `OaMap`'s entry
+//! order is deterministic but not canonical, so every consumer sorts
+//! (or selects under a total order) before it can affect an estimate, a
+//! trace byte or a wire byte; the golden files under `tests/golden/`
+//! pin those bytes end to end.
 
 /// SplitMix64 finalizer — the probe mix for [`OaMap`], also exported
 /// for salted one-compare gates over keys that are themselves hash
@@ -496,12 +471,5 @@ mod tests {
         }
         assert_eq!(oa.get(0), Some(&42));
         assert_eq!(oa.len(), 1_000);
-    }
-
-    #[test]
-    fn backend_defaults_to_arena() {
-        // The test harness never sets KCOV_SKETCH_BACKEND, so the
-        // resolved backend is the arena.
-        assert_eq!(backend(), Backend::Arena);
     }
 }

@@ -18,82 +18,16 @@
 //! *is* a width-bucketed AMS estimator, so no second sketch is needed on
 //! the update path — the tracker itself touches no hash at all).
 
-use std::collections::HashMap;
-
-use kcov_hash::DetBuildHasher;
 use kcov_obs::{LedgerNode, SketchStats};
 
-use crate::arena::{backend, Backend, OaMap};
+use crate::arena::OaMap;
 use crate::count_sketch::CountSketch;
 use crate::space::SpaceUsage;
 
-/// Candidate storage: the arena keeps one dense [`OaMap`]; the reference
-/// backend keeps the pre-arena `std` map. Both hold the same item →
-/// count multiset, every order-sensitive consumer (reports, wire
-/// encoding) canonicalizes by sorting, and the prune selects under a
-/// total order, so behavior is backend-invariant. Neither is sized from
-/// the tracker capacity: that may come from untrusted wire bytes, and
-/// sparse trackers never reach their high-water mark.
-#[derive(Debug, Clone)]
-enum CandidateStore {
-    Oa(OaMap<i64>),
-    Map(HashMap<u64, i64, DetBuildHasher>),
-}
-
-impl CandidateStore {
-    fn with_capacity(n: usize) -> Self {
-        match backend() {
-            Backend::Arena => CandidateStore::Oa(OaMap::with_capacity(n)),
-            Backend::Reference => CandidateStore::Map(HashMap::with_capacity_and_hasher(
-                n,
-                DetBuildHasher,
-            )),
-        }
-    }
-
-    #[inline]
-    fn len(&self) -> usize {
-        match self {
-            CandidateStore::Oa(m) => m.len(),
-            CandidateStore::Map(m) => m.len(),
-        }
-    }
-
-    /// Add `delta` arrivals to `item`'s count, tracking it if new.
-    #[inline]
-    fn add(&mut self, item: u64, delta: i64) {
-        match self {
-            CandidateStore::Oa(m) => *m.get_or_insert_with(item, || 0) += delta,
-            CandidateStore::Map(m) => *m.entry(item).or_insert(0) += delta,
-        }
-    }
-
-    /// All entries, storage order (callers sort before any
-    /// order-sensitive use).
-    fn entries_unordered(&self) -> Vec<(u64, i64)> {
-        match self {
-            CandidateStore::Oa(m) => m.iter().map(|(k, &c)| (k, c)).collect(),
-            CandidateStore::Map(m) => m.iter().map(|(&k, &c)| (k, c)).collect(),
-        }
-    }
-
-    /// Keep the first `keep` entries under (count desc, item asc). The
-    /// reference arm selects on a collected `Vec`, so the parity suite
-    /// still compares two independent containers.
-    fn keep_top(&mut self, keep: usize) {
-        let rank = |a: &(u64, i64), b: &(u64, i64)| b.1.cmp(&a.1).then(a.0.cmp(&b.0));
-        match self {
-            CandidateStore::Oa(m) => m.keep_smallest_by(keep, rank),
-            CandidateStore::Map(m) => {
-                let mut entries: Vec<(u64, i64)> = m.drain().collect();
-                if keep < entries.len() {
-                    entries.select_nth_unstable_by(keep, rank);
-                    entries.truncate(keep);
-                }
-                m.extend(entries);
-            }
-        }
-    }
+/// The prune order: (count desc, item asc), a total order, so the kept
+/// set never depends on storage order.
+fn prune_rank(a: &(u64, i64), b: &(u64, i64)) -> std::cmp::Ordering {
+    b.1.cmp(&a.1).then(a.0.cmp(&b.0))
 }
 
 /// Configuration for [`F2HeavyHitter`].
@@ -149,9 +83,12 @@ pub struct F2HeavyHitter {
     /// the sketch, so the tracker state is a pure function of the
     /// *multiset deltas* of the insertion sequence between prunes —
     /// which is what makes batched ingestion and shard merging
-    /// state-identical to serial insertion (the deterministic hasher
-    /// keeps bucket placement reproducible across processes too).
-    candidates: CandidateStore,
+    /// state-identical to serial insertion. Entry order is not
+    /// canonical: reports and wire encoding sort, and the prune selects
+    /// under [`prune_rank`]. Never sized from the tracker capacity: that
+    /// may come from untrusted wire bytes, and sparse trackers never
+    /// reach their high-water mark.
+    candidates: OaMap<i64>,
     capacity: usize,
     items_seen: u64,
     /// Telemetry: pruning rounds fired (not state — merged by addition,
@@ -170,7 +107,7 @@ impl F2HeavyHitter {
         let capacity = ((config.capacity_factor / config.phi).ceil() as usize).clamp(8, 1 << 22);
         F2HeavyHitter {
             sketch: CountSketch::new(config.rows, width, seed ^ 0x5ca1ab1e),
-            candidates: CandidateStore::with_capacity(0),
+            candidates: OaMap::new(),
             capacity,
             config,
             items_seen: 0,
@@ -190,7 +127,7 @@ impl F2HeavyHitter {
     pub fn insert(&mut self, item: u64) {
         self.items_seen += 1;
         self.sketch.insert(item);
-        self.candidates.add(item, 1);
+        *self.candidates.get_or_insert_with(item, || 0) += 1;
         if self.candidates.len() > self.capacity + self.capacity / 2 {
             self.prune();
         }
@@ -207,7 +144,7 @@ impl F2HeavyHitter {
         self.items_seen += items.len() as u64;
         let high_water = self.capacity + self.capacity / 2;
         for &item in items {
-            self.candidates.add(item, 1);
+            *self.candidates.get_or_insert_with(item, || 0) += 1;
             if self.candidates.len() > high_water {
                 self.prune();
             }
@@ -225,7 +162,7 @@ impl F2HeavyHitter {
     fn prune(&mut self) {
         self.prunes += 1;
         let before = self.candidates.len();
-        self.candidates.keep_top(self.capacity);
+        self.candidates.keep_smallest_by(self.capacity, prune_rank);
         self.evictions += (before - self.candidates.len()) as u64;
     }
 
@@ -249,8 +186,7 @@ impl F2HeavyHitter {
         let thr = self.config.report_slack * self.config.phi * f2;
         let mut out: Vec<HeavyItem> = self
             .candidates
-            .entries_unordered()
-            .into_iter()
+            .iter()
             .map(|(item, _)| HeavyItem {
                 item,
                 est: self.sketch.query(item),
@@ -284,7 +220,7 @@ impl F2HeavyHitter {
     /// Candidate entries as `(item, arrivals since tracking began)`,
     /// sorted by item so the encoding is canonical (wire serialization).
     pub fn candidate_entries(&self) -> Vec<(u64, i64)> {
-        let mut out = self.candidates.entries_unordered();
+        let mut out: Vec<(u64, i64)> = self.candidates.iter().map(|(k, &c)| (k, c)).collect();
         out.sort_unstable();
         out
     }
@@ -322,9 +258,9 @@ impl F2HeavyHitter {
                 capacity + capacity / 2
             ));
         }
-        let mut store = CandidateStore::with_capacity(candidates.len());
+        let mut store = OaMap::with_capacity(candidates.len());
         for (item, count) in candidates {
-            store.add(item, count);
+            *store.get_or_insert_with(item, || 0) += count;
         }
         Ok(F2HeavyHitter {
             config,
@@ -367,8 +303,8 @@ impl F2HeavyHitter {
         );
         self.sketch.merge(&other.sketch);
         self.items_seen += other.items_seen;
-        for (item, count) in other.candidates.entries_unordered() {
-            self.candidates.add(item, count);
+        for (item, &count) in other.candidates.iter() {
+            *self.candidates.get_or_insert_with(item, || 0) += count;
         }
         if self.candidates.len() > self.capacity + self.capacity / 2 {
             self.prune();

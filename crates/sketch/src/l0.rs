@@ -13,99 +13,20 @@
 //! independent KMV summaries to boost the success probability, exactly the
 //! repetition structure the paper assumes.
 
-use std::collections::BTreeSet;
-
 use kcov_hash::{pairwise, KWise, RangeHash, SeedSequence, MERSENNE_P};
 use kcov_obs::{LedgerNode, SketchStats};
 
-use crate::arena::{backend, Backend, SortedSlab};
+use crate::arena::SortedSlab;
 use crate::space::SpaceUsage;
-
-/// Bottom-k storage: the arena keeps one flat sorted slab; the
-/// reference backend keeps the pre-arena `BTreeSet`. Both hold the same
-/// value set and iterate ascending, so every estimate, trace byte and
-/// wire byte is backend-invariant (`arena_parity` proves it end to
-/// end).
-#[derive(Debug, Clone)]
-enum KmvStore {
-    Slab(SortedSlab),
-    Tree(BTreeSet<u64>),
-}
-
-impl KmvStore {
-    fn new(k: usize) -> Self {
-        match backend() {
-            Backend::Arena => KmvStore::Slab(SortedSlab::new(k)),
-            Backend::Reference => KmvStore::Tree(BTreeSet::new()),
-        }
-    }
-
-    /// Rebuild from arbitrary (possibly unsorted, possibly duplicated)
-    /// values, keeping at most `k`.
-    fn from_values(k: usize, values: Vec<u64>) -> Self {
-        match backend() {
-            Backend::Arena => KmvStore::Slab(SortedSlab::from_values(k, values)),
-            Backend::Reference => KmvStore::Tree(values.into_iter().collect()),
-        }
-    }
-
-    #[inline]
-    fn len(&self) -> usize {
-        match self {
-            KmvStore::Slab(s) => s.len(),
-            KmvStore::Tree(t) => t.len(),
-        }
-    }
-
-    #[inline]
-    fn max(&self) -> Option<u64> {
-        match self {
-            KmvStore::Slab(s) => s.max(),
-            KmvStore::Tree(t) => t.iter().next_back().copied(),
-        }
-    }
-
-    /// Insert while below capacity; `false` on duplicates.
-    fn insert_unsaturated(&mut self, v: u64) -> bool {
-        match self {
-            KmvStore::Slab(s) => s.insert_unsaturated(v),
-            KmvStore::Tree(t) => t.insert(v),
-        }
-    }
-
-    /// Insert into a saturated summary, evicting the maximum; `false`
-    /// (no state change) on duplicates or non-improving values.
-    #[inline]
-    fn insert_evict(&mut self, v: u64) -> bool {
-        match self {
-            KmvStore::Slab(s) => s.insert_evict(v),
-            KmvStore::Tree(t) => {
-                let max = *t.iter().next_back().expect("non-empty");
-                if v < max && t.insert(v) {
-                    t.remove(&max);
-                    true
-                } else {
-                    false
-                }
-            }
-        }
-    }
-
-    fn values(&self) -> Vec<u64> {
-        match self {
-            KmvStore::Slab(s) => s.values().to_vec(),
-            KmvStore::Tree(t) => t.iter().copied().collect(),
-        }
-    }
-}
 
 /// A single bottom-k (KMV) distinct-count summary.
 #[derive(Debug, Clone)]
 pub struct Kmv {
     k: usize,
     hash: KWise,
-    /// The k smallest distinct hash values seen so far.
-    smallest: KmvStore,
+    /// The k smallest distinct hash values seen so far, ascending, in
+    /// one flat slab.
+    smallest: SortedSlab,
     /// Heat telemetry: items offered to the summary (one add per batch
     /// on the hot path — same lifecycle as the other telemetry
     /// counters: merged by addition, zeroed by plain wire
@@ -126,7 +47,7 @@ impl Kmv {
         Kmv {
             k,
             hash: pairwise(seed),
-            smallest: KmvStore::new(k),
+            smallest: SortedSlab::new(k),
             updates: 0,
             evictions: 0,
             merges: 0,
@@ -146,10 +67,8 @@ impl Kmv {
     }
 
     /// Observe a chunk of items. State-identical to inserting the items
-    /// one by one in order; amortizes the k-th-smallest lookup by caching
-    /// the current cut-off across the chunk, so saturated summaries
-    /// reject non-improving items with one hash evaluation and one
-    /// compare.
+    /// one by one in order; once saturated, the summary rejects a
+    /// non-improving item with one hash evaluation and one compare.
     pub fn insert_batch(&mut self, items: &[u64]) {
         let mut rest = items;
         // Fill phase: until the summary saturates, every distinct hash
@@ -162,27 +81,11 @@ impl Kmv {
             rest = tail;
         }
         self.updates += rest.len() as u64;
-        match &mut self.smallest {
-            // Arena slab: the cut-off is the last slot, re-read after
-            // each accepted insert at the cost of one resident load.
-            KmvStore::Slab(slab) => {
-                for &item in rest {
-                    let h = self.hash.hash(item);
-                    if slab.insert_evict(h) {
-                        self.evictions += 1;
-                    }
-                }
-            }
-            KmvStore::Tree(tree) => {
-                let mut max = *tree.iter().next_back().expect("non-empty");
-                for &item in rest {
-                    let h = self.hash.hash(item);
-                    if h < max && tree.insert(h) {
-                        tree.remove(&max);
-                        self.evictions += 1;
-                        max = *tree.iter().next_back().expect("non-empty");
-                    }
-                }
+        // Saturated: the cut-off is the slab's last slot.
+        for &item in rest {
+            let h = self.hash.hash(item);
+            if self.smallest.insert_evict(h) {
+                self.evictions += 1;
             }
         }
     }
@@ -217,7 +120,7 @@ impl Kmv {
 
     /// The kept hash values, ascending (wire serialization).
     pub fn kept_values(&self) -> Vec<u64> {
-        self.smallest.values()
+        self.smallest.values().to_vec()
     }
 
     /// Rebuild from parts (inverse of the accessors). Fails when the
@@ -232,7 +135,7 @@ impl Kmv {
         Ok(Kmv {
             k,
             hash,
-            smallest: KmvStore::from_values(k, values),
+            smallest: SortedSlab::from_values(k, values),
             updates: 0,
             evictions: 0,
             merges: 0,
@@ -251,15 +154,14 @@ impl Kmv {
             "Kmv merge requires identical hash functions"
         );
         // Union of the kept sets, trimmed back to the k smallest; every
-        // value dropped past k is one eviction (matching the pre-arena
-        // pop-max loop).
-        let mut union = self.smallest.values();
-        union.extend(other.smallest.values());
+        // value dropped past k is one eviction.
+        let mut union = self.smallest.values().to_vec();
+        union.extend_from_slice(other.smallest.values());
         union.sort_unstable();
         union.dedup();
         self.evictions += union.len().saturating_sub(self.k) as u64;
         union.truncate(self.k);
-        self.smallest = KmvStore::from_values(self.k, union);
+        self.smallest = SortedSlab::from_values(self.k, union);
         self.merges += 1 + other.merges;
         self.evictions += other.evictions;
         self.updates += other.updates;

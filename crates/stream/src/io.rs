@@ -69,6 +69,23 @@ fn parse_pair(line: &str, lineno: usize) -> Result<Option<(u64, u64)>, ParseErro
     Ok(Some((a, b)))
 }
 
+/// Validate the `n m` header. Set and element ids are `u32`, so both
+/// must lie in `1..=u32::MAX`: that keeps every id below them
+/// representable, and [`check_edge`]'s narrowing lossless.
+fn check_header(n: u64, m: u64, lineno: usize) -> Result<(usize, usize), ParseError> {
+    if n == 0 || m == 0 {
+        return Err(err(lineno, "header must have n >= 1 and m >= 1"));
+    }
+    let max = u64::from(u32::MAX);
+    if n > max || m > max {
+        return Err(err(
+            lineno,
+            format!("header n = {n}, m = {m} exceeds the u32 id range (max {max})"),
+        ));
+    }
+    Ok((n as usize, m as usize))
+}
+
 /// Validate an edge line against the header shape.
 fn check_edge(a: u64, b: u64, n: usize, m: usize, lineno: usize) -> Result<Edge, ParseError> {
     if a >= m as u64 {
@@ -91,12 +108,7 @@ pub fn read_edges<R: BufRead>(reader: R) -> Result<(usize, usize, Vec<Edge>), Pa
             continue;
         };
         match header {
-            None => {
-                if a == 0 || b == 0 {
-                    return Err(err(lineno, "header must have n >= 1 and m >= 1"));
-                }
-                header = Some((a as usize, b as usize));
-            }
+            None => header = Some(check_header(a, b, lineno)?),
             Some((n, m)) => edges.push(check_edge(a, b, n, m, lineno)?),
         }
     }
@@ -130,10 +142,7 @@ impl<R: BufRead> EdgeChunkReader<R> {
             let lineno = idx + 1;
             let line = line.map_err(|e| err(lineno, format!("io error: {e}")))?;
             if let Some((a, b)) = parse_pair(&line, lineno)? {
-                if a == 0 || b == 0 {
-                    return Err(err(lineno, "header must have n >= 1 and m >= 1"));
-                }
-                break (a as usize, b as usize);
+                break check_header(a, b, lineno)?;
             }
         };
         Ok(EdgeChunkReader {
@@ -255,6 +264,49 @@ mod tests {
         assert!(read_edges("4 2\nx y\n".as_bytes()).is_err());
         assert!(read_edges("".as_bytes()).is_err());
         assert!(read_edges("0 5\n".as_bytes()).is_err());
+    }
+
+    /// `read_edges` and `EdgeChunkReader::new` share one header check.
+    fn header_error(text: &str) -> ParseError {
+        let whole = read_edges(text.as_bytes()).unwrap_err();
+        let chunked = EdgeChunkReader::new(text.as_bytes(), 4).unwrap_err();
+        assert_eq!(whole, chunked, "{text:?}");
+        whole
+    }
+
+    #[test]
+    fn header_above_u32_range_rejected() {
+        // An element id past u32::MAX must not alias a small one.
+        let e = header_error("4294967300 2
+0 4294967297
+");
+        assert_eq!(e.line, 1);
+        assert!(e.message.contains("u32 id range"), "{e}");
+        // A set count past u32::MAX must fail before any allocation.
+        let e = header_error("# shape
+4 4294967300
+");
+        assert_eq!(e.line, 2);
+        assert!(e.message.contains("u32 id range"), "{e}");
+        assert!(header_error("0 5
+").message.contains("n >= 1"));
+    }
+
+    #[test]
+    fn header_at_u32_max_keeps_ids_exact() {
+        let text = "4294967295 1
+0 4294967294
+";
+        let (n, m, edges) = read_edges(text.as_bytes()).unwrap();
+        assert_eq!((n, m), (u32::MAX as usize, 1));
+        assert_eq!(edges, vec![Edge::new(0, u32::MAX - 1)]);
+        let mut reader = EdgeChunkReader::new(text.as_bytes(), 4).unwrap();
+        assert_eq!(reader.next_chunk().unwrap(), Some(&edges[..]));
+        // The largest id the header admits is rejected one past it.
+        let e = read_edges("4294967295 1
+0 4294967295
+".as_bytes()).unwrap_err();
+        assert!(e.message.contains("element id 4294967295"), "{e}");
     }
 
     #[test]

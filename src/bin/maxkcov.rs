@@ -353,6 +353,21 @@ fn parse_num<T: std::str::FromStr>(s: &str, what: &str) -> Result<T, String> {
     s.parse().map_err(|_| format!("bad {what}: '{s}'"))
 }
 
+/// `--k` and `--alpha`, the estimator's shape: `k >= 1` and a finite
+/// `alpha >= 1`. Every estimator-building subcommand parses them here,
+/// so a bad value is an error instead of a constructor assertion.
+fn parse_shape(flags: &HashMap<String, String>) -> Result<(usize, f64), String> {
+    let k: usize = parse_num(req(flags, "k")?, "k")?;
+    if k == 0 {
+        return Err("--k must be >= 1".into());
+    }
+    let alpha: f64 = parse_num(req(flags, "alpha")?, "alpha")?;
+    if !(alpha.is_finite() && alpha >= 1.0) {
+        return Err(format!("--alpha must be a finite number >= 1, got '{alpha}'"));
+    }
+    Ok((k, alpha))
+}
+
 fn load(flags: &HashMap<String, String>) -> Result<SetSystem, String> {
     let path = req(flags, "input")?;
     let file = File::open(path).map_err(|e| format!("open {path}: {e}"))?;
@@ -487,6 +502,10 @@ fn cmd_gen(flags: &HashMap<String, String>) -> Result<(), String> {
     let kind = req(flags, "kind")?;
     let n: usize = parse_num(req(flags, "n")?, "n")?;
     let m: usize = parse_num(req(flags, "m")?, "m")?;
+    if n == 0 || m == 0 {
+        // The instance reader rejects an empty universe or collection.
+        return Err("--n and --m must be >= 1".into());
+    }
     let seed: u64 = match flags.get("seed") {
         Some(s) => parse_num(s, "seed")?,
         None => 0,
@@ -495,6 +514,9 @@ fn cmd_gen(flags: &HashMap<String, String>) -> Result<(), String> {
         Some(s) => parse_num(s, "k")?,
         None => (m / 20).max(1),
     };
+    if k == 0 {
+        return Err("--k must be >= 1".into());
+    }
     let system = match kind {
         "uniform" => gen::uniform_fixed_size(n, m, (n / 50).max(2).min(n), seed),
         "zipf" => gen::zipf_set_sizes(n, m, (n / 5).max(2).min(n), 1.05, seed),
@@ -553,9 +575,8 @@ fn cmd_exact(flags: &HashMap<String, String>) -> Result<(), String> {
 }
 
 fn cmd_estimate(flags: &HashMap<String, String>) -> Result<(), String> {
+    let (k, alpha) = parse_shape(flags)?;
     let system = load(flags)?;
-    let k: usize = parse_num(req(flags, "k")?, "k")?;
-    let alpha: f64 = parse_num(req(flags, "alpha")?, "alpha")?;
     let order = parse_order(flags)?;
     let mut config = parse_config(flags)?;
     let obs = ObsOpts::parse(flags)?;
@@ -603,9 +624,8 @@ fn write_replica(path: &str, est: &MaxCoverEstimator) -> Result<usize, String> {
 }
 
 fn cmd_worker(flags: &HashMap<String, String>) -> Result<(), String> {
+    let (k, alpha) = parse_shape(flags)?;
     let system = load(flags)?;
-    let k: usize = parse_num(req(flags, "k")?, "k")?;
-    let alpha: f64 = parse_num(req(flags, "alpha")?, "alpha")?;
     let order = parse_order(flags)?;
     let mut config = parse_config(flags)?;
     let obs = ObsOpts::parse(flags)?;
@@ -804,9 +824,8 @@ fn cmd_merge_from(files: &[String], flags: &HashMap<String, String>) -> Result<(
 }
 
 fn cmd_twopass(flags: &HashMap<String, String>) -> Result<(), String> {
+    let (k, alpha) = parse_shape(flags)?;
     let system = load(flags)?;
-    let k: usize = parse_num(req(flags, "k")?, "k")?;
-    let alpha: f64 = parse_num(req(flags, "alpha")?, "alpha")?;
     let order = parse_order(flags)?;
     let mut config = parse_config(flags)?;
     let obs = ObsOpts::parse(flags)?;
@@ -985,9 +1004,8 @@ fn prof_ingest(
     flags: &HashMap<String, String>,
     rec: Recorder,
 ) -> Result<(MaxCoverEstimator, String, u64, u64), String> {
+    let (k, alpha) = parse_shape(flags)?;
     let system = load(flags)?;
-    let k: usize = parse_num(req(flags, "k")?, "k")?;
-    let alpha: f64 = parse_num(req(flags, "alpha")?, "alpha")?;
     let order = parse_order(flags)?;
     let mut config = parse_config(flags)?;
     config.recorder = rec;
@@ -1168,9 +1186,8 @@ fn cmd_setcover(flags: &HashMap<String, String>) -> Result<(), String> {
 }
 
 fn cmd_report(flags: &HashMap<String, String>) -> Result<(), String> {
+    let (k, alpha) = parse_shape(flags)?;
     let system = load(flags)?;
-    let k: usize = parse_num(req(flags, "k")?, "k")?;
-    let alpha: f64 = parse_num(req(flags, "alpha")?, "alpha")?;
     let order = parse_order(flags)?;
     let mut config = parse_config(flags)?;
     let obs = ObsOpts::parse(flags)?;

@@ -768,3 +768,77 @@ fn malformed_input_reports_line() {
     assert!(err.contains("line 2"), "{err}");
     std::fs::remove_file(&path).ok();
 }
+
+/// A rejected argument exits 1 with an `error:` line naming it, and
+/// never reaches an assertion.
+fn assert_clean_rejection(args: &[&str], want: &str) {
+    let out = run(args);
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{args:?} must exit 1: {err}");
+    assert!(!err.contains("panicked"), "{args:?} panicked: {err}");
+    assert!(err.contains(want), "{args:?}: expected {want:?} in {err}");
+}
+
+#[test]
+fn bad_shape_args_are_errors_not_panics() {
+    let path = tmp_file("shape.txt");
+    let path_s = path.to_str().unwrap();
+    let out = run(&[
+        "gen", "--kind", "planted", "--n", "300", "--m", "40", "--k", "4", "--seed", "1",
+        "--out", path_s,
+    ]);
+    assert!(out.status.success());
+    let replica = tmp_file("shape.bin");
+    let replica_s = replica.to_str().unwrap();
+    let subcommands: [&[&str]; 5] = [
+        &["estimate"],
+        &["report"],
+        &["twopass"],
+        &["worker", "--shards", "2", "--shard", "0", "--out", replica_s],
+        &["prof"],
+    ];
+    let shapes = [
+        (["--k", "0", "--alpha", "2"], "--k must be >= 1"),
+        (["--k", "2", "--alpha", "0"], "--alpha must be a finite number >= 1"),
+        (["--k", "2", "--alpha", "0.5"], "--alpha must be a finite number >= 1"),
+        (["--k", "2", "--alpha", "nan"], "--alpha must be a finite number >= 1"),
+        (["--k", "2", "--alpha", "inf"], "--alpha must be a finite number >= 1"),
+    ];
+    for cmd in subcommands {
+        for (shape, want) in &shapes {
+            let mut args = cmd.to_vec();
+            args.extend(["--input", path_s]);
+            args.extend(shape);
+            assert_clean_rejection(&args, want);
+        }
+    }
+    assert!(!replica.exists(), "a rejected worker must not write a replica");
+    for (n, m) in [("0", "5"), ("5", "0")] {
+        assert_clean_rejection(
+            &["gen", "--kind", "uniform", "--n", n, "--m", m, "--out", path_s],
+            "--n and --m must be >= 1",
+        );
+    }
+    assert_clean_rejection(
+        &["gen", "--kind", "planted", "--n", "10", "--m", "5", "--k", "0", "--out", path_s],
+        "--k must be >= 1",
+    );
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn oversized_instance_headers_are_rejected() {
+    let path = tmp_file("oversized.txt");
+    let path_s = path.to_str().unwrap();
+    // An element id past u32::MAX (aliasing to 1 if narrowed), and a set
+    // count past u32::MAX (a ~100 GB allocation if trusted).
+    for text in ["4294967300 2\n0 4294967297\n", "4 4294967300\n0 1\n"] {
+        std::fs::write(&path, text).unwrap();
+        assert_clean_rejection(&["stats", "--input", path_s], "exceeds the u32 id range");
+        assert_clean_rejection(
+            &["estimate", "--input", path_s, "--k", "1", "--alpha", "2"],
+            "exceeds the u32 id range",
+        );
+    }
+    std::fs::remove_file(&path).ok();
+}

@@ -78,8 +78,8 @@ impl Transcript {
     /// Append the length and digest of a file the commands wrote.
     fn digest(&mut self, file: &str) {
         let bytes = std::fs::read(self.dir.0.join(file)).expect("file written");
-        writeln!(self.text, "# {file}: {} bytes, fnv1a64 {:016x}", bytes.len(), fnv1a64(&bytes))
-            .unwrap();
+        let digest = fnv1a64(&bytes);
+        writeln!(self.text, "# {file}: {} bytes, fnv1a64 {digest:016x}", bytes.len()).unwrap();
     }
 
     /// Compare against `tests/golden/<name>`, printing the regenerated
@@ -96,7 +96,8 @@ impl Transcript {
             .zip(want.lines())
             .position(|(got, want)| got != want)
             .unwrap_or_else(|| self.text.lines().count().min(want.lines().count()));
-        eprintln!("\n---- regenerated {name} ----\n{}---- end {name} ----", self.text);
+        let text = &self.text;
+        eprintln!("\n---- regenerated {name} ----\n{text}---- end {name} ----");
         panic!(
             "{} differs from the regenerated transcript at line {} (printed above)",
             path.display(),
