@@ -14,7 +14,7 @@
 use std::collections::BTreeSet;
 
 use kcov_hash::{pairwise, KWise, RangeHash, MERSENNE_P};
-use kcov_sketch::SpaceUsage;
+use kcov_sketch::space::{Space, SpaceSink, SpaceUsage};
 use kcov_stream::Edge;
 
 use crate::CoverResult;
@@ -157,8 +157,10 @@ impl SketchedGreedy {
 }
 
 impl SpaceUsage for SketchedGreedy {
-    fn space_words(&self) -> usize {
-        self.per_set.iter().map(|b| b.vals.len()).sum::<usize>() + self.hash.space_words()
+    /// One opaque leaf: the per-set bottom-k values plus the shared hash.
+    fn space_ledger(&self, node: &mut impl SpaceSink) {
+        let vals: usize = self.per_set.iter().map(|b| b.vals.len()).sum();
+        node.add(Space::resident(vals + self.hash.space_words()));
     }
 }
 

@@ -15,7 +15,7 @@
 use std::collections::HashSet;
 
 use kcov_hash::{pairwise, RangeHash, SeedSequence, MERSENNE_P};
-use kcov_sketch::SpaceUsage;
+use kcov_sketch::space::{Space, SpaceSink, SpaceUsage};
 use kcov_stream::{Edge, SetSystem};
 
 use crate::greedy::greedy_max_cover;
@@ -202,9 +202,11 @@ impl MvEdgeArrival {
 }
 
 impl SpaceUsage for MvEdgeArrival {
-    fn space_words(&self) -> usize {
-        // Each stored edge is one word (two u32s); plus the shared hash.
-        self.lanes.iter().map(|l| l.edges.len()).sum::<usize>() + self.hash.space_words()
+    /// One opaque leaf: each stored edge is one word (two u32s), plus
+    /// the shared hash.
+    fn space_ledger(&self, node: &mut impl SpaceSink) {
+        let edges: usize = self.lanes.iter().map(|l| l.edges.len()).sum();
+        node.add(Space::resident(edges + self.hash.space_words()));
     }
 }
 

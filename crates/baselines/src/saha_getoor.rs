@@ -12,7 +12,7 @@
 
 use std::collections::HashMap;
 
-use kcov_sketch::SpaceUsage;
+use kcov_sketch::space::{Space, SpaceSink, SpaceUsage};
 use kcov_stream::SetSystem;
 
 use crate::CoverResult;
@@ -120,8 +120,11 @@ impl SwapStreaming {
 }
 
 impl SpaceUsage for SwapStreaming {
-    fn space_words(&self) -> usize {
-        self.solution.iter().map(|(_, s)| s.len() + 1).sum::<usize>() + 2 * self.covered.len()
+    /// One opaque leaf: the kept sets (id plus elements) and a 2-word
+    /// entry per covered element.
+    fn space_ledger(&self, node: &mut impl SpaceSink) {
+        let sets: usize = self.solution.iter().map(|(_, s)| s.len() + 1).sum();
+        node.add(Space::resident(sets + 2 * self.covered.len()));
     }
 }
 

@@ -13,7 +13,7 @@
 
 use std::collections::HashSet;
 
-use kcov_sketch::SpaceUsage;
+use kcov_sketch::space::{Space, SpaceSink, SpaceUsage};
 use kcov_stream::SetSystem;
 
 use crate::CoverResult;
@@ -127,11 +127,15 @@ impl SieveStreaming {
 }
 
 impl SpaceUsage for SieveStreaming {
-    fn space_words(&self) -> usize {
-        self.states
+    /// One opaque leaf: per threshold, its covered elements, chosen
+    /// sets and the threshold itself.
+    fn space_ledger(&self, node: &mut impl SpaceSink) {
+        let words = self
+            .states
             .iter()
             .map(|st| st.covered.len() + st.chosen.len() + 1)
-            .sum()
+            .sum();
+        node.add(Space::resident(words));
     }
 }
 

@@ -192,7 +192,7 @@ mod tests {
         }
         let out = fit.estimator.finalize();
         // The summary event reports exactly the estimator's words, the
-        // per-subroutine snapshots sum to it, and both respect the
+        // subroutines' ledger subtrees sum to it, and both respect the
         // prediction the budget fit promised.
         let summary = &rec.events_of("summary")[0];
         assert_eq!(
@@ -200,10 +200,11 @@ mod tests {
             fit.estimator.space_words() as u64
         );
         assert_eq!(out.space_words, fit.estimator.space_words());
-        let sub_sum: u64 = rec
-            .events_of("subroutine")
+        let sub_sum: u64 = kcov_obs::audit::Trace::of(&rec)
+            .unwrap()
+            .subroutine_words()
             .iter()
-            .map(|e| e.u64_field("space_words").unwrap())
+            .map(|w| w.2.unwrap())
             .sum();
         assert_eq!(sub_sum, fit.estimator.space_words() as u64);
         assert!(fit.estimator.space_words() <= fit.predicted_words);

@@ -16,7 +16,7 @@ use std::time::Instant;
 use kcov_obs::{
     apportion_by_heat, audit, LedgerNode, Recorder, SketchStats, SpaceLedger, TimeLedger, Value,
 };
-use kcov_sketch::SpaceUsage;
+use kcov_sketch::{SpaceSink, SpaceUsage};
 use kcov_stream::Edge;
 
 use crate::fingerprint::{EdgeFingerprints, FingerprintBlock};
@@ -255,17 +255,13 @@ impl TrivialState {
         let lo = best * self.k;
         (lo..(lo + self.k).min(m)).map(|s| s as u32).collect()
     }
+}
 
-    fn space_words(&self) -> usize {
-        self.total.space_words()
-            + self.groups.iter().map(SpaceUsage::space_words).sum::<usize>()
-    }
-
-    /// Ledger attribution mirroring [`TrivialState::space_words`]: the
-    /// whole-family `total` sketch and the Observation-2.4 `groups`
+impl SpaceUsage for TrivialState {
+    /// The whole-family `total` sketch and the Observation-2.4 `groups`
     /// family (aggregated into one shared child, like every
     /// variable-count structure in the stack).
-    fn space_ledger(&self, node: &mut LedgerNode) {
+    fn space_ledger(&self, node: &mut impl SpaceSink) {
         self.total.space_ledger(node.child("total"));
         let groups = node.child("groups");
         for g in &self.groups {
@@ -727,8 +723,8 @@ impl MaxCoverEstimator {
     /// Finalize after the pass (Theorem 3.6 acceptance). When the
     /// configured recorder is enabled, this also emits the finalize-time
     /// snapshot: one "lane" event per `(z, rep)` lane, per-subroutine
-    /// "subroutine"/"sketch" events whose `space_words` sum to the
-    /// reported total exactly, and a closing "summary" event.
+    /// "subroutine"/"sketch" events, a closing "summary" event, and the
+    /// space ledger whose subtrees carry each subroutine's words.
     pub fn finalize(&self) -> EstimateOutcome {
         let span = self.rec.span("finalize");
         let outcome = self.finalize_outcome();
@@ -807,11 +803,10 @@ impl MaxCoverEstimator {
                     ("lane", Value::from(0u64)),
                     ("name", Value::from("trivial")),
                     ("estimate", Value::from(t.estimate())),
-                    ("space_words", Value::from(t.space_words())),
                 ],
             );
         }
-        if let Some(fps) = &self.fps {
+        if self.fps.is_some() {
             // The estimator-global hash-once front end, shared by every
             // lane (lanes count 1-word handles on the shared bases).
             rec.event(
@@ -820,11 +815,10 @@ impl MaxCoverEstimator {
                     ("lane", Value::from(0u64)),
                     ("name", Value::from("fingerprints")),
                     ("estimate", Value::from(f64::NAN)),
-                    ("space_words", Value::from(fps.space_words())),
                 ],
             );
         }
-        if let Some(lane) = self.lanes.first() {
+        if !self.lanes.is_empty() {
             // The lane-invariant universe-reduction mix, shared by every
             // lane and attributed once (lanes count 1-word handles).
             rec.event(
@@ -833,7 +827,6 @@ impl MaxCoverEstimator {
                     ("lane", Value::from(0u64)),
                     ("name", Value::from("universe")),
                     ("estimate", Value::from(f64::NAN)),
-                    ("space_words", Value::from(lane.reducer.mix_words())),
                 ],
             );
         }
@@ -852,10 +845,6 @@ impl MaxCoverEstimator {
                         Value::from(out.winner.map_or("none", SubroutineKind::name)),
                     ),
                     ("qualifying", Value::from(qualifying)),
-                    (
-                        "space_words",
-                        Value::from(lane.oracle.space_words() + lane.reducer.space_words()),
-                    ),
                 ],
             );
             lane.oracle.record_snapshot(rec, i);
@@ -865,7 +854,6 @@ impl MaxCoverEstimator {
                     ("lane", Value::from(i as u64)),
                     ("name", Value::from("reducer")),
                     ("estimate", Value::from(f64::NAN)),
-                    ("space_words", Value::from(lane.reducer.space_words())),
                 ],
             );
         }
@@ -1283,26 +1271,14 @@ impl kcov_sketch::WireEncode for MaxCoverEstimator {
 }
 
 impl SpaceUsage for MaxCoverEstimator {
-    fn space_words(&self) -> usize {
-        self.trivial.as_ref().map_or(0, TrivialState::space_words)
-            + self.fps.as_ref().map_or(0, SpaceUsage::space_words)
-            // The shared universe mix, counted once (each lane's reducer
-            // carries a 1-word handle).
-            + self.lanes.first().map_or(0, |l| l.reducer.mix_words())
-            + self
-                .lanes
-                .iter()
-                .map(|l| l.oracle.space_words() + l.reducer.space_words())
-                .sum::<usize>()
-    }
-
     /// The root of the space-attribution tree. Child names deliberately
     /// match the finalize-time `"subroutine"` event names (`trivial`,
-    /// `fingerprints`, the shared `universe` mix, per-lane
-    /// `reducer`/`set_base`/`large_common`/`large_set`/`small_set`) so
-    /// `maxkcov prof` can cross-check each subtree against its event's
-    /// `space_words`.
-    fn space_ledger(&self, node: &mut LedgerNode) {
+    /// `fingerprints`, the shared `universe` mix — counted once, each
+    /// lane's reducer carries a 1-word handle — and per-lane
+    /// `reducer`/`set_base`/`large_common`/`large_set`/`small_set`), so
+    /// each subroutine's words are a subtree total
+    /// ([`kcov_obs::audit::subroutine_path`]).
+    fn space_ledger(&self, node: &mut impl SpaceSink) {
         if let Some(t) = &self.trivial {
             t.space_ledger(node.child("trivial"));
         }
@@ -1313,7 +1289,7 @@ impl SpaceUsage for MaxCoverEstimator {
             node.leaf("universe", lane.reducer.mix_words());
         }
         for (i, lane) in self.lanes.iter().enumerate() {
-            let ln = node.child(&format!("lane{i}"));
+            let ln = node.child_indexed("lane", i);
             lane.reducer.space_ledger(ln.child("reducer"));
             lane.oracle.space_ledger(ln);
         }

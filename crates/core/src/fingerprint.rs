@@ -32,7 +32,7 @@ use std::sync::Arc;
 
 use kcov_hash::{KWise, RangeHash, SeedSequence};
 use kcov_sketch::wire::{err, put_kwise, take_kwise, WireError};
-use kcov_sketch::SpaceUsage;
+use kcov_sketch::{SpaceSink, SpaceUsage};
 use kcov_stream::Edge;
 
 /// The shared per-edge fingerprint bases: one polynomial over set ids,
@@ -115,11 +115,7 @@ impl kcov_sketch::WireEncode for EdgeFingerprints {
 }
 
 impl SpaceUsage for EdgeFingerprints {
-    fn space_words(&self) -> usize {
-        self.set.space_words() + self.elem.space_words()
-    }
-
-    fn space_ledger(&self, node: &mut kcov_obs::LedgerNode) {
+    fn space_ledger(&self, node: &mut impl SpaceSink) {
         node.leaf("set_base", self.set.space_words());
         node.leaf("elem_base", self.elem.space_words());
     }

@@ -15,7 +15,7 @@
 use std::sync::Arc;
 
 use kcov_hash::{KWise, RangeHash, SeedSequence};
-use kcov_sketch::{L0Estimator, SpaceUsage};
+use kcov_sketch::{L0Estimator, SpaceSink, SpaceUsage};
 use kcov_stream::Edge;
 
 use crate::params::Params;
@@ -458,30 +458,13 @@ impl kcov_sketch::WireEncode for LargeCommon {
 }
 
 impl SpaceUsage for LargeCommon {
-    fn space_words(&self) -> usize {
-        // 1-word handle on the shared base (coefficients counted once by
-        // their owner).
-        1 + self.set_mix.space_words()
-            + self
-                .lanes
-                .iter()
-                .map(|l| {
-                    l.de.space_words()
-                        + 2
-                        + l.groups.as_ref().map_or(0, |g| {
-                            g.hash.space_words()
-                                + g.counters.iter().map(SpaceUsage::space_words).sum::<usize>()
-                        })
-                })
-                .sum::<usize>()
-    }
-
-    /// Mirrors `space_words` term by term. The β layers aggregate into
+    /// A 1-word handle on the shared base (coefficients counted once by
+    /// their owner) and the set mix, then the β layers, aggregated into
     /// shared `distinct` / `groups` subtrees (layer counts vary with α;
     /// per-layer children would multiply trace events without changing
     /// any audit); `overhead` counts the 2-word `(β, buckets)` schedule
     /// per layer.
-    fn space_ledger(&self, node: &mut kcov_obs::LedgerNode) {
+    fn space_ledger(&self, node: &mut impl SpaceSink) {
         node.leaf("set_base", 1);
         node.leaf("set_mix", self.set_mix.space_words());
         for lane in &self.lanes {

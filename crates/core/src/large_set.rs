@@ -29,7 +29,9 @@
 use std::sync::Arc;
 
 use kcov_hash::{KWise, RangeHash, SeedSequence};
-use kcov_sketch::{probe_mix, ContributingConfig, F2Contributing, L0Estimator, OaMap, SpaceUsage};
+use kcov_sketch::{
+    probe_mix, ContributingConfig, F2Contributing, L0Estimator, OaMap, SpaceSink, SpaceUsage,
+};
 use kcov_stream::Edge;
 
 use crate::params::Params;
@@ -642,29 +644,15 @@ impl kcov_sketch::WireEncode for LargeSet {
 }
 
 impl SpaceUsage for LargeSet {
-    fn space_words(&self) -> usize {
-        // 1-word handle on the shared base (coefficients counted once by
-        // their owner).
-        1 + self.reps
-            .iter()
-            .map(|r| {
-                2 // gate_salt + keep_below
-                    + r.shash.space_words()
-                    + r.ssel_hash.space_words()
-                    + r.cntr.space_words()
-                    + r.sampled.iter().map(|(_, l0)| l0.space_words()).sum::<usize>()
-                    + 2 * r.sampled.len()
-            })
-            .sum::<usize>()
-    }
-
-    /// Mirrors `space_words` term by term. The `O(log n)` repetitions
-    /// aggregate into shared component subtrees (repetition counts are a
-    /// parameter, not structure worth one trace event each): per-rep
-    /// hashes under `hashes`, the fused two-tier contributing-class
-    /// finder under `cntr`, and the directly sampled supersets under
-    /// `sampled` (sketches plus a 2-word map entry per id).
-    fn space_ledger(&self, node: &mut kcov_obs::LedgerNode) {
+    /// A 1-word handle on the shared base (coefficients counted once by
+    /// their owner), then the `O(log n)` repetitions, aggregated into
+    /// shared component subtrees (repetition counts are a parameter, not
+    /// structure worth one trace event each): per-rep hashes plus the
+    /// 2-word `(gate_salt, keep_below)` gate under `hashes`, the fused
+    /// two-tier contributing-class finder under `cntr`, and the directly
+    /// sampled supersets under `sampled` (sketches plus a 2-word map
+    /// entry per id).
+    fn space_ledger(&self, node: &mut impl SpaceSink) {
         node.leaf("set_base", 1);
         for r in &self.reps {
             node.leaf(

@@ -19,7 +19,7 @@ use std::sync::Arc;
 
 use kcov_hash::{KWise, RangeHash};
 use kcov_obs::{Recorder, SketchStats, Value};
-use kcov_sketch::SpaceUsage;
+use kcov_sketch::{SpaceSink, SpaceUsage};
 use kcov_stream::Edge;
 
 use crate::large_common::LargeCommon;
@@ -243,9 +243,10 @@ impl Oracle {
     }
 
     /// Emit the finalize-time observability snapshot for this oracle:
-    /// one "subroutine" event (estimate + resident space) per active
-    /// subroutine and one "sketch" event with its aggregated sketch
-    /// telemetry, all tagged with the owning estimator lane. Infeasible
+    /// one "subroutine" event (its estimate; its words are its space
+    /// ledger subtree) per active subroutine and one "sketch" event with
+    /// its aggregated sketch telemetry, all tagged with the owning
+    /// estimator lane. Infeasible
     /// estimates are recorded as JSON `null` (NaN sentinel). No-op when
     /// `rec` is disabled.
     pub fn record_snapshot(&self, rec: &Recorder, lane: usize) {
@@ -253,33 +254,22 @@ impl Oracle {
             return;
         }
         let d = self.diagnostics();
-        let subs: [(&str, Option<f64>, Option<usize>); 4] = [
-            // The oracle's 1-word handle on the shared set-fingerprint
-            // base (the coefficients are attributed to their owner, the
-            // estimator's fingerprint front end; subroutine handles are
-            // accounted by the subroutines themselves).
-            ("set_base", None, Some(1)),
-            (
-                "large_common",
-                d.large_common,
-                Some(self.large_common.space_words()),
-            ),
-            ("large_set", d.large_set, Some(self.large_set.space_words())),
-            (
-                "small_set",
-                d.small_set,
-                self.small_set.as_ref().map(SpaceUsage::space_words),
-            ),
+        // `set_base` is the oracle's 1-word handle on the shared
+        // set-fingerprint base (the coefficients are attributed to their
+        // owner, the estimator's fingerprint front end).
+        let subs = [
+            ("set_base", None),
+            ("large_common", d.large_common),
+            ("large_set", d.large_set),
         ];
-        for (name, est, words) in subs {
-            let Some(words) = words else { continue };
+        let small_set = self.small_set.as_ref().map(|_| ("small_set", d.small_set));
+        for (name, est) in subs.into_iter().chain(small_set) {
             rec.event(
                 "subroutine",
                 &[
                     ("lane", Value::from(lane as u64)),
                     ("name", Value::from(name)),
                     ("estimate", Value::from(est.unwrap_or(f64::NAN))),
-                    ("space_words", Value::from(words)),
                 ],
             );
         }
@@ -386,18 +376,11 @@ impl kcov_sketch::WireEncode for Oracle {
 }
 
 impl SpaceUsage for Oracle {
-    fn space_words(&self) -> usize {
-        // 1-word handle on the shared base; the coefficients are counted
-        // once by their owner.
-        1 + self.large_common.space_words()
-            + self.large_set.space_words()
-            + self.small_set.as_ref().map_or(0, SpaceUsage::space_words)
-    }
-
-    /// Mirrors `space_words` with one child per subroutine — the same
-    /// names the `subroutine` trace events use, so `maxkcov prof` can
-    /// cross-check each subtree against its event's `space_words`.
-    fn space_ledger(&self, node: &mut kcov_obs::LedgerNode) {
+    /// A 1-word handle on the shared base (the coefficients are counted
+    /// once by their owner), then one child per subroutine — the names
+    /// the `subroutine` trace events use, so a subroutine's words are
+    /// its subtree's total.
+    fn space_ledger(&self, node: &mut impl SpaceSink) {
         node.leaf("set_base", 1);
         self.large_common.space_ledger(node.child("large_common"));
         self.large_set.space_ledger(node.child("large_set"));

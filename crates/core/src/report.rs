@@ -17,7 +17,7 @@
 //!   tracked by an `Õ(1)` distinct-element sketch (the `Õ(k)` extra of
 //!   the theorem); the best group is returned.
 
-use kcov_sketch::SpaceUsage;
+use kcov_sketch::{SpaceSink, SpaceUsage};
 use kcov_stream::Edge;
 
 use crate::estimate::{EstimateOutcome, EstimatorConfig, MaxCoverEstimator};
@@ -162,11 +162,7 @@ impl MaxCoverReporter {
 }
 
 impl SpaceUsage for MaxCoverReporter {
-    fn space_words(&self) -> usize {
-        self.inner.space_words()
-    }
-
-    fn space_ledger(&self, node: &mut kcov_obs::LedgerNode) {
+    fn space_ledger(&self, node: &mut impl SpaceSink) {
         self.inner.space_ledger(node);
     }
 }

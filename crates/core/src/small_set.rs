@@ -19,7 +19,8 @@
 use std::sync::Arc;
 
 use kcov_hash::{KWise, RangeHash, SeedSequence, MERSENNE_P};
-use kcov_sketch::SpaceUsage;
+use kcov_obs::Space;
+use kcov_sketch::{SpaceSink, SpaceUsage};
 use kcov_stream::{Edge, SetSystem};
 
 use crate::params::Params;
@@ -473,33 +474,23 @@ impl kcov_sketch::WireEncode for SmallSet {
 }
 
 impl SpaceUsage for SmallSet {
-    fn space_words(&self) -> usize {
-        // 1-word handle on the shared base (coefficients counted once by
-        // their owner).
-        1 + self.reps
-            .iter()
-            .map(|r| {
-                r.mhash.space_words()
-                    + r.ehash.space_words()
-                    + r.lanes.iter().map(|l| l.edges.len() + 2).sum::<usize>()
-            })
-            .sum::<usize>()
-    }
-
-    /// Mirrors `space_words` term by term; repetitions aggregate into
-    /// shared children. The `edges` heat is *derived from state* (one
-    /// store per resident edge) rather than counted on the hot path —
-    /// stored edges survive the wire round trip, so decoded replicas
-    /// report identical heat for free.
-    fn space_ledger(&self, node: &mut kcov_obs::LedgerNode) {
+    /// A 1-word handle on the shared base (coefficients counted once by
+    /// their owner), then per repetition its hashes, stored edges and
+    /// a 2-word overhead per lane; repetitions aggregate into shared
+    /// children. The `edges` heat is *derived from state* (one store per
+    /// resident edge) rather than counted on the hot path — stored edges
+    /// survive the wire round trip, so decoded replicas report identical
+    /// heat for free.
+    fn space_ledger(&self, node: &mut impl SpaceSink) {
         node.leaf("set_base", 1);
         for r in &self.reps {
             node.leaf("hashes", r.mhash.space_words() + r.ehash.space_words());
-            let stored: usize = r.lanes.iter().map(|l| l.edges.len()).sum();
-            let edges = node.child("edges");
-            edges.own.words += stored as u64;
-            edges.own.updates += stored as u64;
-            edges.own.touched_words += stored as u64;
+            let stored = r.lanes.iter().map(|l| l.edges.len() as u64).sum();
+            node.child("edges").add(Space {
+                words: stored,
+                updates: stored,
+                touched_words: stored,
+            });
             node.leaf("overhead", 2 * r.lanes.len());
         }
     }

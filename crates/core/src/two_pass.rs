@@ -18,7 +18,7 @@
 use std::time::Instant;
 
 use kcov_obs::{apportion_by_heat, LedgerNode, Recorder, SketchStats, TimeLedger};
-use kcov_sketch::SpaceUsage;
+use kcov_sketch::{SpaceSink, SpaceUsage};
 use kcov_stream::Edge;
 
 use crate::estimate::{EstimatorConfig, MaxCoverEstimator};
@@ -537,19 +537,10 @@ impl kcov_sketch::WireEncode for TwoPassSecond {
 }
 
 impl SpaceUsage for TwoPassSecond {
-    fn space_words(&self) -> usize {
-        self.fps.space_words()
-            + self
-                .lanes
-                .iter()
-                .map(|(r, o)| r.space_words() + o.space_words())
-                .sum::<usize>()
-    }
-
-    fn space_ledger(&self, node: &mut kcov_obs::LedgerNode) {
+    fn space_ledger(&self, node: &mut impl SpaceSink) {
         self.fps.space_ledger(node.child("fingerprints"));
         for (i, (r, o)) in self.lanes.iter().enumerate() {
-            let ln = node.child(&format!("lane{i}"));
+            let ln = node.child_indexed("lane", i);
             r.space_ledger(ln.child("reducer"));
             o.space_ledger(ln);
         }

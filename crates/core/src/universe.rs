@@ -10,7 +10,7 @@
 use std::sync::Arc;
 
 use kcov_hash::{four_wise, KWise, RangeHash};
-use kcov_sketch::SpaceUsage;
+use kcov_sketch::{SpaceSink, SpaceUsage};
 use kcov_stream::Edge;
 
 /// A 4-wise independent map `U → [z]` of the ground set onto
@@ -204,16 +204,11 @@ impl UniverseReducer {
 }
 
 impl SpaceUsage for UniverseReducer {
-    fn space_words(&self) -> usize {
-        // State behind a shared `Arc` is attributed to its owner (the
-        // estimator front end for the fingerprint base, the estimator's
-        // `universe` leaf for a shared mix); this holder carries 1-word
-        // handles.
-        let mix = if self.shared_mix { 1 } else { self.hash.space_words() };
-        mix + self.base.as_ref().map_or(0, |_| 1) + 1
-    }
-
-    fn space_ledger(&self, node: &mut kcov_obs::LedgerNode) {
+    /// State behind a shared `Arc` is attributed to its owner (the
+    /// estimator front end for the fingerprint base, the estimator's
+    /// `universe` leaf for a shared mix); this holder carries 1-word
+    /// handles.
+    fn space_ledger(&self, node: &mut impl SpaceSink) {
         node.leaf("hash", if self.shared_mix { 1 } else { self.hash.space_words() });
         if self.base.is_some() {
             node.leaf("base", 1);

@@ -1,7 +1,7 @@
 //! Contract suite for the observability layer: enabling a recorder
 //! must never change an estimate (bit-for-bit), and the emitted events
 //! must account exactly — per-lane edge counts match the stream
-//! length, per-subroutine `space_words` snapshots sum to the reported
+//! length, the subroutines' space-ledger subtrees sum to the reported
 //! total, shard timings cover every shard, and the phase spans cover
 //! ingest/merge/finalize.
 
@@ -94,21 +94,20 @@ fn subroutine_space_snapshots_sum_to_the_total() {
     }
     est.finalize();
 
-    // The auditor checks that the subroutine snapshots sum to the
-    // summary total and that every lane and subroutine snapshot equals
-    // its ledger subtree, whose root is the summary total: so the lane
-    // events plus the estimator-global front end and universe mix
-    // partition the total.
+    // The auditor checks that the ledger root is the summary total and
+    // that every subroutine has a ledger subtree; those subtrees (the
+    // per-lane subroutines plus the estimator-global front end and
+    // universe mix) partition the total.
     let trace = Trace::of(&rec).expect("events parse back");
     assert!(trace.violations().is_empty(), "{:?}", trace.violations());
     assert_eq!(trace.summary.map(|s| s.1), Some(est.space_words() as u64));
-    assert_eq!(trace.lanes.len(), est.num_lanes());
+    let words = trace.subroutine_words();
+    let sum: u64 = words.iter().map(|w| w.2.unwrap()).sum();
+    assert_eq!(sum, est.space_words() as u64);
+    assert_eq!(rec.events_of("lane").len(), est.num_lanes());
     for name in ["fingerprints", "universe"] {
         assert!(
-            trace
-                .subroutines
-                .iter()
-                .any(|(_, n, w)| n == name && *w > 0),
+            words.iter().any(|&(_, n, w)| n == name && w > Some(0)),
             "{name} must be accounted"
         );
     }
@@ -357,7 +356,7 @@ fn ledger_rows_attribute_every_word_exactly() {
         est.space_words() as u64,
         "leaves must partition the total"
     );
-    assert!(!trace.subroutines.is_empty() && !trace.lanes.is_empty());
+    assert!(!trace.subroutines.is_empty());
     // The heat layer saw the stream: some component recorded updates.
     assert!(root.total.updates > 0, "heat counters must be harvested");
     assert!(root.total.touched_words > 0);
@@ -411,6 +410,9 @@ fn trivial_regime_snapshot_accounts_exactly() {
     let subs = rec.events_of("subroutine");
     assert_eq!(subs.len(), 1);
     assert_eq!(subs[0].str_field("name").unwrap(), "trivial");
-    assert_eq!(subs[0].u64_field("space_words").unwrap(), est.space_words() as u64);
+    assert_eq!(
+        Trace::of(&rec).unwrap().subroutine_words(),
+        [(0, "trivial", Some(est.space_words() as u64))]
+    );
     assert!(rec.events_of("lane").is_empty(), "no lanes run in the trivial regime");
 }

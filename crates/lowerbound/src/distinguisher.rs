@@ -11,7 +11,8 @@
 //! lower-bound threshold empirically.
 
 use kcov_hash::SeedSequence;
-use kcov_sketch::{CountSketch, SpaceUsage};
+use kcov_sketch::space::{Space, SpaceSink, SpaceUsage};
+use kcov_sketch::CountSketch;
 use kcov_stream::gen::{dsj_max_cover_instance, DsjInstance, DsjKind};
 use kcov_stream::Edge;
 
@@ -125,8 +126,11 @@ impl L2Distinguisher {
 }
 
 impl SpaceUsage for L2Distinguisher {
-    fn space_words(&self) -> usize {
-        self.sketch.space_words() + 2 * self.candidates.len()
+    /// One opaque leaf: the sketch plus 2-word candidate entries.
+    fn space_ledger(&self, node: &mut impl SpaceSink) {
+        node.add(Space::resident(
+            self.sketch.space_words() + 2 * self.candidates.len(),
+        ));
     }
 }
 

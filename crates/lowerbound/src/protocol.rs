@@ -76,6 +76,7 @@ pub fn run_one_way_protocol<A: StreamingEstimator>(
 mod tests {
     use super::*;
     use kcov_core::{EstimatorConfig, MaxCoverEstimator};
+    use kcov_sketch::space::{Space, SpaceSink};
     use kcov_stream::gen::{dsj_max_cover_instance, DsjKind};
 
     /// A trivial exact counter used to validate the harness itself.
@@ -83,8 +84,8 @@ mod tests {
         seen: std::collections::HashSet<u32>,
     }
     impl SpaceUsage for ExactDistinct {
-        fn space_words(&self) -> usize {
-            self.seen.len()
+        fn space_ledger(&self, node: &mut impl SpaceSink) {
+            node.add(Space::resident(self.seen.len()));
         }
     }
     impl StreamingEstimator for ExactDistinct {

@@ -10,7 +10,7 @@
 //! rule of [`parent_sum_violations`]. Every check returns all
 //! violations rather than stopping at the first.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fs::File;
 use std::io::{BufRead, BufReader};
 
@@ -48,10 +48,9 @@ pub struct Trace {
     pub phases: BTreeMap<String, (u64, u64)>,
     /// `"counter"` lines, keyed as written (includes `time_ns.*`).
     pub counters: BTreeMap<String, u64>,
-    /// Every `"subroutine"` event as `(lane, name, space_words)`.
-    pub subroutines: Vec<(u64, String, u64)>,
-    /// Every `"lane"` event as `(lane, space_words)`.
-    pub lanes: Vec<(u64, u64)>,
+    /// Every `"subroutine"` event as `(lane, name)`; its words are its
+    /// ledger subtree's (see [`Trace::subroutine_words`]).
+    pub subroutines: Vec<(u64, String)>,
     /// `(estimate, space_words, edges)` from the `"summary"` event.
     pub summary: Option<(f64, u64, u64)>,
     /// `(stage, shard, at_edges)` → per-row aggregate over lanes.
@@ -140,12 +139,7 @@ impl Trace {
                 "counter" => {
                     out.counters.insert(s("key")?.to_string(), u("value")?);
                 }
-                "subroutine" => {
-                    let words = u("space_words")?;
-                    out.subroutines
-                        .push((u("lane")?, s("name")?.to_string(), words));
-                }
-                "lane" => out.lanes.push((u("lane")?, u("space_words")?)),
+                "subroutine" => out.subroutines.push((u("lane")?, s("name")?.to_string())),
                 "sketch" => {
                     out.sketch_evictions += u("evictions")?;
                     out.sketch_events += 1;
@@ -218,10 +212,9 @@ impl Trace {
     }
 
     /// Invariants across the plain events: phase event nanos sum to the
-    /// matching `time_ns.*` counter in both directions, per-subroutine
-    /// space sums to the summary total, heartbeats imply histogram
-    /// events, and heartbeat eviction trajectories are monotone and end
-    /// below the finalize-time sketch totals.
+    /// matching `time_ns.*` counter in both directions, heartbeats imply
+    /// histogram events, and heartbeat eviction trajectories are
+    /// monotone and end below the finalize-time sketch totals.
     pub fn event_violations(&self) -> Vec<String> {
         let mut violations = Vec::new();
         for (name, &(_, total_ns)) in &self.phases {
@@ -242,14 +235,6 @@ impl Trace {
                         "counter {key} = {value} has no matching phase events"
                     ));
                 }
-            }
-        }
-        if let Some((_, summary_words, _)) = self.summary {
-            let sum: u64 = self.subroutines.iter().map(|(_, _, w)| w).sum();
-            if !self.subroutines.is_empty() && sum != summary_words {
-                violations.push(format!(
-                    "subroutine space_words sum to {sum} but summary reports {summary_words}"
-                ));
             }
         }
         // Every heartbeat records a fill/eviction delta into the ingest
@@ -284,10 +269,27 @@ impl Trace {
         violations
     }
 
+    /// Each `"subroutine"` event as `(lane, name, words)`, in event
+    /// order: the words are the total of its ledger subtree at
+    /// [`subroutine_path`], `None` when the trace holds no such row.
+    pub fn subroutine_words(&self) -> Vec<(u64, &str, Option<u64>)> {
+        let words: HashMap<&str, u64> = self
+            .space_rows
+            .iter()
+            .map(|r| (r.path.as_str(), r.total.words))
+            .collect();
+        self.subroutines
+            .iter()
+            .map(|(lane, name)| {
+                let path = subroutine_path(*lane, name);
+                (*lane, name.as_str(), words.get(path.as_str()).copied())
+            })
+            .collect()
+    }
+
     /// Invariants of the `"ledger"` rows (DESIGN.md §13): parent sums,
-    /// the root's words against the summary total, and each
-    /// per-subroutine and per-lane subtree against its `"subroutine"` or
-    /// `"lane"` event.
+    /// the root's words against the summary total, and a subtree for
+    /// every `"subroutine"` event.
     pub fn space_violations(&self) -> Vec<String> {
         let rows = &self.space_rows;
         let mut violations = parent_sum_violations(rows);
@@ -299,33 +301,12 @@ impl Trace {
                 summary_words,
             ));
         }
-        // The lane-subtree child names are the subroutine event names by
-        // construction; `trivial`, `fingerprints` and the shared
-        // `universe` mix are estimator-global (their events carry lane 0).
-        let subroutines = self.subroutines.iter().map(|(lane, name, words)| {
-            let path = match name.as_str() {
-                "trivial" | "fingerprints" | "universe" => format!("estimator/{name}"),
-                _ => format!("estimator/lane{lane}/{name}"),
-            };
-            (path, *words, format!("subroutine '{name}' (lane {lane})"))
-        });
-        let lanes = self.lanes.iter().map(|(lane, words)| {
-            (
-                format!("estimator/lane{lane}"),
-                *words,
-                format!("lane {lane}"),
-            )
-        });
-        for (path, words, what) in subroutines.chain(lanes) {
-            match rows.iter().find(|r| r.path == path) {
-                Some(r) if r.total.words == words => {}
-                Some(r) => violations.push(format!(
-                    "ledger '{path}' attributes {} words but {what} reports {words}",
-                    r.total.words
-                )),
-                None => violations.push(format!(
-                    "{what} reports {words} words but has no ledger subtree at '{path}'"
-                )),
+        for (lane, name, words) in self.subroutine_words() {
+            if words.is_none() {
+                violations.push(format!(
+                    "subroutine '{name}' (lane {lane}) has no ledger subtree at '{}'",
+                    subroutine_path(lane, name)
+                ));
             }
         }
         violations
@@ -407,6 +388,18 @@ impl Trace {
             *prev = (*prev).max(v);
         }
         last
+    }
+}
+
+/// The space-ledger path whose subtree holds a `"subroutine"` event's
+/// words. The estimator's lane-subtree child names are the subroutine
+/// event names by construction; `trivial`, `fingerprints` and the
+/// shared `universe` mix are estimator-global (their events carry
+/// lane 0).
+pub fn subroutine_path(lane: u64, name: &str) -> String {
+    match name {
+        "trivial" | "fingerprints" | "universe" => format!("estimator/{name}"),
+        _ => format!("estimator/lane{lane}/{name}"),
     }
 }
 
@@ -503,7 +496,7 @@ fn time_budget_violation(root: &str, ns: u64, wall_ns: u64, parallelism: u64) ->
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ledger::{SpaceLedger, TimeLedger};
+    use crate::ledger::{SpaceLedger, SpaceSink, TimeLedger};
     use crate::Recorder;
 
     /// A small healthy trace: a space and a time tree, their meta event,
@@ -536,20 +529,13 @@ mod tests {
             );
         }
         rec.histogram("ingest.batch_ns", &batch);
-        for (lane, name, words) in [(0u64, "fingerprints", 8u64), (0, "large_set", 30)] {
+        for (lane, name) in [(0u64, "fingerprints"), (0, "large_set")] {
             rec.event(
                 "subroutine",
-                &[
-                    ("lane", lane.into()),
-                    ("name", name.into()),
-                    ("space_words", words.into()),
-                ],
+                &[("lane", lane.into()), ("name", name.into())],
             );
         }
-        rec.event(
-            "lane",
-            &[("lane", 0u64.into()), ("space_words", 30u64.into())],
-        );
+        rec.event("lane", &[("lane", 0u64.into())]);
         rec.event(
             "summary",
             &[
@@ -612,6 +598,10 @@ mod tests {
         assert_eq!(t.time_rows.len(), 4);
         assert_eq!(t.beats.len(), 2);
         assert_eq!(t.summary.map(|s| s.1), Some(38));
+        assert_eq!(
+            t.subroutine_words(),
+            [(0, "fingerprints", Some(8)), (0, "large_set", Some(30))]
+        );
         assert!(t.violations().is_empty(), "{:?}", t.violations());
     }
 
@@ -663,32 +653,19 @@ mod tests {
             "\"space_words\":38",
             "\"space_words\":39",
         ));
-        assert!(v.iter().any(|m| m.contains("ledger 'estimator' attributes 38 words but space_words is 39")), "{v:?}");
-        assert!(
-            v.iter()
-                .any(|m| m.contains("subroutine space_words sum to 38")),
-            "{v:?}"
+        assert_eq!(
+            v,
+            ["ledger 'estimator' attributes 38 words but space_words is 39"]
         );
         let v = violations_of(&tamper(
             &text,
-            "\"kind\":\"subroutine\"",
-            "\"space_words\":30",
-            "\"space_words\":31",
-        ));
-        assert!(
-            v.iter()
-                .any(|m| m.contains("subroutine 'large_set' (lane 0) reports 31")),
-            "{v:?}"
-        );
-        let v = violations_of(&tamper(
-            &text,
-            "\"kind\":\"lane\"",
+            "\"name\":\"large_set\"",
             "\"lane\":0",
             "\"lane\":1",
         ));
         assert_eq!(
             v,
-            ["lane 1 reports 30 words but has no ledger subtree at 'estimator/lane1'"]
+            ["subroutine 'large_set' (lane 1) has no ledger subtree at 'estimator/lane1/large_set'"]
         );
         let v = violations_of(&tamper(
             &text,

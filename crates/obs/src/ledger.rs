@@ -7,6 +7,10 @@
 //! subtree total is the sum of its children's by construction. Children
 //! keep insertion order, which makes rows, events and reports a pure
 //! function of the tree.
+//!
+//! Space is attributed by walks written against [`SpaceSink`], which a
+//! tree node implements and so does a bare [`Space`] running total: the
+//! same walk builds the tree or, allocation-free, its total.
 
 use std::fmt;
 
@@ -232,20 +236,75 @@ impl<M: Metric> Node<M> {
     }
 }
 
-impl Node<Space> {
+impl Space {
+    /// `words` resident words and no heat.
+    pub fn resident(words: usize) -> Self {
+        Space {
+            words: words as u64,
+            ..Space::default()
+        }
+    }
+}
+
+/// Where a space walk (`SpaceUsage::space_ledger`) attributes its words
+/// and heat: a [`LedgerNode`] builds the attribution tree, a [`Space`]
+/// keeps only the running total. One walk serves both, so the total
+/// and the tree cannot disagree, and the total costs no allocation.
+pub trait SpaceSink {
+    /// The sink for the component `name` (find-or-append in a tree; the
+    /// total itself for a running total).
+    fn child(&mut self, name: &str) -> &mut Self;
+
+    /// The sink for the component `{prefix}{index}` (e.g. `lane3`),
+    /// named only where a tree keeps names.
+    fn child_indexed(&mut self, prefix: &str, index: usize) -> &mut Self {
+        self.child(&format!("{prefix}{index}"))
+    }
+
+    /// Attribute `space` to this node.
+    fn add(&mut self, space: Space);
+
     /// Attribute `words` resident words to the leaf child `name`.
-    pub fn leaf(&mut self, name: &str, words: usize) {
-        self.child(name).own.words += words as u64;
+    fn leaf(&mut self, name: &str, words: usize) {
+        self.child(name).add(Space::resident(words));
     }
 
     /// Attribute heat to the child `name`: `updates` operations touching
     /// `touched_words` resident words.
-    pub fn heat(&mut self, name: &str, updates: u64, touched_words: u64) {
-        let c = &mut self.child(name).own;
-        c.updates += updates;
-        c.touched_words += touched_words;
+    fn heat(&mut self, name: &str, updates: u64, touched_words: u64) {
+        self.child(name).add(Space {
+            words: 0,
+            updates,
+            touched_words,
+        });
+    }
+}
+
+impl SpaceSink for Space {
+    fn child(&mut self, _name: &str) -> &mut Self {
+        self
     }
 
+    fn child_indexed(&mut self, _prefix: &str, _index: usize) -> &mut Self {
+        self
+    }
+
+    fn add(&mut self, space: Space) {
+        *self = self.plus(space);
+    }
+}
+
+impl SpaceSink for Node<Space> {
+    fn child(&mut self, name: &str) -> &mut Self {
+        Node::child(self, name)
+    }
+
+    fn add(&mut self, space: Space) {
+        self.own = self.own.plus(space);
+    }
+}
+
+impl Node<Space> {
     /// Subtree total of resident words.
     pub fn total_words(&self) -> u64 {
         self.total().words

@@ -34,7 +34,7 @@ pub mod ledger;
 
 pub use ledger::{
     apportion_by_heat, render_folded, render_report, Ledger, LedgerNode, Metric, Node, Row, Space,
-    SpaceLedger, Time, TimeLedger, TimeNode,
+    SpaceLedger, SpaceSink, Time, TimeLedger, TimeNode,
 };
 
 use std::collections::BTreeMap;

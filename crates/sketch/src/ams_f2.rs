@@ -12,9 +12,9 @@
 //! the success probability (median-of-means).
 
 use kcov_hash::{SeedSequence, SignHash};
-use kcov_obs::{LedgerNode, SketchStats};
+use kcov_obs::SketchStats;
 
-use crate::space::SpaceUsage;
+use crate::space::{SpaceSink, SpaceUsage};
 
 /// Median-of-means AMS `F2` sketch.
 #[derive(Debug, Clone)]
@@ -168,11 +168,7 @@ impl AmsF2 {
 }
 
 impl SpaceUsage for AmsF2 {
-    fn space_words(&self) -> usize {
-        self.counters.len() + self.signs.iter().map(SignHash::space_words).sum::<usize>()
-    }
-
-    fn space_ledger(&self, node: &mut LedgerNode) {
+    fn space_ledger(&self, node: &mut impl SpaceSink) {
         node.leaf("counters", self.counters.len());
         node.leaf("signs", self.signs.iter().map(SignHash::space_words).sum::<usize>());
     }
@@ -181,6 +177,7 @@ impl SpaceUsage for AmsF2 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use kcov_obs::LedgerNode;
 
     fn exact_f2(freqs: &[(u64, i64)]) -> f64 {
         freqs.iter().map(|&(_, f)| (f * f) as f64).sum()
@@ -252,11 +249,13 @@ mod tests {
     }
 
     #[test]
-    fn ledger_mirrors_space_words() {
+    fn ledger_counts_the_shape() {
         let sk = AmsF2::new(3, 8, 5);
         let mut node = LedgerNode::new();
         sk.space_ledger(&mut node);
-        assert_eq!(node.total_words(), sk.space_words() as u64);
+        // 3×8 counters, each with its own 4-wise sign hash (4 words).
+        assert_eq!(node.total_words(), 24 + 24 * 4);
+        assert_eq!(sk.space_words(), 24 + 24 * 4);
         assert_eq!(node.get("counters").unwrap().own.words, 24);
     }
 

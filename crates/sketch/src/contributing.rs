@@ -15,10 +15,10 @@
 //! frequencies, in `Õ(1/γ)` space.
 
 use kcov_hash::{log_wise, KWise, RangeHash, SeedSequence};
-use kcov_obs::{LedgerNode, SketchStats};
+use kcov_obs::SketchStats;
 
 use crate::heavy_hitter::{F2HeavyHitter, HeavyHitterConfig, HeavyItem};
-use crate::space::SpaceUsage;
+use crate::space::{SpaceSink, SpaceUsage};
 
 /// Configuration for [`F2Contributing`].
 #[derive(Debug, Clone)]
@@ -431,17 +431,12 @@ impl F2Contributing {
 }
 
 impl SpaceUsage for F2Contributing {
-    fn space_words(&self) -> usize {
-        self.hash.space_words()
-            + self.levels.iter().map(|l| l.hh.space_words() + 2).sum::<usize>()
-    }
-
-    /// Mirrors `space_words` term by term: the shared sampling hash, the
-    /// per-level heavy hitters (aggregated into one `levels` subtree —
-    /// level counts vary with `α`, and per-level children would multiply
-    /// trace events without changing any audit), and a 2-word `overhead`
-    /// leaf per level for the `(modulus, keep)` schedule.
-    fn space_ledger(&self, node: &mut LedgerNode) {
+    /// The shared sampling hash, the per-level heavy hitters (aggregated
+    /// into one `levels` subtree — level counts vary with `α`, and
+    /// per-level children would multiply trace events without changing
+    /// any audit), and a 2-word `overhead` leaf per level for the
+    /// `(modulus, keep)` schedule.
+    fn space_ledger(&self, node: &mut impl SpaceSink) {
         node.leaf("hash", self.hash.space_words());
         let levels = node.child("levels");
         for level in &self.levels {
@@ -454,6 +449,7 @@ impl SpaceUsage for F2Contributing {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use kcov_obs::LedgerNode;
 
     /// Feed a frequency vector (item, freq) pairs in round-robin order.
     fn feed(fc: &mut F2Contributing, freqs: &[(u64, u64)]) {
@@ -625,12 +621,25 @@ mod tests {
     }
 
     #[test]
-    fn ledger_mirrors_space_words_and_restores_heat() {
+    fn ledger_counts_the_shape_and_restores_heat() {
         let mut fc = F2Contributing::new(ContributingConfig::new(0.25, 64), 1000, 1000, 19);
         feed(&mut fc, &[(4, 128), (9, 40)]);
         let mut node = LedgerNode::new();
         fc.space_ledger(&mut node);
-        assert_eq!(node.total_words(), fc.space_words() as u64);
+        // The sampling hash, then per level a heavy hitter (CountSketch
+        // table, a pairwise bucket and sign hash per row, 2-word
+        // candidates) and the 2-word (modulus, keep) schedule.
+        let levels: usize = fc
+            .level_parts()
+            .iter()
+            .map(|(_, _, hh)| {
+                let cs = hh.sketch();
+                cs.rows() * (cs.width() + 4) + 2 * hh.candidate_entries().len() + 2
+            })
+            .sum();
+        let want = fc.sampling_hash().space_words() + levels;
+        assert_eq!(node.total_words(), want as u64);
+        assert_eq!(fc.space_words(), want);
         assert_eq!(
             node.get("hash").unwrap().own.words,
             fc.sampling_hash().space_words() as u64

@@ -11,9 +11,9 @@
 //! `(1 ± 1/2)` factor.
 
 use kcov_hash::{four_wise, pairwise, KWise, RangeHash, SeedSequence, SignHash};
-use kcov_obs::{LedgerNode, SketchStats};
+use kcov_obs::{SketchStats, Space};
 
-use crate::space::SpaceUsage;
+use crate::space::{SpaceSink, SpaceUsage};
 
 /// A CountSketch frequency sketch over `u64` items.
 #[derive(Debug, Clone)]
@@ -263,20 +263,15 @@ impl CountSketch {
 }
 
 impl SpaceUsage for CountSketch {
-    fn space_words(&self) -> usize {
-        self.table.len()
-            + self.buckets.iter().map(KWise::space_words).sum::<usize>()
-            + self.signs.iter().map(SignHash::space_words).sum::<usize>()
-    }
-
-    /// Mirrors `space_words` exactly: the counter table plus the per-row
-    /// bucket/sign hashes. Heat lands on the `rows` leaf — every update
-    /// writes one counter per row, so `touched_words = updates × rows`.
-    fn space_ledger(&self, node: &mut LedgerNode) {
-        let rows = node.child("rows");
-        rows.own.words += self.table.len() as u64;
-        rows.own.updates += self.updates;
-        rows.own.touched_words += self.updates * self.rows as u64;
+    /// The counter table plus the per-row bucket/sign hashes. Heat lands
+    /// on the `rows` leaf — every update writes one counter per row, so
+    /// `touched_words = updates × rows`.
+    fn space_ledger(&self, node: &mut impl SpaceSink) {
+        node.child("rows").add(Space {
+            words: self.table.len() as u64,
+            updates: self.updates,
+            touched_words: self.updates * self.rows as u64,
+        });
         node.leaf(
             "hashes",
             self.buckets.iter().map(KWise::space_words).sum::<usize>()

@@ -18,11 +18,11 @@
 //! *is* a width-bucketed AMS estimator, so no second sketch is needed on
 //! the update path — the tracker itself touches no hash at all).
 
-use kcov_obs::{LedgerNode, SketchStats};
+use kcov_obs::{SketchStats, Space};
 
 use crate::arena::OaMap;
 use crate::count_sketch::CountSketch;
-use crate::space::SpaceUsage;
+use crate::space::{SpaceSink, SpaceUsage};
 
 /// The prune order: (count desc, item asc), a total order, so the kept
 /// set never depends on storage order.
@@ -348,20 +348,16 @@ impl F2HeavyHitter {
 }
 
 impl SpaceUsage for F2HeavyHitter {
-    fn space_words(&self) -> usize {
-        // Each candidate entry holds an item and an arrival count.
-        self.sketch.space_words() + 2 * self.candidates.len()
-    }
-
-    /// Mirrors `space_words` exactly: the CountSketch subtree plus the
-    /// candidate tracker (2 words per entry). Tracker heat is
+    /// The CountSketch subtree plus the candidate tracker (2 words per
+    /// entry: an item and its arrival count). Tracker heat is
     /// `items_seen` — each arrival touches one candidate entry.
-    fn space_ledger(&self, node: &mut LedgerNode) {
+    fn space_ledger(&self, node: &mut impl SpaceSink) {
         self.sketch.space_ledger(node.child("countsketch"));
-        let cand = node.child("candidates");
-        cand.own.words += 2 * self.candidates.len() as u64;
-        cand.own.updates += self.items_seen;
-        cand.own.touched_words += self.items_seen;
+        node.child("candidates").add(Space {
+            words: 2 * self.candidates.len() as u64,
+            updates: self.items_seen,
+            touched_words: self.items_seen,
+        });
     }
 }
 
@@ -477,21 +473,27 @@ mod tests {
     }
 
     #[test]
-    fn ledger_mirrors_space_words_and_carries_heat() {
+    fn ledger_counts_the_shape_and_carries_heat() {
         let mut hh = F2HeavyHitter::for_phi(0.1, 4);
         for i in 0..1_000u64 {
             hh.insert(i % 97);
         }
         let mut node = kcov_obs::LedgerNode::new();
         hh.space_ledger(&mut node);
-        assert_eq!(node.total_words(), hh.space_words() as u64);
+        // φ = 0.1: a 5-row CountSketch of width ⌈32/φ⌉ = 320 with a
+        // pairwise bucket and sign hash (2 + 2 words) per row, plus all 97
+        // distinct items as 2-word candidates (capacity 80 prunes only
+        // above 120).
+        assert_eq!(hh.candidates.len(), 97);
+        assert_eq!(node.total_words(), 5 * (320 + 4) + 2 * 97);
+        assert_eq!(hh.space_words(), 5 * (320 + 4) + 2 * 97);
         let cand = node.get("candidates").unwrap();
         assert_eq!(cand.own.words, 2 * hh.candidates.len() as u64);
         assert_eq!(cand.own.updates, 1_000);
         assert_eq!(cand.own.touched_words, 1_000);
         // CountSketch subtree carries the inner sketch's own heat.
         let cs = node.get("countsketch").unwrap();
-        assert_eq!(cs.total_words(), hh.sketch().space_words() as u64);
+        assert_eq!(cs.total_words(), 5 * (320 + 4));
         assert_eq!(cs.total_updates(), hh.sketch().heat_updates());
     }
 

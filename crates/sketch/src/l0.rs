@@ -14,10 +14,10 @@
 //! repetition structure the paper assumes.
 
 use kcov_hash::{pairwise, KWise, RangeHash, SeedSequence, MERSENNE_P};
-use kcov_obs::{LedgerNode, SketchStats};
+use kcov_obs::{SketchStats, Space};
 
 use crate::arena::SortedSlab;
-use crate::space::SpaceUsage;
+use crate::space::{SpaceSink, SpaceUsage};
 
 /// A single bottom-k (KMV) distinct-count summary.
 #[derive(Debug, Clone)]
@@ -200,18 +200,14 @@ impl Kmv {
 }
 
 impl SpaceUsage for Kmv {
-    fn space_words(&self) -> usize {
-        self.smallest.len() + self.hash.space_words()
-    }
-
-    /// Mirrors `space_words` exactly: kept values + rank hash. Heat
-    /// lands on the `values` leaf (each accepted probe touches one
-    /// resident entry).
-    fn space_ledger(&self, node: &mut LedgerNode) {
-        let values = node.child("values");
-        values.own.words += self.smallest.len() as u64;
-        values.own.updates += self.updates;
-        values.own.touched_words += self.updates;
+    /// Kept values + rank hash. Heat lands on the `values` leaf (each
+    /// accepted probe touches one resident entry).
+    fn space_ledger(&self, node: &mut impl SpaceSink) {
+        node.child("values").add(Space {
+            words: self.smallest.len() as u64,
+            updates: self.updates,
+            touched_words: self.updates,
+        });
         node.leaf("hash", self.hash.space_words());
     }
 }
@@ -325,13 +321,9 @@ impl L0Estimator {
 }
 
 impl SpaceUsage for L0Estimator {
-    fn space_words(&self) -> usize {
-        self.reps.iter().map(SpaceUsage::space_words).sum()
-    }
-
     /// Repetitions accumulate into the same `values`/`hash` children
     /// (bounding the tree size while keeping the leaf sum exact).
-    fn space_ledger(&self, node: &mut LedgerNode) {
+    fn space_ledger(&self, node: &mut impl SpaceSink) {
         for rep in &self.reps {
             rep.space_ledger(node);
         }
@@ -547,14 +539,17 @@ mod tests {
     }
 
     #[test]
-    fn ledger_mirrors_space_words_exactly() {
+    fn ledger_counts_the_saturated_shape() {
         let mut est = L0Estimator::new(16, 3, 5);
         for i in 0..400u64 {
             est.insert(i);
         }
         let mut node = kcov_obs::LedgerNode::new();
         est.space_ledger(&mut node);
-        assert_eq!(node.total_words(), est.space_words() as u64);
+        // 400 distinct items saturate all 3 repetitions: 16 kept values
+        // plus a pairwise rank hash (2 words) each.
+        assert_eq!(node.total_words(), 3 * (16 + 2));
+        assert_eq!(est.space_words(), 3 * (16 + 2));
         assert_eq!(node.total_updates(), 3 * 400);
         // Reps aggregate into exactly two leaves.
         assert!(node.get("values").unwrap().is_leaf());

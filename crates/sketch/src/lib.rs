@@ -43,5 +43,5 @@ pub use count_min::CountMin;
 pub use count_sketch::CountSketch;
 pub use heavy_hitter::{F2HeavyHitter, HeavyHitterConfig, HeavyItem};
 pub use l0::{Kmv, L0Estimator};
-pub use space::SpaceUsage;
+pub use space::{SpaceSink, SpaceUsage};
 pub use wire::{WireEncode, WireError};

@@ -9,74 +9,69 @@
 //! constant per-object overhead (a handful of lengths and parameters),
 //! matching how space is counted in the streaming literature.
 //!
-//! [`SpaceUsage::space_ledger`] refines the scalar total into an
-//! attribution tree ([`LedgerNode`]): every implementation mirrors its
-//! own `space_words` arithmetic term by term (explicit `overhead`
-//! leaves for the literal constants), so the ledger's leaf sum equals
-//! `space_words()` **exactly** — the finalize invariant the estimator
-//! asserts and `maxkcov prof` re-audits from traces.
+//! Each type writes its accounting once, as a walk
+//! ([`SpaceUsage::space_ledger`]) over its components into a
+//! [`SpaceSink`]: explicit `overhead` leaves for the literal constants,
+//! heat on the structures updates touch. Walked into a
+//! [`LedgerNode`](kcov_obs::LedgerNode) it builds the attribution tree
+//! that traces carry and `maxkcov prof` audits; walked into a [`Space`]
+//! it is the running total that [`SpaceUsage::space_words`] returns.
+//! The tree's leaf sum therefore equals `space_words()` by
+//! construction.
 
-use kcov_obs::LedgerNode;
+pub use kcov_obs::{Space, SpaceSink};
 
 /// Number of resident 64-bit words of algorithmic state.
 pub trait SpaceUsage {
-    /// Current space in 64-bit words.
-    fn space_words(&self) -> usize;
-
-    /// Current space in bytes (8 × words).
-    fn space_bytes(&self) -> usize {
-        self.space_words() * 8
-    }
-
     /// Attribute this object's resident words (and, where tracked, its
-    /// update heat) into `node`. The default treats the object as one
-    /// opaque leaf; structured implementations add component children
-    /// instead and must keep Σ attributed words == `space_words()`.
-    fn space_ledger(&self, node: &mut LedgerNode) {
-        node.own.words += self.space_words() as u64;
-    }
-}
+    /// update heat) into `node`: component children for structured
+    /// types, or one leaf (`node.add`) for an opaque one.
+    fn space_ledger(&self, node: &mut impl SpaceSink);
 
-/// Sum the space of a slice of accountable components.
-pub fn total_words<T: SpaceUsage>(items: &[T]) -> usize {
-    items.iter().map(SpaceUsage::space_words).sum()
+    /// Current space in 64-bit words: the total of
+    /// [`SpaceUsage::space_ledger`], walked without building a tree.
+    fn space_words(&self) -> usize {
+        let mut total = Space::default();
+        self.space_ledger(&mut total);
+        total.words as usize
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use kcov_obs::LedgerNode;
 
-    struct Fixed(usize);
-    impl SpaceUsage for Fixed {
-        fn space_words(&self) -> usize {
-            self.0
+    struct Pair(usize, usize);
+    impl SpaceUsage for Pair {
+        fn space_ledger(&self, node: &mut impl SpaceSink) {
+            node.leaf("a", self.0);
+            node.child("b").add(Space {
+                words: self.1 as u64,
+                updates: 4,
+                touched_words: 8,
+            });
         }
     }
 
     #[test]
-    fn bytes_are_eight_times_words() {
-        assert_eq!(Fixed(10).space_bytes(), 80);
-    }
-
-    #[test]
-    fn totals_sum() {
-        let items = [Fixed(1), Fixed(2), Fixed(3)];
-        assert_eq!(total_words(&items), 6);
-    }
-
-    #[test]
-    fn empty_total_is_zero() {
-        let items: [Fixed; 0] = [];
-        assert_eq!(total_words(&items), 0);
-    }
-
-    #[test]
-    fn default_ledger_is_one_opaque_leaf() {
+    fn space_words_is_the_walk_total() {
+        let p = Pair(7, 3);
+        assert_eq!(p.space_words(), 10);
         let mut node = LedgerNode::new();
-        Fixed(7).space_ledger(&mut node);
-        Fixed(3).space_ledger(&mut node);
-        assert_eq!(node.own.words, 10);
-        assert!(node.is_leaf());
-        assert_eq!(node.total_words(), Fixed(7).space_words() as u64 + 3);
+        p.space_ledger(&mut node);
+        assert_eq!(node.total_words(), 10);
+        assert_eq!(node.get("a").unwrap().own.words, 7);
+        assert_eq!(node.get("b").unwrap().own.updates, 4);
+    }
+
+    #[test]
+    fn repeated_walks_accumulate_in_the_same_children() {
+        let mut node = LedgerNode::new();
+        Pair(7, 3).space_ledger(&mut node);
+        Pair(1, 1).space_ledger(&mut node);
+        assert_eq!(node.children().count(), 2);
+        assert_eq!(node.total_words(), 12);
+        assert_eq!(node.total_touched_words(), 16);
     }
 }

@@ -866,11 +866,11 @@ mod tests {
     fn full_state_sidecars_restore_ledger_heat() {
         use crate::space::SpaceUsage;
         use kcov_obs::LedgerNode;
-        let ledger = |s: &dyn SpaceUsage| {
+        fn ledger(s: &impl SpaceUsage) -> LedgerNode {
             let mut node = LedgerNode::new();
             s.space_ledger(&mut node);
             node
-        };
+        }
         let mut est = L0Estimator::new(32, 3, 11);
         for i in 0..4_000u64 {
             est.insert(i * 7);

@@ -37,17 +37,18 @@
 //! `--trace`: aggregate phase timings, heartbeat fill (and cumulative
 //! lane-ns) trajectories, histogram percentiles, and the time-ledger
 //! leaf report, and re-checks the trace's accounting invariants (phase
-//! event nanos vs `time_ns.*` counters, subroutine space vs the
-//! summary total, heartbeat eviction monotonicity vs the final sketch
-//! totals, both ledgers' parent sums, and ns conservation against the
-//! batch wall clock), failing on violation. Every check lives in
-//! `kcov_obs::audit`, shared with finalize and `prof`.
+//! event nanos vs `time_ns.*` counters, the space ledger's root vs the
+//! summary total and a ledger subtree per subroutine, heartbeat
+//! eviction monotonicity vs the final sketch totals, both ledgers'
+//! parent sums, and ns conservation against the batch wall clock),
+//! failing on violation. Every check lives in `kcov_obs::audit`,
+//! shared with finalize and `prof`.
 //!
 //! `maxkcov prof` renders the space-attribution ledger (DESIGN.md §13)
 //! as a sorted words / % / updates / updates-per-word report — either
 //! from a `--trace` file's `"ledger"` events (`maxkcov prof TRACE`,
 //! re-checking the parent-sum, summary-total, and per-subroutine
-//! invariants like `trace-summarize`) or from a live run (`maxkcov
+//! subtree invariants like `trace-summarize`) or from a live run (`maxkcov
 //! prof --input FILE --k K --alpha A …`, checking the exact-sum
 //! invariant against the estimator's `space_words`). Violations exit
 //! non-zero. `maxkcov prof --time` renders the *time*-attribution
@@ -140,7 +141,7 @@ commutative merge and finalizes, matching a single-process --shards N run.
 a crash after E edges (exits non-zero, periodic snapshots left for recovery).
 prof renders the space-attribution ledger (words / % / updates / upd-per-word)
 from a --trace file's ledger events or from a live run, re-checking the ledger
-invariants (parent sums, summary total, per-subroutine match); --top N limits
+invariants (parent sums, summary total, per-subroutine subtrees); --top N limits
 the report to the N hottest leaves (default 20, 0 = all). prof --time renders
 the time-attribution ledger instead (ns / % per leaf, DESIGN.md sec. 15),
 re-checking its parent-sum and ns-conservation invariants; --folded emits
@@ -318,12 +319,20 @@ impl ObsOpts {
             print!("{}", rec.summary_table());
             let subs = rec.events_of("subroutine");
             if !subs.is_empty() {
+                // A subroutine's words are its space-ledger subtree's.
+                let ledger = rec.events_of("ledger");
+                let words_at = |path: &str| {
+                    ledger
+                        .iter()
+                        .find(|ev| ev.str_field("path") == Some(path))
+                        .and_then(|ev| ev.u64_field("words"))
+                };
                 println!("subroutine                                estimate      space");
                 for ev in &subs {
                     let lane = ev.u64_field("lane").unwrap_or(0);
                     let name = ev.str_field("name").unwrap_or("?");
                     let est = ev.f64_field("estimate").unwrap_or(f64::NAN);
-                    let words = ev.u64_field("space_words").unwrap_or(0);
+                    let words = words_at(&audit::subroutine_path(lane, name)).unwrap_or(0);
                     let est = if est.is_finite() {
                         format!("{est:.1}")
                     } else {
@@ -517,12 +526,35 @@ fn cmd_gen(flags: &HashMap<String, String>) -> Result<(), String> {
     if k == 0 {
         return Err("--k must be >= 1".into());
     }
+    // Each kind's shape preconditions are checked here, so a bad shape
+    // is an error rather than a generator assertion.
     let system = match kind {
         "uniform" => gen::uniform_fixed_size(n, m, (n / 50).max(2).min(n), seed),
         "zipf" => gen::zipf_set_sizes(n, m, (n / 5).max(2).min(n), 1.05, seed),
-        "planted" => gen::planted_cover(n, m, k, 0.8, ((n / k) / 4).max(1), seed).system,
-        "common" => gen::common_heavy(n, m, seed),
-        "few-large" => gen::few_large(n, m, 3.min(m - 1).max(1), (n / 5).max(1), seed),
+        "planted" => {
+            // With k <= n every planted set is non-empty and the decoy
+            // size below stays under the planted set size.
+            if k > m.min(n) {
+                return Err("--kind planted needs --k <= --m and --k <= --n".into());
+            }
+            gen::planted_cover(n, m, k, 0.8, ((n / k) / 4).max(1), seed).system
+        }
+        "common" => {
+            if n < 8 || m < 4 {
+                return Err("--kind common needs --n >= 8 and --m >= 4".into());
+            }
+            gen::common_heavy(n, m, seed)
+        }
+        "few-large" => {
+            let (num_large, large_size) = (3.min(m - 1).max(1), (n / 5).max(1));
+            if num_large >= m || num_large * large_size > n * 3 / 4 {
+                return Err(format!(
+                    "--kind few-large needs --m >= 2 and its {num_large} large set(s) of \
+                     {large_size} element(s) to fit in 3/4 of --n"
+                ));
+            }
+            gen::few_large(n, m, num_large, large_size, seed)
+        }
         "many-small" => gen::many_small(n, m, k.min(m), 0.6, seed),
         other => return Err(format!("unknown kind '{other}'")),
     };
@@ -1111,10 +1143,11 @@ fn cmd_trace_summarize(path: &str) -> Result<(), String> {
         println!("summary space (words)    = {words}");
         println!("summary edges            = {edges}");
         if !t.subroutines.is_empty() {
+            let subs = t.subroutine_words();
             println!(
                 "subroutine space (words) = {} across {} subroutines",
-                t.subroutines.iter().map(|(_, _, w)| w).sum::<u64>(),
-                t.subroutines.len()
+                subs.iter().filter_map(|s| s.2).sum::<u64>(),
+                subs.len()
             );
         }
     }

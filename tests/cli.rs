@@ -294,13 +294,18 @@ fn trace_and_metrics_add_output_without_changing_estimates() {
 
     // The trace file is line-delimited JSON (every line with seq and
     // kind) with the required records, and its accounting closes: the
-    // auditor checks subroutine and lane snapshots against the summary
-    // and the ledger.
+    // auditor checks the ledger against the summary, and the
+    // subroutines' ledger subtrees partition it.
     let t = maxkcov::obs::audit::Trace::read(trace_s).expect("trace parses");
     assert!(t.violations().is_empty(), "{:?}", t.violations());
-    assert!(!t.lanes.is_empty(), "per-lane records present");
+    assert!(
+        t.space_rows.iter().any(|r| r.path == "estimator/lane0"),
+        "per-lane ledger subtrees present"
+    );
     assert!(!t.subroutines.is_empty(), "per-subroutine records present");
     let (_, summary_space, summary_edges) = t.summary.expect("summary record");
+    let subroutine_space: u64 = t.subroutine_words().iter().map(|w| w.2.unwrap()).sum();
+    assert_eq!(subroutine_space, summary_space);
     assert!(t.phases.contains_key("ingest"));
     assert!(t.phases.contains_key("finalize"));
 
@@ -823,6 +828,21 @@ fn bad_shape_args_are_errors_not_panics() {
         &["gen", "--kind", "planted", "--n", "10", "--m", "5", "--k", "0", "--out", path_s],
         "--k must be >= 1",
     );
+    // Per-kind shapes the generators cannot build.
+    let kinds = [
+        ("planted", "100", "5", "10", "--k <= --m"),
+        ("planted", "4", "50", "10", "--k <= --n"),
+        ("common", "4", "2", "1", "--n >= 8"),
+        ("common", "100", "3", "1", "--m >= 4"),
+        ("few-large", "2", "1", "1", "--m >= 2"),
+        ("few-large", "3", "10", "1", "3 large set(s)"),
+    ];
+    for (kind, n, m, k, want) in kinds {
+        let args = [
+            "gen", "--kind", kind, "--n", n, "--m", m, "--k", k, "--out", path_s,
+        ];
+        assert_clean_rejection(&args, want);
+    }
     std::fs::remove_file(&path).ok();
 }
 
