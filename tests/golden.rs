@@ -206,3 +206,93 @@ fn observability_matches_golden() {
     }
     t.check("observability.txt");
 }
+
+/// One answer-quality case: a generator family at the CLI `gen` shape.
+/// The OPT bound is exact where the instance is structured enough for
+/// branch and bound, the planted optimum where one is planted, and
+/// otherwise greedy's `(1 − 1/e)` bound, `greedy / (1 − 1/e)` ≥ OPT.
+fn answer_case(kind: &str, seed: u64) -> (maxkcov::stream::SetSystem, &'static str, f64, usize) {
+    use maxkcov::baselines::{greedy_max_cover, max_cover_exact};
+    use maxkcov::stream::gen;
+    let (n, m, k) = (2_000usize, 400usize, 6usize);
+    let greedy_bound = |system: &maxkcov::stream::SetSystem| {
+        let greedy = greedy_max_cover(system, k).coverage;
+        (greedy as f64 / (1.0 - 1.0 / std::f64::consts::E), greedy)
+    };
+    let (system, source, (bound, opt)) = match kind {
+        "planted" => {
+            let inst = gen::planted_cover(n, m, k, 0.8, (n / k) / 4, seed);
+            let opt = inst.planted_coverage;
+            (inst.system, "planted", (opt as f64, opt))
+        }
+        "uniform" => {
+            let system = gen::uniform_fixed_size(n, m, n / 50, seed);
+            let g = greedy_bound(&system);
+            (system, "greedy", g)
+        }
+        "zipf" => {
+            let system = gen::zipf_set_sizes(n, m, n / 5, 1.05, seed);
+            let g = greedy_bound(&system);
+            (system, "greedy", g)
+        }
+        "few-large" => {
+            let system = gen::few_large(n, m, 3, n / 5, seed);
+            let opt = max_cover_exact(&system, k).1;
+            (system, "exact", (opt as f64, opt))
+        }
+        "many-small" => {
+            let system = gen::many_small(n, m, k, 0.6, seed);
+            let opt = max_cover_exact(&system, k).1;
+            (system, "exact", (opt as f64, opt))
+        }
+        "common" => {
+            let system = gen::common_heavy(n, m, seed);
+            let g = greedy_bound(&system);
+            (system, "greedy", g)
+        }
+        other => unreachable!("unknown family {other}"),
+    };
+    (system, source, bound, opt)
+}
+
+/// The estimator's answers on 180 runs: six generator families × α ∈
+/// {2, 4, 8, 16, 32} × seeds 1–6. Each line pins the estimate, the
+/// winning subroutine and guess `z`, and est/OPT; every estimate must
+/// stay at or below its OPT bound. A change that moves answers
+/// re-records this file, and its diff is the before/after table.
+#[test]
+fn answers_matches_golden() {
+    use maxkcov::core::{EstimatorConfig, MaxCoverEstimator};
+    use maxkcov::stream::{edge_stream, ArrivalOrder};
+    let k = 6;
+    let mut t = Transcript::new("answers");
+    for kind in ["planted", "uniform", "zipf", "few-large", "many-small", "common"] {
+        for seed in 1..=6u64 {
+            let (system, source, bound, opt) = answer_case(kind, seed);
+            let (n, m) = (system.num_elements(), system.num_sets());
+            let edges = edge_stream(&system, ArrivalOrder::Shuffled(seed));
+            for alpha in [2.0f64, 4.0, 8.0, 16.0, 32.0] {
+                let mut est = MaxCoverEstimator::new(n, m, k, alpha, &EstimatorConfig::practical(seed));
+                for chunk in edges.chunks(1024) {
+                    est.observe_batch(chunk);
+                }
+                let out = est.finalize();
+                assert!(
+                    out.estimate <= bound,
+                    "{kind} seed {seed} alpha {alpha}: estimate {} above the {source} bound {bound}",
+                    out.estimate
+                );
+                let winner = out.winner.map_or("none".to_string(), |w| format!("{w:?}"));
+                writeln!(
+                    t.text,
+                    "{kind} seed={seed} alpha={alpha} est={:.1} winner={winner} z={} opt={opt} ({source}) est/opt={:.4}",
+                    out.estimate,
+                    out.winning_z,
+                    out.estimate / opt as f64
+                )
+                .unwrap();
+            }
+        }
+    }
+    t.check("answers.txt");
+}
