@@ -955,9 +955,8 @@ impl MaxCoverEstimator {
     /// Convenience: run over a finite edge stream through
     /// [`MaxCoverEstimator::ingest_sharded`] with `config.shards`
     /// replicas. Produces the same outcome as
-    /// [`MaxCoverEstimator::run`] up to the merge-equivalence contract
-    /// (bit-identical estimates; resident space may differ in the
-    /// heavy-hitter candidate lists — DESIGN.md §8).
+    /// [`MaxCoverEstimator::run`], resident space included (every
+    /// sketch merges to the serial state — DESIGN.md §8).
     pub fn run_sharded(
         n: usize,
         m: usize,

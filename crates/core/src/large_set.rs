@@ -65,14 +65,15 @@ struct Rep {
     /// fingerprint (hash-once hot path).
     shash: KWise,
     num_supersets: u64,
-    /// Cases 1 and 2 share one two-tier contributing-class finder: one
-    /// sampling hash, one dyadic level schedule up to r₂, one candidate
-    /// tracker and CountSketch per level. Levels within the Case-1
-    /// class-size bound (≤ 3sα) carry the wide `φ₁`-calibrated sketch —
-    /// which serves Case 2 at those sizes at least as accurately as the
-    /// `φ₂` shape would — and only the deeper Case-2-only levels carry
-    /// the narrow `φ₂` shape. The split finders this replaces fed
-    /// byte-identical substreams to two trackers per shared level.
+    /// Cases 1 and 2 share one two-tier contributing-class finder over
+    /// the superset ids `[num_supersets]`: one sampling hash, one dyadic
+    /// level schedule up to r₂, one CountSketch per level. Levels within
+    /// the Case-1 class-size bound (≤ 3sα) carry the wide
+    /// `φ₁`-calibrated sketch — which serves Case 2 at those sizes at
+    /// least as accurately as the `φ₂` shape would — and only the deeper
+    /// Case-2-only levels carry the narrow `φ₂` shape. The split finders
+    /// this replaces fed byte-identical substreams to two sketches per
+    /// shared level.
     cntr: F2Contributing,
     /// Case 2 fallback: directly sampled supersets with distinct-element
     /// coverage sketches (classes larger than r₂), superset id → sketch.
@@ -179,9 +180,6 @@ impl LargeSet {
                 for c in [&mut c1, &mut c2] {
                     c.phi_factor = 1.0;
                     c.hh_width_factor = 2.0;
-                    // Candidate lists are the m/α flattener otherwise
-                    // (they cannot exceed the superset count B = Θ(m/w)).
-                    c.hh_capacity_factor = 1.0;
                     // The thresholds compare CountSketch medians against
                     // Ω(|L|/sα)-sized loads, far above the per-row noise,
                     // so 2 rows give the same accept/reject decisions as
@@ -191,20 +189,6 @@ impl LargeSet {
                     // zero, which only makes the threshold test more
                     // conservative).
                     c.hh_rows = 2;
-                    // Keep the candidate tracker's prune amortized: with
-                    // `capacity = factor/φ` clamped at 8, a large-φ finder
-                    // tracks far fewer ids than the live superset domain
-                    // and prunes on nearly every insert (an O(capacity)
-                    // scan plus two allocations each time). Floor the
-                    // capacity at a quarter of the domain, capped at 128
-                    // entries — O(1) words against the Θ(width)
-                    // CountSketch rows — so a prune needs capacity/2 new
-                    // ids to fire. Small domains keep their tight caps
-                    // (and their prune churn, which the merge rebuild
-                    // contract exercises).
-                    let floor = (num_supersets / 4).clamp(8, 128);
-                    let phi = (c.gamma * c.phi_factor).clamp(1e-9, 1.0);
-                    c.hh_capacity_factor = c.hh_capacity_factor.max(floor as f64 * phi);
                 }
                 let cntr_seed = seq.next_seed();
                 Rep {
@@ -376,20 +360,25 @@ impl LargeSet {
             .next_power_of_two();
         // Case 1 (small classes, threshold t₁) first, then Case 2
         // (medium classes, t₂); each picks the strongest qualifying hit
-        // — largest estimate, ties to the smaller superset id — the
-        // order the split finders' est-sorted reports walked.
+        // among the reports of the levels within its bound — largest
+        // estimate, ties to the smaller superset id — the order the
+        // split finders' est-sorted reports walked. Levels ascend by
+        // modulus, so each bound covers a prefix of them: Case 2 reuses
+        // Case 1's reports, and the deeper levels are enumerated only
+        // when Case 1 finds no hit.
+        let hashes = rep.cntr.domain_hashes();
+        let moduli: Vec<u64> = rep.cntr.level_parts().iter().map(|l| l.0).collect();
+        let mut reports = Vec::new();
         for (bound, thr) in [(r1p2, t1), (r2p2, t2)] {
+            while reports.len() < moduli.len() && moduli[reports.len()] <= bound {
+                reports.push(rep.cntr.level_heavy_hitters(reports.len(), &hashes));
+            }
             let mut best: Option<(i64, u64)> = None;
-            for (modulus, _, hh) in rep.cntr.level_parts() {
-                if modulus > bound {
-                    continue;
-                }
-                for h in hh.heavy_hitters() {
-                    if (h.est as f64) >= thr
-                        && best.is_none_or(|(e, i)| h.est > e || (h.est == e && h.item < i))
-                    {
-                        best = Some((h.est, h.item));
-                    }
+            for h in reports.iter().flatten() {
+                if (h.est as f64) >= thr
+                    && best.is_none_or(|(e, i)| h.est > e || (h.est == e && h.item < i))
+                {
+                    best = Some((h.est, h.item));
                 }
             }
             if let Some((est, item)) = best {
@@ -440,8 +429,7 @@ impl LargeSet {
     }
 
     /// Aggregated sketch telemetry over the contributing-class finders'
-    /// candidate trackers and the directly sampled supersets' `L0`
-    /// sketches.
+    /// CountSketches and the directly sampled supersets' `L0` sketches.
     pub fn sketch_stats(&self) -> kcov_obs::SketchStats {
         let mut agg = kcov_obs::SketchStats::default();
         for rep in &self.reps {
@@ -469,8 +457,8 @@ impl LargeSet {
     }
 
     /// Merge a subroutine built with the same parameters and seed over a
-    /// disjoint stream shard. The contributing-class finders merge under
-    /// their own (heavy-hitter equivalence) contract; the directly
+    /// disjoint stream shard. The contributing-class finders merge by
+    /// CountSketch addition, exactly; the directly
     /// sampled superset map merges exactly — each sampled id's `L0`
     /// sketch is seeded by `sample_seed ^ f(sid)`, a pure function of
     /// the id, so the same id observed on two shards carries compatible
@@ -591,6 +579,12 @@ impl kcov_sketch::WireEncode for LargeSet {
                 return Err(err("LargeSet superset count must be positive"));
             }
             let cntr = take_fc_full(input)?;
+            if cntr.domain() != num_supersets {
+                return Err(err(format!(
+                    "LargeSet finder domain {} disagrees with its {num_supersets} supersets",
+                    cntr.domain()
+                )));
+            }
             let ssel_buckets = take_u64(input)?;
             if ssel_buckets < 1 {
                 return Err(err("LargeSet ssel bucket count must be positive"));

@@ -275,7 +275,7 @@ impl Oracle {
         }
         let scope = |name: &str| format!("lane{lane}.{name}");
         rec.sketch(&scope("large_common"), "l0", self.large_common.sketch_stats());
-        rec.sketch(&scope("large_set"), "candidates", self.large_set.sketch_stats());
+        rec.sketch(&scope("large_set"), "finder", self.large_set.sketch_stats());
         if let Some(ss) = &self.small_set {
             rec.sketch(&scope("small_set"), "edge_store", ss.sketch_stats());
         }

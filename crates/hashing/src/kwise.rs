@@ -111,6 +111,16 @@ impl SignHash {
         }
     }
 
+    /// [`SignHash::sign`] over a block of keys into `out` (cleared
+    /// first), through the blocked [`RangeHash::hash_batch`] evaluator:
+    /// `out[i] == self.sign(keys[i])`.
+    pub fn sign_batch(&self, keys: &[u64], out: &mut Vec<i64>) {
+        let mut raw = Vec::new();
+        self.inner.hash_batch(keys, &mut raw);
+        out.clear();
+        out.extend(raw.iter().map(|&h| 1 - 2 * (h & 1) as i64));
+    }
+
     /// Space in 64-bit words.
     pub fn space_words(&self) -> usize {
         self.inner.space_words()
@@ -175,6 +185,17 @@ mod tests {
         let b = SignHash::new(9);
         for k in 0..100u64 {
             assert_eq!(a.sign(k), b.sign(k));
+        }
+    }
+
+    #[test]
+    fn sign_batch_matches_scalar() {
+        for s in [SignHash::new(3), SignHash::pairwise(4)] {
+            let keys: Vec<u64> = (0..37u64).map(|k| k * 0x9e37_79b9).collect();
+            let mut out = vec![7i64];
+            s.sign_batch(&keys, &mut out);
+            let want: Vec<i64> = keys.iter().map(|&k| s.sign(k)).collect();
+            assert_eq!(out, want);
         }
     }
 

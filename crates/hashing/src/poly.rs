@@ -94,23 +94,24 @@ impl RangeHash for PolyHash {
     /// Blocked Horner evaluation: 8 keys at a time, coefficient-outer,
     /// so each field constant is loaded once per block and the 8 lanes
     /// of independent multiply-adds autovectorize. Scalar-equivalent by
-    /// construction — starting from `Fp::ZERO`, the first Horner step
-    /// `ZERO·x + c_{d-1} = c_{d-1}` reproduces the unrolled small-degree
-    /// arms of [`PolyHash::hash`] exactly, so every lane computes the
-    /// identical field element for every degree.
+    /// construction — every lane starts from the leading coefficient
+    /// `c_{d-1}` (the value the first Horner step `ZERO·x + c_{d-1}`
+    /// yields) and applies the remaining steps in order, exactly the
+    /// unrolled small-degree arms of [`PolyHash::hash`], so every lane
+    /// computes the identical field element for every degree.
     fn hash_batch(&self, keys: &[u64], out: &mut Vec<u64>) {
         const LANES: usize = 8;
         out.clear();
         out.reserve(keys.len());
-        let coeffs = self.coeffs.as_slice();
+        let (&lead, rest) = self.coeffs.split_last().expect("at least one coefficient");
         let mut blocks = keys.chunks_exact(LANES);
         for block in &mut blocks {
             let mut xs = [Fp::ZERO; LANES];
             for (x, &k) in xs.iter_mut().zip(block) {
                 *x = Fp::new(k);
             }
-            let mut acc = [Fp::ZERO; LANES];
-            for &c in coeffs.iter().rev() {
+            let mut acc = [lead; LANES];
+            for &c in rest.iter().rev() {
                 for lane in 0..LANES {
                     acc[lane] = acc[lane].mul_add(xs[lane], c);
                 }

@@ -506,13 +506,13 @@ impl Drop for PhaseSpan {
 pub struct SketchStats {
     /// Items observed, where the sketch already counts them.
     pub updates: u64,
-    /// Resident entries right now (buffer/candidate fill).
+    /// Resident entries right now (buffer fill; a fixed table's cells).
     pub fill: u64,
     /// Configured capacity of that buffer (0 = unbounded/fixed table).
     pub capacity: u64,
     /// Entries dropped to stay within capacity.
     pub evictions: u64,
-    /// Bulk shrink passes (heavy-hitter prunes, BJKST level rises).
+    /// Bulk shrink passes (BJKST level rises, `SmallSet` overflows).
     pub prunes: u64,
     /// Merge invocations absorbed into this state.
     pub merges: u64,

@@ -3,9 +3,8 @@
 //!
 //! PR 8's space ledger attributed most of the estimator's resident words
 //! — and `maxkcov prof` most of its sketch-update time — to thousands of
-//! small node-based containers: a `BTreeSet` per KMV summary, a
-//! `HashMap` per heavy-hitter candidate list, a `HashMap` per
-//! `LargeSet` repetition. Each hides pointer-chasing, per-node
+//! small node-based containers: a `BTreeSet` per KMV summary and a
+//! `HashMap` per `LargeSet` repetition. Each hides pointer-chasing, per-node
 //! allocation and poor locality behind an innocent API. This module
 //! replaces them with two flat structures:
 //!
@@ -16,17 +15,15 @@
 //! * [`OaMap`] — a `u64`-keyed map stored IndexMap-style: entries live
 //!   densely in one `Vec<(u64, V)>` in insertion order, and a
 //!   power-of-two `u32` index (linear probing, load ≤ ½, no tombstones)
-//!   maps keys to entry positions. Scans read only live entries, and
-//!   the in-place [`OaMap::keep_smallest_by`] prunes without allocating.
+//!   maps keys to entry positions. Scans read only live entries.
 //!
 //! Both are *logically* equivalent to the `std` containers they
-//! replace: the sketch state they hold (the value set, the key→count
+//! replace: the sketch state they hold (the value set, the key→value
 //! map) is identical, and the space ledger counts logical entries, not
 //! slots. The unit tests below check each against its `std` model
-//! (`BTreeSet` bottom-k, `HashMap` with a top-k prune). `OaMap`'s entry
-//! order is deterministic but not canonical, so every consumer sorts
-//! (or selects under a total order) before it can affect an estimate, a
-//! trace byte or a wire byte; the golden files under `tests/golden/`
+//! (`BTreeSet` bottom-k, `HashMap`). `OaMap`'s entry order is
+//! deterministic but not canonical, so every consumer sorts before it
+//! can affect an estimate, a trace byte or a wire byte; the golden files under `tests/golden/`
 //! pin those bytes end to end.
 
 /// SplitMix64 finalizer — the probe mix for [`OaMap`], also exported
@@ -152,12 +149,12 @@ const EMPTY: u32 = u32::MAX;
 /// `u64 → V` map stored IndexMap-style: entries live densely in one
 /// `Vec<(u64, V)>`, and a power-of-two `u32` index (linear probing,
 /// load ≤ ½) maps a key's probe slot to its entry position. Replaces
-/// `std` `HashMap`s in candidate lists and per-repetition sample tables.
+/// `std` `HashMap`s in per-repetition sample tables.
 ///
 /// Iteration order is entry order — deterministic for a fixed operation
-/// sequence but *not* canonical (insertion order, permuted by
-/// [`OaMap::keep_smallest_by`]); consumers sort by key before any
-/// order-sensitive use, exactly as they already did for the `std` maps.
+/// sequence but *not* canonical (insertion order); consumers sort by key
+/// before any order-sensitive use, exactly as they already did for the
+/// `std` maps.
 #[derive(Debug, Clone)]
 pub struct OaMap<V> {
     entries: Vec<(u64, V)>,
@@ -296,23 +293,6 @@ impl<V> OaMap<V> {
     pub fn iter(&self) -> impl Iterator<Item = (u64, &V)> {
         self.entries.iter().map(|(k, v)| (*k, v))
     }
-
-    /// Keep the `keep` smallest entries under `cmp` (a total order, so
-    /// the kept set is unique) and drop the rest, in place: one
-    /// selection over the dense entries, a truncate, and a reindex at
-    /// the current index size.
-    pub fn keep_smallest_by(
-        &mut self,
-        keep: usize,
-        cmp: impl FnMut(&(u64, V), &(u64, V)) -> std::cmp::Ordering,
-    ) {
-        if keep >= self.entries.len() {
-            return;
-        }
-        self.entries.select_nth_unstable_by(keep, cmp);
-        self.entries.truncate(keep);
-        self.reindex(self.index.len());
-    }
 }
 
 #[cfg(test)]
@@ -373,14 +353,6 @@ mod tests {
         let _ = SortedSlab::from_values(2, vec![1, 2, 3]);
     }
 
-    /// Reference rule for `keep_smallest_by` under (value desc, key asc).
-    fn model_keep_top(map: &mut HashMap<u64, i64>, keep: usize) {
-        let mut all: Vec<(u64, i64)> = map.drain().collect();
-        all.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        all.truncate(keep);
-        map.extend(all);
-    }
-
     fn sorted_entries(oa: &OaMap<i64>) -> Vec<(u64, i64)> {
         let mut got: Vec<(u64, i64)> = oa.iter().map(|(k, v)| (k, *v)).collect();
         got.sort_unstable();
@@ -389,8 +361,8 @@ mod tests {
 
     #[test]
     fn oamap_matches_std_hashmap() {
-        // Starts far below its final size (growth past `with_capacity`),
-        // includes key 0, and prunes in place every 250 rounds.
+        // Starts far below its final size (growth past `with_capacity`)
+        // and includes key 0.
         let mut oa: OaMap<i64> = OaMap::with_capacity(4);
         let mut std_map: HashMap<u64, i64> = HashMap::new();
         let mut x = 3u64;
@@ -399,12 +371,6 @@ mod tests {
             let key = if round % 97 == 0 { 0 } else { x % 513 };
             *oa.get_or_insert_with(key, || 0) += round % 7;
             *std_map.entry(key).or_insert(0) += round % 7;
-            if round % 250 == 249 {
-                let keep = 40 + (round as usize / 250) * 20;
-                oa.keep_smallest_by(keep, |a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-                model_keep_top(&mut std_map, keep);
-                assert_eq!(oa.len(), std_map.len().min(keep), "round {round}");
-            }
         }
         assert_eq!(oa.len(), std_map.len());
         let mut want: Vec<(u64, i64)> = std_map.iter().map(|(k, v)| (*k, *v)).collect();
@@ -417,36 +383,6 @@ mod tests {
             assert_eq!(oa.get(k), None);
         }
         assert_eq!(oa.get(u64::MAX), None);
-    }
-
-    #[test]
-    fn oamap_keep_smallest_by_edges() {
-        let mut oa: OaMap<i64> = OaMap::new();
-        oa.keep_smallest_by(3, |a, b| a.0.cmp(&b.0)); // empty: no-op
-        assert!(oa.is_empty());
-        for k in 0..100u64 {
-            oa.set(k, (k % 10) as i64);
-        }
-        // keep >= len is a no-op.
-        oa.keep_smallest_by(100, |a, b| a.0.cmp(&b.0));
-        assert_eq!(oa.len(), 100);
-        // Smallest 34 keys survive; every other key is gone.
-        oa.keep_smallest_by(34, |a, b| a.0.cmp(&b.0));
-        assert_eq!(oa.len(), 34);
-        for k in 0..100u64 {
-            assert_eq!(oa.get(k).is_some(), k < 34, "key {k}");
-        }
-        // Post-prune inserts and overwrites still probe correctly.
-        oa.set(99, -1);
-        oa.set(0, -2);
-        assert_eq!(oa.get(99), Some(&-1));
-        assert_eq!(oa.get(0), Some(&-2));
-        assert_eq!(oa.len(), 35);
-        // keep = 0 clears, and the map stays usable.
-        oa.keep_smallest_by(0, |a, b| a.0.cmp(&b.0));
-        assert!(oa.is_empty() && oa.get(0).is_none());
-        *oa.get_or_insert_with(7, || 1) += 1;
-        assert_eq!(sorted_entries(&oa), vec![(7, 2)]);
     }
 
     #[test]

@@ -13,6 +13,12 @@
 //! substream. The union of per-level reports therefore contains a member
 //! of every `γ`-contributing class, with `(1 ± 1/2)`-approximate
 //! frequencies, in `Õ(1/γ)` space.
+//!
+//! Coordinates are ids in a known domain `[d]`. The per-level heavy
+//! hitters store only their CountSketches; [`F2Contributing::report`]
+//! enumerates the domain at query time, runs it once through the
+//! sampling hash, and point-queries each level's sketch on that level's
+//! survivors.
 
 use kcov_hash::{log_wise, KWise, RangeHash, SeedSequence};
 use kcov_obs::SketchStats;
@@ -43,12 +49,6 @@ pub struct ContributingConfig {
     pub hh_width_factor: f64,
     /// CountSketch rows for the per-level heavy hitters.
     pub hh_rows: usize,
-    /// Candidate-list capacity multiplier (`capacity = factor / φ`).
-    /// The default (8) tracks the Theorem 2.10 interface; callers that
-    /// only need the top contributing classes can run much leaner —
-    /// the candidate lists otherwise dominate space when the universe
-    /// of coordinates is small relative to `1/φ`.
-    pub hh_capacity_factor: f64,
     /// Independence degree of the shared coordinate-sampling hash.
     /// `None` (the default) uses the paper's `Θ(log(mn))`-wise degree
     /// (Claim 2.8). Callers that feed the finder *already-fingerprinted*
@@ -71,7 +71,6 @@ impl ContributingConfig {
             phi_factor: 0.25,
             hh_width_factor: 32.0,
             hh_rows: 5,
-            hh_capacity_factor: 8.0,
             sampling_degree: None,
         }
     }
@@ -91,9 +90,16 @@ pub struct ContributingReport {
     pub est: i64,
 }
 
+/// The largest coordinate domain a finder enumerates. `report` holds
+/// every domain id and its sampling hash, so this caps its working set
+/// at 256 MB; a decoded finder whose domain exceeds it is rejected.
+pub const MAX_DOMAIN: u64 = 1 << 24;
+
 /// Single-pass `γ`-contributing class finder (Theorem 2.11 interface).
 #[derive(Debug, Clone)]
 pub struct F2Contributing {
+    /// Coordinates are ids in `[0, domain)`; `report` enumerates them.
+    domain: u64,
     /// One shared `Θ(log mn)`-wise sampling hash; level `i` keeps a
     /// coordinate iff `hash(j) mod 2^i < keep_i`. The levels are nested
     /// (the classic dyadic structure), each individually as independent
@@ -114,9 +120,12 @@ struct Level {
 
 impl F2Contributing {
     /// Create a finder for threshold `config.gamma`, guessing class sizes
-    /// `2^0, 2^1, …` up to `config.max_class_size`. `m` and `n` size the
-    /// `Θ(log(mn))`-wise sampling hashes (Claim 2.8).
+    /// `2^0, 2^1, …` up to `config.max_class_size`, over coordinates in
+    /// `[0, m)`: ids outside the domain are never reported. `m` and `n`
+    /// size the `Θ(log(mn))`-wise sampling hashes (Claim 2.8). Panics
+    /// when `m` exceeds [`MAX_DOMAIN`].
     pub fn new(config: ContributingConfig, m: usize, n: usize, seed: u64) -> Self {
+        assert!(m as u64 <= MAX_DOMAIN, "domain {m} exceeds MAX_DOMAIN");
         let mut seq = SeedSequence::labeled(seed, "f2-contributing");
         let max_level = config.max_class_size.max(1).next_power_of_two().trailing_zeros();
         let phi = (config.gamma * config.phi_factor).clamp(1e-9, 1.0);
@@ -124,7 +133,6 @@ impl F2Contributing {
             let mut c = HeavyHitterConfig::for_phi(phi);
             c.width_factor = config.hh_width_factor;
             c.rows = config.hh_rows;
-            c.capacity_factor = config.hh_capacity_factor;
             c
         };
         let hash = match config.sampling_degree {
@@ -153,7 +161,11 @@ impl F2Contributing {
                 hh: F2HeavyHitter::new(hh_config(phi), seq.next_seed()),
             });
         }
-        F2Contributing { hash, levels }
+        F2Contributing {
+            domain: m as u64,
+            hash,
+            levels,
+        }
     }
 
     /// Two-tier finder: one dyadic level schedule up to
@@ -166,8 +178,8 @@ impl F2Contributing {
     /// stream* (e.g. `LargeSet`'s Case-1/Case-2 pair, whose class-size
     /// bounds differ but whose dyadic subsampling is identical) would
     /// otherwise instantiate two finders whose shared-modulus levels
-    /// receive byte-identical substreams — every candidate tracker and
-    /// CountSketch on those levels is duplicated work. The paired
+    /// receive byte-identical substreams — every CountSketch on those
+    /// levels is duplicated work. The paired
     /// schedule keeps exactly one structure per level: the overlap tier
     /// uses the wide (smaller-`φ`) sketch, which estimates at least as
     /// tightly as either original, and only the class sizes one search
@@ -182,6 +194,7 @@ impl F2Contributing {
         n: usize,
         seed: u64,
     ) -> Self {
+        assert!(m as u64 <= MAX_DOMAIN, "domain {m} exceeds MAX_DOMAIN");
         assert_eq!(
             wide.survivors_per_class, narrow.survivors_per_class,
             "paired finders share the level schedule"
@@ -199,7 +212,6 @@ impl F2Contributing {
             let mut h = HeavyHitterConfig::for_phi(phi);
             h.width_factor = c.hh_width_factor;
             h.rows = c.hh_rows;
-            h.capacity_factor = c.hh_capacity_factor;
             h
         };
         let hash = match wide.sampling_degree {
@@ -229,7 +241,11 @@ impl F2Contributing {
                 hh: F2HeavyHitter::new(tier(modulus), seq.next_seed()),
             });
         }
-        F2Contributing { hash, levels }
+        F2Contributing {
+            domain: m as u64,
+            hash,
+            levels,
+        }
     }
 
     /// Observe one stream update to coordinate `item`.
@@ -305,16 +321,17 @@ impl F2Contributing {
     }
 
     /// Report a representative of every contributing class: the union of
-    /// per-level heavy hitters, deduplicated by coordinate, sorted by
-    /// decreasing estimate. When a coordinate is reported by several
-    /// levels, the estimate from the *highest* level is kept: its
-    /// substream is the sparsest, so its CountSketch collision noise is
-    /// the smallest.
+    /// per-level heavy hitters over the domain, deduplicated by
+    /// coordinate, sorted by decreasing estimate. When a coordinate is
+    /// reported by several levels, the estimate from the *highest* level
+    /// is kept: its substream is the sparsest, so its CountSketch
+    /// collision noise is the smallest.
     pub fn report(&self) -> Vec<ContributingReport> {
+        let hashes = self.domain_hashes();
         let mut out: Vec<ContributingReport> = Vec::new();
-        for level in &self.levels {
+        for (i, level) in self.levels.iter().enumerate() {
             let level_idx = level.modulus.trailing_zeros();
-            for HeavyItem { item, est } in level.hh.heavy_hitters() {
+            for HeavyItem { item, est } in self.level_heavy_hitters(i, &hashes) {
                 out.push(ContributingReport {
                     level: level_idx,
                     item,
@@ -328,9 +345,39 @@ impl F2Contributing {
         out
     }
 
+    /// The sampling hash of every domain id, in id order: one blocked
+    /// [`RangeHash::hash_batch`] shared by every level's
+    /// [`F2Contributing::level_heavy_hitters`].
+    pub fn domain_hashes(&self) -> Vec<u64> {
+        let ids: Vec<u64> = (0..self.domain).collect();
+        let mut hashes = Vec::new();
+        self.hash.hash_batch(&ids, &mut hashes);
+        hashes
+    }
+
+    /// The heavy hitters of level `level` among the domain ids its
+    /// sampling filter keeps (`hash & (modulus − 1) < keep`, the test the
+    /// update path applies), in ascending id order. `hashes` is
+    /// [`F2Contributing::domain_hashes`].
+    pub fn level_heavy_hitters(&self, level: usize, hashes: &[u64]) -> Vec<HeavyItem> {
+        let level = &self.levels[level];
+        let mask = level.modulus - 1;
+        let survivors: Vec<u64> = (0u64..)
+            .zip(hashes)
+            .filter(|&(_, &h)| h & mask < level.keep)
+            .map(|(id, _)| id)
+            .collect();
+        level.hh.heavy_hitters(&survivors)
+    }
+
     /// Number of size-guess levels.
     pub fn num_levels(&self) -> usize {
         self.levels.len()
+    }
+
+    /// The coordinate domain size: ids are in `[0, domain)`.
+    pub fn domain(&self) -> u64 {
+        self.domain
     }
 
     /// The shared sampling hash (wire serialization).
@@ -344,12 +391,16 @@ impl F2Contributing {
         self.levels.iter().map(|l| (l.modulus, l.keep, &l.hh)).collect()
     }
 
-    /// Rebuild from parts (inverse of the accessors). Fails on an empty
-    /// or malformed level schedule.
+    /// Rebuild from parts (inverse of the accessors). Fails on a domain
+    /// above [`MAX_DOMAIN`] or an empty or malformed level schedule.
     pub fn from_parts(
         hash: KWise,
+        domain: u64,
         levels: Vec<(u64, u64, F2HeavyHitter)>,
     ) -> Result<Self, String> {
+        if domain > MAX_DOMAIN {
+            return Err(format!("domain {domain} exceeds the cap {MAX_DOMAIN}"));
+        }
         if levels.is_empty() {
             return Err("need at least one level".into());
         }
@@ -364,6 +415,7 @@ impl F2Contributing {
             prev = modulus;
         }
         Ok(F2Contributing {
+            domain,
             hash,
             levels: levels
                 .into_iter()
@@ -380,9 +432,9 @@ impl F2Contributing {
     /// or seed mismatch.
     pub fn merge(&mut self, other: &Self) {
         assert_eq!(
-            self.levels.len(),
-            other.levels.len(),
-            "F2Contributing merge requires identical configuration (levels)"
+            (self.domain, self.levels.len()),
+            (other.domain, other.levels.len()),
+            "F2Contributing merge requires identical configuration (domain, levels)"
         );
         assert_eq!(
             self.hash.hash(0x5eed_c0de),
@@ -400,10 +452,10 @@ impl F2Contributing {
     }
 
     /// Restore per-level heavy-hitter telemetry counters
-    /// (`(prunes, evictions, merges, sketch_updates)` tuples, level
-    /// order) after wire reconstruction. Fails when the slice length
-    /// disagrees with the level count.
-    pub fn restore_telemetry(&mut self, counters: &[(u64, u64, u64, u64)]) -> Result<(), String> {
+    /// (`(merges, sketch_updates)` pairs, level order) after wire
+    /// reconstruction. Fails when the slice length disagrees with the
+    /// level count.
+    pub fn restore_telemetry(&mut self, counters: &[(u64, u64)]) -> Result<(), String> {
         if counters.len() != self.levels.len() {
             return Err(format!(
                 "{} telemetry entries for {} levels",
@@ -411,16 +463,13 @@ impl F2Contributing {
                 self.levels.len()
             ));
         }
-        for (level, &(prunes, evictions, merges, cs_updates)) in
-            self.levels.iter_mut().zip(counters)
-        {
-            level.hh.restore_telemetry(prunes, evictions, merges, cs_updates);
+        for (level, &(merges, cs_updates)) in self.levels.iter_mut().zip(counters) {
+            level.hh.restore_telemetry(merges, cs_updates);
         }
         Ok(())
     }
 
-    /// Telemetry snapshot aggregated over the per-level heavy hitters'
-    /// candidate trackers.
+    /// Telemetry snapshot aggregated over the per-level heavy hitters.
     pub fn stats(&self) -> SketchStats {
         let mut agg = SketchStats::default();
         for level in &self.levels {
@@ -627,14 +676,14 @@ mod tests {
         let mut node = LedgerNode::new();
         fc.space_ledger(&mut node);
         // The sampling hash, then per level a heavy hitter (CountSketch
-        // table, a pairwise bucket and sign hash per row, 2-word
-        // candidates) and the 2-word (modulus, keep) schedule.
+        // table and a pairwise bucket and sign hash per row) and the
+        // 2-word (modulus, keep) schedule.
         let levels: usize = fc
             .level_parts()
             .iter()
             .map(|(_, _, hh)| {
                 let cs = hh.sketch();
-                cs.rows() * (cs.width() + 4) + 2 * hh.candidate_entries().len() + 2
+                cs.rows() * (cs.width() + 4) + 2
             })
             .sum();
         let want = fc.sampling_hash().space_words() + levels;
@@ -652,23 +701,21 @@ mod tests {
         // aggregated subtree carries at least the full stream's heat.
         assert!(node.get("levels").unwrap().total_updates() >= 168);
 
-        // The 4-tuple restore path re-applies inner-sketch heat exactly.
-        let heat: Vec<(u64, u64, u64, u64)> = fc
+        // The restore path re-applies inner-sketch heat exactly.
+        let heat: Vec<(u64, u64)> = fc
             .level_parts()
             .iter()
-            .map(|(_, _, hh)| {
-                let st = hh.stats();
-                (st.prunes, st.evictions, st.merges, hh.sketch().heat_updates())
-            })
+            .map(|(_, _, hh)| (hh.stats().merges, hh.sketch().heat_updates()))
             .collect();
         let levels: Vec<(u64, u64, F2HeavyHitter)> = fc
             .level_parts()
             .into_iter()
             .map(|(m, k, hh)| (m, k, hh.clone()))
             .collect();
-        let mut back = F2Contributing::from_parts(fc.sampling_hash().clone(), levels).unwrap();
+        let mut back =
+            F2Contributing::from_parts(fc.sampling_hash().clone(), fc.domain(), levels).unwrap();
         // Clones keep heat; clobber it to prove restore actually writes.
-        let zeros = vec![(0u64, 0, 0, 0); fc.num_levels()];
+        let zeros = vec![(0u64, 0); fc.num_levels()];
         back.restore_telemetry(&zeros).unwrap();
         let mut zeroed = LedgerNode::new();
         back.space_ledger(&mut zeroed);
@@ -689,10 +736,41 @@ mod tests {
             .into_iter()
             .map(|(m, k, hh)| (m, k, hh.clone()))
             .collect();
-        let back = F2Contributing::from_parts(fc.sampling_hash().clone(), levels).unwrap();
+        let hash = fc.sampling_hash().clone();
+        let back = F2Contributing::from_parts(hash.clone(), 500, levels.clone()).unwrap();
         assert_eq!(fc.report(), back.report());
-        assert!(F2Contributing::from_parts(fc.sampling_hash().clone(), Vec::new()).is_err());
+        assert!(F2Contributing::from_parts(hash.clone(), 500, Vec::new()).is_err());
         let bad = vec![(3u64, 1u64, F2HeavyHitter::for_phi(0.5, 1))];
-        assert!(F2Contributing::from_parts(fc.sampling_hash().clone(), bad).is_err());
+        assert!(F2Contributing::from_parts(hash.clone(), 500, bad).is_err());
+        let e = F2Contributing::from_parts(hash, MAX_DOMAIN + 1, levels).unwrap_err();
+        assert!(e.contains("exceeds the cap"), "{e}");
+    }
+
+    #[test]
+    fn report_enumerates_exactly_the_domain() {
+        // The same heavy coordinate inside and outside a 100-id domain:
+        // only the in-domain finder reports it.
+        for (item, found) in [(42u64, true), (100, false), (5_000, false)] {
+            let mut fc = F2Contributing::new(ContributingConfig::new(0.5, 16), 100, 100, 7);
+            feed(&mut fc, &[(item, 300)]);
+            let rep = fc.report();
+            assert_eq!(rep.iter().any(|r| r.item == item), found, "item {item}: {rep:?}");
+            assert!(rep.iter().all(|r| r.item < 100));
+        }
+    }
+
+    #[test]
+    fn level_reports_use_the_update_path_sampling_filter() {
+        // Every id a level reports survives that level's sampling test.
+        let mut fc = F2Contributing::new(ContributingConfig::new(0.1, 512), 2_000, 2_000, 29);
+        let freqs: Vec<(u64, u64)> = (0..200).map(|i| (i * 7, 20)).collect();
+        feed(&mut fc, &freqs);
+        let hashes = fc.domain_hashes();
+        assert_eq!(hashes.len(), 2_000);
+        for (i, (modulus, keep, _)) in fc.level_parts().into_iter().enumerate() {
+            for h in fc.level_heavy_hitters(i, &hashes) {
+                assert!(fc.sampling_hash().hash(h.item) % modulus < keep);
+            }
+        }
     }
 }

@@ -15,6 +15,19 @@ use kcov_obs::{SketchStats, Space};
 
 use crate::space::{SpaceSink, SpaceUsage};
 
+/// The median of the per-row estimates (`rows ≤ 32`). An even row
+/// count averages the two middle values, rounded toward zero to stay
+/// conservative for threshold comparisons.
+fn median_toward_zero(ests: &mut [i64]) -> i64 {
+    ests.sort_unstable();
+    let mid = ests.len() / 2;
+    if ests.len() % 2 == 1 {
+        ests[mid]
+    } else {
+        (ests[mid - 1] + ests[mid]) / 2
+    }
+}
+
 /// A CountSketch frequency sketch over `u64` items.
 #[derive(Debug, Clone)]
 pub struct CountSketch {
@@ -118,20 +131,46 @@ impl CountSketch {
     pub fn query(&self, item: u64) -> i64 {
         // Stack buffer: rows are small and this is on the hot path.
         let mut buf = [0i64; 32];
-        let rows = self.rows.min(32);
-        for (row, slot) in buf.iter_mut().enumerate().take(rows) {
+        for (row, slot) in buf.iter_mut().enumerate().take(self.rows) {
             *slot = self.signs[row].sign(item) * self.table[self.slot(row, item)];
         }
-        let ests = &mut buf[..rows];
-        ests.sort_unstable();
-        let mid = ests.len() / 2;
-        if ests.len() % 2 == 1 {
-            ests[mid]
-        } else {
-            // Round the two-middle average toward zero to stay
-            // conservative for threshold comparisons.
-            (ests[mid - 1] + ests[mid]) / 2
+        median_toward_zero(&mut buf[..self.rows])
+    }
+
+    /// [`CountSketch::query`] over a column of items into `out` (cleared
+    /// first): `out[i] == self.query(items[i])`. Row-outer, so each
+    /// row's bucket and sign hashes run as one blocked batch over the
+    /// column and its table stripe stays hot; the per-item median then
+    /// reads the row estimates back column-wise.
+    pub fn query_batch(&self, items: &[u64], out: &mut Vec<i64>) {
+        let n = items.len();
+        let w = self.width as u64;
+        let mut ests = vec![0i64; self.rows * n];
+        let mut hashes = Vec::with_capacity(n);
+        let mut signs = Vec::with_capacity(n);
+        for (row, col) in ests.chunks_exact_mut(n.max(1)).enumerate() {
+            let stripe = &self.table[row * self.width..(row + 1) * self.width];
+            self.buckets[row].hash_batch(items, &mut hashes);
+            self.signs[row].sign_batch(items, &mut signs);
+            for ((e, &h), &s) in col.iter_mut().zip(&hashes).zip(&signs) {
+                // Same reduction as `hash_to_range` in `slot`.
+                *e = s * stripe[((h as u128 * w as u128) >> 61) as usize];
+            }
         }
+        out.clear();
+        if self.rows == 2 {
+            // `median_toward_zero` of a pair, without the sort.
+            let (first, second) = ests.split_at(n);
+            out.extend(first.iter().zip(second).map(|(&a, &b)| (a + b) / 2));
+            return;
+        }
+        out.extend((0..n).map(|i| {
+            let mut buf = [0i64; 32];
+            for (row, slot) in buf.iter_mut().enumerate().take(self.rows) {
+                *slot = ests[row * n + i];
+            }
+            median_toward_zero(&mut buf[..self.rows])
+        }));
     }
 
     /// Estimate `F2(a⃗)` from the sketch itself. Each row is a
@@ -189,11 +228,12 @@ impl CountSketch {
         self.updates
     }
 
-    /// Restore the heat counter after wire reconstruction
-    /// ([`CountSketch::from_parts`] deliberately zeroes it — telemetry
+    /// Restore the heat and merge counters after wire reconstruction
+    /// ([`CountSketch::from_parts`] deliberately zeroes them — telemetry
     /// is not state).
-    pub fn restore_telemetry(&mut self, updates: u64) {
+    pub fn restore_telemetry(&mut self, updates: u64, merges: u64) {
         self.updates = updates;
+        self.merges = merges;
     }
 
     /// Telemetry snapshot (fixed table: fill = capacity = cells).
@@ -463,8 +503,26 @@ mod tests {
         )
         .unwrap();
         assert_eq!(back.heat_updates(), 0);
-        back.restore_telemetry(18);
+        back.restore_telemetry(18, 1);
         assert_eq!(back.heat_updates(), 18);
+        assert_eq!(back.stats().merges, 1);
+    }
+
+    #[test]
+    fn query_batch_matches_scalar_query() {
+        for rows in [1usize, 2, 5] {
+            let mut cs = CountSketch::new(rows, 24, 40 + rows as u64);
+            for i in 0..900u64 {
+                cs.insert(i * i % 71);
+            }
+            let items: Vec<u64> = (0..83u64).collect();
+            let mut out = vec![5i64];
+            cs.query_batch(&items, &mut out);
+            let want: Vec<i64> = items.iter().map(|&i| cs.query(i)).collect();
+            assert_eq!(out, want, "rows {rows}");
+            cs.query_batch(&[], &mut out);
+            assert!(out.is_empty());
+        }
     }
 
     #[test]

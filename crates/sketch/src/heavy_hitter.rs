@@ -5,30 +5,25 @@
 //! every coordinate with `a⃗[i]² ≥ φ·F2(a⃗)` together with a `(1 ± 1/2)`-
 //! approximation of its frequency.
 //!
-//! For insertion-only streams (the only kind this workspace feeds it) the
-//! standard practical realization is CountSketch plus a bounded candidate
-//! tracker: every arriving item is a candidate; the tracker keeps the
-//! `O(1/φ)` candidates with the most arrivals *since tracking began*. A
-//! true `φ`-heavy hitter arrives `≥ √(φ·F2)` times, out-counts the noise
-//! tail between any two pruning rounds and therefore survives every
-//! prune; at query time the candidates are re-estimated through the
-//! sketch and thresholded against `F2`. Both estimates come from the one
+//! Every caller in this workspace knows the coordinate domain (superset
+//! ids in `[B]`, or the domain a standalone finder is built over), so the
+//! realization is a CountSketch alone, queried over that domain
+//! (Charikar–Chen–Farach-Colton's original use): the update path is one
+//! sketch update, and [`F2HeavyHitter::heavy_hitters`] point-queries the
+//! ids it is handed, as one batched [`CountSketch::query_batch`], and
+//! thresholds each estimate against `F2`. A true `φ`-heavy hitter's
+//! estimate is within `(1 ± 1/2)` of its frequency, so it passes the
+//! slacked threshold and is returned. Both estimates come from the one
 //! CountSketch: the point query is the usual median-of-rows, and `F2` is
 //! the median over rows of the row's summed squared counters (each row
-//! *is* a width-bucketed AMS estimator, so no second sketch is needed on
-//! the update path — the tracker itself touches no hash at all).
+//! *is* a width-bucketed AMS estimator, so no second sketch is needed).
+//! The state is the linear table, so batched ingestion and shard merging
+//! are state-identical to serial insertion by linearity.
 
-use kcov_obs::{SketchStats, Space};
+use kcov_obs::SketchStats;
 
-use crate::arena::OaMap;
 use crate::count_sketch::CountSketch;
 use crate::space::{SpaceSink, SpaceUsage};
-
-/// The prune order: (count desc, item asc), a total order, so the kept
-/// set never depends on storage order.
-fn prune_rank(a: &(u64, i64), b: &(u64, i64)) -> std::cmp::Ordering {
-    b.1.cmp(&a.1).then(a.0.cmp(&b.0))
-}
 
 /// Configuration for [`F2HeavyHitter`].
 #[derive(Debug, Clone)]
@@ -40,9 +35,6 @@ pub struct HeavyHitterConfig {
     /// CountSketch width multiplier: width = `width_factor / φ`, so each
     /// row's additive error is `O(√(φ·F2 / width_factor))`.
     pub width_factor: f64,
-    /// Candidate-list capacity multiplier: keep `capacity_factor / φ`
-    /// candidates.
-    pub capacity_factor: f64,
     /// Report slack: an item is reported when
     /// `est² ≥ report_slack · φ · F̂2`. Values below 1 compensate for the
     /// `(1 ± 1/2)` error of both estimates so no true heavy hitter is
@@ -58,9 +50,13 @@ impl HeavyHitterConfig {
             phi,
             rows: 5,
             width_factor: 32.0,
-            capacity_factor: 8.0,
             report_slack: 0.125,
         }
+    }
+
+    /// The CountSketch width this configuration dictates.
+    fn width(&self) -> usize {
+        ((self.width_factor / self.phi).ceil() as usize).clamp(8, 1 << 22)
     }
 }
 
@@ -73,47 +69,22 @@ pub struct HeavyItem {
     pub est: i64,
 }
 
-/// Single-pass `φ`-heavy-hitter tracker for insertion-only streams
+/// Single-pass `φ`-heavy-hitter sketch for insertion-only streams
 /// (Theorem 2.10 interface).
 #[derive(Debug, Clone)]
 pub struct F2HeavyHitter {
     config: HeavyHitterConfig,
     sketch: CountSketch,
-    /// item → exact arrivals since tracking began. Counts never consult
-    /// the sketch, so the tracker state is a pure function of the
-    /// *multiset deltas* of the insertion sequence between prunes —
-    /// which is what makes batched ingestion and shard merging
-    /// state-identical to serial insertion. Entry order is not
-    /// canonical: reports and wire encoding sort, and the prune selects
-    /// under [`prune_rank`]. Never sized from the tracker capacity: that
-    /// may come from untrusted wire bytes, and sparse trackers never
-    /// reach their high-water mark.
-    candidates: OaMap<i64>,
-    capacity: usize,
     items_seen: u64,
-    /// Telemetry: pruning rounds fired (not state — merged by addition,
-    /// zeroed by wire reconstruction, never compared).
-    prunes: u64,
-    /// Telemetry: candidate entries dropped by pruning.
-    evictions: u64,
-    /// Telemetry: merge invocations absorbed.
-    merges: u64,
 }
 
 impl F2HeavyHitter {
-    /// Create a tracker for threshold `config.phi`.
+    /// Create a sketch for threshold `config.phi`.
     pub fn new(config: HeavyHitterConfig, seed: u64) -> Self {
-        let width = ((config.width_factor / config.phi).ceil() as usize).clamp(8, 1 << 22);
-        let capacity = ((config.capacity_factor / config.phi).ceil() as usize).clamp(8, 1 << 22);
         F2HeavyHitter {
-            sketch: CountSketch::new(config.rows, width, seed ^ 0x5ca1ab1e),
-            candidates: OaMap::new(),
-            capacity,
+            sketch: CountSketch::new(config.rows, config.width(), seed ^ 0x5ca1ab1e),
             config,
             items_seen: 0,
-            prunes: 0,
-            evictions: 0,
-            merges: 0,
         }
     }
 
@@ -127,43 +98,13 @@ impl F2HeavyHitter {
     pub fn insert(&mut self, item: u64) {
         self.items_seen += 1;
         self.sketch.insert(item);
-        *self.candidates.get_or_insert_with(item, || 0) += 1;
-        if self.candidates.len() > self.capacity + self.capacity / 2 {
-            self.prune();
-        }
     }
 
-    /// Observe a chunk of items. The sketch is linear (updates commute)
-    /// and the tracker never consults it, so feeding the whole chunk to
-    /// the sketch first and then walking the tracker sequentially lands
-    /// in a state bit-identical to per-item [`F2HeavyHitter::insert`]:
-    /// prune trigger points depend only on the arrival order of
-    /// *distinct* items, which the sequential tracker loop preserves.
+    /// Observe a chunk of items (state-identical to per-item
+    /// [`F2HeavyHitter::insert`]: the sketch is linear).
     pub fn insert_batch(&mut self, items: &[u64]) {
         self.sketch.insert_batch(items);
         self.items_seen += items.len() as u64;
-        let high_water = self.capacity + self.capacity / 2;
-        for &item in items {
-            *self.candidates.get_or_insert_with(item, || 0) += 1;
-            if self.candidates.len() > high_water {
-                self.prune();
-            }
-        }
-    }
-
-    /// Drop the candidates with the fewest arrivals, keeping the first
-    /// `capacity` under (count desc, item asc): every count above the
-    /// `capacity`-th largest, then the smallest-id ties at it. Ties are
-    /// never broken by storage order: the surviving set must be a pure
-    /// function of the insertion sequence or the batched ingestion
-    /// engine's bit-identical-state guarantee breaks. Prunes fire every
-    /// Θ(capacity) distinct arrivals on candidate-churning streams, so
-    /// this one in-place selection is on the hot path.
-    fn prune(&mut self) {
-        self.prunes += 1;
-        let before = self.candidates.len();
-        self.candidates.keep_smallest_by(self.capacity, prune_rank);
-        self.evictions += (before - self.candidates.len()) as u64;
     }
 
     /// Estimate of `F2` of the full stream (median of per-row AMS
@@ -178,23 +119,21 @@ impl F2HeavyHitter {
         self.sketch.query(item)
     }
 
-    /// All tracked items whose re-estimated frequency passes the
-    /// (slacked) `φ` threshold, with their approximate frequencies,
-    /// sorted by decreasing estimate.
-    pub fn heavy_hitters(&self) -> Vec<HeavyItem> {
-        let f2 = self.f2_estimate();
-        let thr = self.config.report_slack * self.config.phi * f2;
-        let mut out: Vec<HeavyItem> = self
-            .candidates
-            .iter()
-            .map(|(item, _)| HeavyItem {
-                item,
-                est: self.sketch.query(item),
-            })
-            .filter(|h| (h.est as f64) * (h.est as f64) >= thr)
-            .collect();
-        out.sort_by(|a, b| b.est.cmp(&a.est).then(a.item.cmp(&b.item)));
-        out
+    /// Every item of `ids` whose estimated frequency is positive and
+    /// passes the (slacked) `φ` threshold, with its approximate
+    /// frequency, in `ids` order. Pass the whole coordinate domain for
+    /// the Theorem 2.10 guarantee. The stream is insertion-only, so an
+    /// estimate ≤ 0 approximates no heavy frequency and is never
+    /// reported.
+    pub fn heavy_hitters(&self, ids: &[u64]) -> Vec<HeavyItem> {
+        let thr = self.config.report_slack * self.config.phi * self.f2_estimate();
+        let mut ests = Vec::new();
+        self.sketch.query_batch(ids, &mut ests);
+        ids.iter()
+            .zip(&ests)
+            .filter(|&(_, &est)| est > 0 && (est as f64) * (est as f64) >= thr)
+            .map(|(&item, &est)| HeavyItem { item, est })
+            .collect()
     }
 
     /// Total stream length observed.
@@ -217,82 +156,44 @@ impl F2HeavyHitter {
         &self.sketch
     }
 
-    /// Candidate entries as `(item, arrivals since tracking began)`,
-    /// sorted by item so the encoding is canonical (wire serialization).
-    pub fn candidate_entries(&self) -> Vec<(u64, i64)> {
-        let mut out: Vec<(u64, i64)> = self.candidates.iter().map(|(k, &c)| (k, c)).collect();
-        out.sort_unstable();
-        out
-    }
-
     /// Rebuild from parts (inverse of the accessors). Fails when a
-    /// configuration factor is non-finite or ≤ 0, the sketch shape
-    /// disagrees with what `config` dictates, or the candidate list
-    /// exceeds its high-water mark.
+    /// configuration factor is non-finite or ≤ 0, or the sketch shape
+    /// disagrees with what `config` dictates.
     pub fn from_parts(
         config: HeavyHitterConfig,
         sketch: CountSketch,
-        candidates: Vec<(u64, i64)>,
         items_seen: u64,
     ) -> Result<Self, String> {
         if !(config.phi > 0.0 && config.phi <= 1.0) {
             return Err("phi must be in (0, 1]".into());
         }
-        let factors = [
-            config.width_factor,
-            config.capacity_factor,
-            config.report_slack,
-        ];
-        if !factors.iter().all(|f| f.is_finite() && *f > 0.0) {
-            return Err("width, capacity and report factors must be finite and > 0".into());
+        if ![config.width_factor, config.report_slack]
+            .iter()
+            .all(|f| f.is_finite() && *f > 0.0)
+        {
+            return Err("width and report factors must be finite and > 0".into());
         }
-        let width = ((config.width_factor / config.phi).ceil() as usize).clamp(8, 1 << 22);
-        let capacity = ((config.capacity_factor / config.phi).ceil() as usize).clamp(8, 1 << 22);
-        if sketch.rows() != config.rows || sketch.width() != width {
+        if sketch.rows() != config.rows || sketch.width() != config.width() {
             return Err("CountSketch shape disagrees with the configuration".into());
-        }
-        if candidates.len() > capacity + capacity / 2 {
-            return Err(format!(
-                "{} candidates exceed the high-water mark {}",
-                candidates.len(),
-                capacity + capacity / 2
-            ));
-        }
-        let mut store = OaMap::with_capacity(candidates.len());
-        for (item, count) in candidates {
-            *store.get_or_insert_with(item, || 0) += count;
         }
         Ok(F2HeavyHitter {
             config,
             sketch,
-            candidates: store,
-            capacity,
             items_seen,
-            prunes: 0,
-            evictions: 0,
-            merges: 0,
         })
     }
 
-    /// Merge a tracker built with the same configuration and seed over a
-    /// *disjoint stream shard*. The CountSketch is linear, so its merged
-    /// state (and therefore both the point queries and the `F2`
-    /// estimate) is bit-identical to single-stream ingestion. The
-    /// candidate tracker merges by *summing arrival counts* over the
-    /// union of tracked keys — exactly what serial ingestion would have
-    /// counted whenever neither side pruned the key — then prunes by the
-    /// same value-cut/item-id rule as serial ingestion if over the
-    /// high-water mark. Summation is commutative and associative, so
-    /// merging is too; the result is bit-identical to serial ingestion
-    /// whenever the candidate list never overflowed. Panics on
-    /// configuration or seed mismatch.
+    /// Merge a sketch built with the same configuration and seed over a
+    /// *disjoint stream shard*: CountSketch tables add, so the merged
+    /// state (point queries and the `F2` estimate included) is
+    /// bit-identical to single-stream ingestion. Panics on configuration
+    /// or seed mismatch.
     pub fn merge(&mut self, other: &Self) {
         let cfg = |c: &HeavyHitterConfig| {
             (
                 c.phi.to_bits(),
                 c.rows,
                 c.width_factor.to_bits(),
-                c.capacity_factor.to_bits(),
                 c.report_slack.to_bits(),
             )
         };
@@ -303,67 +204,40 @@ impl F2HeavyHitter {
         );
         self.sketch.merge(&other.sketch);
         self.items_seen += other.items_seen;
-        for (item, &count) in other.candidates.iter() {
-            *self.candidates.get_or_insert_with(item, || 0) += count;
-        }
-        if self.candidates.len() > self.capacity + self.capacity / 2 {
-            self.prune();
-        }
-        self.merges += 1 + other.merges;
-        self.prunes += other.prunes;
-        self.evictions += other.evictions;
     }
 
-    /// Restore telemetry counters after wire reconstruction.
-    /// [`F2HeavyHitter::from_parts`] deliberately zeroes them (telemetry
-    /// is not state); a full-state decode that wants the replica's
-    /// finalize snapshot to match in-process ingestion re-applies the
-    /// serialized counters with this.
-    pub fn restore_telemetry(
-        &mut self,
-        prunes: u64,
-        evictions: u64,
-        merges: u64,
-        sketch_updates: u64,
-    ) {
-        self.prunes = prunes;
-        self.evictions = evictions;
-        self.merges = merges;
-        self.sketch.restore_telemetry(sketch_updates);
+    /// Restore the CountSketch telemetry counters after wire
+    /// reconstruction ([`F2HeavyHitter::from_parts`] zeroes them —
+    /// telemetry is not state).
+    pub fn restore_telemetry(&mut self, merges: u64, sketch_updates: u64) {
+        self.sketch.restore_telemetry(sketch_updates, merges);
     }
 
-    /// Telemetry snapshot for the candidate tracker (fill/capacity are
-    /// the candidate list, not the linear sketch — that has its own
-    /// [`CountSketch::stats`]).
+    /// Telemetry snapshot: the CountSketch's (fill = capacity = cells)
+    /// with `updates` the stream length.
     pub fn stats(&self) -> SketchStats {
         SketchStats {
             updates: self.items_seen,
-            fill: self.candidates.len() as u64,
-            capacity: self.capacity as u64,
-            evictions: self.evictions,
-            prunes: self.prunes,
-            merges: self.merges,
+            ..self.sketch.stats()
         }
     }
 }
 
 impl SpaceUsage for F2HeavyHitter {
-    /// The CountSketch subtree plus the candidate tracker (2 words per
-    /// entry: an item and its arrival count). Tracker heat is
-    /// `items_seen` — each arrival touches one candidate entry.
+    /// The CountSketch subtree: the heavy-hitter state is the table.
     fn space_ledger(&self, node: &mut impl SpaceSink) {
         self.sketch.space_ledger(node.child("countsketch"));
-        node.child("candidates").add(Space {
-            words: 2 * self.candidates.len() as u64,
-            updates: self.items_seen,
-            touched_words: self.items_seen,
-        });
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The ids `0..n`, the domain most tests enumerate.
+    fn domain(n: u64) -> Vec<u64> {
+        (0..n).collect()
+    }
 
     #[test]
     fn single_dominant_item_found() {
@@ -374,7 +248,7 @@ mod tests {
         for i in 0..200u64 {
             hh.insert(1000 + i);
         }
-        let out = hh.heavy_hitters();
+        let out = hh.heavy_hitters(&domain(1200));
         assert!(out.iter().any(|h| h.item == 7), "dominant item missing");
         let est = out.iter().find(|h| h.item == 7).unwrap().est;
         assert!((500..=1500).contains(&est), "estimate {est} outside (1±1/2)");
@@ -394,23 +268,10 @@ mod tests {
         for i in 0..2000u64 {
             hh.insert(100 + i);
         }
-        let out = hh.heavy_hitters();
+        let out = hh.heavy_hitters(&domain(2100));
         for item in [1u64, 2, 3] {
             assert!(out.iter().any(|h| h.item == item), "missing heavy item {item}");
         }
-    }
-
-    #[test]
-    fn interleaved_arrival_still_recovers() {
-        // Heavy items interleaved with noise (worst case for candidate
-        // eviction).
-        let mut hh = F2HeavyHitter::for_phi(0.08, 9);
-        for round in 0..500u64 {
-            hh.insert(1); // heavy
-            hh.insert(10_000 + round); // fresh noise each round
-        }
-        let out = hh.heavy_hitters();
-        assert!(out.iter().any(|h| h.item == 1));
     }
 
     #[test]
@@ -427,7 +288,7 @@ mod tests {
         }
         let f2 = hh.f2_estimate();
         let strict: Vec<_> = hh
-            .heavy_hitters()
+            .heavy_hitters(&domain(300))
             .into_iter()
             .filter(|h| (h.est as f64) * (h.est as f64) >= 0.3 * f2)
             .collect();
@@ -435,17 +296,20 @@ mod tests {
     }
 
     #[test]
-    fn candidate_list_stays_bounded() {
-        let mut hh = F2HeavyHitter::for_phi(0.1, 3);
-        for i in 0..50_000u64 {
-            hh.insert(i);
+    fn report_is_the_thresholded_point_query_of_each_id() {
+        let mut hh = F2HeavyHitter::for_phi(0.02, 6);
+        for i in 0..3_000u64 {
+            hh.insert(i * i % 211);
         }
-        let cap = ((8.0f64 / 0.1).ceil() as usize).clamp(8, 1 << 22);
-        assert!(
-            hh.candidates.len() <= 2 * cap,
-            "candidates grew to {}",
-            hh.candidates.len()
-        );
+        let ids = domain(400);
+        let thr = 0.125 * 0.02 * hh.f2_estimate();
+        let want: Vec<HeavyItem> = ids
+            .iter()
+            .map(|&item| HeavyItem { item, est: hh.frequency_estimate(item) })
+            .filter(|h| h.est > 0 && (h.est as f64) * (h.est as f64) >= thr)
+            .collect();
+        assert!(!want.is_empty());
+        assert_eq!(hh.heavy_hitters(&ids), want);
     }
 
     #[test]
@@ -453,7 +317,7 @@ mod tests {
         let tight = F2HeavyHitter::for_phi(0.5, 1).space_words();
         let loose = F2HeavyHitter::for_phi(0.01, 1).space_words();
         assert!(loose > tight, "smaller phi needs more space");
-        // width = 8/phi dominates: phi=0.01 => 800 * rows counters.
+        // width = 32/phi dominates: phi=0.01 => 3200 * rows counters.
         assert!(loose < 50 * (8.0f64 / 0.01) as usize);
     }
 
@@ -467,9 +331,9 @@ mod tests {
     }
 
     #[test]
-    fn empty_tracker_reports_nothing() {
+    fn empty_sketch_reports_nothing() {
         let hh = F2HeavyHitter::for_phi(0.1, 1);
-        assert!(hh.heavy_hitters().is_empty());
+        assert!(hh.heavy_hitters(&domain(100)).is_empty());
     }
 
     #[test]
@@ -481,19 +345,12 @@ mod tests {
         let mut node = kcov_obs::LedgerNode::new();
         hh.space_ledger(&mut node);
         // φ = 0.1: a 5-row CountSketch of width ⌈32/φ⌉ = 320 with a
-        // pairwise bucket and sign hash (2 + 2 words) per row, plus all 97
-        // distinct items as 2-word candidates (capacity 80 prunes only
-        // above 120).
-        assert_eq!(hh.candidates.len(), 97);
-        assert_eq!(node.total_words(), 5 * (320 + 4) + 2 * 97);
-        assert_eq!(hh.space_words(), 5 * (320 + 4) + 2 * 97);
-        let cand = node.get("candidates").unwrap();
-        assert_eq!(cand.own.words, 2 * hh.candidates.len() as u64);
-        assert_eq!(cand.own.updates, 1_000);
-        assert_eq!(cand.own.touched_words, 1_000);
-        // CountSketch subtree carries the inner sketch's own heat.
+        // pairwise bucket and sign hash (2 + 2 words) per row.
+        assert_eq!(node.total_words(), 5 * (320 + 4));
+        assert_eq!(hh.space_words(), 5 * (320 + 4));
         let cs = node.get("countsketch").unwrap();
         assert_eq!(cs.total_words(), 5 * (320 + 4));
+        assert_eq!(cs.total_updates(), 1_000);
         assert_eq!(cs.total_updates(), hh.sketch().heat_updates());
     }
 
@@ -505,9 +362,6 @@ mod tests {
 
     #[test]
     fn batch_insert_state_identical_to_serial() {
-        // The tentpole contract: insert_batch must land in a state
-        // bit-identical to per-item insert at every batch size, across
-        // prune boundaries.
         let items: Vec<u64> = (0..5_000u64).map(|i| i * 31 % 1_700).collect();
         let mut serial = F2HeavyHitter::for_phi(0.05, 77);
         for &item in &items {
@@ -518,10 +372,8 @@ mod tests {
             for block in items.chunks(chunk) {
                 batched.insert_batch(block);
             }
-            assert_eq!(batched.candidate_entries(), serial.candidate_entries(), "chunk {chunk}");
             assert_eq!(batched.sketch().table(), serial.sketch().table(), "chunk {chunk}");
             assert_eq!(batched.items_seen(), serial.items_seen());
-            assert_eq!(batched.f2_estimate().to_bits(), serial.f2_estimate().to_bits());
         }
     }
 
@@ -548,48 +400,29 @@ mod tests {
     }
 
     #[test]
-    fn merge_matches_serial_report() {
-        // Shards whose distinct-item count stays within the candidate
-        // capacity: the merged tracker is bit-identical to serial
-        // ingestion (same candidate keys and counts, same linear sketch).
+    fn merge_is_serial_ingestion_and_commutes() {
         let proto = F2HeavyHitter::for_phi(0.05, 13);
         let mut left = proto.clone();
         let mut right = proto.clone();
         let mut serial = proto.clone();
-        for round in 0..300u64 {
-            for &(item, heavy) in &[(1u64, true), (2, round % 3 == 0), (40 + round % 50, false)] {
-                if heavy || round % 2 == 0 {
-                    serial.insert(item);
-                    if round < 150 {
-                        left.insert(item);
-                    } else {
-                        right.insert(item);
-                    }
-                }
+        for i in 0..900u64 {
+            let item = if i % 3 == 0 { 1 } else { 40 + i % 50 };
+            serial.insert(item);
+            if i < 450 {
+                left.insert(item);
+            } else {
+                right.insert(item);
             }
         }
+        let mut ba = right.clone();
+        ba.merge(&left);
         left.merge(&right);
-        assert_eq!(left.items_seen(), serial.items_seen());
-        assert_eq!(left.f2_estimate().to_bits(), serial.f2_estimate().to_bits());
-        assert_eq!(left.heavy_hitters(), serial.heavy_hitters());
-        assert_eq!(left.candidate_entries().len(), serial.candidate_entries().len());
-    }
-
-    #[test]
-    fn merge_is_commutative() {
-        let proto = F2HeavyHitter::for_phi(0.1, 21);
-        let mut a = proto.clone();
-        let mut b = proto.clone();
-        for i in 0..400u64 {
-            a.insert(i % 37);
-            b.insert(i % 53);
+        for merged in [&left, &ba] {
+            assert_eq!(merged.sketch().table(), serial.sketch().table());
+            assert_eq!(merged.items_seen(), serial.items_seen());
+            assert_eq!(merged.heavy_hitters(&domain(100)), serial.heavy_hitters(&domain(100)));
         }
-        let mut ab = a.clone();
-        ab.merge(&b);
-        let mut ba = b.clone();
-        ba.merge(&a);
-        assert_eq!(ab.heavy_hitters(), ba.heavy_hitters());
-        assert_eq!(ab.candidate_entries(), ba.candidate_entries());
+        assert_eq!(left.stats().merges, 1);
     }
 
     #[test]
@@ -614,177 +447,39 @@ mod tests {
         for i in 0..500u64 {
             hh.insert(i % 11);
         }
-        let back = F2HeavyHitter::from_parts(
-            hh.config().clone(),
-            hh.sketch().clone(),
-            hh.candidate_entries(),
-            hh.items_seen(),
-        )
-        .unwrap();
-        assert_eq!(hh.heavy_hitters(), back.heavy_hitters());
-        assert_eq!(hh.candidate_entries(), back.candidate_entries());
+        let mut back =
+            F2HeavyHitter::from_parts(hh.config().clone(), hh.sketch().clone(), hh.items_seen())
+                .unwrap();
+        assert_eq!(hh.heavy_hitters(&domain(20)), back.heavy_hitters(&domain(20)));
         assert_eq!(hh.items_seen(), back.items_seen());
+        back.restore_telemetry(3, 500);
+        assert_eq!(back.stats().merges, 3);
+        assert_eq!(back.sketch().heat_updates(), 500);
         // Mismatched sketch shape is rejected.
         let wrong = CountSketch::new(2, 8, 1);
-        assert!(F2HeavyHitter::from_parts(hh.config().clone(), wrong, Vec::new(), 0).is_err());
+        assert!(F2HeavyHitter::from_parts(hh.config().clone(), wrong, 0).is_err());
     }
 
     #[test]
-    fn stats_track_candidate_churn() {
+    fn stats_report_the_table_and_the_stream() {
         let mut hh = F2HeavyHitter::for_phi(0.1, 3);
-        for i in 0..50_000u64 {
-            hh.insert(i);
-        }
+        hh.insert_batch(&domain(5_000));
         let st = hh.stats();
-        assert_eq!(st.updates, 50_000);
-        assert!(st.prunes > 0, "distinct-heavy stream must prune");
-        assert!(st.evictions >= st.prunes * st.capacity / 2);
-        assert!(st.fill <= st.capacity + st.capacity / 2);
-        let other = F2HeavyHitter::for_phi(0.1, 3);
-        hh.merge(&other);
-        assert_eq!(hh.stats().merges, 1);
-        // Wire reconstruction starts telemetry from zero.
-        let back = F2HeavyHitter::from_parts(
-            hh.config().clone(),
-            hh.sketch().clone(),
-            hh.candidate_entries(),
-            hh.items_seen(),
-        )
-        .unwrap();
-        assert_eq!(back.stats().prunes, 0);
-        assert_eq!(back.stats().updates, 50_000);
-    }
-
-    /// Naive model of the original prune rule: a value cut at the
-    /// `cap`-th largest count, keeping every count above it and then
-    /// the smallest-id ties at it (a `BTreeMap` visits ids ascending).
-    struct ValueCutModel {
-        counts: std::collections::BTreeMap<u64, i64>,
-        cap: usize,
-    }
-
-    impl ValueCutModel {
-        fn new(cap: usize) -> Self {
-            let counts = Default::default();
-            ValueCutModel { counts, cap }
-        }
-
-        fn add(&mut self, item: u64, delta: i64) {
-            *self.counts.entry(item).or_insert(0) += delta;
-        }
-
-        fn prune_if_over(&mut self) {
-            if self.counts.len() <= self.cap + self.cap / 2 {
-                return;
-            }
-            let mut values: Vec<i64> = self.counts.values().copied().collect();
-            values.sort_unstable_by(|a, b| b.cmp(a));
-            let cut = values[self.cap - 1];
-            let mut ties_left = self.cap - values.iter().filter(|&&c| c > cut).count();
-            self.counts.retain(|_, c| {
-                let keep = *c > cut || (*c == cut && ties_left > 0);
-                if *c == cut && keep {
-                    ties_left -= 1;
-                }
-                keep
-            });
-        }
-
-        fn entries(&self) -> Vec<(u64, i64)> {
-            self.counts.iter().map(|(&k, &c)| (k, c)).collect()
-        }
-    }
-
-    fn tracker_with_capacity(cap: usize, seed: u64) -> F2HeavyHitter {
-        let config = HeavyHitterConfig {
-            phi: 1.0,
-            rows: 1,
-            width_factor: 2.0,
-            capacity_factor: cap as f64,
-            report_slack: 0.125,
-        };
-        F2HeavyHitter::new(config, seed)
-    }
-
-    /// A tie-heavy stream: a domain of three capacities, so nearly every
-    /// prune cuts through a crowd of count-1 and count-2 entries.
-    fn tie_heavy_items(cap: usize, len: usize, salt: u64) -> Vec<u64> {
-        let mut x = salt;
-        (0..len)
-            .map(|_| {
-                x = crate::arena::probe_mix(x);
-                x % (3 * cap as u64)
-            })
-            .collect()
+        assert_eq!(st.updates, 5_000);
+        assert_eq!((st.fill, st.capacity), (5 * 320, 5 * 320));
+        assert_eq!((st.evictions, st.prunes, st.merges), (0, 0, 0));
     }
 
     #[test]
-    fn prune_matches_value_cut_model_on_tie_heavy_streams() {
-        for cap in [8usize, 9, 13, 50, 200] {
-            let mut hh = tracker_with_capacity(cap, 5);
-            assert_eq!(hh.capacity, cap);
-            let mut model = ValueCutModel::new(cap);
-            let items = tie_heavy_items(cap, 12 * cap, cap as u64);
-            for (i, &item) in items.iter().enumerate() {
-                hh.insert(item);
-                model.add(item, 1);
-                model.prune_if_over();
-                let want = model.entries();
-                assert_eq!(hh.candidate_entries(), want, "cap {cap} insert {i}");
-            }
-            assert!(hh.stats().prunes > 0, "cap {cap}: the stream must prune");
-        }
-    }
-
-    #[test]
-    fn merge_prune_of_overfull_lists_matches_value_cut_model() {
-        for cap in [8usize, 21, 200] {
-            let items = tie_heavy_items(cap, 8 * cap, 17 + cap as u64);
-            let (left_items, right_items) = items.split_at(items.len() / 3);
-            let mut left = tracker_with_capacity(cap, 9);
-            let mut right = tracker_with_capacity(cap, 9);
-            let mut left_model = ValueCutModel::new(cap);
-            let mut right_model = ValueCutModel::new(cap);
-            for (hh, model, part) in [
-                (&mut left, &mut left_model, left_items),
-                (&mut right, &mut right_model, right_items),
-            ] {
-                for &item in part {
-                    hh.insert(item);
-                    model.add(item, 1);
-                    model.prune_if_over();
-                }
-            }
-            // The union overfills the high-water mark before the single
-            // merge-time prune.
-            let union: std::collections::BTreeSet<u64> = left_model
-                .counts
-                .keys()
-                .chain(right_model.counts.keys())
-                .copied()
-                .collect();
-            let high_water = cap + cap / 2;
-            assert!(union.len() > high_water, "cap {cap}: merge must overfill");
-            left.merge(&right);
-            for (item, count) in right_model.entries() {
-                left_model.add(item, count);
-            }
-            left_model.prune_if_over();
-            assert_eq!(left.candidate_entries(), left_model.entries(), "cap {cap}");
-        }
-    }
-
-    #[test]
-    fn results_sorted_by_estimate() {
+    fn results_follow_the_ids_order() {
         let mut hh = F2HeavyHitter::for_phi(0.01, 8);
         for (item, f) in [(1u64, 300), (2u64, 600), (3u64, 450)] {
             for _ in 0..f {
                 hh.insert(item);
             }
         }
-        let out = hh.heavy_hitters();
-        for w in out.windows(2) {
-            assert!(w[0].est >= w[1].est);
-        }
+        let items = |ids: &[u64]| -> Vec<u64> { hh.heavy_hitters(ids).iter().map(|h| h.item).collect() };
+        assert_eq!(items(&domain(10)), vec![1, 2, 3]);
+        assert_eq!(items(&[3, 9, 1, 2]), vec![3, 1, 2]);
     }
 }

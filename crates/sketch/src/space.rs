@@ -4,8 +4,8 @@
 //! workspace measures space explicitly instead of trusting asymptotics.
 //! Every sketch, every sub-algorithm and the full estimator implement
 //! [`SpaceUsage`], reporting the number of resident 64-bit words of
-//! *algorithmic state*: counters, hash coefficients, stored samples and
-//! candidate lists. Transient per-update scratch space is excluded, as is
+//! *algorithmic state*: counters, hash coefficients and stored samples.
+//! Transient per-update scratch space is excluded, as is
 //! constant per-object overhead (a handful of lengths and parameters),
 //! matching how space is counted in the streaming literature.
 //!

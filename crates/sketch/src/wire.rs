@@ -183,8 +183,11 @@ pub const WIRE_MAGIC: u64 = 0x4b43_4f56_5749_5245;
 /// time-attribution ns fields in the telemetry sidecars (per-lane
 /// ingest/reduce totals, per-stage hash/universe/trivial totals,
 /// per-heartbeat cumulative lane ns) so decoded worker replicas
-/// preserve time-ledger attribution.
-pub const WIRE_VERSION: u64 = 4;
+/// preserve time-ledger attribution; 5 = heavy hitters are their
+/// CountSketch alone (no capacity factor, candidate list or
+/// prune/eviction counters) and contributing-class finders carry their
+/// coordinate domain.
+pub const WIRE_VERSION: u64 = 5;
 
 /// Append the versioned full-state header: magic, version, payload tag.
 pub fn put_header(out: &mut Vec<u8>, tag: u64) {
@@ -436,16 +439,9 @@ impl WireEncode for F2HeavyHitter {
         put_f64(out, c.phi);
         put_u64(out, c.rows as u64);
         put_f64(out, c.width_factor);
-        put_f64(out, c.capacity_factor);
         put_f64(out, c.report_slack);
         self.sketch().encode(out);
         put_u64(out, self.items_seen());
-        let candidates = self.candidate_entries();
-        put_u64(out, candidates.len() as u64);
-        for (item, count) in candidates {
-            put_u64(out, item);
-            put_i64(out, count);
-        }
     }
 
     fn decode(input: &mut &[u8]) -> Result<Self, WireError> {
@@ -456,25 +452,18 @@ impl WireEncode for F2HeavyHitter {
             phi: take_f64(input)?,
             rows: take_u64(input)? as usize,
             width_factor: take_f64(input)?,
-            capacity_factor: take_f64(input)?,
             report_slack: take_f64(input)?,
         };
         let sketch = CountSketch::decode(input)?;
         let items_seen = take_u64(input)?;
-        let n = take_u64(input)? as usize;
-        if n > input.len() / 16 {
-            return Err(err(format!("truncated candidate list of {n} entries")));
-        }
-        let candidates = (0..n)
-            .map(|_| Ok((take_u64(input)?, take_i64(input)?)))
-            .collect::<Result<Vec<_>, WireError>>()?;
-        F2HeavyHitter::from_parts(config, sketch, candidates, items_seen).map_err(err)
+        F2HeavyHitter::from_parts(config, sketch, items_seen).map_err(err)
     }
 }
 
 impl WireEncode for F2Contributing {
     fn encode(&self, out: &mut Vec<u8>) {
         put_u64(out, TAG_FC);
+        put_u64(out, self.domain());
         put_kwise(out, self.sampling_hash());
         let levels = self.level_parts();
         put_u64(out, levels.len() as u64);
@@ -489,6 +478,7 @@ impl WireEncode for F2Contributing {
         if take_u64(input)? != TAG_FC {
             return Err(err("bad F2Contributing tag"));
         }
+        let domain = take_u64(input)?;
         let hash = take_kwise(input)?;
         let n = take_u64(input)? as usize;
         if n > input.len() {
@@ -497,7 +487,7 @@ impl WireEncode for F2Contributing {
         let levels = (0..n)
             .map(|_| Ok((take_u64(input)?, take_u64(input)?, F2HeavyHitter::decode(input)?)))
             .collect::<Result<Vec<_>, WireError>>()?;
-        F2Contributing::from_parts(hash, levels).map_err(err)
+        F2Contributing::from_parts(hash, domain, levels).map_err(err)
     }
 }
 
@@ -601,16 +591,13 @@ pub fn take_l0_full(input: &mut &[u8]) -> Result<L0Estimator, WireError> {
 }
 
 /// Encode an `F2Contributing` plus its per-level telemetry counters
-/// (prunes, evictions, merges, CountSketch heat updates — v3 layout).
+/// (CountSketch merges and heat updates — v5 layout).
 pub fn put_fc_full(out: &mut Vec<u8>, fc: &F2Contributing) {
     fc.encode(out);
     let levels = fc.level_parts();
     put_u64(out, levels.len() as u64);
     for (_, _, hh) in levels {
-        let st = hh.stats();
-        put_u64(out, st.prunes);
-        put_u64(out, st.evictions);
-        put_u64(out, st.merges);
+        put_u64(out, hh.stats().merges);
         put_u64(out, hh.sketch().heat_updates());
     }
 }
@@ -619,13 +606,11 @@ pub fn put_fc_full(out: &mut Vec<u8>, fc: &F2Contributing) {
 pub fn take_fc_full(input: &mut &[u8]) -> Result<F2Contributing, WireError> {
     let mut fc = F2Contributing::decode(input)?;
     let n = take_u64(input)? as usize;
-    if n > input.len() / 32 {
+    if n > input.len() / 16 {
         return Err(err(format!("truncated F2C telemetry sidecar of {n} entries")));
     }
     let counters = (0..n)
-        .map(|_| {
-            Ok((take_u64(input)?, take_u64(input)?, take_u64(input)?, take_u64(input)?))
-        })
+        .map(|_| Ok((take_u64(input)?, take_u64(input)?)))
         .collect::<Result<Vec<_>, WireError>>()?;
     fc.restore_telemetry(&counters).map_err(err)?;
     Ok(fc)
@@ -729,8 +714,9 @@ mod tests {
             hh.insert(i % 40);
             hh.insert(7); // dominant item
         }
+        let ids: Vec<u64> = (0..50).collect();
         let mut back = F2HeavyHitter::from_bytes(&hh.to_bytes()).unwrap();
-        assert_eq!(hh.heavy_hitters(), back.heavy_hitters());
+        assert_eq!(hh.heavy_hitters(&ids), back.heavy_hitters(&ids));
         assert_eq!(hh.items_seen(), back.items_seen());
         assert_eq!(hh.f2_estimate().to_bits(), back.f2_estimate().to_bits());
         let mut original = hh.clone();
@@ -738,8 +724,8 @@ mod tests {
             original.insert(i % 13);
             back.insert(i % 13);
         }
-        assert_eq!(original.heavy_hitters(), back.heavy_hitters());
-        assert_eq!(original.candidate_entries(), back.candidate_entries());
+        assert_eq!(original.heavy_hitters(&ids), back.heavy_hitters(&ids));
+        assert_eq!(original.sketch().table(), back.sketch().table());
     }
 
     #[test]
@@ -760,6 +746,19 @@ mod tests {
             back.insert(400 + round);
         }
         assert_eq!(original.report(), back.report());
+    }
+
+    #[test]
+    fn contributing_domain_above_the_cap_is_rejected() {
+        use crate::contributing::{ContributingConfig, MAX_DOMAIN};
+        let fc = F2Contributing::new(ContributingConfig::new(0.5, 16), 100, 100, 2);
+        let mut bytes = fc.to_bytes();
+        // The domain word follows the tag.
+        bytes[8..16].copy_from_slice(&(MAX_DOMAIN + 1).to_le_bytes());
+        let e = F2Contributing::from_bytes(&bytes).unwrap_err();
+        assert!(e.message.contains("exceeds the cap"), "{e}");
+        bytes[8..16].copy_from_slice(&MAX_DOMAIN.to_le_bytes());
+        assert_eq!(F2Contributing::from_bytes(&bytes).unwrap().domain(), MAX_DOMAIN);
     }
 
     #[test]

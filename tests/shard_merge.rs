@@ -6,10 +6,10 @@
 //! arrival order × seed × shard count, including uneven and empty
 //! splits — and the merge itself must be associative and commutative.
 //!
-//! Outcome comparison deliberately excludes `space_words`: the
-//! heavy-hitter candidate lists are rebuilt canonically on merge, so a
-//! merged state can sit below the serial state's post-prune fill level
-//! while still reporting identical estimates (DESIGN.md §8).
+//! Outcome comparison includes `space_words`: every sketch merges into
+//! exactly the state serial ingestion builds (linear tables add, keyed
+//! samples union), so merged and serial states have the same resident
+//! words (DESIGN.md §8).
 
 use maxkcov::core::{
     EstimateOutcome, EstimatorConfig, MaxCoverEstimator, MaxCoverReporter,
@@ -42,13 +42,14 @@ fn generator_zoo(seed: u64) -> Vec<(&'static str, SetSystem)> {
     ]
 }
 
-/// Outcome equality under the merge contract: everything except the
-/// space accounting must be bit-identical.
+/// Outcome equality under the merge contract: estimate, branch, winner
+/// and resident words must all be identical.
 fn assert_outcomes_equivalent(a: &EstimateOutcome, b: &EstimateOutcome, ctx: &str) {
     assert_eq!(a.estimate.to_bits(), b.estimate.to_bits(), "{ctx}: estimate");
     assert_eq!(a.trivial, b.trivial, "{ctx}: trivial flag");
     assert_eq!(a.winning_z, b.winning_z, "{ctx}: winning z");
     assert_eq!(a.winner, b.winner, "{ctx}: winning subroutine");
+    assert_eq!(a.space_words, b.space_words, "{ctx}: space words");
 }
 
 /// Feed `edges` into a fresh replica of `proto` serially.
@@ -194,15 +195,12 @@ fn reporter_sharded_matches_serial() {
     }
 }
 
-/// The documented space divergence (DESIGN.md §8): merging rebuilds
-/// every heavy-hitter candidate list canonically and re-prunes, so a
-/// merged estimator's `space_words` sits at or below the serial
-/// state's post-prune fill on these workloads — never above — while
-/// the outcome stays identical. Everything here is seeded, so this is
-/// a deterministic regression pin, not a statistical claim.
+/// Merged space equals serial space (DESIGN.md §8): the sharded
+/// driver's replicas fold into exactly the serial state, so
+/// `space_words` matches word for word on every zoo workload. Everything
+/// here is seeded, so this is a deterministic regression pin.
 #[test]
-fn merged_space_never_exceeds_serial_on_zoo() {
-    let mut diverged = false;
+fn merged_space_equals_serial_on_zoo() {
     for seed in [1u64, 42] {
         for (name, system) in generator_zoo(seed) {
             let n = system.num_elements();
@@ -218,74 +216,9 @@ fn merged_space_never_exceeds_serial_on_zoo() {
                     &sharded,
                     &format!("{name} seed={seed} shards={shards}"),
                 );
-                assert!(
-                    sharded.space_words <= serial.space_words,
-                    "{name} seed={seed} shards={shards}: merged {} > serial {}",
-                    sharded.space_words,
-                    serial.space_words
-                );
-                diverged |= sharded.space_words < serial.space_words;
             }
         }
     }
-    assert!(
-        diverged,
-        "expected at least one workload where the canonical merge rebuild \
-         shrinks the candidate lists below the serial post-prune fill"
-    );
-}
-
-/// The divergence mechanism in isolation: feed `1.5·capacity + 80`
-/// distinct items. Serially the list overflows its high-water mark
-/// once, prunes down to ≈ capacity, then refills with the remaining
-/// items — ending well *above* capacity. Split into two sub-threshold
-/// shards (no shard ever prunes), the merged union exceeds the
-/// high-water mark, so the canonical rebuild prunes to ≤ capacity:
-/// strictly below the serial post-prune fill.
-#[test]
-fn merge_rebuild_prunes_below_serial_candidate_fill() {
-    use maxkcov::sketch::F2HeavyHitter;
-    let mut serial = F2HeavyHitter::for_phi(0.05, 9);
-    let capacity = serial.stats().capacity;
-    let hi_water = capacity + capacity / 2;
-    let distinct = hi_water + capacity / 2;
-    for item in 0..distinct {
-        serial.insert(item);
-    }
-    let st = serial.stats();
-    assert_eq!(st.prunes, 1, "serial run must overflow exactly once");
-    assert!(
-        st.fill > capacity,
-        "serial post-prune refill must end above capacity: fill {} <= {}",
-        st.fill,
-        capacity
-    );
-
-    let mut left = F2HeavyHitter::for_phi(0.05, 9);
-    let mut right = F2HeavyHitter::for_phi(0.05, 9);
-    for item in 0..distinct / 2 {
-        left.insert(item);
-    }
-    for item in distinct / 2..distinct {
-        right.insert(item);
-    }
-    assert_eq!(left.stats().prunes, 0, "shards must stay below the prune threshold");
-    assert_eq!(right.stats().prunes, 0);
-    left.merge(&right);
-    let merged = left.stats();
-    assert!(
-        merged.fill <= capacity,
-        "canonical rebuild must prune the union to capacity: fill {} > {}",
-        merged.fill,
-        capacity
-    );
-    assert!(
-        merged.fill < st.fill,
-        "merged fill {} must diverge strictly below serial fill {}",
-        merged.fill,
-        st.fill
-    );
-    assert_eq!(merged.updates, st.updates, "items_seen merges by addition");
 }
 
 /// The space ledger under merge: every replica and the merged state

@@ -1,18 +1,20 @@
-//! Untrusted-decode allocation bound for the heavy-hitter tracker.
+//! Untrusted-decode bounds for the contributing-class finder and the
+//! heavy-hitter sketch.
 //!
-//! An `F2HeavyHitter` section carries its configuration factors on the
-//! wire, and the tracker capacity is derived from them. A crafted
-//! `capacity_factor` of 1e300 yields the largest capacity the clamp
-//! allows, 2²² candidates, in a 208-byte section; the decode must not
-//! size anything from it. A counting global allocator (per thread, so
-//! tests running in parallel do not see each other) measures the bytes
-//! the decode allocates. It lives in its own test binary because a
-//! `#[global_allocator]` is process-wide.
+//! An `F2Contributing` section carries its coordinate domain on the
+//! wire, and `report` enumerates that domain at finalize, so the domain
+//! sets finalize time and memory. A crafted domain must be rejected at
+//! decode, by a typed error, without the decode sizing anything from it.
+//! A counting global allocator (per thread, so tests running in parallel
+//! do not see each other) measures the bytes the decode allocates. It
+//! lives in its own test binary because a `#[global_allocator]` is
+//! process-wide.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use kcov_sketch::{F2HeavyHitter, HeavyHitterConfig, WireEncode};
+use kcov_core::{LargeSet, Params};
+use kcov_sketch::{ContributingConfig, F2Contributing, F2HeavyHitter, HeavyHitterConfig, WireEncode};
 
 /// `System` plus a per-thread count of bytes ever allocated.
 struct Counting;
@@ -70,17 +72,15 @@ fn allocated_by<T>(f: impl FnOnce() -> T) -> (T, u64) {
 /// Byte offsets of the `f64` factors in an `F2HeavyHitter` section
 /// (after the tag, φ and rows words).
 const WIDTH_FACTOR_AT: usize = 24;
-const CAPACITY_FACTOR_AT: usize = 32;
-const REPORT_SLACK_AT: usize = 40;
+const REPORT_SLACK_AT: usize = 32;
 
-/// A benign one-row tracker (φ = 0.5, width factor 4, capacity factor
-/// 1) encoded, then one factor overwritten with `value`.
+/// A benign one-row sketch (φ = 0.5, width factor 4) encoded, then one
+/// factor overwritten with `value`.
 fn crafted(field_at: usize, value: f64) -> Vec<u8> {
     let config = HeavyHitterConfig {
         phi: 0.5,
         rows: 1,
         width_factor: 4.0,
-        capacity_factor: 1.0,
         report_slack: 0.125,
     };
     let mut bytes = F2HeavyHitter::new(config, 7).to_bytes();
@@ -88,14 +88,29 @@ fn crafted(field_at: usize, value: f64) -> Vec<u8> {
     bytes
 }
 
+/// The byte offset of the first `F2Contributing` domain word equal to
+/// `domain` in `bytes`: the word after an `"FC"` section tag.
+fn domain_at(bytes: &[u8], domain: u64) -> usize {
+    let mut pattern = 0x4643u64.to_le_bytes().to_vec();
+    pattern.extend(domain.to_le_bytes());
+    bytes
+        .windows(16)
+        .position(|w| w == pattern.as_slice())
+        .expect("an F2Contributing section")
+        + 8
+}
+
 #[test]
-fn huge_capacity_factor_decodes_without_presizing() {
-    let bytes = crafted(CAPACITY_FACTOR_AT, 1e300);
-    assert_eq!(bytes.len(), 208);
+fn huge_domain_is_rejected_without_presizing() {
+    let fc = F2Contributing::new(ContributingConfig::new(0.5, 16), 100, 100, 7);
+    let mut bytes = fc.to_bytes();
+    let at = domain_at(&bytes, 100);
+    assert_eq!(at, 8, "the domain word follows the tag");
+    bytes[at..at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
     for _ in 0..5 {
-        let (decoded, allocated) = allocated_by(|| F2HeavyHitter::from_bytes(&bytes));
-        let hh = decoded.expect("a finite positive factor is a valid configuration");
-        assert_eq!(hh.stats().capacity, 1 << 22);
+        let (decoded, allocated) = allocated_by(|| F2Contributing::from_bytes(&bytes));
+        let e = decoded.expect_err("a domain above the cap must be rejected");
+        assert!(e.message.contains("exceeds the cap"), "{e}");
         assert!(
             allocated < 1 << 20,
             "decoding a {}-byte section allocated {allocated} bytes",
@@ -105,8 +120,29 @@ fn huge_capacity_factor_decodes_without_presizing() {
 }
 
 #[test]
+fn large_set_finder_domain_must_match_its_superset_count() {
+    let params = Params::practical(200, 2_000, 8, 4.0);
+    let ls = LargeSet::new(2_000, &params, 3);
+    let bytes = ls.to_bytes();
+    assert!(LargeSet::from_bytes(&bytes).is_ok());
+    let supersets = params.num_supersets(params.large_set_w()) as u64;
+    let at = domain_at(&bytes, supersets);
+    for domain in [supersets - 1, supersets + 1, u64::MAX] {
+        let mut crafted = bytes.clone();
+        crafted[at..at + 8].copy_from_slice(&domain.to_le_bytes());
+        let (decoded, allocated) = allocated_by(|| LargeSet::from_bytes(&crafted));
+        let e = decoded.expect_err("a mismatched finder domain must be rejected");
+        assert!(
+            e.message.contains("disagrees") || e.message.contains("exceeds the cap"),
+            "domain {domain}: {e}"
+        );
+        assert!(allocated < 1 << 20, "domain {domain}: allocated {allocated} bytes");
+    }
+}
+
+#[test]
 fn non_finite_or_non_positive_factors_are_wire_errors() {
-    for field_at in [WIDTH_FACTOR_AT, CAPACITY_FACTOR_AT, REPORT_SLACK_AT] {
+    for field_at in [WIDTH_FACTOR_AT, REPORT_SLACK_AT] {
         for value in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0, -0.0, -1.0] {
             let e = F2HeavyHitter::from_bytes(&crafted(field_at, value))
                 .expect_err("invalid factor must be rejected");
