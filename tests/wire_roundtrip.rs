@@ -96,7 +96,7 @@ fn individual_sketches_roundtrip_and_reject_mangling() {
         hh.insert(x);
         fc.insert(x);
     }
-    // Skew so the heavy hitter actually holds candidates.
+    // Skew so the sketches hold a genuinely heavy item.
     for _ in 0..200 {
         hh.insert(42);
         fc.insert(42);
