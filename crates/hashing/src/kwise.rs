@@ -6,7 +6,7 @@ use crate::RangeHash;
 
 /// A named k-wise independent hash function (thin wrapper over
 /// [`PolyHash`] recording its intent).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct KWise {
     inner: PolyHash,
 }
@@ -90,17 +90,6 @@ impl SignHash {
         }
     }
 
-    /// A pairwise (2-wise) ±1 hash. Sufficient for unbiased CountSketch
-    /// point queries (E[s(x)s(y)] = 0 for x ≠ y needs only pairwise
-    /// independence); the full 4-wise degree is required only where the
-    /// AMS `F2` variance bound is invoked. Two fewer Horner steps per
-    /// evaluation on the row-inner hot loop.
-    pub fn pairwise(seed: u64) -> Self {
-        SignHash {
-            inner: PolyHash::new(2, seed),
-        }
-    }
-
     /// The sign (+1 or −1) assigned to `key`.
     #[inline]
     pub fn sign(&self, key: u64) -> i64 {
@@ -109,16 +98,6 @@ impl SignHash {
         } else {
             -1
         }
-    }
-
-    /// [`SignHash::sign`] over a block of keys into `out` (cleared
-    /// first), through the blocked [`RangeHash::hash_batch`] evaluator:
-    /// `out[i] == self.sign(keys[i])`.
-    pub fn sign_batch(&self, keys: &[u64], out: &mut Vec<i64>) {
-        let mut raw = Vec::new();
-        self.inner.hash_batch(keys, &mut raw);
-        out.clear();
-        out.extend(raw.iter().map(|&h| 1 - 2 * (h & 1) as i64));
     }
 
     /// Space in 64-bit words.
@@ -185,17 +164,6 @@ mod tests {
         let b = SignHash::new(9);
         for k in 0..100u64 {
             assert_eq!(a.sign(k), b.sign(k));
-        }
-    }
-
-    #[test]
-    fn sign_batch_matches_scalar() {
-        for s in [SignHash::new(3), SignHash::pairwise(4)] {
-            let keys: Vec<u64> = (0..37u64).map(|k| k * 0x9e37_79b9).collect();
-            let mut out = vec![7i64];
-            s.sign_batch(&keys, &mut out);
-            let want: Vec<i64> = keys.iter().map(|&k| s.sign(k)).collect();
-            assert_eq!(out, want);
         }
     }
 

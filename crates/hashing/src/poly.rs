@@ -13,8 +13,9 @@ use crate::RangeHash;
 /// A d-wise independent hash function `u64 → [0, 2^61 − 1)`.
 ///
 /// `PolyHash::new(d, seed)` draws `d` uniform coefficients from the seed;
-/// evaluation is a Horner loop of `d − 1` field multiply-adds.
-#[derive(Debug, Clone)]
+/// evaluation is a Horner loop of `d − 1` field multiply-adds. Two
+/// functions are equal when their coefficient vectors are.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PolyHash {
     coeffs: Vec<Fp>,
 }

@@ -10,7 +10,7 @@
 //! realization is a CountSketch alone, queried over that domain
 //! (Charikar–Chen–Farach-Colton's original use): the update path is one
 //! sketch update, and [`F2HeavyHitter::heavy_hitters`] point-queries the
-//! ids it is handed, as one batched [`CountSketch::query_batch`], and
+//! ids it is handed, as one batched [`CountSketch::query_mixed`], and
 //! thresholds each estimate against `F2`. A true `φ`-heavy hitter's
 //! estimate is within `(1 ± 1/2)` of its frequency, so it passes the
 //! slacked threshold and is returned. Both estimates come from the one
@@ -20,9 +20,10 @@
 //! The state is the linear table, so batched ingestion and shard merging
 //! are state-identical to serial insertion by linearity.
 
+use kcov_hash::KWise;
 use kcov_obs::SketchStats;
 
-use crate::count_sketch::CountSketch;
+use crate::count_sketch::{CountSketch, MAX_WIDTH};
 use crate::space::{SpaceSink, SpaceUsage};
 
 /// Configuration for [`F2HeavyHitter`].
@@ -56,7 +57,7 @@ impl HeavyHitterConfig {
 
     /// The CountSketch width this configuration dictates.
     fn width(&self) -> usize {
-        ((self.width_factor / self.phi).ceil() as usize).clamp(8, 1 << 22)
+        ((self.width_factor / self.phi).ceil() as usize).clamp(8, MAX_WIDTH)
     }
 }
 
@@ -81,8 +82,17 @@ pub struct F2HeavyHitter {
 impl F2HeavyHitter {
     /// Create a sketch for threshold `config.phi`.
     pub fn new(config: HeavyHitterConfig, seed: u64) -> Self {
+        let mix = CountSketch::draw_mix(config.rows, seed ^ 0x5ca1ab1e);
+        F2HeavyHitter::with_mix(config, mix)
+    }
+
+    /// A sketch for threshold `config.phi` whose CountSketch is
+    /// addressed by `mix` (`⌈config.rows/2⌉` 4-wise words, see
+    /// [`CountSketch::with_mix`]), for owners that share one mix across
+    /// several heavy hitters.
+    pub fn with_mix(config: HeavyHitterConfig, mix: Vec<KWise>) -> Self {
         F2HeavyHitter {
-            sketch: CountSketch::new(config.rows, config.width(), seed ^ 0x5ca1ab1e),
+            sketch: CountSketch::with_mix(config.rows, config.width(), mix),
             config,
             items_seen: 0,
         }
@@ -107,6 +117,13 @@ impl F2HeavyHitter {
         self.items_seen += items.len() as u64;
     }
 
+    /// Observe one occurrence of each item whose mix words are `mixed`
+    /// (the [`CountSketch::mix_batch`] layout under this sketch's mix).
+    pub fn insert_mixed(&mut self, mixed: &[u64]) {
+        self.sketch.insert_mixed(mixed);
+        self.items_seen += (mixed.len() / self.sketch.mix_words()) as u64;
+    }
+
     /// Estimate of `F2` of the full stream (median of per-row AMS
     /// estimates derived from the CountSketch table — see
     /// [`CountSketch::f2_estimate`]).
@@ -126,9 +143,17 @@ impl F2HeavyHitter {
     /// estimate ≤ 0 approximates no heavy frequency and is never
     /// reported.
     pub fn heavy_hitters(&self, ids: &[u64]) -> Vec<HeavyItem> {
+        let mut mixed = Vec::new();
+        self.sketch.mix_batch(ids, &mut mixed);
+        self.heavy_hitters_mixed(ids, &mixed)
+    }
+
+    /// [`F2HeavyHitter::heavy_hitters`] with the ids' mix words already
+    /// evaluated (`mixed` is the [`CountSketch::mix_batch`] of `ids`).
+    pub fn heavy_hitters_mixed(&self, ids: &[u64], mixed: &[u64]) -> Vec<HeavyItem> {
         let thr = self.config.report_slack * self.config.phi * self.f2_estimate();
         let mut ests = Vec::new();
-        self.sketch.query_batch(ids, &mut ests);
+        self.sketch.query_mixed(mixed, &mut ests);
         ids.iter()
             .zip(&ests)
             .filter(|&(_, &est)| est > 0 && (est as f64) * (est as f64) >= thr)
@@ -344,12 +369,12 @@ mod tests {
         }
         let mut node = kcov_obs::LedgerNode::new();
         hh.space_ledger(&mut node);
-        // φ = 0.1: a 5-row CountSketch of width ⌈32/φ⌉ = 320 with a
-        // pairwise bucket and sign hash (2 + 2 words) per row.
-        assert_eq!(node.total_words(), 5 * (320 + 4));
-        assert_eq!(hh.space_words(), 5 * (320 + 4));
+        // φ = 0.1: a 5-row CountSketch of width ⌈32/φ⌉ = 320 with three
+        // 4-wise mix words (4 words each, one per two rows).
+        assert_eq!(node.total_words(), 5 * 320 + 3 * 4);
+        assert_eq!(hh.space_words(), 5 * 320 + 3 * 4);
         let cs = node.get("countsketch").unwrap();
-        assert_eq!(cs.total_words(), 5 * (320 + 4));
+        assert_eq!(cs.total_words(), 5 * 320 + 3 * 4);
         assert_eq!(cs.total_updates(), 1_000);
         assert_eq!(cs.total_updates(), hh.sketch().heat_updates());
     }

@@ -21,7 +21,7 @@ use crate::ams_f2::AmsF2;
 use crate::bjkst::Bjkst;
 use crate::contributing::F2Contributing;
 use crate::count_min::CountMin;
-use crate::count_sketch::CountSketch;
+use crate::count_sketch::{CountSketch, MAX_WIDTH};
 use crate::heavy_hitter::{F2HeavyHitter, HeavyHitterConfig};
 use crate::l0::{Kmv, L0Estimator};
 
@@ -186,8 +186,9 @@ pub const WIRE_MAGIC: u64 = 0x4b43_4f56_5749_5245;
 /// preserve time-ledger attribution; 5 = heavy hitters are their
 /// CountSketch alone (no capacity factor, candidate list or
 /// prune/eviction counters) and contributing-class finders carry their
-/// coordinate domain.
-pub const WIRE_VERSION: u64 = 5;
+/// coordinate domain; 6 = a CountSketch carries its ⌈rows/2⌉ 4-wise mix
+/// words instead of per-row bucket and sign hashes.
+pub const WIRE_VERSION: u64 = 6;
 
 /// Append the versioned full-state header: magic, version, payload tag.
 pub fn put_header(out: &mut Vec<u8>, tag: u64) {
@@ -334,11 +335,9 @@ impl WireEncode for CountSketch {
         put_u64(out, TAG_CS);
         put_u64(out, self.rows() as u64);
         put_u64(out, self.width() as u64);
-        for b in self.bucket_hashes() {
-            put_kwise(out, b);
-        }
-        for s in self.sign_hashes() {
-            put_sign(out, s);
+        put_u64(out, self.mix().len() as u64);
+        for g in self.mix() {
+            put_kwise(out, g);
         }
         put_u64(out, self.table().len() as u64);
         for &c in self.table() {
@@ -352,14 +351,23 @@ impl WireEncode for CountSketch {
         }
         let rows = take_u64(input)? as usize;
         let width = take_u64(input)? as usize;
-        let buckets = (0..rows).map(|_| take_kwise(input)).collect::<Result<Vec<_>, _>>()?;
-        let signs = (0..rows).map(|_| take_sign(input)).collect::<Result<Vec<_>, _>>()?;
+        if width > MAX_WIDTH {
+            return Err(err(format!("CountSketch width {width} exceeds the cap {MAX_WIDTH}")));
+        }
+        // The word count and each word's degree are checked by
+        // `from_parts`: a crafted degree would otherwise set the cost of
+        // every update.
+        let words = take_u64(input)? as usize;
+        if words > input.len() / 8 {
+            return Err(err(format!("truncated list of {words} CountSketch mix words")));
+        }
+        let mix = (0..words).map(|_| take_kwise(input)).collect::<Result<Vec<_>, _>>()?;
         let n = take_u64(input)? as usize;
         if rows.checked_mul(width) != Some(n) || n > input.len() / 8 {
             return Err(err("CountSketch table size mismatch"));
         }
         let table = (0..n).map(|_| take_i64(input)).collect::<Result<Vec<_>, _>>()?;
-        CountSketch::from_parts(rows, width, buckets, signs, table).map_err(err)
+        CountSketch::from_parts(rows, width, mix, table).map_err(err)
     }
 }
 

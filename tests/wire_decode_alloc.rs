@@ -1,5 +1,5 @@
-//! Untrusted-decode bounds for the contributing-class finder and the
-//! heavy-hitter sketch.
+//! Untrusted-decode bounds for the contributing-class finder, the
+//! heavy-hitter sketch and the CountSketch's mix words.
 //!
 //! An `F2Contributing` section carries its coordinate domain on the
 //! wire, and `report` enumerates that domain at finalize, so the domain
@@ -14,7 +14,11 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use kcov_core::{LargeSet, Params};
-use kcov_sketch::{ContributingConfig, F2Contributing, F2HeavyHitter, HeavyHitterConfig, WireEncode};
+use kcov_hash::KWise;
+use kcov_sketch::wire::{put_kwise, put_u64};
+use kcov_sketch::{
+    ContributingConfig, CountSketch, F2Contributing, F2HeavyHitter, HeavyHitterConfig, WireEncode,
+};
 
 /// `System` plus a per-thread count of bytes ever allocated.
 struct Counting;
@@ -154,4 +158,71 @@ fn non_finite_or_non_positive_factors_are_wire_errors() {
         // The untouched encoding still decodes.
         assert!(F2HeavyHitter::from_bytes(&crafted(field_at, 1.0)).is_ok());
     }
+}
+
+/// A CountSketch encoding with the given shape, mix words and an empty
+/// table of `rows × width` counters (the wire layout: tag, rows, width,
+/// word count, words, table length, table).
+fn count_sketch_bytes(rows: u64, width: u64, mix: &[KWise], table: u64) -> Vec<u8> {
+    let mut out = Vec::new();
+    for v in [0x4353, rows, width, mix.len() as u64] {
+        put_u64(&mut out, v);
+    }
+    for g in mix {
+        put_kwise(&mut out, g);
+    }
+    put_u64(&mut out, table);
+    out.resize(out.len() + 8 * table as usize, 0);
+    out
+}
+
+#[test]
+fn count_sketch_mix_words_and_width_are_pinned_at_decode() {
+    let mix = CountSketch::draw_mix(4, 9);
+    let ok = count_sketch_bytes(4, 8, &mix, 32);
+    assert_eq!(CountSketch::from_bytes(&ok).unwrap().mix(), mix.as_slice());
+    // A mix word of the wrong degree: constant, or one that would make
+    // every update pay 100 000 multiplies.
+    for degree in [1usize, 2, 100_000] {
+        let bad = [mix[0].clone(), KWise::new(degree, 3)];
+        let e = CountSketch::from_bytes(&count_sketch_bytes(4, 8, &bad, 32)).unwrap_err();
+        assert!(e.message.contains(&format!("degree {degree}")), "degree {degree}: {e}");
+    }
+    // A word count other than ⌈rows/2⌉.
+    for words in [0usize, 1, 3] {
+        let mix = CountSketch::draw_mix(2 * words.max(1), 5)[..words].to_vec();
+        let e = CountSketch::from_bytes(&count_sketch_bytes(4, 8, &mix, 32)).unwrap_err();
+        assert!(e.message.contains(&format!("{words} mix words for 4")), "{words} words: {e}");
+    }
+    // A width above the 2^22 cap, rejected before the table is sized.
+    let wide = count_sketch_bytes(1, (1 << 22) + 1, &mix[..1], 0);
+    let (decoded, allocated) = allocated_by(|| CountSketch::from_bytes(&wide));
+    let e = decoded.expect_err("a width above the cap must be rejected");
+    assert!(e.message.contains("exceeds the cap"), "{e}");
+    assert!(allocated < 1 << 20, "allocated {allocated} bytes");
+}
+
+#[test]
+fn finder_levels_must_share_one_mix() {
+    let fc = F2Contributing::new(ContributingConfig::new(0.1, 512), 500, 500, 3);
+    let encode = |last: &F2HeavyHitter| {
+        let levels = fc.level_parts();
+        let mut out = Vec::new();
+        put_u64(&mut out, 0x4643);
+        put_u64(&mut out, fc.domain());
+        put_kwise(&mut out, fc.sampling_hash());
+        put_u64(&mut out, levels.len() as u64);
+        for (i, &(modulus, keep, hh)) in levels.iter().enumerate() {
+            put_u64(&mut out, modulus);
+            put_u64(&mut out, keep);
+            let hh = if i + 1 == levels.len() { last } else { hh };
+            hh.encode(&mut out);
+        }
+        out
+    };
+    let last = fc.level_parts().last().unwrap().2.clone();
+    assert_eq!(encode(&last), fc.to_bytes());
+    let foreign = F2HeavyHitter::new(last.config().clone(), 99);
+    let e = F2Contributing::from_bytes(&encode(&foreign)).unwrap_err();
+    assert!(e.message.contains("different CountSketch mixes"), "{e}");
 }
