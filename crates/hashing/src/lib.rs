@@ -56,8 +56,7 @@ pub trait RangeHash {
     /// ingest hot path.
     #[inline]
     fn hash_to_range(&self, key: u64, r: u64) -> u64 {
-        assert!(r > 0, "range must be positive");
-        ((self.hash(key) as u128 * r as u128) >> 61) as u64
+        reduce_to_range(self.hash(key), r)
     }
 
     /// Bernoulli selection with probability `1/r`: true iff the key lands
@@ -78,6 +77,16 @@ pub trait RangeHash {
         out.clear();
         out.extend(keys.iter().map(|&k| self.hash(k)));
     }
+}
+
+/// The bucket `⌊h·r/2^61⌋ ∈ [0, r)` of a raw hash value `h ∈ [0,
+/// 2^61−1)`: the reduction behind [`RangeHash::hash_to_range`] and
+/// [`RangeHash::selects`], for callers that evaluate the raw hashes with
+/// [`RangeHash::hash_batch`]. Panics if `r == 0`.
+#[inline]
+pub fn reduce_to_range(h: u64, r: u64) -> u64 {
+    assert!(r > 0, "range must be positive");
+    ((h as u128 * r as u128) >> 61) as u64
 }
 
 #[cfg(test)]
