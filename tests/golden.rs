@@ -296,3 +296,57 @@ fn answers_matches_golden() {
     }
     t.check("answers.txt");
 }
+
+/// The two-pass refinement's answers are sound on the same 90-run
+/// grid as `answers_matches_golden` (six families × α ∈ {2, 4, 8, 16,
+/// 32} × seeds 1–3): the estimate and the real coverage of the
+/// reported sets stay at or below the OPT bound, and at most `k` sets
+/// are reported. Not pinned: pass 2's answers are free to move.
+#[test]
+fn two_pass_answers_stay_below_the_opt_bound() {
+    use maxkcov::core::{run_two_pass, EstimatorConfig};
+    use maxkcov::stream::{coverage_of, edge_stream, ArrivalOrder};
+    let k = 6;
+    for kind in ["planted", "uniform", "zipf", "few-large", "many-small", "common"] {
+        for seed in 1..=3u64 {
+            let (system, source, bound, _) = answer_case(kind, seed);
+            let (n, m) = (system.num_elements(), system.num_sets());
+            let edges = edge_stream(&system, ArrivalOrder::Shuffled(seed));
+            for alpha in [2.0f64, 4.0, 8.0, 16.0, 32.0] {
+                let config = EstimatorConfig::practical(seed);
+                let cover = run_two_pass(n, m, k, alpha, &config, &edges);
+                let at = format!("{kind} seed {seed} alpha {alpha}");
+                assert!(cover.sets.len() <= k, "{at}: {} sets reported", cover.sets.len());
+                assert!(
+                    cover.estimate <= bound,
+                    "{at}: estimate {} above the {source} bound {bound}",
+                    cover.estimate
+                );
+                let chosen: Vec<usize> = cover.sets.iter().map(|&s| s as usize).collect();
+                let real = coverage_of(&system, &chosen) as f64;
+                assert!(real <= bound, "{at}: real coverage {real} above the {source} bound {bound}");
+            }
+        }
+    }
+}
+
+/// With k·α ≥ m pass 1 answers from the trivial branch, but pass 2
+/// still runs its oracle lanes, so a subroutine reports the cover. The
+/// instance is the CLI's `gen --kind planted --n 800 --m 120 --k 8
+/// --seed 5` at `--k 40 --alpha 4` (k·α = 160 ≥ 120).
+#[test]
+fn two_pass_runs_its_oracles_in_the_trivial_regime() {
+    use maxkcov::baselines::greedy_max_cover;
+    use maxkcov::core::{run_two_pass, EstimatorConfig};
+    use maxkcov::stream::{coverage_of, edge_stream, gen, ArrivalOrder};
+    let (n, m, k, alpha) = (800usize, 120usize, 40usize, 4.0f64);
+    let system = gen::planted_cover(n, m, 8, 0.8, (n / 8) / 4, 5).system;
+    let edges = edge_stream(&system, ArrivalOrder::Shuffled(0));
+    let cover = run_two_pass(n, m, k, alpha, &EstimatorConfig::practical(5), &edges);
+    assert!(cover.winner.is_some(), "pass 2 must report a subroutine winner");
+    assert!(!cover.sets.is_empty() && cover.sets.len() <= k, "{} sets", cover.sets.len());
+    let bound = greedy_max_cover(&system, k).coverage as f64 / (1.0 - 1.0 / std::f64::consts::E);
+    let chosen: Vec<usize> = cover.sets.iter().map(|&s| s as usize).collect();
+    assert!(cover.estimate <= bound, "estimate {} above {bound}", cover.estimate);
+    assert!(coverage_of(&system, &chosen) as f64 <= bound);
+}
