@@ -16,7 +16,7 @@
 use kcov_sketch::SpaceUsage;
 
 use crate::estimate::{EstimatorConfig, MaxCoverEstimator};
-use crate::params::{ParamMode, Params};
+use crate::params::Params;
 
 /// Result of fitting a budget.
 #[derive(Debug)]
@@ -53,10 +53,7 @@ fn dynamic_allowance(
     // SmallSet stores up to `edge_cap` words per (γ, rep) lane; each
     // lane either stays below the cap or terminates (Fig 5). The
     // estimator runs one SmallSet per (z, rep) lane when active.
-    let params = match config.mode {
-        ParamMode::Paper => Params::paper(m, n, k, alpha),
-        ParamMode::Practical => Params::practical(m, n, k, alpha),
-    };
+    let params = Params::for_mode(config.mode, m, n, k, alpha);
     if !params.small_set_active() {
         return 0;
     }

@@ -335,30 +335,28 @@ impl MaxCoverEstimator {
     /// Create an estimator for a stream over `n` elements and `m` sets,
     /// budget `k` and approximation target `α ∈ [1, √m]`.
     pub fn new(n: usize, m: usize, k: usize, alpha: f64, config: &EstimatorConfig) -> Self {
-        assert!(n >= 1 && m >= 1 && k >= 1, "need n, m, k >= 1");
-        assert!(alpha >= 1.0, "alpha must be >= 1");
         // Fig 1 line 1: trivial regime.
         if (k as f64) * alpha >= m as f64 {
             return MaxCoverEstimator {
-                n,
-                m,
-                k,
-                alpha,
-                threads: config.threads.max(1),
                 trivial: Some(TrivialState::new(m, k, config.seed ^ 0x7121a1)),
-                fps: None,
-                block: FingerprintBlock::default(),
-                lanes: Vec::new(),
-                rec: config.recorder.clone(),
-                edges_seen: 0,
-                heartbeat_every: config.effective_heartbeat(),
-                shard_id: 0,
-                heartbeats: Vec::new(),
-                hists: IngestHists::default(),
-                last_stats: SketchStats::default(),
-                times: StageTimes::default(),
+                ..Self::empty(n, m, k, alpha, config)
             };
         }
+        Self::with_lanes(n, m, k, alpha, config)
+    }
+
+    /// The estimator's `(z, rep)` lanes, built whatever `k·α` is: `new`
+    /// past its trivial check, and pass 2 of the two-pass refinement,
+    /// which runs its oracle lanes even when `k·α ≥ m`. Seeds are drawn
+    /// in a fixed order (fingerprints, universe mix, then one oracle
+    /// seed per lane) that the benchmark's shadow pipeline mirrors.
+    pub(crate) fn with_lanes(
+        n: usize,
+        m: usize,
+        k: usize,
+        alpha: f64,
+        config: &EstimatorConfig,
+    ) -> Self {
         let mut seq = kcov_hash::SeedSequence::labeled(config.seed, "estimate-max-cover");
         // Hash-once front end: one estimator-global fingerprint pair per
         // raw edge, at a degree sized for the *full* instance (m·n key
@@ -385,10 +383,7 @@ impl MaxCoverEstimator {
         });
         let mut lanes = Vec::new();
         for &z in &zs {
-            let params = match config.mode {
-                ParamMode::Paper => Params::paper(m, z as usize, k, alpha),
-                ParamMode::Practical => Params::practical(m, z as usize, k, alpha),
-            };
+            let params = Params::for_mode(config.mode, m, z as usize, k, alpha);
             let reps = config.reps.unwrap_or(params.reduction_reps).max(1);
             for _ in 0..reps {
                 lanes.push(Lane {
@@ -410,15 +405,26 @@ impl MaxCoverEstimator {
             }
         }
         MaxCoverEstimator {
+            fps: Some(fps),
+            lanes,
+            ..Self::empty(n, m, k, alpha, config)
+        }
+    }
+
+    /// An estimator with neither a trivial state nor lanes yet.
+    fn empty(n: usize, m: usize, k: usize, alpha: f64, config: &EstimatorConfig) -> Self {
+        assert!(n >= 1 && m >= 1 && k >= 1, "need n, m, k >= 1");
+        assert!(alpha >= 1.0, "alpha must be >= 1");
+        MaxCoverEstimator {
             n,
             m,
             k,
             alpha,
             threads: config.threads.max(1),
             trivial: None,
-            fps: Some(fps),
+            fps: None,
             block: FingerprintBlock::default(),
-            lanes,
+            lanes: Vec::new(),
             rec: config.recorder.clone(),
             edges_seen: 0,
             heartbeat_every: config.effective_heartbeat(),
@@ -728,9 +734,7 @@ impl MaxCoverEstimator {
     pub fn finalize(&self) -> EstimateOutcome {
         let span = self.rec.span("finalize");
         let outcome = self.finalize_outcome();
-        if self.rec.is_enabled() {
-            self.record_snapshot(&outcome);
-        }
+        self.record_snapshot(&outcome);
         span.finish();
         outcome
     }
@@ -788,125 +792,141 @@ impl MaxCoverEstimator {
         }
     }
 
-    /// Emit the finalize-time observability snapshot (recorder known to
-    /// be enabled). The per-lane oracle finalizations here re-run the
-    /// (cheap, state-free) estimate extraction; they do not mutate any
-    /// stream state.
+    /// Emit the finalize-time observability snapshot (a no-op when the
+    /// recorder is disabled). The per-lane oracle finalizations here
+    /// re-run the (cheap, state-free) estimate extraction; they do not
+    /// mutate any stream state.
     fn record_snapshot(&self, outcome: &EstimateOutcome) {
-        let rec = &self.rec;
-        telemetry::emit_heartbeats(rec, "estimate", &self.heartbeats);
-        self.hists.emit(rec, "ingest");
-        if let Some(t) = &self.trivial {
+        self.record_stage("estimate", "estimator", |rec| {
+            if let Some(t) = &self.trivial {
+                rec.event(
+                    "subroutine",
+                    &[
+                        ("lane", Value::from(0u64)),
+                        ("name", Value::from("trivial")),
+                        ("estimate", Value::from(t.estimate())),
+                    ],
+                );
+            }
+            if self.fps.is_some() {
+                // The estimator-global hash-once front end, shared by every
+                // lane (lanes count 1-word handles on the shared bases).
+                rec.event(
+                    "subroutine",
+                    &[
+                        ("lane", Value::from(0u64)),
+                        ("name", Value::from("fingerprints")),
+                        ("estimate", Value::from(f64::NAN)),
+                    ],
+                );
+            }
+            if !self.lanes.is_empty() {
+                // The lane-invariant universe-reduction mix, shared by every
+                // lane and attributed once (lanes count 1-word handles).
+                rec.event(
+                    "subroutine",
+                    &[
+                        ("lane", Value::from(0u64)),
+                        ("name", Value::from("universe")),
+                        ("estimate", Value::from(f64::NAN)),
+                    ],
+                );
+            }
+            for (i, lane) in self.lanes.iter().enumerate() {
+                let out = lane.oracle.finalize();
+                let qualifying = out.estimate >= lane.z as f64 / (4.0 * self.alpha);
+                rec.event(
+                    "lane",
+                    &[
+                        ("lane", Value::from(i as u64)),
+                        ("z", Value::from(lane.z)),
+                        ("edges", Value::from(self.edges_seen)),
+                        ("estimate", Value::from(out.estimate)),
+                        (
+                            "winner",
+                            Value::from(out.winner.map_or("none", SubroutineKind::name)),
+                        ),
+                        ("qualifying", Value::from(qualifying)),
+                    ],
+                );
+                lane.oracle.record_snapshot(rec, i);
+                rec.event(
+                    "subroutine",
+                    &[
+                        ("lane", Value::from(i as u64)),
+                        ("name", Value::from("reducer")),
+                        ("estimate", Value::from(f64::NAN)),
+                    ],
+                );
+            }
             rec.event(
-                "subroutine",
+                "summary",
                 &[
-                    ("lane", Value::from(0u64)),
-                    ("name", Value::from("trivial")),
-                    ("estimate", Value::from(t.estimate())),
-                ],
-            );
-        }
-        if self.fps.is_some() {
-            // The estimator-global hash-once front end, shared by every
-            // lane (lanes count 1-word handles on the shared bases).
-            rec.event(
-                "subroutine",
-                &[
-                    ("lane", Value::from(0u64)),
-                    ("name", Value::from("fingerprints")),
-                    ("estimate", Value::from(f64::NAN)),
-                ],
-            );
-        }
-        if !self.lanes.is_empty() {
-            // The lane-invariant universe-reduction mix, shared by every
-            // lane and attributed once (lanes count 1-word handles).
-            rec.event(
-                "subroutine",
-                &[
-                    ("lane", Value::from(0u64)),
-                    ("name", Value::from("universe")),
-                    ("estimate", Value::from(f64::NAN)),
-                ],
-            );
-        }
-        for (i, lane) in self.lanes.iter().enumerate() {
-            let out = lane.oracle.finalize();
-            let qualifying = out.estimate >= lane.z as f64 / (4.0 * self.alpha);
-            rec.event(
-                "lane",
-                &[
-                    ("lane", Value::from(i as u64)),
-                    ("z", Value::from(lane.z)),
-                    ("edges", Value::from(self.edges_seen)),
-                    ("estimate", Value::from(out.estimate)),
+                    ("estimate", Value::from(outcome.estimate)),
+                    ("winning_z", Value::from(outcome.winning_z)),
                     (
                         "winner",
-                        Value::from(out.winner.map_or("none", SubroutineKind::name)),
+                        Value::from(outcome.winner.map_or("none", SubroutineKind::name)),
                     ),
-                    ("qualifying", Value::from(qualifying)),
+                    ("trivial", Value::from(outcome.trivial)),
+                    ("space_words", Value::from(outcome.space_words)),
+                    ("edges", Value::from(self.edges_seen)),
                 ],
             );
-            lane.oracle.record_snapshot(rec, i);
-            rec.event(
-                "subroutine",
-                &[
-                    ("lane", Value::from(i as u64)),
-                    ("name", Value::from("reducer")),
-                    ("estimate", Value::from(f64::NAN)),
-                ],
+            rec.gauge("estimate", outcome.estimate);
+            rec.gauge("space_words", outcome.space_words as f64);
+            rec.incr("edges.total", self.edges_seen);
+            rec.incr("lanes.total", self.lanes.len() as u64);
+            // Space-attribution ledger, emitted after every pre-existing
+            // event so their sequence numbers are untouched. Its finalize
+            // contract (DESIGN.md §13): leaves-only attribution summing to
+            // `space_words` exactly.
+            let ledger = self.space_ledger_tree();
+            let violations = audit::space_ledger_violations(&ledger, outcome.space_words as u64);
+            assert!(
+                violations.is_empty(),
+                "space ledger violations: {violations:?}"
             );
+            ledger.emit(rec);
+        });
+    }
+
+    /// Emit one stage's ingest telemetry around `body`'s events (a no-op
+    /// when the recorder is disabled): the buffered heartbeats tagged
+    /// `stage` and the ingest histograms before them, then the
+    /// time-attribution ledger rooted at `root` and its
+    /// `time_ledger_meta`. The single-pass estimator is stage
+    /// `estimate`; pass 2 of the two-pass refinement is stage `pass2`.
+    pub(crate) fn record_stage(&self, stage: &str, root: &str, body: impl FnOnce(&Recorder)) {
+        let rec = &self.rec;
+        if !rec.is_enabled() {
+            return;
         }
-        rec.event(
-            "summary",
-            &[
-                ("estimate", Value::from(outcome.estimate)),
-                ("winning_z", Value::from(outcome.winning_z)),
-                (
-                    "winner",
-                    Value::from(outcome.winner.map_or("none", SubroutineKind::name)),
-                ),
-                ("trivial", Value::from(outcome.trivial)),
-                ("space_words", Value::from(outcome.space_words)),
-                ("edges", Value::from(self.edges_seen)),
-            ],
-        );
-        rec.gauge("estimate", outcome.estimate);
-        rec.gauge("space_words", outcome.space_words as f64);
-        rec.incr("edges.total", self.edges_seen);
-        rec.incr("lanes.total", self.lanes.len() as u64);
-        // Space-attribution ledger, emitted after every pre-existing
-        // event so their sequence numbers are untouched. Its finalize
-        // contract (DESIGN.md §13): leaves-only attribution summing to
-        // `space_words` exactly.
-        let ledger = self.space_ledger_tree();
-        let violations = audit::space_ledger_violations(&ledger, outcome.space_words as u64);
-        assert!(
-            violations.is_empty(),
-            "space ledger violations: {violations:?}"
-        );
-        ledger.emit(rec);
+        telemetry::emit_heartbeats(rec, stage, &self.heartbeats);
+        let hists = match stage {
+            "estimate" => "ingest".to_string(),
+            _ => format!("{stage}.ingest"),
+        };
+        self.hists.emit(rec, &hists);
+        body(rec);
         // Time-attribution ledger (DESIGN.md §15). Its finalize
         // contract: leaves-only attribution and ns conservation against
         // the measured batch wall clock, at most `threads` lanes
         // overlapping.
-        let times = self.time_ledger_tree();
-        let violations = audit::time_ledger_violations(
-            &times,
-            self.hists.batch_ns.sum(),
-            self.threads.max(1) as u64,
-        );
+        let times = self.time_ledger_rooted(root);
+        let threads = self.threads.max(1) as u64;
+        let violations = audit::time_ledger_violations(&times, self.hists.batch_ns.sum(), threads);
         assert!(
             violations.is_empty(),
-            "time ledger violations: {violations:?}"
+            "{root} time ledger violations: {violations:?}"
         );
         times.emit(rec);
         rec.event(
             "time_ledger_meta",
             &[
-                ("stage", Value::from("estimate")),
+                ("stage", Value::from(stage)),
                 ("root", Value::from(times.name())),
-                ("threads", Value::from(self.threads.max(1) as u64)),
+                ("threads", Value::from(threads)),
                 ("ns", Value::from(times.total_ns())),
             ],
         );
@@ -1052,7 +1072,11 @@ impl MaxCoverEstimator {
     /// recorder was disabled or ingestion went through the per-edge
     /// path, which records no time.
     pub fn time_ledger_tree(&self) -> TimeLedger {
-        let mut ledger = TimeLedger::new("estimator");
+        self.time_ledger_rooted("estimator")
+    }
+
+    fn time_ledger_rooted(&self, root: &str) -> TimeLedger {
+        let mut ledger = TimeLedger::new(root);
         let root = &mut ledger.root;
         if let Some(t) = &self.trivial {
             let mut space = LedgerNode::new();

@@ -82,6 +82,14 @@ impl Params {
         (((m.max(2)) as f64) * ((n.max(2)) as f64)).ln().max(2.0)
     }
 
+    /// Build parameters in the given constant regime.
+    pub fn for_mode(mode: ParamMode, m: usize, n: usize, k: usize, alpha: f64) -> Self {
+        match mode {
+            ParamMode::Paper => Self::paper(m, n, k, alpha),
+            ParamMode::Practical => Self::practical(m, n, k, alpha),
+        }
+    }
+
     /// Build parameters with the literal Table 2 constants.
     pub fn paper(m: usize, n: usize, k: usize, alpha: f64) -> Self {
         assert!(alpha >= 1.0, "alpha must be >= 1");

@@ -15,27 +15,18 @@
 //! Space drops from `Õ(log n · m/α²)` to `Õ(m/α²)` per pass, and the
 //! lone oracle can afford more repetitions for the same footprint.
 
-use std::time::Instant;
-
-use kcov_obs::{apportion_by_heat, LedgerNode, Recorder, SketchStats, TimeLedger};
+use kcov_hash::SeedSequence;
 use kcov_sketch::{SpaceSink, SpaceUsage};
 use kcov_stream::Edge;
 
 use crate::estimate::{EstimatorConfig, MaxCoverEstimator};
-use crate::fingerprint::{EdgeFingerprints, FingerprintBlock};
-use crate::oracle::Oracle;
-use crate::params::{ParamMode, Params};
+use crate::oracle::OracleOutput;
+use crate::params::Params;
 use crate::report::ReportedCover;
-use crate::telemetry::{self, HeartbeatSnap, IngestHists, LaneBeat, LaneTimes, StageTimes};
-use crate::universe::UniverseReducer;
 
 /// Pass 1: estimate the optimal coverage size.
 #[derive(Debug, Clone)]
 pub struct TwoPassFirst {
-    n: usize,
-    m: usize,
-    k: usize,
-    alpha: f64,
     config: EstimatorConfig,
     estimator: MaxCoverEstimator,
 }
@@ -57,10 +48,6 @@ impl TwoPassFirst {
         pass1_config.reps = Some(pass1_config.reps.unwrap_or(1));
         pass1_config.reporting = false;
         TwoPassFirst {
-            n,
-            m,
-            k,
-            alpha,
             config: config.clone(),
             estimator: MaxCoverEstimator::new(n, m, k, alpha, &pass1_config),
         }
@@ -94,6 +81,7 @@ impl TwoPassFirst {
 
     /// Finish pass 1 and build pass 2 around the guess.
     pub fn into_second_pass(self) -> TwoPassSecond {
+        let (n, m, k, alpha) = self.estimator.shape();
         let out = self.estimator.finalize();
         // ẑ: prefer the winning z (it already passed the acceptance
         // test); fall back to the estimate, then to n.
@@ -102,87 +90,41 @@ impl TwoPassFirst {
         } else if out.estimate >= 1.0 {
             out.estimate as u64
         } else {
-            self.n as u64
+            n as u64
         };
         // Oversample the guess by 4× (the estimate is a lower bound on
         // OPT up to the approximation factor; Lemma 3.5 tolerates
-        // |S| ≥ z, so a modestly large z only costs constants).
-        let z = (4 * guess).next_power_of_two().clamp(4, 2 * self.n as u64);
-        let params = match self.config.mode {
-            ParamMode::Paper => Params::paper(self.m, z as usize, self.k, self.alpha),
-            ParamMode::Practical => Params::practical(self.m, z as usize, self.k, self.alpha),
-        };
-        let reps = self.config.reps.unwrap_or(params.reduction_reps).max(2);
-        let mut seq = kcov_hash::SeedSequence::labeled(self.config.seed, "two-pass-second");
-        // Pass-2 hash-once front end: drawn first (before any lane) from
-        // the pass-2 sequence, so it is independent of pass 1's.
-        let fps = EdgeFingerprints::new(
-            seq.next_seed(),
-            Params::hash_degree(self.config.mode, self.m, self.n),
-        );
-        let lanes = (0..reps)
-            .map(|_| {
-                (
-                    UniverseReducer::with_base(z, seq.next_seed(), fps.elem_base().clone()),
-                    Oracle::with_base(
-                        z as usize,
-                        &params,
-                        true,
-                        seq.next_seed(),
-                        fps.set_base().clone(),
-                    ),
-                )
-            })
-            .collect();
+        // |S| ≥ z, so a modestly large z only costs constants), capped
+        // at 2n but never below 4, even when 2n < 4.
+        let z = (4 * guess).next_power_of_two().clamp(4, (2 * n as u64).max(4));
+        let params = Params::for_mode(self.config.mode, m, z as usize, k, alpha);
+        // Pass 2 is the estimator's lane machinery at the one tuned
+        // guess, with at least two repetitions and reporting on, under
+        // a root seed independent of pass 1's.
+        let mut config = self.config;
+        config.z_guesses = Some(vec![z]);
+        config.reps = Some(config.reps.unwrap_or(params.reduction_reps).max(2));
+        config.reporting = true;
+        config.seed = SeedSequence::labeled(config.seed, "two-pass-second").next_seed();
         TwoPassSecond {
-            k: self.k,
+            // The lane builder, not `new`: pass 2 runs its oracle lanes
+            // even when k·α ≥ m sent pass 1 to the trivial branch.
+            inner: MaxCoverEstimator::with_lanes(n, m, k, alpha, &config),
+            k,
             z,
             pass1_estimate: out.estimate,
-            fps,
-            block: FingerprintBlock::default(),
-            lanes,
-            rec: self.config.recorder.clone(),
-            edges_seen: 0,
-            heartbeat_every: self.config.effective_heartbeat(),
-            shard_id: 0,
-            heartbeats: Vec::new(),
-            hists: IngestHists::default(),
-            last_stats: SketchStats::default(),
-            times: StageTimes::default(),
-            lane_times: vec![LaneTimes::default(); reps],
         }
     }
 }
 
-/// Pass 2: a single tuned, reporting oracle (repeated for confidence).
+/// Pass 2: a single tuned, reporting oracle (repeated for confidence),
+/// run as a [`MaxCoverEstimator`] whose only `z` guess is the tuned one.
 #[derive(Debug, Clone)]
 pub struct TwoPassSecond {
+    inner: MaxCoverEstimator,
     k: usize,
     z: u64,
     pass1_estimate: f64,
-    /// The pass-2 hash-once front end: one fingerprint pair per raw
-    /// edge, shared by every repetition lane.
-    fps: EdgeFingerprints,
-    /// Reusable fingerprint-column scratch (never serialized or merged).
-    block: FingerprintBlock,
-    lanes: Vec<(UniverseReducer, Oracle)>,
-    rec: Recorder,
-    edges_seen: u64,
-    /// Heartbeat cadence in shard-local edges (0 = off); same contract
-    /// as the single-pass estimator (see `telemetry` module docs).
-    heartbeat_every: u64,
-    shard_id: u64,
-    heartbeats: Vec<HeartbeatSnap>,
-    hists: IngestHists,
-    last_stats: SketchStats,
-    /// Batch-granular wall totals for the shared fingerprint fill
-    /// (pass 2 has no shared universe mix or trivial branch, so only
-    /// `hash_ns` is populated).
-    times: StageTimes,
-    /// Batch-granular wall totals per repetition lane, parallel to
-    /// `lanes` (the lanes are plain tuples, so the time state rides in
-    /// a sibling vector).
-    lane_times: Vec<LaneTimes>,
 }
 
 impl TwoPassSecond {
@@ -191,371 +133,93 @@ impl TwoPassSecond {
         self.z
     }
 
-    /// Observe one edge of pass 2 (hash once, share across lanes).
+    /// Observe one edge of pass 2.
     pub fn observe(&mut self, edge: Edge) {
-        self.edges_seen += 1;
-        let (fp_set, fp_elem) = self.fps.fingerprint(edge);
-        for (reducer, oracle) in &mut self.lanes {
-            oracle.observe_fp(Edge::new(edge.set, reducer.map_fp(fp_elem) as u32), fp_set);
-        }
-        if self.heartbeat_every != 0 && self.edges_seen.is_multiple_of(self.heartbeat_every) {
-            self.capture_heartbeat();
-        }
+        self.inner.observe(edge);
     }
 
-    /// Observe a chunk of pass-2 edges: each repetition lane reduces and
-    /// consumes the chunk in arrival order (bit-identical to repeated
-    /// [`TwoPassSecond::observe`]).
+    /// Observe a chunk of pass-2 edges through the batched ingestion
+    /// engine (bit-identical to repeated [`TwoPassSecond::observe`]).
     pub fn observe_batch(&mut self, edges: &[Edge]) {
-        if edges.is_empty() {
-            return;
-        }
-        // Same batch-granular timing contract as the single-pass
-        // estimator: a handful of monotonic reads per chunk (never per
-        // edge), none at all while the recorder is disabled.
-        let timed = self.rec.is_enabled();
-        let start = timed.then(Instant::now);
-        let seen_before = self.edges_seen;
-        self.edges_seen += edges.len() as u64;
-        let mut block = std::mem::take(&mut self.block);
-        self.fps.fill_block(edges, &mut block);
-        if let Some(start) = start {
-            self.times.hash_ns += start.elapsed().as_nanos() as u64;
-        }
-        let mut scratch = Vec::with_capacity(edges.len());
-        for ((reducer, oracle), times) in self.lanes.iter_mut().zip(&mut self.lane_times) {
-            let lane_start = timed.then(Instant::now);
-            reducer.map_fp_batch(edges, &block.fp_elem, &mut scratch);
-            let reduced_at = lane_start.map(|_| Instant::now());
-            oracle.observe_fp_batch(&scratch, &block.fp_set);
-            if let (Some(lane_start), Some(reduced_at)) = (lane_start, reduced_at) {
-                times.reduce_ns += (reduced_at - lane_start).as_nanos() as u64;
-                times.ingest_ns += lane_start.elapsed().as_nanos() as u64;
-            }
-        }
-        self.block = block;
-        if let Some(start) = start {
-            self.hists.batch_edges.record(edges.len() as u64);
-            self.hists.batch_ns.record(start.elapsed().as_nanos() as u64);
-        }
-        if telemetry::crosses_beat(seen_before, edges.len() as u64, self.heartbeat_every) {
-            self.capture_heartbeat();
-        }
-    }
-
-    /// Snapshot every repetition lane's fill state into the
-    /// replica-local heartbeat buffer (same contract as
-    /// `MaxCoverEstimator::capture_heartbeat`; `z` reports the tuned
-    /// pseudo-universe shared by all lanes).
-    fn capture_heartbeat(&mut self) {
-        let mut lanes = Vec::with_capacity(self.lanes.len());
-        let mut total = SketchStats::default();
-        for (i, (reducer, oracle)) in self.lanes.iter().enumerate() {
-            let (lc, ls, ss) = oracle.heartbeat_stats();
-            let ss = ss.unwrap_or_default();
-            let mut agg = lc;
-            agg.absorb(ls);
-            agg.absorb(ss);
-            lanes.push(LaneBeat {
-                lane: i as u64,
-                z: self.z,
-                lc_fill: lc.fill,
-                ls_fill: ls.fill,
-                ss_fill: ss.fill,
-                evictions: agg.evictions,
-                space_words: (oracle.space_words() + reducer.space_words()) as u64,
-                ns: self.lane_times.get(i).map_or(0, |t| t.ingest_ns),
-            });
-            total.absorb(agg);
-        }
-        self.hists.record_beat_delta(total, &mut self.last_stats);
-        self.heartbeats.push(HeartbeatSnap {
-            shard: self.shard_id,
-            at_edges: self.edges_seen,
-            lanes,
-        });
+        self.inner.observe_batch(edges);
     }
 
     /// Merge another pass-2 state derived from the same pass-1 guess
-    /// and seed: every repetition lane's oracle is merged; reducers are
-    /// checked to compute the same universe map.
+    /// and seed (see [`MaxCoverEstimator::merge`]).
     pub fn merge(&mut self, other: &Self) {
         assert_eq!(
-            (self.k, self.z, self.lanes.len(), self.pass1_estimate.to_bits()),
-            (other.k, other.z, other.lanes.len(), other.pass1_estimate.to_bits()),
+            (self.z, self.pass1_estimate.to_bits()),
+            (other.z, other.pass1_estimate.to_bits()),
             "TwoPassSecond merge requires identical configuration (pass-1 guess)"
         );
-        assert!(
-            self.fps.same_function(&other.fps),
-            "TwoPassSecond merge requires identical hash functions (fingerprints)"
-        );
-        self.edges_seen += other.edges_seen;
-        self.heartbeats.extend(other.heartbeats.iter().cloned());
-        self.hists.merge(&other.hists);
-        self.last_stats.absorb(other.last_stats);
-        self.times.merge(&other.times);
-        for (times, other_times) in self.lane_times.iter_mut().zip(&other.lane_times) {
-            times.merge(other_times);
-        }
-        for ((reducer, oracle), (other_reducer, other_oracle)) in
-            self.lanes.iter_mut().zip(&other.lanes)
-        {
-            assert!(
-                reducer.same_function(other_reducer),
-                "TwoPassSecond merge requires identical hash functions"
-            );
-            oracle.merge(other_oracle);
-        }
+        self.inner.merge(&other.inner);
     }
 
-    /// Ingest pass-2 edges through sharded replicas folded back with
-    /// [`TwoPassSecond::merge`]. Must be called on a fresh pass-2 state
-    /// (straight out of [`TwoPassFirst::into_second_pass`]).
+    /// Ingest pass-2 edges through sharded replicas (see
+    /// [`MaxCoverEstimator::ingest_sharded`]). Must be called on a fresh
+    /// pass-2 state (straight out of [`TwoPassFirst::into_second_pass`]).
     pub fn ingest_sharded(&mut self, edges: &[Edge], shards: usize, batch: usize) {
-        let shards = shards.max(1);
-        if shards == 1 || edges.is_empty() {
-            for chunk in edges.chunks(batch.max(1)) {
-                self.observe_batch(chunk);
-            }
-            return;
-        }
-        let chunk_len = edges.len().div_ceil(shards);
-        let mut parts = edges.chunks(chunk_len);
-        let own = parts.next().unwrap_or(&[]);
-        let mut replicas: Vec<TwoPassSecond> = Vec::new();
-        std::thread::scope(|s| {
-            let handles: Vec<_> = parts
-                .enumerate()
-                .map(|(i, part)| {
-                    let mut replica = self.clone();
-                    replica.shard_id = i as u64 + 1;
-                    s.spawn(move || {
-                        for chunk in part.chunks(batch.max(1)) {
-                            replica.observe_batch(chunk);
-                        }
-                        replica
-                    })
-                })
-                .collect();
-            for chunk in own.chunks(batch.max(1)) {
-                self.observe_batch(chunk);
-            }
-            replicas.extend(handles.into_iter().map(|h| h.join().expect("shard worker panicked")));
-        });
-        for replica in &replicas {
-            self.merge(replica);
-        }
+        self.inner.ingest_sharded(edges, shards, batch);
     }
 
-    /// Finish pass 2: the best repetition's reported cover.
+    /// Finish pass 2: the cover of the best repetition that holds a
+    /// witness, its estimate floored at `min(pass-1 estimate, z)`; with
+    /// no witness, the pass-1 estimate and no sets. Emits no events.
     pub fn finalize(&self) -> ReportedCover {
-        let mut best: Option<(f64, usize, crate::Witness)> = None;
-        for (i, (_, oracle)) in self.lanes.iter().enumerate() {
-            let out = oracle.finalize();
-            if let (est, Some(w)) = (out.estimate, out.witness) {
-                if best.as_ref().is_none_or(|(b, _, _)| est > *b) {
-                    best = Some((est, i, w));
-                }
+        let mut best: Option<(usize, OracleOutput)> = None;
+        for lane in 0..self.inner.num_lanes() {
+            let out = self.inner.lane_oracle(lane).finalize();
+            let better = best.as_ref().is_none_or(|(_, b)| out.estimate > b.estimate);
+            if out.witness.is_some() && better {
+                best = Some((lane, out));
             }
         }
-        match best {
-            Some((est, lane, witness)) => {
-                let mut sets = self.lanes[lane].1.expand_witness(&witness);
-                sets.truncate(self.k);
-                sets.sort_unstable();
-                sets.dedup();
-                ReportedCover {
-                    sets,
-                    estimate: est.max(self.pass1_estimate.min(self.z as f64)),
-                    winner: self.lanes[lane].1.finalize().winner,
-                    space_words: self.space_words(),
-                }
-            }
-            None => ReportedCover {
+        let space_words = self.space_words();
+        let Some((lane, out)) = best else {
+            return ReportedCover {
                 sets: Vec::new(),
                 estimate: self.pass1_estimate,
                 winner: None,
-                space_words: self.space_words(),
-            },
-        }
-    }
-
-    /// Build the pass-2 time-attribution ledger: a tree rooted at
-    /// `"pass2"` mirroring the pass-2 space ledger's paths
-    /// (`fingerprints`, per-lane `reducer` plus the oracle subtree),
-    /// apportioned by heat exactly like
-    /// [`MaxCoverEstimator::time_ledger_tree`](crate::MaxCoverEstimator::time_ledger_tree).
-    pub fn time_ledger_tree(&self) -> TimeLedger {
-        let mut ledger = TimeLedger::new("pass2");
-        let root = &mut ledger.root;
-        root.leaf("fingerprints", self.times.hash_ns);
-        for (i, (_, oracle)) in self.lanes.iter().enumerate() {
-            let times = self.lane_times.get(i).copied().unwrap_or_default();
-            let ln = root.child(&format!("lane{i}"));
-            ln.leaf("reducer", times.reduce_ns);
-            let mut space = LedgerNode::new();
-            oracle.space_ledger(&mut space);
-            apportion_by_heat(times.oracle_ns(), &space, ln);
-        }
-        ledger
-    }
-}
-
-// ---- wire format ----------------------------------------------------
-
-/// Payload tag of a full pass-2 replica.
-pub const TAG_TWOPASS: u64 = 0x0054_574f_5041_5353; // "TWOPASS"
-const SEC_SHAPE: u64 = 0x0053_4841_5045; // "SHAPE"
-const SEC_STATE: u64 = 0x0053_5441_5445; // "STATE"
-const SEC_TELEMETRY: u64 = 0x0054_454c_454d; // "TELEM"
-
-impl TwoPassSecond {
-    /// Attach an observability recorder after wire reconstruction (same
-    /// contract as [`MaxCoverEstimator::attach_recorder`]).
-    pub fn attach_recorder(&mut self, rec: &Recorder) {
-        self.rec = rec.clone();
-    }
-}
-
-impl kcov_sketch::WireEncode for TwoPassSecond {
-    fn encode(&self, out: &mut Vec<u8>) {
-        use kcov_sketch::wire::{put_f64, put_header, put_section, put_u64};
-        put_header(out, TAG_TWOPASS);
-        put_section(out, SEC_SHAPE, |out| {
-            put_u64(out, self.k as u64);
-            put_u64(out, self.z);
-            put_f64(out, self.pass1_estimate);
-            put_u64(out, self.edges_seen);
-            put_u64(out, self.heartbeat_every);
-            put_u64(out, self.shard_id);
-        });
-        put_section(out, SEC_STATE, |out| {
-            self.fps.encode(out);
-            put_u64(out, self.lanes.len() as u64);
-            for (reducer, oracle) in &self.lanes {
-                reducer.encode(out);
-                oracle.encode(out);
-            }
-        });
-        put_section(out, SEC_TELEMETRY, |out| {
-            put_u64(out, self.heartbeats.len() as u64);
-            for snap in &self.heartbeats {
-                snap.encode(out);
-            }
-            self.hists.encode(out);
-            self.last_stats.encode(out);
-            self.times.encode(out);
-            put_u64(out, self.lane_times.len() as u64);
-            for times in &self.lane_times {
-                times.encode(out);
-            }
-        });
-    }
-
-    fn decode(input: &mut &[u8]) -> Result<Self, kcov_sketch::WireError> {
-        use kcov_sketch::wire::{
-            err, expect_section_end, take_f64, take_header, take_section, take_u64,
+                space_words,
+            };
         };
-        take_header(input, TAG_TWOPASS)?;
+        let witness = out.witness.expect("the picked lane holds a witness");
+        let mut sets = self.inner.lane_oracle(lane).expand_witness(&witness);
+        sets.truncate(self.k);
+        sets.sort_unstable();
+        sets.dedup();
+        ReportedCover {
+            sets,
+            estimate: out.estimate.max(self.pass1_estimate.min(self.z as f64)),
+            winner: out.winner,
+            space_words,
+        }
+    }
 
-        let mut shape = take_section(input, SEC_SHAPE)?;
-        let k = take_u64(&mut shape)? as usize;
-        let z = take_u64(&mut shape)?;
-        let pass1_estimate = take_f64(&mut shape)?;
-        let edges_seen = take_u64(&mut shape)?;
-        let heartbeat_every = take_u64(&mut shape)?;
-        let shard_id = take_u64(&mut shape)?;
-        expect_section_end(SEC_SHAPE, shape)?;
-        if k < 1 || z < 1 {
-            return Err(err("pass-2 shape needs k, z >= 1"));
-        }
-
-        let mut state = take_section(input, SEC_STATE)?;
-        let fps = EdgeFingerprints::decode(&mut state)?;
-        let num = take_u64(&mut state)? as usize;
-        if num > state.len() {
-            return Err(err("pass-2 lane count exceeds input"));
-        }
-        let lanes = (0..num)
-            .map(|_| {
-                let reducer = UniverseReducer::decode(&mut state)?;
-                if reducer.z() != z {
-                    return Err(err(format!(
-                        "pass-2 reducer range {} disagrees with z {z}",
-                        reducer.z()
-                    )));
-                }
-                Ok((reducer, Oracle::decode(&mut state)?))
-            })
-            .collect::<Result<Vec<_>, kcov_sketch::WireError>>()?;
-        if lanes.is_empty() {
-            return Err(err("pass-2 state has no lanes"));
-        }
-        expect_section_end(SEC_STATE, state)?;
-
-        let mut telem = take_section(input, SEC_TELEMETRY)?;
-        let num_snaps = take_u64(&mut telem)? as usize;
-        if num_snaps > telem.len() {
-            return Err(err("pass-2 heartbeat count exceeds input"));
-        }
-        let heartbeats = (0..num_snaps)
-            .map(|_| HeartbeatSnap::decode(&mut telem))
-            .collect::<Result<Vec<_>, _>>()?;
-        let hists = IngestHists::decode(&mut telem)?;
-        let last_stats = SketchStats::decode(&mut telem)?;
-        let times = StageTimes::decode(&mut telem)?;
-        let num_lt = take_u64(&mut telem)? as usize;
-        if num_lt != lanes.len() {
-            return Err(err(format!(
-                "pass-2 lane-time count {num_lt} disagrees with {} lanes",
-                lanes.len()
-            )));
-        }
-        let lane_times = (0..num_lt)
-            .map(|_| LaneTimes::decode(&mut telem))
-            .collect::<Result<Vec<_>, _>>()?;
-        expect_section_end(SEC_TELEMETRY, telem)?;
-
-        Ok(TwoPassSecond {
-            k,
-            z,
-            pass1_estimate,
-            fps,
-            block: FingerprintBlock::default(),
-            lanes,
-            rec: Recorder::disabled(),
-            edges_seen,
-            heartbeat_every,
-            shard_id,
-            heartbeats,
-            hists,
-            last_stats,
-            times,
-            lane_times,
-        })
+    /// Emit the pass-2 observability snapshot (no-op when disabled):
+    /// heartbeats and ingest histograms of stage `pass2`, the `twopass`
+    /// event, then the time ledger rooted at `pass2`.
+    fn record(&self, cover: &ReportedCover) {
+        self.inner.record_stage("pass2", "pass2", |rec| {
+            rec.event(
+                "twopass",
+                &[
+                    ("z", kcov_obs::Value::from(self.z)),
+                    ("estimate", kcov_obs::Value::from(cover.estimate)),
+                    ("sets", kcov_obs::Value::from(cover.sets.len())),
+                    ("space_words", kcov_obs::Value::from(cover.space_words)),
+                    ("reps", kcov_obs::Value::from(self.inner.num_lanes())),
+                ],
+            );
+            rec.gauge("twopass.z", self.z as f64);
+            rec.gauge("twopass.space_words", cover.space_words as f64);
+        });
     }
 }
 
 impl SpaceUsage for TwoPassSecond {
     fn space_ledger(&self, node: &mut impl SpaceSink) {
-        self.fps.space_ledger(node.child("fingerprints"));
-        for (i, (r, o)) in self.lanes.iter().enumerate() {
-            let ln = node.child_indexed("lane", i);
-            r.space_ledger(ln.child("reducer"));
-            o.space_ledger(ln);
-        }
-    }
-}
-
-impl TwoPassSecond {
-    /// Emit the pass-2 observability snapshot (heartbeats, ingest
-    /// histograms, the `twopass` event, and the pass-2 time ledger)
-    /// against the configured recorder; a no-op when it is disabled.
-    /// The `run_two_pass*` drivers call this themselves — drivers that
-    /// ingest pass 2 manually (e.g. the CLI's batched loop) call it
-    /// once after [`TwoPassSecond::finalize`].
-    pub fn record_snapshot(&self, cover: &ReportedCover) {
-        record_two_pass(&self.rec, self, cover);
+        self.inner.space_ledger(node);
     }
 }
 
@@ -582,12 +246,13 @@ pub fn run_two_pass(
     }
     span.finish();
     let cover = second.finalize();
-    record_two_pass(&rec, &second, &cover);
+    second.record(&cover);
     cover
 }
 
-/// Convenience: run both passes with `config.shards` sharded replicas
-/// per pass (pass 1 via [`TwoPassFirst::ingest_sharded`], pass 2 via
+/// Convenience: run both passes through the batched engine in chunks
+/// of `batch`, with `config.shards` sharded replicas per pass (via
+/// [`TwoPassFirst::ingest_sharded`] and
 /// [`TwoPassSecond::ingest_sharded`]). Matches [`run_two_pass`] up to
 /// the merge-equivalence contract (DESIGN.md §8).
 pub fn run_two_pass_sharded(
@@ -610,49 +275,8 @@ pub fn run_two_pass_sharded(
     second.ingest_sharded(edges, shards, batch);
     span.finish();
     let cover = second.finalize();
-    record_two_pass(&rec, &second, &cover);
+    second.record(&cover);
     cover
-}
-
-/// Emit the pass-2 observability snapshot (no-op when disabled).
-fn record_two_pass(rec: &kcov_obs::Recorder, second: &TwoPassSecond, cover: &ReportedCover) {
-    if !rec.is_enabled() {
-        return;
-    }
-    telemetry::emit_heartbeats(rec, "pass2", &second.heartbeats);
-    second.hists.emit(rec, "pass2.ingest");
-    rec.event(
-        "twopass",
-        &[
-            ("z", kcov_obs::Value::from(second.z())),
-            ("estimate", kcov_obs::Value::from(cover.estimate)),
-            ("sets", kcov_obs::Value::from(cover.sets.len())),
-            ("space_words", kcov_obs::Value::from(cover.space_words)),
-            ("reps", kcov_obs::Value::from(second.lanes.len())),
-        ],
-    );
-    rec.gauge("twopass.z", second.z() as f64);
-    rec.gauge("twopass.space_words", cover.space_words as f64);
-    // Pass-2 time-attribution ledger, same finalize contract as the
-    // single-pass estimator (leaves-only, ns-conserving): pass 2 runs
-    // lanes serially, so the wall budget is the plain batch total.
-    let times = second.time_ledger_tree();
-    let violations =
-        kcov_obs::audit::time_ledger_violations(&times, second.hists.batch_ns.sum(), 1);
-    assert!(
-        violations.is_empty(),
-        "pass-2 time ledger violations: {violations:?}"
-    );
-    times.emit(rec);
-    rec.event(
-        "time_ledger_meta",
-        &[
-            ("stage", kcov_obs::Value::from("pass2")),
-            ("root", kcov_obs::Value::from(times.name())),
-            ("threads", kcov_obs::Value::from(1u64)),
-            ("ns", kcov_obs::Value::from(times.total_ns())),
-        ],
-    );
 }
 
 #[cfg(test)]

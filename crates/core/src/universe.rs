@@ -18,9 +18,10 @@ use kcov_stream::Edge;
 ///
 /// Two constructions coexist: the classic standalone form hashes the
 /// raw element id directly (`new`), while the hash-once hot path
-/// composes a shared element *fingerprint base* with a per-lane 4-wise
-/// mix (`with_base`) — the base is evaluated once per edge by the
-/// estimator and every lane only pays the cheap mix.
+/// composes a shared element *fingerprint base* with the estimator's
+/// lane-invariant 4-wise mix (`with_shared_mix`) — the base and the mix
+/// are evaluated once per edge and every lane only pays its own range
+/// reduction.
 #[derive(Debug, Clone)]
 pub struct UniverseReducer {
     z: u64,
@@ -49,20 +50,6 @@ impl UniverseReducer {
         }
     }
 
-    /// Create a reducer that consumes element *fingerprints* under the
-    /// shared `base`: `map(e) = mix(base(e)) mod z`. The scalar `map`
-    /// stays available (it applies the base itself), so standalone and
-    /// batched ingestion remain bit-identical.
-    pub fn with_base(z: u64, seed: u64, base: Arc<KWise>) -> Self {
-        assert!(z >= 1, "z must be positive");
-        UniverseReducer {
-            z,
-            hash: Arc::new(four_wise(seed)),
-            shared_mix: false,
-            base: Some(base),
-        }
-    }
-
     /// Derive a lane-invariant 4-wise mix for sharing across an
     /// estimator's reducers (one instance per process; see
     /// [`Self::with_shared_mix`]).
@@ -71,7 +58,9 @@ impl UniverseReducer {
     }
 
     /// Create a reducer onto `[z]` that applies the *shared*
-    /// lane-invariant `mix` to element fingerprints under `base`. Every
+    /// lane-invariant `mix` to element fingerprints under `base`:
+    /// `map(e) = mix(base(e))` reduced to `[z]`. The scalar `map` stays
+    /// available (it applies the base itself). Every
     /// estimator lane holds the same two `Arc`s; per chunk the mix
     /// column is evaluated once ([`Self::mix_batch`]) and each lane
     /// pays only its own range reduction
@@ -106,39 +95,12 @@ impl UniverseReducer {
     }
 
     /// Pseudo-element from a precomputed fingerprint `base(elem)`.
-    /// Only meaningful on reducers built with [`Self::with_base`];
+    /// Only meaningful on reducers built with [`Self::with_shared_mix`];
     /// bit-identical to `map(elem)` there.
     #[inline]
     pub fn map_fp(&self, fp_elem: u64) -> u64 {
         debug_assert!(self.base.is_some(), "map_fp needs a fingerprint base");
         self.hash.hash_to_range(fp_elem, self.z)
-    }
-
-    /// Reduce a chunk of edges into `out` (cleared first): each edge's
-    /// element is replaced by its pseudo-element, sets pass through.
-    /// Reusing the caller's buffer keeps the batched ingestion path
-    /// allocation-free after warm-up.
-    pub fn map_batch(&self, edges: &[Edge], out: &mut Vec<Edge>) {
-        out.clear();
-        out.extend(
-            edges
-                .iter()
-                .map(|e| Edge::new(e.set, self.map(e.elem as u64) as u32)),
-        );
-    }
-
-    /// Reduce a chunk given precomputed element fingerprints (hash-once
-    /// path; `fps[i]` must be `base(edges[i].elem)`). State-identical
-    /// to [`Self::map_batch`] on base-carrying reducers.
-    pub fn map_fp_batch(&self, edges: &[Edge], fps: &[u64], out: &mut Vec<Edge>) {
-        debug_assert_eq!(edges.len(), fps.len());
-        out.clear();
-        out.extend(
-            edges
-                .iter()
-                .zip(fps)
-                .map(|(e, &fp)| Edge::new(e.set, self.map_fp(fp) as u32)),
-        );
     }
 
     /// Evaluate the 4-wise mix (not yet range-reduced) over a
@@ -153,22 +115,15 @@ impl UniverseReducer {
     /// Reduce a chunk given the *premixed* column (`mixed[i]` must be
     /// `mix(base(edges[i].elem))`, i.e. the output of
     /// [`Self::mix_batch`] on this reducer's mix). Bit-identical to
-    /// [`Self::map_fp_batch`]: the range reduction
-    /// `⌊mixed·z/2^61⌋` is exactly `hash_to_range`'s, so per lane the
-    /// whole universe reduction is one widening multiply per edge.
+    /// [`Self::map_fp`] per edge: the range reduction `⌊mixed·z/2^61⌋`
+    /// is exactly `hash_to_range`'s, so per lane the whole universe
+    /// reduction is one widening multiply per edge.
     pub fn map_premixed_batch(&self, edges: &[Edge], mixed: &[u64], out: &mut Vec<Edge>) {
         debug_assert_eq!(edges.len(), mixed.len());
         out.clear();
         out.extend(edges.iter().zip(mixed).map(|(e, &h)| {
             Edge::new(e.set, ((h as u128 * self.z as u128) >> 61) as u32)
         }));
-    }
-
-    /// Whether `other` applies the same 4-wise mix (the lane-invariant
-    /// sharing contract of the estimator construction).
-    pub fn same_mix(&self, other: &Self) -> bool {
-        let probes = (0..4u64).map(|i| 0x5eed_c0de ^ i.wrapping_mul(0x9e37_79b9_7f4a_7c15));
-        probes.clone().all(|p| self.hash.hash(p) == other.hash.hash(p))
     }
 
     /// The pseudo-universe size `z`.
@@ -337,26 +292,27 @@ mod tests {
     #[test]
     fn base_variant_is_fingerprint_consistent() {
         let base = Arc::new(KWise::new(8, 77));
+        let mix = UniverseReducer::shared_mix(5);
         let r = UniverseReducer::new(64, 5);
-        let f = UniverseReducer::with_base(64, 5, base.clone());
-        for e in 0..200u64 {
-            // map applies the base itself; map_fp consumes it precomputed.
-            assert_eq!(f.map(e), f.map_fp(base.hash(e)));
+        let f = UniverseReducer::with_shared_mix(64, mix.clone(), base.clone());
+        let edges: Vec<Edge> = (0..200u32).map(|i| Edge::new(i, i * 3 % 150)).collect();
+        let fps: Vec<u64> = edges.iter().map(|e| base.hash(e.elem as u64)).collect();
+        let (mut mixed, mut reduced) = (Vec::new(), Vec::new());
+        f.mix_batch(&fps, &mut mixed);
+        f.map_premixed_batch(&edges, &mixed, &mut reduced);
+        for ((e, &fp), got) in edges.iter().zip(&fps).zip(&reduced) {
+            // map applies the base itself; map_fp consumes it
+            // precomputed; the batched path premixes the column.
+            assert_eq!(f.map(e.elem as u64), f.map_fp(fp));
+            assert_eq!(*got, Edge::new(e.set, f.map_fp(fp) as u32));
         }
         // Base presence is part of the function identity even when the
         // mix seed matches.
         assert!(!r.same_function(&f));
-        let g = UniverseReducer::with_base(64, 5, base.clone());
+        let g = UniverseReducer::with_shared_mix(64, mix.clone(), base.clone());
         assert!(f.same_function(&g));
-        let h = UniverseReducer::with_base(64, 5, Arc::new(KWise::new(8, 78)));
+        let h = UniverseReducer::with_shared_mix(64, mix, Arc::new(KWise::new(8, 78)));
         assert!(!f.same_function(&h));
-        // Batched fingerprint reduction matches scalar reduction.
-        let edges: Vec<Edge> = (0..50u32).map(|i| Edge::new(i, i * 3 % 40)).collect();
-        let fps: Vec<u64> = edges.iter().map(|e| base.hash(e.elem as u64)).collect();
-        let (mut a, mut b) = (Vec::new(), Vec::new());
-        f.map_batch(&edges, &mut a);
-        f.map_fp_batch(&edges, &fps, &mut b);
-        assert_eq!(a, b);
     }
 
     #[test]

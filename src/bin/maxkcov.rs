@@ -865,29 +865,9 @@ fn cmd_twopass(flags: &HashMap<String, String>) -> Result<(), String> {
     let batch = parse_batch(flags)?;
     let edges = edge_stream(&system, order);
     let (n, m) = (system.num_elements(), system.num_sets());
-    let cover = if config.shards > 1 {
-        kcov_core::run_two_pass_sharded(n, m, k, alpha, &config, &edges, batch.unwrap_or(1024))
-    } else {
-        match batch {
-            None => kcov_core::run_two_pass(n, m, k, alpha, &config, &edges),
-            Some(b) => {
-                let mut first = kcov_core::TwoPassFirst::new(n, m, k, alpha, &config);
-                let span = rec.span("pass1");
-                for chunk in edges.chunks(b) {
-                    first.observe_batch(chunk);
-                }
-                span.finish();
-                let mut second = first.into_second_pass();
-                let span = rec.span("pass2");
-                for chunk in edges.chunks(b) {
-                    second.observe_batch(chunk);
-                }
-                span.finish();
-                let cover = second.finalize();
-                second.record_snapshot(&cover);
-                cover
-            }
-        }
+    let cover = match batch {
+        None if config.shards <= 1 => kcov_core::run_two_pass(n, m, k, alpha, &config, &edges),
+        b => kcov_core::run_two_pass_sharded(n, m, k, alpha, &config, &edges, b.unwrap_or(1024)),
     };
     let chosen: Vec<usize> = cover.sets.iter().map(|&s| s as usize).collect();
     println!("reported sets  = {:?}", cover.sets);

@@ -73,6 +73,23 @@ fn gen_stats_greedy_estimate_report_pipeline() {
     std::fs::remove_file(&path).ok();
 }
 
+/// A one-element universe: pass 2's tuned guess is clamped to at least
+/// 4 pseudo-elements even though 2n = 2, per edge and batched.
+#[test]
+fn twopass_accepts_a_one_element_universe() {
+    let path = tmp_file("one-element.txt");
+    let path_s = path.to_str().unwrap();
+    std::fs::write(&path, "1 40\n0 0\n1 0\n2 0\n").unwrap();
+    for batch in [&[][..], &["--batch", "4"][..]] {
+        let mut args = vec!["twopass", "--input", path_s, "--k", "1", "--alpha", "2"];
+        args.extend(batch);
+        let out = run(&args);
+        assert_eq!(out.status.code(), Some(0), "{args:?}: {}", String::from_utf8_lossy(&out.stderr));
+        assert!(String::from_utf8_lossy(&out.stdout).contains("real coverage"));
+    }
+    std::fs::remove_file(&path).ok();
+}
+
 #[test]
 fn twopass_and_setcover_subcommands() {
     let path = tmp_file("tp.txt");

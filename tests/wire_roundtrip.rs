@@ -1,6 +1,6 @@
 //! Exhaustive wire-format hardening: every `WireEncode` type —
-//! individual sketches, telemetry, and the full estimator / pass-2
-//! states that root the distributed replica files — must (a)
+//! individual sketches, telemetry, and the full estimator state that
+//! roots the distributed replica files — must (a)
 //! round-trip to byte-identical encodings, (b) reject **every** strict
 //! truncation with a typed error, and (c) survive a single-byte-flip
 //! corruption sweep without ever panicking (flips may decode
@@ -9,7 +9,7 @@
 
 use maxkcov::core::{
     EdgeFingerprints, EstimatorConfig, LargeCommon, LargeSet, MaxCoverEstimator, Oracle, Params,
-    SmallSet, TwoPassFirst, UniverseReducer,
+    SmallSet, UniverseReducer,
 };
 use maxkcov::obs::{Histogram, Recorder, SketchStats};
 use maxkcov::sketch::{
@@ -280,20 +280,4 @@ fn trivial_regime_estimator_roundtrips_and_rejects_mangling() {
     }
     assert!(est.finalize().trivial, "expected the trivial regime");
     exhaust("MaxCoverEstimator(trivial)", &est);
-}
-
-#[test]
-fn two_pass_second_state_roundtrips_and_rejects_mangling() {
-    let system = zipf_popularity(300, 24, 10, 1.1, 7);
-    let edges = edge_stream(&system, ArrivalOrder::Shuffled(3));
-    let config = fast_config(17, 300);
-    let mut first = TwoPassFirst::new(300, 24, 4, 2.0, &config);
-    for chunk in edges.chunks(64) {
-        first.observe_batch(chunk);
-    }
-    let mut second = first.into_second_pass();
-    for chunk in edges.chunks(64) {
-        second.observe_batch(chunk);
-    }
-    exhaust("TwoPassSecond", &second);
 }
