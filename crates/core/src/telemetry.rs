@@ -1,5 +1,5 @@
-//! In-flight heartbeat telemetry shared by the estimator and the
-//! two-pass refinement.
+//! In-flight heartbeat telemetry of the estimator (and so of both
+//! passes of the two-pass refinement).
 //!
 //! Determinism contract (DESIGN.md §10): heartbeats are cadenced by
 //! **edge count only** — a snapshot is captured at the first
@@ -22,7 +22,7 @@ use kcov_obs::{Histogram, Recorder, SketchStats, Value};
 pub(crate) struct LaneBeat {
     /// Lane index within the owning estimator / pass.
     pub lane: u64,
-    /// The lane's `z` guess (0 in the trivial regime and pass 2).
+    /// The lane's `z` guess (0 in the trivial regime).
     pub z: u64,
     /// `LargeCommon` resident entries.
     pub lc_fill: u64,
