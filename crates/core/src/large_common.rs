@@ -21,6 +21,10 @@ use kcov_stream::Edge;
 use crate::params::Params;
 use crate::Witness;
 
+/// Set ids per block of the finalize-time gate pass
+/// ([`LargeCommon::for_each_set_gate`]).
+const GATE_BLOCK: u64 = 1024;
+
 /// One sampling layer (`β_g` guess).
 #[derive(Debug, Clone)]
 struct BetaLane {
@@ -193,43 +197,56 @@ impl LargeCommon {
                     }
                 }
             } else {
-                // Gather the layer's survivors into a dense column and
-                // feed the distinct sketch batched (state-identical:
-                // same elements, same arrival order).
-                surv.clear();
+                // Gather the layer's survivors into a dense column
+                // (branch-free: every element is written, the write
+                // index advances by the gate) and feed the distinct
+                // sketch batched (state-identical: same elements, same
+                // arrival order).
+                surv.resize(edges.len(), 0);
+                let mut kept = 0;
                 for (edge, &h) in edges.iter().zip(&gates) {
-                    if h & mask == 0 {
-                        surv.push(edge.elem as u64);
-                    }
+                    surv[kept] = edge.elem as u64;
+                    kept += usize::from(h & mask == 0);
                 }
-                if !surv.is_empty() {
-                    lane.de.insert_batch(&surv);
+                if kept > 0 {
+                    lane.de.insert_batch(&surv[..kept]);
                 }
             }
         }
     }
 
-    /// Gate value of a raw set id (finalize-time enumeration).
-    fn gate_of_set(&self, set: u64) -> u64 {
-        self.set_mix.hash(self.set_base.hash(set))
+    /// Visit every set id `s ∈ [0, m)` in order as `f(s, fp, gate)`, with
+    /// `fp = set_base(s)` and `gate = set_mix(fp)` — the finalize-time
+    /// enumeration behind sound group counts and reporting (`O(m)` time,
+    /// no stream state; see DESIGN.md). Both hashes run as blocked
+    /// [`RangeHash::hash_batch`] columns of [`GATE_BLOCK`] ids, so the
+    /// transient memory stays `O(GATE_BLOCK)`, not `O(m)`.
+    fn for_each_set_gate(&self, mut f: impl FnMut(u64, u64, u64)) {
+        let m = self.m as u64;
+        let mut ids = Vec::with_capacity(GATE_BLOCK as usize);
+        let (mut fps, mut gates) = (Vec::new(), Vec::new());
+        for start in (0..m).step_by(GATE_BLOCK as usize) {
+            ids.clear();
+            ids.extend(start..(start + GATE_BLOCK).min(m));
+            self.set_base.hash_batch(&ids, &mut fps);
+            self.set_mix.hash_batch(&fps, &mut gates);
+            for ((&s, &fp), &gate) in ids.iter().zip(&fps).zip(&gates) {
+                f(s, fp, gate);
+            }
+        }
     }
 
-    /// Exact number of sets a lane samples (computable at finalize time
-    /// from the hash functions alone, `O(m)` time, no stream state — see
-    /// DESIGN.md on sound group counts).
-    fn sampled_count(&self, lane: &BetaLane) -> usize {
-        (0..self.m as u64)
-            .filter(|&s| self.gate_of_set(s) & (lane.buckets - 1) == 0)
-            .count()
-    }
-
-    /// The sets sampled by a lane (for reporting).
-    pub fn sampled_sets_of_lane(&self, lane_idx: usize) -> Vec<u32> {
-        let lane = &self.lanes[lane_idx];
-        (0..self.m as u64)
-            .filter(|&s| self.gate_of_set(s) & (lane.buckets - 1) == 0)
-            .map(|s| s as u32)
-            .collect()
+    /// Exact number of sets every lane samples, from one gate pass
+    /// over `[0, m)` (the layers share the gate, so one pass counts
+    /// them all).
+    fn sampled_counts(&self) -> Vec<usize> {
+        let mut counts = vec![0; self.lanes.len()];
+        self.for_each_set_gate(|_, _, gate| {
+            for (count, lane) in counts.iter_mut().zip(&self.lanes) {
+                *count += usize::from(gate & (lane.buckets - 1) == 0);
+            }
+        });
+        counts
     }
 
     /// The sets of one reporting group within a lane.
@@ -238,14 +255,15 @@ impl LargeCommon {
         let Some(g) = &lane.groups else {
             return Vec::new();
         };
-        (0..self.m as u64)
-            .filter(|&s| {
-                let fp = self.set_base.hash(s);
-                self.set_mix.hash(fp) & (lane.buckets - 1) == 0
-                    && g.hash.hash_to_range(fp, g.counters.len() as u64) == group
-            })
-            .map(|s| s as u32)
-            .collect()
+        let mut sets = Vec::new();
+        self.for_each_set_gate(|s, fp, gate| {
+            if gate & (lane.buckets - 1) == 0
+                && g.hash.hash_to_range(fp, g.counters.len() as u64) == group
+            {
+                sets.push(s as u32);
+            }
+        });
+        sets
     }
 
     /// Finalize: the best qualifying layer's sound estimate, or `None`
@@ -253,6 +271,9 @@ impl LargeCommon {
     pub fn finalize(&self) -> Option<(f64, Witness)> {
         let u = self.u as f64;
         let mut best: Option<(f64, Witness)> = None;
+        // Filled by the first qualifying layer; a finalize where no layer
+        // qualifies hashes no set id.
+        let mut counts: Option<Vec<usize>> = None;
         for (idx, lane) in self.lanes.iter().enumerate() {
             let val = lane.de.estimate();
             let threshold = self.sigma * lane.beta * u / (4.0 * self.alpha);
@@ -261,7 +282,7 @@ impl LargeCommon {
             }
             // Effective group count: the actual sample may exceed β·k
             // (the paper's Lemma A.5 bounds it w.h.p.; we count exactly).
-            let count = self.sampled_count(lane);
+            let count = counts.get_or_insert_with(|| self.sampled_counts())[idx];
             let beta_eff = ((count as f64 / self.k as f64).ceil()).max(lane.beta).max(1.0);
             let est = (2.0 / 3.0) * val / beta_eff;
             let group = lane.groups.as_ref().map(|g| {
@@ -643,6 +664,36 @@ mod tests {
         assert_eq!(a, b);
         assert_eq!(a, c);
         assert_eq!(scalar.space_words(), batched.space_words());
+    }
+
+    #[test]
+    fn blocked_gate_pass_matches_per_set_hashes() {
+        // m spans two full gate blocks and a ragged tail.
+        let m = 2 * GATE_BLOCK as usize + 37;
+        let params = Params::practical(m, 4000, 10, 8.0);
+        let lc = LargeCommon::new(4000, &params, true, 9);
+        let gate = |s: u64| lc.set_mix.hash(lc.set_base.hash(s));
+        let counts = lc.sampled_counts();
+        for (idx, lane) in lc.lanes.iter().enumerate() {
+            let mask = lane.buckets - 1;
+            let sampled: Vec<u64> = (0..m as u64).filter(|&s| gate(s) & mask == 0).collect();
+            assert!(!sampled.is_empty(), "lane {idx} samples no set");
+            assert_eq!(counts[idx], sampled.len(), "lane {idx} count");
+            let g = lane.groups.as_ref().expect("reporting lanes track groups");
+            let groups = g.counters.len() as u64;
+            for group in 0..groups {
+                let expect: Vec<u32> = sampled
+                    .iter()
+                    .filter(|&&s| g.hash.hash_to_range(lc.set_base.hash(s), groups) == group)
+                    .map(|&s| s as u32)
+                    .collect();
+                assert_eq!(
+                    lc.group_sets(idx, group),
+                    expect,
+                    "lane {idx} group {group}"
+                );
+            }
+        }
     }
 
     #[test]

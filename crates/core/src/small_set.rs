@@ -208,23 +208,25 @@ impl SmallSet {
         let mut surv_elems: Vec<u64> = Vec::with_capacity(edges.len());
         for rep in &mut self.reps {
             rep.mhash.hash_batch(fps, &mut mh);
-            surv_edges.clear();
-            surv_elems.clear();
+            // Branch-free gather: every edge is written, the write
+            // index advances by the set gate.
+            surv_edges.resize(edges.len(), Edge { set: 0, elem: 0 });
+            surv_elems.resize(edges.len(), 0);
+            let mut kept = 0;
             for (&edge, &h) in edges.iter().zip(&mh) {
-                if h < self.m_keep {
-                    surv_edges.push(edge);
-                    surv_elems.push(edge.elem as u64);
-                }
+                surv_edges[kept] = edge;
+                surv_elems[kept] = edge.elem as u64;
+                kept += usize::from(h < self.m_keep);
             }
-            if surv_edges.is_empty() {
+            if kept == 0 {
                 continue;
             }
-            rep.ehash.hash_batch(&surv_elems, &mut eh);
+            rep.ehash.hash_batch(&surv_elems[..kept], &mut eh);
             for lane in &mut rep.lanes {
                 if lane.overflowed {
                     continue;
                 }
-                for (&edge, &e) in surv_edges.iter().zip(&eh) {
+                for (&edge, &e) in surv_edges[..kept].iter().zip(&eh) {
                     if e >= lane.e_keep {
                         continue;
                     }

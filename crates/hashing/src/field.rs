@@ -1,7 +1,9 @@
-//! Arithmetic in the prime field `GF(p)` with `p = 2^61 − 1` (a Mersenne
+//! Elements of the prime field `GF(p)` with `p = 2^61 − 1` (a Mersenne
 //! prime), the standard field for polynomial hashing: reduction needs no
 //! division, and `p > 2^60` comfortably exceeds every universe size used
-//! by the max-coverage algorithms (`n, m ≤ 2^32` in this workspace).
+//! by the max-coverage algorithms (`n, m ≤ 2^32` in this workspace). The
+//! only arithmetic the workspace needs, the Horner step, lives next to
+//! its one caller in [`crate::poly`].
 
 /// The Mersenne prime `2^61 − 1`.
 pub const MERSENNE_P: u64 = (1u64 << 61) - 1;
@@ -27,56 +29,10 @@ impl Fp {
     pub fn value(self) -> u64 {
         self.0
     }
-
-    /// Field addition.
-    #[allow(clippy::should_implement_trait)]
-    #[inline]
-    pub fn add(self, other: Fp) -> Fp {
-        // Sum of two values < 2^61 fits in u64 without overflow.
-        let s = self.0 + other.0;
-        Fp(if s >= MERSENNE_P { s - MERSENNE_P } else { s })
-    }
-
-    /// Field multiplication via u128 widening and Mersenne reduction.
-    #[allow(clippy::should_implement_trait)]
-    #[inline]
-    pub fn mul(self, other: Fp) -> Fp {
-        let prod = (self.0 as u128) * (other.0 as u128);
-        // Split prod = hi·2^61 + lo; since 2^61 ≡ 1 (mod p), prod ≡ hi + lo.
-        let lo = (prod & ((1u128 << 61) - 1)) as u64;
-        let hi = (prod >> 61) as u64;
-        let s = lo + hi; // < 2^62, one more fold may be needed
-        Fp(reduce_partial(s))
-    }
-
-    /// Fused multiply-add `self * m + a`, the Horner step.
-    #[inline]
-    pub fn mul_add(self, m: Fp, a: Fp) -> Fp {
-        self.mul(m).add(a)
-    }
-
-    /// Field exponentiation by squaring.
-    pub fn pow(self, mut e: u64) -> Fp {
-        let mut base = self;
-        let mut acc = Fp::ONE;
-        while e > 0 {
-            if e & 1 == 1 {
-                acc = acc.mul(base);
-            }
-            base = base.mul(base);
-            e >>= 1;
-        }
-        acc
-    }
-
-    /// Multiplicative inverse via Fermat's little theorem. Panics on zero.
-    pub fn inv(self) -> Fp {
-        assert!(self.0 != 0, "zero has no inverse");
-        self.pow(MERSENNE_P - 2)
-    }
 }
 
-/// Reduce a value `< 2^62` into `[0, p)` using at most two folds.
+/// Reduce any `u64` into `[0, p)`: one fold (`2^61 ≡ 1`) leaves at most
+/// `p + 7`, and one conditional subtraction finishes.
 #[inline]
 fn reduce_partial(v: u64) -> u64 {
     let mut x = (v & MERSENNE_P) + (v >> 61);
@@ -95,66 +51,5 @@ mod tests {
         assert_eq!(Fp::new(MERSENNE_P).value(), 0);
         assert_eq!(Fp::new(MERSENNE_P + 5).value(), 5);
         assert_eq!(Fp::new(u64::MAX).value(), u64::MAX % MERSENNE_P);
-    }
-
-    #[test]
-    fn add_wraps() {
-        let a = Fp::new(MERSENNE_P - 1);
-        assert_eq!(a.add(Fp::ONE).value(), 0);
-        assert_eq!(a.add(Fp::new(2)).value(), 1);
-    }
-
-    #[test]
-    fn mul_small_values() {
-        assert_eq!(Fp::new(7).mul(Fp::new(6)).value(), 42);
-        assert_eq!(Fp::new(0).mul(Fp::new(123)).value(), 0);
-        assert_eq!(Fp::new(1).mul(Fp::new(123)).value(), 123);
-    }
-
-    #[test]
-    fn mul_matches_u128_reference() {
-        // Deterministic pseudo-random pairs checked against the obvious
-        // (slow) u128 modulo implementation.
-        let mut x = 0x9e3779b97f4a7c15u64;
-        for _ in 0..1000 {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            let a = x % MERSENNE_P;
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            let b = x % MERSENNE_P;
-            let expect = ((a as u128 * b as u128) % MERSENNE_P as u128) as u64;
-            assert_eq!(Fp::new(a).mul(Fp::new(b)).value(), expect);
-        }
-    }
-
-    #[test]
-    fn pow_and_fermat() {
-        let a = Fp::new(123456789);
-        assert_eq!(a.pow(0).value(), 1);
-        assert_eq!(a.pow(1), a);
-        assert_eq!(a.pow(2), a.mul(a));
-        // Fermat: a^(p-1) = 1 for a != 0.
-        assert_eq!(a.pow(MERSENNE_P - 1).value(), 1);
-    }
-
-    #[test]
-    fn inverse_roundtrip() {
-        for v in [1u64, 2, 3, 999999937, MERSENNE_P - 1] {
-            let a = Fp::new(v);
-            assert_eq!(a.mul(a.inv()).value(), 1, "inv failed for {v}");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "zero has no inverse")]
-    fn zero_inverse_panics() {
-        let _ = Fp::ZERO.inv();
-    }
-
-    #[test]
-    fn mul_add_is_horner_step() {
-        let x = Fp::new(17);
-        let m = Fp::new(19);
-        let a = Fp::new(23);
-        assert_eq!(x.mul_add(m, a), x.mul(m).add(a));
     }
 }

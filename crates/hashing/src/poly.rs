@@ -70,35 +70,55 @@ impl PolyHash {
     }
 }
 
+/// One lazily reduced Horner step `a·x + c` over `GF(2^61 − 1)`.
+///
+/// With `x, c < p` and `a < 2^61 + 8`, the product splits as
+/// `a·x = hi·2^61 + lo` with `hi < 2^61 + 8` and `lo ≤ p`, so
+/// `s = lo + hi + c < 3·2^61 + 8 < 2^63` fits a `u64`, and the single
+/// fold `(s & p) + (s >> 61)` (using `2^61 ≡ 1`) returns a value
+/// `≤ p + 3 < 2^61 + 8`, congruent to `a·x + c`. The accumulator may
+/// therefore stay a few units above `p` across steps; one
+/// [`canonical`] at the end yields the same field element the
+/// canonicalising step would, bit for bit.
+#[inline(always)]
+fn horner_step(a: u64, x: u64, c: u64) -> u64 {
+    let prod = (a as u128) * (x as u128);
+    let s = (prod as u64 & MERSENNE_P) + (prod >> 61) as u64 + c;
+    (s & MERSENNE_P) + (s >> 61)
+}
+
+/// The canonical representative of a lazily reduced accumulator
+/// (`≤ p + 3`, so one conditional subtraction suffices).
+#[inline(always)]
+fn canonical(a: u64) -> u64 {
+    if a >= MERSENNE_P {
+        a - MERSENNE_P
+    } else {
+        a
+    }
+}
+
 impl RangeHash for PolyHash {
     #[inline]
     fn hash(&self, key: u64) -> u64 {
-        let x = Fp::new(key);
-        // Unrolled Horner for the ubiquitous small degrees (pairwise and
-        // 4-wise hashes sit on every sketch's hot path).
-        match *self.coeffs.as_slice() {
-            [c0] => c0.value(),
-            [c0, c1] => c1.mul_add(x, c0).value(),
-            [c0, c1, c2] => c2.mul_add(x, c1).mul_add(x, c0).value(),
-            [c0, c1, c2, c3] => c3.mul_add(x, c2).mul_add(x, c1).mul_add(x, c0).value(),
-            ref coeffs => {
-                let mut acc = Fp::ZERO;
-                // Horner: acc = ((c_{d-1} x + c_{d-2}) x + ...) x + c_0
-                for &c in coeffs.iter().rev() {
-                    acc = acc.mul_add(x, c);
-                }
-                acc.value()
-            }
+        let x = Fp::new(key).value();
+        let (&lead, rest) = self.coeffs.split_last().expect("at least one coefficient");
+        // Horner: a = ((c_{d-1} x + c_{d-2}) x + ...) x + c_0
+        let mut a = lead.value();
+        for c in rest.iter().rev() {
+            a = horner_step(a, x, c.value());
         }
+        canonical(a)
     }
 
     /// Blocked Horner evaluation: 8 keys at a time, coefficient-outer,
     /// so each field constant is loaded once per block and the 8 lanes
-    /// of independent multiply-adds autovectorize. Scalar-equivalent by
-    /// construction — every lane starts from the leading coefficient
-    /// `c_{d-1}` (the value the first Horner step `ZERO·x + c_{d-1}`
-    /// yields) and applies the remaining steps in order, exactly the
-    /// unrolled small-degree arms of [`PolyHash::hash`], so every lane
+    /// run independent multiply-add chains. x86-64 has no 64×64→128-bit
+    /// vector multiply, so the lanes do not vectorize; they buy
+    /// instruction-level parallelism, overlapping the multiplier's
+    /// latency across keys. Scalar-equivalent by construction — every
+    /// lane starts from the leading coefficient and applies the same
+    /// lazy steps as [`PolyHash::hash`] in the same order, so every lane
     /// computes the identical field element for every degree.
     fn hash_batch(&self, keys: &[u64], out: &mut Vec<u64>) {
         const LANES: usize = 8;
@@ -107,17 +127,18 @@ impl RangeHash for PolyHash {
         let (&lead, rest) = self.coeffs.split_last().expect("at least one coefficient");
         let mut blocks = keys.chunks_exact(LANES);
         for block in &mut blocks {
-            let mut xs = [Fp::ZERO; LANES];
+            let mut xs = [0u64; LANES];
             for (x, &k) in xs.iter_mut().zip(block) {
-                *x = Fp::new(k);
+                *x = Fp::new(k).value();
             }
-            let mut acc = [lead; LANES];
-            for &c in rest.iter().rev() {
+            let mut acc = [lead.value(); LANES];
+            for c in rest.iter().rev() {
+                let c = c.value();
                 for lane in 0..LANES {
-                    acc[lane] = acc[lane].mul_add(xs[lane], c);
+                    acc[lane] = horner_step(acc[lane], xs[lane], c);
                 }
             }
-            out.extend(acc.iter().map(|a| a.value()));
+            out.extend(acc.iter().map(|&a| canonical(a)));
         }
         out.extend(blocks.remainder().iter().map(|&k| self.hash(k)));
     }

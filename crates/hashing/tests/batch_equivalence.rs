@@ -5,6 +5,9 @@
 //! field boundaries. A single diverging value would silently break the
 //! bit-for-bit determinism contract of the batched ingestion engine, so
 //! this suite is the proof obligation the hot-path refactor rests on.
+//! Both paths share one lazily reduced Horner step, so they are also
+//! checked against a naive `Σ cᵢ·xⁱ mod p` reference that a bug shared
+//! by the two paths could not pass.
 
 use kcov_hash::{four_wise, log_wise, pairwise, KWise, PolyHash, RangeHash, TabulationHash, MERSENNE_P};
 
@@ -55,7 +58,7 @@ fn assert_equivalent<H: RangeHash>(label: &str, h: &H) {
 
 #[test]
 fn poly_hash_all_degrees_match_scalar() {
-    // Every unrolled arm (d ≤ 4), the generic Horner loop, and the
+    // The small degrees on every sketch's hot path (d ≤ 4) and the
     // log-wise degrees the estimator actually uses (8..48).
     for degree in [1usize, 2, 3, 4, 5, 7, 8, 16, 28, 34, 48] {
         for seed in [1u64, 0x5eed, u64::MAX] {
@@ -93,4 +96,57 @@ fn batch_reuses_and_clears_output_buffer() {
     assert_eq!(out, vec![h.hash(9), h.hash(8), h.hash(7)]);
     h.hash_batch(&[], &mut out);
     assert!(out.is_empty());
+}
+
+/// Naive reference evaluation of `Σ cᵢ·xⁱ mod p` with u128 `%`, powers
+/// ascending — no Horner, no lazy reduction.
+fn reference_poly(coeffs: &[u64], key: u64) -> u64 {
+    let p = MERSENNE_P as u128;
+    let x = key as u128 % p;
+    let mut power = 1u128;
+    let mut sum = 0u128;
+    for &c in coeffs {
+        sum = (sum + (c as u128 % p) * power) % p;
+        power = power * x % p;
+    }
+    sum as u64
+}
+
+#[test]
+fn poly_hash_matches_naive_reference() {
+    let mut out = Vec::new();
+    for degree in 1usize..=48 {
+        let mut vectors: Vec<Vec<u64>> = vec![
+            // Every accumulator step at its largest residues.
+            vec![MERSENNE_P - 1; degree],
+            // A leading p − 1 over zeros: x^(d−1)·(p − 1) alone.
+            (0..degree)
+                .map(|i| if i + 1 == degree { MERSENNE_P - 1 } else { 0 })
+                .collect(),
+            // 0/1 patterns, both phases.
+            (0..degree).map(|i| (i % 2) as u64).collect(),
+            (0..degree).map(|i| ((i + 1) % 2) as u64).collect(),
+            // Non-canonical inputs that `from_coefficients` reduces.
+            vec![u64::MAX; degree],
+        ];
+        vectors.push(PolyHash::new(degree, 0x5eed ^ degree as u64).coefficients());
+        for coeffs in &vectors {
+            let h = PolyHash::from_coefficients(coeffs);
+            for keys in key_sets() {
+                h.hash_batch(&keys, &mut out);
+                for (&k, &batched) in keys.iter().zip(&out) {
+                    let expect = reference_poly(coeffs, k);
+                    assert_eq!(
+                        h.hash(k),
+                        expect,
+                        "scalar, d={degree}, key {k:#x}, coeffs {coeffs:?}"
+                    );
+                    assert_eq!(
+                        batched, expect,
+                        "batched, d={degree}, key {k:#x}, coeffs {coeffs:?}"
+                    );
+                }
+            }
+        }
+    }
 }

@@ -14,7 +14,7 @@
 //! the decoded object is behaviorally identical, not just statistically
 //! equivalent.
 
-use kcov_hash::{KWise, SignHash};
+use kcov_hash::{KWise, SignHash, MERSENNE_P};
 use kcov_obs::{Histogram, SketchStats};
 
 use crate::ams_f2::AmsF2;
@@ -137,13 +137,28 @@ pub fn put_kwise(out: &mut Vec<u8>, h: &KWise) {
     put_u64s(out, &h.coefficients());
 }
 
-/// Consume a hash function (rejects empty coefficient vectors, which
-/// the polynomial-hash constructor would panic on).
-pub fn take_kwise(input: &mut &[u8]) -> Result<KWise, WireError> {
+/// Consume a hash coefficient vector, rejecting an empty one (the
+/// polynomial-hash constructor would panic on it) and any coefficient
+/// `≥ p`: the encoder only writes canonical field elements, so a
+/// non-canonical one is corruption, and accepting it would give one
+/// state two encodings.
+fn take_coefficients(input: &mut &[u8], what: &str) -> Result<Vec<u64>, WireError> {
     let coeffs = take_u64s(input)?;
     if coeffs.is_empty() {
-        return Err(err("empty hash coefficient vector"));
+        return Err(err(format!("empty {what} coefficient vector")));
     }
+    if let Some(&c) = coeffs.iter().find(|&&c| c >= MERSENNE_P) {
+        return Err(err(format!(
+            "{what} coefficient {c:#x} is not below 2^61 - 1"
+        )));
+    }
+    Ok(coeffs)
+}
+
+/// Consume a hash function (see [`take_coefficients`] for what is
+/// rejected).
+pub fn take_kwise(input: &mut &[u8]) -> Result<KWise, WireError> {
+    let coeffs = take_coefficients(input, "hash")?;
     Ok(KWise::from_coefficients(&coeffs))
 }
 
@@ -152,12 +167,10 @@ pub fn put_sign(out: &mut Vec<u8>, h: &SignHash) {
     put_u64s(out, &h.coefficients());
 }
 
-/// Consume a sign hash (rejects empty coefficient vectors).
+/// Consume a sign hash (see [`take_coefficients`] for what is
+/// rejected).
 pub fn take_sign(input: &mut &[u8]) -> Result<SignHash, WireError> {
-    let coeffs = take_u64s(input)?;
-    if coeffs.is_empty() {
-        return Err(err("empty sign-hash coefficient vector"));
-    }
+    let coeffs = take_coefficients(input, "sign-hash")?;
     Ok(SignHash::from_coefficients(&coeffs))
 }
 
@@ -627,6 +640,23 @@ pub fn take_fc_full(input: &mut &[u8]) -> Result<F2Contributing, WireError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn non_canonical_hash_coefficients_are_rejected() {
+        let mut good = Vec::new();
+        put_u64s(&mut good, &[MERSENNE_P - 1, 3]);
+        assert!(take_kwise(&mut good.as_slice()).is_ok());
+        assert!(take_sign(&mut good.as_slice()).is_ok());
+        // `p + 5` reduces to 5, so accepting it would let `[p + 5, 3]`
+        // and `[5, 3]` decode to one state with two encodings.
+        for c in [MERSENNE_P, MERSENNE_P + 5, u64::MAX] {
+            let mut bad = Vec::new();
+            put_u64s(&mut bad, &[c, 3]);
+            let e = take_kwise(&mut bad.as_slice()).expect_err("non-canonical coefficient");
+            assert!(e.message.contains("not below"), "{e}");
+            assert!(take_sign(&mut bad.as_slice()).is_err());
+        }
+    }
 
     #[test]
     fn kmv_roundtrip_preserves_behavior() {

@@ -11,6 +11,7 @@ use maxkcov::core::{
     EdgeFingerprints, EstimatorConfig, LargeCommon, LargeSet, MaxCoverEstimator, Oracle, Params,
     SmallSet, UniverseReducer,
 };
+use maxkcov::hash::MERSENNE_P;
 use maxkcov::obs::{Histogram, Recorder, SketchStats};
 use maxkcov::sketch::{
     AmsF2, Bjkst, ContributingConfig, CountMin, CountSketch, F2Contributing, F2HeavyHitter,
@@ -191,6 +192,33 @@ fn hash_once_structures_roundtrip_and_reject_mangling() {
     exhaust("LargeCommon", &lc);
     exhaust("LargeSet", &ls);
     exhaust("SmallSet", &ss);
+
+    // A hash coefficient written as its non-canonical twin `c + p` is
+    // the same field element, but the wire rejects it: a state has one
+    // encoding.
+    let c = fps.set_base().coefficients()[0];
+    reject_non_canonical_coefficient("Oracle", &oracle, c);
+    reject_non_canonical_coefficient("LargeCommon", &lc, c);
+    reject_non_canonical_coefficient("LargeSet", &ls, c);
+    reject_non_canonical_coefficient("SmallSet", &ss, c);
+}
+
+/// Rewrite the first encoded occurrence of coefficient `c` as `c + p`
+/// and require a typed decode error.
+fn reject_non_canonical_coefficient<T: WireEncode>(label: &str, value: &T, c: u64) {
+    let mut bytes = value.to_bytes();
+    let at = bytes
+        .windows(8)
+        .position(|w| w == c.to_le_bytes())
+        .unwrap_or_else(|| panic!("{label}: coefficient {c:#x} not found in its encoding"));
+    bytes[at..at + 8].copy_from_slice(&(c + MERSENNE_P).to_le_bytes());
+    match T::from_bytes(&bytes) {
+        Err(e) => assert!(e.to_string().contains("not below"), "{label}: {e}"),
+        Ok(_) => panic!(
+            "{label}: non-canonical coefficient {:#x} was accepted",
+            c + MERSENNE_P
+        ),
+    }
 }
 
 /// Coarse config so the estimator state stays small enough for the
