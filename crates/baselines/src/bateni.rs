@@ -1,5 +1,5 @@
 //! BEM-style edge-arrival sketched greedy — after Bateni, Esfandiari &
-//! Mirrokni (reference [12] of the paper): the first constant-factor,
+//! Mirrokni (reference \[12\] of the paper): the first constant-factor,
 //! `Õ(m)`-space algorithm for edge-arrival max cover. Their construction
 //! keeps a small *mergeable* distinct-element sketch per set and runs
 //! greedy over the sketches after the pass.
@@ -13,7 +13,7 @@
 
 use std::collections::BTreeSet;
 
-use kcov_hash::{pairwise, KWise, RangeHash, MERSENNE_P};
+use kcov_hash::{pairwise, KWise, MERSENNE_P};
 use kcov_sketch::space::{Space, SpaceSink, SpaceUsage};
 use kcov_stream::Edge;
 

@@ -1,9 +1,9 @@
 //! The classic greedy algorithm for maximum coverage — Nemhauser, Wolsey
-//! & Fisher (reference [35] of the paper), with lazy evaluation.
+//! & Fisher (reference \[35\] of the paper), with lazy evaluation.
 //!
 //! Repeatedly picks the set with the largest marginal coverage; achieves
 //! the optimal-in-polynomial-time `1 − 1/e ≈ 0.632` fraction of the
-//! optimum (tight under P ≠ NP, Feige [23]). This is both the paper's
+//! optimum (tight under P ≠ NP, Feige \[23\]). This is both the paper's
 //! offline yardstick and the `O(1)`-approximate offline solver its
 //! `SmallSet` subroutine runs on the stored sub-instance.
 

@@ -6,17 +6,17 @@
 //! * [`exact`] — branch-and-bound exact `Max k-Cover` (ground truth on
 //!   small/medium instances).
 //! * [`greedy`] — the classic lazy greedy of Nemhauser–Wolsey–Fisher
-//!   (reference [35]), the `1/(1−1/e)` offline baseline; also the
+//!   (reference \[35\]), the `1/(1−1/e)` offline baseline; also the
 //!   `O(1)`-approximate offline solver invoked inside the paper's
 //!   `SmallSet` subroutine.
-//! * [`sieve`] — Sieve-Streaming (Badanidiyuru et al. [9]): set-arrival,
+//! * [`sieve`] — Sieve-Streaming (Badanidiyuru et al. \[9\]): set-arrival,
 //!   `Õ(n)`-space (stores covered-element sets), 2-approximation.
-//! * [`mcgregor_vu`] — McGregor & Vu [34]: the set-arrival `(2 + ε)`
+//! * [`mcgregor_vu`] — McGregor & Vu \[34\]: the set-arrival `(2 + ε)`
 //!   thresholding algorithm, and their `Õ(m/ε²)`-space *edge-arrival*
 //!   element-sampling + offline-greedy algorithm (Table 1, row 3).
-//! * [`saha_getoor`] — Saha & Getoor [37]: the swap-based set-arrival
+//! * [`saha_getoor`] — Saha & Getoor \[37\]: the swap-based set-arrival
 //!   streaming algorithm (the first streaming max-cover algorithm).
-//! * [`bateni`] — Bateni–Esfandiari–Mirrokni-style [12] edge-arrival
+//! * [`bateni`] — Bateni–Esfandiari–Mirrokni-style \[12\] edge-arrival
 //!   algorithm: one mergeable bottom-k coverage sketch per set, offline
 //!   greedy over sketches; `Õ(m)` space, constant factor.
 //!

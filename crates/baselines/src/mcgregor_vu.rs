@@ -1,10 +1,10 @@
-//! McGregor & Vu (reference [34] of the paper) — two baselines:
+//! McGregor & Vu (reference \[34\] of the paper) — two baselines:
 //!
 //! 1. [`mv_set_arrival`]: the `(2 + ε)`-approximate set-arrival
 //!    thresholding algorithm (`Õ(k/ε³)` space, Table 1 row 5): guess
 //!    `v ≈ OPT` on a geometric grid; take an arriving set while fewer
 //!    than `k` are chosen whenever its marginal coverage is `≥ v/(2k)`.
-//! 2. [`mv_edge_arrival`]: their `Õ(m/ε²)`-space *edge-arrival*
+//! 2. [`MvEdgeArrival`]: their `Õ(m/ε²)`-space *edge-arrival*
 //!    algorithm (Table 1 row 3): guess `z ≈ OPT`; subsample elements at
 //!    rate `p_z ∝ k·log m/(ε²·z)`; store the induced sub-instance and run
 //!    offline greedy on it after the pass, rescaling by `1/p_z`. This is
@@ -14,7 +14,7 @@
 
 use std::collections::HashSet;
 
-use kcov_hash::{pairwise, RangeHash, SeedSequence, MERSENNE_P};
+use kcov_hash::{pairwise, SeedSequence, MERSENNE_P};
 use kcov_sketch::space::{Space, SpaceSink, SpaceUsage};
 use kcov_stream::{Edge, SetSystem};
 

@@ -1,4 +1,4 @@
-//! Saha & Getoor (reference [37] of the paper) — the first streaming
+//! Saha & Getoor (reference \[37\] of the paper) — the first streaming
 //! algorithm for maximum coverage ("multi-topic blog-watch"), set
 //! arrival, swap-based, constant-factor (4-approximation in their
 //! analysis), `Õ(n)` space.

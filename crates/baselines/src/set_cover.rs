@@ -1,6 +1,6 @@
 //! Greedy set cover — the dual problem the paper's introduction and
 //! Table 1 footnotes keep in view (its streaming space trade-off is
-//! `Θ(mn/α²)` for estimation, Assadi–Khanna–Li [7], contrasted with
+//! `Θ(mn/α²)` for estimation, Assadi–Khanna–Li \[7\], contrasted with
 //! `Θ(m/α²)` here).
 //!
 //! Offline `H_n`-approximate greedy, plus the partial-cover variant

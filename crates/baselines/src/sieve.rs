@@ -1,5 +1,5 @@
 //! Sieve-Streaming — Badanidiyuru, Mirzasoleiman, Karbasi & Krause
-//! (reference [9] of the paper): single-pass, *set-arrival*,
+//! (reference \[9\] of the paper): single-pass, *set-arrival*,
 //! 2-approximation (more precisely `1/2 − ε`) for monotone submodular
 //! maximization, specialized here to coverage.
 //!

@@ -1,10 +1,11 @@
-//! Micro-benchmarks of the hash families — every sketch update bottoms
-//! out in these evaluations. Std-only timing harness.
+//! Micro-benchmarks of the polynomial hash at the degrees the estimator
+//! uses — every sketch update bottoms out in these evaluations.
+//! Std-only timing harness.
 
 use std::hint::black_box;
 
 use kcov_bench::{fmt, median_ns_per_op, print_table};
-use kcov_hash::{four_wise, log_wise, pairwise, MultiplyShift, RangeHash, SignHash, TabulationHash};
+use kcov_hash::{four_wise, log_wise, pairwise};
 
 const RUNS: usize = 5;
 const MIN_MS: u64 = 10;
@@ -27,51 +28,6 @@ fn main() {
                 || {
                     i = i.wrapping_add(0x9e3779b97f4a7c15);
                     black_box(h.hash(black_box(i)));
-                },
-                RUNS,
-                MIN_MS,
-            ),
-        );
-    }
-    {
-        let h = TabulationHash::new(1);
-        let mut i = 0u64;
-        row(
-            "tabulation",
-            median_ns_per_op(
-                || {
-                    i = i.wrapping_add(0x9e3779b97f4a7c15);
-                    black_box(h.hash_u64(black_box(i)));
-                },
-                RUNS,
-                MIN_MS,
-            ),
-        );
-    }
-    {
-        let h = MultiplyShift::new(20, 1);
-        let mut i = 0u64;
-        row(
-            "multiply_shift",
-            median_ns_per_op(
-                || {
-                    i = i.wrapping_add(0x9e3779b97f4a7c15);
-                    black_box(h.hash(black_box(i)));
-                },
-                RUNS,
-                MIN_MS,
-            ),
-        );
-    }
-    {
-        let h = SignHash::new(1);
-        let mut i = 0u64;
-        row(
-            "sign_hash",
-            median_ns_per_op(
-                || {
-                    i = i.wrapping_add(0x9e3779b97f4a7c15);
-                    black_box(h.sign(black_box(i)));
                 },
                 RUNS,
                 MIN_MS,

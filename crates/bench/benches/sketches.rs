@@ -6,9 +6,7 @@
 use std::hint::black_box;
 
 use kcov_bench::{fmt, median_ns_per_op, print_table};
-use kcov_sketch::{
-    AmsF2, ContributingConfig, CountSketch, F2Contributing, F2HeavyHitter, Kmv, L0Estimator,
-};
+use kcov_sketch::{ContributingConfig, CountSketch, F2Contributing, F2HeavyHitter, Kmv, L0Estimator};
 
 const RUNS: usize = 5;
 const MIN_MS: u64 = 10;
@@ -60,21 +58,6 @@ fn main() {
                 || {
                     i = i.wrapping_add(0x9e3779b97f4a7c15);
                     est.insert(black_box(i));
-                },
-                RUNS,
-                MIN_MS,
-            ),
-        );
-    }
-    for cols in [8usize, 32] {
-        let mut sk = AmsF2::new(3, cols, 1);
-        let mut i = 0u64;
-        row(
-            &format!("ams_3x{cols}_insert"),
-            median_ns_per_op(
-                || {
-                    i = i.wrapping_add(1);
-                    sk.insert(black_box(i % 1000));
                 },
                 RUNS,
                 MIN_MS,

@@ -9,10 +9,7 @@
 //! sketches promise complete recall at these margins.
 
 use kcov_bench::{fmt, print_table};
-use kcov_hash::SplitMix64;
-use kcov_sketch::{
-    AmsF2, ContributingConfig, F2Contributing, F2HeavyHitter, L0Estimator, SpaceUsage,
-};
+use kcov_sketch::{ContributingConfig, F2Contributing, F2HeavyHitter, L0Estimator, SpaceUsage};
 
 fn main() {
     println!("E7: sketch substrate accuracy/space (Theorems 2.10-2.12)");
@@ -43,35 +40,6 @@ fn main() {
     print_table(
         "L0 estimation: worst relative error over 10 seeds (n=40k distinct)",
         &["bottom-k", "space(words)", "max rel err", "1/sqrt(k)"],
-        &rows,
-    );
-
-    // AMS F2: error vs columns.
-    let mut rows = Vec::new();
-    for cols in [16usize, 64, 256] {
-        let mut max_rel = 0.0f64;
-        for seed in 0..10u64 {
-            let mut sk = AmsF2::new(5, cols, seed);
-            let mut rng = SplitMix64::new(seed);
-            let mut truth = 0.0;
-            for item in 0..2000u64 {
-                let f = 1 + rng.next_below(20);
-                truth += (f * f) as f64;
-                for _ in 0..f {
-                    sk.insert(item);
-                }
-            }
-            max_rel = max_rel.max((sk.estimate() - truth).abs() / truth);
-        }
-        rows.push(vec![
-            cols.to_string(),
-            max_rel.to_string().chars().take(6).collect(),
-            fmt(1.0 / (cols as f64).sqrt()),
-        ]);
-    }
-    print_table(
-        "AMS F2: worst relative error over 10 seeds (2000 items, Zipf-ish)",
-        &["cols", "max rel err", "1/sqrt(cols)"],
         &rows,
     );
 

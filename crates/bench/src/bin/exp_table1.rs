@@ -4,10 +4,10 @@
 //!
 //! Rows mirror the paper's Table 1:
 //!   * offline greedy (the 1/(1−1/e) yardstick — not streaming),
-//!   * set-arrival: Saha–Getoor swap [37], Sieve-Streaming [9],
-//!     McGregor–Vu (2+ε) [34],
-//!   * edge-arrival Õ(m): BEM-style sketched greedy [12], McGregor–Vu
-//!     element sampling [34],
+//!   * set-arrival: Saha–Getoor swap \[37\], Sieve-Streaming \[9\],
+//!     McGregor–Vu (2+ε) \[34\],
+//!   * edge-arrival Õ(m): BEM-style sketched greedy \[12\], McGregor–Vu
+//!     element sampling \[34\],
 //!   * edge-arrival Õ(m/α²): this paper's estimator and reporter at
 //!     several α.
 //!

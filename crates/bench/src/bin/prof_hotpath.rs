@@ -16,11 +16,6 @@ fn main() {
     for i in 0..200_000u64 { hh.insert(i % 5000); }
     println!("F2HeavyHitter insert: {:?}/op", t.elapsed() / 200_000);
 
-    let mut ams = kcov_sketch::AmsF2::new(3, 16, 1);
-    let t = Instant::now();
-    for i in 0..200_000u64 { ams.insert(i % 5000); }
-    println!("AmsF2 3x16 insert:    {:?}/op", t.elapsed() / 200_000);
-
     let mut cs = kcov_sketch::CountSketch::new(5, 4096, 1);
     let t = Instant::now();
     for i in 0..200_000u64 { cs.insert(i % 5000); }
@@ -52,7 +47,7 @@ fn main() {
         let base = std::sync::Arc::new(kcov_hash::KWise::new(8, 4242));
         let fps: Vec<u64> = edges
             .iter()
-            .map(|e| kcov_hash::RangeHash::hash(&*base, e.set as u64))
+            .map(|e| base.hash(e.set as u64))
             .collect();
         println!("Per-subroutine batched ingest ({} edges, z sweep):", edges.len());
         for z in [256usize, 4096, 16384] {

@@ -12,7 +12,7 @@
 //!
 //! [`EdgeFingerprints`] owns the two bases; [`FingerprintBlock`] is the
 //! reusable scratch holding one fingerprint pair per edge of a batch,
-//! filled with the blocked [`RangeHash::hash_batch`] evaluator (proven
+//! filled with the blocked [`KWise::hash_batch`] evaluator (proven
 //! bit-identical to the scalar path by the `kcov-hash` equivalence
 //! suite). The block is pure scratch — never serialized, never merged —
 //! while the bases are part of replica state (wire section of the
@@ -30,7 +30,7 @@
 
 use std::sync::Arc;
 
-use kcov_hash::{KWise, RangeHash, SeedSequence};
+use kcov_hash::{KWise, SeedSequence};
 use kcov_sketch::wire::{err, put_kwise, take_kwise, WireError};
 use kcov_sketch::{SpaceSink, SpaceUsage};
 use kcov_stream::Edge;

@@ -14,7 +14,7 @@
 
 use std::sync::Arc;
 
-use kcov_hash::{KWise, RangeHash, SeedSequence};
+use kcov_hash::{KWise, SeedSequence};
 use kcov_sketch::{L0Estimator, SpaceSink, SpaceUsage};
 use kcov_stream::Edge;
 
@@ -167,12 +167,6 @@ impl LargeCommon {
         }
     }
 
-    /// Observe a chunk of edges (scalar compatibility path).
-    pub fn observe_batch(&mut self, edges: &[Edge]) {
-        let fps: Vec<u64> = edges.iter().map(|e| self.set_base.hash(e.set as u64)).collect();
-        self.observe_fp_batch(edges, &fps);
-    }
-
     /// Observe a chunk given precomputed set fingerprints (`fps[i]` must
     /// be `set_base(edges[i].set)`). The shared mix is evaluated once
     /// per edge for the whole chunk; each layer then consumes its
@@ -219,7 +213,7 @@ impl LargeCommon {
     /// `fp = set_base(s)` and `gate = set_mix(fp)` — the finalize-time
     /// enumeration behind sound group counts and reporting (`O(m)` time,
     /// no stream state; see DESIGN.md). Both hashes run as blocked
-    /// [`RangeHash::hash_batch`] columns of [`GATE_BLOCK`] ids, so the
+    /// [`KWise::hash_batch`] columns of [`GATE_BLOCK`] ids, so the
     /// transient memory stays `O(GATE_BLOCK)`, not `O(m)`.
     fn for_each_set_gate(&self, mut f: impl FnMut(u64, u64, u64)) {
         let m = self.m as u64;

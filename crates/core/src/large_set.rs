@@ -28,7 +28,7 @@
 
 use std::sync::Arc;
 
-use kcov_hash::{reduce_to_range, KWise, RangeHash, SeedSequence};
+use kcov_hash::{reduce_to_range, KWise, SeedSequence};
 use kcov_sketch::{
     probe_mix, ContributingConfig, F2Contributing, L0Estimator, OaMap, SpaceSink, SpaceUsage,
 };
@@ -254,12 +254,6 @@ impl LargeSet {
         for rep in &mut self.reps {
             Self::rep_observe(rep, edge, fp_set);
         }
-    }
-
-    /// Observe a chunk of edges (scalar compatibility path).
-    pub fn observe_batch(&mut self, edges: &[Edge]) {
-        let fps: Vec<u64> = edges.iter().map(|e| self.set_base.hash(e.set as u64)).collect();
-        self.observe_fp_batch(edges, &fps);
     }
 
     /// Observe a chunk given precomputed set fingerprints, columnar and

@@ -17,7 +17,7 @@
 
 use std::sync::Arc;
 
-use kcov_hash::{KWise, RangeHash};
+use kcov_hash::KWise;
 use kcov_obs::{Recorder, SketchStats, Value};
 use kcov_sketch::{SpaceSink, SpaceUsage};
 use kcov_stream::Edge;
@@ -156,13 +156,6 @@ impl Oracle {
         if let Some(ss) = &mut self.small_set {
             ss.observe_fp(edge, fp_set);
         }
-    }
-
-    /// Observe a chunk of edges (elements already reduced; scalar
-    /// compatibility path).
-    pub fn observe_batch(&mut self, edges: &[Edge]) {
-        let fps: Vec<u64> = edges.iter().map(|e| self.set_base.hash(e.set as u64)).collect();
-        self.observe_fp_batch(edges, &fps);
     }
 
     /// Observe a chunk given precomputed set fingerprints (`fps[i]`

@@ -17,7 +17,7 @@
 //! | **Table 2** | [`crate::Params`] (`Paper` and `Practical` modes) | `params::tests`, `tests/paper_mode.rs` |
 //! | **Thm 2.10** (F2 heavy hitters) | `kcov_sketch::F2HeavyHitter` | its unit tests + `exp_sketches` |
 //! | **Thm 2.11** (F2-Contributing) | `kcov_sketch::F2Contributing` | its unit tests + `exp_sketches` |
-//! | **Thm 2.12** (L0 estimation) | `kcov_sketch::L0Estimator`, `kcov_sketch::Bjkst` | their unit tests + `exp_sketches` |
+//! | **Thm 2.12** (L0 estimation) | `kcov_sketch::L0Estimator` | its unit tests + `exp_sketches` |
 //! | **Def 2.1** (λ-common elements) | `kcov_stream::common_elements` | `coverage::tests` |
 //! | **Obs 2.4** (group partitioning) | `LargeCommon` reporting groups; `LargeSet::hit_estimate`'s `k/w` factor | `large_common::tests::reporting_groups_yield_concrete_sets` |
 //! | **Lemma 2.3 / A.5–A.7** (set sampling, limited independence) | `kcov_hash::log_wise` + `LargeCommon` layers | `large_common::tests`, `exp_ablations` (a) |

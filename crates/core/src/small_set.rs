@@ -18,7 +18,7 @@
 
 use std::sync::Arc;
 
-use kcov_hash::{KWise, RangeHash, SeedSequence, MERSENNE_P};
+use kcov_hash::{KWise, SeedSequence, MERSENNE_P};
 use kcov_obs::Space;
 use kcov_sketch::{SpaceSink, SpaceUsage};
 use kcov_stream::{Edge, SetSystem};
@@ -185,15 +185,9 @@ impl SmallSet {
         }
     }
 
-    /// Observe a chunk of edges (scalar compatibility path).
-    pub fn observe_batch(&mut self, edges: &[Edge]) {
-        let fps: Vec<u64> = edges.iter().map(|e| self.set_base.hash(e.set as u64)).collect();
-        self.observe_fp_batch(edges, &fps);
-    }
-
     /// Observe a chunk given precomputed set fingerprints, columnar and
     /// repetition-outer: per repetition the set-sampling mix runs as one
-    /// [`RangeHash::hash_batch`] over the chunk, survivors are gathered,
+    /// [`KWise::hash_batch`] over the chunk, survivors are gathered,
     /// their element hashes are batched, and the γ lanes consume the
     /// survivor column in arrival order. Each repetition (and therefore
     /// each γ lane, including its overflow cut-off) sees the same hash

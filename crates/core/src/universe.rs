@@ -9,7 +9,7 @@
 
 use std::sync::Arc;
 
-use kcov_hash::{four_wise, KWise, RangeHash};
+use kcov_hash::{four_wise, KWise};
 use kcov_sketch::{SpaceSink, SpaceUsage};
 use kcov_stream::Edge;
 

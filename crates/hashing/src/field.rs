@@ -3,7 +3,7 @@
 //! division, and `p > 2^60` comfortably exceeds every universe size used
 //! by the max-coverage algorithms (`n, m ≤ 2^32` in this workspace). The
 //! only arithmetic the workspace needs, the Horner step, lives next to
-//! its one caller in [`crate::poly`].
+//! its one caller in [`crate::kwise`].
 
 /// The Mersenne prime `2^61 − 1`.
 pub const MERSENNE_P: u64 = (1u64 << 61) - 1;

@@ -1,56 +1,167 @@
-//! Convenience constructors for the independence degrees the paper uses,
-//! plus the 4-wise ±1 sign hash for AMS `F2` sketching.
+//! Polynomial hashing over `GF(2^61 − 1)`, plus constructors for the
+//! independence degrees the paper uses.
+//!
+//! A degree-(d−1) polynomial with independent uniform coefficients is an
+//! exactly d-wise independent hash family (the classic Carter–Wegman
+//! construction). This is the workhorse family behind every sampling step
+//! in the paper: Lemma A.2 notes that selecting such a function costs
+//! `d·log(mn)` bits, which is exactly the coefficient vector stored here.
 
-use crate::poly::PolyHash;
-use crate::RangeHash;
+use crate::field::{Fp, MERSENNE_P};
+use crate::reduce_to_range;
+use crate::seeded::SplitMix64;
 
-/// A named k-wise independent hash function (thin wrapper over
-/// [`PolyHash`] recording its intent).
+/// A d-wise independent hash function `u64 → [0, 2^61 − 1)`.
+///
+/// `KWise::new(d, seed)` draws `d` uniform coefficients from the seed;
+/// evaluation is a Horner loop of `d − 1` field multiply-adds. Two
+/// functions are equal when their coefficient vectors are.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct KWise {
-    inner: PolyHash,
+    coeffs: Vec<Fp>,
 }
 
 impl KWise {
-    /// A k-wise independent function with the given degree and seed.
-    pub fn new(k: usize, seed: u64) -> Self {
-        KWise {
-            inner: PolyHash::new(k, seed),
-        }
+    /// Create a d-wise independent hash function. `degree_of_independence`
+    /// must be at least 1 (1-wise = constant-free uniform marginal).
+    pub fn new(degree_of_independence: usize, seed: u64) -> Self {
+        assert!(degree_of_independence >= 1, "independence degree must be >= 1");
+        let mut rng = SplitMix64::new(seed);
+        let coeffs = (0..degree_of_independence)
+            .map(|i| {
+                let mut c = Fp::new(rng.next_below(MERSENNE_P));
+                // The leading coefficient of a degree-(d-1) polynomial must
+                // be free to vary over the whole field; all-zero leading
+                // coefficients merely reduce the effective degree, which is
+                // harmless, but we keep at least one non-constant term so a
+                // degenerate constant function cannot occur for d >= 2.
+                if i + 1 == degree_of_independence && degree_of_independence >= 2 && c == Fp::ZERO {
+                    c = Fp::ONE;
+                }
+                c
+            })
+            .collect();
+        KWise { coeffs }
     }
 
-    /// Independence degree.
+    /// Number of stored coefficients (the independence degree d).
     pub fn independence(&self) -> usize {
-        self.inner.degree()
+        self.coeffs.len()
     }
 
-    /// Space in 64-bit words.
-    pub fn space_words(&self) -> usize {
-        self.inner.space_words()
-    }
-
-    /// Full description for serialization (see [`PolyHash::coefficients`]).
+    /// The coefficient vector (canonical field representatives), lowest
+    /// degree first — the function's full description, e.g. for wire
+    /// serialization.
     pub fn coefficients(&self) -> Vec<u64> {
-        self.inner.coefficients()
+        self.coeffs.iter().map(|c| c.value()).collect()
     }
 
-    /// Rebuild from a coefficient vector.
+    /// Rebuild a function from its coefficient vector (the inverse of
+    /// [`KWise::coefficients`]). Values are reduced mod p.
     pub fn from_coefficients(coeffs: &[u64]) -> Self {
+        assert!(!coeffs.is_empty(), "need at least one coefficient");
         KWise {
-            inner: PolyHash::from_coefficients(coeffs),
+            coeffs: coeffs.iter().map(|&c| Fp::new(c)).collect(),
         }
+    }
+
+    /// Space in 64-bit words used by this function (Lemma A.2 accounting).
+    pub fn space_words(&self) -> usize {
+        self.coeffs.len()
+    }
+
+    /// Raw hash value in `[0, MERSENNE_P)`.
+    #[inline]
+    pub fn hash(&self, key: u64) -> u64 {
+        let x = Fp::new(key).value();
+        let (&lead, rest) = self.coeffs.split_last().expect("at least one coefficient");
+        // Horner: a = ((c_{d-1} x + c_{d-2}) x + ...) x + c_0
+        let mut a = lead.value();
+        for c in rest.iter().rev() {
+            a = horner_step(a, x, c.value());
+        }
+        canonical(a)
+    }
+
+    /// Hash into `[0, r)` via [`reduce_to_range`]. Panics if `r == 0`.
+    #[inline]
+    pub fn hash_to_range(&self, key: u64, r: u64) -> u64 {
+        reduce_to_range(self.hash(key), r)
+    }
+
+    /// Bernoulli selection with probability `1/r`: true iff the key lands
+    /// in bucket 0 of an `r`-bucket split. This is the paper's
+    /// "`h(S) = 1`" sampling idiom (Figures 3, 4, 6 and Appendix A.1).
+    #[inline]
+    pub fn selects(&self, key: u64, r: u64) -> bool {
+        self.hash_to_range(key, r) == 0
+    }
+
+    /// Evaluate [`KWise::hash`] over a flat block of keys into `out`
+    /// (cleared first). The contract is *scalar equivalence*: for every
+    /// input, `out[i] == self.hash(keys[i])` bit-for-bit — the blocked
+    /// layout only restructures the evaluation, never changes the
+    /// function. This is the batched hot-path entry the estimator's
+    /// hash-once fingerprint pipeline is built on.
+    ///
+    /// Blocked Horner evaluation: 8 keys at a time, coefficient-outer,
+    /// so each field constant is loaded once per block and the 8 lanes
+    /// run independent multiply-add chains. x86-64 has no 64×64→128-bit
+    /// vector multiply, so the lanes do not vectorize; they buy
+    /// instruction-level parallelism, overlapping the multiplier's
+    /// latency across keys. Scalar-equivalent by construction — every
+    /// lane starts from the leading coefficient and applies the same
+    /// lazy steps as [`KWise::hash`] in the same order, so every lane
+    /// computes the identical field element for every degree.
+    pub fn hash_batch(&self, keys: &[u64], out: &mut Vec<u64>) {
+        const LANES: usize = 8;
+        out.clear();
+        out.reserve(keys.len());
+        let (&lead, rest) = self.coeffs.split_last().expect("at least one coefficient");
+        let mut blocks = keys.chunks_exact(LANES);
+        for block in &mut blocks {
+            let mut xs = [0u64; LANES];
+            for (x, &k) in xs.iter_mut().zip(block) {
+                *x = Fp::new(k).value();
+            }
+            let mut acc = [lead.value(); LANES];
+            for c in rest.iter().rev() {
+                let c = c.value();
+                for lane in 0..LANES {
+                    acc[lane] = horner_step(acc[lane], xs[lane], c);
+                }
+            }
+            out.extend(acc.iter().map(|&a| canonical(a)));
+        }
+        out.extend(blocks.remainder().iter().map(|&k| self.hash(k)));
     }
 }
 
-impl RangeHash for KWise {
-    #[inline]
-    fn hash(&self, key: u64) -> u64 {
-        self.inner.hash(key)
-    }
+/// One lazily reduced Horner step `a·x + c` over `GF(2^61 − 1)`.
+///
+/// With `x, c < p` and `a < 2^61 + 8`, the product splits as
+/// `a·x = hi·2^61 + lo` with `hi < 2^61 + 8` and `lo ≤ p`, so
+/// `s = lo + hi + c < 3·2^61 + 8 < 2^63` fits a `u64`, and the single
+/// fold `(s & p) + (s >> 61)` (using `2^61 ≡ 1`) returns a value
+/// `≤ p + 3 < 2^61 + 8`, congruent to `a·x + c`. The accumulator may
+/// therefore stay a few units above `p` across steps; one
+/// [`canonical`] at the end yields the same field element the
+/// canonicalising step would, bit for bit.
+#[inline(always)]
+fn horner_step(a: u64, x: u64, c: u64) -> u64 {
+    let prod = (a as u128) * (x as u128);
+    let s = (prod as u64 & MERSENNE_P) + (prod >> 61) as u64 + c;
+    (s & MERSENNE_P) + (s >> 61)
+}
 
-    #[inline]
-    fn hash_batch(&self, keys: &[u64], out: &mut Vec<u64>) {
-        self.inner.hash_batch(keys, out);
+/// The canonical representative of a lazily reduced accumulator
+/// (`≤ p + 3`, so one conditional subtraction suffices).
+#[inline(always)]
+fn canonical(a: u64) -> u64 {
+    if a >= MERSENNE_P {
+        a - MERSENNE_P
+    } else {
+        a
     }
 }
 
@@ -59,7 +170,8 @@ pub fn pairwise(seed: u64) -> KWise {
     KWise::new(2, seed)
 }
 
-/// 4-wise independent hash — universe reduction (Lemma 3.5), AMS signs.
+/// 4-wise independent hash — universe reduction (Lemma 3.5) and the
+/// CountSketch mix words.
 pub fn four_wise(seed: u64) -> KWise {
     KWise::new(4, seed)
 }
@@ -76,51 +188,146 @@ pub fn log_wise(m: usize, n: usize, seed: u64) -> KWise {
     KWise::new(degree, seed)
 }
 
-/// A 4-wise independent ±1 hash, as required by AMS `F2` estimation.
-#[derive(Debug, Clone)]
-pub struct SignHash {
-    inner: PolyHash,
-}
-
-impl SignHash {
-    /// Create a sign hash from a seed.
-    pub fn new(seed: u64) -> Self {
-        SignHash {
-            inner: PolyHash::new(4, seed),
-        }
-    }
-
-    /// The sign (+1 or −1) assigned to `key`.
-    #[inline]
-    pub fn sign(&self, key: u64) -> i64 {
-        if self.inner.hash(key) & 1 == 0 {
-            1
-        } else {
-            -1
-        }
-    }
-
-    /// Space in 64-bit words.
-    pub fn space_words(&self) -> usize {
-        self.inner.space_words()
-    }
-
-    /// Full description for serialization.
-    pub fn coefficients(&self) -> Vec<u64> {
-        self.inner.coefficients()
-    }
-
-    /// Rebuild from a coefficient vector.
-    pub fn from_coefficients(coeffs: &[u64]) -> Self {
-        SignHash {
-            inner: PolyHash::from_coefficients(coeffs),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn deterministic_per_seed() {
+        let a = KWise::new(5, 123);
+        let b = KWise::new(5, 123);
+        for k in 0..200u64 {
+            assert_eq!(a.hash(k), b.hash(k));
+        }
+    }
+
+    #[test]
+    fn different_seeds_differ() {
+        let a = KWise::new(5, 1);
+        let b = KWise::new(5, 2);
+        let same = (0..256u64).filter(|&k| a.hash(k) == b.hash(k)).count();
+        assert!(same < 4, "essentially no collisions expected, saw {same}");
+    }
+
+    #[test]
+    fn output_below_p() {
+        let h = KWise::new(8, 77);
+        for k in (0..10_000u64).step_by(97) {
+            assert!(h.hash(k) < MERSENNE_P);
+        }
+    }
+
+    #[test]
+    fn uniformity_chi_square() {
+        // 1-wise marginal uniformity over 16 buckets; chi-square with
+        // 15 dof should stay far below the 0.999 quantile (~37.7) for a
+        // healthy hash. Use a generous bound to keep the test robust.
+        let h = KWise::new(2, 2024);
+        let buckets = 16u64;
+        let trials = 64_000u64;
+        let mut counts = vec![0u64; buckets as usize];
+        for k in 0..trials {
+            counts[h.hash_to_range(k, buckets) as usize] += 1;
+        }
+        let expected = trials as f64 / buckets as f64;
+        let chi2: f64 = counts
+            .iter()
+            .map(|&c| {
+                let d = c as f64 - expected;
+                d * d / expected
+            })
+            .sum();
+        assert!(chi2 < 60.0, "chi-square too large: {chi2}");
+    }
+
+    #[test]
+    fn pairwise_collision_rate_matches_theory() {
+        // For a pairwise-independent family, Pr[h(x)=h(y)] = 1/r. Count
+        // collisions into r=64 buckets over all pairs from a small key set.
+        let r = 64u64;
+        let keys: Vec<u64> = (0..200).collect();
+        let mut total_pairs = 0u64;
+        let mut collisions = 0u64;
+        for seed in 0..40u64 {
+            let h = KWise::new(2, 9000 + seed);
+            let vals: Vec<u64> = keys.iter().map(|&k| h.hash_to_range(k, r)).collect();
+            for i in 0..vals.len() {
+                for j in (i + 1)..vals.len() {
+                    total_pairs += 1;
+                    if vals[i] == vals[j] {
+                        collisions += 1;
+                    }
+                }
+            }
+        }
+        let rate = collisions as f64 / total_pairs as f64;
+        let expect = 1.0 / r as f64;
+        assert!(
+            (rate - expect).abs() < 0.35 * expect,
+            "collision rate {rate} vs expected {expect}"
+        );
+    }
+
+    #[test]
+    fn four_wise_balance_of_sign_pairs() {
+        // For 4-wise independence, signs derived from distinct keys are
+        // 4-wise independent; check E[s(a)s(b)s(c)s(d)] ~ 0 empirically.
+        let mut acc = 0i64;
+        let n_seeds = 400u64;
+        for seed in 0..n_seeds {
+            let h = KWise::new(4, 31337 + seed);
+            let s = |k: u64| if h.hash(k) & 1 == 0 { 1i64 } else { -1i64 };
+            acc += s(10) * s(20) * s(30) * s(40);
+        }
+        let mean = acc as f64 / n_seeds as f64;
+        assert!(mean.abs() < 0.15, "4th joint moment should vanish: {mean}");
+    }
+
+    #[test]
+    fn degree_one_is_constant() {
+        let h = KWise::new(1, 5);
+        let v = h.hash(0);
+        for k in 1..50u64 {
+            assert_eq!(h.hash(k), v);
+        }
+    }
+
+    #[test]
+    fn space_words_equals_degree() {
+        for d in 1..10 {
+            assert_eq!(KWise::new(d, 1).space_words(), d);
+        }
+    }
+
+    #[test]
+    fn coefficients_roundtrip() {
+        let h = KWise::new(6, 99);
+        let back = KWise::from_coefficients(&h.coefficients());
+        for k in 0..200u64 {
+            assert_eq!(h.hash(k), back.hash(k));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one coefficient")]
+    fn empty_coefficients_rejected() {
+        let _ = KWise::from_coefficients(&[]);
+    }
+
+    #[test]
+    fn selects_matches_bucket_zero() {
+        let h = KWise::new(4, 42);
+        for key in 0..1000u64 {
+            assert_eq!(h.selects(key, 7), h.hash_to_range(key, 7) == 0);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "range must be positive")]
+    fn zero_range_panics() {
+        let h = KWise::new(2, 1);
+        let _ = h.hash_to_range(3, 0);
+    }
 
     #[test]
     fn constructors_have_expected_degrees() {
@@ -143,36 +350,5 @@ mod tests {
         // Degenerate m = 0 or n = 0 must not panic.
         let h = log_wise(0, 0, 1);
         assert!(h.independence() >= 8);
-    }
-
-    #[test]
-    fn sign_hash_is_plus_minus_one_and_balanced() {
-        let s = SignHash::new(55);
-        let mut sum = 0i64;
-        for k in 0..4096u64 {
-            let v = s.sign(k);
-            assert!(v == 1 || v == -1);
-            sum += v;
-        }
-        // Balanced to within ~4 sigma (sigma = 64).
-        assert!(sum.abs() < 300, "sign bias too large: {sum}");
-    }
-
-    #[test]
-    fn sign_hash_deterministic() {
-        let a = SignHash::new(9);
-        let b = SignHash::new(9);
-        for k in 0..100u64 {
-            assert_eq!(a.sign(k), b.sign(k));
-        }
-    }
-
-    #[test]
-    fn kwise_range_hash_delegates() {
-        let k = KWise::new(3, 7);
-        let p = PolyHash::new(3, 7);
-        for key in 0..64u64 {
-            assert_eq!(k.hash(key), p.hash(key));
-        }
     }
 }

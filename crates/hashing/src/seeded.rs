@@ -10,7 +10,7 @@
 /// SplitMix64: a 64-bit PRNG with excellent statistical quality for its
 /// size and a one-word state. Used only to expand a user seed into hash
 /// coefficients and sub-seeds — never as the "randomness" whose limited
-/// independence the analysis relies on (that comes from [`crate::PolyHash`]).
+/// independence the analysis relies on (that comes from [`crate::KWise`]).
 #[derive(Debug, Clone)]
 pub struct SplitMix64 {
     state: u64,

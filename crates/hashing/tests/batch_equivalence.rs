@@ -1,4 +1,4 @@
-//! Scalar-vs-batched equivalence for every `RangeHash` family: the
+//! Scalar-vs-batched equivalence for the `KWise` polynomial hash: the
 //! blocked flat evaluator behind the estimator's hash-once fingerprint
 //! pipeline must be *bit-identical* to the per-key path on every input —
 //! full blocks, uneven tails, empty input, and adversarial keys at the
@@ -9,7 +9,7 @@
 //! checked against a naive `Σ cᵢ·xⁱ mod p` reference that a bug shared
 //! by the two paths could not pass.
 
-use kcov_hash::{four_wise, log_wise, pairwise, KWise, PolyHash, RangeHash, TabulationHash, MERSENNE_P};
+use kcov_hash::{four_wise, log_wise, pairwise, KWise, MERSENNE_P};
 
 /// Key sets exercising every code path of the blocked evaluator: empty,
 /// sub-block, exactly one block, block + tail, many blocks + tail, and
@@ -40,7 +40,7 @@ fn key_sets() -> Vec<Vec<u64>> {
     ]
 }
 
-fn assert_equivalent<H: RangeHash>(label: &str, h: &H) {
+fn assert_equivalent(label: &str, h: &KWise) {
     let mut out = vec![0xdead_beefu64; 3]; // stale contents must be cleared
     for keys in key_sets() {
         h.hash_batch(&keys, &mut out);
@@ -57,13 +57,13 @@ fn assert_equivalent<H: RangeHash>(label: &str, h: &H) {
 }
 
 #[test]
-fn poly_hash_all_degrees_match_scalar() {
+fn kwise_all_degrees_match_scalar() {
     // The small degrees on every sketch's hot path (d ≤ 4) and the
     // log-wise degrees the estimator actually uses (8..48).
     for degree in [1usize, 2, 3, 4, 5, 7, 8, 16, 28, 34, 48] {
         for seed in [1u64, 0x5eed, u64::MAX] {
-            let h = PolyHash::new(degree, seed);
-            assert_equivalent(&format!("PolyHash(d={degree}, seed={seed})"), &h);
+            let h = KWise::new(degree, seed);
+            assert_equivalent(&format!("KWise(d={degree}, seed={seed})"), &h);
         }
     }
 }
@@ -78,15 +78,8 @@ fn kwise_constructors_match_scalar() {
 }
 
 #[test]
-fn tabulation_uses_default_batch_path() {
-    // TabulationHash takes the trait's default scalar-loop hash_batch;
-    // the contract (clear + per-key equality) must hold there too.
-    assert_equivalent("TabulationHash", &TabulationHash::new(29));
-}
-
-#[test]
 fn batch_reuses_and_clears_output_buffer() {
-    let h = PolyHash::new(5, 3);
+    let h = KWise::new(5, 3);
     let mut out = Vec::new();
     h.hash_batch(&(0..100).collect::<Vec<_>>(), &mut out);
     assert_eq!(out.len(), 100);
@@ -113,7 +106,7 @@ fn reference_poly(coeffs: &[u64], key: u64) -> u64 {
 }
 
 #[test]
-fn poly_hash_matches_naive_reference() {
+fn kwise_matches_naive_reference() {
     let mut out = Vec::new();
     for degree in 1usize..=48 {
         let mut vectors: Vec<Vec<u64>> = vec![
@@ -129,9 +122,9 @@ fn poly_hash_matches_naive_reference() {
             // Non-canonical inputs that `from_coefficients` reduces.
             vec![u64::MAX; degree],
         ];
-        vectors.push(PolyHash::new(degree, 0x5eed ^ degree as u64).coefficients());
+        vectors.push(KWise::new(degree, 0x5eed ^ degree as u64).coefficients());
         for coeffs in &vectors {
-            let h = PolyHash::from_coefficients(coeffs);
+            let h = KWise::from_coefficients(coeffs);
             for keys in key_sets() {
                 h.hash_batch(&keys, &mut out);
                 for (&k, &batched) in keys.iter().zip(&out) {

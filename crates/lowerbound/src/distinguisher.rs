@@ -3,7 +3,7 @@
 //!
 //! The paper (§1, "Lower bound") observes that its hard instances are
 //! distinguishable in `O(m/α²)` space by α-approximating the `L∞` norm
-//! of the frequency vector with `L2`-norm sketches [5]: in the No case
+//! of the frequency vector with `L2`-norm sketches \[5\]: in the No case
 //! one coordinate (the spike set) has value `α`, in the Yes case every
 //! coordinate is at most 1, and a CountSketch of width `w` resolves the
 //! spike iff its per-row noise `≈ √(F2/w) ≈ √(m/w)` falls below `α/2` —

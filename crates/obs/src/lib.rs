@@ -512,7 +512,7 @@ pub struct SketchStats {
     pub capacity: u64,
     /// Entries dropped to stay within capacity.
     pub evictions: u64,
-    /// Bulk shrink passes (BJKST level rises, `SmallSet` overflows).
+    /// Bulk shrink passes (`SmallSet` overflows).
     pub prunes: u64,
     /// Merge invocations absorbed into this state.
     pub merges: u64,

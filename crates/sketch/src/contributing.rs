@@ -1,5 +1,5 @@
 //! `γ`-contributing class detection — Theorem 2.11, after Indyk & Woodruff
-//! (reference [29] of the paper).
+//! (reference \[29\] of the paper).
 //!
 //! Partition the coordinates of `a⃗` into dyadic frequency classes
 //! `R_t = { j : 2^{t−1} < a⃗[j] ≤ 2^t }` (Definition 2.7). A class is
@@ -25,7 +25,7 @@
 //! coordinate's mix words are evaluated once per update, or once per
 //! domain id at query time, and handed to every level it enters.
 
-use kcov_hash::{log_wise, KWise, RangeHash, SeedSequence};
+use kcov_hash::{log_wise, KWise, SeedSequence};
 use kcov_obs::SketchStats;
 
 use crate::count_sketch::CountSketch;
@@ -276,7 +276,7 @@ impl F2Contributing {
 
     /// Observe a chunk of updates. The shared sampling hash is evaluated
     /// once per item for the whole chunk (through the blocked
-    /// [`RangeHash::hash_batch`] evaluator); each level then consumes its
+    /// [`KWise::hash_batch`] evaluator); each level then consumes its
     /// surviving sub-chunk, so every per-level heavy hitter sees the
     /// exact items the per-item path feeds it.
     pub fn insert_batch(&mut self, items: &[u64]) {

@@ -1,4 +1,4 @@
-//! CountSketch — Charikar, Chen & Farach-Colton (reference [18] of the
+//! CountSketch — Charikar, Chen & Farach-Colton (reference \[18\] of the
 //! paper), the linear sketch behind `F2`/`L2` heavy hitters
 //! (Theorem 2.10).
 //!
@@ -43,7 +43,7 @@
 //! sketch through [`CountSketch::insert_mixed`] and
 //! [`CountSketch::query_mixed`].
 
-use kcov_hash::{four_wise, KWise, RangeHash, SeedSequence};
+use kcov_hash::{four_wise, KWise, SeedSequence};
 use kcov_obs::{SketchStats, Space};
 
 use crate::space::{SpaceSink, SpaceUsage};
@@ -150,7 +150,7 @@ impl CountSketch {
 
     /// The mix words of a column of items into `out` (cleared first),
     /// item-major: `out[i · mix_words() + j]` is word `j` of `items[i]`.
-    /// Each word runs as one blocked [`RangeHash::hash_batch`] over the
+    /// Each word runs as one blocked [`KWise::hash_batch`] over the
     /// column.
     pub fn mix_batch(&self, items: &[u64], out: &mut Vec<u64>) {
         let words = self.mix.len();

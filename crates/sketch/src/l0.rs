@@ -13,7 +13,7 @@
 //! independent KMV summaries to boost the success probability, exactly the
 //! repetition structure the paper assumes.
 
-use kcov_hash::{pairwise, KWise, RangeHash, SeedSequence, MERSENNE_P};
+use kcov_hash::{pairwise, KWise, SeedSequence, MERSENNE_P};
 use kcov_obs::{SketchStats, Space};
 
 use crate::arena::SortedSlab;

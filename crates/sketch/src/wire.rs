@@ -14,13 +14,10 @@
 //! the decoded object is behaviorally identical, not just statistically
 //! equivalent.
 
-use kcov_hash::{KWise, SignHash, MERSENNE_P};
+use kcov_hash::{KWise, MERSENNE_P};
 use kcov_obs::{Histogram, SketchStats};
 
-use crate::ams_f2::AmsF2;
-use crate::bjkst::Bjkst;
 use crate::contributing::F2Contributing;
-use crate::count_min::CountMin;
 use crate::count_sketch::{CountSketch, MAX_WIDTH};
 use crate::heavy_hitter::{F2HeavyHitter, HeavyHitterConfig};
 use crate::l0::{Kmv, L0Estimator};
@@ -137,41 +134,20 @@ pub fn put_kwise(out: &mut Vec<u8>, h: &KWise) {
     put_u64s(out, &h.coefficients());
 }
 
-/// Consume a hash coefficient vector, rejecting an empty one (the
-/// polynomial-hash constructor would panic on it) and any coefficient
-/// `≥ p`: the encoder only writes canonical field elements, so a
-/// non-canonical one is corruption, and accepting it would give one
+/// Consume a hash function as its coefficient vector, rejecting an
+/// empty one (the polynomial-hash constructor would panic on it) and any
+/// coefficient `≥ p`: the encoder only writes canonical field elements,
+/// so a non-canonical one is corruption, and accepting it would give one
 /// state two encodings.
-fn take_coefficients(input: &mut &[u8], what: &str) -> Result<Vec<u64>, WireError> {
+pub fn take_kwise(input: &mut &[u8]) -> Result<KWise, WireError> {
     let coeffs = take_u64s(input)?;
     if coeffs.is_empty() {
-        return Err(err(format!("empty {what} coefficient vector")));
+        return Err(err("empty hash coefficient vector"));
     }
     if let Some(&c) = coeffs.iter().find(|&&c| c >= MERSENNE_P) {
-        return Err(err(format!(
-            "{what} coefficient {c:#x} is not below 2^61 - 1"
-        )));
+        return Err(err(format!("hash coefficient {c:#x} is not below 2^61 - 1")));
     }
-    Ok(coeffs)
-}
-
-/// Consume a hash function (see [`take_coefficients`] for what is
-/// rejected).
-pub fn take_kwise(input: &mut &[u8]) -> Result<KWise, WireError> {
-    let coeffs = take_coefficients(input, "hash")?;
     Ok(KWise::from_coefficients(&coeffs))
-}
-
-/// Append a sign hash as its full coefficient vector.
-pub fn put_sign(out: &mut Vec<u8>, h: &SignHash) {
-    put_u64s(out, &h.coefficients());
-}
-
-/// Consume a sign hash (see [`take_coefficients`] for what is
-/// rejected).
-pub fn take_sign(input: &mut &[u8]) -> Result<SignHash, WireError> {
-    let coeffs = take_coefficients(input, "sign-hash")?;
-    Ok(SignHash::from_coefficients(&coeffs))
 }
 
 // ---- full-state framing ---------------------------------------------
@@ -278,11 +254,8 @@ pub fn expect_section_end(tag: u64, body: &[u8]) -> Result<(), WireError> {
 // ---- sketches -------------------------------------------------------
 
 const TAG_KMV: u64 = 0x4b4d56; // "KMV"
-const TAG_AMS: u64 = 0x414d53; // "AMS"
 const TAG_CS: u64 = 0x4353; // "CS"
-const TAG_CM: u64 = 0x434d; // "CM"
 const TAG_L0: u64 = 0x4c30; // "L0"
-const TAG_BJKST: u64 = 0x424a4b5354; // "BJKST"
 const TAG_HH: u64 = 0x4848; // "HH"
 const TAG_FC: u64 = 0x4643; // "FC"
 const TAG_HIST: u64 = 0x48495354; // "HIST"
@@ -303,43 +276,6 @@ impl WireEncode for Kmv {
         let hash = take_kwise(input)?;
         let vals = take_u64s(input)?;
         Kmv::from_parts(k, hash, vals).map_err(err)
-    }
-}
-
-impl WireEncode for AmsF2 {
-    fn encode(&self, out: &mut Vec<u8>) {
-        put_u64(out, TAG_AMS);
-        let (rows, cols) = self.shape();
-        put_u64(out, rows as u64);
-        put_u64(out, cols as u64);
-        for s in self.sign_hashes() {
-            put_sign(out, s);
-        }
-        put_u64(out, self.counters().len() as u64);
-        for &c in self.counters() {
-            put_i64(out, c);
-        }
-    }
-
-    fn decode(input: &mut &[u8]) -> Result<Self, WireError> {
-        if take_u64(input)? != TAG_AMS {
-            return Err(err("bad AMS tag"));
-        }
-        let rows = take_u64(input)? as usize;
-        let cols = take_u64(input)? as usize;
-        let cells = rows
-            .checked_mul(cols)
-            .filter(|&c| c <= input.len())
-            .ok_or_else(|| err(format!("AMS table {rows} x {cols} exceeds input")))?;
-        let signs = (0..cells)
-            .map(|_| take_sign(input))
-            .collect::<Result<Vec<_>, _>>()?;
-        let n = take_u64(input)? as usize;
-        if n != cells {
-            return Err(err("AMS counter count mismatch"));
-        }
-        let counters = (0..n).map(|_| take_i64(input)).collect::<Result<Vec<_>, _>>()?;
-        AmsF2::from_parts(rows, cols, signs, counters).map_err(err)
     }
 }
 
@@ -384,30 +320,6 @@ impl WireEncode for CountSketch {
     }
 }
 
-impl WireEncode for CountMin {
-    fn encode(&self, out: &mut Vec<u8>) {
-        put_u64(out, TAG_CM);
-        let (rows, width) = self.shape();
-        put_u64(out, rows as u64);
-        put_u64(out, width as u64);
-        for h in self.hashes() {
-            put_kwise(out, h);
-        }
-        put_u64s(out, self.table());
-    }
-
-    fn decode(input: &mut &[u8]) -> Result<Self, WireError> {
-        if take_u64(input)? != TAG_CM {
-            return Err(err("bad CountMin tag"));
-        }
-        let rows = take_u64(input)? as usize;
-        let width = take_u64(input)? as usize;
-        let hashes = (0..rows).map(|_| take_kwise(input)).collect::<Result<Vec<_>, _>>()?;
-        let table = take_u64s(input)?;
-        CountMin::from_parts(rows, width, hashes, table).map_err(err)
-    }
-}
-
 impl WireEncode for L0Estimator {
     fn encode(&self, out: &mut Vec<u8>) {
         put_u64(out, TAG_L0);
@@ -429,27 +341,6 @@ impl WireEncode for L0Estimator {
         }
         let reps = (0..n).map(|_| Kmv::decode(input)).collect::<Result<Vec<_>, _>>()?;
         L0Estimator::from_parts(reps).map_err(err)
-    }
-}
-
-impl WireEncode for Bjkst {
-    fn encode(&self, out: &mut Vec<u8>) {
-        put_u64(out, TAG_BJKST);
-        put_u64(out, self.capacity() as u64);
-        put_u64(out, u64::from(self.level()));
-        put_kwise(out, self.hash());
-        put_u64s(out, &self.buffer_values());
-    }
-
-    fn decode(input: &mut &[u8]) -> Result<Self, WireError> {
-        if take_u64(input)? != TAG_BJKST {
-            return Err(err("bad BJKST tag"));
-        }
-        let capacity = take_u64(input)? as usize;
-        let level = take_u64(input)? as u32;
-        let hash = take_kwise(input)?;
-        let values = take_u64s(input)?;
-        Bjkst::from_parts(capacity, level, hash, values).map_err(err)
     }
 }
 
@@ -646,7 +537,6 @@ mod tests {
         let mut good = Vec::new();
         put_u64s(&mut good, &[MERSENNE_P - 1, 3]);
         assert!(take_kwise(&mut good.as_slice()).is_ok());
-        assert!(take_sign(&mut good.as_slice()).is_ok());
         // `p + 5` reduces to 5, so accepting it would let `[p + 5, 3]`
         // and `[5, 3]` decode to one state with two encodings.
         for c in [MERSENNE_P, MERSENNE_P + 5, u64::MAX] {
@@ -654,7 +544,6 @@ mod tests {
             put_u64s(&mut bad, &[c, 3]);
             let e = take_kwise(&mut bad.as_slice()).expect_err("non-canonical coefficient");
             assert!(e.message.contains("not below"), "{e}");
-            assert!(take_sign(&mut bad.as_slice()).is_err());
         }
     }
 
@@ -677,16 +566,6 @@ mod tests {
     }
 
     #[test]
-    fn ams_roundtrip() {
-        let mut sk = AmsF2::new(3, 8, 5);
-        for i in 0..2_000u64 {
-            sk.insert(i % 97);
-        }
-        let back = AmsF2::from_bytes(&sk.to_bytes()).unwrap();
-        assert_eq!(sk.estimate(), back.estimate());
-    }
-
-    #[test]
     fn count_sketch_roundtrip_and_continue() {
         let mut cs = CountSketch::new(5, 64, 9);
         for i in 0..3_000u64 {
@@ -701,18 +580,6 @@ mod tests {
     }
 
     #[test]
-    fn count_min_roundtrip() {
-        let mut cm = CountMin::new(4, 32, 3);
-        for i in 0..500u64 {
-            cm.insert(i % 50, 2);
-        }
-        let back = CountMin::from_bytes(&cm.to_bytes()).unwrap();
-        for i in 0..50u64 {
-            assert_eq!(cm.query(i), back.query(i));
-        }
-    }
-
-    #[test]
     fn l0_estimator_roundtrip_and_continue() {
         let mut est = L0Estimator::new(32, 3, 11);
         for i in 0..4_000u64 {
@@ -724,23 +591,6 @@ mod tests {
         for i in 0..2_000u64 {
             original.insert(500_000 + i);
             back.insert(500_000 + i);
-        }
-        assert_eq!(original.estimate(), back.estimate());
-    }
-
-    #[test]
-    fn bjkst_roundtrip_and_continue() {
-        let mut b = Bjkst::new(64, 23);
-        for i in 0..8_000u64 {
-            b.insert(i);
-        }
-        let mut back = Bjkst::from_bytes(&b.to_bytes()).unwrap();
-        assert_eq!(b.estimate(), back.estimate());
-        assert_eq!(b.level(), back.level());
-        let mut original = b.clone();
-        for i in 8_000..16_000u64 {
-            original.insert(i);
-            back.insert(i);
         }
         assert_eq!(original.estimate(), back.estimate());
     }
@@ -807,9 +657,10 @@ mod tests {
         for cut in [0usize, 1, 7, 16, bytes.len() / 2, bytes.len() - 1] {
             assert!(F2HeavyHitter::from_bytes(&bytes[..cut]).is_err(), "cut {cut}");
         }
-        let b = Bjkst::new(8, 1);
-        let bytes = b.to_bytes();
-        assert!(Bjkst::from_bytes(&bytes[..bytes.len() - 1]).is_err());
+        use crate::contributing::ContributingConfig;
+        let fc = F2Contributing::new(ContributingConfig::new(0.5, 16), 100, 100, 2);
+        let bytes = fc.to_bytes();
+        assert!(F2Contributing::from_bytes(&bytes[..bytes.len() - 1]).is_err());
         let est = L0Estimator::new(8, 2, 1);
         let bytes = est.to_bytes();
         assert!(L0Estimator::from_bytes(&bytes[..bytes.len() - 1]).is_err());
@@ -817,10 +668,12 @@ mod tests {
 
     #[test]
     fn new_type_wrong_tags_rejected() {
+        // An `L0Estimator` nests `Kmv` encodings, so each must reject
+        // the other's outer tag.
         let est = L0Estimator::new(8, 2, 1);
-        assert!(Bjkst::from_bytes(&est.to_bytes()).is_err());
-        let b = Bjkst::new(8, 1);
-        assert!(L0Estimator::from_bytes(&b.to_bytes()).is_err());
+        assert!(Kmv::from_bytes(&est.to_bytes()).is_err());
+        let kmv = Kmv::new(8, 1);
+        assert!(L0Estimator::from_bytes(&kmv.to_bytes()).is_err());
         let hh = F2HeavyHitter::for_phi(0.5, 1);
         assert!(F2Contributing::from_bytes(&hh.to_bytes()).is_err());
     }
@@ -837,8 +690,8 @@ mod tests {
 
     #[test]
     fn wrong_tag_rejected() {
-        let cm = CountMin::new(2, 8, 1);
-        let bytes = cm.to_bytes();
+        let cs = CountSketch::new(2, 8, 1);
+        let bytes = cs.to_bytes();
         assert!(Kmv::from_bytes(&bytes).is_err());
     }
 

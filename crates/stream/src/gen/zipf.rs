@@ -1,6 +1,6 @@
 //! Zipfian workloads: power-law set sizes and element popularity, the
 //! shape of the corpora motivating streaming coverage (documents × words,
-//! blog-watch topics [37], neighborhoods of power-law graphs).
+//! blog-watch topics \[37\], neighborhoods of power-law graphs).
 
 use kcov_hash::SplitMix64;
 

@@ -1,7 +1,6 @@
 //! Distributed sketching: shard the edge stream across workers, sketch
 //! each shard independently, merge, then solve — the deployment pattern
-//! the mergeable-sketch substrate (KMV / BJKST / CountSketch / AMS)
-//! enables.
+//! the mergeable-sketch substrate (KMV / CountSketch) enables.
 //!
 //! Here four "workers" each see a quarter of a shuffled edge stream,
 //! build per-set bottom-t coverage summaries (the BEM-style sketch),

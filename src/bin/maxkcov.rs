@@ -82,7 +82,7 @@ use kcov_obs::{render_folded, render_report, Recorder, Row, Time, Value};
 use kcov_sketch::{SpaceUsage, WireEncode};
 use kcov_stream::gen;
 use kcov_stream::{
-    coverage_of, edge_stream, read_set_system, write_set_system, ArrivalOrder, CoverageStats,
+    coverage_of, edge_stream, read_set_system, write_set_system, ArrivalOrder, CoverageStats, Edge,
     SetSystem,
 };
 
@@ -434,6 +434,24 @@ fn parse_batch(flags: &HashMap<String, String>) -> Result<Option<usize>, String>
     }
 }
 
+/// Feed `edges` to an estimator or reporter the way the flags ask: per
+/// edge when there is neither `--batch` nor more than one shard, else
+/// through `ingest_sharded` in `--batch` chunks (default 1024), which
+/// with one shard is the plain chunked `observe_batch` loop.
+fn ingest<T>(
+    target: &mut T,
+    edges: &[Edge],
+    shards: usize,
+    batch: Option<usize>,
+    observe: fn(&mut T, Edge),
+    ingest_sharded: fn(&mut T, &[Edge], usize, usize),
+) {
+    match batch {
+        None if shards <= 1 => edges.iter().for_each(|&e| observe(target, e)),
+        b => ingest_sharded(target, edges, shards, b.unwrap_or(1024)),
+    }
+}
+
 
 fn run(args: &[String]) -> Result<(), String> {
     let Some((cmd, rest)) = args.split_first() else {
@@ -617,22 +635,14 @@ fn cmd_estimate(flags: &HashMap<String, String>) -> Result<(), String> {
     let edges = edge_stream(&system, order);
     let mut est = MaxCoverEstimator::new(system.num_elements(), system.num_sets(), k, alpha, &config);
     let span = rec.span("ingest");
-    if config.shards > 1 {
-        est.ingest_sharded(&edges, config.shards, batch.unwrap_or(1024));
-    } else {
-        match batch {
-            None => {
-                for &e in &edges {
-                    est.observe(e);
-                }
-            }
-            Some(b) => {
-                for chunk in edges.chunks(b) {
-                    est.observe_batch(chunk);
-                }
-            }
-        }
-    }
+    ingest(
+        &mut est,
+        &edges,
+        config.shards,
+        batch,
+        MaxCoverEstimator::observe,
+        MaxCoverEstimator::ingest_sharded,
+    );
     span.finish();
     let out = est.finalize();
     println!("estimate      = {:.1}", out.estimate);
@@ -899,23 +909,14 @@ fn cmd_budget(flags: &HashMap<String, String>) -> Result<(), String> {
     let batch = parse_batch(flags)?;
     let edges = edge_stream(&system, order);
     let span = rec.span("ingest");
-    if config.shards > 1 {
-        fit.estimator
-            .ingest_sharded(&edges, config.shards, batch.unwrap_or(1024));
-    } else {
-        match batch {
-            None => {
-                for &e in &edges {
-                    fit.estimator.observe(e);
-                }
-            }
-            Some(b) => {
-                for chunk in edges.chunks(b) {
-                    fit.estimator.observe_batch(chunk);
-                }
-            }
-        }
-    }
+    ingest(
+        &mut fit.estimator,
+        &edges,
+        config.shards,
+        batch,
+        MaxCoverEstimator::observe,
+        MaxCoverEstimator::ingest_sharded,
+    );
     span.finish();
     let out = fit.estimator.finalize();
     println!("estimate       = {:.1}", out.estimate);
@@ -1026,13 +1027,14 @@ fn prof_ingest(
     let mut est =
         MaxCoverEstimator::new(system.num_elements(), system.num_sets(), k, alpha, &config);
     let t0 = Instant::now();
-    if config.shards > 1 {
-        est.ingest_sharded(&edges, config.shards, batch);
-    } else {
-        for chunk in edges.chunks(batch) {
-            est.observe_batch(chunk);
-        }
-    }
+    ingest(
+        &mut est,
+        &edges,
+        config.shards,
+        Some(batch),
+        MaxCoverEstimator::observe,
+        MaxCoverEstimator::ingest_sharded,
+    );
     let wall_ns = t0.elapsed().as_nanos() as u64;
     let parallelism = (config.threads.max(1) * config.shards.max(1)) as u64;
     let run = format!("{} edges, k={k}, alpha={alpha}", edges.len());
@@ -1209,22 +1211,14 @@ fn cmd_report(flags: &HashMap<String, String>) -> Result<(), String> {
     let edges = edge_stream(&system, order);
     let mut rep = MaxCoverReporter::new(system.num_elements(), system.num_sets(), k, alpha, &config);
     let span = rec.span("ingest");
-    if config.shards > 1 {
-        rep.ingest_sharded(&edges, config.shards, batch.unwrap_or(1024));
-    } else {
-        match batch {
-            None => {
-                for &e in &edges {
-                    rep.observe(e);
-                }
-            }
-            Some(b) => {
-                for chunk in edges.chunks(b) {
-                    rep.observe_batch(chunk);
-                }
-            }
-        }
-    }
+    ingest(
+        &mut rep,
+        &edges,
+        config.shards,
+        batch,
+        MaxCoverReporter::observe,
+        MaxCoverReporter::ingest_sharded,
+    );
     span.finish();
     let cover = rep.finalize();
     let chosen: Vec<usize> = cover.sets.iter().map(|&s| s as usize).collect();

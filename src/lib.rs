@@ -14,7 +14,7 @@
 //!   [`core::MaxCoverReporter`] (`Õ(m/α² + k)`, Theorem 3.2) over
 //!   edge-arrival streams.
 //! * [`sketch`] ([`kcov_sketch`]) — the vector-sketching toolkit (§2):
-//!   `L0`, AMS `F2`, CountSketch, `F2` heavy hitters, `F2`-contributing
+//!   `L0`, CountSketch, `F2` heavy hitters, `F2`-contributing
 //!   classes, and the [`sketch::SpaceUsage`] accounting trait.
 //! * [`stream`] ([`kcov_stream`]) — set systems, arrival orders,
 //!   workload generators (including the §5 hard instances).

@@ -14,8 +14,7 @@ use maxkcov::core::{
 use maxkcov::hash::MERSENNE_P;
 use maxkcov::obs::{Histogram, Recorder, SketchStats};
 use maxkcov::sketch::{
-    AmsF2, Bjkst, ContributingConfig, CountMin, CountSketch, F2Contributing, F2HeavyHitter,
-    Kmv, L0Estimator, WireEncode,
+    ContributingConfig, CountSketch, F2Contributing, F2HeavyHitter, Kmv, L0Estimator, WireEncode,
 };
 use maxkcov::stream::gen::zipf_popularity;
 use maxkcov::stream::{edge_stream, ArrivalOrder};
@@ -85,15 +84,11 @@ fn individual_sketches_roundtrip_and_reject_mangling() {
 
     let mut kmv = Kmv::new(16, 7);
     let mut l0 = L0Estimator::new(8, 5, 3);
-    let mut ams = AmsF2::new(5, 64, 11);
-    let mut bjkst = Bjkst::new(32, 19);
     let mut hh = F2HeavyHitter::for_phi(0.05, 23);
     let mut fc = F2Contributing::new(ContributingConfig::new(0.1, 64), 40, 1000, 29);
     for &x in &items {
         kmv.insert(x);
         l0.insert(x);
-        ams.insert(x);
-        bjkst.insert(x);
         hh.insert(x);
         fc.insert(x);
     }
@@ -104,8 +99,6 @@ fn individual_sketches_roundtrip_and_reject_mangling() {
     }
     exhaust("Kmv", &kmv);
     exhaust("L0Estimator", &l0);
-    exhaust("AmsF2", &ams);
-    exhaust("Bjkst", &bjkst);
     exhaust("F2HeavyHitter", &hh);
     exhaust("F2Contributing", &fc);
 
@@ -133,13 +126,10 @@ fn individual_sketches_roundtrip_and_reject_mangling() {
     exhaust("F2Contributing(paired)", &paired);
 
     let mut cs = CountSketch::new(3, 32, 13);
-    let mut cm = CountMin::new(3, 32, 17);
     for &x in &items {
         cs.update(x, (x % 7) as i64 - 3);
-        cm.insert(x, x % 5 + 1);
     }
     exhaust("CountSketch", &cs);
-    exhaust("CountMin", &cm);
 }
 
 #[test]
