@@ -388,6 +388,28 @@ mod tests {
     }
 
     #[test]
+    fn fed_sweep_leaves_are_gated_as_space() {
+        // `prof_space`'s fed section nests ledger leaves two arrays
+        // deep; each `ledger_words` and the `peak_words` total fall
+        // under the any-increase-fails rule, and its slope does not.
+        let fed = |edges: u32, peak: u32, slope: f64| {
+            doc(&format!(
+                r#"{{"fed": {{"sweep": [{{"alpha": 2, "peak_words": {peak}, "leaves":
+                [{{"path": "estimator/lane*/small_set/edges", "ledger_words": {edges}}}]}}],
+                "fed_loglog_slope": {slope}}}}}"#
+            ))
+        };
+        let base = fed(100, 500, -1.3);
+        let r = compare_bench(&base, &fed(90, 500, -0.5), 0.25);
+        assert!(r.passed(), "{:?}", r.failures);
+        assert_eq!(r.space_leaves, 2);
+        let r = compare_bench(&base, &fed(101, 500, -1.3), 0.25);
+        assert!(!r.passed());
+        assert!(r.failures[0].contains("space regression"), "{:?}", r.failures);
+        assert!(!compare_bench(&base, &fed(100, 501, -1.3), 0.25).passed());
+    }
+
+    #[test]
     fn lone_ns_leaf_stays_informational() {
         // A single `_ns` leaf has no sibling group to take a share of;
         // its absolute value is host noise and must not gate.
