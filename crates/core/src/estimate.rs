@@ -1172,6 +1172,12 @@ impl kcov_sketch::WireEncode for Lane {
             )));
         }
         let oracle = Oracle::decode(input)?;
+        if oracle.shape().0 as u64 != z {
+            return Err(err(format!(
+                "Lane z {z} disagrees with its oracle's universe {}",
+                oracle.shape().0
+            )));
+        }
         let times = LaneTimes::decode(input)?;
         Ok(Lane { z, reducer, oracle, times })
     }
@@ -1251,7 +1257,18 @@ impl kcov_sketch::WireEncode for MaxCoverEstimator {
                 if num > state.len() {
                     return Err(err("estimator lane count exceeds input"));
                 }
-                let lanes = (0..num).map(|_| Lane::decode(&mut state)).collect::<Result<Vec<_>, _>>()?;
+                let lanes = (0..num)
+                    .map(|_| {
+                        let lane = Lane::decode(&mut state)?;
+                        if lane.oracle.shape().1 != m {
+                            return Err(err(format!(
+                                "lane built for {} sets in an estimator over {m}",
+                                lane.oracle.shape().1
+                            )));
+                        }
+                        Ok(lane)
+                    })
+                    .collect::<Result<Vec<_>, _>>()?;
                 (None, Some(fps), lanes)
             }
             flag => return Err(err(format!("bad estimator regime flag {flag}"))),

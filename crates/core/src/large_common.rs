@@ -302,6 +302,11 @@ impl LargeCommon {
         best
     }
 
+    /// Universe and set-id ranges `(u, m)` this subroutine was built for.
+    pub(crate) fn shape(&self) -> (usize, usize) {
+        (self.u, self.m)
+    }
+
     /// Number of β layers.
     pub fn num_lanes(&self) -> usize {
         self.lanes.len()

@@ -446,6 +446,11 @@ impl LargeSet {
             .collect()
     }
 
+    /// Universe and set-id ranges `(u, m)` this subroutine was built for.
+    pub(crate) fn shape(&self) -> (usize, usize) {
+        (self.u, self.m)
+    }
+
     /// Number of repetitions.
     pub fn num_reps(&self) -> usize {
         self.reps.len()

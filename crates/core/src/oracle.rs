@@ -215,6 +215,12 @@ impl Oracle {
         &self.large_set
     }
 
+    /// Universe and set-id ranges `(u, m)` every subroutine was built
+    /// for (decode checks that they agree).
+    pub(crate) fn shape(&self) -> (usize, usize) {
+        self.large_common.shape()
+    }
+
     /// Access to the case-III subroutine, when active.
     pub fn small_set(&self) -> Option<&SmallSet> {
         self.small_set.as_ref()
@@ -358,6 +364,15 @@ impl kcov_sketch::WireEncode for Oracle {
             1 => Some(SmallSet::decode(input)?),
             flag => return Err(err(format!("bad Oracle SmallSet flag {flag}"))),
         };
+        // Finalize walks `m` set ids and sizes tables by `u`: a corrupt
+        // range must fail here, not stall or exhaust memory later.
+        let (lc_u, m) = large_common.shape();
+        let shapes = [Some(large_set.shape()), small_set.as_ref().map(SmallSet::shape)];
+        if lc_u != u || shapes.into_iter().flatten().any(|shape| shape != (u, m)) {
+            return Err(err(format!(
+                "Oracle subroutines disagree on their (u, m) ranges (oracle u {u})"
+            )));
+        }
         Ok(Oracle {
             u,
             set_base,

@@ -176,8 +176,10 @@ pub const WIRE_MAGIC: u64 = 0x4b43_4f56_5749_5245;
 /// CountSketch alone (no capacity factor, candidate list or
 /// prune/eviction counters) and contributing-class finders carry their
 /// coordinate domain; 6 = a CountSketch carries its ⌈rows/2⌉ 4-wise mix
-/// words instead of per-row bucket and sign hashes.
-pub const WIRE_VERSION: u64 = 6;
+/// words instead of per-row bucket and sign hashes; 7 = a `SmallSet`
+/// repetition stores each kept edge once, in the bucket of the lowest
+/// γ level it passes, instead of once per γ lane.
+pub const WIRE_VERSION: u64 = 7;
 
 /// Append the versioned full-state header: magic, version, payload tag.
 pub fn put_header(out: &mut Vec<u8>, tag: u64) {
