@@ -9,7 +9,8 @@
 //!   * edge-arrival Õ(m): BEM-style sketched greedy \[12\], McGregor–Vu
 //!     element sampling \[34\],
 //!   * edge-arrival Õ(m/α²): this paper's estimator and reporter at
-//!     several α.
+//!     several α, each followed by the space-ledger leaf (lane indices
+//!     collapsed) that holds most of its words.
 //!
 //! ```text
 //! cargo run --release -p kcov-bench --bin exp_table1
@@ -19,7 +20,7 @@ use kcov_baselines::{
     greedy_max_cover, mv_set_arrival, MvEdgeArrival, SieveStreaming, SketchedGreedy,
     SwapStreaming,
 };
-use kcov_bench::{fmt, print_table};
+use kcov_bench::{collapsed_ledger_leaves, fmt, print_table};
 use kcov_core::MaxCoverReporter;
 use kcov_sketch::SpaceUsage;
 use kcov_stream::gen::{planted_cover, uniform_fixed_size, zipf_set_sizes};
@@ -144,6 +145,7 @@ fn main() {
         }
 
         // This paper, several alphas.
+        let mut top_leaves = Vec::new();
         for alpha in [4.0, 8.0, 16.0] {
             // Coarse guess grid (see kcov_bench::coarse_config docs).
             let config = kcov_bench::coarse_config(21, n, 1);
@@ -151,6 +153,14 @@ fn main() {
             for &e in &edges {
                 alg.observe(e);
             }
+            let (leaf, words) = collapsed_ledger_leaves(&alg)
+                .into_iter()
+                .max_by_key(|&(_, words)| words)
+                .expect("a non-empty ledger");
+            top_leaves.push(format!(
+                "  this paper alpha={alpha}: largest ledger leaf {leaf} = {words} words ({:.0}%)",
+                100.0 * words as f64 / alg.space_words() as f64
+            ));
             let r = alg.finalize();
             let chosen: Vec<usize> = r.sets.iter().map(|&s| s as usize).collect();
             rows.push(vec![
@@ -170,6 +180,9 @@ fn main() {
             &["algorithm", "arrival", "guarantee", "cov/greedy", "space(words)"],
             &rows,
         );
+        for line in top_leaves {
+            println!("{line}");
+        }
     }
 }
 

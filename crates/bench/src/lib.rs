@@ -229,6 +229,36 @@ pub fn log_log_slope(xs: &[f64], ys: &[f64]) -> f64 {
     cov / var
 }
 
+/// Leaf words of an estimator's space ledger (DESIGN.md §13) with lane
+/// indices collapsed, so `estimator/lane3/small_set/edges` and
+/// `estimator/lane7/small_set/edges` sum under
+/// `estimator/lane*/small_set/edges`. Asserts that the leaves
+/// attribute every word.
+pub fn collapsed_ledger_leaves(
+    value: &impl kcov_sketch::SpaceUsage,
+) -> std::collections::BTreeMap<String, u64> {
+    let mut ledger = kcov_obs::SpaceLedger::new("estimator");
+    value.space_ledger(&mut ledger.root);
+    let mut by_path = std::collections::BTreeMap::new();
+    for row in ledger.rows().iter().filter(|r| r.children == 0) {
+        let norm: Vec<&str> = row
+            .path
+            .split('/')
+            .map(|seg| {
+                let lane_idx = seg.strip_prefix("lane").is_some_and(|d| d.parse::<u64>().is_ok());
+                if lane_idx { "lane*" } else { seg }
+            })
+            .collect();
+        *by_path.entry(norm.join("/")).or_insert(0) += row.total.words;
+    }
+    assert_eq!(
+        by_path.values().sum::<u64>(),
+        value.space_words() as u64,
+        "aggregated ledger leaves must attribute every word"
+    );
+    by_path
+}
+
 /// Geometric mean.
 pub fn geo_mean(xs: &[f64]) -> f64 {
     assert!(!xs.is_empty());
