@@ -1,15 +1,18 @@
-//! Per-edge vs batched ingestion (the batched ingestion engine's reason
-//! to exist): wall-clock of a full pass through `MaxCoverEstimator` on
-//! an RMAT workload, comparing `observe` against `observe_batch` across
-//! batch sizes and thread counts. The estimates must be bit-identical
-//! in every configuration — the bench asserts it while measuring.
+//! Batched ingestion across chunk sizes, thread counts and stream
+//! shards: wall-clock of a full pass through `MaxCoverEstimator` on an
+//! RMAT workload, with speedups relative to 256-edge chunks on one
+//! thread. The estimates must be bit-identical in every configuration —
+//! the bench asserts it while measuring.
 
 use std::hint::black_box;
 
 use kcov_bench::{coarse_config, fmt, median_secs, print_table};
-use kcov_core::MaxCoverEstimator;
+use kcov_core::{EstimatorConfig, MaxCoverEstimator};
 use kcov_stream::gen::{rmat_incidence, RmatParams};
 use kcov_stream::{edge_stream, ArrivalOrder};
+
+/// The chunk size every speedup is relative to (on one thread).
+const BASE_BATCH: usize = 256;
 
 fn main() {
     let (n, m, k, alpha) = (50_000usize, 4_000usize, 64usize, 8.0f64);
@@ -18,55 +21,48 @@ fn main() {
     let total = edges.len() as f64;
     let config = coarse_config(3, n, 1);
 
-    let reference = MaxCoverEstimator::run(n, m, k, alpha, &config, &edges);
+    let reference = MaxCoverEstimator::run(n, m, k, alpha, &config, &edges, BASE_BATCH);
+    let timed_run = |config: &EstimatorConfig, batch: usize, what: String| {
+        let out = MaxCoverEstimator::run(n, m, k, alpha, config, &edges, batch);
+        assert_eq!(
+            reference.estimate.to_bits(),
+            out.estimate.to_bits(),
+            "{what} diverged"
+        );
+        median_secs(
+            || {
+                black_box(MaxCoverEstimator::run(
+                    n, m, k, alpha, config, &edges, batch,
+                ));
+            },
+            3,
+        )
+    };
+    let base_secs = timed_run(&config, BASE_BATCH, format!("batch={BASE_BATCH}"));
 
     let mut rows: Vec<Vec<String>> = Vec::new();
-    let serial_secs = median_secs(
-        || {
-            black_box(MaxCoverEstimator::run(n, m, k, alpha, &config, &edges));
-        },
-        3,
-    );
-    rows.push(vec![
-        "per-edge observe".into(),
-        "-".into(),
-        "1".into(),
-        fmt(serial_secs * 1e3),
-        fmt(total / serial_secs / 1e6),
-        "1.00".into(),
-    ]);
-
-    for &batch in &[256usize, 4096, 65_536] {
+    for &batch in &[BASE_BATCH, 4096, 65_536] {
         for &threads in &[1usize, 2, 4] {
-            let config = config.clone().with_threads(threads);
-            let out = MaxCoverEstimator::run_batched(n, m, k, alpha, &config, &edges, batch);
-            assert_eq!(
-                reference.estimate.to_bits(),
-                out.estimate.to_bits(),
-                "batched path diverged at batch={batch} threads={threads}"
-            );
-            let secs = median_secs(
-                || {
-                    black_box(MaxCoverEstimator::run_batched(
-                        n, m, k, alpha, &config, &edges, batch,
-                    ));
-                },
-                3,
-            );
+            let secs = if (batch, threads) == (BASE_BATCH, 1) {
+                base_secs
+            } else {
+                let config = config.clone().with_threads(threads);
+                timed_run(&config, batch, format!("batch={batch} threads={threads}"))
+            };
             rows.push(vec![
                 "observe_batch".into(),
                 batch.to_string(),
                 threads.to_string(),
                 fmt(secs * 1e3),
                 fmt(total / secs / 1e6),
-                format!("{:.2}", serial_secs / secs),
+                format!("{:.2}", base_secs / secs),
             ]);
         }
     }
 
     print_table(
         &format!(
-            "ingestion: per-edge vs batched (rmat n={n} m={m}, {} edges, k={k}, alpha={alpha})",
+            "ingestion: batch sizes x threads (rmat n={n} m={m}, {} edges, k={k}, alpha={alpha})",
             edges.len()
         ),
         &["path", "batch", "threads", "ms", "Medges/s", "speedup"],
@@ -80,27 +76,14 @@ fn main() {
     let mut shard_rows: Vec<Vec<String>> = Vec::new();
     for &shards in &[1usize, 2, 4] {
         let config = config.clone().with_shards(shards);
-        let out = MaxCoverEstimator::run_sharded(n, m, k, alpha, &config, &edges, 4096);
-        assert_eq!(
-            reference.estimate.to_bits(),
-            out.estimate.to_bits(),
-            "sharded path diverged at shards={shards}"
-        );
-        let secs = median_secs(
-            || {
-                black_box(MaxCoverEstimator::run_sharded(
-                    n, m, k, alpha, &config, &edges, 4096,
-                ));
-            },
-            3,
-        );
+        let secs = timed_run(&config, 4096, format!("shards={shards}"));
         shard_rows.push(vec![
-            "run_sharded".into(),
+            "run".into(),
             "4096".into(),
             shards.to_string(),
             fmt(secs * 1e3),
             fmt(total / secs / 1e6),
-            format!("{:.2}", serial_secs / secs),
+            format!("{:.2}", base_secs / secs),
         ]);
     }
     print_table(
@@ -108,5 +91,5 @@ fn main() {
         &["path", "batch", "shards", "ms", "Medges/s", "speedup"],
         &shard_rows,
     );
-    println!("all shard counts produced estimates identical to the serial pass");
+    println!("all shard counts produced estimates identical to one shard");
 }

@@ -16,11 +16,13 @@
 //! cargo run --release -p kcov-bench --bin exp_ablations
 //! ```
 
+use std::sync::Arc;
 use std::time::Instant;
 
 use kcov_baselines::{greedy_max_cover, local_search_max_cover, stochastic_greedy};
 use kcov_bench::{fmt, print_table};
 use kcov_core::{EstimatorConfig, LargeCommon, MaxCoverEstimator, Params};
+use kcov_hash::{KWise, SeedSequence};
 use kcov_stream::gen::{planted_cover, uniform_fixed_size, zipf_set_sizes};
 use kcov_stream::{edge_stream, ArrivalOrder, SetSystem};
 
@@ -61,10 +63,17 @@ fn main() {
     for beta_star in [1usize, 4, 16] {
         let system = mid_layer_instance(n, m, k, beta_star, 3);
         let params = Params::practical(m, n, k, alpha);
-        let mut lc = LargeCommon::new(n, &params, false, 9);
-        for e in edge_stream(&system, ArrivalOrder::Shuffled(1)) {
-            lc.observe(e);
-        }
+        // The set fingerprint base this experiment holds, drawn from the
+        // seed and label `LargeCommon::new` uses for its private one.
+        let base_seed = SeedSequence::labeled(9, "large-common-base").next_seed();
+        let base = Arc::new(KWise::new(
+            Params::hash_degree(params.mode, m, n),
+            base_seed,
+        ));
+        let mut lc = LargeCommon::with_base(n, &params, false, 9, base.clone());
+        let edges = edge_stream(&system, ArrivalOrder::Shuffled(1));
+        let fps: Vec<u64> = edges.iter().map(|e| base.hash(e.set as u64)).collect();
+        lc.observe_fp_batch(&edges, &fps);
         let lanes = lc.lane_values();
         // Certified value of a firing layer β: (2/3)·VAL/β (Fig 3).
         let cert = |(b, v, t): &(f64, f64, f64)| {
@@ -102,7 +111,7 @@ fn main() {
         let mut config = EstimatorConfig::practical(11);
         config.z_guesses = zs;
         config.reps = Some(2);
-        let out = MaxCoverEstimator::run(nn, mm, 20, 8.0, &config, &edges);
+        let out = MaxCoverEstimator::run(nn, mm, 20, 8.0, &config, &edges, 1024);
         rows.push(vec![
             label.into(),
             fmt(out.estimate),

@@ -45,7 +45,7 @@ fn main() {
         for (oname, order) in orders() {
             let edges = edge_stream(system, order);
             let config = coarse_config(13, n, 2);
-            let out = MaxCoverEstimator::run(n, m, *k, alpha, &config, &edges);
+            let out = MaxCoverEstimator::run(n, m, *k, alpha, &config, &edges, 1024);
             ests.push(out.estimate);
             rows.push(vec![
                 oname.into(),

@@ -27,8 +27,8 @@ fn main() {
     let mut not_lower = Vec::new();
     for alpha in [2.0f64, 4.0, 8.0, 16.0, 32.0] {
         let config = coarse_config(17, n, 2);
-        let single = MaxCoverEstimator::run(n, m, k, alpha, &config, &edges);
-        let two = run_two_pass(n, m, k, alpha, &config, &edges);
+        let single = MaxCoverEstimator::run(n, m, k, alpha, &config, &edges, 1024);
+        let two = run_two_pass(n, m, k, alpha, &config, &edges, 1024);
         let chosen: Vec<usize> = two.sets.iter().map(|&s| s as usize).collect();
         let two_real = coverage_of(&inst.system, &chosen) as f64;
         if opt / two_real.max(1.0) >= opt / single.estimate.max(1.0) {

@@ -10,9 +10,12 @@
 //! cargo run --release -p kcov-bench --bin exp_regimes
 //! ```
 
+use std::sync::Arc;
+
 use kcov_baselines::greedy_max_cover;
 use kcov_bench::{fmt, print_table};
 use kcov_core::{LargeCommon, LargeSet, Oracle, Params, SmallSet, SubroutineKind};
+use kcov_hash::{KWise, SeedSequence};
 use kcov_stream::gen::{common_heavy, few_large, planted_cover};
 use kcov_stream::{edge_stream, ArrivalOrder, SetSystem};
 
@@ -66,21 +69,33 @@ fn main() {
         let edges = edge_stream(&regime.system, ArrivalOrder::Shuffled(42));
         let greedy = greedy_max_cover(&regime.system, k).coverage as f64;
 
+        // Each layer consumes the set fingerprints of a base this
+        // experiment holds, one base per layer, drawn from the seed and
+        // label that layer's private-base constructor uses.
+        let degree = Params::hash_degree(params.mode, m, n);
+        let base = |seed: u64, label: &str| {
+            let base = KWise::new(degree, SeedSequence::labeled(seed, label).next_seed());
+            let fps: Vec<u64> = edges.iter().map(|e| base.hash(e.set as u64)).collect();
+            (Arc::new(base), fps)
+        };
         // Full oracle (universe reduction skipped: regimes are built
         // with OPT covering a constant fraction already).
-        let mut oracle = Oracle::new(n, &params, false, 7);
+        let (b, fps) = base(7, "oracle-base");
+        let mut oracle = Oracle::with_base(n, &params, false, 7, b);
+        oracle.observe_fp_batch(&edges, &fps);
         // Standalone subroutines for the ablation columns.
-        let mut lc = LargeCommon::new(n, &params, false, 17);
-        let mut ls = LargeSet::new(n, &params, 27);
-        let mut ss = params.small_set_active().then(|| SmallSet::new(n, &params, 37));
-        for &e in &edges {
-            oracle.observe(e);
-            lc.observe(e);
-            ls.observe(e);
-            if let Some(s) = &mut ss {
-                s.observe(e);
-            }
-        }
+        let (b, fps) = base(17, "large-common-base");
+        let mut lc = LargeCommon::with_base(n, &params, false, 17, b);
+        lc.observe_fp_batch(&edges, &fps);
+        let (b, fps) = base(27, "large-set-base");
+        let mut ls = LargeSet::with_base(n, &params, 27, b);
+        ls.observe_fp_batch(&edges, &fps);
+        let ss = params.small_set_active().then(|| {
+            let (b, fps) = base(37, "small-set-base");
+            let mut ss = SmallSet::with_base(n, &params, 37, b);
+            ss.observe_fp_batch(&edges, &fps);
+            ss
+        });
         let out = oracle.finalize();
         let sub_est = |r: Option<(f64, kcov_core::Witness)>| {
             r.map(|(v, _)| fmt(v)).unwrap_or_else(|| "infeasible".into())

@@ -53,9 +53,7 @@ fn main() {
             // Coarse guess grid (see kcov_bench::coarse_config docs).
             let config = kcov_bench::coarse_config(7, n, 1);
             let mut rep = MaxCoverReporter::new(n, m, case.k, alpha, &config);
-            for &e in &edges {
-                rep.observe(e);
-            }
+            rep.observe_batch(&edges);
             let r = rep.finalize();
             let chosen: Vec<usize> = r.sets.iter().map(|&s| s as usize).collect();
             let cov = coverage_of(&case.system, &chosen) as f64;

@@ -150,9 +150,7 @@ fn main() {
             // Coarse guess grid (see kcov_bench::coarse_config docs).
             let config = kcov_bench::coarse_config(21, n, 1);
             let mut alg = MaxCoverReporter::new(n, m, k, alpha, &config);
-            for &e in &edges {
-                alg.observe(e);
-            }
+            alg.observe_batch(&edges);
             let (leaf, words) = collapsed_ledger_leaves(&alg)
                 .into_iter()
                 .max_by_key(|&(_, words)| words)

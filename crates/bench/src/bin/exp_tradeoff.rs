@@ -24,8 +24,8 @@ fn measure(n: usize, m: usize, k: usize, alpha: f64, seed: u64) -> (f64, usize, 
     let config = kcov_bench::coarse_config(seed ^ 0xabc, n, 1);
     let mut est = MaxCoverEstimator::new(n, m, k, alpha, &config);
     let t0 = std::time::Instant::now();
-    for &e in &edges {
-        est.observe(e);
+    for chunk in edges.chunks(1024) {
+        est.observe_batch(chunk);
     }
     let out = est.finalize();
     let secs = t0.elapsed().as_secs_f64();

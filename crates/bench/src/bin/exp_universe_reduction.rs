@@ -66,7 +66,7 @@ fn main() {
         let mut config = EstimatorConfig::practical(13);
         config.z_guesses = zs;
         config.reps = Some(2);
-        let out = MaxCoverEstimator::run(n, m, 30, 8.0, &config, &edges);
+        let out = MaxCoverEstimator::run(n, m, 30, 8.0, &config, &edges, 1024);
         rows.push(vec![
             label.into(),
             fmt(out.estimate),

@@ -184,9 +184,8 @@ mod tests {
         let budget = predict_space_words(4_000, 500, 16, 8.0, &c);
         let mut fit = fit_alpha_to_budget(4_000, 500, 16, budget, &c).expect("fits");
         let inst = planted_cover(4_000, 500, 16, 0.7, 30, 3);
-        for e in edge_stream(&inst.system, ArrivalOrder::Shuffled(1)) {
-            fit.estimator.observe(e);
-        }
+        fit.estimator
+            .observe_batch(&edge_stream(&inst.system, ArrivalOrder::Shuffled(1)));
         let out = fit.estimator.finalize();
         // The summary event reports exactly the estimator's words, the
         // subroutines' ledger subtrees sum to it, and both respect the
@@ -213,9 +212,8 @@ mod tests {
         let budget = predict_space_words(4_000, 500, 16, 8.0, &c);
         let mut fit = fit_alpha_to_budget(4_000, 500, 16, budget, &c).expect("fits");
         let inst = planted_cover(4_000, 500, 16, 0.7, 30, 3);
-        for e in edge_stream(&inst.system, ArrivalOrder::Shuffled(1)) {
-            fit.estimator.observe(e);
-        }
+        fit.estimator
+            .observe_batch(&edge_stream(&inst.system, ArrivalOrder::Shuffled(1)));
         let used = fit.estimator.space_words();
         assert!(
             used <= fit.predicted_words,

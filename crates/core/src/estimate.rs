@@ -205,15 +205,11 @@ impl TrivialState {
         }
     }
 
-    fn observe(&mut self, edge: Edge) {
-        self.total.insert(edge.elem as u64);
-        let g = (edge.set as usize / self.k.max(1)).min(self.groups.len() - 1);
-        self.groups[g].insert(edge.elem as u64);
-    }
-
     fn observe_batch(&mut self, edges: &[Edge]) {
-        for &edge in edges {
-            self.observe(edge);
+        for edge in edges {
+            self.total.insert(edge.elem as u64);
+            let g = (edge.set as usize / self.k.max(1)).min(self.groups.len() - 1);
+            self.groups[g].insert(edge.elem as u64);
         }
     }
 
@@ -436,28 +432,20 @@ impl MaxCoverEstimator {
         }
     }
 
-    /// Observe one `(set, element)` edge.
+    /// Observe one `(set, element)` edge: the batched engine on a
+    /// one-edge chunk, with no clocks and no batch histogram.
+    ///
+    /// A one-edge chunk costs about 4× what the per-edge scalar path
+    /// this replaced cost, and about 9× an edge's share of a 1024-edge
+    /// chunk (E29), so feed streams through
+    /// [`MaxCoverEstimator::observe_batch`] and keep this for callers
+    /// that really see one edge at a time. Heartbeats fire at each
+    /// multiple of the cadence.
     pub fn observe(&mut self, edge: Edge) {
+        let seen_before = self.edges_seen;
         self.edges_seen += 1;
-        if let Some(t) = &mut self.trivial {
-            t.observe(edge);
-        } else {
-            // Hash once: two base evaluations for the raw edge, then
-            // every lane works from the fingerprints (one cheap mix per
-            // gate) instead of re-hashing the raw ids.
-            let (fp_set, fp_elem) = self
-                .fps
-                .as_ref()
-                .expect("non-trivial estimator has fingerprints")
-                .fingerprint(edge);
-            for lane in &mut self.lanes {
-                let reduced = Edge::new(edge.set, lane.reducer.map_fp(fp_elem) as u32);
-                lane.oracle.observe_fp(reduced, fp_set);
-            }
-        }
-        // Heartbeat cadence: edge count only, no clocks. Off (0) means
-        // one branch of overhead per edge.
-        if self.heartbeat_every != 0 && self.edges_seen.is_multiple_of(self.heartbeat_every) {
+        self.dispatch_batch(&[edge], false);
+        if telemetry::crosses_beat(seen_before, 1, self.heartbeat_every) {
             self.capture_heartbeat();
         }
     }
@@ -467,10 +455,10 @@ impl MaxCoverEstimator {
     /// Determinism guarantee: lanes are mutually independent (each owns
     /// its seeded reducer hash and oracle state) and every lane consumes
     /// every chunk in arrival order, so the final state — and therefore
-    /// [`MaxCoverEstimator::finalize`] — is bit-identical to feeding the
-    /// same edges through [`MaxCoverEstimator::observe`] one at a time,
-    /// for *any* chunking and *any* thread count. With `threads > 1` the
-    /// lanes are sharded across `std::thread::scope` workers per chunk.
+    /// [`MaxCoverEstimator::finalize`] — is bit-identical for *any*
+    /// chunking, one-edge [`MaxCoverEstimator::observe`] calls included,
+    /// and *any* thread count. With `threads > 1` the lanes are sharded
+    /// across `std::thread::scope` workers per chunk.
     pub fn observe_batch(&mut self, edges: &[Edge]) {
         if edges.is_empty() {
             return;
@@ -478,10 +466,11 @@ impl MaxCoverEstimator {
         // Batch telemetry: one clock read per *batch* (never per edge),
         // recorded into replica-local histograms — no sink access here,
         // so this path stays safe on ingestion worker threads.
-        let start = self.rec.is_enabled().then(Instant::now);
+        let timed = self.rec.is_enabled();
+        let start = timed.then(Instant::now);
         let seen_before = self.edges_seen;
         self.edges_seen += edges.len() as u64;
-        self.dispatch_batch(edges);
+        self.dispatch_batch(edges, timed);
         if let Some(start) = start {
             self.hists.batch_edges.record(edges.len() as u64);
             self.hists.batch_ns.record(start.elapsed().as_nanos() as u64);
@@ -500,12 +489,12 @@ impl MaxCoverEstimator {
     /// exactly once (two batched base evaluations against the raw
     /// stream), then shared read-only by every lane — serial or across
     /// the scoped worker threads.
-    fn dispatch_batch(&mut self, edges: &[Edge]) {
-        // Time attribution is batch-granular: a handful of monotonic
-        // reads per *chunk* (stage boundaries plus one bracket per lane,
-        // each accumulated into replica-local plain `u64`s), never per
-        // edge, and none at all while the recorder is disabled.
-        let timed = self.rec.is_enabled();
+    ///
+    /// Time attribution is batch-granular: when `timed`, a handful of
+    /// monotonic reads per *chunk* (stage boundaries plus one bracket
+    /// per lane, each accumulated into replica-local plain `u64`s),
+    /// never per edge; none at all otherwise.
+    fn dispatch_batch(&mut self, edges: &[Edge], timed: bool) {
         if let Some(t) = &mut self.trivial {
             let start = timed.then(Instant::now);
             t.observe_batch(edges);
@@ -932,7 +921,11 @@ impl MaxCoverEstimator {
         );
     }
 
-    /// Convenience: run over a finite edge stream.
+    /// Convenience: run over a finite edge stream through
+    /// [`MaxCoverEstimator::ingest_sharded`] with `config.shards`
+    /// replicas, in chunks of `batch` edges. The outcome, resident
+    /// space included, is the same for every shard count and chunk size
+    /// (every sketch merges to the serial state — DESIGN.md §8).
     pub fn run(
         n: usize,
         m: usize,
@@ -940,55 +933,11 @@ impl MaxCoverEstimator {
         alpha: f64,
         config: &EstimatorConfig,
         edges: &[Edge],
+        batch: usize,
     ) -> EstimateOutcome {
         let mut est = MaxCoverEstimator::new(n, m, k, alpha, config);
         let span = est.rec.span("ingest");
-        for &e in edges {
-            est.observe(e);
-        }
-        span.finish();
-        est.finalize()
-    }
-
-    /// Convenience: run over a finite edge stream through the batched
-    /// ingestion engine in chunks of `batch_size`. Returns the same
-    /// outcome as [`MaxCoverEstimator::run`] bit-for-bit (see
-    /// [`MaxCoverEstimator::observe_batch`]).
-    pub fn run_batched(
-        n: usize,
-        m: usize,
-        k: usize,
-        alpha: f64,
-        config: &EstimatorConfig,
-        edges: &[Edge],
-        batch_size: usize,
-    ) -> EstimateOutcome {
-        let mut est = MaxCoverEstimator::new(n, m, k, alpha, config);
-        let span = est.rec.span("ingest");
-        for chunk in edges.chunks(batch_size.max(1)) {
-            est.observe_batch(chunk);
-        }
-        span.finish();
-        est.finalize()
-    }
-
-    /// Convenience: run over a finite edge stream through
-    /// [`MaxCoverEstimator::ingest_sharded`] with `config.shards`
-    /// replicas. Produces the same outcome as
-    /// [`MaxCoverEstimator::run`], resident space included (every
-    /// sketch merges to the serial state — DESIGN.md §8).
-    pub fn run_sharded(
-        n: usize,
-        m: usize,
-        k: usize,
-        alpha: f64,
-        config: &EstimatorConfig,
-        edges: &[Edge],
-        batch_size: usize,
-    ) -> EstimateOutcome {
-        let mut est = MaxCoverEstimator::new(n, m, k, alpha, config);
-        let span = est.rec.span("ingest");
-        est.ingest_sharded(edges, config.shards.max(1), batch_size);
+        est.ingest_sharded(edges, config.shards, batch);
         span.finish();
         est.finalize()
     }
@@ -1069,8 +1018,8 @@ impl MaxCoverEstimator {
     /// wall-clock and carry no determinism promise. Recomputed on
     /// demand from the merged `ns` totals, so Σ shard trees == the
     /// merged tree exactly. All-zero (but correctly shaped) when the
-    /// recorder was disabled or ingestion went through the per-edge
-    /// path, which records no time.
+    /// recorder was disabled or every edge came through the one-edge
+    /// [`MaxCoverEstimator::observe`], which records no time.
     pub fn time_ledger_tree(&self) -> TimeLedger {
         self.time_ledger_rooted("estimator")
     }
@@ -1374,6 +1323,7 @@ mod tests {
             alpha,
             &config,
             &edges,
+            1024,
         )
     }
 
@@ -1481,8 +1431,8 @@ mod tests {
         let m = inst.system.num_sets();
         let e1 = edge_stream(&inst.system, ArrivalOrder::SetContiguous);
         let e2 = edge_stream(&inst.system, ArrivalOrder::Shuffled(4));
-        let r1 = MaxCoverEstimator::run(n, m, 8, 3.0, &config, &e1);
-        let r2 = MaxCoverEstimator::run(n, m, 8, 3.0, &config, &e2);
+        let r1 = MaxCoverEstimator::run(n, m, 8, 3.0, &config, &e1, 1024);
+        let r2 = MaxCoverEstimator::run(n, m, 8, 3.0, &config, &e2, 1024);
         let rel = (r1.estimate - r2.estimate).abs() / r1.estimate.max(1.0);
         assert!(rel < 0.35, "order sensitivity too high: {} vs {}", r1.estimate, r2.estimate);
     }
@@ -1503,17 +1453,11 @@ mod tests {
         let mid = edges.len() / 3;
 
         let mut serial = MaxCoverEstimator::new(n, m, 8, 3.0, &config);
-        for &e in &edges {
-            serial.observe(e);
-        }
+        serial.observe_batch(&edges);
         let mut a = MaxCoverEstimator::new(n, m, 8, 3.0, &config);
         let mut b = a.clone();
-        for &e in &edges[..mid] {
-            a.observe(e);
-        }
-        for &e in &edges[mid..] {
-            b.observe(e);
-        }
+        a.observe_batch(&edges[..mid]);
+        b.observe_batch(&edges[mid..]);
         a.merge(&b);
 
         let s = serial.finalize();
@@ -1638,11 +1582,10 @@ mod tests {
         let m = inst.system.num_sets();
         let config = fast_config(17, n);
         let edges = edge_stream(&inst.system, ArrivalOrder::Shuffled(5));
-        let serial = MaxCoverEstimator::run(n, m, 6, 3.0, &config, &edges);
+        let serial = MaxCoverEstimator::run(n, m, 6, 3.0, &config, &edges, edges.len());
         for shards in [1usize, 3, 4] {
             let sharded_config = config.clone().with_shards(shards);
-            let out =
-                MaxCoverEstimator::run_sharded(n, m, 6, 3.0, &sharded_config, &edges, 128);
+            let out = MaxCoverEstimator::run(n, m, 6, 3.0, &sharded_config, &edges, 128);
             assert_eq!(
                 serial.estimate.to_bits(),
                 out.estimate.to_bits(),
@@ -1709,9 +1652,9 @@ mod tests {
         // never created; the outcome must still match serial ingestion.
         let config = fast_config(19, 800);
         let edges = vec![Edge::new(0, 1), Edge::new(1, 2), Edge::new(2, 3)];
-        let serial = MaxCoverEstimator::run(800, 120, 8, 3.0, &config, &edges);
+        let serial = MaxCoverEstimator::run(800, 120, 8, 3.0, &config, &edges, 64);
         let sharded_config = config.clone().with_shards(7);
-        let out = MaxCoverEstimator::run_sharded(800, 120, 8, 3.0, &sharded_config, &edges, 64);
+        let out = MaxCoverEstimator::run(800, 120, 8, 3.0, &sharded_config, &edges, 64);
         assert_eq!(serial.estimate.to_bits(), out.estimate.to_bits());
     }
 }

@@ -75,9 +75,11 @@ pub struct LargeCommon {
 
 impl LargeCommon {
     /// Create the subroutine for universe size `u` (the pseudo-universe
-    /// after reduction), deriving a private set fingerprint base.
-    /// Estimator lanes share one base across every subroutine instead —
-    /// see [`LargeCommon::with_base`].
+    /// after reduction), deriving a private set fingerprint base. Its
+    /// fingerprints are what [`LargeCommon::observe_fp_batch`] takes, so
+    /// a caller that feeds edges builds with [`LargeCommon::with_base`]
+    /// on a base it holds (estimator lanes share one); this constructor
+    /// serves unfed state.
     pub fn new(u: usize, params: &Params, reporting: bool, seed: u64) -> Self {
         let degree = Params::hash_degree(params.mode, params.m, params.n);
         let base_seed = SeedSequence::labeled(seed, "large-common-base").next_seed();
@@ -135,44 +137,12 @@ impl LargeCommon {
         }
     }
 
-    /// The layer gate value of a set fingerprint: one 4-wise mix serves
-    /// every (nested) layer.
-    #[inline]
-    fn gate(&self, fp_set: u64) -> u64 {
-        self.set_mix.hash(fp_set)
-    }
-
-    /// Observe one `(set, element)` edge (scalar compatibility path:
-    /// applies the fingerprint base itself).
-    pub fn observe(&mut self, edge: Edge) {
-        let fp = self.set_base.hash(edge.set as u64);
-        self.observe_fp(edge, fp);
-    }
-
-    /// Observe one edge given its precomputed set fingerprint
-    /// `set_base(edge.set)` — the hash-once hot path. One shared 4-wise
-    /// mix gates every layer (layers are nested by power-of-two
-    /// buckets).
-    #[inline]
-    pub fn observe_fp(&mut self, edge: Edge, fp_set: u64) {
-        let h = self.gate(fp_set);
-        for lane in &mut self.lanes {
-            if h & (lane.buckets - 1) == 0 {
-                lane.de.insert(edge.elem as u64);
-                if let Some(g) = &mut lane.groups {
-                    let gi = g.hash.hash_to_range(fp_set, g.counters.len() as u64);
-                    g.counters[gi as usize].insert(edge.elem as u64);
-                }
-            }
-        }
-    }
-
     /// Observe a chunk given precomputed set fingerprints (`fps[i]` must
-    /// be `set_base(edges[i].set)`). The shared mix is evaluated once
-    /// per edge for the whole chunk; each layer then consumes its
-    /// surviving edges in arrival order, so every layer's sketches see
-    /// the exact sequence the per-edge path feeds them (state-identical
-    /// to repeated [`LargeCommon::observe_fp`]).
+    /// be `set_base(edges[i].set)`). One shared 4-wise mix, evaluated
+    /// once per edge for the whole chunk, gates every layer (layers are
+    /// nested by power-of-two buckets); each layer then consumes its
+    /// surviving edges in arrival order, so the final state does not
+    /// depend on how the stream is cut into chunks.
     pub fn observe_fp_batch(&mut self, edges: &[Edge], fps: &[u64]) {
         debug_assert_eq!(edges.len(), fps.len());
         let mut gates = Vec::new();
@@ -504,13 +474,16 @@ impl SpaceUsage for LargeCommon {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_support::assert_chunking_invariant;
     use kcov_stream::gen::{common_heavy, many_small};
     use kcov_stream::{coverage_of, edge_stream, ArrivalOrder};
 
     fn feed(lc: &mut LargeCommon, edges: &[Edge]) {
-        for &e in edges {
-            lc.observe(e);
-        }
+        let fps: Vec<u64> = edges
+            .iter()
+            .map(|e| lc.set_base.hash(e.set as u64))
+            .collect();
+        lc.observe_fp_batch(edges, &fps);
     }
 
     #[test]
@@ -640,29 +613,24 @@ mod tests {
     }
 
     #[test]
-    fn fp_path_matches_scalar_path() {
-        // Hash-once contract: precomputed fingerprints (scalar or
-        // batched) drive the sketches into bit-identical state.
+    fn one_edge_chunks_match_whole_stream() {
         let ss = common_heavy(800, 400, 6);
         let params = Params::practical(400, 800, 10, 4.0);
         let edges = edge_stream(&ss, ArrivalOrder::Shuffled(5));
         let base = Arc::new(KWise::new(8, 321));
-        let proto = LargeCommon::with_base(800, &params, true, 13, base.clone());
-        let mut scalar = proto.clone();
-        let mut fp = proto.clone();
-        let mut batched = proto;
-        for &e in &edges {
-            scalar.observe(e);
-            fp.observe_fp(e, base.hash(e.set as u64));
-        }
         let fps: Vec<u64> = edges.iter().map(|e| base.hash(e.set as u64)).collect();
-        batched.observe_fp_batch(&edges, &fps);
-        let a = scalar.finalize();
-        let b = fp.finalize();
-        let c = batched.finalize();
-        assert_eq!(a, b);
-        assert_eq!(a, c);
-        assert_eq!(scalar.space_words(), batched.space_words());
+        // Both layer paths: the branch-free survivor gather (estimator
+        // lanes) and the reporting path's per-edge group loop.
+        for reporting in [false, true] {
+            let proto = LargeCommon::with_base(800, &params, reporting, 13, base.clone());
+            assert_chunking_invariant(
+                &proto,
+                &edges,
+                &fps,
+                LargeCommon::observe_fp_batch,
+                LargeCommon::finalize,
+            );
+        }
     }
 
     #[test]

@@ -119,9 +119,11 @@ pub struct LargeSet {
 
 impl LargeSet {
     /// Create the subroutine for universe size `u` with a private set
-    /// fingerprint base (standalone use; estimator lanes share one base
-    /// via [`LargeSet::with_base`]). `w` is the superset size bound
-    /// chosen by the Fig 2 branch (`k` or `α`).
+    /// fingerprint base, for unfed state: a caller that feeds edges
+    /// builds with [`LargeSet::with_base`] on a base it holds, whose
+    /// fingerprints [`LargeSet::observe_fp_batch`] takes (estimator
+    /// lanes share one). `w` is the superset size bound chosen by the
+    /// Fig 2 branch (`k` or `α`).
     pub fn new(u: usize, params: &Params, seed: u64) -> Self {
         let degree = Params::hash_degree(params.mode, params.m, params.n);
         let base_seed = SeedSequence::labeled(seed, "large-set-base").next_seed();
@@ -220,49 +222,13 @@ impl LargeSet {
         }
     }
 
-    /// One repetition's view of one edge (shared by the per-edge and
-    /// batched paths so they stay state-identical by construction).
-    /// `fp_set` is the shared set fingerprint `set_base(edge.set)`; the
-    /// element hash runs first so most edges exit after one degree-8
-    /// evaluation and a compare.
-    #[inline]
-    fn rep_observe(rep: &mut Rep, edge: Edge, fp_set: u64) {
-        if probe_mix(edge.elem as u64 ^ rep.gate_salt) >= rep.keep_below {
-            return; // element not in this repetition's L
-        }
-        let sid = rep.shash.hash_to_range(fp_set, rep.num_supersets);
-        rep.cntr.insert(sid);
-        if rep.ssel_hash.selects(sid, rep.ssel_buckets) {
-            let seed = rep.sample_seed ^ sid.wrapping_mul(0x9e3779b97f4a7c15);
-            rep.sampled
-                .get_or_insert_with(sid, || L0Estimator::new(16, 2, seed))
-                .insert(edge.elem as u64);
-        }
-    }
-
-    /// Observe one `(set, element)` edge (scalar compatibility path:
-    /// applies the fingerprint base itself).
-    pub fn observe(&mut self, edge: Edge) {
-        let fp = self.set_base.hash(edge.set as u64);
-        self.observe_fp(edge, fp);
-    }
-
-    /// Observe one edge given its precomputed set fingerprint — the
-    /// hash-once hot path.
-    #[inline]
-    pub fn observe_fp(&mut self, edge: Edge, fp_set: u64) {
-        for rep in &mut self.reps {
-            Self::rep_observe(rep, edge, fp_set);
-        }
-    }
-
     /// Observe a chunk given precomputed set fingerprints, columnar and
     /// repetition-outer: per repetition the element gate runs over the
     /// chunk, survivors are gathered into dense columns (branch-free:
     /// every edge is written, the write index advances by the gate), and
     /// the superset-id hash, the contributing-class finder and the
-    /// superset-sampling hash consume those columns batched. The
-    /// final state is identical to repeated [`LargeSet::observe_fp`]:
+    /// superset-sampling hash consume those columns batched. The final
+    /// state does not depend on how the stream is cut into chunks:
     /// every per-item decision uses the same hash values in the same
     /// arrival order, and the batched sketch inserts are documented
     /// state-identical to their scalar loops.
@@ -666,13 +632,16 @@ impl SpaceUsage for LargeSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_support::assert_chunking_invariant;
     use kcov_stream::gen::{few_large, many_small};
     use kcov_stream::{edge_stream, ArrivalOrder};
 
     fn feed(ls: &mut LargeSet, edges: &[Edge]) {
-        for &e in edges {
-            ls.observe(e);
-        }
+        let fps: Vec<u64> = edges
+            .iter()
+            .map(|e| ls.set_base.hash(e.set as u64))
+            .collect();
+        ls.observe_fp_batch(edges, &fps);
     }
 
     #[test]
@@ -779,19 +748,20 @@ mod tests {
     }
 
     #[test]
-    fn fp_path_matches_scalar_path() {
+    fn one_edge_chunks_match_whole_stream() {
         let ss = few_large(2000, 300, 3, 500, 8);
         let params = Params::practical(300, 2000, 10, 6.0);
         let edges = edge_stream(&ss, ArrivalOrder::Shuffled(17));
         let base = Arc::new(KWise::new(8, 555));
         let proto = LargeSet::with_base(2000, &params, 19, base.clone());
-        let mut scalar = proto.clone();
-        let mut batched = proto;
-        feed(&mut scalar, &edges);
         let fps: Vec<u64> = edges.iter().map(|e| base.hash(e.set as u64)).collect();
-        batched.observe_fp_batch(&edges, &fps);
-        assert_eq!(scalar.finalize(), batched.finalize());
-        assert_eq!(scalar.space_words(), batched.space_words());
+        assert_chunking_invariant(
+            &proto,
+            &edges,
+            &fps,
+            LargeSet::observe_fp_batch,
+            LargeSet::finalize,
+        );
     }
 
     #[test]

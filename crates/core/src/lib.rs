@@ -52,7 +52,7 @@
 //! let inst = planted_cover(1000, 100, 5, 0.8, 40, 7);
 //! let edges = edge_stream(&inst.system, ArrivalOrder::Shuffled(1));
 //! let out = MaxCoverEstimator::run(1000, 100, 5, 4.0,
-//!     &EstimatorConfig::practical(42), &edges);
+//!     &EstimatorConfig::practical(42), &edges, 1024);
 //! assert!(out.estimate > 0.0);
 //! assert!(out.estimate <= inst.planted_coverage as f64 * 1.2);
 //! ```
@@ -81,7 +81,7 @@ pub use params::{ParamMode, Params};
 pub use report::{MaxCoverReporter, ReportedCover};
 pub use small_set::SmallSet;
 pub use telemetry::crosses_beat;
-pub use two_pass::{run_two_pass, run_two_pass_sharded, TwoPassFirst, TwoPassSecond};
+pub use two_pass::{run_two_pass, TwoPassFirst, TwoPassSecond};
 pub use universe::UniverseReducer;
 
 /// A reporting witness: how to reconstruct the winning (approximate)
@@ -108,4 +108,50 @@ pub enum Witness {
     /// `SmallSet`: explicitly chosen set indices (greedy on the stored
     /// sub-instance).
     ExplicitSets(Vec<u32>),
+}
+
+/// Shared checks for the subroutines' unit tests.
+#[cfg(test)]
+pub(crate) mod test_support {
+    use kcov_sketch::{SpaceUsage, WireEncode};
+    use kcov_stream::Edge;
+
+    use crate::Witness;
+
+    /// Feed `proto` three ways through its `observe_fp_batch` (`feed`):
+    /// one-edge chunks, ragged 7-edge chunks and the whole stream. All
+    /// three must finalize identically, report equal `space_words` and
+    /// encode to equal wire bytes.
+    pub(crate) fn assert_chunking_invariant<T: Clone + SpaceUsage + WireEncode>(
+        proto: &T,
+        edges: &[Edge],
+        fps: &[u64],
+        feed: impl Fn(&mut T, &[Edge], &[u64]),
+        finalize: impl Fn(&T) -> Option<(f64, Witness)>,
+    ) {
+        let [one, ragged, whole] = [1, 7, edges.len().max(1)].map(|size| {
+            let mut state = proto.clone();
+            for (chunk, fp) in edges.chunks(size).zip(fps.chunks(size)) {
+                feed(&mut state, chunk, fp);
+            }
+            state
+        });
+        assert!(
+            finalize(&whole).is_some(),
+            "the test stream must fire the subroutine"
+        );
+        for (name, fed) in [("one-edge", one), ("7-edge", ragged)] {
+            assert_eq!(finalize(&fed), finalize(&whole), "{name} chunks: finalize");
+            assert_eq!(
+                fed.space_words(),
+                whole.space_words(),
+                "{name} chunks: words"
+            );
+            assert_eq!(
+                fed.to_bytes(),
+                whole.to_bytes(),
+                "{name} chunks: wire bytes"
+            );
+        }
+    }
 }

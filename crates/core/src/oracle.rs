@@ -91,7 +91,7 @@ pub struct Oracle {
     u: usize,
     /// Shared set fingerprint base (hash-once hot path); every
     /// subroutine holds the same `Arc` and consumes the one fingerprint
-    /// the caller (or the scalar compatibility path) computes per edge.
+    /// the caller computes per edge.
     /// One coefficient table per process: the ledger attributes the
     /// words to the owning fingerprint front end, holders count the
     /// 1-word handle.
@@ -104,9 +104,11 @@ pub struct Oracle {
 impl Oracle {
     /// Create an oracle for universe size `u` (the pseudo-universe after
     /// reduction; `params.n` is ignored in favour of `u`) with a private
-    /// set fingerprint base. Estimator lanes share one base across every
-    /// lane via [`Oracle::with_base`]. `reporting` enables the witness
-    /// machinery of Theorem 3.2.
+    /// set fingerprint base, for unfed state: a caller that feeds edges
+    /// builds with [`Oracle::with_base`] on a base it holds, whose
+    /// fingerprints [`Oracle::observe_fp_batch`] takes (estimator lanes
+    /// share one). `reporting` enables the witness machinery of
+    /// Theorem 3.2.
     pub fn new(u: usize, params: &Params, reporting: bool, seed: u64) -> Self {
         let degree = Params::hash_degree(params.mode, params.m, params.n);
         let base_seed = kcov_hash::SeedSequence::labeled(seed, "oracle-base").next_seed();
@@ -140,31 +142,13 @@ impl Oracle {
         }
     }
 
-    /// Observe one `(set, element)` edge (element already reduced;
-    /// scalar compatibility path — applies the fingerprint base itself).
-    pub fn observe(&mut self, edge: Edge) {
-        let fp = self.set_base.hash(edge.set as u64);
-        self.observe_fp(edge, fp);
-    }
-
-    /// Observe one reduced edge given its precomputed set fingerprint
-    /// `set_base(edge.set)` — the hash-once hot path.
-    #[inline]
-    pub fn observe_fp(&mut self, edge: Edge, fp_set: u64) {
-        self.large_common.observe_fp(edge, fp_set);
-        self.large_set.observe_fp(edge, fp_set);
-        if let Some(ss) = &mut self.small_set {
-            ss.observe_fp(edge, fp_set);
-        }
-    }
-
     /// Observe a chunk given precomputed set fingerprints (`fps[i]`
     /// must be `set_base(edges[i].set)`; set ids pass through universe
     /// reduction unchanged, so the estimator computes the fingerprints
     /// once against the *raw* stream and every lane reuses them): each
     /// subroutine consumes the whole chunk in turn, preserving arrival
-    /// order within every subroutine, so the final state is identical
-    /// to repeated [`Oracle::observe_fp`].
+    /// order within every subroutine, so the final state does not
+    /// depend on how the stream is cut into chunks.
     pub fn observe_fp_batch(&mut self, edges: &[Edge], fps: &[u64]) {
         debug_assert_eq!(edges.len(), fps.len());
         self.large_common.observe_fp_batch(edges, fps);
@@ -404,6 +388,14 @@ mod tests {
     use kcov_stream::gen::{common_heavy, few_large, many_small};
     use kcov_stream::{edge_stream, ArrivalOrder};
 
+    fn feed(oracle: &mut Oracle, edges: &[Edge]) {
+        let fps: Vec<u64> = edges
+            .iter()
+            .map(|e| oracle.set_base.hash(e.set as u64))
+            .collect();
+        oracle.observe_fp_batch(edges, &fps);
+    }
+
     fn run_oracle(
         system: &kcov_stream::SetSystem,
         k: usize,
@@ -412,9 +404,10 @@ mod tests {
     ) -> OracleOutput {
         let params = Params::practical(system.num_sets(), system.num_elements(), k, alpha);
         let mut oracle = Oracle::new(system.num_elements(), &params, false, seed);
-        for e in edge_stream(system, ArrivalOrder::Shuffled(seed)) {
-            oracle.observe(e);
-        }
+        feed(
+            &mut oracle,
+            &edge_stream(system, ArrivalOrder::Shuffled(seed)),
+        );
         oracle.finalize()
     }
 
@@ -464,9 +457,10 @@ mod tests {
         let system = few_large(2000, 300, 3, 500, 2);
         let params = Params::practical(300, 2000, 10, 6.0);
         let mut oracle = Oracle::new(2000, &params, true, 5);
-        for e in edge_stream(&system, ArrivalOrder::Shuffled(1)) {
-            oracle.observe(e);
-        }
+        feed(
+            &mut oracle,
+            &edge_stream(&system, ArrivalOrder::Shuffled(1)),
+        );
         let out = oracle.finalize();
         if let Some(w) = &out.witness {
             assert!(!oracle.expand_witness(w).is_empty());
@@ -488,9 +482,10 @@ mod tests {
         let system = common_heavy(800, 300, 5);
         let params = Params::practical(300, 800, 10, 4.0);
         let mut oracle = Oracle::new(800, &params, false, 3);
-        for e in edge_stream(&system, ArrivalOrder::Shuffled(2)) {
-            oracle.observe(e);
-        }
+        feed(
+            &mut oracle,
+            &edge_stream(&system, ArrivalOrder::Shuffled(2)),
+        );
         let d = oracle.diagnostics();
         let best = d.best().unwrap_or(0.0).min(800.0);
         let out = oracle.finalize();
@@ -509,18 +504,12 @@ mod tests {
             let edges = edge_stream(&system, ArrivalOrder::Shuffled(13));
             let proto = Oracle::new(system.num_elements(), &params, true, 19);
             let mut serial = proto.clone();
-            for &e in &edges {
-                serial.observe(e);
-            }
+            feed(&mut serial, &edges);
             let (head, tail) = edges.split_at(edges.len() / 3);
             let mut left = proto.clone();
             let mut right = proto;
-            for &e in head {
-                left.observe(e);
-            }
-            for &e in tail {
-                right.observe(e);
-            }
+            feed(&mut left, head);
+            feed(&mut right, tail);
             left.merge(&right);
             let a = serial.finalize();
             let b = left.finalize();

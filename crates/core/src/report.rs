@@ -56,7 +56,8 @@ impl MaxCoverReporter {
         }
     }
 
-    /// Observe one `(set, element)` edge.
+    /// Observe one `(set, element)` edge (see
+    /// [`MaxCoverEstimator::observe`] for its per-edge cost).
     pub fn observe(&mut self, edge: Edge) {
         self.inner.observe(edge);
     }
@@ -109,7 +110,9 @@ impl MaxCoverReporter {
         }
     }
 
-    /// Convenience: run over a finite edge stream.
+    /// Convenience: run over a finite edge stream with `config.shards`
+    /// replicas in chunks of `batch` edges (see
+    /// [`MaxCoverEstimator::run`]).
     pub fn run(
         n: usize,
         m: usize,
@@ -117,46 +120,10 @@ impl MaxCoverReporter {
         alpha: f64,
         config: &EstimatorConfig,
         edges: &[Edge],
+        batch: usize,
     ) -> ReportedCover {
         let mut rep = MaxCoverReporter::new(n, m, k, alpha, config);
-        for &e in edges {
-            rep.observe(e);
-        }
-        rep.finalize()
-    }
-
-    /// Convenience: run over a finite edge stream in chunks of
-    /// `batch_size` through the batched ingestion engine. Bit-identical
-    /// to [`MaxCoverReporter::run`].
-    pub fn run_batched(
-        n: usize,
-        m: usize,
-        k: usize,
-        alpha: f64,
-        config: &EstimatorConfig,
-        edges: &[Edge],
-        batch_size: usize,
-    ) -> ReportedCover {
-        let mut rep = MaxCoverReporter::new(n, m, k, alpha, config);
-        for chunk in edges.chunks(batch_size.max(1)) {
-            rep.observe_batch(chunk);
-        }
-        rep.finalize()
-    }
-
-    /// Convenience: run over a finite edge stream with `config.shards`
-    /// sharded replicas (see [`MaxCoverEstimator::run_sharded`]).
-    pub fn run_sharded(
-        n: usize,
-        m: usize,
-        k: usize,
-        alpha: f64,
-        config: &EstimatorConfig,
-        edges: &[Edge],
-        batch_size: usize,
-    ) -> ReportedCover {
-        let mut rep = MaxCoverReporter::new(n, m, k, alpha, config);
-        rep.ingest_sharded(edges, config.shards.max(1), batch_size);
+        rep.ingest_sharded(edges, config.shards, batch);
         rep.finalize()
     }
 }
@@ -202,6 +169,7 @@ mod tests {
             alpha,
             &config,
             &edges,
+            1024,
         )
     }
 
@@ -242,7 +210,7 @@ mod tests {
         let edges = edge_stream(&ss, ArrivalOrder::SetContiguous);
         // k·alpha = 8·4 >= m = 12 → trivial: a block of k consecutive
         // sets (the best-tracked group).
-        let r = MaxCoverReporter::run(60, 12, 8, 4.0, &config, &edges);
+        let r = MaxCoverReporter::run(60, 12, 8, 4.0, &config, &edges, 1024);
         assert!(!r.sets.is_empty());
         assert!(r.sets.len() <= 8);
         assert!(r.sets.iter().all(|&s| s < 12));
@@ -265,10 +233,10 @@ mod tests {
         let m = inst.system.num_sets();
         let config = fast_config(23, n);
         let edges = edge_stream(&inst.system, ArrivalOrder::Shuffled(8));
-        let serial = MaxCoverReporter::run(n, m, 8, 3.0, &config, &edges);
+        let serial = MaxCoverReporter::run(n, m, 8, 3.0, &config, &edges, edges.len());
         for shards in [2usize, 5] {
             let sharded_config = config.clone().with_shards(shards);
-            let out = MaxCoverReporter::run_sharded(n, m, 8, 3.0, &sharded_config, &edges, 96);
+            let out = MaxCoverReporter::run(n, m, 8, 3.0, &sharded_config, &edges, 96);
             assert_eq!(serial.sets, out.sets, "shards={shards}");
             assert_eq!(
                 serial.estimate.to_bits(),

@@ -112,8 +112,10 @@ pub struct SmallSet {
 
 impl SmallSet {
     /// Create the subroutine for universe size `u` with a private set
-    /// fingerprint base (standalone use; estimator lanes share one base
-    /// via [`SmallSet::with_base`]).
+    /// fingerprint base, for unfed state: a caller that feeds edges
+    /// builds with [`SmallSet::with_base`] on a base it holds, whose
+    /// fingerprints [`SmallSet::observe_fp_batch`] takes (estimator
+    /// lanes share one).
     pub fn new(u: usize, params: &Params, seed: u64) -> Self {
         let degree = Params::hash_degree(params.mode, params.m, params.n);
         let base_seed = SeedSequence::labeled(seed, "small-set-base").next_seed();
@@ -180,37 +182,15 @@ impl SmallSet {
         self.m_keep >= MERSENNE_P
     }
 
-    /// Observe one `(set, element)` edge (scalar compatibility path:
-    /// applies the fingerprint base itself).
-    pub fn observe(&mut self, edge: Edge) {
-        let fp = self.set_base.hash(edge.set as u64);
-        self.observe_fp(edge, fp);
-    }
-
-    /// Observe one edge given its precomputed set fingerprint: per
-    /// repetition with a live lane, one 4-wise mix gates membership in
-    /// `M` and one element hash picks the edge's level.
-    #[inline]
-    pub fn observe_fp(&mut self, edge: Edge, fp_set: u64) {
-        let every_set = self.samples_every_set();
-        for rep in &mut self.reps {
-            if rep.live == 0 || (!every_set && rep.mhash.hash(fp_set) >= self.m_keep) {
-                continue;
-            }
-            let eh = rep.ehash.hash(edge.elem as u64);
-            rep.store(edge, eh, self.edge_cap);
-        }
-    }
-
     /// Observe a chunk given precomputed set fingerprints, columnar and
     /// repetition-outer: per repetition the set-sampling mix runs as one
     /// [`KWise::hash_batch`] over the chunk, survivors are gathered,
     /// their element hashes are batched, and the nested store consumes
     /// the survivor column in arrival order. Each repetition sees the
-    /// same hash values in the same order as [`SmallSet::observe_fp`],
-    /// so the final state — stored edges and overflow cut-offs alike —
-    /// is identical. A repetition whose lanes have all overflowed is
-    /// skipped without hashing.
+    /// same hash values in the same order however the stream is cut
+    /// into chunks, so the final state — stored edges and overflow
+    /// cut-offs alike — does not depend on the chunking. A repetition
+    /// whose lanes have all overflowed is skipped without hashing.
     pub fn observe_fp_batch(&mut self, edges: &[Edge], fps: &[u64]) {
         debug_assert_eq!(edges.len(), fps.len());
         let every_set = self.samples_every_set();
@@ -550,13 +530,16 @@ impl SpaceUsage for SmallSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_support::assert_chunking_invariant;
     use kcov_stream::gen::{few_large, many_small};
     use kcov_stream::{edge_stream, ArrivalOrder};
 
     fn feed(ss_alg: &mut SmallSet, edges: &[Edge]) {
-        for &e in edges {
-            ss_alg.observe(e);
-        }
+        let fps: Vec<u64> = edges
+            .iter()
+            .map(|e| ss_alg.set_base.hash(e.set as u64))
+            .collect();
+        ss_alg.observe_fp_batch(edges, &fps);
     }
 
     #[test]
@@ -718,14 +701,14 @@ mod tests {
                 params.small_set_edge_cap = cap;
                 let proto = SmallSet::new(system.num_elements(), &params, 11);
                 let want = per_lane_reference(&proto, &edges);
-                let mut serial = proto.clone();
-                feed(&mut serial, &edges);
-                let mut batched = proto;
+                let mut whole = proto.clone();
+                feed(&mut whole, &edges);
+                let mut chunked = proto;
                 for (chunk, fp) in edges.chunks(300).zip(fps.chunks(300)) {
-                    batched.observe_fp_batch(chunk, fp);
+                    chunked.observe_fp_batch(chunk, fp);
                 }
-                assert_eq!(lane_views(&serial), want, "cap {cap}: per-edge path");
-                assert_eq!(lane_views(&batched), want, "cap {cap}: batched path");
+                assert_eq!(lane_views(&whole), want, "cap {cap}: whole stream");
+                assert_eq!(lane_views(&chunked), want, "cap {cap}: 300-edge chunks");
                 let flags = want.iter().flatten().map(|(_, o)| *o);
                 overflowed |= flags.clone().any(|o| o);
                 live |= flags.clone().any(|o| !o);
@@ -901,19 +884,20 @@ mod tests {
     }
 
     #[test]
-    fn fp_path_matches_scalar_path() {
+    fn one_edge_chunks_match_whole_stream() {
         let ss = many_small(2000, 400, 50, 0.4, 9);
         let params = Params::practical(400, 2000, 50, 8.0);
         let edges = edge_stream(&ss, ArrivalOrder::Shuffled(19));
         let base = Arc::new(KWise::new(8, 777));
         let proto = SmallSet::with_base(2000, &params, 29, base.clone());
-        let mut scalar = proto.clone();
-        let mut batched = proto;
-        feed(&mut scalar, &edges);
         let fps: Vec<u64> = edges.iter().map(|e| base.hash(e.set as u64)).collect();
-        batched.observe_fp_batch(&edges, &fps);
-        assert_eq!(scalar.finalize(), batched.finalize());
-        assert_eq!(scalar.space_words(), batched.space_words());
+        assert_chunking_invariant(
+            &proto,
+            &edges,
+            &fps,
+            SmallSet::observe_fp_batch,
+            SmallSet::finalize,
+        );
     }
 
     #[test]

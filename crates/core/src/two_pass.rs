@@ -53,13 +53,8 @@ impl TwoPassFirst {
         }
     }
 
-    /// Observe one edge of pass 1.
-    pub fn observe(&mut self, edge: Edge) {
-        self.estimator.observe(edge);
-    }
-
     /// Observe a chunk of pass-1 edges through the batched ingestion
-    /// engine (bit-identical to repeated [`TwoPassFirst::observe`]).
+    /// engine (see [`MaxCoverEstimator::observe_batch`]).
     pub fn observe_batch(&mut self, edges: &[Edge]) {
         self.estimator.observe_batch(edges);
     }
@@ -133,13 +128,8 @@ impl TwoPassSecond {
         self.z
     }
 
-    /// Observe one edge of pass 2.
-    pub fn observe(&mut self, edge: Edge) {
-        self.inner.observe(edge);
-    }
-
     /// Observe a chunk of pass-2 edges through the batched ingestion
-    /// engine (bit-identical to repeated [`TwoPassSecond::observe`]).
+    /// engine (see [`MaxCoverEstimator::observe_batch`]).
     pub fn observe_batch(&mut self, edges: &[Edge]) {
         self.inner.observe_batch(edges);
     }
@@ -223,39 +213,13 @@ impl SpaceUsage for TwoPassSecond {
     }
 }
 
-/// Convenience: run both passes over a replayable stream.
-pub fn run_two_pass(
-    n: usize,
-    m: usize,
-    k: usize,
-    alpha: f64,
-    config: &EstimatorConfig,
-    edges: &[Edge],
-) -> ReportedCover {
-    let rec = config.recorder.clone();
-    let mut first = TwoPassFirst::new(n, m, k, alpha, config);
-    let span = rec.span("pass1");
-    for &e in edges {
-        first.observe(e);
-    }
-    span.finish();
-    let mut second = first.into_second_pass();
-    let span = rec.span("pass2");
-    for &e in edges {
-        second.observe(e);
-    }
-    span.finish();
-    let cover = second.finalize();
-    second.record(&cover);
-    cover
-}
-
-/// Convenience: run both passes through the batched engine in chunks
-/// of `batch`, with `config.shards` sharded replicas per pass (via
+/// Convenience: run both passes over a replayable stream, each through
+/// `config.shards` sharded replicas in chunks of `batch` edges (via
 /// [`TwoPassFirst::ingest_sharded`] and
-/// [`TwoPassSecond::ingest_sharded`]). Matches [`run_two_pass`] up to
-/// the merge-equivalence contract (DESIGN.md §8).
-pub fn run_two_pass_sharded(
+/// [`TwoPassSecond::ingest_sharded`]). The cover is the same for every
+/// shard count and chunk size up to the merge-equivalence contract
+/// (DESIGN.md §8).
+pub fn run_two_pass(
     n: usize,
     m: usize,
     k: usize,
@@ -265,14 +229,13 @@ pub fn run_two_pass_sharded(
     batch: usize,
 ) -> ReportedCover {
     let rec = config.recorder.clone();
-    let shards = config.shards.max(1);
     let mut first = TwoPassFirst::new(n, m, k, alpha, config);
     let span = rec.span("pass1");
-    first.ingest_sharded(edges, shards, batch);
+    first.ingest_sharded(edges, config.shards, batch);
     span.finish();
     let mut second = first.into_second_pass();
     let span = rec.span("pass2");
-    second.ingest_sharded(edges, shards, batch);
+    second.ingest_sharded(edges, config.shards, batch);
     span.finish();
     let cover = second.finalize();
     second.record(&cover);
@@ -291,7 +254,7 @@ mod tests {
         let inst = planted_cover(2_000, 250, 12, 0.8, 40, 3);
         let edges = edge_stream(&inst.system, ArrivalOrder::Shuffled(1));
         let config = EstimatorConfig::practical(9);
-        let cover = run_two_pass(2_000, 250, 12, 4.0, &config, &edges);
+        let cover = run_two_pass(2_000, 250, 12, 4.0, &config, &edges, 1024);
         assert!(!cover.sets.is_empty());
         assert!(cover.sets.len() <= 12);
         let chosen: Vec<usize> = cover.sets.iter().map(|&s| s as usize).collect();
@@ -308,9 +271,7 @@ mod tests {
         let edges = edge_stream(&inst.system, ArrivalOrder::Shuffled(2));
         let config = EstimatorConfig::practical(3);
         let mut first = TwoPassFirst::new(4_000, 300, 10, 4.0, &config);
-        for &e in &edges {
-            first.observe(e);
-        }
+        first.observe_batch(&edges);
         let second = first.into_second_pass();
         // OPT = 2000; ẑ·4 rounded to a power of two should be within
         // a factor ~32 of OPT (pass 1 is only α-approximate).
@@ -325,20 +286,14 @@ mod tests {
         let config = EstimatorConfig::practical(11);
         // Single-pass reporter with the full default grid.
         let mut single = MaxCoverReporter::new(8_000, 500, 16, 8.0, &config);
-        for &e in &edges {
-            single.observe(e);
-        }
+        single.observe_batch(&edges);
         let single_space = single.finalize().space_words;
         // Two-pass: pass 2 space only (pass 1 is also cheaper — coarse
         // grid, 1 rep — but the comparison of interest is steady state).
         let mut first = TwoPassFirst::new(8_000, 500, 16, 8.0, &config);
-        for &e in &edges {
-            first.observe(e);
-        }
+        first.observe_batch(&edges);
         let mut second = first.into_second_pass();
-        for &e in &edges {
-            second.observe(e);
-        }
+        second.observe_batch(&edges);
         let two_space = second.space_words();
         assert!(
             (two_space as f64) < 0.5 * single_space as f64,
@@ -349,7 +304,7 @@ mod tests {
     #[test]
     fn empty_stream_degrades_gracefully() {
         let config = EstimatorConfig::practical(1);
-        let cover = run_two_pass(100, 50, 5, 2.0, &config, &[]);
+        let cover = run_two_pass(100, 50, 5, 2.0, &config, &[], 1024);
         assert!(cover.sets.is_empty());
     }
 
@@ -358,10 +313,10 @@ mod tests {
         let inst = planted_cover(1_000, 150, 8, 0.7, 30, 13);
         let edges = edge_stream(&inst.system, ArrivalOrder::Shuffled(3));
         let config = EstimatorConfig::practical(7);
-        let serial = run_two_pass(1_000, 150, 8, 4.0, &config, &edges);
+        let serial = run_two_pass(1_000, 150, 8, 4.0, &config, &edges, edges.len());
         for shards in [2usize, 4] {
             let sharded_config = config.clone().with_shards(shards);
-            let out = run_two_pass_sharded(1_000, 150, 8, 4.0, &sharded_config, &edges, 128);
+            let out = run_two_pass(1_000, 150, 8, 4.0, &sharded_config, &edges, 128);
             assert_eq!(serial.sets, out.sets, "shards={shards}");
             assert_eq!(
                 serial.estimate.to_bits(),

@@ -94,15 +94,6 @@ impl UniverseReducer {
         }
     }
 
-    /// Pseudo-element from a precomputed fingerprint `base(elem)`.
-    /// Only meaningful on reducers built with [`Self::with_shared_mix`];
-    /// bit-identical to `map(elem)` there.
-    #[inline]
-    pub fn map_fp(&self, fp_elem: u64) -> u64 {
-        debug_assert!(self.base.is_some(), "map_fp needs a fingerprint base");
-        self.hash.hash_to_range(fp_elem, self.z)
-    }
-
     /// Evaluate the 4-wise mix (not yet range-reduced) over a
     /// fingerprint column. When every lane shares one mix — the
     /// estimator construction — this column is computed once per chunk
@@ -115,9 +106,9 @@ impl UniverseReducer {
     /// Reduce a chunk given the *premixed* column (`mixed[i]` must be
     /// `mix(base(edges[i].elem))`, i.e. the output of
     /// [`Self::mix_batch`] on this reducer's mix). Bit-identical to
-    /// [`Self::map_fp`] per edge: the range reduction `⌊mixed·z/2^61⌋`
-    /// is exactly `hash_to_range`'s, so per lane the whole universe
-    /// reduction is one widening multiply per edge.
+    /// [`Self::map`] of the raw element: the range reduction
+    /// `⌊mixed·z/2^61⌋` is exactly `hash_to_range`'s, so per lane the
+    /// whole universe reduction is one widening multiply per edge.
     pub fn map_premixed_batch(&self, edges: &[Edge], mixed: &[u64], out: &mut Vec<Edge>) {
         debug_assert_eq!(edges.len(), mixed.len());
         out.clear();
@@ -300,11 +291,10 @@ mod tests {
         let (mut mixed, mut reduced) = (Vec::new(), Vec::new());
         f.mix_batch(&fps, &mut mixed);
         f.map_premixed_batch(&edges, &mixed, &mut reduced);
-        for ((e, &fp), got) in edges.iter().zip(&fps).zip(&reduced) {
-            // map applies the base itself; map_fp consumes it
-            // precomputed; the batched path premixes the column.
-            assert_eq!(f.map(e.elem as u64), f.map_fp(fp));
-            assert_eq!(*got, Edge::new(e.set, f.map_fp(fp) as u32));
+        for (e, got) in edges.iter().zip(&reduced) {
+            // map applies the base and the mix itself; the batched path
+            // reduces the premixed fingerprint column.
+            assert_eq!(*got, Edge::new(e.set, f.map(e.elem as u64) as u32));
         }
         // Base presence is part of the function identity even when the
         // mix seed matches.

@@ -37,8 +37,8 @@ fn recorder_never_changes_the_estimate() {
     let plain = fast_config(3, n);
     let mut traced = fast_config(3, n);
     traced.recorder = Recorder::enabled();
-    let a = MaxCoverEstimator::run(n, m, 8, 4.0, &plain, &edges);
-    let b = MaxCoverEstimator::run(n, m, 8, 4.0, &traced, &edges);
+    let a = MaxCoverEstimator::run(n, m, 8, 4.0, &plain, &edges, 1024);
+    let b = MaxCoverEstimator::run(n, m, 8, 4.0, &traced, &edges, 1024);
     assert_eq!(a.estimate.to_bits(), b.estimate.to_bits());
     assert_eq!(a.winning_z, b.winning_z);
     assert_eq!(a.winner, b.winner);
@@ -47,8 +47,8 @@ fn recorder_never_changes_the_estimate() {
     let plain = plain.with_shards(3);
     let mut traced = fast_config(3, n).with_shards(3);
     traced.recorder = Recorder::enabled();
-    let a = MaxCoverEstimator::run_sharded(n, m, 8, 4.0, &plain, &edges, 64);
-    let b = MaxCoverEstimator::run_sharded(n, m, 8, 4.0, &traced, &edges, 64);
+    let a = MaxCoverEstimator::run(n, m, 8, 4.0, &plain, &edges, 64);
+    let b = MaxCoverEstimator::run(n, m, 8, 4.0, &traced, &edges, 64);
     assert_eq!(a.estimate.to_bits(), b.estimate.to_bits());
 }
 
@@ -59,9 +59,7 @@ fn lane_events_account_for_every_edge() {
     let mut config = fast_config(7, n);
     config.recorder = rec.clone();
     let mut est = MaxCoverEstimator::new(n, m, 8, 4.0, &config);
-    for &e in &edges {
-        est.observe(e);
-    }
+    est.observe_batch(&edges);
     let out = est.finalize();
 
     let lanes = rec.events_of("lane");
@@ -89,9 +87,7 @@ fn subroutine_space_snapshots_sum_to_the_total() {
     let mut config = fast_config(11, n);
     config.recorder = rec.clone();
     let mut est = MaxCoverEstimator::new(n, m, 8, 4.0, &config);
-    for &e in &edges {
-        est.observe(e);
-    }
+    est.observe_batch(&edges);
     est.finalize();
 
     // The auditor checks that the ledger root is the summary total and
@@ -119,7 +115,7 @@ fn shard_events_cover_the_stream_and_merge_is_timed() {
     let rec = Recorder::enabled();
     let mut config = fast_config(13, n).with_shards(4);
     config.recorder = rec.clone();
-    MaxCoverEstimator::run_sharded(n, m, 8, 4.0, &config, &edges, 64);
+    MaxCoverEstimator::run(n, m, 8, 4.0, &config, &edges, 64);
 
     let shards = rec.events_of("shard");
     assert_eq!(shards.len(), 4, "one shard event per replica");
@@ -141,7 +137,7 @@ fn disabled_recorder_emits_nothing() {
     let (n, m, edges) = workload();
     let config = fast_config(17, n);
     assert!(!config.recorder.is_enabled());
-    MaxCoverEstimator::run(n, m, 8, 4.0, &config, &edges);
+    MaxCoverEstimator::run(n, m, 8, 4.0, &config, &edges, 1024);
     assert!(config.recorder.events().is_empty());
     assert!(config.recorder.counters().is_empty());
     let mut buf = Vec::new();
@@ -196,8 +192,8 @@ fn heartbeats_are_bit_neutral_across_seeds_shards_threads() {
             let plain = fast_config(seed, n).with_shards(shards).with_threads(threads);
             let mut beating = plain.clone().with_heartbeat(300);
             beating.recorder = Recorder::enabled();
-            let a = MaxCoverEstimator::run_sharded(n, m, 8, 4.0, &plain, &edges, 128);
-            let b = MaxCoverEstimator::run_sharded(n, m, 8, 4.0, &beating, &edges, 128);
+            let a = MaxCoverEstimator::run(n, m, 8, 4.0, &plain, &edges, 128);
+            let b = MaxCoverEstimator::run(n, m, 8, 4.0, &beating, &edges, 128);
             assert_eq!(
                 a.estimate.to_bits(),
                 b.estimate.to_bits(),
@@ -217,7 +213,7 @@ fn sharded_heartbeats_are_sorted_and_deterministic() {
         let rec = Recorder::enabled();
         let mut config = fast_config(31, n).with_shards(3).with_heartbeat(400);
         config.recorder = rec.clone();
-        MaxCoverEstimator::run_sharded(n, m, 8, 4.0, &config, &edges, 128);
+        MaxCoverEstimator::run(n, m, 8, 4.0, &config, &edges, 128);
         rec.events_of("heartbeat")
     };
     let beats = run();
@@ -258,8 +254,8 @@ fn heartbeat_without_recorder_captures_nothing() {
     let config = fast_config(37, n).with_heartbeat(100);
     assert!(!config.recorder.is_enabled());
     // No sink → no capture; outputs still match a heartbeat-free run.
-    let out = MaxCoverEstimator::run(n, m, 8, 4.0, &config, &edges);
-    let base = MaxCoverEstimator::run(n, m, 8, 4.0, &fast_config(37, n), &edges);
+    let out = MaxCoverEstimator::run(n, m, 8, 4.0, &config, &edges, 1024);
+    let base = MaxCoverEstimator::run(n, m, 8, 4.0, &fast_config(37, n), &edges, 1024);
     assert_eq!(out.estimate.to_bits(), base.estimate.to_bits());
 }
 
@@ -269,10 +265,10 @@ fn two_pass_heartbeats_tag_both_stages() {
     let rec = Recorder::enabled();
     let mut config = fast_config(41, n).with_heartbeat(400);
     config.recorder = rec.clone();
-    let cover = kcov_core::run_two_pass(n, m, 8, 4.0, &config, &edges);
+    let cover = kcov_core::run_two_pass(n, m, 8, 4.0, &config, &edges, 1024);
     // Heartbeat neutrality on the reported cover too.
     let plain = fast_config(41, n);
-    let base = kcov_core::run_two_pass(n, m, 8, 4.0, &plain, &edges);
+    let base = kcov_core::run_two_pass(n, m, 8, 4.0, &plain, &edges, 1024);
     assert_eq!(cover.sets, base.sets);
     assert_eq!(cover.estimate.to_bits(), base.estimate.to_bits());
     let stages: std::collections::BTreeSet<String> = rec
@@ -290,8 +286,8 @@ fn batched_ingestion_records_batch_histograms() {
     let rec = Recorder::enabled();
     let mut config = fast_config(43, n);
     config.recorder = rec.clone();
-    let batched = MaxCoverEstimator::run_batched(n, m, 8, 4.0, &config, &edges, 256);
-    let serial = MaxCoverEstimator::run(n, m, 8, 4.0, &fast_config(43, n), &edges);
+    let batched = MaxCoverEstimator::run(n, m, 8, 4.0, &config, &edges, 256);
+    let serial = MaxCoverEstimator::run(n, m, 8, 4.0, &fast_config(43, n), &edges, edges.len());
     assert_eq!(batched.estimate.to_bits(), serial.estimate.to_bits());
     let hists = rec.events_of("histogram");
     let batch_hist = hists
@@ -327,9 +323,7 @@ fn ledger_rows_attribute_every_word_exactly() {
     let mut config = fast_config(47, n);
     config.recorder = rec.clone();
     let mut est = MaxCoverEstimator::new(n, m, 8, 4.0, &config);
-    for &e in &edges {
-        est.observe(e);
-    }
+    est.observe_batch(&edges);
     est.finalize();
 
     // The auditor re-checks the emitted rows: child counts and parent
@@ -371,9 +365,7 @@ fn trivial_regime_ledger_covers_the_whole_estimator() {
     config.recorder = rec.clone();
     let (n, m) = (inst.system.num_elements(), inst.system.num_sets());
     let mut est = MaxCoverEstimator::new(n, m, 8, 4.0, &config);
-    for &e in &edges {
-        est.observe(e);
-    }
+    est.observe_batch(&edges);
     let out = est.finalize();
     assert!(out.trivial);
     let rows = rec.events_of("ledger");
@@ -402,9 +394,7 @@ fn trivial_regime_snapshot_accounts_exactly() {
     config.recorder = rec.clone();
     let (n, m) = (inst.system.num_elements(), inst.system.num_sets());
     let mut est = MaxCoverEstimator::new(n, m, 8, 4.0, &config);
-    for &e in &edges {
-        est.observe(e);
-    }
+    est.observe_batch(&edges);
     let out = est.finalize();
     assert!(out.trivial);
     let subs = rec.events_of("subroutine");

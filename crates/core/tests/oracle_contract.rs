@@ -8,17 +8,32 @@
 //! 3. **Witness validity** — any witness expands to real set indices
 //!    whose true coverage backs a constant fraction of the estimate.
 
+use std::sync::Arc;
+
 use kcov_baselines::greedy_max_cover;
 use kcov_core::{Oracle, Params, Witness};
+use kcov_hash::{KWise, SeedSequence};
 use kcov_stream::gen::{community_sets, planted_cover, uniform_fixed_size, zipf_set_sizes};
-use kcov_stream::{coverage_of, edge_stream, ArrivalOrder, SetSystem};
+use kcov_stream::{coverage_of, edge_stream, ArrivalOrder, Edge, SetSystem};
+
+/// An oracle on a set fingerprint base the caller holds (drawn from the
+/// seed and label of `Oracle::new`'s private base), fed `edges`.
+fn fed_oracle(u: usize, params: &Params, reporting: bool, seed: u64, edges: &[Edge]) -> Oracle {
+    let degree = Params::hash_degree(params.mode, params.m, params.n);
+    let base = KWise::new(
+        degree,
+        SeedSequence::labeled(seed, "oracle-base").next_seed(),
+    );
+    let fps: Vec<u64> = edges.iter().map(|e| base.hash(e.set as u64)).collect();
+    let mut oracle = Oracle::with_base(u, params, reporting, seed, Arc::new(base));
+    oracle.observe_fp_batch(edges, &fps);
+    oracle
+}
 
 fn run_oracle(system: &SetSystem, k: usize, alpha: f64, seed: u64) -> (Oracle, f64) {
     let params = Params::practical(system.num_sets(), system.num_elements(), k, alpha);
-    let mut oracle = Oracle::new(system.num_elements(), &params, true, seed);
-    for e in edge_stream(system, ArrivalOrder::Shuffled(seed)) {
-        oracle.observe(e);
-    }
+    let edges = edge_stream(system, ArrivalOrder::Shuffled(seed));
+    let oracle = fed_oracle(system.num_elements(), &params, true, seed, &edges);
     let est = oracle.finalize().estimate;
     (oracle, est)
 }
@@ -119,12 +134,11 @@ fn oracle_handles_duplicate_heavy_streams() {
     let system = uniform_fixed_size(800, 160, 25, 13);
     let k = 8;
     let params = Params::practical(160, 800, k, 4.0);
-    let mut oracle = Oracle::new(800, &params, false, 17);
-    for e in edge_stream(&system, ArrivalOrder::Shuffled(2)) {
-        for _ in 0..5 {
-            oracle.observe(e);
-        }
-    }
+    let edges: Vec<Edge> = edge_stream(&system, ArrivalOrder::Shuffled(2))
+        .into_iter()
+        .flat_map(|e| [e; 5])
+        .collect();
+    let oracle = fed_oracle(800, &params, false, 17, &edges);
     let est = oracle.finalize().estimate;
     let ub = opt_upper(&system, k);
     assert!(

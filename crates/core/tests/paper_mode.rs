@@ -36,9 +36,7 @@ fn paper_mode_estimator_runs_and_stays_sound() {
     config.z_guesses = Some(vec![128, 512]);
     config.reps = Some(1);
     let mut est = MaxCoverEstimator::new(600, 100, 8, 4.0, &config);
-    for &e in &edges {
-        est.observe(e);
-    }
+    est.observe_batch(&edges);
     let out = est.finalize();
     // Soundness must hold even when the conservative constants make the
     // estimate small or zero.

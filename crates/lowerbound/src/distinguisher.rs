@@ -218,9 +218,7 @@ impl OracleDistinguisher {
 
     /// Feed the whole reduced instance and decide.
     pub fn decide_no_case(mut self, inst: &DsjInstance) -> (bool, usize) {
-        for e in inst.player_ordered_edges() {
-            self.estimator.observe(e);
-        }
+        self.estimator.observe_batch(&inst.player_ordered_edges());
         let space = self.estimator.space_words();
         let out = self.estimator.finalize();
         (out.estimate > 2.0, space)

@@ -91,9 +91,9 @@ fn main() {
     // Õ(m/α²)-space estimate is identical to a single-machine pass.
     let alpha = 4.0;
     let config = EstimatorConfig::practical(seed);
-    let serial = MaxCoverEstimator::run(n, m, k, alpha, &config, &edges);
+    let serial = MaxCoverEstimator::run(n, m, k, alpha, &config, &edges, 8192);
     let sharded_config = config.clone().with_shards(workers);
-    let sharded = MaxCoverEstimator::run_sharded(n, m, k, alpha, &sharded_config, &edges, 8192);
+    let sharded = MaxCoverEstimator::run(n, m, k, alpha, &sharded_config, &edges, 8192);
     assert_eq!(serial.estimate.to_bits(), sharded.estimate.to_bits());
     println!(
         "\nfull-stack shard merge ({workers} estimator replicas): estimate {:.0} == serial {:.0}: OK",

@@ -14,13 +14,13 @@
 //!
 //! `ORDER` is one of `set`, `element`, `roundrobin`, `shuffle:SEED`
 //! (default `shuffle:0`). Instances use the plain-text format of
-//! `kcov_stream::io`. `--batch B` routes ingestion through the batched
-//! engine in chunks of `B` edges and `--threads T` shards the guess ×
-//! repetition lanes across `T` OS threads; both are bit-identical to
-//! the default per-edge serial pass. `--shards S` instead partitions
-//! the *stream* across `S` full estimator replicas (scoped threads)
-//! merged at finalize — estimates are identical to the serial pass up
-//! to the merge contract of DESIGN.md §8.
+//! `kcov_stream::io`. Every stream command ingests through the batched
+//! engine in chunks of `--batch B` edges (default 1024), and
+//! `--threads T` shards the guess × repetition lanes across `T` OS
+//! threads; neither changes a result bit. `--shards S` partitions the
+//! *stream* across `S` full estimator replicas (scoped threads) merged
+//! at finalize — estimates are identical to one shard's up to the merge
+//! contract of DESIGN.md §8.
 //!
 //! Observability: `--metrics` appends a human summary (counters,
 //! gauges, per-subroutine estimates) after the normal output, and
@@ -82,7 +82,7 @@ use kcov_obs::{render_folded, render_report, Recorder, Row, Time, Value};
 use kcov_sketch::{SpaceUsage, WireEncode};
 use kcov_stream::gen;
 use kcov_stream::{
-    coverage_of, edge_stream, read_set_system, write_set_system, ArrivalOrder, CoverageStats, Edge,
+    coverage_of, edge_stream, read_set_system, write_set_system, ArrivalOrder, CoverageStats,
     SetSystem,
 };
 
@@ -124,7 +124,7 @@ const USAGE: &str = "usage:
                    [--threads T] [--batch B] [--shards S] [--top N] [--time [--folded]]
 KIND: uniform | zipf | planted | common | few-large | many-small
 ORDER: set | element | roundrobin | shuffle:SEED (default shuffle:0)
---batch B ingests B edges per observe_batch call (default: per-edge observe);
+--batch B ingests B edges per observe_batch call (default 1024; no per-edge mode);
 --threads T shards lanes across T threads. Results are bit-identical either way.
 --shards S partitions the stream across S estimator replicas merged at
 finalize; estimates are identical to the serial pass (DESIGN.md sec. 8).
@@ -420,38 +420,17 @@ fn parse_config(flags: &HashMap<String, String>) -> Result<EstimatorConfig, Stri
     Ok(config)
 }
 
-/// `--batch B` chunk size; `None` keeps the per-edge `observe` path.
-fn parse_batch(flags: &HashMap<String, String>) -> Result<Option<usize>, String> {
-    match flags.get("batch") {
-        None => Ok(None),
-        Some(s) => {
-            let b: usize = parse_num(s, "batch")?;
-            if b == 0 {
-                return Err("--batch must be >= 1".into());
-            }
-            Ok(Some(b))
-        }
+/// `--batch B` chunk size (default 1024).
+fn parse_batch(flags: &HashMap<String, String>) -> Result<usize, String> {
+    let Some(s) = flags.get("batch") else {
+        return Ok(1024);
+    };
+    let b: usize = parse_num(s, "batch")?;
+    if b == 0 {
+        return Err("--batch must be >= 1".into());
     }
+    Ok(b)
 }
-
-/// Feed `edges` to an estimator or reporter the way the flags ask: per
-/// edge when there is neither `--batch` nor more than one shard, else
-/// through `ingest_sharded` in `--batch` chunks (default 1024), which
-/// with one shard is the plain chunked `observe_batch` loop.
-fn ingest<T>(
-    target: &mut T,
-    edges: &[Edge],
-    shards: usize,
-    batch: Option<usize>,
-    observe: fn(&mut T, Edge),
-    ingest_sharded: fn(&mut T, &[Edge], usize, usize),
-) {
-    match batch {
-        None if shards <= 1 => edges.iter().for_each(|&e| observe(target, e)),
-        b => ingest_sharded(target, edges, shards, b.unwrap_or(1024)),
-    }
-}
-
 
 fn run(args: &[String]) -> Result<(), String> {
     let Some((cmd, rest)) = args.split_first() else {
@@ -635,14 +614,7 @@ fn cmd_estimate(flags: &HashMap<String, String>) -> Result<(), String> {
     let edges = edge_stream(&system, order);
     let mut est = MaxCoverEstimator::new(system.num_elements(), system.num_sets(), k, alpha, &config);
     let span = rec.span("ingest");
-    ingest(
-        &mut est,
-        &edges,
-        config.shards,
-        batch,
-        MaxCoverEstimator::observe,
-        MaxCoverEstimator::ingest_sharded,
-    );
+    est.ingest_sharded(&edges, config.shards, batch);
     span.finish();
     let out = est.finalize();
     println!("estimate      = {:.1}", out.estimate);
@@ -678,7 +650,7 @@ fn cmd_worker(flags: &HashMap<String, String>) -> Result<(), String> {
         return Err(format!("--shard {shard} out of range for --shards {shards}"));
     }
     let out_path = req(flags, "out")?;
-    let batch = parse_batch(flags)?.unwrap_or(1024);
+    let batch = parse_batch(flags)?;
     let snapshot = flags.get("snapshot").cloned();
     let snapshot_every: u64 = match flags.get("snapshot-every") {
         Some(s) => parse_num(s, "snapshot-every")?,
@@ -875,10 +847,7 @@ fn cmd_twopass(flags: &HashMap<String, String>) -> Result<(), String> {
     let batch = parse_batch(flags)?;
     let edges = edge_stream(&system, order);
     let (n, m) = (system.num_elements(), system.num_sets());
-    let cover = match batch {
-        None if config.shards <= 1 => kcov_core::run_two_pass(n, m, k, alpha, &config, &edges),
-        b => kcov_core::run_two_pass_sharded(n, m, k, alpha, &config, &edges, b.unwrap_or(1024)),
-    };
+    let cover = kcov_core::run_two_pass(n, m, k, alpha, &config, &edges, batch);
     let chosen: Vec<usize> = cover.sets.iter().map(|&s| s as usize).collect();
     println!("reported sets  = {:?}", cover.sets);
     println!("real coverage  = {}", coverage_of(&system, &chosen));
@@ -909,14 +878,7 @@ fn cmd_budget(flags: &HashMap<String, String>) -> Result<(), String> {
     let batch = parse_batch(flags)?;
     let edges = edge_stream(&system, order);
     let span = rec.span("ingest");
-    ingest(
-        &mut fit.estimator,
-        &edges,
-        config.shards,
-        batch,
-        MaxCoverEstimator::observe,
-        MaxCoverEstimator::ingest_sharded,
-    );
+    fit.estimator.ingest_sharded(&edges, config.shards, batch);
     span.finish();
     let out = fit.estimator.finalize();
     println!("estimate       = {:.1}", out.estimate);
@@ -1008,8 +970,8 @@ fn cmd_prof_time_trace(path: &str, top: usize, folded: bool) -> Result<(), Strin
     )
 }
 
-/// Ingest `--input` for a live `prof` run, batched (default chunk 1024)
-/// or stream-sharded, with `rec` attached. Returns the estimator, the
+/// Ingest `--input` for a live `prof` run, in `--batch` chunks and
+/// `--shards` replicas, with `rec` attached. Returns the estimator, the
 /// run's one-line description, the ingest wall clock, and its
 /// parallelism (threads × shards: how many attributed intervals can
 /// overlap).
@@ -1022,19 +984,12 @@ fn prof_ingest(
     let order = parse_order(flags)?;
     let mut config = parse_config(flags)?;
     config.recorder = rec;
-    let batch = parse_batch(flags)?.unwrap_or(1024);
+    let batch = parse_batch(flags)?;
     let edges = edge_stream(&system, order);
     let mut est =
         MaxCoverEstimator::new(system.num_elements(), system.num_sets(), k, alpha, &config);
     let t0 = Instant::now();
-    ingest(
-        &mut est,
-        &edges,
-        config.shards,
-        Some(batch),
-        MaxCoverEstimator::observe,
-        MaxCoverEstimator::ingest_sharded,
-    );
+    est.ingest_sharded(&edges, config.shards, batch);
     let wall_ns = t0.elapsed().as_nanos() as u64;
     let parallelism = (config.threads.max(1) * config.shards.max(1)) as u64;
     let run = format!("{} edges, k={k}, alpha={alpha}", edges.len());
@@ -1211,14 +1166,7 @@ fn cmd_report(flags: &HashMap<String, String>) -> Result<(), String> {
     let edges = edge_stream(&system, order);
     let mut rep = MaxCoverReporter::new(system.num_elements(), system.num_sets(), k, alpha, &config);
     let span = rec.span("ingest");
-    ingest(
-        &mut rep,
-        &edges,
-        config.shards,
-        batch,
-        MaxCoverReporter::observe,
-        MaxCoverReporter::ingest_sharded,
-    );
+    rep.ingest_sharded(&edges, config.shards, batch);
     span.finish();
     let cover = rep.finalize();
     let chosen: Vec<usize> = cover.sets.iter().map(|&s| s as usize).collect();

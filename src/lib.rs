@@ -37,7 +37,7 @@
 //!
 //! // Estimate the optimum within a factor ~4 in one pass.
 //! let out = MaxCoverEstimator::run(1000, 100, 5, 4.0,
-//!     &EstimatorConfig::practical(42), &edges);
+//!     &EstimatorConfig::practical(42), &edges, 1024);
 //! assert!(out.estimate > 0.0 && out.estimate <= 1.2 * inst.planted_coverage as f64);
 //! ```
 

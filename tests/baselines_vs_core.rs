@@ -62,9 +62,7 @@ fn table1_relationships_hold_on_planted_workload() {
         let mut config = EstimatorConfig::practical(13);
         config.reps = Some(1);
         let mut rep = MaxCoverReporter::new(n, m, k, alpha, &config);
-        for &e in &edges {
-            rep.observe(e);
-        }
+        rep.observe_batch(&edges);
         let r = rep.finalize();
         let chosen: Vec<usize> = r.sets.iter().map(|&s| s as usize).collect();
         let cov = coverage_of(system, &chosen) as f64;
@@ -73,9 +71,7 @@ fn table1_relationships_hold_on_planted_workload() {
             "alpha={alpha}: coverage {cov} vs greedy {greedy}"
         );
         let mut est = MaxCoverEstimator::new(n, m, k, alpha, &config);
-        for &e in &edges {
-            est.observe(e);
-        }
+        est.observe_batch(&edges);
         spaces.push(est.space_words());
     }
     assert!(

@@ -2,7 +2,8 @@
 //! (the test harness the ingestion refactor is gated on): for every
 //! generator family × arrival order × seed, the batched / multi-threaded
 //! estimator must finalize to a *bit-identical* outcome to the serial
-//! per-edge reference — at any thread count and any batch size.
+//! whole-stream reference (one chunk) — at any thread count and any
+//! batch size, one-edge chunks included.
 //!
 //! This is the contract documented on `EstimatorConfig::threads`: lanes
 //! are mutually independent seeded states, so sharding whole lanes
@@ -48,7 +49,7 @@ fn assert_outcomes_identical(a: &EstimateOutcome, b: &EstimateOutcome, ctx: &str
 
 /// The full differential matrix: generators × arrival orders × seeds,
 /// batched at threads ∈ {1, 2, 4} and several batch sizes, all compared
-/// bit-for-bit against the serial per-edge reference.
+/// bit-for-bit against the serial whole-stream reference.
 #[test]
 fn batched_matches_serial_across_generators_orders_seeds() {
     let orders = [
@@ -66,12 +67,12 @@ fn batched_matches_serial_across_generators_orders_seeds() {
             let config = fast_config(seed ^ 0xBA7C4, n);
             for order in orders {
                 let edges = edge_stream(&system, order);
-                let serial = MaxCoverEstimator::run(n, m, k, alpha, &config, &edges);
+                let serial = MaxCoverEstimator::run(n, m, k, alpha, &config, &edges, edges.len());
                 for threads in [1usize, 2, 4] {
                     let config = config.clone().with_threads(threads);
                     for batch in [1usize, 7, 256] {
                         let batched =
-                            MaxCoverEstimator::run_batched(n, m, k, alpha, &config, &edges, batch);
+                            MaxCoverEstimator::run(n, m, k, alpha, &config, &edges, batch);
                         assert_outcomes_identical(
                             &serial,
                             &batched,
@@ -96,7 +97,7 @@ fn mixed_observe_and_batch_is_exact() {
     let edges = edge_stream(&system, ArrivalOrder::Shuffled(3));
     let config = fast_config(0x717, n).with_threads(4);
 
-    let serial = MaxCoverEstimator::run(400, 32, 3, 2.0, &config, &edges);
+    let serial = MaxCoverEstimator::run(400, 32, 3, 2.0, &config, &edges, edges.len());
 
     let mut est = MaxCoverEstimator::new(n, m, 3, 2.0, &config);
     let mut i = 0usize;
@@ -122,7 +123,7 @@ fn degenerate_batches_and_thread_counts() {
     let system = uniform_incidence(300, 24, 0.06, 5);
     let edges = edge_stream(&system, ArrivalOrder::RoundRobin);
     let config = fast_config(12, 300);
-    let serial = MaxCoverEstimator::run(300, 24, 2, 2.0, &config, &edges);
+    let serial = MaxCoverEstimator::run(300, 24, 2, 2.0, &config, &edges, edges.len());
 
     for threads in [0usize, 1, 64] {
         let config = config.clone().with_threads(threads);

@@ -214,6 +214,41 @@ fn sharded_ingestion_flag_on_all_stream_subcommands() {
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
     assert!(String::from_utf8_lossy(&out.stdout).contains("fitted alpha"));
 
+    // Every stream subcommand prints the same answer at the default
+    // chunk size, in one-edge chunks and in 1000-edge chunks.
+    for head in [
+        &["estimate", "--alpha", "4"][..],
+        &["report", "--alpha", "4"][..],
+        &["twopass", "--alpha", "4"][..],
+        &["budget", "--words", "2000000"][..],
+    ] {
+        let outs: Vec<Vec<u8>> = [&[][..], &["--batch", "1"][..], &["--batch", "1000"][..]]
+            .into_iter()
+            .map(|batch| {
+                let mut args = head.to_vec();
+                args.extend(["--input", path_s, "--k", "6", "--seed", "3"]);
+                args.extend_from_slice(batch);
+                let out = run(&args);
+                assert!(
+                    out.status.success(),
+                    "{args:?}: {}",
+                    String::from_utf8_lossy(&out.stderr)
+                );
+                out.stdout
+            })
+            .collect();
+        assert_eq!(
+            outs[0], outs[1],
+            "{}: --batch 1 must equal the default",
+            head[0]
+        );
+        assert_eq!(
+            outs[0], outs[2],
+            "{}: --batch 1000 must equal the default",
+            head[0]
+        );
+    }
+
     // --shards 0 is rejected on every stream subcommand.
     for cmd in [
         &["estimate", "--input", path_s, "--k", "6", "--alpha", "4", "--shards", "0"][..],

@@ -31,7 +31,7 @@ fn estimator_sandwich_against_exact_optimum() {
     let (_, opt) = max_cover_exact(&ss, k);
     let alpha = 3.0;
     let edges = edge_stream(&ss, ArrivalOrder::Shuffled(1));
-    let out = MaxCoverEstimator::run(600, 80, k, alpha, &fast_config(9, 600), &edges);
+    let out = MaxCoverEstimator::run(600, 80, k, alpha, &fast_config(9, 600), &edges, 1024);
     assert!(out.estimate > 0.0, "estimator silent");
     assert!(
         out.estimate <= opt as f64 * 1.15,
@@ -51,7 +51,7 @@ fn reporter_cover_verified_against_instance() {
     let n = inst.system.num_elements();
     let m = inst.system.num_sets();
     let edges = edge_stream(&inst.system, ArrivalOrder::Shuffled(2));
-    let cover = MaxCoverReporter::run(n, m, 15, 4.0, &fast_config(3, n), &edges);
+    let cover = MaxCoverReporter::run(n, m, 15, 4.0, &fast_config(3, n), &edges, 1024);
     assert!(!cover.sets.is_empty());
     assert!(cover.sets.len() <= 15);
     let chosen: Vec<usize> = cover.sets.iter().map(|&s| s as usize).collect();
@@ -72,9 +72,7 @@ fn streaming_never_materializes_the_instance() {
     let mut config = fast_config(5, 20_000);
     config.reps = Some(1);
     let mut est = MaxCoverEstimator::new(20_000, 2_000, 40, 16.0, &config);
-    for &e in &edges {
-        est.observe(e);
-    }
+    est.ingest_sharded(&edges, 1, 1024);
     let words = est.space_words();
     // At this (moderate) scale the polylog constants still bite; the
     // asymptotic statement is exercised quantitatively in exp_tradeoff.
@@ -100,7 +98,7 @@ fn all_arrival_orders_give_consistent_estimates() {
         ArrivalOrder::Shuffled(9),
     ] {
         let edges = edge_stream(&inst.system, order);
-        let out = MaxCoverEstimator::run(n, m, 10, 4.0, &config, &edges);
+        let out = MaxCoverEstimator::run(n, m, 10, 4.0, &config, &edges, 1024);
         estimates.push(out.estimate);
     }
     let max = estimates.iter().cloned().fold(f64::MIN, f64::max);
@@ -121,8 +119,8 @@ fn greedy_exact_and_estimator_agree_on_ranking() {
     let m = inst.system.num_sets();
     let edges = edge_stream(&inst.system, ArrivalOrder::Shuffled(21));
     let config = fast_config(17, n);
-    let small_k = MaxCoverEstimator::run(n, m, 1, 4.0, &config, &edges).estimate;
-    let large_k = MaxCoverEstimator::run(n, m, 8, 4.0, &config, &edges).estimate;
+    let small_k = MaxCoverEstimator::run(n, m, 1, 4.0, &config, &edges, 1024).estimate;
+    let large_k = MaxCoverEstimator::run(n, m, 8, 4.0, &config, &edges, 1024).estimate;
     let g1 = greedy_max_cover(&inst.system, 1).coverage as f64;
     let g8 = greedy_max_cover(&inst.system, 8).coverage as f64;
     assert!(g8 > g1);

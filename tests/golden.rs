@@ -314,7 +314,7 @@ fn two_pass_answers_stay_below_the_opt_bound() {
             let edges = edge_stream(&system, ArrivalOrder::Shuffled(seed));
             for alpha in [2.0f64, 4.0, 8.0, 16.0, 32.0] {
                 let config = EstimatorConfig::practical(seed);
-                let cover = run_two_pass(n, m, k, alpha, &config, &edges);
+                let cover = run_two_pass(n, m, k, alpha, &config, &edges, 1024);
                 let at = format!("{kind} seed {seed} alpha {alpha}");
                 assert!(cover.sets.len() <= k, "{at}: {} sets reported", cover.sets.len());
                 assert!(
@@ -342,7 +342,7 @@ fn two_pass_runs_its_oracles_in_the_trivial_regime() {
     let (n, m, k, alpha) = (800usize, 120usize, 40usize, 4.0f64);
     let system = gen::planted_cover(n, m, 8, 0.8, (n / 8) / 4, 5).system;
     let edges = edge_stream(&system, ArrivalOrder::Shuffled(0));
-    let cover = run_two_pass(n, m, k, alpha, &EstimatorConfig::practical(5), &edges);
+    let cover = run_two_pass(n, m, k, alpha, &EstimatorConfig::practical(5), &edges, 1024);
     assert!(cover.winner.is_some(), "pass 2 must report a subroutine winner");
     assert!(!cover.sets.is_empty() && cover.sets.len() <= k, "{} sets", cover.sets.len());
     let bound = greedy_max_cover(&system, k).coverage as f64 / (1.0 - 1.0 / std::f64::consts::E);

@@ -69,8 +69,8 @@ fn l0_within_half() {
 
 /// The estimator never meaningfully exceeds the exact optimum
 /// (soundness half of the (α, δ, η)-oracle contract), its space is
-/// positive — and the batched multi-threaded path returns bit-identical
-/// outcomes to the serial per-edge path.
+/// positive — and 64-edge chunks on two threads return bit-identical
+/// outcomes to the serial whole-stream pass.
 #[test]
 fn estimator_sound_on_random_instances() {
     for case in 0..CASES {
@@ -84,9 +84,7 @@ fn estimator_sound_on_random_instances() {
         config.z_guesses = Some(vec![32, 128, 512]);
         config.reps = Some(1);
         let mut est = MaxCoverEstimator::new(300, 40, k, 3.0, &config);
-        for &e in &edges {
-            est.observe(e);
-        }
+        est.observe_batch(&edges);
         let out = est.finalize();
         assert!(
             out.estimate <= opt as f64 * 1.25,
@@ -97,15 +95,8 @@ fn estimator_sound_on_random_instances() {
         assert!(est.space_words() > 0, "case {case}");
 
         // Batched + threaded ingestion is bit-identical.
-        let batched = MaxCoverEstimator::run_batched(
-            300,
-            40,
-            k,
-            3.0,
-            &config.clone().with_threads(2),
-            &edges,
-            64,
-        );
+        let batched =
+            MaxCoverEstimator::run(300, 40, k, 3.0, &config.clone().with_threads(2), &edges, 64);
         assert_eq!(
             out.estimate.to_bits(),
             batched.estimate.to_bits(),

@@ -52,18 +52,16 @@ fn assert_outcomes_equivalent(a: &EstimateOutcome, b: &EstimateOutcome, ctx: &st
     assert_eq!(a.space_words, b.space_words, "{ctx}: space words");
 }
 
-/// Feed `edges` into a fresh replica of `proto` serially.
+/// Feed `edges` into a fresh replica of `proto` as one chunk.
 fn fed_replica(proto: &MaxCoverEstimator, edges: &[Edge]) -> MaxCoverEstimator {
     let mut est = proto.clone();
-    for &e in edges {
-        est.observe(e);
-    }
+    est.observe_batch(edges);
     est
 }
 
 /// The full differential matrix: generators × arrival orders × seeds ×
 /// shard counts {1, 2, 4, 7}, merged at finalize and compared against
-/// the serial per-edge reference.
+/// the serial whole-stream reference.
 #[test]
 fn sharded_matches_serial_across_generators_orders_seeds() {
     let orders = [
@@ -80,11 +78,10 @@ fn sharded_matches_serial_across_generators_orders_seeds() {
             let config = fast_config(seed ^ 0x54A2D, n);
             for order in orders {
                 let edges = edge_stream(&system, order);
-                let serial = MaxCoverEstimator::run(n, m, k, alpha, &config, &edges);
+                let serial = MaxCoverEstimator::run(n, m, k, alpha, &config, &edges, edges.len());
                 for shards in [1usize, 2, 4, 7] {
                     let config = config.clone().with_shards(shards);
-                    let sharded =
-                        MaxCoverEstimator::run_sharded(n, m, k, alpha, &config, &edges, 64);
+                    let sharded = MaxCoverEstimator::run(n, m, k, alpha, &config, &edges, 64);
                     assert_outcomes_equivalent(
                         &serial,
                         &sharded,
@@ -106,7 +103,7 @@ fn uneven_and_empty_splits_merge_exactly() {
     let m = system.num_sets();
     let config = fast_config(0xE11, n);
     let edges = edge_stream(&system, ArrivalOrder::Shuffled(7));
-    let serial = MaxCoverEstimator::run(n, m, 4, 3.0, &config, &edges);
+    let serial = MaxCoverEstimator::run(n, m, 4, 3.0, &config, &edges, edges.len());
     let proto = MaxCoverEstimator::new(n, m, 4, 3.0, &config);
 
     // Split points producing: an empty first shard, a one-edge shard, a
@@ -166,7 +163,7 @@ fn merge_is_associative_and_commutative() {
         );
 
         // And both agree with serial single-stream ingestion.
-        let serial = MaxCoverEstimator::run(n, m, 4, 3.0, &config, &edges);
+        let serial = MaxCoverEstimator::run(n, m, 4, 3.0, &config, &edges, edges.len());
         assert_outcomes_equivalent(&serial, &left.finalize(), &format!("{name}: vs serial"));
     }
 }
@@ -181,10 +178,10 @@ fn reporter_sharded_matches_serial() {
     let m = inst.system.num_sets();
     let config = fast_config(0x8e9, n);
     let edges = edge_stream(&inst.system, ArrivalOrder::Shuffled(2));
-    let serial = MaxCoverReporter::run(n, m, 6, 3.0, &config, &edges);
+    let serial = MaxCoverReporter::run(n, m, 6, 3.0, &config, &edges, edges.len());
     for shards in [2usize, 4, 7] {
         let config = config.clone().with_shards(shards);
-        let sharded = MaxCoverReporter::run_sharded(n, m, 6, 3.0, &config, &edges, 64);
+        let sharded = MaxCoverReporter::run(n, m, 6, 3.0, &config, &edges, 64);
         assert_eq!(serial.sets, sharded.sets, "shards={shards}: cover sets");
         assert_eq!(
             serial.estimate.to_bits(),
@@ -207,10 +204,10 @@ fn merged_space_equals_serial_on_zoo() {
             let m = system.num_sets();
             let config = fast_config(seed ^ 0x5ACE, n);
             let edges = edge_stream(&system, ArrivalOrder::Shuffled(3));
-            let serial = MaxCoverEstimator::run(n, m, 4, 3.0, &config, &edges);
+            let serial = MaxCoverEstimator::run(n, m, 4, 3.0, &config, &edges, edges.len());
             for shards in [2usize, 4] {
                 let config = config.clone().with_shards(shards);
-                let sharded = MaxCoverEstimator::run_sharded(n, m, 4, 3.0, &config, &edges, 64);
+                let sharded = MaxCoverEstimator::run(n, m, 4, 3.0, &config, &edges, 64);
                 assert_outcomes_equivalent(
                     &serial,
                     &sharded,
@@ -276,11 +273,11 @@ fn trivial_branch_shards_merge_bit_exactly() {
     let config = EstimatorConfig::practical(31);
     let edges = edge_stream(&system, ArrivalOrder::RoundRobin);
     // k·α = 8·4 = 32 ≥ m = 12 → trivial regime.
-    let serial = MaxCoverEstimator::run(n, m, 8, 4.0, &config, &edges);
+    let serial = MaxCoverEstimator::run(n, m, 8, 4.0, &config, &edges, edges.len());
     assert!(serial.trivial);
     for shards in [2usize, 5] {
         let config = config.clone().with_shards(shards);
-        let sharded = MaxCoverEstimator::run_sharded(n, m, 8, 4.0, &config, &edges, 32);
+        let sharded = MaxCoverEstimator::run(n, m, 8, 4.0, &config, &edges, 32);
         assert!(sharded.trivial);
         assert_eq!(serial.estimate.to_bits(), sharded.estimate.to_bits());
         assert_eq!(serial.space_words, sharded.space_words, "trivial merge is bit-exact");

@@ -48,9 +48,7 @@ fn estimator_invariants_across_shape_zoo() {
             let alpha = [2.0, 4.0, 7.0][(rng.next_below(3)) as usize];
             let config = fast_config(seed * 31 + idx as u64, n);
             let mut rep = MaxCoverReporter::new(n, m, k, alpha, &config);
-            for e in edge_stream(&system, ArrivalOrder::Shuffled(seed)) {
-                rep.observe(e);
-            }
+            rep.observe_batch(&edge_stream(&system, ArrivalOrder::Shuffled(seed)));
             let cover = rep.finalize();
 
             // Soundness vs greedy-derived OPT upper bound.
@@ -75,8 +73,9 @@ fn estimator_invariants_across_shape_zoo() {
 }
 
 /// A large RMAT instance through the batched ingestion path: the final
-/// state (estimate, winner, space) must be bit-identical to serial
-/// per-edge ingestion, and the batch engine must not inflate space.
+/// state (estimate, winner, space) must be bit-identical to ingesting
+/// the whole stream as one chunk on one thread, at any chunk size and
+/// thread count, and the chunk size must not inflate space.
 #[test]
 fn batched_rmat_matches_serial_and_space_no_regression() {
     let system = rmat_incidence(4096, 512, 60_000, RmatParams::default(), 0xA11);
@@ -87,11 +86,9 @@ fn batched_rmat_matches_serial_and_space_no_regression() {
     let config = fast_config(0xA11, n);
     let edges = edge_stream(&system, ArrivalOrder::Shuffled(7));
 
-    // Serial per-edge reference.
+    // Serial whole-stream reference.
     let mut serial = maxkcov::core::MaxCoverEstimator::new(n, m, k, alpha, &config);
-    for &e in &edges {
-        serial.observe(e);
-    }
+    serial.observe_batch(&edges);
     let serial_space = serial.space_words();
     let serial_out = serial.finalize();
 
@@ -131,8 +128,8 @@ fn batched_smoke_at_max_threads() {
     let edges = edge_stream(&system, ArrivalOrder::RoundRobin);
     let config = fast_config(9, n);
 
-    let serial = maxkcov::core::MaxCoverEstimator::run(n, m, 4, 2.5, &config, &edges);
-    let wide = maxkcov::core::MaxCoverEstimator::run_batched(
+    let serial = maxkcov::core::MaxCoverEstimator::run(n, m, 4, 2.5, &config, &edges, edges.len());
+    let wide = maxkcov::core::MaxCoverEstimator::run(
         n,
         m,
         4,
