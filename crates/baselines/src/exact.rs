@@ -98,11 +98,7 @@ pub fn max_cover_exact(system: &SetSystem, k: usize) -> (Vec<usize>, usize) {
         // Upper bound: current coverage + sizes of the next (k - chosen)
         // sets in the (non-increasing) order.
         let remaining = ctx.k - chosen.len();
-        let ub: usize = cov
-            + ctx.sizes[pos..]
-                .iter()
-                .take(remaining)
-                .sum::<usize>();
+        let ub: usize = cov + ctx.sizes[pos..].iter().take(remaining).sum::<usize>();
         if ub <= ctx.best_cov {
             return;
         }
@@ -162,11 +158,14 @@ mod tests {
     fn greedy_suboptimal_instance_solved_exactly() {
         // Classic instance where greedy is suboptimal: greedy takes the
         // big middle set first, exact pairs the two halves.
-        let ss = SetSystem::new(8, vec![
-            vec![0, 1, 2, 3],       // left half
-            vec![4, 5, 6, 7],       // right half
-            vec![2, 3, 4, 5, 6],    // tempting middle (size 5)
-        ]);
+        let ss = SetSystem::new(
+            8,
+            vec![
+                vec![0, 1, 2, 3],    // left half
+                vec![4, 5, 6, 7],    // right half
+                vec![2, 3, 4, 5, 6], // tempting middle (size 5)
+            ],
+        );
         let (chosen, cov) = max_cover_exact(&ss, 2);
         assert_eq!(cov, 8);
         assert_eq!(chosen, vec![0, 1]);
@@ -197,15 +196,26 @@ mod tests {
             }
             let (chosen, cov) = max_cover_exact(&ss, k);
             assert_eq!(cov, best, "seed {seed}");
-            assert_eq!(coverage_of(&ss, &chosen), cov, "reported sets must achieve cov");
+            assert_eq!(
+                coverage_of(&ss, &chosen),
+                cov,
+                "reported sets must achieve cov"
+            );
         }
     }
 
     #[test]
     fn chosen_sets_achieve_reported_coverage() {
-        let ss = SetSystem::new(30, vec![
-            vec![0, 1, 2], vec![2, 3, 4], vec![5, 6], vec![0, 5], vec![7, 8, 9],
-        ]);
+        let ss = SetSystem::new(
+            30,
+            vec![
+                vec![0, 1, 2],
+                vec![2, 3, 4],
+                vec![5, 6],
+                vec![0, 5],
+                vec![7, 8, 9],
+            ],
+        );
         let (chosen, cov) = max_cover_exact(&ss, 3);
         assert_eq!(coverage_of(&ss, &chosen), cov);
     }

@@ -32,9 +32,7 @@ pub fn greedy_max_cover(system: &SetSystem, k: usize) -> GreedyResult {
     let mut coverage = 0usize;
 
     // Heap of (stale upper bound on gain, set index).
-    let mut heap: BinaryHeap<(usize, usize)> = (0..m)
-        .map(|i| (system.set(i).len(), i))
-        .collect();
+    let mut heap: BinaryHeap<(usize, usize)> = (0..m).map(|i| (system.set(i).len(), i)).collect();
 
     while chosen.len() < k {
         let mut picked = None;
@@ -42,7 +40,11 @@ pub fn greedy_max_cover(system: &SetSystem, k: usize) -> GreedyResult {
             if stale_gain == 0 {
                 break; // nothing can add coverage anymore
             }
-            let fresh: usize = system.set(i).iter().filter(|&&e| !covered[e as usize]).count();
+            let fresh: usize = system
+                .set(i)
+                .iter()
+                .filter(|&&e| !covered[e as usize])
+                .count();
             if fresh == stale_gain || heap.peek().is_none_or(|&(top, _)| fresh >= top) {
                 if fresh == 0 {
                     picked = None;
@@ -93,11 +95,14 @@ mod tests {
     fn respects_marginal_gains() {
         // After taking the big set, the disjoint small set beats the
         // overlapping medium one.
-        let ss = SetSystem::new(10, vec![
-            vec![0, 1, 2, 3, 4], // big
-            vec![3, 4, 5],       // overlaps big, gain 1
-            vec![8, 9],          // disjoint, gain 2
-        ]);
+        let ss = SetSystem::new(
+            10,
+            vec![
+                vec![0, 1, 2, 3, 4], // big
+                vec![3, 4, 5],       // overlaps big, gain 1
+                vec![8, 9],          // disjoint, gain 2
+            ],
+        );
         let r = greedy_max_cover(&ss, 2);
         assert_eq!(r.chosen, vec![0, 2]);
         assert_eq!(r.coverage, 7);
@@ -151,7 +156,10 @@ mod tests {
                     ss.set(i).iter().filter(|&&e| !covered[e as usize]).count()
                 };
                 let pick_gain = gain_of(pick, &covered);
-                let max_gain = (0..ss.num_sets()).map(|i| gain_of(i, &covered)).max().unwrap();
+                let max_gain = (0..ss.num_sets())
+                    .map(|i| gain_of(i, &covered))
+                    .max()
+                    .unwrap();
                 assert_eq!(pick_gain, max_gain, "seed {seed}: non-greedy pick {pick}");
                 for &e in ss.set(pick) {
                     covered[e as usize] = true;

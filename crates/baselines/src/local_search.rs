@@ -81,21 +81,17 @@ mod tests {
             let g = greedy_max_cover(&ss, 5).coverage as f64;
             let ls = local_search_max_cover(&ss, 5, 0.0, 10);
             assert!(ls.estimated_coverage >= g, "seed {seed}");
-            assert_eq!(
-                coverage_of(&ss, &ls.chosen) as f64,
-                ls.estimated_coverage
-            );
+            assert_eq!(coverage_of(&ss, &ls.chosen) as f64, ls.estimated_coverage);
         }
     }
 
     #[test]
     fn fixes_the_classic_greedy_trap() {
         // Greedy takes the middle set; one swap repairs it.
-        let ss = SetSystem::new(8, vec![
-            vec![0, 1, 2, 3],
-            vec![4, 5, 6, 7],
-            vec![2, 3, 4, 5, 6],
-        ]);
+        let ss = SetSystem::new(
+            8,
+            vec![vec![0, 1, 2, 3], vec![4, 5, 6, 7], vec![2, 3, 4, 5, 6]],
+        );
         let r = local_search_max_cover(&ss, 2, 0.0, 10);
         assert_eq!(r.estimated_coverage, 8.0);
     }

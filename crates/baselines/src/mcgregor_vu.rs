@@ -51,7 +51,11 @@ pub fn mv_set_arrival(system: &SetSystem, k: usize, epsilon: f64) -> CoverResult
             if chosen.len() >= k {
                 break;
             }
-            let gain = system.set(i).iter().filter(|e| !covered.contains(e)).count();
+            let gain = system
+                .set(i)
+                .iter()
+                .filter(|e| !covered.contains(e))
+                .count();
             if gain as f64 >= v / (2.0 * k as f64) {
                 chosen.push(i);
                 covered.extend(system.set(i).iter().copied());
@@ -229,10 +233,7 @@ mod tests {
                 "seed {seed}: mv {} vs greedy {greedy}",
                 r.estimated_coverage
             );
-            assert_eq!(
-                coverage_of(&ss, &r.chosen) as f64,
-                r.estimated_coverage
-            );
+            assert_eq!(coverage_of(&ss, &r.chosen) as f64, r.estimated_coverage);
         }
     }
 
@@ -278,7 +279,11 @@ mod tests {
             alg.observe(e);
         }
         let cap = alg.cap_per_lane * alg.lanes.len();
-        assert!(alg.space_words() <= cap + 16, "space {} cap {cap}", alg.space_words());
+        assert!(
+            alg.space_words() <= cap + 16,
+            "space {} cap {cap}",
+            alg.space_words()
+        );
     }
 
     #[test]

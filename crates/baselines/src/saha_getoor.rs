@@ -57,7 +57,10 @@ impl SwapStreaming {
 
     /// Observe the arrival of a complete set.
     pub fn observe_set(&mut self, index: usize, members: &[u32]) {
-        let gain = members.iter().filter(|e| !self.covered.contains_key(e)).count();
+        let gain = members
+            .iter()
+            .filter(|e| !self.covered.contains_key(e))
+            .count();
         if self.solution.len() < self.k {
             if gain > 0 || !members.is_empty() {
                 self.insert(index, members);
@@ -136,12 +139,15 @@ mod tests {
 
     #[test]
     fn fills_up_then_swaps_for_improvement() {
-        let ss = SetSystem::new(12, vec![
-            vec![0],            // tiny, taken (slot fill)
-            vec![1],            // tiny, taken
-            vec![2, 3, 4, 5],   // large: must displace a tiny
-            vec![6, 7, 8, 9, 10, 11], // larger still: displaces the other tiny
-        ]);
+        let ss = SetSystem::new(
+            12,
+            vec![
+                vec![0],                  // tiny, taken (slot fill)
+                vec![1],                  // tiny, taken
+                vec![2, 3, 4, 5],         // large: must displace a tiny
+                vec![6, 7, 8, 9, 10, 11], // larger still: displaces the other tiny
+            ],
+        );
         let r = SwapStreaming::run(&ss, 2);
         assert!(r.chosen.contains(&2));
         assert!(r.chosen.contains(&3));

@@ -57,7 +57,11 @@ pub fn partial_set_cover(system: &SetSystem, fraction: f64) -> SetCoverResult {
             if stale == 0 {
                 break;
             }
-            let fresh = system.set(i).iter().filter(|&&e| !covered[e as usize]).count();
+            let fresh = system
+                .set(i)
+                .iter()
+                .filter(|&&e| !covered[e as usize])
+                .count();
             if fresh == stale || heap.peek().is_none_or(|&(top, _)| fresh >= top) {
                 if fresh > 0 {
                     picked = Some(i);
@@ -103,12 +107,10 @@ mod tests {
 
     #[test]
     fn partial_cover_stops_early() {
-        let ss = SetSystem::new(10, vec![
-            vec![0, 1, 2, 3, 4, 5, 6],
-            vec![7],
-            vec![8],
-            vec![9],
-        ]);
+        let ss = SetSystem::new(
+            10,
+            vec![vec![0, 1, 2, 3, 4, 5, 6], vec![7], vec![8], vec![9]],
+        );
         let r = partial_set_cover(&ss, 0.7);
         assert_eq!(r.chosen, vec![0]);
         assert_eq!(r.covered, 7);

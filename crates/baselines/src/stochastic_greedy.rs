@@ -24,8 +24,7 @@ pub fn stochastic_greedy(system: &SetSystem, k: usize, epsilon: f64, seed: u64) 
         };
     }
     let mut rng = SplitMix64::new(seed);
-    let sample_size = (((m as f64 / k as f64) * (1.0 / epsilon).ln()).ceil() as usize)
-        .clamp(1, m);
+    let sample_size = (((m as f64 / k as f64) * (1.0 / epsilon).ln()).ceil() as usize).clamp(1, m);
     let mut covered = vec![false; system.num_elements()];
     let mut taken = vec![false; m];
     let mut chosen = Vec::with_capacity(k.min(m));

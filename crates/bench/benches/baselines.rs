@@ -20,7 +20,11 @@ fn main() {
     let mut rows: Vec<Vec<String>> = Vec::new();
     let mut bench = |name: &str, f: &mut dyn FnMut()| {
         let secs = median_secs(f, 5);
-        rows.push(vec![name.to_string(), fmt(secs * 1e3), fmt(total / secs / 1e6)]);
+        rows.push(vec![
+            name.to_string(),
+            fmt(secs * 1e3),
+            fmt(total / secs / 1e6),
+        ]);
     };
 
     bench("greedy_offline", &mut || {
@@ -43,7 +47,10 @@ fn main() {
     });
 
     print_table(
-        &format!("baselines end-to-end (n={n}, m={m}, k={k}, {} edges)", edges.len()),
+        &format!(
+            "baselines end-to-end (n={n}, m={m}, k={k}, {} edges)",
+            edges.len()
+        ),
         &["algorithm", "ms", "Medges/s"],
         &rows,
     );

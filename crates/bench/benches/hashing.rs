@@ -35,5 +35,9 @@ fn main() {
         );
     }
 
-    print_table("hash micro-benchmarks", &["hash", "ns/eval", "Mevals/s"], &rows);
+    print_table(
+        "hash micro-benchmarks",
+        &["hash", "ns/eval", "Mevals/s"],
+        &rows,
+    );
 }

@@ -6,7 +6,9 @@
 use std::hint::black_box;
 
 use kcov_bench::{fmt, median_ns_per_op, print_table};
-use kcov_sketch::{ContributingConfig, CountSketch, F2Contributing, F2HeavyHitter, Kmv, L0Estimator};
+use kcov_sketch::{
+    ContributingConfig, CountSketch, F2Contributing, F2HeavyHitter, Kmv, L0Estimator,
+};
 
 const RUNS: usize = 5;
 const MIN_MS: u64 = 10;

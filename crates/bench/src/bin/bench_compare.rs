@@ -36,9 +36,7 @@ fn run() -> Result<(), String> {
     while let Some(a) = it.next() {
         if a == "--tolerance" {
             let v = it.next().ok_or("--tolerance needs a value")?;
-            tolerance = v
-                .parse()
-                .map_err(|_| format!("bad tolerance '{v}'"))?;
+            tolerance = v.parse().map_err(|_| format!("bad tolerance '{v}'"))?;
             if !(0.0..1.0).contains(&tolerance) {
                 return Err("tolerance must be in [0, 1)".into());
             }
@@ -72,8 +70,11 @@ fn run() -> Result<(), String> {
     if !report.speedups.is_empty() {
         // The hot-path headline: measured speedup of the estimator's
         // batched ingestion over the committed baseline, per alpha.
-        let ratios: Vec<String> =
-            report.speedups.iter().map(|(_, r)| format!("{r:.2}x")).collect();
+        let ratios: Vec<String> = report
+            .speedups
+            .iter()
+            .map(|(_, r)| format!("{r:.2}x"))
+            .collect();
         println!(
             "  estimator edges_per_s speedup vs baseline: {} (min {:.2}x over {} leaves)",
             ratios.join(", "),
@@ -92,7 +93,10 @@ fn run() -> Result<(), String> {
         for f in &report.failures {
             eprintln!("FAIL: {f}");
         }
-        Err(format!("{} regression check(s) failed", report.failures.len()))
+        Err(format!(
+            "{} regression check(s) failed",
+            report.failures.len()
+        ))
     }
 }
 

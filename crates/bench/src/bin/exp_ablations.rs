@@ -94,7 +94,12 @@ fn main() {
     }
     print_table(
         "(a) multi-layered set sampling: best layer vs single top-rate (β = α) policy",
-        &["beta*", "multi-layer est", "top-rate-only est", "multi/top ratio"],
+        &[
+            "beta*",
+            "multi-layer est",
+            "top-rate-only est",
+            "multi/top ratio",
+        ],
         &rows,
     );
 
@@ -153,7 +158,12 @@ fn main() {
     }
     print_table(
         "(c) offline O(1)-approx solvers (quality (time))",
-        &["workload", "lazy greedy", "stochastic greedy", "local search"],
+        &[
+            "workload",
+            "lazy greedy",
+            "stochastic greedy",
+            "local search",
+        ],
         &rows,
     );
     println!("\nshape check: (a) the multi-layer estimate beats the single top-rate");

@@ -38,8 +38,18 @@ fn main() {
         ]);
     }
     print_table(
-        &format!("(a) success vs sketch width   [m={m} alpha={alpha}, m/alpha^2={}]", m / (alpha * alpha)),
-        &["width", "width/(m/a^2)", "no-recall", "yes-recall", "success", "space(words)"],
+        &format!(
+            "(a) success vs sketch width   [m={m} alpha={alpha}, m/alpha^2={}]",
+            m / (alpha * alpha)
+        ),
+        &[
+            "width",
+            "width/(m/a^2)",
+            "no-recall",
+            "yes-recall",
+            "success",
+            "space(words)",
+        ],
         &rows,
     );
 
@@ -114,7 +124,14 @@ fn main() {
     }
     print_table(
         &format!("(c) estimator as DSJ protocol   [m={m} alpha={alpha} players]"),
-        &["case", "seed", "decided", "answer", "space(words)", "max message(words)"],
+        &[
+            "case",
+            "seed",
+            "decided",
+            "answer",
+            "space(words)",
+            "max message(words)",
+        ],
         &rows,
     );
     println!("\nshape check: (a) success transitions around width ~ m/alpha^2;");

@@ -19,7 +19,10 @@ fn main() {
     let inst = planted_cover(n, m, k, 0.8, 60, 13);
     let opt = inst.planted_coverage as f64;
     let edges = edge_stream(&inst.system, ArrivalOrder::Shuffled(5));
-    println!("instance: n={n} m={m} k={k}, OPT = {opt}, {} edges", edges.len());
+    println!(
+        "instance: n={n} m={m} k={k}, OPT = {opt}, {} edges",
+        edges.len()
+    );
 
     let mut rows = Vec::new();
     // The alphas where the two-pass cover's factor is no better than
@@ -60,6 +63,9 @@ fn main() {
     if not_lower.is_empty() {
         println!("OPT/2p-cov < OPT/1p-est at every alpha.");
     } else {
-        println!("OPT/2p-cov >= OPT/1p-est at alpha = {}.", not_lower.join(", "));
+        println!(
+            "OPT/2p-cov >= OPT/1p-est at alpha = {}.",
+            not_lower.join(", ")
+        );
     }
 }

@@ -98,7 +98,8 @@ fn main() {
         });
         let out = oracle.finalize();
         let sub_est = |r: Option<(f64, kcov_core::Witness)>| {
-            r.map(|(v, _)| fmt(v)).unwrap_or_else(|| "infeasible".into())
+            r.map(|(v, _)| fmt(v))
+                .unwrap_or_else(|| "infeasible".into())
         };
         rows.push(vec![
             regime.name.into(),

@@ -57,11 +57,11 @@ fn main() {
             let noise_items = 5_000u64;
             let heavy_count = (0.5 / phi) as u64;
             let f2_noise = noise_items as f64;
-            let heavy_freq = ((2.0 * phi * f2_noise).sqrt() as u64 + 2)
-                .max((2.0 * phi / (1.0 - 2.0 * phi * heavy_count as f64).max(0.1)
-                    * f2_noise)
-                    .sqrt() as u64
-                    + 2);
+            let heavy_freq = ((2.0 * phi * f2_noise).sqrt() as u64 + 2).max(
+                (2.0 * phi / (1.0 - 2.0 * phi * heavy_count as f64).max(0.1) * f2_noise).sqrt()
+                    as u64
+                    + 2,
+            );
             for h in 0..heavy_count {
                 for _ in 0..heavy_freq {
                     hh.insert(noise_items + h);
@@ -108,12 +108,8 @@ fn main() {
         let mut found = 0usize;
         let trials = 10u64;
         for seed in 0..trials {
-            let mut fc = F2Contributing::new(
-                ContributingConfig::new(0.25, 1024),
-                100_000,
-                100_000,
-                seed,
-            );
+            let mut fc =
+                F2Contributing::new(ContributingConfig::new(0.25, 1024), 100_000, 100_000, seed);
             // class: class_size coords of frequency 64; noise: 3000 of 1.
             for round in 0..64u64 {
                 let _ = round;
@@ -135,10 +131,7 @@ fn main() {
         if found < trials as usize {
             incomplete.push(format!("contributing class of size {class_size}"));
         }
-        rows.push(vec![
-            class_size.to_string(),
-            format!("{found}/{trials}"),
-        ]);
+        rows.push(vec![class_size.to_string(), format!("{found}/{trials}")]);
     }
     print_table(
         "F2-Contributing: planted class detection (Theorem 2.11)",

@@ -17,8 +17,7 @@
 //! ```
 
 use kcov_baselines::{
-    greedy_max_cover, mv_set_arrival, MvEdgeArrival, SieveStreaming, SketchedGreedy,
-    SwapStreaming,
+    greedy_max_cover, mv_set_arrival, MvEdgeArrival, SieveStreaming, SketchedGreedy, SwapStreaming,
 };
 use kcov_bench::{collapsed_ledger_leaves, fmt, print_table};
 use kcov_core::MaxCoverReporter;
@@ -175,7 +174,13 @@ fn main() {
                 "workload {}   [n={n} m={m} k={k} greedy={}]",
                 w.name, greedy.coverage
             ),
-            &["algorithm", "arrival", "guarantee", "cov/greedy", "space(words)"],
+            &[
+                "algorithm",
+                "arrival",
+                "guarantee",
+                "cov/greedy",
+                "space(words)",
+            ],
             &rows,
         );
         for line in top_leaves {

@@ -108,7 +108,11 @@ fn main() {
     {
         let mut alg = SketchedGreedy::new(m, 48, 5);
         let eps = throughput(&edges, |e| alg.observe(e));
-        rows.push(vec!["BEM sketched greedy".into(), fmt(eps / 1e6), "-".into()]);
+        rows.push(vec![
+            "BEM sketched greedy".into(),
+            fmt(eps / 1e6),
+            "-".into(),
+        ]);
         json_baselines.push(Json::obj(vec![
             ("name", Json::Str("bem_sketched_greedy".into())),
             ("edges_per_s", Json::Num(eps)),
@@ -117,7 +121,11 @@ fn main() {
     {
         let mut alg = MvEdgeArrival::new(n, m, k, 0.4, 7);
         let eps = throughput(&edges, |e| alg.observe(e));
-        rows.push(vec!["MV element sampling".into(), fmt(eps / 1e6), "-".into()]);
+        rows.push(vec![
+            "MV element sampling".into(),
+            fmt(eps / 1e6),
+            "-".into(),
+        ]);
         json_baselines.push(Json::obj(vec![
             ("name", Json::Str("mv_element_sampling".into())),
             ("edges_per_s", Json::Num(eps)),
@@ -151,7 +159,10 @@ fn main() {
     );
     let bedges = edge_stream(&bsystem, ArrivalOrder::Shuffled(5));
     let bconfig = coarse_config(3, bn, 2);
-    println!("workload: n={bn} m={bm} k={bk} alpha={balpha}, {} edges", bedges.len());
+    println!(
+        "workload: n={bn} m={bm} k={bk} alpha={balpha}, {} edges",
+        bedges.len()
+    );
 
     let t0 = Instant::now();
     let reference = MaxCoverEstimator::run(bn, bm, bk, balpha, &bconfig, &bedges, 1024);

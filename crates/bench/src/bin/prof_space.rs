@@ -44,28 +44,48 @@ fn main() {
     // Single-point deep dive at alpha = 16 (the historical default).
     let alpha = 16.0;
     let params = Params::practical(m, n, k, alpha);
-    println!("s_alpha={} w={} phi1={} phi2={} B={} cap={}",
-        params.s_alpha, params.large_set_w(), params.phi1(), params.phi2(),
-        params.num_supersets(params.large_set_w()), params.small_set_edge_cap);
+    println!(
+        "s_alpha={} w={} phi1={} phi2={} B={} cap={}",
+        params.s_alpha,
+        params.large_set_w(),
+        params.phi1(),
+        params.phi2(),
+        params.num_supersets(params.large_set_w()),
+        params.small_set_edge_cap
+    );
     let lc = LargeCommon::new(n, &params, false, 1);
     let ls = LargeSet::new(n, &params, 2);
     let ss = SmallSet::new(n, &params, 3);
     println!("LargeCommon: {} words", lc.space_words());
-    println!("LargeSet:    {} words ({} reps)", ls.space_words(), ls.num_reps());
-    println!("SmallSet:    {} words ({} lanes)", ss.space_words(), ss.num_lanes());
+    println!(
+        "LargeSet:    {} words ({} reps)",
+        ls.space_words(),
+        ls.num_reps()
+    );
+    println!(
+        "SmallSet:    {} words ({} lanes)",
+        ss.space_words(),
+        ss.num_lanes()
+    );
     let o = Oracle::new(n, &params, false, 4);
     println!("Oracle:      {} words", o.space_words());
     let mut config = EstimatorConfig::practical(5);
     config.reps = Some(1);
     let est = MaxCoverEstimator::new(n, m, k, alpha, &config);
-    println!("Estimator:   {} words ({} lanes)", est.space_words(), est.num_lanes());
+    println!(
+        "Estimator:   {} words ({} lanes)",
+        est.space_words(),
+        est.num_lanes()
+    );
 
     // Alpha sweep: per-subroutine and full-estimator words per alpha.
     // The estimator column should fall roughly like alpha^-2 (the
     // Theorem 3.1 trade-off) until additive terms flatten it.
     println!("\nalpha sweep (n={n} m={m} k={k}):");
-    println!("{:>7}  {:>12} {:>12} {:>12} {:>12} {:>12} {:>6}",
-        "alpha", "large_common", "large_set", "small_set", "oracle", "estimator", "lanes");
+    println!(
+        "{:>7}  {:>12} {:>12} {:>12} {:>12} {:>12} {:>6}",
+        "alpha", "large_common", "large_set", "small_set", "oracle", "estimator", "lanes"
+    );
     let alphas = [2.0f64, 4.0, 8.0, 16.0, 32.0];
     let mut sweep = Vec::new();
     let mut est_words = Vec::new();
@@ -78,9 +98,15 @@ fn main() {
         let mut config = EstimatorConfig::practical(5);
         config.reps = Some(1);
         let est = MaxCoverEstimator::new(n, m, k, a, &config);
-        println!("{a:>7}  {:>12} {:>12} {:>12} {:>12} {:>12} {:>6}",
-            lc.space_words(), ls.space_words(), ss.space_words(),
-            o.space_words(), est.space_words(), est.num_lanes());
+        println!(
+            "{a:>7}  {:>12} {:>12} {:>12} {:>12} {:>12} {:>6}",
+            lc.space_words(),
+            ls.space_words(),
+            ss.space_words(),
+            o.space_words(),
+            est.space_words(),
+            est.num_lanes()
+        );
         est_words.push(est.space_words() as f64);
         sweep.push(Json::obj(vec![
             ("alpha", Json::Num(a)),
@@ -103,8 +129,14 @@ fn main() {
     // words after ingest can sit below the peak.
     let planted = planted_cover(n, m, k, 0.8, 100, 1);
     let edges = edge_stream(&planted.system, ArrivalOrder::Shuffled(1));
-    println!("\nfed sweep ({} planted edges, default repetitions):", edges.len());
-    println!("{:>7}  {:>12} {:>12} {:>12}", "alpha", "small_set", "estimator", "peak");
+    println!(
+        "\nfed sweep ({} planted edges, default repetitions):",
+        edges.len()
+    );
+    println!(
+        "{:>7}  {:>12} {:>12} {:>12}",
+        "alpha", "small_set", "estimator", "peak"
+    );
     let mut fed = Vec::new();
     let mut fed_words = Vec::new();
     for &a in &alphas {
@@ -117,9 +149,15 @@ fn main() {
             peak = peak.max(est.space_words());
         }
         let leaves = collapsed_ledger_leaves(&est);
-        let small_set: u64 =
-            leaves.iter().filter(|(p, _)| p.contains("/small_set/")).map(|(_, w)| w).sum();
-        println!("{a:>7}  {small_set:>12} {:>12} {peak:>12}", est.space_words());
+        let small_set: u64 = leaves
+            .iter()
+            .filter(|(p, _)| p.contains("/small_set/"))
+            .map(|(_, w)| w)
+            .sum();
+        println!(
+            "{a:>7}  {small_set:>12} {:>12} {peak:>12}",
+            est.space_words()
+        );
         fed_words.push(est.space_words() as f64);
         fed.push(Json::obj(vec![
             ("alpha", Json::Num(a)),

@@ -177,16 +177,16 @@ fn walk(base: &Json, fresh: &Json, path: &str, tol: f64, report: &mut CompareRep
             for (key, bv) in b {
                 match f.iter().find(|(k, _)| k == key) {
                     Some((_, fv)) => walk(bv, fv, &format!("{path}.{key}"), tol, report),
-                    None => report
-                        .failures
-                        .push(format!("{path}.{key}: present in baseline, missing in fresh")),
+                    None => report.failures.push(format!(
+                        "{path}.{key}: present in baseline, missing in fresh"
+                    )),
                 }
             }
             for (key, _) in f {
                 if !b.iter().any(|(k, _)| k == key) {
-                    report
-                        .failures
-                        .push(format!("{path}.{key}: present in fresh, missing in baseline"));
+                    report.failures.push(format!(
+                        "{path}.{key}: present in fresh, missing in baseline"
+                    ));
                 }
             }
         }
@@ -247,9 +247,9 @@ fn walk(base: &Json, fresh: &Json, path: &str, tol: f64, report: &mut CompareRep
                     report.throughput_leaves += 1;
                     let floor = b * (1.0 - tol);
                     let ratio = if *b > 0.0 { f / b } else { f64::NAN };
-                    report
-                        .notes
-                        .push(format!("{path}: {ratio:.2}x baseline ({f:.0} vs {b:.0} edges/s)"));
+                    report.notes.push(format!(
+                        "{path}: {ratio:.2}x baseline ({f:.0} vs {b:.0} edges/s)"
+                    ));
                     if path.contains("estimator") && ratio.is_finite() {
                         report.speedups.push((path.to_string(), ratio));
                     }
@@ -267,9 +267,11 @@ fn walk(base: &Json, fresh: &Json, path: &str, tol: f64, report: &mut CompareRep
         (b, f) => {
             report.checked += 1;
             if b != f {
-                report
-                    .failures
-                    .push(format!("{path}: baseline {} vs fresh {}", b.render(), f.render()));
+                report.failures.push(format!(
+                    "{path}: baseline {} vs fresh {}",
+                    b.render(),
+                    f.render()
+                ));
             }
         }
     }
@@ -285,7 +287,9 @@ mod tests {
 
     #[test]
     fn identical_documents_pass() {
-        let d = doc(r#"{"n": 100, "rows": [{"alpha": 2, "edges_per_s": 1000.0, "estimator_words": 50}]}"#);
+        let d = doc(
+            r#"{"n": 100, "rows": [{"alpha": 2, "edges_per_s": 1000.0, "estimator_words": 50}]}"#,
+        );
         let r = compare_bench(&d, &d, 0.25);
         assert!(r.passed(), "{:?}", r.failures);
         assert_eq!(r.checked, 4);
@@ -301,7 +305,11 @@ mod tests {
         let slow = doc(r#"{"edges_per_s": 700.0}"#);
         let r = compare_bench(&base, &slow, 0.25);
         assert!(!r.passed());
-        assert!(r.failures[0].contains("throughput regression"), "{:?}", r.failures);
+        assert!(
+            r.failures[0].contains("throughput regression"),
+            "{:?}",
+            r.failures
+        );
     }
 
     #[test]
@@ -309,7 +317,11 @@ mod tests {
         let base = doc(r#"{"oracle_words": 100}"#);
         let r = compare_bench(&base, &doc(r#"{"oracle_words": 101}"#), 0.25);
         assert!(!r.passed());
-        assert!(r.failures[0].contains("space regression"), "{:?}", r.failures);
+        assert!(
+            r.failures[0].contains("space regression"),
+            "{:?}",
+            r.failures
+        );
         assert!(compare_bench(&base, &doc(r#"{"oracle_words": 99}"#), 0.25).passed());
         assert!(compare_bench(&base, &doc(r#"{"oracle_words": 100}"#), 0.25).passed());
     }
@@ -332,10 +344,18 @@ mod tests {
     #[test]
     fn identity_leaves_must_match_exactly() {
         let base = doc(r#"{"workload": {"n": 100, "name": "x"}}"#);
-        let r = compare_bench(&base, &doc(r#"{"workload": {"n": 101, "name": "x"}}"#), 0.25);
+        let r = compare_bench(
+            &base,
+            &doc(r#"{"workload": {"n": 101, "name": "x"}}"#),
+            0.25,
+        );
         assert!(!r.passed());
         assert!(r.failures[0].contains("identity"), "{:?}", r.failures);
-        let r = compare_bench(&base, &doc(r#"{"workload": {"n": 100, "name": "y"}}"#), 0.25);
+        let r = compare_bench(
+            &base,
+            &doc(r#"{"workload": {"n": 100, "name": "y"}}"#),
+            0.25,
+        );
         assert!(!r.passed());
     }
 
@@ -364,13 +384,31 @@ mod tests {
         assert!(r.passed(), "{:?}", r.failures);
         assert_eq!(r.slope_leaves, 1);
         assert!(r.gated_anything());
-        assert!(compare_bench(&base, &doc(r#"{"estimator_alpha_space_slope": -1.5}"#), 0.25).passed());
+        assert!(compare_bench(
+            &base,
+            &doc(r#"{"estimator_alpha_space_slope": -1.5}"#),
+            0.25
+        )
+        .passed());
         // Within tolerance: -1.2 + 0.25·1.2 = -0.9 is the ceiling.
-        assert!(compare_bench(&base, &doc(r#"{"estimator_alpha_space_slope": -0.95}"#), 0.25).passed());
+        assert!(compare_bench(
+            &base,
+            &doc(r#"{"estimator_alpha_space_slope": -0.95}"#),
+            0.25
+        )
+        .passed());
         // Above the ceiling: the scaling got shallower than tolerated.
-        let r = compare_bench(&base, &doc(r#"{"estimator_alpha_space_slope": -0.8}"#), 0.25);
+        let r = compare_bench(
+            &base,
+            &doc(r#"{"estimator_alpha_space_slope": -0.8}"#),
+            0.25,
+        );
         assert!(!r.passed());
-        assert!(r.failures[0].contains("space-slope regression"), "{:?}", r.failures);
+        assert!(
+            r.failures[0].contains("space-slope regression"),
+            "{:?}",
+            r.failures
+        );
     }
 
     #[test]
@@ -379,9 +417,17 @@ mod tests {
         // the existing any-increase-fails space rule via the `words`
         // suffix.
         let base = doc(r#"{"space_ledger": {"lane0_large_set_ledger_words": 963}}"#);
-        let r = compare_bench(&base, &doc(r#"{"space_ledger": {"lane0_large_set_ledger_words": 964}}"#), 0.25);
+        let r = compare_bench(
+            &base,
+            &doc(r#"{"space_ledger": {"lane0_large_set_ledger_words": 964}}"#),
+            0.25,
+        );
         assert!(!r.passed());
-        assert!(r.failures[0].contains("space regression"), "{:?}", r.failures);
+        assert!(
+            r.failures[0].contains("space regression"),
+            "{:?}",
+            r.failures
+        );
         let r = compare_bench(&base, &base, 0.25);
         assert!(r.passed());
         assert_eq!(r.space_leaves, 1);
@@ -405,7 +451,11 @@ mod tests {
         assert_eq!(r.space_leaves, 2);
         let r = compare_bench(&base, &fed(101, 500, -1.3), 0.25);
         assert!(!r.passed());
-        assert!(r.failures[0].contains("space regression"), "{:?}", r.failures);
+        assert!(
+            r.failures[0].contains("space regression"),
+            "{:?}",
+            r.failures
+        );
         assert!(!compare_bench(&base, &fed(100, 501, -1.3), 0.25).passed());
     }
 
@@ -439,7 +489,11 @@ mod tests {
             doc(r#"{"hash_ns": 300.0, "lane_reject_ns": 50.0, "sketch_update_ns": 650.0}"#);
         let r = compare_bench(&base, &shifted, 0.05);
         assert!(!r.passed());
-        assert!(r.failures[0].contains("time-share regression"), "{:?}", r.failures);
+        assert!(
+            r.failures[0].contains("time-share regression"),
+            "{:?}",
+            r.failures
+        );
     }
 
     #[test]

@@ -208,7 +208,10 @@ pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
     };
     let head: Vec<String> = headers.iter().map(|s| s.to_string()).collect();
     println!("{}", fmt_row(&head));
-    println!("{}", "-".repeat(widths.iter().sum::<usize>() + 2 * widths.len()));
+    println!(
+        "{}",
+        "-".repeat(widths.iter().sum::<usize>() + 2 * widths.len())
+    );
     for row in rows {
         println!("{}", fmt_row(row));
     }
@@ -245,8 +248,14 @@ pub fn collapsed_ledger_leaves(
             .path
             .split('/')
             .map(|seg| {
-                let lane_idx = seg.strip_prefix("lane").is_some_and(|d| d.parse::<u64>().is_ok());
-                if lane_idx { "lane*" } else { seg }
+                let lane_idx = seg
+                    .strip_prefix("lane")
+                    .is_some_and(|d| d.parse::<u64>().is_ok());
+                if lane_idx {
+                    "lane*"
+                } else {
+                    seg
+                }
             })
             .collect();
         *by_path.entry(norm.join("/")).or_insert(0) += row.total.words;

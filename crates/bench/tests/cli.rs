@@ -30,8 +30,14 @@ fn stderr(out: &Output) -> String {
 #[test]
 fn baseline_without_suffix_keys_is_rejected_not_vacuously_passed() {
     // No *edges_per_s / *words leaves anywhere: identity keys only.
-    let base = tmp("nosuffix-base.json", r#"{"n": 100, "m": 10, "k": 5, "seed": 1}"#);
-    let fresh = tmp("nosuffix-fresh.json", r#"{"n": 100, "m": 10, "k": 5, "seed": 1}"#);
+    let base = tmp(
+        "nosuffix-base.json",
+        r#"{"n": 100, "m": 10, "k": 5, "seed": 1}"#,
+    );
+    let fresh = tmp(
+        "nosuffix-fresh.json",
+        r#"{"n": 100, "m": 10, "k": 5, "seed": 1}"#,
+    );
     let out = run(&[base.to_str().unwrap(), fresh.to_str().unwrap()]);
     assert!(
         !out.status.success(),
@@ -58,7 +64,11 @@ fn gated_documents_still_pass_and_fail_as_before() {
         r#"{"n": 100, "edges_per_s": 900.0, "estimator_words": 50}"#,
     );
     let out = run(&[base.to_str().unwrap(), ok.to_str().unwrap()]);
-    assert!(out.status.success(), "within-tolerance run failed: {}", stderr(&out));
+    assert!(
+        out.status.success(),
+        "within-tolerance run failed: {}",
+        stderr(&out)
+    );
     assert!(String::from_utf8_lossy(&out.stdout).contains("PASS"));
 
     let bloated = tmp(
@@ -67,7 +77,11 @@ fn gated_documents_still_pass_and_fail_as_before() {
     );
     let out = run(&[base.to_str().unwrap(), bloated.to_str().unwrap()]);
     assert!(!out.status.success(), "space increase must fail");
-    assert!(stderr(&out).contains("space regression"), "{}", stderr(&out));
+    assert!(
+        stderr(&out).contains("space regression"),
+        "{}",
+        stderr(&out)
+    );
     for p in [base, ok, bloated] {
         let _ = std::fs::remove_file(p);
     }
@@ -77,7 +91,11 @@ fn gated_documents_still_pass_and_fail_as_before() {
 fn missing_files_and_malformed_json_are_clear_errors() {
     let out = run(&["/nonexistent/base.json", "/nonexistent/fresh.json"]);
     assert!(!out.status.success());
-    assert!(stderr(&out).contains("read /nonexistent/base.json"), "{}", stderr(&out));
+    assert!(
+        stderr(&out).contains("read /nonexistent/base.json"),
+        "{}",
+        stderr(&out)
+    );
 
     let good = tmp("err-good.json", r#"{"edges_per_s": 1.0}"#);
     let bad = tmp("err-bad.json", "{not json");
@@ -95,7 +113,12 @@ fn usage_and_tolerance_validation() {
     assert!(stderr(&out).contains("usage:"), "{}", stderr(&out));
 
     let a = tmp("tol-a.json", r#"{"edges_per_s": 1.0}"#);
-    let out = run(&[a.to_str().unwrap(), a.to_str().unwrap(), "--tolerance", "2.0"]);
+    let out = run(&[
+        a.to_str().unwrap(),
+        a.to_str().unwrap(),
+        "--tolerance",
+        "2.0",
+    ]);
     assert!(!out.status.success());
     assert!(stderr(&out).contains("tolerance"), "{}", stderr(&out));
     let _ = std::fs::remove_file(a);

@@ -57,11 +57,7 @@ fn dynamic_allowance(
     if !params.small_set_active() {
         return 0;
     }
-    let gamma_lanes = (4.0 * params.s_alpha * params.eta)
-        .max(2.0)
-        .log2()
-        .ceil() as usize
-        + 1;
+    let gamma_lanes = (4.0 * params.s_alpha * params.eta).max(2.0).log2().ceil() as usize + 1;
     let per_small_set = gamma_lanes * params.small_set_reps.max(1) * params.small_set_edge_cap;
     est.num_lanes() * per_small_set
 }
@@ -133,12 +129,20 @@ mod tests {
         let c = config();
         let generous = predict_space_words(8_000, 1_000, 32, 2.0, &c) * 2;
         let fit = fit_alpha_to_budget(8_000, 1_000, 32, generous, &c).expect("fits");
-        assert!(fit.alpha <= 2.2, "generous budget should allow small alpha: {}", fit.alpha);
+        assert!(
+            fit.alpha <= 2.2,
+            "generous budget should allow small alpha: {}",
+            fit.alpha
+        );
         assert!(fit.predicted_words <= generous);
 
         let tight = predict_space_words(8_000, 1_000, 32, 16.0, &c);
         let fit = fit_alpha_to_budget(8_000, 1_000, 32, tight, &c).expect("fits");
-        assert!(fit.alpha >= 8.0, "tight budget forces large alpha: {}", fit.alpha);
+        assert!(
+            fit.alpha >= 8.0,
+            "tight budget forces large alpha: {}",
+            fit.alpha
+        );
         assert!(fit.predicted_words <= tight);
     }
 

@@ -167,7 +167,10 @@ impl Lane {
 
     /// Merge a sibling lane built from the same config and seed.
     fn merge(&mut self, other: &Self) {
-        assert_eq!(self.z, other.z, "Lane merge requires identical configuration (z guess)");
+        assert_eq!(
+            self.z, other.z,
+            "Lane merge requires identical configuration (z guess)"
+        );
         assert!(
             self.reducer.same_function(&other.reducer),
             "Lane merge requires identical hash functions"
@@ -473,7 +476,9 @@ impl MaxCoverEstimator {
         self.dispatch_batch(edges, timed);
         if let Some(start) = start {
             self.hists.batch_edges.record(edges.len() as u64);
-            self.hists.batch_ns.record(start.elapsed().as_nanos() as u64);
+            self.hists
+                .batch_ns
+                .record(start.elapsed().as_nanos() as u64);
         }
         // Capture at the first batch boundary at or after each multiple
         // of the cadence (one snapshot per batch even when a big batch
@@ -686,7 +691,11 @@ impl MaxCoverEstimator {
                 self.observe_batch(chunk);
             }
             own_ns = start.map_or(0, |t| t.elapsed().as_nanos() as u64);
-            replicas.extend(handles.into_iter().map(|h| h.join().expect("shard worker panicked")));
+            replicas.extend(
+                handles
+                    .into_iter()
+                    .map(|h| h.join().expect("shard worker panicked")),
+            );
         });
         if timed {
             self.rec.event(
@@ -749,11 +758,7 @@ impl MaxCoverEstimator {
             .collect();
         // Prefer qualifying lanes (est_z ≥ z/(4α)); among them, the
         // largest estimate. Fall back to the best overall estimate.
-        per_lane.sort_by(|a, b| {
-            a.2.estimate
-                .partial_cmp(&b.2.estimate)
-                .expect("no NaN")
-        });
+        per_lane.sort_by(|a, b| a.2.estimate.partial_cmp(&b.2.estimate).expect("no NaN"));
         let qualifying = per_lane
             .iter()
             .rev()
@@ -1087,7 +1092,9 @@ impl kcov_sketch::WireEncode for TrivialState {
         if n > input.len() {
             return Err(err("TrivialState group count exceeds input"));
         }
-        let groups = (0..n).map(|_| take_l0_full(input)).collect::<Result<Vec<_>, _>>()?;
+        let groups = (0..n)
+            .map(|_| take_l0_full(input))
+            .collect::<Result<Vec<_>, _>>()?;
         if groups.is_empty() {
             // `observe` indexes `groups.len() - 1`.
             return Err(err("TrivialState needs at least one group"));
@@ -1128,7 +1135,12 @@ impl kcov_sketch::WireEncode for Lane {
             )));
         }
         let times = LaneTimes::decode(input)?;
-        Ok(Lane { z, reducer, oracle, times })
+        Ok(Lane {
+            z,
+            reducer,
+            oracle,
+            times,
+        })
     }
 }
 
@@ -1434,7 +1446,12 @@ mod tests {
         let r1 = MaxCoverEstimator::run(n, m, 8, 3.0, &config, &e1, 1024);
         let r2 = MaxCoverEstimator::run(n, m, 8, 3.0, &config, &e2, 1024);
         let rel = (r1.estimate - r2.estimate).abs() / r1.estimate.max(1.0);
-        assert!(rel < 0.35, "order sensitivity too high: {} vs {}", r1.estimate, r2.estimate);
+        assert!(
+            rel < 0.35,
+            "order sensitivity too high: {} vs {}",
+            r1.estimate,
+            r2.estimate
+        );
     }
 
     #[test]
@@ -1519,8 +1536,10 @@ mod tests {
             // Per-subtree expectations before the fold: attribution is a
             // plain sum of u64 counters, so Σ shard ns must equal the
             // merged ns *exactly* — not approximately.
-            let part_total: u64 =
-                replicas.iter().map(|r| r.time_ledger_tree().root.total_ns()).sum();
+            let part_total: u64 = replicas
+                .iter()
+                .map(|r| r.time_ledger_tree().root.total_ns())
+                .sum();
             let mut subtree: Vec<(String, u64)> = Vec::new();
             for r in &replicas {
                 for (name, node) in r.time_ledger_tree().root.children() {
@@ -1530,7 +1549,10 @@ mod tests {
                     }
                 }
             }
-            assert!(part_total > 0, "shards={shards}: traced ingestion attributed no ns");
+            assert!(
+                part_total > 0,
+                "shards={shards}: traced ingestion attributed no ns"
+            );
 
             let mut merged = replicas.remove(0);
             for r in &replicas {
@@ -1543,7 +1565,10 @@ mod tests {
                 "shards={shards}: merged root ns is not the exact shard sum"
             );
             for (name, want) in &subtree {
-                let got = ledger.root.get(name).map_or(0, kcov_obs::TimeNode::total_ns);
+                let got = ledger
+                    .root
+                    .get(name)
+                    .map_or(0, kcov_obs::TimeNode::total_ns);
                 assert_eq!(got, *want, "shards={shards}: subtree '{name}' not additive");
             }
             assert!(
@@ -1618,7 +1643,10 @@ mod tests {
                 "lane {i}"
             );
         }
-        let fps = ledger.root.get("fingerprints").expect("fingerprint subtree");
+        let fps = ledger
+            .root
+            .get("fingerprints")
+            .expect("fingerprint subtree");
         assert_eq!(
             fps.total_words(),
             est.fps.as_ref().unwrap().space_words() as u64

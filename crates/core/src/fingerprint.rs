@@ -57,7 +57,10 @@ impl EdgeFingerprints {
     /// Fingerprint one edge: `(h_set(set), h_elem(elem))`.
     #[inline]
     pub fn fingerprint(&self, edge: Edge) -> (u64, u64) {
-        (self.set.hash(edge.set as u64), self.elem.hash(edge.elem as u64))
+        (
+            self.set.hash(edge.set as u64),
+            self.elem.hash(edge.elem as u64),
+        )
     }
 
     /// Fingerprint a batch into the reusable block, using the blocked
@@ -93,7 +96,6 @@ impl EdgeFingerprints {
                 && self.elem.hash(probe) == other.elem.hash(probe)
         })
     }
-
 }
 
 /// Wire: both coefficient vectors, set base first (the draw order of
@@ -153,7 +155,9 @@ mod tests {
     #[test]
     fn block_matches_scalar_fingerprints() {
         let fps = EdgeFingerprints::new(42, 8);
-        let edges: Vec<Edge> = (0..137u32).map(|i| Edge::new(i % 19, i * 7 % 113)).collect();
+        let edges: Vec<Edge> = (0..137u32)
+            .map(|i| Edge::new(i % 19, i * 7 % 113))
+            .collect();
         let mut block = FingerprintBlock::new();
         fps.fill_block(&edges, &mut block);
         assert_eq!(block.fp_set.len(), edges.len());

@@ -83,7 +83,13 @@ impl LargeCommon {
     pub fn new(u: usize, params: &Params, reporting: bool, seed: u64) -> Self {
         let degree = Params::hash_degree(params.mode, params.m, params.n);
         let base_seed = SeedSequence::labeled(seed, "large-common-base").next_seed();
-        Self::with_base(u, params, reporting, seed, Arc::new(KWise::new(degree, base_seed)))
+        Self::with_base(
+            u,
+            params,
+            reporting,
+            seed,
+            Arc::new(KWise::new(degree, base_seed)),
+        )
     }
 
     /// Create the subroutine consuming set fingerprints under the shared
@@ -115,7 +121,9 @@ impl LargeCommon {
                 let mut gs = SeedSequence::labeled(seq.next_seed(), "groups");
                 GroupTracker {
                     hash: KWise::new(4, gs.next_seed()),
-                    counters: (0..g).map(|_| L0Estimator::new(24, 3, gs.next_seed())).collect(),
+                    counters: (0..g)
+                        .map(|_| L0Estimator::new(24, 3, gs.next_seed()))
+                        .collect(),
                 }
             });
             lanes.push(BetaLane {
@@ -247,17 +255,15 @@ impl LargeCommon {
             // Effective group count: the actual sample may exceed β·k
             // (the paper's Lemma A.5 bounds it w.h.p.; we count exactly).
             let count = counts.get_or_insert_with(|| self.sampled_counts())[idx];
-            let beta_eff = ((count as f64 / self.k as f64).ceil()).max(lane.beta).max(1.0);
+            let beta_eff = ((count as f64 / self.k as f64).ceil())
+                .max(lane.beta)
+                .max(1.0);
             let est = (2.0 / 3.0) * val / beta_eff;
             let group = lane.groups.as_ref().map(|g| {
                 g.counters
                     .iter()
                     .enumerate()
-                    .max_by(|a, b| {
-                        a.1.estimate()
-                            .partial_cmp(&b.1.estimate())
-                            .expect("no NaN")
-                    })
+                    .max_by(|a, b| a.1.estimate().partial_cmp(&b.1.estimate()).expect("no NaN"))
                     .map(|(gi, _)| gi as u64)
                     .unwrap_or(0)
             });
@@ -419,7 +425,9 @@ impl kcov_sketch::WireEncode for LargeCommon {
             let beta = take_f64(input)?;
             let buckets = take_u64(input)?;
             if buckets < 1 || !buckets.is_power_of_two() {
-                return Err(err(format!("LargeCommon lane buckets {buckets} not a positive power of two")));
+                return Err(err(format!(
+                    "LargeCommon lane buckets {buckets} not a positive power of two"
+                )));
             }
             let de = take_l0_full(input)?;
             let groups = match take_u64(input)? {
@@ -430,7 +438,9 @@ impl kcov_sketch::WireEncode for LargeCommon {
                     if n > input.len() {
                         return Err(err("LargeCommon group count exceeds input"));
                     }
-                    let counters = (0..n).map(|_| take_l0_full(input)).collect::<Result<Vec<_>, _>>()?;
+                    let counters = (0..n)
+                        .map(|_| take_l0_full(input))
+                        .collect::<Result<Vec<_>, _>>()?;
                     if counters.is_empty() {
                         return Err(err("LargeCommon reporting lane has no groups"));
                     }
@@ -438,12 +448,26 @@ impl kcov_sketch::WireEncode for LargeCommon {
                 }
                 flag => return Err(err(format!("bad LargeCommon group flag {flag}"))),
             };
-            lanes.push(BetaLane { beta, buckets, de, groups });
+            lanes.push(BetaLane {
+                beta,
+                buckets,
+                de,
+                groups,
+            });
         }
         if lanes.is_empty() {
             return Err(err("LargeCommon has no lanes"));
         }
-        Ok(LargeCommon { u, m, k, alpha, sigma, set_base, set_mix, lanes })
+        Ok(LargeCommon {
+            u,
+            m,
+            k,
+            alpha,
+            sigma,
+            set_base,
+            set_mix,
+            lanes,
+        })
     }
 }
 
@@ -607,7 +631,11 @@ mod tests {
         left.merge(&right);
         let a = serial.finalize().expect("fires on regime I");
         let b = left.finalize().expect("merged must fire too");
-        assert_eq!(a.0.to_bits(), b.0.to_bits(), "estimate must be bit-identical");
+        assert_eq!(
+            a.0.to_bits(),
+            b.0.to_bits(),
+            "estimate must be bit-identical"
+        );
         assert_eq!(a.1, b.1, "witness must match");
         assert_eq!(serial.space_words(), left.space_words());
     }

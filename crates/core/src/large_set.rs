@@ -407,7 +407,11 @@ impl LargeSet {
     pub fn superset_members(&self, rep: usize, superset: u64) -> Vec<u32> {
         let r = &self.reps[rep];
         (0..self.m as u64)
-            .filter(|&s| r.shash.hash_to_range(self.set_base.hash(s), r.num_supersets) == superset)
+            .filter(|&s| {
+                r.shash
+                    .hash_to_range(self.set_base.hash(s), r.num_supersets)
+                    == superset
+            })
             .map(|s| s as u32)
             .collect()
     }

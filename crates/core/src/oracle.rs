@@ -112,7 +112,13 @@ impl Oracle {
     pub fn new(u: usize, params: &Params, reporting: bool, seed: u64) -> Self {
         let degree = Params::hash_degree(params.mode, params.m, params.n);
         let base_seed = kcov_hash::SeedSequence::labeled(seed, "oracle-base").next_seed();
-        Self::with_base(u, params, reporting, seed, Arc::new(KWise::new(degree, base_seed)))
+        Self::with_base(
+            u,
+            params,
+            reporting,
+            seed,
+            Arc::new(KWise::new(degree, base_seed)),
+        )
     }
 
     /// Create an oracle whose subroutines consume set fingerprints under
@@ -257,7 +263,11 @@ impl Oracle {
             );
         }
         let scope = |name: &str| format!("lane{lane}.{name}");
-        rec.sketch(&scope("large_common"), "l0", self.large_common.sketch_stats());
+        rec.sketch(
+            &scope("large_common"),
+            "l0",
+            self.large_common.sketch_stats(),
+        );
         rec.sketch(&scope("large_set"), "finder", self.large_set.sketch_stats());
         if let Some(ss) = &self.small_set {
             rec.sketch(&scope("small_set"), "edge_store", ss.sketch_stats());
@@ -282,7 +292,10 @@ impl Oracle {
     /// Panics on configuration or seed mismatch (including one side
     /// having the `SmallSet` branch active and the other not).
     pub fn merge(&mut self, other: &Self) {
-        assert_eq!(self.u, other.u, "Oracle merge requires identical configuration (universe)");
+        assert_eq!(
+            self.u, other.u,
+            "Oracle merge requires identical configuration (universe)"
+        );
         assert_eq!(
             self.small_set.is_some(),
             other.small_set.is_some(),
@@ -305,9 +318,7 @@ impl Oracle {
     pub fn expand_witness(&self, witness: &Witness) -> Vec<u32> {
         match witness {
             Witness::SampledGroup { lane, group } => self.large_common.group_sets(*lane, *group),
-            Witness::Superset { rep, superset } => {
-                self.large_set.superset_members(*rep, *superset)
-            }
+            Witness::Superset { rep, superset } => self.large_set.superset_members(*rep, *superset),
             Witness::ExplicitSets(sets) => sets.clone(),
         }
     }
@@ -351,7 +362,10 @@ impl kcov_sketch::WireEncode for Oracle {
         // Finalize walks `m` set ids and sizes tables by `u`: a corrupt
         // range must fail here, not stall or exhaust memory later.
         let (lc_u, m) = large_common.shape();
-        let shapes = [Some(large_set.shape()), small_set.as_ref().map(SmallSet::shape)];
+        let shapes = [
+            Some(large_set.shape()),
+            small_set.as_ref().map(SmallSet::shape),
+        ];
         if lc_u != u || shapes.into_iter().flatten().any(|shape| shape != (u, m)) {
             return Err(err(format!(
                 "Oracle subroutines disagree on their (u, m) ranges (oracle u {u})"
@@ -489,7 +503,10 @@ mod tests {
         let d = oracle.diagnostics();
         let best = d.best().unwrap_or(0.0).min(800.0);
         let out = oracle.finalize();
-        assert!((out.estimate - best).abs() < 1e-9, "max of diagnostics must match");
+        assert!(
+            (out.estimate - best).abs() < 1e-9,
+            "max of diagnostics must match"
+        );
     }
 
     #[test]
@@ -513,7 +530,11 @@ mod tests {
             left.merge(&right);
             let a = serial.finalize();
             let b = left.finalize();
-            assert_eq!(a.estimate.to_bits(), b.estimate.to_bits(), "{name}: estimate");
+            assert_eq!(
+                a.estimate.to_bits(),
+                b.estimate.to_bits(),
+                "{name}: estimate"
+            );
             assert_eq!(a.winner, b.winner, "{name}: winner");
             assert_eq!(a.witness, b.witness, "{name}: witness");
         }

@@ -340,11 +340,17 @@ mod tests {
 
     #[test]
     fn hash_degree_tracks_mode() {
-        assert_eq!(Params::hash_degree(ParamMode::Practical, 1 << 20, 1 << 20), 8);
+        assert_eq!(
+            Params::hash_degree(ParamMode::Practical, 1 << 20, 1 << 20),
+            8
+        );
         // Paper mode: bits(m·n) clamped to [8, 48].
         assert_eq!(Params::hash_degree(ParamMode::Paper, 2, 2), 8);
         assert_eq!(Params::hash_degree(ParamMode::Paper, 1 << 10, 1 << 10), 21);
-        assert_eq!(Params::hash_degree(ParamMode::Paper, usize::MAX, usize::MAX), 48);
+        assert_eq!(
+            Params::hash_degree(ParamMode::Paper, usize::MAX, usize::MAX),
+            48
+        );
     }
 
     #[test]

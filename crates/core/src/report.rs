@@ -154,12 +154,7 @@ mod tests {
         config
     }
 
-    fn report(
-        system: &kcov_stream::SetSystem,
-        k: usize,
-        alpha: f64,
-        seed: u64,
-    ) -> ReportedCover {
+    fn report(system: &kcov_stream::SetSystem, k: usize, alpha: f64, seed: u64) -> ReportedCover {
         let config = fast_config(seed, system.num_elements());
         let edges = edge_stream(system, ArrivalOrder::Shuffled(seed));
         MaxCoverReporter::run(

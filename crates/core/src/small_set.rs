@@ -323,8 +323,22 @@ impl SmallSet {
     /// Panics on configuration or seed mismatch.
     pub fn merge(&mut self, other: &Self) {
         assert_eq!(
-            (self.u, self.m, self.k_sub, self.m_buckets, self.edge_cap, self.reps.len()),
-            (other.u, other.m, other.k_sub, other.m_buckets, other.edge_cap, other.reps.len()),
+            (
+                self.u,
+                self.m,
+                self.k_sub,
+                self.m_buckets,
+                self.edge_cap,
+                self.reps.len()
+            ),
+            (
+                other.u,
+                other.m,
+                other.k_sub,
+                other.m_buckets,
+                other.edge_cap,
+                other.reps.len()
+            ),
             "SmallSet merge requires identical configuration"
         );
         assert_eq!(

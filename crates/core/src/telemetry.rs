@@ -302,8 +302,14 @@ impl WireEncode for HeartbeatSnap {
         if n > input.len() / 64 {
             return Err(err(format!("truncated heartbeat of {n} lane beats")));
         }
-        let lanes = (0..n).map(|_| LaneBeat::decode(input)).collect::<Result<Vec<_>, _>>()?;
-        Ok(HeartbeatSnap { shard, at_edges, lanes })
+        let lanes = (0..n)
+            .map(|_| LaneBeat::decode(input))
+            .collect::<Result<Vec<_>, _>>()?;
+        Ok(HeartbeatSnap {
+            shard,
+            at_edges,
+            lanes,
+        })
     }
 }
 
@@ -362,9 +368,21 @@ mod tests {
             ns: 0,
         };
         let snaps = vec![
-            HeartbeatSnap { shard: 1, at_edges: 200, lanes: vec![beat(0)] },
-            HeartbeatSnap { shard: 0, at_edges: 100, lanes: vec![beat(0), beat(1)] },
-            HeartbeatSnap { shard: 1, at_edges: 100, lanes: vec![beat(0)] },
+            HeartbeatSnap {
+                shard: 1,
+                at_edges: 200,
+                lanes: vec![beat(0)],
+            },
+            HeartbeatSnap {
+                shard: 0,
+                at_edges: 100,
+                lanes: vec![beat(0), beat(1)],
+            },
+            HeartbeatSnap {
+                shard: 1,
+                at_edges: 100,
+                lanes: vec![beat(0)],
+            },
         ];
         emit_heartbeats(&rec, "estimate", &snaps);
         let events = rec.events_of("heartbeat");
@@ -382,6 +400,8 @@ mod tests {
             keys,
             vec![(0, 100, 0), (0, 100, 1), (1, 100, 0), (1, 200, 0)]
         );
-        assert!(events.iter().all(|e| e.str_field("stage") == Some("estimate")));
+        assert!(events
+            .iter()
+            .all(|e| e.str_field("stage") == Some("estimate")));
     }
 }

@@ -91,7 +91,9 @@ impl TwoPassFirst {
         // OPT up to the approximation factor; Lemma 3.5 tolerates
         // |S| ≥ z, so a modestly large z only costs constants), capped
         // at 2n but never below 4, even when 2n < 4.
-        let z = (4 * guess).next_power_of_two().clamp(4, (2 * n as u64).max(4));
+        let z = (4 * guess)
+            .next_power_of_two()
+            .clamp(4, (2 * n as u64).max(4));
         let params = Params::for_mode(self.config.mode, m, z as usize, k, alpha);
         // Pass 2 is the estimator's lane machinery at the one tuned
         // guess, with at least two repetitions and reporting on, under

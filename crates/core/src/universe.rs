@@ -112,9 +112,12 @@ impl UniverseReducer {
     pub fn map_premixed_batch(&self, edges: &[Edge], mixed: &[u64], out: &mut Vec<Edge>) {
         debug_assert_eq!(edges.len(), mixed.len());
         out.clear();
-        out.extend(edges.iter().zip(mixed).map(|(e, &h)| {
-            Edge::new(e.set, ((h as u128 * self.z as u128) >> 61) as u32)
-        }));
+        out.extend(
+            edges
+                .iter()
+                .zip(mixed)
+                .map(|(e, &h)| Edge::new(e.set, ((h as u128 * self.z as u128) >> 61) as u32)),
+        );
     }
 
     /// The pseudo-universe size `z`.
@@ -131,7 +134,9 @@ impl UniverseReducer {
         let probes = (0..4u64).map(|i| 0x5eed_c0de ^ i.wrapping_mul(0x9e37_79b9_7f4a_7c15));
         self.z == other.z
             && self.base.is_some() == other.base.is_some()
-            && probes.clone().all(|p| self.hash.hash(p) == other.hash.hash(p))
+            && probes
+                .clone()
+                .all(|p| self.hash.hash(p) == other.hash.hash(p))
             && match (&self.base, &other.base) {
                 (Some(a), Some(b)) => probes.clone().all(|p| a.hash(p) == b.hash(p)),
                 _ => true,
@@ -155,7 +160,14 @@ impl SpaceUsage for UniverseReducer {
     /// `universe` leaf for a shared mix); this holder carries 1-word
     /// handles.
     fn space_ledger(&self, node: &mut impl SpaceSink) {
-        node.leaf("hash", if self.shared_mix { 1 } else { self.hash.space_words() });
+        node.leaf(
+            "hash",
+            if self.shared_mix {
+                1
+            } else {
+                self.hash.space_words()
+            },
+        );
         if self.base.is_some() {
             node.leaf("base", 1);
         }
@@ -203,7 +215,12 @@ impl kcov_sketch::WireEncode for UniverseReducer {
             1 => Some(Arc::new(take_kwise(input)?)),
             other => return Err(err(format!("bad UniverseReducer base flag {other}"))),
         };
-        Ok(UniverseReducer { z, hash, shared_mix, base })
+        Ok(UniverseReducer {
+            z,
+            hash,
+            shared_mix,
+            base,
+        })
     }
 }
 

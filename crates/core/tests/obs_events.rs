@@ -63,7 +63,11 @@ fn lane_events_account_for_every_edge() {
     let out = est.finalize();
 
     let lanes = rec.events_of("lane");
-    assert_eq!(lanes.len(), est.num_lanes(), "one lane event per (z, rep) lane");
+    assert_eq!(
+        lanes.len(),
+        est.num_lanes(),
+        "one lane event per (z, rep) lane"
+    );
     for ev in &lanes {
         // Every lane consumes every edge of the stream.
         assert_eq!(ev.u64_field("edges").unwrap(), edges.len() as u64);
@@ -120,7 +124,11 @@ fn shard_events_cover_the_stream_and_merge_is_timed() {
     let shards = rec.events_of("shard");
     assert_eq!(shards.len(), 4, "one shard event per replica");
     let edge_sum: u64 = shards.iter().map(|e| e.u64_field("edges").unwrap()).sum();
-    assert_eq!(edge_sum, edges.len() as u64, "shard edge counts partition the stream");
+    assert_eq!(
+        edge_sum,
+        edges.len() as u64,
+        "shard edge counts partition the stream"
+    );
 
     let phases: Vec<String> = rec
         .events_of("phase")
@@ -158,7 +166,11 @@ fn heartbeats_fire_on_edge_count_cadence() {
     est.finalize();
 
     let beats = rec.events_of("heartbeat");
-    assert!(!beats.is_empty(), "expected heartbeats on a {}-edge stream", edges.len());
+    assert!(
+        !beats.is_empty(),
+        "expected heartbeats on a {}-edge stream",
+        edges.len()
+    );
     // Per-edge ingestion captures at exact multiples of the cadence,
     // one event per lane per snapshot.
     let expected_snaps = edges.len() as u64 / 500;
@@ -175,7 +187,11 @@ fn heartbeats_fire_on_edge_count_cadence() {
     // positive and lane ids must cycle 0..num_lanes.
     let lanes: Vec<u64> = beats.iter().map(|b| b.u64_field("lane").unwrap()).collect();
     for (i, &l) in lanes.iter().enumerate() {
-        assert_eq!(l, i as u64 % est.num_lanes() as u64, "lane order within each beat");
+        assert_eq!(
+            l,
+            i as u64 % est.num_lanes() as u64,
+            "lane order within each beat"
+        );
     }
     // The per-heartbeat delta histograms rode along.
     let hists = rec.events_of("histogram");
@@ -189,7 +205,9 @@ fn heartbeats_are_bit_neutral_across_seeds_shards_threads() {
     let (n, m, edges) = workload();
     for seed in [3u64, 29] {
         for (shards, threads) in [(1usize, 1usize), (1, 4), (3, 2)] {
-            let plain = fast_config(seed, n).with_shards(shards).with_threads(threads);
+            let plain = fast_config(seed, n)
+                .with_shards(shards)
+                .with_threads(threads);
             let mut beating = plain.clone().with_heartbeat(300);
             beating.recorder = Recorder::enabled();
             let a = MaxCoverEstimator::run(n, m, 8, 4.0, &plain, &edges, 128);
@@ -233,7 +251,10 @@ fn sharded_heartbeats_are_sorted_and_deterministic() {
     let mut sorted = keys.clone();
     sorted.sort_unstable();
     assert_eq!(keys, sorted, "heartbeats must emit in deterministic order");
-    assert!(keys.iter().any(|k| k.0 > 0), "replica shards must contribute beats");
+    assert!(
+        keys.iter().any(|k| k.0 > 0),
+        "replica shards must contribute beats"
+    );
     // And the full heartbeat payload is identical across two runs —
     // modulo the trailing `ns` field, the cumulative lane wall clock,
     // which like every field named exactly `ns` is a wall-clock
@@ -245,7 +266,10 @@ fn sharded_heartbeats_are_sorted_and_deterministic() {
     let again = run();
     let lines: Vec<String> = beats.iter().map(|b| strip_ns(b.to_json_line())).collect();
     let lines2: Vec<String> = again.iter().map(|b| strip_ns(b.to_json_line())).collect();
-    assert_eq!(lines, lines2, "heartbeat events must be byte-identical across runs");
+    assert_eq!(
+        lines, lines2,
+        "heartbeat events must be byte-identical across runs"
+    );
 }
 
 #[test]
@@ -276,8 +300,14 @@ fn two_pass_heartbeats_tag_both_stages() {
         .iter()
         .map(|b| b.str_field("stage").unwrap().to_string())
         .collect();
-    assert!(stages.contains("estimate"), "pass-1 heartbeats present: {stages:?}");
-    assert!(stages.contains("pass2"), "pass-2 heartbeats present: {stages:?}");
+    assert!(
+        stages.contains("estimate"),
+        "pass-1 heartbeats present: {stages:?}"
+    );
+    assert!(
+        stages.contains("pass2"),
+        "pass-2 heartbeats present: {stages:?}"
+    );
 }
 
 #[test]
@@ -374,7 +404,10 @@ fn trivial_regime_ledger_covers_the_whole_estimator() {
         Some(est.space_words() as u64),
         "the trivial branch owns every resident word"
     );
-    assert_eq!(ledger_words(&rows, "estimator"), Some(est.space_words() as u64));
+    assert_eq!(
+        ledger_words(&rows, "estimator"),
+        Some(est.space_words() as u64)
+    );
     // The per-group L0 sketches saw every edge.
     let trivial = rows
         .iter()
@@ -404,5 +437,8 @@ fn trivial_regime_snapshot_accounts_exactly() {
         Trace::of(&rec).unwrap().subroutine_words(),
         [(0, "trivial", Some(est.space_words() as u64))]
     );
-    assert!(rec.events_of("lane").is_empty(), "no lanes run in the trivial regime");
+    assert!(
+        rec.events_of("lane").is_empty(),
+        "no lanes run in the trivial regime"
+    );
 }

@@ -48,7 +48,11 @@ fn soundness_across_workload_zoo() {
     let zoo: Vec<(&str, SetSystem, usize)> = vec![
         ("uniform", uniform_fixed_size(1_500, 300, 30, 1), 10),
         ("zipf", zipf_set_sizes(1_500, 300, 400, 1.1, 2), 10),
-        ("planted", planted_cover(1_500, 300, 10, 0.8, 30, 3).system, 10),
+        (
+            "planted",
+            planted_cover(1_500, 300, 10, 0.8, 30, 3).system,
+            10,
+        ),
         ("communities", community_sets(1_500, 300, 6, 40, 4, 4), 10),
     ];
     for (name, system, k) in zoo {

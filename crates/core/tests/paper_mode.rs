@@ -55,7 +55,10 @@ fn paper_mode_space_still_scales_with_m_over_alpha_squared() {
     // mode's w/(sα) dampening is itself a large polylog at small m).
     let small_alpha = Params::paper(100_000_000, 50_000, 500, 8.0);
     let large_alpha = Params::paper(100_000_000, 50_000, 500, 32.0);
-    assert!(large_alpha.phi1() < 1.0, "phi1 clamped; m too small for the test");
+    assert!(
+        large_alpha.phi1() < 1.0,
+        "phi1 clamped; m too small for the test"
+    );
     let ratio = small_alpha.phi1() / large_alpha.phi1();
     // phi1 ∝ alpha² (modulo the slowly-varying log(sα) factor).
     assert!(

@@ -25,7 +25,10 @@ impl KWise {
     /// Create a d-wise independent hash function. `degree_of_independence`
     /// must be at least 1 (1-wise = constant-free uniform marginal).
     pub fn new(degree_of_independence: usize, seed: u64) -> Self {
-        assert!(degree_of_independence >= 1, "independence degree must be >= 1");
+        assert!(
+            degree_of_independence >= 1,
+            "independence degree must be >= 1"
+        );
         let mut rng = SplitMix64::new(seed);
         let coeffs = (0..degree_of_independence)
             .map(|i| {

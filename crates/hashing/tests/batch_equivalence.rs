@@ -26,7 +26,9 @@ fn key_sets() -> Vec<Vec<u64>> {
         (1u64 << 62) - 1,
         u64::MAX,
     ];
-    let mut dense: Vec<u64> = (0..1021u64).map(|i| i.wrapping_mul(0x9e37_79b9_7f4a_7c15)).collect();
+    let mut dense: Vec<u64> = (0..1021u64)
+        .map(|i| i.wrapping_mul(0x9e37_79b9_7f4a_7c15))
+        .collect();
     dense.extend_from_slice(&boundary);
     vec![
         Vec::new(),
@@ -44,7 +46,12 @@ fn assert_equivalent(label: &str, h: &KWise) {
     let mut out = vec![0xdead_beefu64; 3]; // stale contents must be cleared
     for keys in key_sets() {
         h.hash_batch(&keys, &mut out);
-        assert_eq!(out.len(), keys.len(), "{label}: length for {} keys", keys.len());
+        assert_eq!(
+            out.len(),
+            keys.len(),
+            "{label}: length for {} keys",
+            keys.len()
+        );
         for (i, &k) in keys.iter().enumerate() {
             assert_eq!(
                 out[i],

@@ -54,11 +54,7 @@ impl Json {
 
     fn render_into(&self, out: &mut String, indent: Option<usize>, depth: usize) {
         let (nl, pad, pad_in) = match indent {
-            Some(w) => (
-                "\n",
-                " ".repeat(w * depth),
-                " ".repeat(w * (depth + 1)),
-            ),
+            Some(w) => ("\n", " ".repeat(w * depth), " ".repeat(w * (depth + 1))),
             None => ("", String::new(), String::new()),
         };
         match self {
@@ -162,7 +158,12 @@ impl Json {
 
     /// Build an object from key/value pairs (convenience for emitters).
     pub fn obj(entries: Vec<(&str, Json)>) -> Json {
-        Json::Obj(entries.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+        Json::Obj(
+            entries
+                .into_iter()
+                .map(|(k, v)| (k.to_string(), v))
+                .collect(),
+        )
     }
 }
 
@@ -282,8 +283,7 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                             .get(*pos + 1..*pos + 5)
                             .ok_or("truncated \\u escape")?;
                         let hex = std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?;
-                        let code =
-                            u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape")?;
+                        let code = u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape")?;
                         // Telemetry strings never need surrogate pairs;
                         // map unpaired surrogates to the replacement char.
                         out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
@@ -295,8 +295,8 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
             }
             Some(_) => {
                 // Consume one UTF-8 scalar (multi-byte safe).
-                let rest = std::str::from_utf8(&bytes[*pos..])
-                    .map_err(|_| "invalid UTF-8 in string")?;
+                let rest =
+                    std::str::from_utf8(&bytes[*pos..]).map_err(|_| "invalid UTF-8 in string")?;
                 let c = rest.chars().next().expect("non-empty");
                 out.push(c);
                 *pos += c.len_utf8();
@@ -406,10 +406,13 @@ mod tests {
     fn render_parse_round_trip() {
         let v = Json::obj(vec![
             ("name", "exp_throughput".into()),
-            ("rows", Json::Arr(vec![
-                Json::obj(vec![("alpha", 2.0.into()), ("meps", 1.25.into())]),
-                Json::obj(vec![("alpha", 8.0.into()), ("meps", 2.5.into())]),
-            ])),
+            (
+                "rows",
+                Json::Arr(vec![
+                    Json::obj(vec![("alpha", 2.0.into()), ("meps", 1.25.into())]),
+                    Json::obj(vec![("alpha", 8.0.into()), ("meps", 2.5.into())]),
+                ]),
+            ),
             ("ok", true.into()),
             ("note", Json::Null),
         ]);

@@ -395,7 +395,10 @@ impl Recorder {
 
     /// Events of one kind, in emission order.
     pub fn events_of(&self, kind: &str) -> Vec<Event> {
-        self.events().into_iter().filter(|e| e.kind == kind).collect()
+        self.events()
+            .into_iter()
+            .filter(|e| e.kind == kind)
+            .collect()
     }
 
     /// Write the full sink as NDJSON: every event in emission order,
@@ -486,8 +489,10 @@ impl Drop for PhaseSpan {
         if let Some(start) = self.start.take() {
             let ns = start.elapsed().as_nanos() as u64;
             self.rec.incr(&format!("time_ns.{}", self.phase), ns);
-            self.rec
-                .event("phase", &[("phase", self.phase.as_str().into()), ("ns", ns.into())]);
+            self.rec.event(
+                "phase",
+                &[("phase", self.phase.as_str().into()), ("ns", ns.into())],
+            );
         }
     }
 }
@@ -829,7 +834,10 @@ mod tests {
         }
         let lane = json::Json::parse(lines[0]).unwrap();
         assert_eq!(lane.get("lane").and_then(json::Json::as_f64), Some(3.0));
-        assert_eq!(lane.get("estimate").and_then(json::Json::as_f64), Some(12.5));
+        assert_eq!(
+            lane.get("estimate").and_then(json::Json::as_f64),
+            Some(12.5)
+        );
         assert_eq!(
             lane.get("winner").and_then(json::Json::as_str),
             Some("LargeSet")

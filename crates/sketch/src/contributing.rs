@@ -134,7 +134,11 @@ impl F2Contributing {
     pub fn new(config: ContributingConfig, m: usize, n: usize, seed: u64) -> Self {
         assert!(m as u64 <= MAX_DOMAIN, "domain {m} exceeds MAX_DOMAIN");
         let mut seq = SeedSequence::labeled(seed, "f2-contributing");
-        let max_level = config.max_class_size.max(1).next_power_of_two().trailing_zeros();
+        let max_level = config
+            .max_class_size
+            .max(1)
+            .next_power_of_two()
+            .trailing_zeros();
         let phi = (config.gamma * config.phi_factor).clamp(1e-9, 1.0);
         let hh_config = |phi: f64| {
             let mut c = HeavyHitterConfig::for_phi(phi);
@@ -293,7 +297,9 @@ impl F2Contributing {
     pub fn insert_batch_prehashed(&mut self, items: &[u64], hashes: &[u64]) {
         debug_assert_eq!(items.len(), hashes.len());
         debug_assert!(
-            items.first().is_none_or(|&i| self.hash.hash(i) == hashes[0]),
+            items
+                .first()
+                .is_none_or(|&i| self.hash.hash(i) == hashes[0]),
             "prehashed values disagree with the sampling hash"
         );
         // One blocked mix pass over the chunk; each level then gathers
@@ -323,7 +329,14 @@ impl F2Contributing {
             } else {
                 (hashes, &mixed)
             };
-            let kept = gather(src_h, src_m, level.modulus - 1, level.keep, &mut next_h, &mut next_m);
+            let kept = gather(
+                src_h,
+                src_m,
+                level.modulus - 1,
+                level.keep,
+                &mut next_h,
+                &mut next_m,
+            );
             level.hh.insert_mixed(&next_m[..kept * words]);
             std::mem::swap(&mut surv_h, &mut next_h);
             std::mem::swap(&mut surv_m, &mut next_m);
@@ -373,7 +386,11 @@ impl F2Contributing {
     /// sampling filter keeps (`hash & (modulus − 1) < keep`, the test the
     /// update path applies), in ascending id order. `domain` is
     /// [`F2Contributing::domain_hashes`].
-    pub fn level_heavy_hitters(&self, level: usize, domain: &(Vec<u64>, Vec<u64>)) -> Vec<HeavyItem> {
+    pub fn level_heavy_hitters(
+        &self,
+        level: usize,
+        domain: &(Vec<u64>, Vec<u64>),
+    ) -> Vec<HeavyItem> {
         let level = &self.levels[level];
         let (sampling, mixed) = domain;
         let words = level.hh.sketch().mix_words();
@@ -406,7 +423,10 @@ impl F2Contributing {
     /// Per-level `(modulus, keep, heavy hitter)` triples (wire
     /// serialization).
     pub fn level_parts(&self) -> Vec<(u64, u64, &F2HeavyHitter)> {
-        self.levels.iter().map(|l| (l.modulus, l.keep, &l.hh)).collect()
+        self.levels
+            .iter()
+            .map(|l| (l.modulus, l.keep, &l.hh))
+            .collect()
     }
 
     /// Rebuild from parts (inverse of the accessors). Fails on a domain
@@ -433,7 +453,10 @@ impl F2Contributing {
             }
             prev = modulus;
         }
-        if levels.iter().any(|(_, _, hh)| hh.sketch().mix() != levels[0].2.sketch().mix()) {
+        if levels
+            .iter()
+            .any(|(_, _, hh)| hh.sketch().mix() != levels[0].2.sketch().mix())
+        {
             return Err("finder levels carry different CountSketch mixes".into());
         }
         Ok(F2Contributing {
@@ -580,7 +603,10 @@ mod tests {
             fc.insert(100 + i);
         }
         let rep = fc.report();
-        assert!(rep.iter().any(|r| r.item == 42), "missing the heavy class: {rep:?}");
+        assert!(
+            rep.iter().any(|r| r.item == 42),
+            "missing the heavy class: {rep:?}"
+        );
         let est = rep.iter().find(|r| r.item == 42).unwrap().est;
         assert!((256..=768).contains(&est), "estimate {est}");
     }
@@ -808,7 +834,10 @@ mod tests {
     fn insert_matches_insert_batch_under_any_chunking() {
         // Nested and non-nested level schedules, one and three mix words.
         let items: Vec<u64> = (0..3_000u64).map(|i| (i * i + 7 * i) % 1_500).collect();
-        let configs = [(ContributingConfig::new(0.1, 512), 5), (ContributingConfig::new(0.3, 64), 2)];
+        let configs = [
+            (ContributingConfig::new(0.1, 512), 5),
+            (ContributingConfig::new(0.3, 64), 2),
+        ];
         for (mut config, rows) in configs {
             config.hh_rows = rows;
             config.survivors_per_class = 3;
@@ -822,8 +851,13 @@ mod tests {
                 for block in items.chunks(chunk) {
                     batched.insert_batch(block);
                 }
-                for ((_, _, a), (_, _, b)) in batched.level_parts().iter().zip(serial.level_parts()) {
-                    assert_eq!(a.sketch().table(), b.sketch().table(), "rows {rows} chunk {chunk}");
+                for ((_, _, a), (_, _, b)) in batched.level_parts().iter().zip(serial.level_parts())
+                {
+                    assert_eq!(
+                        a.sketch().table(),
+                        b.sketch().table(),
+                        "rows {rows} chunk {chunk}"
+                    );
                     assert_eq!(a.items_seen(), b.items_seen());
                 }
                 assert_eq!(batched.report(), serial.report());
@@ -855,7 +889,11 @@ mod tests {
             let mut fc = F2Contributing::new(ContributingConfig::new(0.5, 16), 100, 100, 7);
             feed(&mut fc, &[(item, 300)]);
             let rep = fc.report();
-            assert_eq!(rep.iter().any(|r| r.item == item), found, "item {item}: {rep:?}");
+            assert_eq!(
+                rep.iter().any(|r| r.item == item),
+                found,
+                "item {item}: {rep:?}"
+            );
             assert!(rep.iter().all(|r| r.item < 100));
         }
     }

@@ -60,7 +60,10 @@ const FIELD_MASK: u64 = (1 << 30) - 1;
 #[inline]
 fn cell(h: u64, row: usize, width: u64) -> (usize, i64) {
     let field = (h >> FIELD_SHIFT[row & 1]) & FIELD_MASK;
-    ((((field >> 1) * width) >> 29) as usize, 1 - 2 * (field & 1) as i64)
+    (
+        (((field >> 1) * width) >> 29) as usize,
+        1 - 2 * (field & 1) as i64,
+    )
 }
 
 /// The median of the per-row estimates (`rows ≤ 32`). An even row
@@ -104,14 +107,19 @@ impl CountSketch {
     /// The `⌈rows/2⌉` mix words a `rows`-row sketch draws from `seed`.
     pub fn draw_mix(rows: usize, seed: u64) -> Vec<KWise> {
         let mut seq = SeedSequence::labeled(seed, "count-sketch");
-        (0..rows.div_ceil(2)).map(|_| four_wise(seq.next_seed())).collect()
+        (0..rows.div_ceil(2))
+            .map(|_| four_wise(seq.next_seed()))
+            .collect()
     }
 
     /// An empty sketch addressed by the given mix words (for owners that
     /// share one mix across several sketches). Panics on a bad shape.
     pub fn with_mix(rows: usize, width: usize, mix: Vec<KWise>) -> Self {
         assert!((1..=32).contains(&rows), "rows must be in 1..=32");
-        assert!((2..=MAX_WIDTH).contains(&width), "width must be in 2..=2^22");
+        assert!(
+            (2..=MAX_WIDTH).contains(&width),
+            "width must be in 2..=2^22"
+        );
         Self::from_parts(rows, width, mix, vec![0; rows * width]).expect("mix words fit the rows")
     }
 
@@ -183,7 +191,6 @@ impl CountSketch {
         }
     }
 
-
     /// Observe one occurrence of each item in a chunk: one
     /// [`CountSketch::mix_batch`], then [`CountSketch::insert_mixed`].
     pub fn insert_batch(&mut self, items: &[u64]) {
@@ -215,7 +222,10 @@ impl CountSketch {
         let mut ests = vec![0i64; self.rows * n];
         for (row, col) in ests.chunks_exact_mut(n.max(1)).enumerate() {
             let stripe = &self.table[row * self.width..(row + 1) * self.width];
-            for (e, &h) in col.iter_mut().zip(mixed.iter().skip(row / 2).step_by(words)) {
+            for (e, &h) in col
+                .iter_mut()
+                .zip(mixed.iter().skip(row / 2).step_by(words))
+            {
                 let (bucket, sign) = cell(h, row, w);
                 *e = sign * stripe[bucket];
             }
@@ -265,13 +275,11 @@ impl CountSketch {
     /// a linear sketch: tables add). Panics on mismatch.
     pub fn merge(&mut self, other: &CountSketch) {
         assert_eq!(
-            self.rows,
-            other.rows,
+            self.rows, other.rows,
             "CountSketch merge requires identical configuration (rows)"
         );
         assert_eq!(
-            self.width,
-            other.width,
+            self.width, other.width,
             "CountSketch merge requires identical configuration (width)"
         );
         assert!(
@@ -344,13 +352,21 @@ impl CountSketch {
         table: Vec<i64>,
     ) -> Result<Self, String> {
         if !(1..=32).contains(&rows) || !(2..=MAX_WIDTH).contains(&width) {
-            return Err(format!("bad CountSketch shape ({rows} rows of width {width})"));
+            return Err(format!(
+                "bad CountSketch shape ({rows} rows of width {width})"
+            ));
         }
         if mix.len() != rows.div_ceil(2) {
-            return Err(format!("{} mix words for {rows} CountSketch rows", mix.len()));
+            return Err(format!(
+                "{} mix words for {rows} CountSketch rows",
+                mix.len()
+            ));
         }
         if let Some(g) = mix.iter().find(|g| g.independence() != 4) {
-            return Err(format!("CountSketch mix word of degree {} (need 4)", g.independence()));
+            return Err(format!(
+                "CountSketch mix word of degree {} (need 4)",
+                g.independence()
+            ));
         }
         if rows.checked_mul(width) != Some(table.len()) {
             return Err("CountSketch table size mismatch".into());
@@ -376,7 +392,10 @@ impl SpaceUsage for CountSketch {
             updates: self.updates,
             touched_words: self.updates * self.rows as u64,
         });
-        node.leaf("hashes", self.mix.iter().map(KWise::space_words).sum::<usize>());
+        node.leaf(
+            "hashes",
+            self.mix.iter().map(KWise::space_words).sum::<usize>(),
+        );
     }
 }
 
@@ -510,7 +529,10 @@ mod tests {
         let truth: f64 = freqs.values().map(|&f| (f * f) as f64).sum();
         let est = both.f2_estimate();
         let rel = (est - truth).abs() / truth;
-        assert!(rel < 0.25, "relative error {rel} (est {est}, truth {truth})");
+        assert!(
+            rel < 0.25,
+            "relative error {rel} (est {est}, truth {truth})"
+        );
     }
 
     #[test]
@@ -642,7 +664,8 @@ mod tests {
         let mut acc = [0i64; 2];
         for seed in 0..SEEDS {
             let cs = CountSketch::new(2, 8, 31_337 + seed);
-            let rows: Vec<Vec<(usize, i64)>> = [10u64, 20, 30, 40].iter().map(|&k| cells(&cs, k)).collect();
+            let rows: Vec<Vec<(usize, i64)>> =
+                [10u64, 20, 30, 40].iter().map(|&k| cells(&cs, k)).collect();
             for (row, a) in acc.iter_mut().enumerate() {
                 *a += rows.iter().map(|c| c[row].1).product::<i64>();
             }
@@ -672,7 +695,11 @@ mod tests {
                     mixed_path.insert_mixed(&mixed);
                 }
                 assert_eq!(batched.table(), scalar.table(), "rows {rows} chunk {chunk}");
-                assert_eq!(mixed_path.table(), scalar.table(), "rows {rows} chunk {chunk}");
+                assert_eq!(
+                    mixed_path.table(),
+                    scalar.table(),
+                    "rows {rows} chunk {chunk}"
+                );
                 assert_eq!(batched.heat_updates(), scalar.heat_updates());
             }
         }
@@ -693,7 +720,9 @@ mod tests {
     #[test]
     fn from_parts_pins_the_mix_and_the_width() {
         let cs = CountSketch::new(4, 8, 5);
-        let ok = |mix: Vec<KWise>, width: usize| CountSketch::from_parts(4, width, mix, vec![0; 4 * width]);
+        let ok = |mix: Vec<KWise>, width: usize| {
+            CountSketch::from_parts(4, width, mix, vec![0; 4 * width])
+        };
         assert!(ok(cs.mix().to_vec(), 8).is_ok());
         let e = ok(cs.mix()[..1].to_vec(), 8).unwrap_err();
         assert!(e.contains("1 mix words for 4"), "{e}");

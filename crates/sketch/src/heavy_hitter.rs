@@ -276,7 +276,10 @@ mod tests {
         let out = hh.heavy_hitters(&domain(1200));
         assert!(out.iter().any(|h| h.item == 7), "dominant item missing");
         let est = out.iter().find(|h| h.item == 7).unwrap().est;
-        assert!((500..=1500).contains(&est), "estimate {est} outside (1±1/2)");
+        assert!(
+            (500..=1500).contains(&est),
+            "estimate {est} outside (1±1/2)"
+        );
     }
 
     #[test]
@@ -295,7 +298,10 @@ mod tests {
         }
         let out = hh.heavy_hitters(&domain(2100));
         for item in [1u64, 2, 3] {
-            assert!(out.iter().any(|h| h.item == item), "missing heavy item {item}");
+            assert!(
+                out.iter().any(|h| h.item == item),
+                "missing heavy item {item}"
+            );
         }
     }
 
@@ -330,7 +336,10 @@ mod tests {
         let thr = 0.125 * 0.02 * hh.f2_estimate();
         let want: Vec<HeavyItem> = ids
             .iter()
-            .map(|&item| HeavyItem { item, est: hh.frequency_estimate(item) })
+            .map(|&item| HeavyItem {
+                item,
+                est: hh.frequency_estimate(item),
+            })
             .filter(|h| h.est > 0 && (h.est as f64) * (h.est as f64) >= thr)
             .collect();
         assert!(!want.is_empty());
@@ -397,7 +406,11 @@ mod tests {
             for block in items.chunks(chunk) {
                 batched.insert_batch(block);
             }
-            assert_eq!(batched.sketch().table(), serial.sketch().table(), "chunk {chunk}");
+            assert_eq!(
+                batched.sketch().table(),
+                serial.sketch().table(),
+                "chunk {chunk}"
+            );
             assert_eq!(batched.items_seen(), serial.items_seen());
         }
     }
@@ -421,7 +434,10 @@ mod tests {
         let truth = 500.0 * 100.0;
         let est = hh.f2_estimate();
         let rel = (est - truth).abs() / truth;
-        assert!(rel < 0.25, "relative error {rel} (est {est}, truth {truth})");
+        assert!(
+            rel < 0.25,
+            "relative error {rel} (est {est}, truth {truth})"
+        );
     }
 
     #[test]
@@ -445,7 +461,10 @@ mod tests {
         for merged in [&left, &ba] {
             assert_eq!(merged.sketch().table(), serial.sketch().table());
             assert_eq!(merged.items_seen(), serial.items_seen());
-            assert_eq!(merged.heavy_hitters(&domain(100)), serial.heavy_hitters(&domain(100)));
+            assert_eq!(
+                merged.heavy_hitters(&domain(100)),
+                serial.heavy_hitters(&domain(100))
+            );
         }
         assert_eq!(left.stats().merges, 1);
     }
@@ -475,7 +494,10 @@ mod tests {
         let mut back =
             F2HeavyHitter::from_parts(hh.config().clone(), hh.sketch().clone(), hh.items_seen())
                 .unwrap();
-        assert_eq!(hh.heavy_hitters(&domain(20)), back.heavy_hitters(&domain(20)));
+        assert_eq!(
+            hh.heavy_hitters(&domain(20)),
+            back.heavy_hitters(&domain(20))
+        );
         assert_eq!(hh.items_seen(), back.items_seen());
         back.restore_telemetry(3, 500);
         assert_eq!(back.stats().merges, 3);
@@ -503,7 +525,8 @@ mod tests {
                 hh.insert(item);
             }
         }
-        let items = |ids: &[u64]| -> Vec<u64> { hh.heavy_hitters(ids).iter().map(|h| h.item).collect() };
+        let items =
+            |ids: &[u64]| -> Vec<u64> { hh.heavy_hitters(ids).iter().map(|h| h.item).collect() };
         assert_eq!(items(&domain(10)), vec![1, 2, 3]);
         assert_eq!(items(&[3, 9, 1, 2]), vec![3, 1, 2]);
     }

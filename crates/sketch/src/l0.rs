@@ -147,7 +147,10 @@ impl Kmv {
     /// BEM-style baseline and distributed deployments rely on). Panics
     /// if the configurations or hash functions differ.
     pub fn merge(&mut self, other: &Kmv) {
-        assert_eq!(self.k, other.k, "Kmv merge requires identical configuration (k)");
+        assert_eq!(
+            self.k, other.k,
+            "Kmv merge requires identical configuration (k)"
+        );
         assert_eq!(
             self.hash.hash(0x5eed_c0de),
             other.hash.hash(0x5eed_c0de),
@@ -531,7 +534,8 @@ mod tests {
         other.insert_batch(&items[..100]);
         scalar.merge(&other);
         assert_eq!(scalar.heat_updates(), 600);
-        let mut back = Kmv::from_parts(scalar.k(), scalar.hash().clone(), scalar.kept_values()).unwrap();
+        let mut back =
+            Kmv::from_parts(scalar.k(), scalar.hash().clone(), scalar.kept_values()).unwrap();
         assert_eq!(back.heat_updates(), 0);
         back.restore_telemetry(600, 2, 1);
         assert_eq!(back.heat_updates(), 600);

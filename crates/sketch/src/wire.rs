@@ -145,7 +145,9 @@ pub fn take_kwise(input: &mut &[u8]) -> Result<KWise, WireError> {
         return Err(err("empty hash coefficient vector"));
     }
     if let Some(&c) = coeffs.iter().find(|&&c| c >= MERSENNE_P) {
-        return Err(err(format!("hash coefficient {c:#x} is not below 2^61 - 1")));
+        return Err(err(format!(
+            "hash coefficient {c:#x} is not below 2^61 - 1"
+        )));
     }
     Ok(KWise::from_coefficients(&coeffs))
 }
@@ -303,21 +305,29 @@ impl WireEncode for CountSketch {
         let rows = take_u64(input)? as usize;
         let width = take_u64(input)? as usize;
         if width > MAX_WIDTH {
-            return Err(err(format!("CountSketch width {width} exceeds the cap {MAX_WIDTH}")));
+            return Err(err(format!(
+                "CountSketch width {width} exceeds the cap {MAX_WIDTH}"
+            )));
         }
         // The word count and each word's degree are checked by
         // `from_parts`: a crafted degree would otherwise set the cost of
         // every update.
         let words = take_u64(input)? as usize;
         if words > input.len() / 8 {
-            return Err(err(format!("truncated list of {words} CountSketch mix words")));
+            return Err(err(format!(
+                "truncated list of {words} CountSketch mix words"
+            )));
         }
-        let mix = (0..words).map(|_| take_kwise(input)).collect::<Result<Vec<_>, _>>()?;
+        let mix = (0..words)
+            .map(|_| take_kwise(input))
+            .collect::<Result<Vec<_>, _>>()?;
         let n = take_u64(input)? as usize;
         if rows.checked_mul(width) != Some(n) || n > input.len() / 8 {
             return Err(err("CountSketch table size mismatch"));
         }
-        let table = (0..n).map(|_| take_i64(input)).collect::<Result<Vec<_>, _>>()?;
+        let table = (0..n)
+            .map(|_| take_i64(input))
+            .collect::<Result<Vec<_>, _>>()?;
         CountSketch::from_parts(rows, width, mix, table).map_err(err)
     }
 }
@@ -341,7 +351,9 @@ impl WireEncode for L0Estimator {
             // so a corrupt length cannot drive a huge allocation loop.
             return Err(err("L0Estimator repetition count exceeds input"));
         }
-        let reps = (0..n).map(|_| Kmv::decode(input)).collect::<Result<Vec<_>, _>>()?;
+        let reps = (0..n)
+            .map(|_| Kmv::decode(input))
+            .collect::<Result<Vec<_>, _>>()?;
         L0Estimator::from_parts(reps).map_err(err)
     }
 }
@@ -399,7 +411,13 @@ impl WireEncode for F2Contributing {
             return Err(err("F2Contributing level count exceeds input"));
         }
         let levels = (0..n)
-            .map(|_| Ok((take_u64(input)?, take_u64(input)?, F2HeavyHitter::decode(input)?)))
+            .map(|_| {
+                Ok((
+                    take_u64(input)?,
+                    take_u64(input)?,
+                    F2HeavyHitter::decode(input)?,
+                ))
+            })
             .collect::<Result<Vec<_>, WireError>>()?;
         F2Contributing::from_parts(hash, domain, levels).map_err(err)
     }
@@ -430,7 +448,9 @@ impl WireEncode for Histogram {
         let max = take_u64(input)?;
         let n = take_u64(input)? as usize;
         if n > input.len() / 16 {
-            return Err(err(format!("truncated histogram bucket list of {n} entries")));
+            return Err(err(format!(
+                "truncated histogram bucket list of {n} entries"
+            )));
         }
         let buckets = (0..n)
             .map(|_| Ok((take_u64(input)? as usize, take_u64(input)?)))
@@ -495,7 +515,9 @@ pub fn take_l0_full(input: &mut &[u8]) -> Result<L0Estimator, WireError> {
     let mut l0 = L0Estimator::decode(input)?;
     let n = take_u64(input)? as usize;
     if n > input.len() / 24 {
-        return Err(err(format!("truncated L0 telemetry sidecar of {n} entries")));
+        return Err(err(format!(
+            "truncated L0 telemetry sidecar of {n} entries"
+        )));
     }
     let counters = (0..n)
         .map(|_| Ok((take_u64(input)?, take_u64(input)?, take_u64(input)?)))
@@ -521,7 +543,9 @@ pub fn take_fc_full(input: &mut &[u8]) -> Result<F2Contributing, WireError> {
     let mut fc = F2Contributing::decode(input)?;
     let n = take_u64(input)? as usize;
     if n > input.len() / 16 {
-        return Err(err(format!("truncated F2C telemetry sidecar of {n} entries")));
+        return Err(err(format!(
+            "truncated F2C telemetry sidecar of {n} entries"
+        )));
     }
     let counters = (0..n)
         .map(|_| Ok((take_u64(input)?, take_u64(input)?)))
@@ -648,7 +672,10 @@ mod tests {
         let e = F2Contributing::from_bytes(&bytes).unwrap_err();
         assert!(e.message.contains("exceeds the cap"), "{e}");
         bytes[8..16].copy_from_slice(&MAX_DOMAIN.to_le_bytes());
-        assert_eq!(F2Contributing::from_bytes(&bytes).unwrap().domain(), MAX_DOMAIN);
+        assert_eq!(
+            F2Contributing::from_bytes(&bytes).unwrap().domain(),
+            MAX_DOMAIN
+        );
     }
 
     #[test]
@@ -657,7 +684,10 @@ mod tests {
         hh.insert(1);
         let bytes = hh.to_bytes();
         for cut in [0usize, 1, 7, 16, bytes.len() / 2, bytes.len() - 1] {
-            assert!(F2HeavyHitter::from_bytes(&bytes[..cut]).is_err(), "cut {cut}");
+            assert!(
+                F2HeavyHitter::from_bytes(&bytes[..cut]).is_err(),
+                "cut {cut}"
+            );
         }
         use crate::contributing::ContributingConfig;
         let fc = F2Contributing::new(ContributingConfig::new(0.5, 16), 100, 100, 2);
@@ -773,7 +803,10 @@ mod tests {
         let back = take_l0_full(&mut input).unwrap();
         assert!(input.is_empty());
         assert_eq!(ledger(&back), ledger(&est));
-        assert!(ledger(&est).total_updates() > 0, "heat must be nonzero to test restore");
+        assert!(
+            ledger(&est).total_updates() > 0,
+            "heat must be nonzero to test restore"
+        );
 
         use crate::contributing::ContributingConfig;
         let mut fc = F2Contributing::new(ContributingConfig::new(0.25, 64), 1000, 1000, 41);
@@ -787,7 +820,10 @@ mod tests {
         let back = take_fc_full(&mut input).unwrap();
         assert!(input.is_empty());
         assert_eq!(ledger(&back), ledger(&fc));
-        assert!(ledger(&fc).total_updates() > 0, "heat must be nonzero to test restore");
+        assert!(
+            ledger(&fc).total_updates() > 0,
+            "heat must be nonzero to test restore"
+        );
     }
 
     #[test]
@@ -801,6 +837,9 @@ mod tests {
         let words = kmv.space_words();
         // Encoding is words × 8 plus small framing overhead.
         assert!(bytes >= words * 8, "bytes {bytes} vs words {words}");
-        assert!(bytes <= words * 8 + 64, "framing too heavy: {bytes} vs {words}");
+        assert!(
+            bytes <= words * 8 + 64,
+            "framing too heavy: {bytes} vs {words}"
+        );
     }
 }

@@ -255,7 +255,11 @@ fn heavy_hitter_batch_any_chunking_equals_sequential() {
         }
         assert_eq!(serial.items_seen(), batched.items_seen(), "case {case}");
         let ids: Vec<u64> = (0..500).collect();
-        assert_eq!(serial.heavy_hitters(&ids), batched.heavy_hitters(&ids), "case {case}");
+        assert_eq!(
+            serial.heavy_hitters(&ids),
+            batched.heavy_hitters(&ids),
+            "case {case}"
+        );
         assert_eq!(serial.space_words(), batched.space_words(), "case {case}");
     }
 }

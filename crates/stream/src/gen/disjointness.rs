@@ -122,7 +122,10 @@ mod tests {
         for j in 0..100 {
             assert!(inst.system.set(j).len() <= 1, "set {j} too large");
         }
-        let best = (0..100).map(|j| coverage_of(&inst.system, &[j])).max().unwrap();
+        let best = (0..100)
+            .map(|j| coverage_of(&inst.system, &[j]))
+            .max()
+            .unwrap();
         assert_eq!(best, 1);
     }
 
@@ -185,7 +188,12 @@ mod tests {
         let alpha = 12;
         let yes = dsj_max_cover_instance(200, alpha, 10, DsjKind::Yes, 6);
         let no = dsj_max_cover_instance(200, alpha, 10, DsjKind::No, 6);
-        let best = |s: &SetSystem| (0..s.num_sets()).map(|j| coverage_of(s, &[j])).max().unwrap();
+        let best = |s: &SetSystem| {
+            (0..s.num_sets())
+                .map(|j| coverage_of(s, &[j]))
+                .max()
+                .unwrap()
+        };
         assert_eq!(best(&yes.system), 1);
         assert_eq!(best(&no.system), alpha);
     }

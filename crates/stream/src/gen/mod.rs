@@ -35,8 +35,8 @@ pub mod zipf;
 pub use communities::community_sets;
 pub use disjointness::{dsj_max_cover_instance, DsjInstance, DsjKind};
 pub use greedy_trap::{greedy_trap, GreedyTrap};
-pub use rmat::{rmat_incidence, RmatParams};
 pub use planted::{planted_cover, PlantedInstance};
 pub use regimes::{common_heavy, few_large, many_small};
+pub use rmat::{rmat_incidence, RmatParams};
 pub use uniform::{uniform_fixed_size, uniform_incidence};
 pub use zipf::{zipf_popularity, zipf_set_sizes};

@@ -35,7 +35,10 @@ pub fn planted_cover(
     seed: u64,
 ) -> PlantedInstance {
     assert!(k >= 1 && k <= m, "need 1 <= k <= m");
-    assert!((0.0..=1.0).contains(&coverage_fraction), "fraction in [0,1]");
+    assert!(
+        (0.0..=1.0).contains(&coverage_fraction),
+        "fraction in [0,1]"
+    );
     let covered = ((n as f64 * coverage_fraction) as usize).max(k).min(n);
     let per_set = covered / k;
     assert!(per_set >= 1, "planted sets would be empty");
@@ -49,7 +52,11 @@ pub fn planted_cover(
     // Planted sets: a partition of [0, covered) into k runs.
     for i in 0..k {
         let lo = i * per_set;
-        let hi = if i + 1 == k { covered } else { (i + 1) * per_set };
+        let hi = if i + 1 == k {
+            covered
+        } else {
+            (i + 1) * per_set
+        };
         sets.push((lo as u32..hi as u32).collect());
     }
     let planted_coverage = covered;
@@ -104,7 +111,10 @@ mod tests {
     fn decoys_are_dominated() {
         let inst = planted_cover(500, 40, 4, 0.6, 10, 7);
         // Any 4 decoy sets cover at most 4·10 = 40 < 300.
-        let decoys: Vec<usize> = (0..40).filter(|i| !inst.planted.contains(i)).take(4).collect();
+        let decoys: Vec<usize> = (0..40)
+            .filter(|i| !inst.planted.contains(i))
+            .take(4)
+            .collect();
         assert!(coverage_of(&inst.system, &decoys) <= 40);
     }
 

@@ -45,13 +45,7 @@ pub fn common_heavy(n: usize, m: usize, seed: u64) -> SetSystem {
 /// (size 2) confined to a small tail region so element frequencies stay
 /// low outside the decoy tail. The optimum of `Max k-Cover` for any
 /// `k ≥ num_large` is dominated by the large sets.
-pub fn few_large(
-    n: usize,
-    m: usize,
-    num_large: usize,
-    large_size: usize,
-    seed: u64,
-) -> SetSystem {
+pub fn few_large(n: usize, m: usize, num_large: usize, large_size: usize, seed: u64) -> SetSystem {
     assert!(num_large >= 1 && num_large < m, "need 1 <= num_large < m");
     assert!(
         num_large * large_size <= n * 3 / 4,
@@ -92,7 +86,11 @@ pub fn many_small(n: usize, m: usize, k_opt: usize, fraction: f64, seed: u64) ->
         sets.push((lo..hi).collect());
     }
     for _ in k_opt..m {
-        sets.push(sample_without_replacement(covered, size.min(covered), &mut rng));
+        sets.push(sample_without_replacement(
+            covered,
+            size.min(covered),
+            &mut rng,
+        ));
     }
     SetSystem::new(n, sets)
 }
@@ -170,7 +168,10 @@ mod tests {
         let freq = element_frequencies(&ss);
         let max_f = freq.iter().copied().max().unwrap();
         // Expected decoy frequency: 150 decoys × 16/800 = 3; planted adds 1.
-        assert!(max_f < 20, "max frequency {max_f} too common for regime III");
+        assert!(
+            max_f < 20,
+            "max frequency {max_f} too common for regime III"
+        );
     }
 
     #[test]

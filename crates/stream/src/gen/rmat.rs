@@ -46,7 +46,10 @@ pub fn rmat_incidence(
 ) -> SetSystem {
     assert!(n >= 1 && m >= 1, "need n, m >= 1");
     let RmatParams { a, b, c } = params;
-    assert!(a > 0.0 && b > 0.0 && c > 0.0, "probabilities must be positive");
+    assert!(
+        a > 0.0 && b > 0.0 && c > 0.0,
+        "probabilities must be positive"
+    );
     let d = 1.0 - a - b - c;
     assert!(d > 0.0, "a + b + c must be < 1");
     let set_bits = (m.next_power_of_two()).trailing_zeros();
@@ -95,7 +98,11 @@ mod tests {
         assert_eq!(ss.num_sets(), 500);
         // Duplicates collapse, so at most the budget.
         assert!(ss.total_edges() <= 8000);
-        assert!(ss.total_edges() > 4000, "too many duplicates: {}", ss.total_edges());
+        assert!(
+            ss.total_edges() > 4000,
+            "too many duplicates: {}",
+            ss.total_edges()
+        );
     }
 
     #[test]
@@ -130,7 +137,10 @@ mod tests {
         let sizes: Vec<usize> = (0..1024).map(|i| ss.set(i).len()).collect();
         let mean = sizes.iter().sum::<usize>() as f64 / 1024.0;
         let max = *sizes.iter().max().unwrap() as f64;
-        assert!(max < 4.0 * mean, "uniform RMAT too skewed: max {max} mean {mean}");
+        assert!(
+            max < 4.0 * mean,
+            "uniform RMAT too skewed: max {max} mean {mean}"
+        );
     }
 
     #[test]
@@ -143,6 +153,16 @@ mod tests {
     #[test]
     #[should_panic(expected = "a + b + c must be < 1")]
     fn overfull_probabilities_rejected() {
-        let _ = rmat_incidence(10, 10, 10, RmatParams { a: 0.5, b: 0.3, c: 0.3 }, 1);
+        let _ = rmat_incidence(
+            10,
+            10,
+            10,
+            RmatParams {
+                a: 0.5,
+                b: 0.3,
+                c: 0.3,
+            },
+            1,
+        );
     }
 }

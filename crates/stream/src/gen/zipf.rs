@@ -16,7 +16,9 @@ pub fn zipf_set_sizes(n: usize, m: usize, max_size: usize, exponent: f64, seed: 
     for i in 0..m {
         let size = ((max_size as f64 / ((i + 1) as f64).powf(exponent)).round() as usize)
             .clamp(1, max_size);
-        sets.push(super::uniform::sample_without_replacement(n, size, &mut rng));
+        sets.push(super::uniform::sample_without_replacement(
+            n, size, &mut rng,
+        ));
     }
     SetSystem::new(n, sets)
 }
@@ -111,7 +113,10 @@ mod tests {
 
     #[test]
     fn deterministic() {
-        assert_eq!(zipf_set_sizes(100, 10, 40, 1.0, 2), zipf_set_sizes(100, 10, 40, 1.0, 2));
+        assert_eq!(
+            zipf_set_sizes(100, 10, 40, 1.0, 2),
+            zipf_set_sizes(100, 10, 40, 1.0, 2)
+        );
         assert_eq!(
             zipf_popularity(100, 10, 5, 1.0, 2),
             zipf_popularity(100, 10, 5, 1.0, 2)

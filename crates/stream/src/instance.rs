@@ -122,7 +122,12 @@ mod tests {
 
     #[test]
     fn from_edges_roundtrip() {
-        let edges = vec![Edge::new(0, 2), Edge::new(1, 0), Edge::new(0, 1), Edge::new(0, 2)];
+        let edges = vec![
+            Edge::new(0, 2),
+            Edge::new(1, 0),
+            Edge::new(0, 1),
+            Edge::new(0, 2),
+        ];
         let ss = SetSystem::from_edges(3, 3, &edges);
         assert_eq!(ss.set(0), &[1, 2]);
         assert_eq!(ss.set(1), &[0]);

@@ -277,19 +277,27 @@ mod tests {
     #[test]
     fn header_above_u32_range_rejected() {
         // An element id past u32::MAX must not alias a small one.
-        let e = header_error("4294967300 2
+        let e = header_error(
+            "4294967300 2
 0 4294967297
-");
+",
+        );
         assert_eq!(e.line, 1);
         assert!(e.message.contains("u32 id range"), "{e}");
         // A set count past u32::MAX must fail before any allocation.
-        let e = header_error("# shape
+        let e = header_error(
+            "# shape
 4 4294967300
-");
+",
+        );
         assert_eq!(e.line, 2);
         assert!(e.message.contains("u32 id range"), "{e}");
-        assert!(header_error("0 5
-").message.contains("n >= 1"));
+        assert!(header_error(
+            "0 5
+"
+        )
+        .message
+        .contains("n >= 1"));
     }
 
     #[test]
@@ -303,9 +311,13 @@ mod tests {
         let mut reader = EdgeChunkReader::new(text.as_bytes(), 4).unwrap();
         assert_eq!(reader.next_chunk().unwrap(), Some(&edges[..]));
         // The largest id the header admits is rejected one past it.
-        let e = read_edges("4294967295 1
+        let e = read_edges(
+            "4294967295 1
 0 4294967295
-".as_bytes()).unwrap_err();
+"
+            .as_bytes(),
+        )
+        .unwrap_err();
         assert!(e.message.contains("element id 4294967295"), "{e}");
     }
 

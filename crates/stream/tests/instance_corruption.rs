@@ -29,7 +29,10 @@ fn check(bytes: &[u8], what: &str) -> bool {
         .unwrap_or_else(|_| panic!("read_edges panicked on {what}"));
     let chunked = catch_unwind(AssertUnwindSafe(|| read_chunked(bytes, 7)))
         .unwrap_or_else(|_| panic!("EdgeChunkReader panicked on {what}"));
-    assert_eq!(whole, chunked, "read_edges and EdgeChunkReader disagree on {what}");
+    assert_eq!(
+        whole, chunked,
+        "read_edges and EdgeChunkReader disagree on {what}"
+    );
     whole.is_ok()
 }
 
@@ -52,7 +55,11 @@ fn every_truncation_parses_or_errors_identically() {
     }
     // Prefixes ending before the header, or inside a data line's first
     // field, are errors; the rest parse to an edge prefix.
-    assert!(rejected > 0 && rejected < bytes.len(), "{rejected} of {} rejected", bytes.len());
+    assert!(
+        rejected > 0 && rejected < bytes.len(),
+        "{rejected} of {} rejected",
+        bytes.len()
+    );
 }
 
 #[test]
@@ -74,5 +81,8 @@ fn sampled_byte_flips_parse_or_error_identically() {
             }
         }
     }
-    assert!(rejected > 0 && rejected < flips, "{rejected} of {flips} rejected");
+    assert!(
+        rejected > 0 && rejected < flips,
+        "{rejected} of {flips} rejected"
+    );
 }

@@ -10,8 +10,7 @@ use kcov_hash::SplitMix64;
 use kcov_stream::gen::{uniform_incidence, zipf_set_sizes};
 use kcov_stream::{
     coverage_of, edge_stream, edge_stream_chunked, element_frequencies, read_edges,
-    read_set_system, write_edges, write_set_system, ArrivalOrder, Edge, EdgeChunkReader,
-    SetSystem,
+    read_set_system, write_edges, write_set_system, ArrivalOrder, Edge, EdgeChunkReader, SetSystem,
 };
 
 const CASES: u64 = 48;
@@ -65,7 +64,13 @@ fn edge_io_roundtrip() {
         let seed = rng.next_below(100);
         let edges = edge_stream(&ss, ArrivalOrder::Shuffled(seed));
         let mut buf = Vec::new();
-        write_edges(ss.num_elements().max(1), ss.num_sets().max(1), &edges, &mut buf).unwrap();
+        write_edges(
+            ss.num_elements().max(1),
+            ss.num_sets().max(1),
+            &edges,
+            &mut buf,
+        )
+        .unwrap();
         let (_, _, back) = read_edges(&buf[..]).unwrap();
         assert_eq!(edges, back, "case {case}");
     }
@@ -151,7 +156,13 @@ fn edge_chunk_reader_matches_read_edges() {
         let chunk_size = 1 + rng.next_below(17) as usize;
         let edges = edge_stream(&ss, ArrivalOrder::Shuffled(seed));
         let mut buf = Vec::new();
-        write_edges(ss.num_elements().max(1), ss.num_sets().max(1), &edges, &mut buf).unwrap();
+        write_edges(
+            ss.num_elements().max(1),
+            ss.num_sets().max(1),
+            &edges,
+            &mut buf,
+        )
+        .unwrap();
         let (n, m, flat) = read_edges(&buf[..]).unwrap();
         let mut reader = EdgeChunkReader::new(&buf[..], chunk_size).unwrap();
         assert_eq!((reader.n(), reader.m()), (n, m), "case {case}");

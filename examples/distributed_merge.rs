@@ -26,10 +26,7 @@ fn main() {
     let (n, m, k) = (20_000usize, 2_000usize, 25usize);
     let system = zipf_set_sizes(n, m, 2_000, 1.05, 11);
     let edges = edge_stream(&system, ArrivalOrder::Shuffled(3));
-    println!(
-        "corpus: n={n} m={m}, {} edges, budget k={k}",
-        edges.len()
-    );
+    println!("corpus: n={n} m={m}, {} edges, budget k={k}", edges.len());
 
     // Four workers, same seed (the sketches must share hash functions —
     // in a real deployment the coordinator distributes the seed).
@@ -46,7 +43,10 @@ fn main() {
         }
     }
     for (w, s) in shards.iter().enumerate() {
-        println!("worker {w}: sketched its shard in {} words", s.space_words());
+        println!(
+            "worker {w}: sketched its shard in {} words",
+            s.space_words()
+        );
     }
 
     // Coordinator: merge and solve.

@@ -16,7 +16,10 @@ fn main() {
     // jointly covering 80% of 5000 elements, hidden among 500 decoys.
     let (n, m, k) = (5_000usize, 500usize, 10usize);
     let inst = planted_cover(n, m, k, 0.8, 100, 2024);
-    println!("instance: n={n} m={m} k={k}, planted OPT = {}", inst.planted_coverage);
+    println!(
+        "instance: n={n} m={m} k={k}, planted OPT = {}",
+        inst.planted_coverage
+    );
 
     // The stream: (set, element) pairs in adversarially shuffled order —
     // the general edge-arrival model. No algorithm below ever sees a
@@ -49,7 +52,10 @@ fn main() {
         estimator.space_words(),
         edges.len()
     );
-    println!("winning guess z = {}, subroutine = {:?}", out.winning_z, out.winner);
+    println!(
+        "winning guess z = {}, subroutine = {:?}",
+        out.winning_z, out.winner
+    );
 
     // --- Reporting (Theorem 3.2): Õ(m/α² + k) space. ---
     let mut reporter = MaxCoverReporter::new(n, m, k, alpha, &config);

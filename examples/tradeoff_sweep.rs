@@ -16,8 +16,14 @@ fn main() {
     let inst = planted_cover(n, m, k, 0.8, 100, 17);
     let edges = edge_stream(&inst.system, ArrivalOrder::Shuffled(3));
     let opt = inst.planted_coverage as f64;
-    println!("instance: n={n} m={m} k={k}, planted OPT = {opt}, stream = {} edges", edges.len());
-    println!("\n{:>6} {:>14} {:>12} {:>12} {:>10}", "alpha", "space (words)", "m/alpha^2", "estimate", "est/OPT");
+    println!(
+        "instance: n={n} m={m} k={k}, planted OPT = {opt}, stream = {} edges",
+        edges.len()
+    );
+    println!(
+        "\n{:>6} {:>14} {:>12} {:>12} {:>10}",
+        "alpha", "space (words)", "m/alpha^2", "estimate", "est/OPT"
+    );
 
     for alpha in [2.0f64, 4.0, 8.0, 16.0, 32.0] {
         let mut config = EstimatorConfig::practical(23).with_threads(2);

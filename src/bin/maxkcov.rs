@@ -177,13 +177,36 @@ const RUN_CMDS: &[&str] = &["estimate", "report", "twopass", "budget", "worker",
 
 /// Subcommands with an observability surface. `merge-from` never
 /// ingests (no `--heartbeat`) but emits the merged trace and metrics.
-const OBS_CMDS: &[&str] = &["estimate", "report", "twopass", "budget", "worker", "merge-from"];
+const OBS_CMDS: &[&str] = &[
+    "estimate",
+    "report",
+    "twopass",
+    "budget",
+    "worker",
+    "merge-from",
+];
 
 const FLAG_SPECS: &[FlagSpec] = &[
-    FlagSpec { name: "kind", kind: FlagKind::Value, commands: &["gen"] },
-    FlagSpec { name: "n", kind: FlagKind::Value, commands: &["gen"] },
-    FlagSpec { name: "m", kind: FlagKind::Value, commands: &["gen"] },
-    FlagSpec { name: "out", kind: FlagKind::Value, commands: &["gen", "worker"] },
+    FlagSpec {
+        name: "kind",
+        kind: FlagKind::Value,
+        commands: &["gen"],
+    },
+    FlagSpec {
+        name: "n",
+        kind: FlagKind::Value,
+        commands: &["gen"],
+    },
+    FlagSpec {
+        name: "m",
+        kind: FlagKind::Value,
+        commands: &["gen"],
+    },
+    FlagSpec {
+        name: "out",
+        kind: FlagKind::Value,
+        commands: &["gen", "worker"],
+    },
     FlagSpec {
         name: "k",
         kind: FlagKind::Value,
@@ -194,7 +217,9 @@ const FLAG_SPECS: &[FlagSpec] = &[
     FlagSpec {
         name: "seed",
         kind: FlagKind::Value,
-        commands: &["gen", "estimate", "report", "twopass", "budget", "worker", "prof"],
+        commands: &[
+            "gen", "estimate", "report", "twopass", "budget", "worker", "prof",
+        ],
     },
     FlagSpec {
         name: "input",
@@ -209,24 +234,96 @@ const FLAG_SPECS: &[FlagSpec] = &[
         kind: FlagKind::Value,
         commands: &["estimate", "report", "twopass", "worker", "prof"],
     },
-    FlagSpec { name: "words", kind: FlagKind::Value, commands: &["budget"] },
-    FlagSpec { name: "fraction", kind: FlagKind::Value, commands: &["setcover"] },
-    FlagSpec { name: "top", kind: FlagKind::Value, commands: &["prof"] },
-    FlagSpec { name: "order", kind: FlagKind::Value, commands: RUN_CMDS },
-    FlagSpec { name: "mode", kind: FlagKind::Value, commands: RUN_CMDS },
-    FlagSpec { name: "threads", kind: FlagKind::Value, commands: RUN_CMDS },
-    FlagSpec { name: "batch", kind: FlagKind::Value, commands: RUN_CMDS },
-    FlagSpec { name: "shards", kind: FlagKind::Value, commands: RUN_CMDS },
-    FlagSpec { name: "shard", kind: FlagKind::Value, commands: &["worker"] },
-    FlagSpec { name: "snapshot", kind: FlagKind::Value, commands: &["worker"] },
-    FlagSpec { name: "snapshot-every", kind: FlagKind::Value, commands: &["worker"] },
-    FlagSpec { name: "resume", kind: FlagKind::Value, commands: &["worker"] },
-    FlagSpec { name: "stop-after", kind: FlagKind::Value, commands: &["worker"] },
-    FlagSpec { name: "trace", kind: FlagKind::Value, commands: OBS_CMDS },
-    FlagSpec { name: "heartbeat", kind: FlagKind::Value, commands: STREAM_CMDS },
-    FlagSpec { name: "metrics", kind: FlagKind::Bool, commands: OBS_CMDS },
-    FlagSpec { name: "time", kind: FlagKind::Bool, commands: &["prof"] },
-    FlagSpec { name: "folded", kind: FlagKind::Bool, commands: &["prof"] },
+    FlagSpec {
+        name: "words",
+        kind: FlagKind::Value,
+        commands: &["budget"],
+    },
+    FlagSpec {
+        name: "fraction",
+        kind: FlagKind::Value,
+        commands: &["setcover"],
+    },
+    FlagSpec {
+        name: "top",
+        kind: FlagKind::Value,
+        commands: &["prof"],
+    },
+    FlagSpec {
+        name: "order",
+        kind: FlagKind::Value,
+        commands: RUN_CMDS,
+    },
+    FlagSpec {
+        name: "mode",
+        kind: FlagKind::Value,
+        commands: RUN_CMDS,
+    },
+    FlagSpec {
+        name: "threads",
+        kind: FlagKind::Value,
+        commands: RUN_CMDS,
+    },
+    FlagSpec {
+        name: "batch",
+        kind: FlagKind::Value,
+        commands: RUN_CMDS,
+    },
+    FlagSpec {
+        name: "shards",
+        kind: FlagKind::Value,
+        commands: RUN_CMDS,
+    },
+    FlagSpec {
+        name: "shard",
+        kind: FlagKind::Value,
+        commands: &["worker"],
+    },
+    FlagSpec {
+        name: "snapshot",
+        kind: FlagKind::Value,
+        commands: &["worker"],
+    },
+    FlagSpec {
+        name: "snapshot-every",
+        kind: FlagKind::Value,
+        commands: &["worker"],
+    },
+    FlagSpec {
+        name: "resume",
+        kind: FlagKind::Value,
+        commands: &["worker"],
+    },
+    FlagSpec {
+        name: "stop-after",
+        kind: FlagKind::Value,
+        commands: &["worker"],
+    },
+    FlagSpec {
+        name: "trace",
+        kind: FlagKind::Value,
+        commands: OBS_CMDS,
+    },
+    FlagSpec {
+        name: "heartbeat",
+        kind: FlagKind::Value,
+        commands: STREAM_CMDS,
+    },
+    FlagSpec {
+        name: "metrics",
+        kind: FlagKind::Bool,
+        commands: OBS_CMDS,
+    },
+    FlagSpec {
+        name: "time",
+        kind: FlagKind::Bool,
+        commands: &["prof"],
+    },
+    FlagSpec {
+        name: "folded",
+        kind: FlagKind::Bool,
+        commands: &["prof"],
+    },
 ];
 
 /// Look up a flag for a subcommand in [`FLAG_SPECS`].
@@ -288,7 +385,9 @@ impl ObsOpts {
             },
         };
         if opts.heartbeat.is_some() && opts.trace.is_none() && !opts.metrics {
-            return Err("--heartbeat requires --trace or --metrics (heartbeats go to the event log)".into());
+            return Err(
+                "--heartbeat requires --trace or --metrics (heartbeats go to the event log)".into(),
+            );
         }
         Ok(opts)
     }
@@ -372,7 +471,9 @@ fn parse_shape(flags: &HashMap<String, String>) -> Result<(usize, f64), String> 
     }
     let alpha: f64 = parse_num(req(flags, "alpha")?, "alpha")?;
     if !(alpha.is_finite() && alpha >= 1.0) {
-        return Err(format!("--alpha must be a finite number >= 1, got '{alpha}'"));
+        return Err(format!(
+            "--alpha must be a finite number >= 1, got '{alpha}'"
+        ));
     }
     Ok((k, alpha))
 }
@@ -455,8 +556,16 @@ fn run(args: &[String]) -> Result<(), String> {
     }
     if !matches!(
         cmd.as_str(),
-        "gen" | "stats" | "greedy" | "exact" | "estimate" | "report" | "twopass" | "setcover"
-            | "budget" | "worker"
+        "gen"
+            | "stats"
+            | "greedy"
+            | "exact"
+            | "estimate"
+            | "report"
+            | "twopass"
+            | "setcover"
+            | "budget"
+            | "worker"
     ) {
         return Err(format!("unknown subcommand '{cmd}'"));
     }
@@ -612,7 +721,8 @@ fn cmd_estimate(flags: &HashMap<String, String>) -> Result<(), String> {
     let rec = obs.configure(&mut config);
     let batch = parse_batch(flags)?;
     let edges = edge_stream(&system, order);
-    let mut est = MaxCoverEstimator::new(system.num_elements(), system.num_sets(), k, alpha, &config);
+    let mut est =
+        MaxCoverEstimator::new(system.num_elements(), system.num_sets(), k, alpha, &config);
     let span = rec.span("ingest");
     est.ingest_sharded(&edges, config.shards, batch);
     span.finish();
@@ -647,7 +757,9 @@ fn cmd_worker(flags: &HashMap<String, String>) -> Result<(), String> {
     let shards = config.shards;
     let shard: usize = parse_num(req(flags, "shard")?, "shard")?;
     if shard >= shards {
-        return Err(format!("--shard {shard} out of range for --shards {shards}"));
+        return Err(format!(
+            "--shard {shard} out of range for --shards {shards}"
+        ));
     }
     let out_path = req(flags, "out")?;
     let batch = parse_batch(flags)?;
@@ -677,8 +789,8 @@ fn cmd_worker(flags: &HashMap<String, String>) -> Result<(), String> {
     let mut est = match flags.get("resume") {
         Some(path) => {
             let bytes = std::fs::read(path).map_err(|e| format!("read {path}: {e}"))?;
-            let mut est = MaxCoverEstimator::from_bytes(&bytes)
-                .map_err(|e| format!("decode {path}: {e}"))?;
+            let mut est =
+                MaxCoverEstimator::from_bytes(&bytes).map_err(|e| format!("decode {path}: {e}"))?;
             if est.shape() != (n, m, k, alpha) {
                 return Err(format!(
                     "snapshot {path} was built for a different instance shape"
@@ -711,7 +823,12 @@ fn cmd_worker(flags: &HashMap<String, String>) -> Result<(), String> {
     // boundaries, so the remaining sub-chunk boundaries line up with an
     // uninterrupted run and the final replica is bit-identical.
     let skip = est.edges_seen() as usize;
-    rec.provenance("worker-start", shard as u64, skip as u64, req(flags, "input")?);
+    rec.provenance(
+        "worker-start",
+        shard as u64,
+        skip as u64,
+        req(flags, "input")?,
+    );
     let span = rec.span("ingest");
     let mut stopped = false;
     for sub in chunk[skip..].chunks(batch) {
@@ -726,7 +843,9 @@ fn cmd_worker(flags: &HashMap<String, String>) -> Result<(), String> {
         // The heartbeat cadence rule: a pure function of the chunking,
         // never of the clock.
         if crosses_beat(done - sub.len() as u64, sub.len() as u64, snapshot_every) {
-            let path = snapshot.as_deref().expect("--snapshot-every implies --snapshot");
+            let path = snapshot
+                .as_deref()
+                .expect("--snapshot-every implies --snapshot");
             write_replica(path, &est)?;
             rec.provenance("snapshot", shard as u64, done, path);
         }
@@ -760,8 +879,8 @@ fn cmd_merge_from(files: &[String], flags: &HashMap<String, String>) -> Result<(
     for path in files {
         let bytes = std::fs::read(path).map_err(|e| format!("read {path}: {e}"))?;
         let start = rec.is_enabled().then(Instant::now);
-        let est = MaxCoverEstimator::from_bytes(&bytes)
-            .map_err(|e| format!("decode {path}: {e}"))?;
+        let est =
+            MaxCoverEstimator::from_bytes(&bytes).map_err(|e| format!("decode {path}: {e}"))?;
         let ns = start.map_or(0, |t| t.elapsed().as_nanos() as u64);
         replicas.push((est, ns));
     }
@@ -1107,9 +1226,14 @@ fn cmd_trace_summarize(path: &str) -> Result<(), String> {
     }
     if !t.time_rows.is_empty() {
         println!();
-        println!("time ledger ({} nodes; prof --time for the full report)", t.time_rows.len());
+        println!(
+            "time ledger ({} nodes; prof --time for the full report)",
+            t.time_rows.len()
+        );
         for (stage, root, threads, ns) in &t.time_meta {
-            println!("  stage {stage:<9} root {root:<10} threads {threads}  {ns:>12} ns attributed");
+            println!(
+                "  stage {stage:<9} root {root:<10} threads {threads}  {ns:>12} ns attributed"
+            );
         }
     }
     if !t.histograms.is_empty() {
@@ -1164,7 +1288,8 @@ fn cmd_report(flags: &HashMap<String, String>) -> Result<(), String> {
     let rec = obs.configure(&mut config);
     let batch = parse_batch(flags)?;
     let edges = edge_stream(&system, order);
-    let mut rep = MaxCoverReporter::new(system.num_elements(), system.num_sets(), k, alpha, &config);
+    let mut rep =
+        MaxCoverReporter::new(system.num_elements(), system.num_sets(), k, alpha, &config);
     let span = rec.span("ingest");
     rep.ingest_sharded(&edges, config.shards, batch);
     span.finish();

@@ -3,8 +3,7 @@
 //! predicts must hold.
 
 use maxkcov::baselines::{
-    greedy_max_cover, mv_set_arrival, MvEdgeArrival, SieveStreaming, SketchedGreedy,
-    SwapStreaming,
+    greedy_max_cover, mv_set_arrival, MvEdgeArrival, SieveStreaming, SketchedGreedy, SwapStreaming,
 };
 use maxkcov::core::{EstimatorConfig, MaxCoverEstimator, MaxCoverReporter};
 use maxkcov::sketch::SpaceUsage;
@@ -35,10 +34,7 @@ fn table1_relationships_hold_on_planted_workload() {
 
     // Edge-arrival Õ(m): constant factor.
     let bem = SketchedGreedy::run(m, 48, 5, &edges, k);
-    let bem_cov = coverage_of(
-        system,
-        &bem.chosen,
-    ) as f64;
+    let bem_cov = coverage_of(system, &bem.chosen) as f64;
     assert!(bem_cov >= greedy / 3.0, "BEM too weak: {bem_cov}");
 
     let mut mv_edge = MvEdgeArrival::new(n, m, k, 0.4, 7);
@@ -46,11 +42,11 @@ fn table1_relationships_hold_on_planted_workload() {
         mv_edge.observe(e);
     }
     let mv_edge_res = mv_edge.finish();
-    let mv_edge_cov = coverage_of(
-        system,
-        &mv_edge_res.chosen,
-    ) as f64;
-    assert!(mv_edge_cov >= greedy / 4.0, "MV-edge too weak: {mv_edge_cov}");
+    let mv_edge_cov = coverage_of(system, &mv_edge_res.chosen) as f64;
+    assert!(
+        mv_edge_cov >= greedy / 4.0,
+        "MV-edge too weak: {mv_edge_cov}"
+    );
 
     // This paper at two alphas: the reporter's coverage within Õ(α) of
     // greedy, and the estimator's space strictly decreasing in α. The

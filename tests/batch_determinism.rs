@@ -35,12 +35,19 @@ fn generator_zoo(seed: u64) -> Vec<(&'static str, SetSystem)> {
         ("uniform", uniform_incidence(600, 48, 0.04, seed)),
         ("zipf", zipf_popularity(500, 40, 14, 1.1, seed)),
         ("planted", planted_cover(500, 40, 5, 0.8, 12, seed).system),
-        ("rmat", rmat_incidence(512, 64, 5_000, RmatParams::default(), seed)),
+        (
+            "rmat",
+            rmat_incidence(512, 64, 5_000, RmatParams::default(), seed),
+        ),
     ]
 }
 
 fn assert_outcomes_identical(a: &EstimateOutcome, b: &EstimateOutcome, ctx: &str) {
-    assert_eq!(a.estimate.to_bits(), b.estimate.to_bits(), "{ctx}: estimate");
+    assert_eq!(
+        a.estimate.to_bits(),
+        b.estimate.to_bits(),
+        "{ctx}: estimate"
+    );
     assert_eq!(a.trivial, b.trivial, "{ctx}: trivial flag");
     assert_eq!(a.winning_z, b.winning_z, "{ctx}: winning z");
     assert_eq!(a.winner, b.winner, "{ctx}: winning subroutine");
@@ -134,6 +141,10 @@ fn degenerate_batches_and_thread_counts() {
             est.observe_batch(&[]);
         }
         let out = est.finalize();
-        assert_outcomes_identical(&serial, &out, &format!("threads={threads} with empty batches"));
+        assert_outcomes_identical(
+            &serial,
+            &out,
+            &format!("threads={threads} with empty batches"),
+        );
     }
 }

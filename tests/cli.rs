@@ -28,10 +28,14 @@ fn gen_stats_greedy_estimate_report_pipeline() {
 
     // gen
     let out = run(&[
-        "gen", "--kind", "planted", "--n", "800", "--m", "120", "--k", "8", "--seed", "5",
-        "--out", path_s,
+        "gen", "--kind", "planted", "--n", "800", "--m", "120", "--k", "8", "--seed", "5", "--out",
+        path_s,
     ]);
-    assert!(out.status.success(), "gen failed: {}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "gen failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
 
     // stats
     let out = run(&["stats", "--input", path_s]);
@@ -56,14 +60,26 @@ fn gen_stats_greedy_estimate_report_pipeline() {
     let out = run(&[
         "estimate", "--input", path_s, "--k", "8", "--alpha", "4", "--seed", "3",
     ]);
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("estimate"), "{text}");
     assert!(text.contains("space (words)"), "{text}");
 
     // report
     let out = run(&[
-        "report", "--input", path_s, "--k", "8", "--alpha", "4", "--order", "roundrobin",
+        "report",
+        "--input",
+        path_s,
+        "--k",
+        "8",
+        "--alpha",
+        "4",
+        "--order",
+        "roundrobin",
     ]);
     assert!(out.status.success());
     let text = String::from_utf8_lossy(&out.stdout);
@@ -84,7 +100,12 @@ fn twopass_accepts_a_one_element_universe() {
         let mut args = vec!["twopass", "--input", path_s, "--k", "1", "--alpha", "2"];
         args.extend(batch);
         let out = run(&args);
-        assert_eq!(out.status.code(), Some(0), "{args:?}: {}", String::from_utf8_lossy(&out.stderr));
+        assert_eq!(
+            out.status.code(),
+            Some(0),
+            "{args:?}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
         assert!(String::from_utf8_lossy(&out.stdout).contains("real coverage"));
     }
     std::fs::remove_file(&path).ok();
@@ -94,20 +115,45 @@ fn twopass_accepts_a_one_element_universe() {
 fn twopass_and_setcover_subcommands() {
     let path = tmp_file("tp.txt");
     let out = run(&[
-        "gen", "--kind", "planted", "--n", "600", "--m", "90", "--k", "6", "--seed", "2",
-        "--out", path.to_str().unwrap(),
+        "gen",
+        "--kind",
+        "planted",
+        "--n",
+        "600",
+        "--m",
+        "90",
+        "--k",
+        "6",
+        "--seed",
+        "2",
+        "--out",
+        path.to_str().unwrap(),
     ]);
     assert!(out.status.success());
 
     let out = run(&[
-        "twopass", "--input", path.to_str().unwrap(), "--k", "6", "--alpha", "4",
+        "twopass",
+        "--input",
+        path.to_str().unwrap(),
+        "--k",
+        "6",
+        "--alpha",
+        "4",
     ]);
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("real coverage"), "{text}");
 
     let out = run(&[
-        "setcover", "--input", path.to_str().unwrap(), "--fraction", "0.9",
+        "setcover",
+        "--input",
+        path.to_str().unwrap(),
+        "--fraction",
+        "0.9",
     ]);
     assert!(out.status.success());
     let text = String::from_utf8_lossy(&out.stdout);
@@ -120,19 +166,44 @@ fn twopass_and_setcover_subcommands() {
 fn budget_subcommand_fits_alpha() {
     let path = tmp_file("budget.txt");
     let out = run(&[
-        "gen", "--kind", "uniform", "--n", "2000", "--m", "300", "--seed", "4",
-        "--out", path.to_str().unwrap(),
+        "gen",
+        "--kind",
+        "uniform",
+        "--n",
+        "2000",
+        "--m",
+        "300",
+        "--seed",
+        "4",
+        "--out",
+        path.to_str().unwrap(),
     ]);
     assert!(out.status.success());
     let out = run(&[
-        "budget", "--input", path.to_str().unwrap(), "--k", "10", "--words", "2000000",
+        "budget",
+        "--input",
+        path.to_str().unwrap(),
+        "--k",
+        "10",
+        "--words",
+        "2000000",
     ]);
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("fitted alpha"), "{text}");
     // An absurdly small budget must fail with a helpful message.
     let out = run(&[
-        "budget", "--input", path.to_str().unwrap(), "--k", "10", "--words", "5",
+        "budget",
+        "--input",
+        path.to_str().unwrap(),
+        "--k",
+        "10",
+        "--words",
+        "5",
     ]);
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("no alpha"));
@@ -155,18 +226,19 @@ fn sharded_ingestion_flag_on_all_stream_subcommands() {
     let path = tmp_file("shards.txt");
     let path_s = path.to_str().unwrap();
     let out = run(&[
-        "gen", "--kind", "planted", "--n", "600", "--m", "90", "--k", "6", "--seed", "8",
-        "--out", path_s,
+        "gen", "--kind", "planted", "--n", "600", "--m", "90", "--k", "6", "--seed", "8", "--out",
+        path_s,
     ]);
     assert!(out.status.success());
 
     // estimate: --shards 1 must print exactly what the serial pass
     // prints, and higher shard counts must report the same estimate.
-    let serial = run(&["estimate", "--input", path_s, "--k", "6", "--alpha", "4", "--seed", "3"]);
+    let serial = run(&[
+        "estimate", "--input", path_s, "--k", "6", "--alpha", "4", "--seed", "3",
+    ]);
     assert!(serial.status.success());
     let one = run(&[
-        "estimate", "--input", path_s, "--k", "6", "--alpha", "4", "--seed", "3",
-        "--shards", "1",
+        "estimate", "--input", path_s, "--k", "6", "--alpha", "4", "--seed", "3", "--shards", "1",
     ]);
     assert!(one.status.success());
     assert_eq!(serial.stdout, one.stdout, "--shards 1 must equal no flag");
@@ -178,16 +250,25 @@ fn sharded_ingestion_flag_on_all_stream_subcommands() {
         .to_string();
     for shards in ["2", "4"] {
         let out = run(&[
-            "estimate", "--input", path_s, "--k", "6", "--alpha", "4", "--seed", "3",
-            "--shards", shards,
+            "estimate", "--input", path_s, "--k", "6", "--alpha", "4", "--seed", "3", "--shards",
+            shards,
         ]);
-        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
         let text = String::from_utf8_lossy(&out.stdout);
-        assert!(text.contains(&serial_estimate), "shards={shards}: {text}\nvs {serial_estimate}");
+        assert!(
+            text.contains(&serial_estimate),
+            "shards={shards}: {text}\nvs {serial_estimate}"
+        );
     }
 
     // report: same cover sets under sharding.
-    let serial = run(&["report", "--input", path_s, "--k", "6", "--alpha", "4", "--seed", "3"]);
+    let serial = run(&[
+        "report", "--input", path_s, "--k", "6", "--alpha", "4", "--seed", "3",
+    ]);
     assert!(serial.status.success());
     let serial_sets = String::from_utf8_lossy(&serial.stdout)
         .lines()
@@ -195,10 +276,13 @@ fn sharded_ingestion_flag_on_all_stream_subcommands() {
         .expect("reported sets line")
         .to_string();
     let out = run(&[
-        "report", "--input", path_s, "--k", "6", "--alpha", "4", "--seed", "3",
-        "--shards", "3",
+        "report", "--input", path_s, "--k", "6", "--alpha", "4", "--seed", "3", "--shards", "3",
     ]);
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains(&serial_sets), "{text}\nvs {serial_sets}");
 
@@ -206,12 +290,20 @@ fn sharded_ingestion_flag_on_all_stream_subcommands() {
     let out = run(&[
         "twopass", "--input", path_s, "--k", "6", "--alpha", "4", "--shards", "2",
     ]);
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     assert!(String::from_utf8_lossy(&out.stdout).contains("real coverage"));
     let out = run(&[
         "budget", "--input", path_s, "--k", "6", "--words", "2000000", "--shards", "2",
     ]);
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     assert!(String::from_utf8_lossy(&out.stdout).contains("fitted alpha"));
 
     // Every stream subcommand prints the same answer at the default
@@ -251,10 +343,18 @@ fn sharded_ingestion_flag_on_all_stream_subcommands() {
 
     // --shards 0 is rejected on every stream subcommand.
     for cmd in [
-        &["estimate", "--input", path_s, "--k", "6", "--alpha", "4", "--shards", "0"][..],
-        &["report", "--input", path_s, "--k", "6", "--alpha", "4", "--shards", "0"][..],
-        &["twopass", "--input", path_s, "--k", "6", "--alpha", "4", "--shards", "0"][..],
-        &["budget", "--input", path_s, "--k", "6", "--words", "2000000", "--shards", "0"][..],
+        &[
+            "estimate", "--input", path_s, "--k", "6", "--alpha", "4", "--shards", "0",
+        ][..],
+        &[
+            "report", "--input", path_s, "--k", "6", "--alpha", "4", "--shards", "0",
+        ][..],
+        &[
+            "twopass", "--input", path_s, "--k", "6", "--alpha", "4", "--shards", "0",
+        ][..],
+        &[
+            "budget", "--input", path_s, "--k", "6", "--words", "2000000", "--shards", "0",
+        ][..],
     ] {
         let out = run(cmd);
         assert!(!out.status.success(), "{cmd:?} should fail");
@@ -288,8 +388,8 @@ fn unknown_flags_are_rejected_per_subcommand() {
     let path = tmp_file("flags.txt");
     let path_s = path.to_str().unwrap();
     let out = run(&[
-        "gen", "--kind", "planted", "--n", "400", "--m", "60", "--k", "5", "--seed", "1",
-        "--out", path_s,
+        "gen", "--kind", "planted", "--n", "400", "--m", "60", "--k", "5", "--seed", "1", "--out",
+        path_s,
     ]);
     assert!(out.status.success());
 
@@ -306,8 +406,18 @@ fn unknown_flags_are_rejected_per_subcommand() {
     let out = run(&["stats", "--input", path_s, "--alpha", "4"]);
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown flag --alpha"));
-    let out = run(&["gen", "--kind", "planted", "--n", "10", "--m", "5", "--out", path_s,
-        "--metrics"]);
+    let out = run(&[
+        "gen",
+        "--kind",
+        "planted",
+        "--n",
+        "10",
+        "--m",
+        "5",
+        "--out",
+        path_s,
+        "--metrics",
+    ]);
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown flag --metrics"));
 
@@ -328,12 +438,14 @@ fn trace_and_metrics_add_output_without_changing_estimates() {
     let trace = tmp_file("obs.ndjson");
     let trace_s = trace.to_str().unwrap();
     let out = run(&[
-        "gen", "--kind", "planted", "--n", "800", "--m", "120", "--k", "8", "--seed", "5",
-        "--out", path_s,
+        "gen", "--kind", "planted", "--n", "800", "--m", "120", "--k", "8", "--seed", "5", "--out",
+        path_s,
     ]);
     assert!(out.status.success());
 
-    let base = &["estimate", "--input", path_s, "--k", "8", "--alpha", "4", "--seed", "3"][..];
+    let base = &[
+        "estimate", "--input", path_s, "--k", "8", "--alpha", "4", "--seed", "3",
+    ][..];
     let plain = run(base);
     assert!(plain.status.success());
 
@@ -341,8 +453,15 @@ fn trace_and_metrics_add_output_without_changing_estimates() {
     let mut args = base.to_vec();
     args.extend(["--trace", trace_s]);
     let traced = run(&args);
-    assert!(traced.status.success(), "{}", String::from_utf8_lossy(&traced.stderr));
-    assert_eq!(plain.stdout, traced.stdout, "--trace must not change stdout");
+    assert!(
+        traced.status.success(),
+        "{}",
+        String::from_utf8_lossy(&traced.stderr)
+    );
+    assert_eq!(
+        plain.stdout, traced.stdout,
+        "--trace must not change stdout"
+    );
 
     // The trace file is line-delimited JSON (every line with seq and
     // kind) with the required records, and its accounting closes: the
@@ -384,10 +503,15 @@ fn trace_and_metrics_add_output_without_changing_estimates() {
     let metrics = run(&args);
     assert!(metrics.status.success());
     let mtext = String::from_utf8_lossy(&metrics.stdout);
-    assert!(mtext.starts_with(&*String::from_utf8_lossy(&plain.stdout)),
-        "normal output must be an unchanged prefix:\n{mtext}");
+    assert!(
+        mtext.starts_with(&*String::from_utf8_lossy(&plain.stdout)),
+        "normal output must be an unchanged prefix:\n{mtext}"
+    );
     assert!(mtext.contains("edges.total"), "{mtext}");
-    assert!(mtext.contains("large_common"), "subroutine diagnostics shown: {mtext}");
+    assert!(
+        mtext.contains("large_common"),
+        "subroutine diagnostics shown: {mtext}"
+    );
 
     std::fs::remove_file(&path).ok();
     std::fs::remove_file(&trace).ok();
@@ -398,14 +522,22 @@ fn heartbeat_flag_is_validated() {
     let path = tmp_file("hb-validate.txt");
     let path_s = path.to_str().unwrap();
     let out = run(&[
-        "gen", "--kind", "planted", "--n", "300", "--m", "40", "--k", "4", "--seed", "2",
-        "--out", path_s,
+        "gen", "--kind", "planted", "--n", "300", "--m", "40", "--k", "4", "--seed", "2", "--out",
+        path_s,
     ]);
     assert!(out.status.success());
 
     // Zero cadence is rejected.
     let out = run(&[
-        "estimate", "--input", path_s, "--k", "4", "--alpha", "4", "--heartbeat", "0",
+        "estimate",
+        "--input",
+        path_s,
+        "--k",
+        "4",
+        "--alpha",
+        "4",
+        "--heartbeat",
+        "0",
         "--metrics",
     ]);
     assert!(!out.status.success());
@@ -413,10 +545,20 @@ fn heartbeat_flag_is_validated() {
 
     // Heartbeats land in the event log, so a sink must be requested.
     let out = run(&[
-        "estimate", "--input", path_s, "--k", "4", "--alpha", "4", "--heartbeat", "100",
+        "estimate",
+        "--input",
+        path_s,
+        "--k",
+        "4",
+        "--alpha",
+        "4",
+        "--heartbeat",
+        "100",
     ]);
     assert!(!out.status.success());
-    assert!(String::from_utf8_lossy(&out.stderr).contains("--heartbeat requires --trace or --metrics"));
+    assert!(
+        String::from_utf8_lossy(&out.stderr).contains("--heartbeat requires --trace or --metrics")
+    );
 
     // Non-streaming subcommands do not take the flag at all.
     let out = run(&["stats", "--input", path_s, "--heartbeat", "100"]);
@@ -436,7 +578,11 @@ fn normalized_trace(path: &std::path::Path) -> Vec<String> {
     let mut out = Vec::new();
     for line in text.lines() {
         let doc = Json::parse(line).unwrap_or_else(|e| panic!("bad NDJSON: {e}\n{line}"));
-        let kind = doc.get("kind").and_then(Json::as_str).expect("kind").to_string();
+        let kind = doc
+            .get("kind")
+            .and_then(Json::as_str)
+            .expect("kind")
+            .to_string();
         let str_of = |key: &str| doc.get(key).and_then(Json::as_str).map(str::to_string);
         if kind == "counter" && str_of("key").is_some_and(|k| k.starts_with("time_ns.")) {
             continue;
@@ -444,7 +590,9 @@ fn normalized_trace(path: &std::path::Path) -> Vec<String> {
         if kind == "histogram" && str_of("name").is_some_and(|n| n.ends_with("_ns")) {
             continue;
         }
-        let Json::Obj(entries) = doc else { panic!("non-object line: {line}") };
+        let Json::Obj(entries) = doc else {
+            panic!("non-object line: {line}")
+        };
         let kept: Vec<_> = entries.into_iter().filter(|(k, _)| k != "ns").collect();
         out.push(Json::Obj(kept).render());
     }
@@ -463,7 +611,9 @@ fn heartbeat_keeps_stdout_identical_and_traces_deterministic() {
 
     // Heartbeats must not perturb any estimate/report output line.
     for cmd in ["estimate", "report", "twopass"] {
-        let base = &[cmd, "--input", path_s, "--k", "8", "--alpha", "4", "--seed", "6"][..];
+        let base = &[
+            cmd, "--input", path_s, "--k", "8", "--alpha", "4", "--seed", "6",
+        ][..];
         let plain = run(base);
         assert!(plain.status.success(), "{cmd} plain run failed");
         let trace = tmp_file(&format!("hb-det-{cmd}.ndjson"));
@@ -484,15 +634,38 @@ fn heartbeat_keeps_stdout_identical_and_traces_deterministic() {
     let t2 = tmp_file("hb-det-2.ndjson");
     for t in [&t1, &t2] {
         let out = run(&[
-            "estimate", "--input", path_s, "--k", "8", "--alpha", "4", "--seed", "6",
-            "--shards", "3", "--threads", "2", "--batch", "128", "--heartbeat", "400",
-            "--trace", t.to_str().unwrap(),
+            "estimate",
+            "--input",
+            path_s,
+            "--k",
+            "8",
+            "--alpha",
+            "4",
+            "--seed",
+            "6",
+            "--shards",
+            "3",
+            "--threads",
+            "2",
+            "--batch",
+            "128",
+            "--heartbeat",
+            "400",
+            "--trace",
+            t.to_str().unwrap(),
         ]);
-        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
     }
     let (n1, n2) = (normalized_trace(&t1), normalized_trace(&t2));
     assert!(!n1.is_empty());
-    assert_eq!(n1, n2, "identical runs must produce identical traces modulo wall-clock");
+    assert_eq!(
+        n1, n2,
+        "identical runs must produce identical traces modulo wall-clock"
+    );
     assert!(
         n1.iter().any(|l| l.contains("\"kind\":\"heartbeat\"")),
         "sharded trace carries heartbeat events"
@@ -510,24 +683,46 @@ fn trace_summarize_renders_and_checks_a_trace() {
     let trace = tmp_file("ts.ndjson");
     let trace_s = trace.to_str().unwrap();
     let out = run(&[
-        "gen", "--kind", "planted", "--n", "700", "--m", "110", "--k", "7", "--seed", "9",
-        "--out", path_s,
+        "gen", "--kind", "planted", "--n", "700", "--m", "110", "--k", "7", "--seed", "9", "--out",
+        path_s,
     ]);
     assert!(out.status.success());
     let out = run(&[
-        "estimate", "--input", path_s, "--k", "7", "--alpha", "4", "--seed", "4",
-        "--batch", "256", "--heartbeat", "500", "--trace", trace_s,
+        "estimate",
+        "--input",
+        path_s,
+        "--k",
+        "7",
+        "--alpha",
+        "4",
+        "--seed",
+        "4",
+        "--batch",
+        "256",
+        "--heartbeat",
+        "500",
+        "--trace",
+        trace_s,
     ]);
     assert!(out.status.success());
 
     // The summary renders phases, heartbeats, histograms, and the
     // invariant verdict, and exits zero on a healthy trace.
     let out = run(&["trace-summarize", trace_s]);
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     let text = String::from_utf8_lossy(&out.stdout);
     for needle in [
-        "phase", "ingest", "finalize", "summary estimate", "heartbeats",
-        "ingest.batch_edges", "invariants OK",
+        "phase",
+        "ingest",
+        "finalize",
+        "summary estimate",
+        "heartbeats",
+        "ingest.batch_edges",
+        "invariants OK",
     ] {
         assert!(text.contains(needle), "missing '{needle}' in:\n{text}");
     }
@@ -588,7 +783,10 @@ fn trace_summarize_rejects_empty_and_histogram_free_traces() {
     );
     std::fs::write(&beats, ndjson).unwrap();
     let out = run(&["trace-summarize", beats_s]);
-    assert!(!out.status.success(), "heartbeats without histograms must fail");
+    assert!(
+        !out.status.success(),
+        "heartbeats without histograms must fail"
+    );
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(
         err.contains("no histogram events"),
@@ -608,21 +806,31 @@ fn prof_renders_attribution_and_audits_the_ledger() {
     let trace = tmp_file("prof.ndjson");
     let trace_s = trace.to_str().unwrap();
     let out = run(&[
-        "gen", "--kind", "planted", "--n", "700", "--m", "110", "--k", "7", "--seed", "9",
-        "--out", path_s,
+        "gen", "--kind", "planted", "--n", "700", "--m", "110", "--k", "7", "--seed", "9", "--out",
+        path_s,
     ]);
     assert!(out.status.success());
     let out = run(&[
-        "estimate", "--input", path_s, "--k", "7", "--alpha", "4", "--seed", "4",
-        "--batch", "256", "--trace", trace_s,
+        "estimate", "--input", path_s, "--k", "7", "--alpha", "4", "--seed", "4", "--batch", "256",
+        "--trace", trace_s,
     ]);
     assert!(out.status.success());
 
     // Trace mode: sorted attribution plus the invariant verdict.
     let out = run(&["prof", trace_s]);
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     let text = String::from_utf8_lossy(&out.stdout);
-    for needle in ["ledger nodes", "estimator/", "upd/word", "total:", "ledger invariants OK"] {
+    for needle in [
+        "ledger nodes",
+        "estimator/",
+        "upd/word",
+        "total:",
+        "ledger invariants OK",
+    ] {
         assert!(text.contains(needle), "missing '{needle}' in:\n{text}");
     }
 
@@ -635,7 +843,11 @@ fn prof_renders_attribution_and_audits_the_ledger() {
     let out = run(&[
         "prof", "--input", path_s, "--k", "7", "--alpha", "4", "--seed", "4", "--shards", "2",
     ]);
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("live run"), "{text}");
     assert!(text.contains("ledger invariants OK"), "{text}");
@@ -656,13 +868,23 @@ fn prof_renders_attribution_and_audits_the_ledger() {
     // Flag and arity validation: trace and --input are exclusive, a
     // bare call has nothing to profile, and stream-only flags are
     // rejected.
-    let out = run(&["prof", trace_s, "--input", path_s, "--k", "7", "--alpha", "4"]);
+    let out = run(&[
+        "prof", trace_s, "--input", path_s, "--k", "7", "--alpha", "4",
+    ]);
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("not both"));
     let out = run(&["prof"]);
     assert!(!out.status.success());
     let out = run(&[
-        "prof", "--input", path_s, "--k", "7", "--alpha", "4", "--heartbeat", "100",
+        "prof",
+        "--input",
+        path_s,
+        "--k",
+        "7",
+        "--alpha",
+        "4",
+        "--heartbeat",
+        "100",
     ]);
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown flag --heartbeat"));
@@ -681,19 +903,36 @@ fn prof_time_renders_folded_stacks_and_audits_conservation() {
     let trace = tmp_file("proftime.ndjson");
     let trace_s = trace.to_str().unwrap();
     let out = run(&[
-        "gen", "--kind", "planted", "--n", "700", "--m", "110", "--k", "7", "--seed", "9",
-        "--out", path_s,
+        "gen", "--kind", "planted", "--n", "700", "--m", "110", "--k", "7", "--seed", "9", "--out",
+        path_s,
     ]);
     assert!(out.status.success());
     let out = run(&[
-        "estimate", "--input", path_s, "--k", "7", "--alpha", "4", "--seed", "4",
-        "--batch", "256", "--heartbeat", "500", "--trace", trace_s,
+        "estimate",
+        "--input",
+        path_s,
+        "--k",
+        "7",
+        "--alpha",
+        "4",
+        "--seed",
+        "4",
+        "--batch",
+        "256",
+        "--heartbeat",
+        "500",
+        "--trace",
+        trace_s,
     ]);
     assert!(out.status.success());
 
     // Trace mode: per-tree report plus the invariant verdict.
     let out = run(&["prof", trace_s, "--time"]);
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     let text = String::from_utf8_lossy(&out.stdout);
     for needle in ["time nodes", "estimator", "time invariants OK"] {
         assert!(text.contains(needle), "missing '{needle}' in:\n{text}");
@@ -702,14 +941,24 @@ fn prof_time_renders_folded_stacks_and_audits_conservation() {
     // Folded mode: every stdout line is a flamegraph.pl-ready
     // "frame;frame;... ns" stack, nothing else (no banner, no verdict).
     let out = run(&["prof", trace_s, "--time", "--folded"]);
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     let text = String::from_utf8_lossy(&out.stdout);
     let lines: Vec<&str> = text.lines().collect();
     assert!(!lines.is_empty(), "folded output is empty");
     for line in &lines {
-        let (stack, ns) = line.rsplit_once(' ').unwrap_or_else(|| panic!("bad stack: {line}"));
-        assert!(!stack.is_empty() && !stack.contains('/'), "unfolded path in: {line}");
-        ns.parse::<u64>().unwrap_or_else(|_| panic!("non-numeric sample count: {line}"));
+        let (stack, ns) = line
+            .rsplit_once(' ')
+            .unwrap_or_else(|| panic!("bad stack: {line}"));
+        assert!(
+            !stack.is_empty() && !stack.contains('/'),
+            "unfolded path in: {line}"
+        );
+        ns.parse::<u64>()
+            .unwrap_or_else(|_| panic!("non-numeric sample count: {line}"));
     }
     assert!(
         lines.iter().any(|l| l.starts_with("estimator;")),
@@ -726,15 +975,23 @@ fn prof_time_renders_folded_stacks_and_audits_conservation() {
     let out = run(&[
         "prof", "--input", path_s, "--k", "7", "--alpha", "4", "--seed", "4", "--time",
     ]);
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("live run"), "{text}");
     assert!(text.contains("time invariants OK"), "{text}");
     let out = run(&[
-        "prof", "--input", path_s, "--k", "7", "--alpha", "4", "--seed", "4",
-        "--shards", "2", "--time", "--folded",
+        "prof", "--input", path_s, "--k", "7", "--alpha", "4", "--seed", "4", "--shards", "2",
+        "--time", "--folded",
     ]);
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     assert!(!String::from_utf8_lossy(&out.stdout).trim().is_empty());
 
     // Tampering with a single time_ledger leaf breaks the parent-sum
@@ -745,8 +1002,10 @@ fn prof_time_renders_folded_stacks_and_audits_conservation() {
     for line in ndjson.lines() {
         if !done && line.contains("\"kind\":\"time_ledger\"") && line.contains("\"children\":0") {
             if let Some(i) = line.find("\"ns\":") {
-                let digits: String =
-                    line[i + 5..].chars().take_while(char::is_ascii_digit).collect();
+                let digits: String = line[i + 5..]
+                    .chars()
+                    .take_while(char::is_ascii_digit)
+                    .collect();
                 let bumped: u64 = digits.parse::<u64>().unwrap() + 999_999_999_999;
                 tampered.push_str(&line[..i + 5]);
                 tampered.push_str(&bumped.to_string());
@@ -761,9 +1020,15 @@ fn prof_time_renders_folded_stacks_and_audits_conservation() {
     }
     assert!(done, "no time_ledger leaf found to tamper with");
     std::fs::write(&trace, &tampered).unwrap();
-    for args in [&["prof", trace_s, "--time"][..], &["trace-summarize", trace_s][..]] {
+    for args in [
+        &["prof", trace_s, "--time"][..],
+        &["trace-summarize", trace_s][..],
+    ] {
         let out = run(args);
-        assert!(!out.status.success(), "{args:?} accepted a tampered time ledger");
+        assert!(
+            !out.status.success(),
+            "{args:?} accepted a tampered time ledger"
+        );
         let err = String::from_utf8_lossy(&out.stderr);
         assert!(err.contains("invariant violated"), "{err}");
     }
@@ -800,7 +1065,10 @@ fn traced_ingest_overhead_stays_within_budget() {
     // batch, its fastest time (a stall only ever adds time), and its
     // rate is the stream over the sum of those.
     let recorders = [Recorder::disabled(), Recorder::enabled()];
-    let mut fastest = [vec![f64::INFINITY; batches.len()], vec![f64::INFINITY; batches.len()]];
+    let mut fastest = [
+        vec![f64::INFINITY; batches.len()],
+        vec![f64::INFINITY; batches.len()],
+    ];
     for _ in 0..5 {
         let mut ests = recorders.each_ref().map(|rec| {
             let mut est = MaxCoverEstimator::new(n, m, 20, 4.0, &config);
@@ -850,8 +1118,8 @@ fn bad_shape_args_are_errors_not_panics() {
     let path = tmp_file("shape.txt");
     let path_s = path.to_str().unwrap();
     let out = run(&[
-        "gen", "--kind", "planted", "--n", "300", "--m", "40", "--k", "4", "--seed", "1",
-        "--out", path_s,
+        "gen", "--kind", "planted", "--n", "300", "--m", "40", "--k", "4", "--seed", "1", "--out",
+        path_s,
     ]);
     assert!(out.status.success());
     let replica = tmp_file("shape.bin");
@@ -860,15 +1128,29 @@ fn bad_shape_args_are_errors_not_panics() {
         &["estimate"],
         &["report"],
         &["twopass"],
-        &["worker", "--shards", "2", "--shard", "0", "--out", replica_s],
+        &[
+            "worker", "--shards", "2", "--shard", "0", "--out", replica_s,
+        ],
         &["prof"],
     ];
     let shapes = [
         (["--k", "0", "--alpha", "2"], "--k must be >= 1"),
-        (["--k", "2", "--alpha", "0"], "--alpha must be a finite number >= 1"),
-        (["--k", "2", "--alpha", "0.5"], "--alpha must be a finite number >= 1"),
-        (["--k", "2", "--alpha", "nan"], "--alpha must be a finite number >= 1"),
-        (["--k", "2", "--alpha", "inf"], "--alpha must be a finite number >= 1"),
+        (
+            ["--k", "2", "--alpha", "0"],
+            "--alpha must be a finite number >= 1",
+        ),
+        (
+            ["--k", "2", "--alpha", "0.5"],
+            "--alpha must be a finite number >= 1",
+        ),
+        (
+            ["--k", "2", "--alpha", "nan"],
+            "--alpha must be a finite number >= 1",
+        ),
+        (
+            ["--k", "2", "--alpha", "inf"],
+            "--alpha must be a finite number >= 1",
+        ),
     ];
     for cmd in subcommands {
         for (shape, want) in &shapes {
@@ -878,15 +1160,22 @@ fn bad_shape_args_are_errors_not_panics() {
             assert_clean_rejection(&args, want);
         }
     }
-    assert!(!replica.exists(), "a rejected worker must not write a replica");
+    assert!(
+        !replica.exists(),
+        "a rejected worker must not write a replica"
+    );
     for (n, m) in [("0", "5"), ("5", "0")] {
         assert_clean_rejection(
-            &["gen", "--kind", "uniform", "--n", n, "--m", m, "--out", path_s],
+            &[
+                "gen", "--kind", "uniform", "--n", n, "--m", m, "--out", path_s,
+            ],
             "--n and --m must be >= 1",
         );
     }
     assert_clean_rejection(
-        &["gen", "--kind", "planted", "--n", "10", "--m", "5", "--k", "0", "--out", path_s],
+        &[
+            "gen", "--kind", "planted", "--n", "10", "--m", "5", "--k", "0", "--out", path_s,
+        ],
         "--k must be >= 1",
     );
     // Per-kind shapes the generators cannot build.

@@ -45,7 +45,11 @@ fn normalized_trace(path: &Path) -> Vec<String> {
     let mut out = Vec::new();
     for line in text.lines() {
         let doc = Json::parse(line).unwrap_or_else(|e| panic!("bad NDJSON: {e}\n{line}"));
-        let kind = doc.get("kind").and_then(Json::as_str).expect("kind").to_string();
+        let kind = doc
+            .get("kind")
+            .and_then(Json::as_str)
+            .expect("kind")
+            .to_string();
         let str_of = |key: &str| doc.get(key).and_then(Json::as_str).map(str::to_string);
         if kind == "counter" && str_of("key").is_some_and(|k| k.starts_with("time_ns.")) {
             continue;
@@ -53,7 +57,9 @@ fn normalized_trace(path: &Path) -> Vec<String> {
         if kind == "histogram" && str_of("name").is_some_and(|n| n.ends_with("_ns")) {
             continue;
         }
-        let Json::Obj(entries) = doc else { panic!("non-object line: {line}") };
+        let Json::Obj(entries) = doc else {
+            panic!("non-object line: {line}")
+        };
         let kept: Vec<_> = entries.into_iter().filter(|(k, _)| k != "ns").collect();
         out.push(Json::Obj(kept).render());
     }
@@ -64,10 +70,25 @@ fn normalized_trace(path: &Path) -> Vec<String> {
 fn gen_instance(label: &str, kind: &str, seed: &str) -> PathBuf {
     let path = tmp(&format!("{label}-{kind}-{seed}.txt"));
     let out = run(&[
-        "gen", "--kind", kind, "--n", "400", "--m", "36", "--k", "5", "--seed", seed,
-        "--out", path.to_str().unwrap(),
+        "gen",
+        "--kind",
+        kind,
+        "--n",
+        "400",
+        "--m",
+        "36",
+        "--k",
+        "5",
+        "--seed",
+        seed,
+        "--out",
+        path.to_str().unwrap(),
     ]);
-    assert!(out.status.success(), "gen failed: {}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "gen failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     path
 }
 
@@ -82,11 +103,30 @@ const HEARTBEAT: &str = "150";
 fn coordinator(input: &Path, seed: &str, n_shards: usize, trace: &Path) -> Output {
     let shards = n_shards.to_string();
     let out = run(&[
-        "estimate", "--input", input.to_str().unwrap(), "--k", K, "--alpha", ALPHA,
-        "--seed", seed, "--batch", BATCH, "--shards", &shards,
-        "--heartbeat", HEARTBEAT, "--metrics", "--trace", trace.to_str().unwrap(),
+        "estimate",
+        "--input",
+        input.to_str().unwrap(),
+        "--k",
+        K,
+        "--alpha",
+        ALPHA,
+        "--seed",
+        seed,
+        "--batch",
+        BATCH,
+        "--shards",
+        &shards,
+        "--heartbeat",
+        HEARTBEAT,
+        "--metrics",
+        "--trace",
+        trace.to_str().unwrap(),
     ]);
-    assert!(out.status.success(), "coordinator failed: {}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "coordinator failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     out
 }
 
@@ -105,9 +145,25 @@ fn worker(
     let shards = n_shards.to_string();
     let shard = i.to_string();
     let mut args = vec![
-        "worker", "--input", input.to_str().unwrap(), "--k", K, "--alpha", ALPHA,
-        "--seed", seed, "--batch", BATCH, "--shards", &shards, "--shard", &shard,
-        "--heartbeat", HEARTBEAT, "--trace", wtrace.to_str().unwrap(),
+        "worker",
+        "--input",
+        input.to_str().unwrap(),
+        "--k",
+        K,
+        "--alpha",
+        ALPHA,
+        "--seed",
+        seed,
+        "--batch",
+        BATCH,
+        "--shards",
+        &shards,
+        "--shard",
+        &shard,
+        "--heartbeat",
+        HEARTBEAT,
+        "--trace",
+        wtrace.to_str().unwrap(),
     ];
     let replica_s = replica.to_str().unwrap().to_string();
     args.extend(["--out", &replica_s]);
@@ -252,8 +308,19 @@ fn killed_worker_restarts_from_snapshot_bit_identical() {
     let snap = tmp("crash-snap.bin");
     let snap_s = snap.to_str().unwrap().to_string();
     let (out, dead_replica) = worker(
-        "crash-dead", &input, seed, n_shards, 1,
-        &["--snapshot", &snap_s, "--snapshot-every", "64", "--stop-after", "65"],
+        "crash-dead",
+        &input,
+        seed,
+        n_shards,
+        1,
+        &[
+            "--snapshot",
+            &snap_s,
+            "--snapshot-every",
+            "64",
+            "--stop-after",
+            "65",
+        ],
     );
     assert!(!out.status.success(), "--stop-after must exit non-zero");
     assert!(
@@ -261,13 +328,30 @@ fn killed_worker_restarts_from_snapshot_bit_identical() {
         "stderr should explain the stop: {}",
         String::from_utf8_lossy(&out.stderr)
     );
-    assert!(!dead_replica.exists(), "crashed worker must not write its replica");
-    assert!(snap.exists(), "periodic snapshot must exist before the crash point");
+    assert!(
+        !dead_replica.exists(),
+        "crashed worker must not write its replica"
+    );
+    assert!(
+        snap.exists(),
+        "periodic snapshot must exist before the crash point"
+    );
 
     // Restart shard 1 from the snapshot; it resumes at the recorded
     // offset without replaying edges (stdout reports the resume point).
-    let (out, replica1) = worker("crash-resume", &input, seed, n_shards, 1, &["--resume", &snap_s]);
-    assert!(out.status.success(), "resume failed: {}", String::from_utf8_lossy(&out.stderr));
+    let (out, replica1) = worker(
+        "crash-resume",
+        &input,
+        seed,
+        n_shards,
+        1,
+        &["--resume", &snap_s],
+    );
+    assert!(
+        out.status.success(),
+        "resume failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     assert!(
         String::from_utf8_lossy(&out.stdout).contains("(resumed at 64)"),
         "worker should resume at the snapshot offset: {}",
@@ -278,7 +362,11 @@ fn killed_worker_restarts_from_snapshot_bit_identical() {
     let mtrace = tmp("crash-merge.ndjson");
     let refs: Vec<&Path> = replicas.iter().map(PathBuf::as_path).collect();
     let merged = merge_from(&refs, &mtrace);
-    assert!(merged.status.success(), "{}", String::from_utf8_lossy(&merged.stderr));
+    assert!(
+        merged.status.success(),
+        "{}",
+        String::from_utf8_lossy(&merged.stderr)
+    );
 
     assert_eq!(normalized_stdout(&coord), normalized_stdout(&merged));
     assert_eq!(normalized_trace(&ctrace), normalized_trace(&mtrace));
@@ -305,7 +393,11 @@ fn decoded_replicas_preserve_ledger_words_and_heat() {
     let replicas: Vec<PathBuf> = (0..n_shards)
         .map(|i| {
             let (out, replica) = worker("ledger", &input, "17", n_shards, i, &[]);
-            assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+            assert!(
+                out.status.success(),
+                "{}",
+                String::from_utf8_lossy(&out.stderr)
+            );
             replica
         })
         .collect();
@@ -338,7 +430,11 @@ fn decoded_replicas_preserve_ledger_words_and_heat() {
     let ledger = merged.space_ledger_tree();
     let violations = space_ledger_violations(&ledger, merged.space_words() as u64);
     assert!(violations.is_empty(), "{violations:?}");
-    assert_eq!(ledger.root.total_updates(), updates, "heat adds across decoded workers");
+    assert_eq!(
+        ledger.root.total_updates(),
+        updates,
+        "heat adds across decoded workers"
+    );
     assert_eq!(ledger.root.total_touched_words(), touched);
 
     for r in &replicas {
@@ -355,7 +451,11 @@ fn corrupted_and_truncated_replicas_are_rejected() {
     let (out, replica) = worker("fuzz", &input, "5", 2, 0, &[]);
     assert!(out.status.success());
     let bytes = std::fs::read(&replica).expect("replica bytes");
-    assert!(bytes.len() > 512, "replica unexpectedly small: {}", bytes.len());
+    assert!(
+        bytes.len() > 512,
+        "replica unexpectedly small: {}",
+        bytes.len()
+    );
 
     let mangled = tmp("fuzz-mangled.bin");
     let mangled_s = mangled.to_str().unwrap();
@@ -374,9 +474,19 @@ fn corrupted_and_truncated_replicas_are_rejected() {
             "truncation to {cut} bytes was accepted"
         );
         let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(1), "truncation to {cut} crashed: {stderr}");
-        assert!(!stderr.contains("panicked"), "truncation to {cut} panicked: {stderr}");
-        assert!(stderr.contains("decode"), "no decode error for cut {cut}: {stderr}");
+        assert_eq!(
+            out.status.code(),
+            Some(1),
+            "truncation to {cut} crashed: {stderr}"
+        );
+        assert!(
+            !stderr.contains("panicked"),
+            "truncation to {cut} panicked: {stderr}"
+        );
+        assert!(
+            stderr.contains("decode"),
+            "no decode error for cut {cut}: {stderr}"
+        );
     }
 
     // Single-byte-flip sweep: dense over the framing prefix, sampled
@@ -390,8 +500,15 @@ fn corrupted_and_truncated_replicas_are_rejected() {
         std::fs::write(&mangled, &corrupted).unwrap();
         let out = run(&["merge-from", mangled_s]);
         let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_ne!(out.status.code(), Some(101), "flip at {flip} panicked: {stderr}");
-        assert!(!stderr.contains("panicked"), "flip at {flip} panicked: {stderr}");
+        assert_ne!(
+            out.status.code(),
+            Some(101),
+            "flip at {flip} panicked: {stderr}"
+        );
+        assert!(
+            !stderr.contains("panicked"),
+            "flip at {flip} panicked: {stderr}"
+        );
     }
 
     std::fs::remove_file(&mangled).ok();
@@ -408,15 +525,39 @@ fn worker_flag_and_resume_validation() {
     let input_s = input.to_str().unwrap();
 
     let out = run(&[
-        "worker", "--input", input_s, "--k", K, "--alpha", ALPHA, "--shards", "2",
-        "--shard", "2", "--out", "/dev/null",
+        "worker",
+        "--input",
+        input_s,
+        "--k",
+        K,
+        "--alpha",
+        ALPHA,
+        "--shards",
+        "2",
+        "--shard",
+        "2",
+        "--out",
+        "/dev/null",
     ]);
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("out of range"));
 
     let out = run(&[
-        "worker", "--input", input_s, "--k", K, "--alpha", ALPHA, "--shards", "2",
-        "--shard", "0", "--out", "/dev/null", "--snapshot-every", "10",
+        "worker",
+        "--input",
+        input_s,
+        "--k",
+        K,
+        "--alpha",
+        ALPHA,
+        "--shards",
+        "2",
+        "--shard",
+        "0",
+        "--out",
+        "/dev/null",
+        "--snapshot-every",
+        "10",
     ]);
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("--snapshot"));
@@ -427,7 +568,10 @@ fn worker_flag_and_resume_validation() {
     assert!(out.status.success());
     let replica_s = replica.to_str().unwrap().to_string();
     let (out, _) = worker("val-wrong", &input, "9", 2, 1, &["--resume", &replica_s]);
-    assert!(!out.status.success(), "resuming shard 0's snapshot as shard 1 must fail");
+    assert!(
+        !out.status.success(),
+        "resuming shard 0's snapshot as shard 1 must fail"
+    );
     assert!(String::from_utf8_lossy(&out.stderr).contains("belongs to shard"));
 
     std::fs::remove_file(&replica).ok();

@@ -103,11 +103,11 @@ fn all_arrival_orders_give_consistent_estimates() {
     }
     let max = estimates.iter().cloned().fold(f64::MIN, f64::max);
     let min = estimates.iter().cloned().fold(f64::MAX, f64::min);
-    assert!(min > 0.0, "some order silenced the estimator: {estimates:?}");
     assert!(
-        max / min < 2.0,
-        "order sensitivity too high: {estimates:?}"
+        min > 0.0,
+        "some order silenced the estimator: {estimates:?}"
     );
+    assert!(max / min < 2.0, "order sensitivity too high: {estimates:?}");
 }
 
 #[test]

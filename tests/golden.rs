@@ -87,13 +87,20 @@ impl Transcript {
     fn digest(&mut self, file: &str) {
         let bytes = std::fs::read(self.dir.0.join(file)).expect("file written");
         let digest = fnv1a64(&bytes);
-        writeln!(self.text, "# {file}: {} bytes, fnv1a64 {digest:016x}", bytes.len()).unwrap();
+        writeln!(
+            self.text,
+            "# {file}: {} bytes, fnv1a64 {digest:016x}",
+            bytes.len()
+        )
+        .unwrap();
     }
 
     /// Compare against `tests/golden/<name>`, printing the regenerated
     /// transcript on a mismatch.
     fn check(self, name: &str) {
-        let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden").join(name);
+        let path = Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("tests/golden")
+            .join(name);
         let want = std::fs::read_to_string(&path).unwrap_or_default();
         if self.text == want {
             return;
@@ -154,8 +161,23 @@ fn worker_pipeline_matches_golden() {
     let replicas: Vec<String> = (0..3).map(|i| format!("rep-{i}.bin")).collect();
     for (i, replica) in replicas.iter().enumerate() {
         t.run(&[
-            "worker", "--input", input, "--k", "6", "--alpha", "4", "--seed", "11", "--shards",
-            "3", "--shard", &i.to_string(), "--batch", "128", "--out", replica,
+            "worker",
+            "--input",
+            input,
+            "--k",
+            "6",
+            "--alpha",
+            "4",
+            "--seed",
+            "11",
+            "--shards",
+            "3",
+            "--shard",
+            &i.to_string(),
+            "--batch",
+            "128",
+            "--out",
+            replica,
         ]);
         t.digest(replica);
     }
@@ -163,10 +185,13 @@ fn worker_pipeline_matches_golden() {
     merge_args.extend(replicas.iter().map(String::as_str));
     let merged = t.run(&merge_args);
     let coord = t.run(&[
-        "estimate", "--input", input, "--k", "6", "--alpha", "4", "--seed", "11", "--batch",
-        "128", "--shards", "3",
+        "estimate", "--input", input, "--k", "6", "--alpha", "4", "--seed", "11", "--batch", "128",
+        "--shards", "3",
     ]);
-    assert_eq!(merged, coord, "merged replicas disagree with the single-process sharded run");
+    assert_eq!(
+        merged, coord,
+        "merged replicas disagree with the single-process sharded run"
+    );
     t.check("worker_pipeline.txt");
 }
 
@@ -192,7 +217,15 @@ fn observability_matches_golden() {
     for (trace, head) in runs {
         let mut args = head.to_vec();
         args.extend([
-            "--input", input, "--alpha", "4", "--seed", "5", "--metrics", "--trace", trace,
+            "--input",
+            input,
+            "--alpha",
+            "4",
+            "--seed",
+            "5",
+            "--metrics",
+            "--trace",
+            trace,
         ]);
         let mut in_table = false;
         t.run_kept(&args, |line| {
@@ -266,13 +299,21 @@ fn answers_matches_golden() {
     use maxkcov::stream::{edge_stream, ArrivalOrder};
     let k = 6;
     let mut t = Transcript::new("answers");
-    for kind in ["planted", "uniform", "zipf", "few-large", "many-small", "common"] {
+    for kind in [
+        "planted",
+        "uniform",
+        "zipf",
+        "few-large",
+        "many-small",
+        "common",
+    ] {
         for seed in 1..=6u64 {
             let (system, source, bound, opt) = answer_case(kind, seed);
             let (n, m) = (system.num_elements(), system.num_sets());
             let edges = edge_stream(&system, ArrivalOrder::Shuffled(seed));
             for alpha in [2.0f64, 4.0, 8.0, 16.0, 32.0] {
-                let mut est = MaxCoverEstimator::new(n, m, k, alpha, &EstimatorConfig::practical(seed));
+                let mut est =
+                    MaxCoverEstimator::new(n, m, k, alpha, &EstimatorConfig::practical(seed));
                 for chunk in edges.chunks(1024) {
                     est.observe_batch(chunk);
                 }
@@ -307,7 +348,14 @@ fn two_pass_answers_stay_below_the_opt_bound() {
     use maxkcov::core::{run_two_pass, EstimatorConfig};
     use maxkcov::stream::{coverage_of, edge_stream, ArrivalOrder};
     let k = 6;
-    for kind in ["planted", "uniform", "zipf", "few-large", "many-small", "common"] {
+    for kind in [
+        "planted",
+        "uniform",
+        "zipf",
+        "few-large",
+        "many-small",
+        "common",
+    ] {
         for seed in 1..=3u64 {
             let (system, source, bound, _) = answer_case(kind, seed);
             let (n, m) = (system.num_elements(), system.num_sets());
@@ -316,7 +364,11 @@ fn two_pass_answers_stay_below_the_opt_bound() {
                 let config = EstimatorConfig::practical(seed);
                 let cover = run_two_pass(n, m, k, alpha, &config, &edges, 1024);
                 let at = format!("{kind} seed {seed} alpha {alpha}");
-                assert!(cover.sets.len() <= k, "{at}: {} sets reported", cover.sets.len());
+                assert!(
+                    cover.sets.len() <= k,
+                    "{at}: {} sets reported",
+                    cover.sets.len()
+                );
                 assert!(
                     cover.estimate <= bound,
                     "{at}: estimate {} above the {source} bound {bound}",
@@ -324,7 +376,10 @@ fn two_pass_answers_stay_below_the_opt_bound() {
                 );
                 let chosen: Vec<usize> = cover.sets.iter().map(|&s| s as usize).collect();
                 let real = coverage_of(&system, &chosen) as f64;
-                assert!(real <= bound, "{at}: real coverage {real} above the {source} bound {bound}");
+                assert!(
+                    real <= bound,
+                    "{at}: real coverage {real} above the {source} bound {bound}"
+                );
             }
         }
     }
@@ -343,10 +398,21 @@ fn two_pass_runs_its_oracles_in_the_trivial_regime() {
     let system = gen::planted_cover(n, m, 8, 0.8, (n / 8) / 4, 5).system;
     let edges = edge_stream(&system, ArrivalOrder::Shuffled(0));
     let cover = run_two_pass(n, m, k, alpha, &EstimatorConfig::practical(5), &edges, 1024);
-    assert!(cover.winner.is_some(), "pass 2 must report a subroutine winner");
-    assert!(!cover.sets.is_empty() && cover.sets.len() <= k, "{} sets", cover.sets.len());
+    assert!(
+        cover.winner.is_some(),
+        "pass 2 must report a subroutine winner"
+    );
+    assert!(
+        !cover.sets.is_empty() && cover.sets.len() <= k,
+        "{} sets",
+        cover.sets.len()
+    );
     let bound = greedy_max_cover(&system, k).coverage as f64 / (1.0 - 1.0 / std::f64::consts::E);
     let chosen: Vec<usize> = cover.sets.iter().map(|&s| s as usize).collect();
-    assert!(cover.estimate <= bound, "estimate {} above {bound}", cover.estimate);
+    assert!(
+        cover.estimate <= bound,
+        "estimate {} above {bound}",
+        cover.estimate
+    );
     assert!(coverage_of(&system, &chosen) as f64 <= bound);
 }

@@ -14,7 +14,10 @@ fn l2_distinguisher_space_success_tradeoff() {
     let wide = l2_sweep_point(m, alpha, ipp, 5, 16 * m / (alpha * alpha), 8, 5);
     let narrow = l2_sweep_point(m, alpha, ipp, 5, 2, 8, 5);
     assert!(wide.success() >= 0.75, "wide: {wide:?}");
-    assert!(wide.success() >= narrow.success(), "no improvement: {wide:?} vs {narrow:?}");
+    assert!(
+        wide.success() >= narrow.success(),
+        "no improvement: {wide:?} vs {narrow:?}"
+    );
     assert!(wide.space_words > narrow.space_words);
 }
 

@@ -62,8 +62,14 @@ fn l0_within_half() {
             est.insert(i.wrapping_mul(0x9e3779b97f4a7c15).wrapping_add(seed));
         }
         let e = est.estimate();
-        assert!(e >= distinct as f64 * 0.5, "case {case}: est {e} vs {distinct}");
-        assert!(e <= distinct as f64 * 1.5, "case {case}: est {e} vs {distinct}");
+        assert!(
+            e >= distinct as f64 * 0.5,
+            "case {case}: est {e} vs {distinct}"
+        );
+        assert!(
+            e <= distinct as f64 * 1.5,
+            "case {case}: est {e} vs {distinct}"
+        );
     }
 }
 
@@ -118,7 +124,11 @@ fn sieve_solutions_valid() {
         let r = SieveStreaming::run(&ss, k, 0.2);
         assert!(r.chosen.len() <= k, "case {case}");
         let dedup: std::collections::HashSet<_> = r.chosen.iter().collect();
-        assert_eq!(dedup.len(), r.chosen.len(), "case {case}: duplicate sets chosen");
+        assert_eq!(
+            dedup.len(),
+            r.chosen.len(),
+            "case {case}: duplicate sets chosen"
+        );
         assert_eq!(
             coverage_of(&ss, &r.chosen) as f64,
             r.estimated_coverage,

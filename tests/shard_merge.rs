@@ -11,9 +11,7 @@
 //! samples union), so merged and serial states have the same resident
 //! words (DESIGN.md §8).
 
-use maxkcov::core::{
-    EstimateOutcome, EstimatorConfig, MaxCoverEstimator, MaxCoverReporter,
-};
+use maxkcov::core::{EstimateOutcome, EstimatorConfig, MaxCoverEstimator, MaxCoverReporter};
 use maxkcov::stream::gen::{
     planted_cover, rmat_incidence, uniform_incidence, zipf_popularity, RmatParams,
 };
@@ -38,14 +36,21 @@ fn generator_zoo(seed: u64) -> Vec<(&'static str, SetSystem)> {
         ("uniform", uniform_incidence(600, 48, 0.04, seed)),
         ("zipf", zipf_popularity(500, 40, 14, 1.1, seed)),
         ("planted", planted_cover(500, 40, 5, 0.8, 12, seed).system),
-        ("rmat", rmat_incidence(512, 64, 5_000, RmatParams::default(), seed)),
+        (
+            "rmat",
+            rmat_incidence(512, 64, 5_000, RmatParams::default(), seed),
+        ),
     ]
 }
 
 /// Outcome equality under the merge contract: estimate, branch, winner
 /// and resident words must all be identical.
 fn assert_outcomes_equivalent(a: &EstimateOutcome, b: &EstimateOutcome, ctx: &str) {
-    assert_eq!(a.estimate.to_bits(), b.estimate.to_bits(), "{ctx}: estimate");
+    assert_eq!(
+        a.estimate.to_bits(),
+        b.estimate.to_bits(),
+        "{ctx}: estimate"
+    );
     assert_eq!(a.trivial, b.trivial, "{ctx}: trivial flag");
     assert_eq!(a.winning_z, b.winning_z, "{ctx}: winning z");
     assert_eq!(a.winner, b.winner, "{ctx}: winning subroutine");
@@ -234,8 +239,10 @@ fn ledger_words_stay_exact_and_heat_adds_across_shards() {
     let proto = MaxCoverEstimator::new(n, m, 6, 3.0, &config);
     for shards in [2usize, 4] {
         let chunk = edges.len().div_ceil(shards);
-        let replicas: Vec<MaxCoverEstimator> =
-            edges.chunks(chunk).map(|part| fed_replica(&proto, part)).collect();
+        let replicas: Vec<MaxCoverEstimator> = edges
+            .chunks(chunk)
+            .map(|part| fed_replica(&proto, part))
+            .collect();
         let mut updates = 0u64;
         let mut touched = 0u64;
         for (i, r) in replicas.iter().enumerate() {
@@ -253,7 +260,11 @@ fn ledger_words_stay_exact_and_heat_adds_across_shards() {
         let ledger = merged.space_ledger_tree();
         let violations = space_ledger_violations(&ledger, merged.space_words() as u64);
         assert!(violations.is_empty(), "shards={shards}: {violations:?}");
-        assert_eq!(ledger.root.total_updates(), updates, "shards={shards}: updates are additive");
+        assert_eq!(
+            ledger.root.total_updates(),
+            updates,
+            "shards={shards}: updates are additive"
+        );
         assert_eq!(
             ledger.root.total_touched_words(),
             touched,
@@ -280,6 +291,9 @@ fn trivial_branch_shards_merge_bit_exactly() {
         let sharded = MaxCoverEstimator::run(n, m, 8, 4.0, &config, &edges, 32);
         assert!(sharded.trivial);
         assert_eq!(serial.estimate.to_bits(), sharded.estimate.to_bits());
-        assert_eq!(serial.space_words, sharded.space_words, "trivial merge is bit-exact");
+        assert_eq!(
+            serial.space_words, sharded.space_words,
+            "trivial merge is bit-exact"
+        );
     }
 }

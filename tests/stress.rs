@@ -110,8 +110,14 @@ fn batched_rmat_matches_serial_and_space_no_regression() {
                 out.estimate.to_bits(),
                 "threads={threads} batch={batch}: estimate diverged"
             );
-            assert_eq!(serial_out.winning_z, out.winning_z, "threads={threads} batch={batch}");
-            assert_eq!(serial_out.winner, out.winner, "threads={threads} batch={batch}");
+            assert_eq!(
+                serial_out.winning_z, out.winning_z,
+                "threads={threads} batch={batch}"
+            );
+            assert_eq!(
+                serial_out.winner, out.winner,
+                "threads={threads} batch={batch}"
+            );
         }
     }
 }

@@ -140,7 +140,10 @@ fn large_set_finder_domain_must_match_its_superset_count() {
             e.message.contains("disagrees") || e.message.contains("exceeds the cap"),
             "domain {domain}: {e}"
         );
-        assert!(allocated < 1 << 20, "domain {domain}: allocated {allocated} bytes");
+        assert!(
+            allocated < 1 << 20,
+            "domain {domain}: allocated {allocated} bytes"
+        );
     }
 }
 
@@ -186,13 +189,19 @@ fn count_sketch_mix_words_and_width_are_pinned_at_decode() {
     for degree in [1usize, 2, 100_000] {
         let bad = [mix[0].clone(), KWise::new(degree, 3)];
         let e = CountSketch::from_bytes(&count_sketch_bytes(4, 8, &bad, 32)).unwrap_err();
-        assert!(e.message.contains(&format!("degree {degree}")), "degree {degree}: {e}");
+        assert!(
+            e.message.contains(&format!("degree {degree}")),
+            "degree {degree}: {e}"
+        );
     }
     // A word count other than ⌈rows/2⌉.
     for words in [0usize, 1, 3] {
         let mix = CountSketch::draw_mix(2 * words.max(1), 5)[..words].to_vec();
         let e = CountSketch::from_bytes(&count_sketch_bytes(4, 8, &mix, 32)).unwrap_err();
-        assert!(e.message.contains(&format!("{words} mix words for 4")), "{words} words: {e}");
+        assert!(
+            e.message.contains(&format!("{words} mix words for 4")),
+            "{words} words: {e}"
+        );
     }
     // A width above the 2^22 cap, rejected before the table is sized.
     let wide = count_sketch_bytes(1, (1 << 22) + 1, &mix[..1], 0);

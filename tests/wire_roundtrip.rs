@@ -47,8 +47,7 @@ fn flip_points(len: usize) -> Vec<usize> {
 /// truncation sweep, and the corruption sweep.
 fn exhaust<T: WireEncode>(label: &str, value: &T) {
     let bytes = value.to_bytes();
-    let decoded =
-        T::from_bytes(&bytes).unwrap_or_else(|e| panic!("{label}: decode failed: {e}"));
+    let decoded = T::from_bytes(&bytes).unwrap_or_else(|e| panic!("{label}: decode failed: {e}"));
     assert_eq!(
         decoded.to_bytes(),
         bytes,
@@ -63,7 +62,10 @@ fn exhaust<T: WireEncode>(label: &str, value: &T) {
                 !e.to_string().is_empty(),
                 "{label}: truncation to {cut} produced an empty error"
             ),
-            Ok(_) => panic!("{label}: truncation to {cut} of {} was accepted", bytes.len()),
+            Ok(_) => panic!(
+                "{label}: truncation to {cut} of {} was accepted",
+                bytes.len()
+            ),
         }
     }
 
@@ -270,8 +272,8 @@ fn traced_estimator_attribution_survives_wire_and_rejects_mangling() {
         "traced ingestion accumulated no attribution — sidecars would be vacuous"
     );
 
-    let decoded = MaxCoverEstimator::from_bytes(&est.to_bytes())
-        .expect("traced estimator must round-trip");
+    let decoded =
+        MaxCoverEstimator::from_bytes(&est.to_bytes()).expect("traced estimator must round-trip");
     let after = decoded.time_ledger_tree();
     assert_eq!(
         after.root.total_ns(),
@@ -279,8 +281,15 @@ fn traced_estimator_attribution_survives_wire_and_rejects_mangling() {
         "total attribution changed across the wire"
     );
     for (name, node) in before.root.children() {
-        let got = after.root.get(name).map_or(0, maxkcov::obs::TimeNode::total_ns);
-        assert_eq!(got, node.total_ns(), "subtree '{name}' ns changed across the wire");
+        let got = after
+            .root
+            .get(name)
+            .map_or(0, maxkcov::obs::TimeNode::total_ns);
+        assert_eq!(
+            got,
+            node.total_ns(),
+            "subtree '{name}' ns changed across the wire"
+        );
     }
 
     exhaust("MaxCoverEstimator(traced)", &est);
