@@ -76,14 +76,7 @@ impl KWise {
     /// Raw hash value in `[0, MERSENNE_P)`.
     #[inline]
     pub fn hash(&self, key: u64) -> u64 {
-        let x = Fp::new(key).value();
-        let (&lead, rest) = self.coeffs.split_last().expect("at least one coefficient");
-        // Horner: a = ((c_{d-1} x + c_{d-2}) x + ...) x + c_0
-        let mut a = lead.value();
-        for c in rest.iter().rev() {
-            a = horner_step(a, x, c.value());
-        }
-        canonical(a)
+        hash_scalar(&self.coeffs, key)
     }
 
     /// Hash into `[0, r)` via [`reduce_to_range`]. Panics if `r == 0`.
@@ -107,37 +100,221 @@ impl KWise {
     /// function. This is the batched hot-path entry the estimator's
     /// hash-once fingerprint pipeline is built on.
     ///
-    /// Blocked Horner evaluation: 8 keys at a time, coefficient-outer,
-    /// so each field constant is loaded once per block and the 8 lanes
-    /// run independent multiply-add chains. x86-64 has no 64×64→128-bit
-    /// vector multiply, so the lanes do not vectorize; they buy
-    /// instruction-level parallelism, overlapping the multiplier's
-    /// latency across keys. Scalar-equivalent by construction — every
-    /// lane starts from the leading coefficient and applies the same
-    /// lazy steps as [`KWise::hash`] in the same order, so every lane
-    /// computes the identical field element for every degree.
+    /// Coefficient-outer Horner evaluation over a block of keys, so each
+    /// field constant is loaded once per block and the keys run
+    /// independent multiply-add chains. x86-64 has no 64×64→128-bit
+    /// vector multiply, but it has a 32×32→64 one: on hosts with AVX2 or
+    /// AVX-512F the kernel evaluates 16 keys per block with the split-32
+    /// step (four 32-bit products per key and coefficient), which the
+    /// compiler vectorizes under the detected feature. Other hosts run
+    /// 8-key blocks of the u128 step, which buy instruction-level
+    /// parallelism only. The tier is picked per call at run time
+    /// ([`BatchTier::best`]). Every tier is scalar-equivalent by
+    /// construction: each lane starts from the leading coefficient and
+    /// keeps an accumulator congruent to [`KWise::hash`]'s after every
+    /// step, and one canonical reduction at the end yields the identical
+    /// field element for every degree.
     pub fn hash_batch(&self, keys: &[u64], out: &mut Vec<u64>) {
-        const LANES: usize = 8;
-        out.clear();
-        out.reserve(keys.len());
-        let (&lead, rest) = self.coeffs.split_last().expect("at least one coefficient");
-        let mut blocks = keys.chunks_exact(LANES);
-        for block in &mut blocks {
-            let mut xs = [0u64; LANES];
-            for (x, &k) in xs.iter_mut().zip(block) {
-                *x = Fp::new(k).value();
-            }
-            let mut acc = [lead.value(); LANES];
-            for c in rest.iter().rev() {
-                let c = c.value();
-                for lane in 0..LANES {
-                    acc[lane] = horner_step(acc[lane], xs[lane], c);
-                }
-            }
-            out.extend(acc.iter().map(|&a| canonical(a)));
-        }
-        out.extend(blocks.remainder().iter().map(|&k| self.hash(k)));
+        self.hash_batch_tier(BatchTier::best(), keys, out);
     }
+
+    /// [`KWise::hash_batch`] on an explicit kernel tier, so tests can
+    /// check every tier the host supports, not only the one dispatch
+    /// picks. Panics if the host does not support `tier`.
+    #[doc(hidden)]
+    pub fn hash_batch_tier(&self, tier: BatchTier, keys: &[u64], out: &mut Vec<u64>) {
+        assert!(
+            tier.is_supported(),
+            "{tier:?} kernel is not supported on this host"
+        );
+        out.clear();
+        out.resize(keys.len(), 0);
+        match tier {
+            BatchTier::Blocked => hash_blocked(&self.coeffs, keys, out),
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: `is_supported` just confirmed the host has AVX-512F,
+            // the only feature the kernel is compiled for.
+            BatchTier::Avx512 => unsafe { hash_split32_avx512(&self.coeffs, keys, out) },
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: `is_supported` just confirmed the host has AVX2.
+            BatchTier::Avx2 => unsafe { hash_split32_avx2(&self.coeffs, keys, out) },
+            #[cfg(not(target_arch = "x86_64"))]
+            BatchTier::Avx512 | BatchTier::Avx2 => {
+                unreachable!("x86-64 tiers are never supported here")
+            }
+        }
+    }
+}
+
+/// The kernel tiers behind [`KWise::hash_batch`]. Dispatch picks
+/// [`BatchTier::best`] at run time; the tier is doc-hidden, exposed only
+/// so tests can run each one.
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BatchTier {
+    /// 8-key blocks of the u128 Horner step (every host).
+    Blocked,
+    /// 16-key blocks of the split-32 step, compiled for AVX2.
+    Avx2,
+    /// 16-key blocks of the split-32 step, compiled for AVX-512F.
+    Avx512,
+}
+
+impl BatchTier {
+    /// Every tier, supported on this host or not.
+    pub const ALL: [BatchTier; 3] = [BatchTier::Blocked, BatchTier::Avx2, BatchTier::Avx512];
+
+    /// Whether this host can run the tier.
+    #[inline]
+    pub fn is_supported(self) -> bool {
+        match self {
+            BatchTier::Blocked => true,
+            #[cfg(target_arch = "x86_64")]
+            BatchTier::Avx2 => std::is_x86_feature_detected!("avx2"),
+            #[cfg(target_arch = "x86_64")]
+            BatchTier::Avx512 => std::is_x86_feature_detected!("avx512f"),
+            #[cfg(not(target_arch = "x86_64"))]
+            BatchTier::Avx2 | BatchTier::Avx512 => false,
+        }
+    }
+
+    /// The fastest tier this host supports.
+    #[inline]
+    pub fn best() -> BatchTier {
+        if BatchTier::Avx512.is_supported() {
+            BatchTier::Avx512
+        } else if BatchTier::Avx2.is_supported() {
+            BatchTier::Avx2
+        } else {
+            BatchTier::Blocked
+        }
+    }
+}
+
+/// The portable tier: 8 keys per block, u128 [`horner_step`]s, and the
+/// tail through the scalar loop.
+fn hash_blocked(coeffs: &[Fp], keys: &[u64], out: &mut [u64]) {
+    const LANES: usize = 8;
+    let (&lead, rest) = coeffs.split_last().expect("at least one coefficient");
+    let mut blocks = keys.chunks_exact(LANES);
+    let mut outs = out.chunks_exact_mut(LANES);
+    for (block, o) in (&mut blocks).zip(&mut outs) {
+        let mut xs = [0u64; LANES];
+        for (x, &k) in xs.iter_mut().zip(block) {
+            *x = Fp::new(k).value();
+        }
+        let mut acc = [lead.value(); LANES];
+        for c in rest.iter().rev() {
+            let c = c.value();
+            for lane in 0..LANES {
+                acc[lane] = horner_step(acc[lane], xs[lane], c);
+            }
+        }
+        for (o, &a) in o.iter_mut().zip(&acc) {
+            *o = canonical(a);
+        }
+    }
+    for (o, &k) in outs.into_remainder().iter_mut().zip(blocks.remainder()) {
+        *o = hash_scalar(coeffs, k);
+    }
+}
+
+/// [`KWise::hash`]'s body: `a = ((c_{d-1} x + c_{d-2}) x + ...) x + c_0`
+/// by [`horner_step`]s, then [`canonical`].
+#[inline(always)]
+fn hash_scalar(coeffs: &[Fp], key: u64) -> u64 {
+    let x = Fp::new(key).value();
+    let (&lead, rest) = coeffs.split_last().expect("at least one coefficient");
+    let mut a = lead.value();
+    for c in rest.iter().rev() {
+        a = horner_step(a, x, c.value());
+    }
+    canonical(a)
+}
+
+/// The AVX-512F build of [`hash_split32`].
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn hash_split32_avx512(coeffs: &[Fp], keys: &[u64], out: &mut [u64]) {
+    hash_split32(coeffs, keys, out);
+}
+
+/// The AVX2 build of [`hash_split32`].
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn hash_split32_avx2(coeffs: &[Fp], keys: &[u64], out: &mut [u64]) {
+    hash_split32(coeffs, keys, out);
+}
+
+/// The vector tiers' one body: 16 keys per block, each key split once
+/// into 32-bit halves, then coefficient-outer [`split32_step`]s. A
+/// ragged tail is padded to a full block, so every key takes the same
+/// path. Inlined into each `#[target_feature]` wrapper, which is what
+/// lets the compiler turn the lane loops into vector code.
+#[inline(always)]
+fn hash_split32(coeffs: &[Fp], keys: &[u64], out: &mut [u64]) {
+    let mut blocks = keys.chunks_exact(SPLIT32_LANES);
+    let mut outs = out.chunks_exact_mut(SPLIT32_LANES);
+    for (k, o) in (&mut blocks).zip(&mut outs) {
+        split32_block(coeffs, k.try_into().unwrap(), o.try_into().unwrap());
+    }
+    let tail = blocks.remainder();
+    if !tail.is_empty() {
+        let (mut k, mut o) = ([0u64; SPLIT32_LANES], [0u64; SPLIT32_LANES]);
+        k[..tail.len()].copy_from_slice(tail);
+        split32_block(coeffs, &k, &mut o);
+        outs.into_remainder().copy_from_slice(&o[..tail.len()]);
+    }
+}
+
+const SPLIT32_LANES: usize = 16;
+
+/// One block of [`hash_split32`].
+#[inline(always)]
+fn split32_block(coeffs: &[Fp], keys: &[u64; SPLIT32_LANES], out: &mut [u64; SPLIT32_LANES]) {
+    let (&lead, rest) = coeffs.split_last().expect("at least one coefficient");
+    let (mut lo, mut hi) = ([0u64; SPLIT32_LANES], [0u64; SPLIT32_LANES]);
+    for lane in 0..SPLIT32_LANES {
+        let x = Fp::new(keys[lane]).value();
+        lo[lane] = x & LOW32;
+        hi[lane] = x >> 32;
+    }
+    let mut acc = [lead.value(); SPLIT32_LANES];
+    for c in rest.iter().rev() {
+        let c = c.value();
+        for lane in 0..SPLIT32_LANES {
+            acc[lane] = split32_step(acc[lane], lo[lane], hi[lane], c);
+        }
+    }
+    for lane in 0..SPLIT32_LANES {
+        out[lane] = canonical(acc[lane]);
+    }
+}
+
+const LOW32: u64 = (1 << 32) - 1;
+const LOW29: u64 = (1 << 29) - 1;
+
+/// One lazily reduced Horner step `a·x + c` over `GF(2^61 − 1)` from
+/// 32×32→64-bit products, the multiply x86 vector units have.
+///
+/// With `a ≤ p + 4`, `x = hi·2^32 + lo < p` and `c < p`, split
+/// `a = ah·2^32 + al` (`ah ≤ 2^29`, `hi < 2^29`, `al, lo < 2^32`). Then
+/// `a·x = hh·2^64 + mid·2^32 + ll` with `hh = ah·hi < 2^58`,
+/// `mid = ah·lo + al·hi < 2^62` and `ll = al·lo < 2^64`, and since
+/// `2^61 ≡ 1`: `hh·2^64 ≡ hh<<3`, `mid·2^32 ≡ (mid>>29) +
+/// ((mid & (2^29−1))<<32)` and `ll ≡ (ll>>61) + (ll & p)`. The six terms
+/// sum below `2^63 + 2^34`, so `s` fits a `u64`, and the fold
+/// `(s & p) + (s >> 61)` is `≤ p + 4` and congruent to `a·x + c`: the
+/// bound the next step assumes. [`canonical`] at the end gives the same
+/// field element as [`horner_step`]'s chain.
+#[inline(always)]
+fn split32_step(a: u64, lo: u64, hi: u64, c: u64) -> u64 {
+    let (al, ah) = (a & LOW32, a >> 32);
+    let ll = al * lo;
+    let mid = ah * lo + al * hi;
+    let hh = ah * hi;
+    let s = (hh << 3) + (mid >> 29) + ((mid & LOW29) << 32) + (ll >> 61) + (ll & MERSENNE_P) + c;
+    (s & MERSENNE_P) + (s >> 61)
 }
 
 /// One lazily reduced Horner step `a·x + c` over `GF(2^61 − 1)`.
@@ -158,7 +335,7 @@ fn horner_step(a: u64, x: u64, c: u64) -> u64 {
 }
 
 /// The canonical representative of a lazily reduced accumulator
-/// (`≤ p + 3`, so one conditional subtraction suffices).
+/// (`≤ p + 4`, so one conditional subtraction suffices).
 #[inline(always)]
 fn canonical(a: u64) -> u64 {
     if a >= MERSENNE_P {

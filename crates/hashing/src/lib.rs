@@ -23,7 +23,7 @@ pub mod kwise;
 pub mod seeded;
 
 pub use field::{Fp, MERSENNE_P};
-pub use kwise::{four_wise, log_wise, pairwise, KWise};
+pub use kwise::{four_wise, log_wise, pairwise, BatchTier, KWise};
 pub use seeded::{SeedSequence, SplitMix64};
 
 /// The bucket `⌊h·r/2^61⌋ ∈ [0, r)` of a raw hash value `h ∈ [0,

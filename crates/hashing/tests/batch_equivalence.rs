@@ -5,14 +5,26 @@
 //! field boundaries. A single diverging value would silently break the
 //! bit-for-bit determinism contract of the batched ingestion engine, so
 //! this suite is the proof obligation the hot-path refactor rests on.
-//! Both paths share one lazily reduced Horner step, so they are also
-//! checked against a naive `Σ cᵢ·xⁱ mod p` reference that a bug shared
-//! by the two paths could not pass.
+//! The scalar path and the u128 blocked tier share one lazily reduced
+//! Horner step, so every tier is also checked against a naive
+//! `Σ cᵢ·xⁱ mod p` reference that a bug shared by two paths could not
+//! pass. Each kernel tier the host supports runs explicitly, not only
+//! the one dispatch picks: the u128 blocked loop, and the split-32
+//! kernel built for AVX2 and for AVX-512F.
 
-use kcov_hash::{four_wise, log_wise, pairwise, KWise, MERSENNE_P};
+use kcov_hash::{four_wise, log_wise, pairwise, BatchTier, KWise, MERSENNE_P};
 
-/// Key sets exercising every code path of the blocked evaluator: empty,
-/// sub-block, exactly one block, block + tail, many blocks + tail, and
+/// The kernel tiers this host can run (the u128 blocked tier always).
+fn tiers() -> Vec<BatchTier> {
+    BatchTier::ALL
+        .into_iter()
+        .filter(|t| t.is_supported())
+        .collect()
+}
+
+/// Key sets exercising every code path of the blocked evaluators: empty,
+/// sub-block, exactly one block, block + tail (for the 8- and the
+/// 16-key blocks), many blocks + tail, and
 /// boundary values (0, p−1, p, p+1, 2^61, u64::MAX) that stress the
 /// Mersenne reduction.
 fn key_sets() -> Vec<Vec<u64>> {
@@ -36,6 +48,10 @@ fn key_sets() -> Vec<Vec<u64>> {
         (0..7).collect(),
         (0..8).collect(),
         (0..9).collect(),
+        (0..15).collect(),
+        (0..16).collect(),
+        (0..17).collect(),
+        (0..33).collect(),
         (0..255).collect(),
         boundary,
         dense,
@@ -43,22 +59,24 @@ fn key_sets() -> Vec<Vec<u64>> {
 }
 
 fn assert_equivalent(label: &str, h: &KWise) {
-    let mut out = vec![0xdead_beefu64; 3]; // stale contents must be cleared
-    for keys in key_sets() {
-        h.hash_batch(&keys, &mut out);
-        assert_eq!(
-            out.len(),
-            keys.len(),
-            "{label}: length for {} keys",
-            keys.len()
-        );
-        for (i, &k) in keys.iter().enumerate() {
+    for tier in tiers() {
+        let mut out = vec![0xdead_beefu64; 3]; // stale contents must be cleared
+        for keys in key_sets() {
+            h.hash_batch_tier(tier, &keys, &mut out);
             assert_eq!(
-                out[i],
-                h.hash(k),
-                "{label}: lane {i} of {} diverged for key {k:#x}",
+                out.len(),
+                keys.len(),
+                "{label} {tier:?}: length for {} keys",
                 keys.len()
             );
+            for (i, &k) in keys.iter().enumerate() {
+                assert_eq!(
+                    out[i],
+                    h.hash(k),
+                    "{label} {tier:?}: lane {i} of {} diverged for key {k:#x}",
+                    keys.len()
+                );
+            }
         }
     }
 }
@@ -133,20 +151,42 @@ fn kwise_matches_naive_reference() {
         for coeffs in &vectors {
             let h = KWise::from_coefficients(coeffs);
             for keys in key_sets() {
-                h.hash_batch(&keys, &mut out);
-                for (&k, &batched) in keys.iter().zip(&out) {
-                    let expect = reference_poly(coeffs, k);
+                let expect: Vec<u64> = keys.iter().map(|&k| reference_poly(coeffs, k)).collect();
+                for (&k, &e) in keys.iter().zip(&expect) {
                     assert_eq!(
                         h.hash(k),
-                        expect,
+                        e,
                         "scalar, d={degree}, key {k:#x}, coeffs {coeffs:?}"
                     );
-                    assert_eq!(
-                        batched, expect,
-                        "batched, d={degree}, key {k:#x}, coeffs {coeffs:?}"
-                    );
+                }
+                for tier in tiers() {
+                    h.hash_batch_tier(tier, &keys, &mut out);
+                    for ((&k, &batched), &e) in keys.iter().zip(&out).zip(&expect) {
+                        assert_eq!(
+                            batched, e,
+                            "{tier:?}, d={degree}, key {k:#x}, coeffs {coeffs:?}"
+                        );
+                    }
                 }
             }
         }
     }
+}
+
+#[test]
+fn dispatch_picks_a_supported_tier() {
+    let best = BatchTier::best();
+    assert!(best.is_supported());
+    // Dispatch prefers the widest vector tier the host has.
+    let widest = tiers()
+        .into_iter()
+        .last()
+        .expect("the blocked tier always runs");
+    assert_eq!(best, widest);
+    let h = KWise::new(4, 9);
+    let keys: Vec<u64> = (0..100).collect();
+    let (mut a, mut b) = (Vec::new(), Vec::new());
+    h.hash_batch(&keys, &mut a);
+    h.hash_batch_tier(best, &keys, &mut b);
+    assert_eq!(a, b);
 }
