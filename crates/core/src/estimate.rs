@@ -1485,6 +1485,54 @@ mod tests {
     }
 
     #[test]
+    fn estimators_sharing_a_thread_do_not_see_each_others_scratch() {
+        // The batch kernels take their columns from a per-thread pool.
+        // Two estimators of different shapes, fed alternately on one
+        // thread with chunks of different lengths, must end in the
+        // same bytes as each one fed alone on a fresh thread.
+        use kcov_sketch::WireEncode;
+        let a_inst = planted_cover(800, 120, 8, 0.7, 30, 21).system;
+        let b_inst = few_large(2000, 300, 3, 500, 8);
+        let build = |sys: &kcov_stream::SetSystem, k, alpha, seed| {
+            let config = fast_config(seed, sys.num_elements());
+            MaxCoverEstimator::new(sys.num_elements(), sys.num_sets(), k, alpha, &config)
+        };
+        let (a_edges, b_edges) = (
+            edge_stream(&a_inst, ArrivalOrder::Shuffled(2)),
+            edge_stream(&b_inst, ArrivalOrder::Shuffled(3)),
+        );
+        let (a_chunk, b_chunk) = (1000, 37);
+        let alone = |mut est: MaxCoverEstimator, edges: Vec<Edge>, chunk: usize| {
+            std::thread::spawn(move || {
+                for c in edges.chunks(chunk) {
+                    est.observe_batch(c);
+                }
+                est.to_bytes()
+            })
+            .join()
+            .unwrap()
+        };
+        let a_alone = alone(build(&a_inst, 8, 3.0, 13), a_edges.clone(), a_chunk);
+        let b_alone = alone(build(&b_inst, 10, 6.0, 19), b_edges.clone(), b_chunk);
+        let (mut a, mut b) = (build(&a_inst, 8, 3.0, 13), build(&b_inst, 10, 6.0, 19));
+        let (mut ai, mut bi) = (a_edges.chunks(a_chunk), b_edges.chunks(b_chunk));
+        loop {
+            let (ca, cb) = (ai.next(), bi.next());
+            if ca.is_none() && cb.is_none() {
+                break;
+            }
+            if let Some(c) = ca {
+                a.observe_batch(c);
+            }
+            if let Some(c) = cb {
+                b.observe_batch(c);
+            }
+        }
+        assert!(a_alone == a.to_bytes(), "first estimator's bytes moved");
+        assert!(b_alone == b.to_bytes(), "second estimator's bytes moved");
+    }
+
+    #[test]
     fn merge_matches_serial_in_trivial_regime() {
         let config = EstimatorConfig::practical(1);
         let mut serial = MaxCoverEstimator::new(100, 20, 10, 4.0, &config);

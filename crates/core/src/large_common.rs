@@ -15,6 +15,7 @@
 use std::sync::Arc;
 
 use kcov_hash::{KWise, SeedSequence};
+use kcov_sketch::scratch::{at_least, with_columns};
 use kcov_sketch::{L0Estimator, SpaceSink, SpaceUsage};
 use kcov_stream::Edge;
 
@@ -153,38 +154,67 @@ impl LargeCommon {
     /// depend on how the stream is cut into chunks.
     pub fn observe_fp_batch(&mut self, edges: &[Edge], fps: &[u64]) {
         debug_assert_eq!(edges.len(), fps.len());
-        let mut gates = Vec::new();
-        self.set_mix.hash_batch(fps, &mut gates);
-        let mut surv: Vec<u64> = Vec::with_capacity(edges.len());
-        for lane in &mut self.lanes {
-            let mask = lane.buckets - 1;
-            if let Some(g) = &mut lane.groups {
+        with_columns(|[gates, elems, surv_g, surv_e, next_g, next_e]| {
+            self.set_mix.hash_batch(fps, gates);
+            if self.lanes.iter().any(|lane| lane.groups.is_some()) {
                 // Reporting path: group counters interleave with the
                 // distinct sketch, keep the per-edge loop.
-                for (edge, (&h, &fp)) in edges.iter().zip(gates.iter().zip(fps)) {
-                    if h & mask == 0 {
-                        lane.de.insert(edge.elem as u64);
-                        let gi = g.hash.hash_to_range(fp, g.counters.len() as u64);
-                        g.counters[gi as usize].insert(edge.elem as u64);
+                for lane in &mut self.lanes {
+                    let mask = lane.buckets - 1;
+                    let Some(g) = &mut lane.groups else { continue };
+                    for (edge, (&h, &fp)) in edges.iter().zip(gates.iter().zip(fps)) {
+                        if h & mask == 0 {
+                            lane.de.insert(edge.elem as u64);
+                            let gi = g.hash.hash_to_range(fp, g.counters.len() as u64);
+                            g.counters[gi as usize].insert(edge.elem as u64);
+                        }
                     }
                 }
-            } else {
-                // Gather the layer's survivors into a dense column
-                // (branch-free: every element is written, the write
-                // index advances by the gate) and feed the distinct
-                // sketch batched (state-identical: same elements, same
-                // arrival order).
-                surv.resize(edges.len(), 0);
+                return;
+            }
+            elems.clear();
+            elems.extend(edges.iter().map(|e| e.elem as u64));
+            // Widest layer first. Bucket counts are powers of two that
+            // shrink as β grows, so each narrower layer's survivors are a
+            // subset of the next-wider layer's: gather them from that
+            // layer's survivor columns (branch-free: every entry is
+            // written, the write index advances by the gate) instead of
+            // rescanning the chunk, and the scan work telescopes. A layer
+            // that samples every set feeds its source without a copy.
+            // Each layer's distinct sketch sees the same elements in the
+            // same arrival order either way. `surv` is the previous
+            // layer's survivor count, or `None` when it kept the chunk.
+            let mut surv: Option<usize> = None;
+            let mut prev_buckets = 1;
+            for lane in self.lanes.iter_mut().rev() {
+                debug_assert!(lane.buckets >= prev_buckets, "layers nest");
+                prev_buckets = lane.buckets;
+                let mask = lane.buckets - 1;
+                let (src_g, src_e): (&[u64], &[u64]) = match surv {
+                    Some(n) => (&surv_g[..n], &surv_e[..n]),
+                    None => (gates, elems),
+                };
+                if mask == 0 {
+                    if !src_e.is_empty() {
+                        lane.de.insert_batch(src_e);
+                    }
+                    continue;
+                }
+                let (dst_g, dst_e) = (at_least(next_g, src_g.len()), at_least(next_e, src_e.len()));
                 let mut kept = 0;
-                for (edge, &h) in edges.iter().zip(&gates) {
-                    surv[kept] = edge.elem as u64;
+                for (&h, &e) in src_g.iter().zip(src_e) {
+                    dst_g[kept] = h;
+                    dst_e[kept] = e;
                     kept += usize::from(h & mask == 0);
                 }
                 if kept > 0 {
-                    lane.de.insert_batch(&surv[..kept]);
+                    lane.de.insert_batch(&dst_e[..kept]);
                 }
+                std::mem::swap(surv_g, next_g);
+                std::mem::swap(surv_e, next_e);
+                surv = Some(kept);
             }
-        }
+        });
     }
 
     /// Visit every set id `s ∈ [0, m)` in order as `f(s, fp, gate)`, with

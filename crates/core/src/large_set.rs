@@ -29,6 +29,7 @@
 use std::sync::Arc;
 
 use kcov_hash::{reduce_to_range, KWise, SeedSequence};
+use kcov_sketch::scratch::{at_least, with_columns};
 use kcov_sketch::{
     probe_mix, ContributingConfig, F2Contributing, L0Estimator, OaMap, SpaceSink, SpaceUsage,
 };
@@ -36,6 +37,13 @@ use kcov_stream::Edge;
 
 use crate::params::Params;
 use crate::Witness;
+
+/// The bound `⌈2^61/r⌉` below which a raw hash lands in bucket 0 of an
+/// `r`-bucket split: `reduce_to_range(h, r) == 0` iff `h·r < 2^61` iff
+/// `h < ⌈2^61/r⌉`, so the superset-sampling test is one compare.
+fn bucket_zero_below(r: u64) -> u64 {
+    (1u64 << 61).div_ceil(r)
+}
 
 /// A repetition's sampled supersets in ascending id order: the
 /// canonical order for the finalize scan, merge and wire encoding (the
@@ -227,49 +235,56 @@ impl LargeSet {
     /// chunk, survivors are gathered into dense columns (branch-free:
     /// every edge is written, the write index advances by the gate), and
     /// the superset-id hash, the contributing-class finder and the
-    /// superset-sampling hash consume those columns batched. The final
-    /// state does not depend on how the stream is cut into chunks:
-    /// every per-item decision uses the same hash values in the same
-    /// arrival order, and the batched sketch inserts are documented
-    /// state-identical to their scalar loops.
+    /// superset-sampling hash consume those columns batched. When every
+    /// edge passes the gate (ρ = 1), the chunk's own columns are used
+    /// without a copy. The columns come from the per-thread
+    /// [`kcov_sketch::scratch`] pool. The final state does not depend on
+    /// how the stream is cut into chunks: every per-item decision uses
+    /// the same hash values in the same arrival order, and the batched
+    /// sketch inserts are documented state-identical to their scalar
+    /// loops.
     pub fn observe_fp_batch(&mut self, edges: &[Edge], fps: &[u64]) {
         debug_assert_eq!(edges.len(), fps.len());
-        let elems: Vec<u64> = edges.iter().map(|e| e.elem as u64).collect();
-        let mut sh = Vec::new();
-        let mut csh = Vec::new();
-        let mut surv_fps: Vec<u64> = Vec::with_capacity(edges.len());
-        let mut surv_elems: Vec<u64> = Vec::with_capacity(edges.len());
-        let mut sids: Vec<u64> = Vec::new();
-        let mut sel = Vec::new();
-        for rep in &mut self.reps {
-            surv_fps.resize(edges.len(), 0);
-            surv_elems.resize(edges.len(), 0);
-            let mut kept = 0;
-            for (&elem, &fp) in elems.iter().zip(fps) {
-                surv_fps[kept] = fp;
-                surv_elems[kept] = elem;
-                kept += usize::from(probe_mix(elem ^ rep.gate_salt) < rep.keep_below);
-            }
-            surv_fps.truncate(kept);
-            surv_elems.truncate(kept);
-            if kept == 0 {
-                continue;
-            }
-            rep.shash.hash_batch(&surv_fps, &mut sh);
-            sids.clear();
-            sids.extend(sh.iter().map(|&h| reduce_to_range(h, rep.num_supersets)));
-            rep.cntr.sampling_hash().hash_batch(&sids, &mut csh);
-            rep.cntr.insert_batch_prehashed(&sids, &csh);
-            rep.ssel_hash.hash_batch(&sids, &mut sel);
-            for ((&sid, &elem), &h) in sids.iter().zip(&surv_elems).zip(&sel) {
-                if reduce_to_range(h, rep.ssel_buckets) == 0 {
-                    let seed = rep.sample_seed ^ sid.wrapping_mul(0x9e3779b97f4a7c15);
-                    rep.sampled
-                        .get_or_insert_with(sid, || L0Estimator::new(16, 2, seed))
-                        .insert(elem);
+        let n = edges.len();
+        with_columns(|[elems, surv_fps, surv_elems, sh, sids, csh, sel]| {
+            elems.clear();
+            elems.extend(edges.iter().map(|e| e.elem as u64));
+            for rep in &mut self.reps {
+                let (salt, keep_below) = (rep.gate_salt, rep.keep_below);
+                let passes = |elem: u64| probe_mix(elem ^ salt) < keep_below;
+                let all_pass = keep_below == u64::MAX && elems.iter().all(|&e| passes(e));
+                let (kept_fps, kept_elems): (&[u64], &[u64]) = if all_pass {
+                    (fps, elems)
+                } else {
+                    let (dst_fps, dst_elems) = (at_least(surv_fps, n), at_least(surv_elems, n));
+                    let mut kept = 0;
+                    for (&elem, &fp) in elems.iter().zip(fps) {
+                        dst_fps[kept] = fp;
+                        dst_elems[kept] = elem;
+                        kept += usize::from(passes(elem));
+                    }
+                    (&surv_fps[..kept], &surv_elems[..kept])
+                };
+                if kept_fps.is_empty() {
+                    continue;
+                }
+                rep.shash.hash_batch(kept_fps, sh);
+                sids.clear();
+                sids.extend(sh.iter().map(|&h| reduce_to_range(h, rep.num_supersets)));
+                rep.cntr.sampling_hash().hash_batch(sids, csh);
+                rep.cntr.insert_batch_prehashed(sids, csh);
+                rep.ssel_hash.hash_batch(sids, sel);
+                let below = bucket_zero_below(rep.ssel_buckets);
+                for ((&sid, &elem), &h) in sids.iter().zip(kept_elems).zip(sel.iter()) {
+                    if h < below {
+                        let seed = rep.sample_seed ^ sid.wrapping_mul(0x9e3779b97f4a7c15);
+                        rep.sampled
+                            .get_or_insert_with(sid, || L0Estimator::new(16, 2, seed))
+                            .insert(elem);
+                    }
                 }
             }
-        }
+        });
     }
 
     /// Threshold 1 (Fig 7): `|L|/(18·η·sα)`, halved at comparison time
@@ -637,6 +652,7 @@ impl SpaceUsage for LargeSet {
 mod tests {
     use super::*;
     use crate::test_support::assert_chunking_invariant;
+    use kcov_hash::MERSENNE_P;
     use kcov_stream::gen::{few_large, many_small};
     use kcov_stream::{edge_stream, ArrivalOrder};
 
@@ -766,6 +782,34 @@ mod tests {
             LargeSet::observe_fp_batch,
             LargeSet::finalize,
         );
+    }
+
+    #[test]
+    fn bucket_zero_bound_is_the_range_reduction() {
+        for r in [
+            1u64,
+            2,
+            3,
+            7,
+            8,
+            1000,
+            12_345,
+            (1 << 61) - 2,
+            1 << 61,
+            u64::MAX,
+        ] {
+            let below = bucket_zero_below(r);
+            for h in [
+                0,
+                1,
+                below.saturating_sub(1),
+                below,
+                below + 1,
+                MERSENNE_P - 1,
+            ] {
+                assert_eq!(h < below, reduce_to_range(h, r) == 0, "r = {r}, h = {h}");
+            }
+        }
     }
 
     #[test]

@@ -20,6 +20,7 @@ use std::sync::Arc;
 
 use kcov_hash::{KWise, SeedSequence, MERSENNE_P};
 use kcov_obs::Space;
+use kcov_sketch::scratch::{at_least, with_columns};
 use kcov_sketch::{SpaceSink, SpaceUsage};
 use kcov_stream::{Edge, SetSystem};
 
@@ -194,39 +195,38 @@ impl SmallSet {
     pub fn observe_fp_batch(&mut self, edges: &[Edge], fps: &[u64]) {
         debug_assert_eq!(edges.len(), fps.len());
         let every_set = self.samples_every_set();
-        let elems: Vec<u64> = if every_set {
-            edges.iter().map(|e| e.elem as u64).collect()
-        } else {
-            Vec::new()
-        };
-        let (mut mh, mut eh) = (Vec::new(), Vec::new());
-        let mut surv_edges: Vec<Edge> = Vec::new();
-        let mut surv_elems: Vec<u64> = Vec::new();
-        for rep in self.reps.iter_mut().filter(|r| r.live > 0) {
-            let (kept_edges, kept_elems): (&[Edge], &[u64]) = if every_set {
-                (edges, &elems)
-            } else {
-                rep.mhash.hash_batch(fps, &mut mh);
-                // Branch-free gather: every edge is written, the write
-                // index advances by the set gate.
-                surv_edges.resize(edges.len(), Edge { set: 0, elem: 0 });
-                surv_elems.resize(edges.len(), 0);
+        let n = edges.len();
+        with_columns(|[elems, mh, eh, surv_idx, surv_elems]| {
+            elems.clear();
+            elems.extend(edges.iter().map(|e| e.elem as u64));
+            for rep in self.reps.iter_mut().filter(|r| r.live > 0) {
+                if every_set {
+                    rep.ehash.hash_batch(elems, eh);
+                    for (&edge, &e) in edges.iter().zip(eh.iter()) {
+                        rep.store(edge, e, self.edge_cap);
+                    }
+                    continue;
+                }
+                rep.mhash.hash_batch(fps, mh);
+                // Branch-free gather of the survivors' positions and
+                // elements: every edge is written, the write index
+                // advances by the set gate.
+                let (dst_idx, dst_elems) = (at_least(surv_idx, n), at_least(surv_elems, n));
                 let mut kept = 0;
-                for (&edge, &h) in edges.iter().zip(&mh) {
-                    surv_edges[kept] = edge;
-                    surv_elems[kept] = edge.elem as u64;
+                for (i, (&elem, &h)) in elems.iter().zip(mh.iter()).enumerate() {
+                    dst_idx[kept] = i as u64;
+                    dst_elems[kept] = elem;
                     kept += usize::from(h < self.m_keep);
                 }
-                (&surv_edges[..kept], &surv_elems[..kept])
-            };
-            if kept_edges.is_empty() {
-                continue;
+                if kept == 0 {
+                    continue;
+                }
+                rep.ehash.hash_batch(&dst_elems[..kept], eh);
+                for (&i, &e) in dst_idx[..kept].iter().zip(eh.iter()) {
+                    rep.store(edges[i as usize], e, self.edge_cap);
+                }
             }
-            rep.ehash.hash_batch(kept_elems, &mut eh);
-            for (&edge, &e) in kept_edges.iter().zip(&eh) {
-                rep.store(edge, e, self.edge_cap);
-            }
-        }
+        });
     }
 
     /// Finalize: greedy `Max k'-Cover` on each live lane's sub-instance,

@@ -284,9 +284,10 @@ impl F2Contributing {
     /// surviving sub-chunk, so every per-level heavy hitter sees the
     /// exact items the per-item path feeds it.
     pub fn insert_batch(&mut self, items: &[u64]) {
-        let mut hashes: Vec<u64> = Vec::new();
-        self.hash.hash_batch(items, &mut hashes);
-        self.insert_batch_prehashed(items, &hashes);
+        crate::scratch::with_columns(|[hashes]| {
+            self.hash.hash_batch(items, hashes);
+            self.insert_batch_prehashed(items, hashes);
+        });
     }
 
     /// [`F2Contributing::insert_batch`] with the sampling hashes already
@@ -306,43 +307,48 @@ impl F2Contributing {
         // the (sampling hash, mix words) entries of its survivors and
         // feeds the words to its sketch, so every survivor is mixed once
         // however many levels it enters.
-        let sketch = self.levels[0].hh.sketch();
-        let words = sketch.mix_words();
-        let mut mixed = Vec::new();
-        sketch.mix_batch(items, &mut mixed);
-        // Successive dyadic levels are usually *nested*: `keep` fits
-        // inside the previous level's admitted window (`keep ≤
-        // min(prev_keep, prev_modulus)`), or the previous level admitted
-        // everything. Whenever that holds, the gather filters the
-        // previous level's survivor column instead of rescanning the
-        // whole chunk, so the scan work telescopes geometrically with
-        // depth. Membership is unchanged either way.
-        let n = items.len();
-        let (mut surv_h, mut surv_m) = (vec![0u64; n], vec![0u64; n * words]);
-        let (mut next_h, mut next_m) = (surv_h.clone(), surv_m.clone());
-        let mut surv = 0;
-        let mut prev: Option<(u64, u64)> = None;
-        for level in &mut self.levels {
-            let nested = prev.is_some_and(|(pm, pk)| pk >= pm || level.keep <= pk.min(pm));
-            let (src_h, src_m): (&[u64], &[u64]) = if nested {
-                (&surv_h[..surv], &surv_m[..surv * words])
-            } else {
-                (hashes, &mixed)
-            };
-            let kept = gather(
-                src_h,
-                src_m,
-                level.modulus - 1,
-                level.keep,
-                &mut next_h,
-                &mut next_m,
-            );
-            level.hh.insert_mixed(&next_m[..kept * words]);
-            std::mem::swap(&mut surv_h, &mut next_h);
-            std::mem::swap(&mut surv_m, &mut next_m);
-            surv = kept;
-            prev = Some((level.modulus, level.keep));
-        }
+        crate::scratch::with_columns(|[mixed, surv_h, surv_m, next_h, next_m]| {
+            let sketch = self.levels[0].hh.sketch();
+            let words = sketch.mix_words();
+            sketch.mix_batch(items, mixed);
+            // Successive dyadic levels are usually *nested*: `keep` fits
+            // inside the previous level's admitted window (`keep ≤
+            // min(prev_keep, prev_modulus)`), or the previous level
+            // admitted everything. Whenever that holds, the gather
+            // filters the previous level's survivor column instead of
+            // rescanning the whole chunk, so the scan work telescopes
+            // geometrically with depth. A level that admits its whole
+            // source (`keep ≥ modulus`, e.g. modulus 1) feeds that source
+            // to its sketch without a copy. Membership is unchanged
+            // either way. `surv` is the previous level's survivor count
+            // in `surv_h`/`surv_m`, or `None` when it kept the chunk.
+            let mut surv: Option<usize> = None;
+            let mut prev: Option<(u64, u64)> = None;
+            for level in &mut self.levels {
+                let nested = prev.is_some_and(|(pm, pk)| pk >= pm || level.keep <= pk.min(pm));
+                let (src_h, src_m): (&[u64], &[u64]) = match surv {
+                    Some(n) if nested => (&surv_h[..n], &surv_m[..n * words]),
+                    _ => (hashes, mixed),
+                };
+                if level.keep >= level.modulus {
+                    level.hh.insert_mixed(src_m);
+                    if !nested {
+                        surv = None;
+                    }
+                } else {
+                    let (dst_h, dst_m) = (
+                        crate::scratch::at_least(next_h, src_h.len()),
+                        crate::scratch::at_least(next_m, src_m.len()),
+                    );
+                    let kept = gather(src_h, src_m, level.modulus - 1, level.keep, dst_h, dst_m);
+                    level.hh.insert_mixed(&dst_m[..kept * words]);
+                    std::mem::swap(surv_h, next_h);
+                    std::mem::swap(surv_m, next_m);
+                    surv = Some(kept);
+                }
+                prev = Some((level.modulus, level.keep));
+            }
+        });
     }
 
     /// Report a representative of every contributing class: the union of

@@ -161,16 +161,22 @@ impl CountSketch {
     /// Each word runs as one blocked [`KWise::hash_batch`] over the
     /// column.
     pub fn mix_batch(&self, items: &[u64], out: &mut Vec<u64>) {
+        if let [g] = &self.mix[..] {
+            // One word per item: the column is the layout.
+            g.hash_batch(items, out);
+            return;
+        }
         let words = self.mix.len();
         out.clear();
         out.resize(items.len() * words, 0);
-        let mut col = Vec::new();
-        for (j, g) in self.mix.iter().enumerate() {
-            g.hash_batch(items, &mut col);
-            for (o, &h) in out.iter_mut().skip(j).step_by(words).zip(&col) {
-                *o = h;
+        crate::scratch::with_columns(|[col]| {
+            for (j, g) in self.mix.iter().enumerate() {
+                g.hash_batch(items, col);
+                for (o, &h) in out.iter_mut().skip(j).step_by(words).zip(col.iter()) {
+                    *o = h;
+                }
             }
-        }
+        });
     }
 
     /// Observe one occurrence of each item whose mix words are `mixed`
@@ -194,9 +200,10 @@ impl CountSketch {
     /// Observe one occurrence of each item in a chunk: one
     /// [`CountSketch::mix_batch`], then [`CountSketch::insert_mixed`].
     pub fn insert_batch(&mut self, items: &[u64]) {
-        let mut mixed = Vec::new();
-        self.mix_batch(items, &mut mixed);
-        self.insert_mixed(&mixed);
+        crate::scratch::with_columns(|[mixed]| {
+            self.mix_batch(items, mixed);
+            self.insert_mixed(mixed);
+        });
     }
 
     /// Point query: median-of-rows estimate of `a⃗[item]`.

@@ -67,8 +67,9 @@ impl Kmv {
     }
 
     /// Observe a chunk of items. State-identical to inserting the items
-    /// one by one in order; once saturated, the summary rejects a
-    /// non-improving item with one hash evaluation and one compare.
+    /// one by one in order; once saturated, the rest of the chunk is
+    /// hashed as one [`KWise::hash_batch`] column and the summary
+    /// rejects a non-improving item with one compare.
     pub fn insert_batch(&mut self, items: &[u64]) {
         let mut rest = items;
         // Fill phase: until the summary saturates, every distinct hash
@@ -82,12 +83,14 @@ impl Kmv {
         }
         self.updates += rest.len() as u64;
         // Saturated: the cut-off is the slab's last slot.
-        for &item in rest {
-            let h = self.hash.hash(item);
-            if self.smallest.insert_evict(h) {
-                self.evictions += 1;
+        crate::scratch::with_columns(|[hashes]| {
+            self.hash.hash_batch(rest, hashes);
+            for &h in hashes.iter() {
+                if self.smallest.insert_evict(h) {
+                    self.evictions += 1;
+                }
             }
-        }
+        });
     }
 
     /// Estimate the number of distinct items observed.

@@ -18,6 +18,8 @@
 //!   space/approximation trade-offs are *measured* in words, not assumed.
 //! * [`wire`] — the binary encoding that ships sketches and replica
 //!   states between processes.
+//! * [`scratch`] — the per-thread reusable columns the batched kernels
+//!   work in (not state).
 //!
 //! All sketches process streams of `u64` item identifiers, are seeded
 //! explicitly, and are insertion-only unless documented otherwise
@@ -28,6 +30,7 @@ pub mod contributing;
 pub mod count_sketch;
 pub mod heavy_hitter;
 pub mod l0;
+pub mod scratch;
 pub mod space;
 pub mod wire;
 
