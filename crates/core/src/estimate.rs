@@ -438,9 +438,8 @@ impl MaxCoverEstimator {
     /// Observe one `(set, element)` edge: the batched engine on a
     /// one-edge chunk, with no clocks and no batch histogram.
     ///
-    /// A one-edge chunk costs about 4× what the per-edge scalar path
-    /// this replaced cost, and about 9× an edge's share of a 1024-edge
-    /// chunk (E29), so feed streams through
+    /// A one-edge chunk costs about 10–12× an edge's share of a
+    /// 1024-edge chunk (E30), so feed streams through
     /// [`MaxCoverEstimator::observe_batch`] and keep this for callers
     /// that really see one edge at a time. Heartbeats fire at each
     /// multiple of the cadence.
