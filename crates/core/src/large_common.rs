@@ -161,12 +161,13 @@ impl LargeCommon {
                 // distinct sketch, keep the per-edge loop.
                 for lane in &mut self.lanes {
                     let mask = lane.buckets - 1;
-                    let Some(g) = &mut lane.groups else { continue };
                     for (edge, (&h, &fp)) in edges.iter().zip(gates.iter().zip(fps)) {
                         if h & mask == 0 {
                             lane.de.insert(edge.elem as u64);
-                            let gi = g.hash.hash_to_range(fp, g.counters.len() as u64);
-                            g.counters[gi as usize].insert(edge.elem as u64);
+                            if let Some(g) = &mut lane.groups {
+                                let gi = g.hash.hash_to_range(fp, g.counters.len() as u64);
+                                g.counters[gi as usize].insert(edge.elem as u64);
+                            }
                         }
                     }
                 }
