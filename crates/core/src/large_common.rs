@@ -188,6 +188,8 @@ impl LargeCommon {
             let mut surv: Option<usize> = None;
             let mut prev_buckets = 1;
             for lane in self.lanes.iter_mut().rev() {
+                // `with_base` builds and `decode` admits only nested
+                // schedules.
                 debug_assert!(lane.buckets >= prev_buckets, "layers nest");
                 prev_buckets = lane.buckets;
                 let mask = lane.buckets - 1;
@@ -451,13 +453,22 @@ impl kcov_sketch::WireEncode for LargeCommon {
         if num_lanes > input.len() {
             return Err(err("LargeCommon lane count exceeds input"));
         }
-        let mut lanes = Vec::with_capacity(num_lanes);
+        let mut lanes: Vec<BetaLane> = Vec::with_capacity(num_lanes);
         for _ in 0..num_lanes {
             let beta = take_f64(input)?;
             let buckets = take_u64(input)?;
             if buckets < 1 || !buckets.is_power_of_two() {
                 return Err(err(format!(
                     "LargeCommon lane buckets {buckets} not a positive power of two"
+                )));
+            }
+            // Ingest gathers each layer from the next-wider layer's
+            // survivors, which is only the layer's own sample if the
+            // bucket counts never grow in lane order.
+            if let Some(prev) = lanes.last().filter(|prev| buckets > prev.buckets) {
+                return Err(err(format!(
+                    "LargeCommon lane buckets {buckets} exceed the previous lane's {}",
+                    prev.buckets
                 )));
             }
             let de = take_l0_full(input)?;

@@ -195,6 +195,46 @@ fn hash_once_structures_roundtrip_and_reject_mangling() {
     reject_non_canonical_coefficient("SmallSet", &ss, c);
 }
 
+/// `LargeCommon` ingests each β layer from the next-wider layer's
+/// survivors, so its bucket counts must not grow in lane order. A
+/// snapshot whose schedule does (raise any later layer's count above
+/// the one before it) must fail at decode, not ingest a wrong sample
+/// on resume.
+#[test]
+fn large_common_growing_bucket_schedule_is_rejected() {
+    let (n, m) = (500usize, 2000usize);
+    let params = Params::practical(m, n, 4, 8.0);
+    let fps = EdgeFingerprints::new(91, Params::hash_degree(params.mode, m, n));
+    let lc = LargeCommon::with_base(n, &params, false, 15, fps.set_base().clone());
+    let bytes = lc.to_bytes();
+    let word = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
+    // Each layer's encoding opens with `(β, buckets)`, β = 1, 2, 4, ...:
+    // the byte offset of every layer's bucket count.
+    let mut at_buckets: Vec<usize> = Vec::new();
+    let mut at = 0;
+    while at + 16 <= bytes.len() {
+        let beta = (1u64 << at_buckets.len()) as f64;
+        if word(at) == beta.to_bits() && word(at + 8).is_power_of_two() {
+            at_buckets.push(at + 8);
+            at += 16;
+        } else {
+            at += 1;
+        }
+    }
+    assert_eq!(at_buckets.len(), 4, "α = 8 builds β = 1, 2, 4, 8");
+    let counts: Vec<u64> = at_buckets.iter().map(|&at| word(at)).collect();
+    assert!(counts.windows(2).all(|w| w[0] > w[1]), "{counts:?}");
+    assert!(LargeCommon::from_bytes(&bytes).is_ok());
+    for (i, &at) in at_buckets.iter().enumerate().skip(1) {
+        let mut corrupted = bytes.clone();
+        corrupted[at..at + 8].copy_from_slice(&(counts[i - 1] * 2).to_le_bytes());
+        match LargeCommon::from_bytes(&corrupted) {
+            Err(e) => assert!(e.to_string().contains("exceed"), "layer {i}: {e}"),
+            Ok(_) => panic!("layer {i}: a growing bucket schedule was accepted"),
+        }
+    }
+}
+
 /// Rewrite the first encoded occurrence of coefficient `c` as `c + p`
 /// and require a typed decode error.
 fn reject_non_canonical_coefficient<T: WireEncode>(label: &str, value: &T, c: u64) {
