@@ -247,10 +247,8 @@ fn hash_split32_avx2(coeffs: &[Fp], keys: &[u64], out: &mut [u64]) {
 }
 
 /// The vector tiers' one body: 16 keys per block, each key split once
-/// into 32-bit halves, then coefficient-outer [`split32_step`]s. A tail
-/// of at least 8 keys is padded to a full block; a shorter one (a
-/// one-edge chunk's columns, say) costs less through the scalar step
-/// than a padded block would. Inlined into each `#[target_feature]`
+/// into 32-bit halves, then coefficient-outer [`split32_step`]s, and the
+/// tail through the scalar loop. Inlined into each `#[target_feature]`
 /// wrapper, which is what lets the compiler turn the lane loops into
 /// vector code.
 #[inline(always)]
@@ -260,16 +258,8 @@ fn hash_split32(coeffs: &[Fp], keys: &[u64], out: &mut [u64]) {
     for (k, o) in (&mut blocks).zip(&mut outs) {
         split32_block(coeffs, k.try_into().unwrap(), o.try_into().unwrap());
     }
-    let tail = blocks.remainder();
-    if tail.len() >= SPLIT32_LANES / 2 {
-        let (mut k, mut o) = ([0u64; SPLIT32_LANES], [0u64; SPLIT32_LANES]);
-        k[..tail.len()].copy_from_slice(tail);
-        split32_block(coeffs, &k, &mut o);
-        outs.into_remainder().copy_from_slice(&o[..tail.len()]);
-    } else {
-        for (o, &k) in outs.into_remainder().iter_mut().zip(tail) {
-            *o = hash_scalar(coeffs, k);
-        }
+    for (o, &k) in outs.into_remainder().iter_mut().zip(blocks.remainder()) {
+        *o = hash_scalar(coeffs, k);
     }
 }
 

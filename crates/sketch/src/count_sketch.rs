@@ -161,11 +161,6 @@ impl CountSketch {
     /// Each word runs as one blocked [`KWise::hash_batch`] over the
     /// column.
     pub fn mix_batch(&self, items: &[u64], out: &mut Vec<u64>) {
-        if let [g] = &self.mix[..] {
-            // One word per item: the column is the layout.
-            g.hash_batch(items, out);
-            return;
-        }
         let words = self.mix.len();
         out.clear();
         out.resize(items.len() * words, 0);
