@@ -12,15 +12,22 @@
 //! thread runs the call and whatever ran on it before. The pool is per
 //! thread rather than per sketch, so every caller of a public batch
 //! method (an estimator lane or an outside harness timing that same
-//! method) pays the same cost. Columns only grow: the pool holds about
-//! as many as the deepest nest of batch calls uses at once, each as long
-//! as the longest chunk seen.
+//! method) pays the same cost. The pool holds about as many columns as
+//! the deepest nest of batch calls uses at once. A column keeps its
+//! buffer up to [`KEEP`] entries; a longer one (a chunk far above the
+//! default 1024 edges) is freed when its call returns, so one large
+//! chunk does not pin its columns for the thread's lifetime.
 
 use std::cell::RefCell;
 
 thread_local! {
     static POOL: RefCell<Vec<Vec<u64>>> = const { RefCell::new(Vec::new()) };
 }
+
+/// The longest column buffer the pool keeps between calls: a default
+/// 1024-edge chunk at 16 words per edge (the most mix words a
+/// CountSketch has), 128 KiB.
+pub const KEEP: usize = 1024 * 16;
 
 /// Run `f` on `N` columns taken from this thread's pool, then return
 /// them. A column arrives with whatever length and contents its last
@@ -30,7 +37,7 @@ pub fn with_columns<const N: usize, R>(f: impl FnOnce(&mut [Vec<u64>; N]) -> R) 
     let mut cols: [Vec<u64>; N] =
         POOL.with_borrow_mut(|pool| std::array::from_fn(|_| pool.pop().unwrap_or_default()));
     let out = f(&mut cols);
-    POOL.with_borrow_mut(|pool| pool.extend(cols));
+    POOL.with_borrow_mut(|pool| pool.extend(cols.into_iter().filter(|c| c.capacity() <= KEEP)));
     out
 }
 
@@ -68,6 +75,17 @@ mod tests {
         // The pool hands the same allocations back to the next caller.
         let ptrs = with_columns(|cols: &mut [Vec<u64>; 3]| cols.each_ref().map(|c| c.as_ptr()));
         assert!(ptrs.contains(&outer_ptr));
+    }
+
+    #[test]
+    fn columns_longer_than_keep_are_freed_on_return() {
+        with_columns(|[a, b]: &mut [Vec<u64>; 2]| {
+            at_least(a, KEEP + 1);
+            at_least(b, KEEP);
+        });
+        let caps = with_columns(|cols: &mut [Vec<u64>; 2]| cols.each_ref().map(|c| c.capacity()));
+        assert!(caps.iter().all(|&c| c <= KEEP), "{caps:?}");
+        assert!(caps.contains(&KEEP), "{caps:?}");
     }
 
     #[test]
