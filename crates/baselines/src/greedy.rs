@@ -26,13 +26,31 @@ pub struct GreedyResult {
 /// (submodularity), so a stale heap key is an upper bound and a popped
 /// set whose refreshed gain still tops the heap is safe to take.
 pub fn greedy_max_cover(system: &SetSystem, k: usize) -> GreedyResult {
-    let m = system.num_sets();
-    let mut covered = vec![false; system.num_elements()];
+    greedy_max_cover_by(system.num_sets(), system.num_elements(), k, |i| {
+        system.set(i)
+    })
+}
+
+/// [`greedy_max_cover`] on `m` sets over `n` elements given as views:
+/// `set(i)` lists set `i`'s members, each `< n` and none twice, in any
+/// order (a marginal gain is a count, so the order within a list never
+/// matters).
+///
+/// Ties in the heap go to the higher index, so renumbering the sets in
+/// an order-preserving way — dropping empty sets and compacting the ids
+/// that remain, say — maps the picks one to one.
+pub fn greedy_max_cover_by<'a>(
+    m: usize,
+    n: usize,
+    k: usize,
+    set: impl Fn(usize) -> &'a [u32],
+) -> GreedyResult {
+    let mut covered = vec![false; n];
     let mut chosen = Vec::with_capacity(k.min(m));
     let mut coverage = 0usize;
 
     // Heap of (stale upper bound on gain, set index).
-    let mut heap: BinaryHeap<(usize, usize)> = (0..m).map(|i| (system.set(i).len(), i)).collect();
+    let mut heap: BinaryHeap<(usize, usize)> = (0..m).map(|i| (set(i).len(), i)).collect();
 
     while chosen.len() < k {
         let mut picked = None;
@@ -40,11 +58,7 @@ pub fn greedy_max_cover(system: &SetSystem, k: usize) -> GreedyResult {
             if stale_gain == 0 {
                 break; // nothing can add coverage anymore
             }
-            let fresh: usize = system
-                .set(i)
-                .iter()
-                .filter(|&&e| !covered[e as usize])
-                .count();
+            let fresh: usize = set(i).iter().filter(|&&e| !covered[e as usize]).count();
             if fresh == stale_gain || heap.peek().is_none_or(|&(top, _)| fresh >= top) {
                 if fresh == 0 {
                     picked = None;
@@ -57,7 +71,7 @@ pub fn greedy_max_cover(system: &SetSystem, k: usize) -> GreedyResult {
         }
         match picked {
             Some((i, gain)) => {
-                for &e in system.set(i) {
+                for &e in set(i) {
                     covered[e as usize] = true;
                 }
                 coverage += gain;
@@ -164,6 +178,65 @@ mod tests {
                 for &e in ss.set(pick) {
                     covered[e as usize] = true;
                 }
+            }
+        }
+    }
+
+    /// Tie-heavy instances (many equal-sized sets) and skewed ones.
+    fn tie_zoo() -> Vec<SetSystem> {
+        let mut zoo: Vec<SetSystem> = (0..6u64)
+            .map(|seed| uniform_incidence(40, 30, 0.08, seed))
+            .collect();
+        zoo.extend((0..4u64).map(|seed| zipf_set_sizes(300, 50, 40, 1.0, seed)));
+        zoo
+    }
+
+    #[test]
+    fn by_views_ignores_member_order() {
+        let mut rng = kcov_hash::SplitMix64::new(7);
+        for (z, ss) in tie_zoo().iter().enumerate() {
+            let permuted: Vec<Vec<u32>> = ss
+                .sets()
+                .iter()
+                .map(|s| {
+                    let mut v = s.clone();
+                    for i in (1..v.len()).rev() {
+                        v.swap(i, (rng.next_u64() % (i as u64 + 1)) as usize);
+                    }
+                    v
+                })
+                .collect();
+            for k in [1, 3, 7, 50] {
+                let by = greedy_max_cover_by(ss.num_sets(), ss.num_elements(), k, |i| &permuted[i]);
+                assert_eq!(by, greedy_max_cover(ss, k), "instance {z}, k = {k}");
+            }
+        }
+    }
+
+    #[test]
+    fn by_views_on_compacted_ids_maps_picks_back() {
+        for (z, ss) in tie_zoo().iter().enumerate() {
+            // Interleave empty sets, then drop every empty set and
+            // renumber the rest in ascending order.
+            let mut padded = Vec::new();
+            for (i, s) in ss.sets().iter().enumerate() {
+                padded.push(s.clone());
+                padded.extend(std::iter::repeat_n(Vec::new(), i % 3));
+            }
+            let padded = SetSystem::new(ss.num_elements(), padded);
+            let ids: Vec<usize> = (0..padded.num_sets())
+                .filter(|&i| !padded.set(i).is_empty())
+                .collect();
+            for k in [1, 3, 7, 50] {
+                let want = greedy_max_cover(&padded, k);
+                let by =
+                    greedy_max_cover_by(ids.len(), ss.num_elements(), k, |c| padded.set(ids[c]));
+                let mapped: Vec<usize> = by.chosen.iter().map(|&c| ids[c]).collect();
+                assert_eq!(
+                    (mapped, by.coverage),
+                    (want.chosen, want.coverage),
+                    "instance {z}, k = {k}"
+                );
             }
         }
     }

@@ -35,7 +35,7 @@ pub mod stochastic_greedy;
 
 pub use bateni::SketchedGreedy;
 pub use exact::max_cover_exact;
-pub use greedy::{greedy_max_cover, GreedyResult};
+pub use greedy::{greedy_max_cover, greedy_max_cover_by, GreedyResult};
 pub use local_search::local_search_max_cover;
 pub use mcgregor_vu::{mv_set_arrival, MvEdgeArrival};
 pub use saha_getoor::SwapStreaming;

@@ -305,6 +305,10 @@ pub struct MaxCoverEstimator {
     /// scratch: never serialized, never merged, and absent from space
     /// accounting (it is transient working memory, not sketch state).
     block: FingerprintBlock,
+    /// Reusable reduced-chunk scratch, one per ingest worker (index 0 on
+    /// the serial path): each lane's range-reduced copy of the chunk.
+    /// Pure scratch like `block`: never serialized, merged or counted.
+    reduced: Vec<Vec<Edge>>,
     lanes: Vec<Lane>,
     rec: Recorder,
     /// Stream edges ingested (telemetry: merged by addition; every lane
@@ -423,6 +427,7 @@ impl MaxCoverEstimator {
             trivial: None,
             fps: None,
             block: FingerprintBlock::default(),
+            reduced: Vec::new(),
             lanes: Vec::new(),
             rec: config.recorder.clone(),
             edges_seen: 0,
@@ -526,19 +531,19 @@ impl MaxCoverEstimator {
         }
         let (fp_set, umix) = (&block.fp_set[..], &block.umix[..]);
         let threads = self.threads.clamp(1, self.lanes.len().max(1));
+        self.reduced.resize_with(threads, Vec::new);
         if threads <= 1 {
-            let mut scratch = Vec::with_capacity(edges.len());
+            let scratch = &mut self.reduced[0];
             for lane in &mut self.lanes {
-                lane.ingest_fp(edges, fp_set, umix, &mut scratch, timed);
+                lane.ingest_fp(edges, fp_set, umix, scratch, timed);
             }
         } else {
             let shard = self.lanes.len().div_ceil(threads);
             std::thread::scope(|s| {
-                for chunk in self.lanes.chunks_mut(shard) {
+                for (chunk, scratch) in self.lanes.chunks_mut(shard).zip(&mut self.reduced) {
                     s.spawn(move || {
-                        let mut scratch = Vec::with_capacity(edges.len());
                         for lane in chunk {
-                            lane.ingest_fp(edges, fp_set, umix, &mut scratch, timed);
+                            lane.ingest_fp(edges, fp_set, umix, scratch, timed);
                         }
                     });
                 }
@@ -1257,6 +1262,7 @@ impl kcov_sketch::WireEncode for MaxCoverEstimator {
             trivial,
             fps,
             block: FingerprintBlock::default(),
+            reduced: Vec::new(),
             lanes,
             rec: Recorder::disabled(),
             edges_seen,

@@ -18,11 +18,12 @@
 
 use std::sync::Arc;
 
+use kcov_baselines::{greedy_max_cover_by, GreedyResult};
 use kcov_hash::{KWise, SeedSequence, MERSENNE_P};
 use kcov_obs::Space;
 use kcov_sketch::scratch::{at_least, with_columns};
 use kcov_sketch::{SpaceSink, SpaceUsage};
-use kcov_stream::{Edge, SetSystem};
+use kcov_stream::Edge;
 
 use crate::params::Params;
 use crate::Witness;
@@ -85,6 +86,113 @@ impl Rep {
             self.live -= 1;
             self.stored -= self.buckets[self.live].len();
             self.buckets[self.live] = Vec::new();
+        }
+    }
+}
+
+/// One repetition's stored sample as member lists, built once for all
+/// its lanes.
+///
+/// Only sets with a stored edge get a list, numbered in ascending id
+/// order. Greedy breaks heap ties by index, and an order-preserving
+/// renumbering keeps every comparison, so the picks map back one to one
+/// to what greedy makes on all `m` sets (empty sets never gain).
+///
+/// Buckets are appended in level order, so each list's level-`i`
+/// sub-list is a prefix, and after appending bucket `i` the lists are
+/// lane `i`'s sub-instance. What a bucket adds is deduplicated against
+/// itself only: the level of a stored edge is a function of its
+/// element's hash, so a repeated (set, element) pair — one arriving
+/// twice, from two merged shards, or from two raw elements reduced to
+/// one pseudo-element — lies in one level. The order within a list is
+/// arrival order, which greedy ignores: a marginal gain is a count.
+struct Members {
+    /// The set ids with stored edges, ascending: list `c` is `ids[c]`'s.
+    ids: Vec<u32>,
+    /// `slot[set]` is the set's list when `m ≤ stored`; otherwise empty,
+    /// and the list is found by binary search in `ids`, so no buffer
+    /// grows with `m` beyond the stored edges.
+    slot: Vec<u32>,
+    /// Member lists, each with capacity for all its stored edges.
+    lists: Vec<Vec<u32>>,
+    /// Per list, the length up to which it is deduplicated.
+    done: Vec<usize>,
+}
+
+impl Members {
+    fn new(buckets: &[Vec<Edge>], m: usize, stored: usize) -> Self {
+        let edges = || buckets.iter().flatten();
+        // Every buffer is sized exactly before it is filled: one grown
+        // by doubling past 128 KiB would be freed from an mmap and move
+        // glibc's mmap threshold (EXPERIMENTS E31).
+        let table = m <= stored;
+        let (mut slot, mut sets) = (Vec::new(), Vec::new());
+        let distinct = if table {
+            // Count per set; each count is overwritten with its list below.
+            slot = vec![0u32; m];
+            for e in edges() {
+                slot[e.set as usize] += 1;
+            }
+            slot.iter().filter(|&&s| s > 0).count()
+        } else {
+            sets.reserve_exact(stored);
+            sets.extend(edges().map(|e| e.set));
+            sets.sort_unstable();
+            sets.chunk_by(|a, b| a == b).count()
+        };
+        let mut ids = Vec::with_capacity(distinct);
+        let mut lists = Vec::with_capacity(distinct);
+        if table {
+            for (set, s) in slot.iter_mut().enumerate().filter(|(_, s)| **s > 0) {
+                lists.push(Vec::with_capacity(*s as usize));
+                *s = ids.len() as u32;
+                ids.push(set as u32);
+            }
+        } else {
+            for run in sets.chunk_by(|a, b| a == b) {
+                ids.push(run[0]);
+                lists.push(Vec::with_capacity(run.len()));
+            }
+        }
+        let done = vec![0; ids.len()];
+        Members {
+            ids,
+            slot,
+            lists,
+            done,
+        }
+    }
+
+    /// Append one level's bucket, then deduplicate what it added with
+    /// the all-zero `u`-bit set `seen` (left all-zero again).
+    fn append(&mut self, bucket: &[Edge], seen: &mut [u64]) {
+        for e in bucket {
+            let c = if self.slot.is_empty() {
+                self.ids
+                    .binary_search(&e.set)
+                    .expect("every stored set has a list")
+            } else {
+                self.slot[e.set as usize] as usize
+            };
+            self.lists[c].push(e.elem);
+        }
+        for (list, done) in self.lists.iter_mut().zip(&mut self.done) {
+            if list.len() - *done > 1 {
+                let mut kept = *done;
+                for r in *done..list.len() {
+                    let e = list[r] as usize;
+                    let bit = 1u64 << (e % 64);
+                    list[kept] = e as u32;
+                    kept += usize::from(seen[e / 64] & bit == 0);
+                    seen[e / 64] |= bit;
+                }
+                // Every set bit belongs to a kept element: zero its word.
+                for &e in &list[*done..kept] {
+                    seen[e as usize / 64] = 0;
+                }
+                list.truncate(kept);
+            }
+            *done = list.len();
         }
     }
 }
@@ -233,49 +341,67 @@ impl SmallSet {
     /// rescaled by the element-sampling rate; the best accepted lane
     /// wins. `None` when no lane qualifies.
     ///
-    /// Lane `i`'s sub-instance is built from `buckets[0..=i]` with the
-    /// member lists sized exactly by a running per-set count. A lane
-    /// whose own bucket is empty is skipped: its sample equals the lane
+    /// Each repetition builds its sub-instance once (see `Members`):
+    /// its live buckets are appended level by level to
+    /// per-set member lists, so after level `i` the lists hold exactly
+    /// lane `i`'s sample and greedy runs on them in place. A lane whose
+    /// own bucket is empty is skipped: its sample equals the lane
     /// below's at a rate at least as high, so its estimate cannot beat
     /// that lane's under the strict `>` pick.
+    ///
+    /// The transient memory is linear in the stored edges plus a `u`-bit
+    /// set and greedy's `u`-entry cover marks, never in `m`.
     pub fn finalize(&self) -> Option<(f64, Witness)> {
         // Acceptance floor (the paper's `sol = Ω̃(k/α)`): reject lanes
         // whose sampled coverage is statistical noise.
         let floor = (self.k_sub as f64 / 2.0).max(6.0);
         let mut best: Option<(f64, Vec<u32>)> = None;
-        let mut counts = vec![0usize; self.m];
-        for rep in &self.reps {
-            counts.fill(0);
-            for (i, bucket) in rep.buckets[..rep.live].iter().enumerate() {
+        self.for_each_lane(|p_elem, g| {
+            if (g.coverage as f64) < floor {
+                return;
+            }
+            let est = self.lane_estimate(p_elem, g.coverage);
+            if best.as_ref().is_none_or(|(b, _)| est > *b) {
+                best = Some((est, g.chosen.iter().map(|&s| s as u32).collect()));
+            }
+        });
+        best.map(|(est, sets)| (est, Witness::ExplicitSets(sets)))
+    }
+
+    /// A lane's estimate from its sampled coverage: rescaled to the full
+    /// universe, then halved — a heuristic discount against the upward
+    /// selection bias of maximizing over the sample, not a guarantee.
+    /// Maximizing over many sets that each hold a few sampled elements
+    /// can inflate the sampled coverage by more than 2×, and answers
+    /// above OPT have been measured on fixed-size uniform instances.
+    fn lane_estimate(&self, p_elem: f64, coverage: usize) -> f64 {
+        (0.5 * coverage as f64 / p_elem.max(1e-300))
+            .min(self.u as f64)
+            .max(0.0)
+    }
+
+    /// Run greedy `Max k'-Cover` on every live lane with a non-empty
+    /// bucket, repetition by repetition and level by level, and hand
+    /// `visit` the lane's element-sampling rate and greedy's result with
+    /// the picks as set ids.
+    fn for_each_lane(&self, mut visit: impl FnMut(f64, GreedyResult)) {
+        let mut seen = vec![0u64; self.u.div_ceil(64)];
+        for rep in self.reps.iter().filter(|r| r.stored > 0) {
+            let buckets = &rep.buckets[..rep.live];
+            let mut members = Members::new(buckets, self.m, rep.stored);
+            for (bucket, &p_elem) in buckets.iter().zip(&rep.p_elem) {
                 if bucket.is_empty() {
                     continue;
                 }
-                for e in bucket {
-                    counts[e.set as usize] += 1;
-                }
-                let mut sets: Vec<Vec<u32>> =
-                    counts.iter().map(|&c| Vec::with_capacity(c)).collect();
-                for e in rep.buckets[..=i].iter().flatten() {
-                    sets[e.set as usize].push(e.elem);
-                }
-                let sub = SetSystem::new(self.u, sets);
-                let g = kcov_baselines::greedy_max_cover(&sub, self.k_sub);
-                if (g.coverage as f64) < floor {
-                    continue;
-                }
-                // Rescale to the full universe; halve against the upward
-                // selection bias of maximizing over the sample (Lemma
-                // 4.23's no-overestimate guarantee).
-                let est = (0.5 * g.coverage as f64 / rep.p_elem[i].max(1e-300))
-                    .min(self.u as f64)
-                    .max(0.0);
-                if best.as_ref().is_none_or(|(b, _)| est > *b) {
-                    let chosen: Vec<u32> = g.chosen.iter().map(|&s| s as u32).collect();
-                    best = Some((est, chosen));
-                }
+                members.append(bucket, &mut seen);
+                let lists = &members.lists;
+                let mut g = greedy_max_cover_by(lists.len(), self.u, self.k_sub, |c| &lists[c]);
+                g.chosen
+                    .iter_mut()
+                    .for_each(|c| *c = members.ids[*c] as usize);
+                visit(p_elem, g);
             }
         }
-        best.map(|(est, sets)| (est, Witness::ExplicitSets(sets)))
     }
 
     /// The sub-cover budget `k'`.
@@ -319,7 +445,7 @@ impl SmallSet {
     /// is found from the bucket lengths first, and only its buckets are
     /// appended. That reproduces serial ingestion exactly up to
     /// stored-edge order — which `finalize` is insensitive to, because
-    /// `SetSystem::new` sorts and deduplicates member lists.
+    /// greedy ignores the order within a member list.
     /// Panics on configuration or seed mismatch.
     pub fn merge(&mut self, other: &Self) {
         assert_eq!(
@@ -482,8 +608,8 @@ impl kcov_sketch::WireEncode for SmallSet {
                     .map(|_| {
                         let packed = take_u64(input)?;
                         let edge = Edge::new((packed >> 32) as u32, packed as u32);
-                        // `finalize` rebuilds a SetSystem from these, so
-                        // out-of-range ids would panic long after decode.
+                        // `finalize` indexes by these ids, so out-of-range
+                        // ones would panic long after decode.
                         if edge.set as usize >= m || edge.elem as usize >= u {
                             return Err(err(format!(
                                 "SmallSet stored edge ({}, {}) outside the {m} x {u} instance",
@@ -733,6 +859,137 @@ mod tests {
             "the sweep must cover overflowed and live lanes"
         );
     }
+    /// Per lane with a non-empty bucket, in repetition then level order:
+    /// estimate bits, greedy coverage and picks. `per_level_rebuild` is
+    /// the finalize the one-pass build replaced: every lane's
+    /// sub-instance rebuilt from `buckets[0..=i]` over all `m` sets and
+    /// handed to greedy as a sorted, deduplicated `SetSystem`.
+    type LaneOutcome = (u64, usize, Vec<usize>);
+
+    fn per_level_rebuild(ss: &SmallSet) -> Vec<LaneOutcome> {
+        let mut out = Vec::new();
+        let mut counts = vec![0usize; ss.m];
+        for rep in &ss.reps {
+            counts.fill(0);
+            for (i, bucket) in rep.buckets[..rep.live].iter().enumerate() {
+                if bucket.is_empty() {
+                    continue;
+                }
+                for e in bucket {
+                    counts[e.set as usize] += 1;
+                }
+                let mut sets: Vec<Vec<u32>> =
+                    counts.iter().map(|&c| Vec::with_capacity(c)).collect();
+                for e in rep.buckets[..=i].iter().flatten() {
+                    sets[e.set as usize].push(e.elem);
+                }
+                let sub = kcov_stream::SetSystem::new(ss.u, sets);
+                let g = kcov_baselines::greedy_max_cover(&sub, ss.k_sub);
+                let est = (0.5 * g.coverage as f64 / rep.p_elem[i].max(1e-300))
+                    .min(ss.u as f64)
+                    .max(0.0);
+                out.push((est.to_bits(), g.coverage, g.chosen));
+            }
+        }
+        out
+    }
+
+    /// The finalize answer picked from per-lane outcomes: the floor,
+    /// then the first strictly best estimate.
+    fn pick(ss: &SmallSet, lanes: &[LaneOutcome]) -> Option<(f64, Witness)> {
+        let floor = (ss.k_sub as f64 / 2.0).max(6.0);
+        let mut best: Option<(f64, &[usize])> = None;
+        for (bits, coverage, chosen) in lanes {
+            let est = f64::from_bits(*bits);
+            if (*coverage as f64) >= floor && best.is_none_or(|(b, _)| est > b) {
+                best = Some((est, chosen));
+            }
+        }
+        best.map(|(est, c)| {
+            (
+                est,
+                Witness::ExplicitSets(c.iter().map(|&s| s as u32).collect()),
+            )
+        })
+    }
+
+    #[test]
+    fn finalize_matches_per_level_rebuild() {
+        let instances = [
+            (
+                few_large(500, 100, 2, 150, 3),
+                Params::practical(100, 500, 20, 2.0),
+            ),
+            (
+                many_small(2000, 400, 50, 0.4, 4),
+                Params::practical(400, 2000, 50, 8.0),
+            ),
+        ];
+        // (m_buckets = 1, m_buckets > 1, duplicate pairs, empty live
+        // bucket, overflowed lane, m-table path, sorted-id path, fired)
+        let mut seen_cases = [false; 8];
+        for (system, params) in instances {
+            let u = system.num_elements();
+            let shuffled = edge_stream(&system, ArrivalOrder::Shuffled(7));
+            // Repeated pairs: every third edge again at the end, and a
+            // folded copy whose elements collide modulo a prime the way
+            // universe reduction makes raw elements collide.
+            let mut repeated = shuffled.clone();
+            repeated.extend(shuffled.iter().step_by(3).copied());
+            let folded: Vec<Edge> = shuffled
+                .iter()
+                .map(|e| Edge::new(e.set, e.elem % 97))
+                .collect();
+            // A short prefix, repeated, keeps lanes live under the small
+            // caps and stores fewer edges than there are sets.
+            let mut short = shuffled[..150].to_vec();
+            short.extend_from_within(..60);
+            for cap in [16, 40, 64, params.small_set_edge_cap] {
+                let mut params = params.clone();
+                params.small_set_edge_cap = cap;
+                let proto = SmallSet::new(u, &params, 11);
+                seen_cases[usize::from(proto.m_buckets > 1)] = true;
+                for edges in [&shuffled, &repeated, &folded, &short] {
+                    let mut whole = proto.clone();
+                    feed(&mut whole, edges);
+                    // Three contiguous shards merged in turn.
+                    let mut merged = proto.clone();
+                    for part in edges.chunks(edges.len().div_ceil(3)) {
+                        let mut shard = proto.clone();
+                        feed(&mut shard, part);
+                        merged.merge(&shard);
+                    }
+                    for (what, ss) in [("whole", &whole), ("merged", &merged)] {
+                        let want = per_level_rebuild(ss);
+                        let mut got = Vec::new();
+                        ss.for_each_lane(|p, g| {
+                            got.push((
+                                ss.lane_estimate(p, g.coverage).to_bits(),
+                                g.coverage,
+                                g.chosen,
+                            ))
+                        });
+                        assert_eq!(got, want, "cap {cap}, {what}");
+                        assert_eq!(ss.finalize(), pick(ss, &want), "cap {cap}, {what}");
+                        for rep in &ss.reps {
+                            let mut pairs = rep.buckets.concat();
+                            let stored = pairs.len();
+                            pairs.sort_unstable();
+                            pairs.dedup();
+                            seen_cases[2] |= pairs.len() < stored;
+                            seen_cases[3] |= rep.buckets[..rep.live].iter().any(Vec::is_empty);
+                            seen_cases[4] |= rep.live < rep.e_keep.len();
+                            seen_cases[5] |= rep.stored > 0 && ss.m <= rep.stored;
+                            seen_cases[6] |= rep.stored > 0 && ss.m > rep.stored;
+                        }
+                        seen_cases[7] |= ss.finalize().is_some();
+                    }
+                }
+            }
+        }
+        assert_eq!(seen_cases, [true; 8], "the sweep must reach every case");
+    }
+
     #[test]
     fn empty_stream_is_infeasible() {
         let params = Params::practical(100, 100, 5, 2.0);

@@ -1,5 +1,6 @@
 //! Untrusted-decode bounds for the contributing-class finder, the
-//! heavy-hitter sketch and the CountSketch's mix words.
+//! heavy-hitter sketch and the CountSketch's mix words, and a finalize
+//! bound for `SmallSet`, whose set count `m` comes off the wire too.
 //!
 //! An `F2Contributing` section carries its coordinate domain on the
 //! wire, and `report` enumerates that domain at finalize, so the domain
@@ -13,12 +14,16 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use kcov_core::{LargeSet, Params};
+use std::sync::Arc;
+
+use kcov_core::{LargeSet, Params, SmallSet};
 use kcov_hash::KWise;
 use kcov_sketch::wire::{put_kwise, put_u64};
 use kcov_sketch::{
     ContributingConfig, CountSketch, F2Contributing, F2HeavyHitter, HeavyHitterConfig, WireEncode,
 };
+use kcov_stream::gen::many_small;
+use kcov_stream::{edge_stream, ArrivalOrder};
 
 /// `System` plus a per-thread count of bytes ever allocated.
 struct Counting;
@@ -234,4 +239,27 @@ fn finder_levels_must_share_one_mix() {
     let foreign = F2HeavyHitter::new(last.config().clone(), 99);
     let e = F2Contributing::from_bytes(&encode(&foreign)).unwrap_err();
     assert!(e.message.contains("different CountSketch mixes"), "{e}");
+}
+
+/// A decoded `SmallSet` claims `m = 2^40` sets but stores a few hundred
+/// edges: finalize must size its work by the stored edges, not by `m`,
+/// and answer exactly as at the true `m`.
+#[test]
+fn small_set_finalize_does_not_allocate_by_set_count() {
+    let system = many_small(1000, 200, 25, 0.5, 7);
+    let params = Params::practical(200, 1000, 25, 4.0);
+    let base = Arc::new(KWise::new(8, 5));
+    let mut ss = SmallSet::with_base(1000, &params, 9, base.clone());
+    let edges = edge_stream(&system, ArrivalOrder::Shuffled(3));
+    let fps: Vec<u64> = edges.iter().map(|e| base.hash(u64::from(e.set))).collect();
+    ss.observe_fp_batch(&edges, &fps);
+    let want = ss.finalize();
+    assert!(want.is_some(), "the instance must fire");
+    // Tag, u, then m.
+    let mut bytes = ss.to_bytes();
+    bytes[16..24].copy_from_slice(&(1u64 << 40).to_le_bytes());
+    let huge = SmallSet::from_bytes(&bytes).expect("every stored set id is below m");
+    let (got, allocated) = allocated_by(|| huge.finalize());
+    assert_eq!(got, want);
+    assert!(allocated < 1 << 20, "allocated {allocated} bytes");
 }
