@@ -117,26 +117,35 @@ struct Members {
     lists: Vec<Vec<u32>>,
     /// Per list, the length up to which it is deduplicated.
     done: Vec<usize>,
+    /// The largest stored element + 1: the range of the dedup bit set
+    /// and of greedy's cover marks, never the `u` read off the wire.
+    universe: usize,
 }
 
 impl Members {
     fn new(buckets: &[Vec<Edge>], m: usize, stored: usize) -> Self {
-        let edges = || buckets.iter().flatten();
         // Every buffer is sized exactly before it is filled: one grown
         // by doubling past 128 KiB would be freed from an mmap and move
         // glibc's mmap threshold (EXPERIMENTS E31).
         let table = m <= stored;
         let (mut slot, mut sets) = (Vec::new(), Vec::new());
+        let mut top = 0;
         let distinct = if table {
             // Count per set; each count is overwritten with its list below.
             slot = vec![0u32; m];
-            for e in edges() {
-                slot[e.set as usize] += 1;
+            for bucket in buckets {
+                for e in bucket {
+                    slot[e.set as usize] += 1;
+                    top = top.max(e.elem);
+                }
             }
             slot.iter().filter(|&&s| s > 0).count()
         } else {
             sets.reserve_exact(stored);
-            sets.extend(edges().map(|e| e.set));
+            sets.extend(buckets.iter().flatten().map(|e| {
+                top = top.max(e.elem);
+                e.set
+            }));
             sets.sort_unstable();
             sets.chunk_by(|a, b| a == b).count()
         };
@@ -160,11 +169,13 @@ impl Members {
             slot,
             lists,
             done,
+            universe: top as usize + 1,
         }
     }
 
     /// Append one level's bucket, then deduplicate what it added with
-    /// the all-zero `u`-bit set `seen` (left all-zero again).
+    /// the all-zero bit set `seen` of at least `universe` bits (left
+    /// all-zero again).
     fn append(&mut self, bucket: &[Edge], seen: &mut [u64]) {
         for e in bucket {
             let c = if self.slot.is_empty() {
@@ -349,8 +360,9 @@ impl SmallSet {
     /// below's at a rate at least as high, so its estimate cannot beat
     /// that lane's under the strict `>` pick.
     ///
-    /// The transient memory is linear in the stored edges plus a `u`-bit
-    /// set and greedy's `u`-entry cover marks, never in `m`.
+    /// The transient memory is linear in the stored edges, a bit set and
+    /// greedy's cover marks over the largest stored element, never in
+    /// `m` or `u`.
     pub fn finalize(&self) -> Option<(f64, Witness)> {
         // Acceptance floor (the paper's `sol = Ω̃(k/α)`): reject lanes
         // whose sampled coverage is statistical noise.
@@ -385,17 +397,21 @@ impl SmallSet {
     /// `visit` the lane's element-sampling rate and greedy's result with
     /// the picks as set ids.
     fn for_each_lane(&self, mut visit: impl FnMut(f64, GreedyResult)) {
-        let mut seen = vec![0u64; self.u.div_ceil(64)];
+        let mut seen = Vec::new();
         for rep in self.reps.iter().filter(|r| r.stored > 0) {
             let buckets = &rep.buckets[..rep.live];
             let mut members = Members::new(buckets, self.m, rep.stored);
+            let universe = members.universe;
+            if seen.len() < universe.div_ceil(64) {
+                seen.resize(universe.div_ceil(64), 0);
+            }
             for (bucket, &p_elem) in buckets.iter().zip(&rep.p_elem) {
                 if bucket.is_empty() {
                     continue;
                 }
                 members.append(bucket, &mut seen);
                 let lists = &members.lists;
-                let mut g = greedy_max_cover_by(lists.len(), self.u, self.k_sub, |c| &lists[c]);
+                let mut g = greedy_max_cover_by(lists.len(), universe, self.k_sub, |c| &lists[c]);
                 g.chosen
                     .iter_mut()
                     .for_each(|c| *c = members.ids[*c] as usize);
@@ -539,7 +555,7 @@ impl kcov_sketch::WireEncode for SmallSet {
     }
 
     fn decode(input: &mut &[u8]) -> Result<Self, kcov_sketch::WireError> {
-        use kcov_sketch::wire::{err, take_f64, take_kwise, take_u64};
+        use kcov_sketch::wire::{err, take_f64, take_kwise, take_u64, take_words};
         if take_u64(input)? != TAG_SS {
             return Err(err("bad SmallSet tag"));
         }
@@ -592,9 +608,10 @@ impl kcov_sketch::WireEncode for SmallSet {
                     return Err(err("SmallSet overflow flags are not a suffix of the lanes"));
                 }
                 let n = take_u64(input)? as usize;
-                if n > input.len() / 8 {
-                    return Err(err(format!("truncated SmallSet bucket of {n} edges")));
-                }
+                let bucket = take_words(input, n, |packed| {
+                    Edge::new((packed >> 32) as u32, packed as u32)
+                })
+                .ok_or_else(|| err(format!("truncated SmallSet bucket of {n} edges")))?;
                 if overflowed && n != 0 {
                     return Err(err("overflowed SmallSet lane still stores edges"));
                 }
@@ -604,21 +621,17 @@ impl kcov_sketch::WireEncode for SmallSet {
                         rep.stored + n
                     )));
                 }
-                let bucket = (0..n)
-                    .map(|_| {
-                        let packed = take_u64(input)?;
-                        let edge = Edge::new((packed >> 32) as u32, packed as u32);
-                        // `finalize` indexes by these ids, so out-of-range
-                        // ones would panic long after decode.
-                        if edge.set as usize >= m || edge.elem as usize >= u {
-                            return Err(err(format!(
-                                "SmallSet stored edge ({}, {}) outside the {m} x {u} instance",
-                                edge.set, edge.elem
-                            )));
-                        }
-                        Ok(edge)
-                    })
-                    .collect::<Result<Vec<_>, kcov_sketch::WireError>>()?;
+                // `finalize` indexes by these ids, so out-of-range ones
+                // would panic long after decode.
+                if let Some(e) = bucket
+                    .iter()
+                    .find(|e| e.set as usize >= m || e.elem as usize >= u)
+                {
+                    return Err(err(format!(
+                        "SmallSet stored edge ({}, {}) outside the {m} x {u} instance",
+                        e.set, e.elem
+                    )));
+                }
                 rep.e_keep.push(e_keep);
                 rep.p_elem.push(p_elem);
                 rep.buckets.push(bucket);

@@ -127,12 +127,12 @@ impl SortedSlab {
         &self.vals
     }
 
-    /// Rebuild from arbitrary values (sorted + deduplicated; the caller
-    /// checks the pre-dedup length against its own capacity contract).
-    pub fn from_values(cap: usize, mut vals: Vec<u64>) -> Self {
+    /// Rebuild from values that are already strictly ascending (the
+    /// caller's contract: a decoder checks it, a merge builds it), with
+    /// no re-sort. Panics when they exceed `cap`.
+    pub fn from_sorted(cap: usize, vals: Vec<u64>) -> Self {
         assert!(cap >= 1, "SortedSlab needs capacity >= 1");
-        vals.sort_unstable();
-        vals.dedup();
+        debug_assert!(vals.windows(2).all(|w| w[0] < w[1]), "unsorted values");
         assert!(vals.len() <= cap, "values exceed slab capacity");
         // No up-front reservation: `cap` may come from untrusted wire
         // bytes (the decoder validates value counts, not capacities),
@@ -340,8 +340,8 @@ mod tests {
     }
 
     #[test]
-    fn slab_from_values_sorts_and_dedups() {
-        let slab = SortedSlab::from_values(8, vec![5, 1, 5, 3]);
+    fn slab_from_sorted_keeps_values() {
+        let slab = SortedSlab::from_sorted(8, vec![1, 3, 5]);
         assert_eq!(slab.values(), &[1, 3, 5]);
         assert_eq!(slab.len(), 3);
         assert!(!slab.is_full());
@@ -349,8 +349,8 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "values exceed slab capacity")]
-    fn slab_from_values_rejects_overflow() {
-        let _ = SortedSlab::from_values(2, vec![1, 2, 3]);
+    fn slab_from_sorted_rejects_overflow() {
+        let _ = SortedSlab::from_sorted(2, vec![1, 2, 3]);
     }
 
     fn sorted_entries(oa: &OaMap<i64>) -> Vec<(u64, i64)> {

@@ -126,8 +126,11 @@ impl Kmv {
         self.smallest.values().to_vec()
     }
 
-    /// Rebuild from parts (inverse of the accessors). Fails when the
-    /// value set exceeds `k` or `k < 2`.
+    /// Rebuild from parts (inverse of the accessors). Fails when `k < 2`,
+    /// or when the values exceed `k`, are not strictly ascending or are
+    /// not hash outputs (below `2^61 - 1`): the accessors only give
+    /// canonical slabs, so anything else is corruption, and accepting it
+    /// would give one state two encodings.
     pub fn from_parts(k: usize, hash: KWise, values: Vec<u64>) -> Result<Self, String> {
         if k < 2 {
             return Err("KMV needs k >= 2".into());
@@ -135,10 +138,19 @@ impl Kmv {
         if values.len() > k {
             return Err(format!("{} kept values exceed k = {k}", values.len()));
         }
+        if let Some(w) = values.windows(2).find(|w| w[0] >= w[1]) {
+            return Err(format!(
+                "KMV kept values {} then {} are not strictly ascending",
+                w[0], w[1]
+            ));
+        }
+        if let Some(&v) = values.last().filter(|&&v| v >= MERSENNE_P) {
+            return Err(format!("KMV kept value {v:#x} is not below 2^61 - 1"));
+        }
         Ok(Kmv {
             k,
             hash,
-            smallest: SortedSlab::from_values(k, values),
+            smallest: SortedSlab::from_sorted(k, values),
             updates: 0,
             evictions: 0,
             merges: 0,
@@ -159,15 +171,29 @@ impl Kmv {
             other.hash.hash(0x5eed_c0de),
             "Kmv merge requires identical hash functions"
         );
-        // Union of the kept sets, trimmed back to the k smallest; every
-        // value dropped past k is one eviction.
-        let mut union = self.smallest.values().to_vec();
-        union.extend_from_slice(other.smallest.values());
-        union.sort_unstable();
-        union.dedup();
-        self.evictions += union.len().saturating_sub(self.k) as u64;
-        union.truncate(self.k);
-        self.smallest = SortedSlab::from_values(self.k, union);
+        // Two-pointer union of the ascending slabs, kept up to the k
+        // smallest; every distinct value past k is one eviction. Kept
+        // values are hash outputs below 2^61 - 1, so `u64::MAX` marks an
+        // exhausted side.
+        let (a, b) = (self.smallest.values(), other.smallest.values());
+        let mut union = Vec::with_capacity(self.k.min(a.len() + b.len()));
+        let (mut i, mut j, mut distinct) = (0, 0, 0);
+        loop {
+            let x = a.get(i).copied().unwrap_or(u64::MAX);
+            let y = b.get(j).copied().unwrap_or(u64::MAX);
+            let v = x.min(y);
+            if v == u64::MAX {
+                break;
+            }
+            i += usize::from(x == v);
+            j += usize::from(y == v);
+            distinct += 1;
+            if union.len() < self.k {
+                union.push(v);
+            }
+        }
+        self.evictions += (distinct - union.len()) as u64;
+        self.smallest = SortedSlab::from_sorted(self.k, union);
         self.merges += 1 + other.merges;
         self.evictions += other.evictions;
         self.updates += other.updates;
@@ -445,6 +471,71 @@ mod tests {
         }
         left.merge(&right);
         assert_eq!(left.estimate(), both.estimate());
+    }
+
+    /// The sort-based union the linear merge replaced: concatenate, sort,
+    /// dedup, count the values past `k` as evictions, truncate. Returns
+    /// the kept values and the `(evictions, merges, updates)` counters.
+    fn sort_merge(a: &Kmv, b: &Kmv) -> (Vec<u64>, [u64; 3]) {
+        let mut union = a.kept_values();
+        union.extend(b.kept_values());
+        union.sort_unstable();
+        union.dedup();
+        let evictions = a.evictions + union.len().saturating_sub(a.k) as u64 + b.evictions;
+        union.truncate(a.k);
+        let counters = [evictions, a.merges + 1 + b.merges, a.updates + b.updates];
+        (union, counters)
+    }
+
+    #[test]
+    fn linear_merge_matches_sort_merge() {
+        let k = 16;
+        let hash = pairwise(4);
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        // A summary holding `len` values drawn from `pool` (ascending,
+        // distinct) with random telemetry counters.
+        let mut slab = |pool: &[u64], len: usize| {
+            let mut vals: Vec<u64> = (0..4 * len)
+                .map(|_| pool[next() as usize % pool.len()])
+                .collect();
+            vals.sort_unstable();
+            vals.dedup();
+            vals.truncate(len);
+            let mut kmv = Kmv::from_parts(k, hash.clone(), vals).unwrap();
+            kmv.restore_telemetry(next() % 1000, next() % 100, next() % 10);
+            kmv
+        };
+        for seed in 0..20u64 {
+            let pool: Vec<u64> = (0..3 * k as u64)
+                .map(|i| (i * 0x9e37_79b9 + seed * 7_919) % MERSENNE_P)
+                .collect();
+            let (even, odd): (Vec<u64>, Vec<u64>) = pool.iter().partition(|&&v| v % 2 == 0);
+            let cases = [
+                ("overlapping", slab(&pool, 12), slab(&pool, 12)),
+                ("disjoint", slab(&even, 10), slab(&odd, 10)),
+                ("left empty", slab(&pool, 0), slab(&pool, 9)),
+                ("right empty", slab(&pool, 9), slab(&pool, 0)),
+                ("both saturated", slab(&pool, k), slab(&pool, k)),
+                ("a + b < k", slab(&even, 5), slab(&odd, 6)),
+            ];
+            for (what, a, b) in cases {
+                let (want, counters) = sort_merge(&a, &b);
+                let mut got = a.clone();
+                got.merge(&b);
+                assert_eq!(got.kept_values(), want, "seed {seed}, {what}");
+                assert_eq!(
+                    [got.evictions, got.merges, got.updates],
+                    counters,
+                    "seed {seed}, {what}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -96,11 +96,6 @@ pub fn take_u64(input: &mut &[u8]) -> Result<u64, WireError> {
     Ok(u64::from_le_bytes(head.try_into().expect("8 bytes")))
 }
 
-/// Consume a little-endian `i64`.
-pub fn take_i64(input: &mut &[u8]) -> Result<i64, WireError> {
-    Ok(take_u64(input)? as i64)
-}
-
 /// Append an `f64` as its bit pattern.
 pub fn put_f64(out: &mut Vec<u8>, v: f64) {
     put_u64(out, v.to_bits());
@@ -119,14 +114,28 @@ pub fn put_u64s(out: &mut Vec<u8>, vs: &[u64]) {
     }
 }
 
-/// Consume a length-prefixed `u64` vector (length bounds-checked
-/// against the remaining input before any allocation).
+/// Consume `n` little-endian words as one exactly sized vector of
+/// `f(word)`: one bounds check against the remaining input before the
+/// allocation, then one straight loop. `None` when fewer than `n` words
+/// remain.
+pub fn take_words<T>(input: &mut &[u8], n: usize, mut f: impl FnMut(u64) -> T) -> Option<Vec<T>> {
+    if n > input.len() / 8 {
+        return None;
+    }
+    let (head, rest) = input.split_at(8 * n);
+    *input = rest;
+    let words = head.chunks_exact(8);
+    Some(
+        words
+            .map(|w| f(u64::from_le_bytes(w.try_into().expect("8 bytes"))))
+            .collect(),
+    )
+}
+
+/// Consume a length-prefixed `u64` vector.
 pub fn take_u64s(input: &mut &[u8]) -> Result<Vec<u64>, WireError> {
     let n = take_u64(input)? as usize;
-    if n > input.len() / 8 {
-        return Err(err(format!("truncated vector of {n} u64s")));
-    }
-    (0..n).map(|_| take_u64(input)).collect()
+    take_words(input, n, |w| w).ok_or_else(|| err(format!("truncated vector of {n} u64s")))
 }
 
 /// Append a hash function as its full coefficient vector.
@@ -322,12 +331,10 @@ impl WireEncode for CountSketch {
             .map(|_| take_kwise(input))
             .collect::<Result<Vec<_>, _>>()?;
         let n = take_u64(input)? as usize;
-        if rows.checked_mul(width) != Some(n) || n > input.len() / 8 {
-            return Err(err("CountSketch table size mismatch"));
-        }
-        let table = (0..n)
-            .map(|_| take_i64(input))
-            .collect::<Result<Vec<_>, _>>()?;
+        let table = (rows.checked_mul(width) == Some(n))
+            .then(|| take_words(input, n, |w| w as i64))
+            .flatten()
+            .ok_or_else(|| err("CountSketch table size mismatch"))?;
         CountSketch::from_parts(rows, width, mix, table).map_err(err)
     }
 }

@@ -1,6 +1,7 @@
 //! Untrusted-decode bounds for the contributing-class finder, the
-//! heavy-hitter sketch and the CountSketch's mix words, and a finalize
-//! bound for `SmallSet`, whose set count `m` comes off the wire too.
+//! heavy-hitter sketch and the CountSketch's mix words, finalize bounds
+//! for `SmallSet`, whose set count `m` and universe `u` come off the
+//! wire too, and the bytes a whole replica's decode allocates.
 //!
 //! An `F2Contributing` section carries its coordinate domain on the
 //! wire, and `report` enumerates that domain at finalize, so the domain
@@ -16,13 +17,13 @@ use std::cell::Cell;
 
 use std::sync::Arc;
 
-use kcov_core::{LargeSet, Params, SmallSet};
+use kcov_core::{EstimatorConfig, LargeSet, MaxCoverEstimator, Params, SmallSet};
 use kcov_hash::KWise;
 use kcov_sketch::wire::{put_kwise, put_u64};
 use kcov_sketch::{
     ContributingConfig, CountSketch, F2Contributing, F2HeavyHitter, HeavyHitterConfig, WireEncode,
 };
-use kcov_stream::gen::many_small;
+use kcov_stream::gen::{many_small, planted_cover};
 use kcov_stream::{edge_stream, ArrivalOrder};
 
 /// `System` plus a per-thread count of bytes ever allocated.
@@ -241,11 +242,8 @@ fn finder_levels_must_share_one_mix() {
     assert!(e.message.contains("different CountSketch mixes"), "{e}");
 }
 
-/// A decoded `SmallSet` claims `m = 2^40` sets but stores a few hundred
-/// edges: finalize must size its work by the stored edges, not by `m`,
-/// and answer exactly as at the true `m`.
-#[test]
-fn small_set_finalize_does_not_allocate_by_set_count() {
+/// A fed `SmallSet`, its encoding and its answer.
+fn fed_small_set() -> (Vec<u8>, Option<(f64, kcov_core::Witness)>) {
     let system = many_small(1000, 200, 25, 0.5, 7);
     let params = Params::practical(200, 1000, 25, 4.0);
     let base = Arc::new(KWise::new(8, 5));
@@ -255,11 +253,69 @@ fn small_set_finalize_does_not_allocate_by_set_count() {
     ss.observe_fp_batch(&edges, &fps);
     let want = ss.finalize();
     assert!(want.is_some(), "the instance must fire");
+    (ss.to_bytes(), want)
+}
+
+/// A decoded `SmallSet` claims `m = 2^40` sets but stores a few hundred
+/// edges: finalize must size its work by the stored edges, not by `m`,
+/// and answer exactly as at the true `m`.
+#[test]
+fn small_set_finalize_does_not_allocate_by_set_count() {
+    let (mut bytes, want) = fed_small_set();
     // Tag, u, then m.
-    let mut bytes = ss.to_bytes();
     bytes[16..24].copy_from_slice(&(1u64 << 40).to_le_bytes());
     let huge = SmallSet::from_bytes(&bytes).expect("every stored set id is below m");
     let (got, allocated) = allocated_by(|| huge.finalize());
     assert_eq!(got, want);
     assert!(allocated < 1 << 20, "allocated {allocated} bytes");
+}
+
+/// The same with the universe: `u = 2^36` off the wire must not size
+/// the dedup bit set or greedy's cover marks (64 GiB of marks), which
+/// range over the largest stored element instead.
+#[test]
+fn small_set_finalize_does_not_allocate_by_universe() {
+    let (mut bytes, want) = fed_small_set();
+    // Tag, then u.
+    bytes[8..16].copy_from_slice(&(1u64 << 36).to_le_bytes());
+    let huge = SmallSet::from_bytes(&bytes).expect("every stored element is below u");
+    let (got, allocated) = allocated_by(|| huge.finalize());
+    assert_eq!(got, want);
+    assert!(allocated < 1 << 20, "allocated {allocated} bytes");
+}
+
+/// Decoding a fed replica allocates about its payload once: every wire
+/// vector is one exactly sized allocation, so the decoded words cost
+/// their 8 bytes each, and the rest (handles, hash coefficients copied
+/// into field elements, map indexes) stays within a sixteenth on top.
+/// A decode that grows each vector by doubling allocates up to twice the
+/// payload.
+#[test]
+fn replica_decode_allocates_its_payload_once() {
+    let inst = planted_cover(5_000, 1_000, 16, 0.8, 40, 3);
+    let edges = edge_stream(&inst.system, ArrivalOrder::Shuffled(5));
+    let mut est = MaxCoverEstimator::new(5_000, 1_000, 16, 2.0, &EstimatorConfig::practical(11));
+    for batch in edges.chunks(1024) {
+        est.observe_batch(batch);
+    }
+    let small_set_words: u64 = est
+        .space_ledger_tree()
+        .rows()
+        .iter()
+        .filter(|r| r.children == 0 && r.path.ends_with("small_set/edges"))
+        .map(|r| r.total.words)
+        .sum();
+    let bytes = est.to_bytes();
+    assert!(
+        8 * small_set_words > bytes.len() as u64 / 4,
+        "SmallSet must hold a large share of the payload: {small_set_words} edges in {} bytes",
+        bytes.len()
+    );
+    let (decoded, allocated) = allocated_by(|| MaxCoverEstimator::from_bytes(&bytes));
+    assert!(decoded.expect("a fed replica decodes").to_bytes() == bytes);
+    let payload = bytes.len() as u64;
+    assert!(
+        allocated <= payload + payload / 16,
+        "decoding a {payload}-byte replica allocated {allocated} bytes"
+    );
 }

@@ -235,6 +235,45 @@ fn large_common_growing_bucket_schedule_is_rejected() {
     }
 }
 
+/// A KMV's kept values travel ascending, distinct and below `p`, so the
+/// decoder can take them as they are: a swapped pair, a repeat or a
+/// non-hash value is a typed error, never silently re-sorted (which
+/// would give one state two encodings).
+#[test]
+fn kmv_kept_values_must_be_canonical() {
+    let mut kmv = Kmv::new(16, 7);
+    for i in 0..300u64 {
+        kmv.insert(i * 2654435761 % 1000);
+    }
+    let bytes = kmv.to_bytes();
+    let kept = kmv.kept_values();
+    assert_eq!(kept.len(), 16, "the summary must be saturated");
+    // The kept values close the encoding.
+    let at = bytes.len() - 8 * kept.len();
+    let with = |vals: &[u64]| {
+        let mut out = bytes[..at].to_vec();
+        vals.iter().for_each(|v| out.extend(v.to_le_bytes()));
+        out
+    };
+    assert_eq!(with(&kept), bytes);
+    let mut swapped = kept.clone();
+    swapped.swap(3, 4);
+    let mut repeated = kept.clone();
+    repeated[4] = repeated[3];
+    let mut above = kept.clone();
+    *above.last_mut().unwrap() = MERSENNE_P;
+    for (what, vals, message) in [
+        ("swapped", swapped, "not strictly ascending"),
+        ("repeated", repeated, "not strictly ascending"),
+        ("above p", above, "not below"),
+    ] {
+        match Kmv::from_bytes(&with(&vals)) {
+            Err(e) => assert!(e.to_string().contains(message), "{what}: {e}"),
+            Ok(_) => panic!("{what}: non-canonical kept values were accepted"),
+        }
+    }
+}
+
 /// Rewrite the first encoded occurrence of coefficient `c` as `c + p`
 /// and require a typed decode error.
 fn reject_non_canonical_coefficient<T: WireEncode>(label: &str, value: &T, c: u64) {
