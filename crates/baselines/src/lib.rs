@@ -29,7 +29,6 @@ pub mod greedy;
 pub mod local_search;
 pub mod mcgregor_vu;
 pub mod saha_getoor;
-pub mod set_cover;
 pub mod sieve;
 pub mod stochastic_greedy;
 
@@ -39,7 +38,6 @@ pub use greedy::{greedy_max_cover, greedy_max_cover_by, GreedyResult};
 pub use local_search::local_search_max_cover;
 pub use mcgregor_vu::{mv_set_arrival, MvEdgeArrival};
 pub use saha_getoor::SwapStreaming;
-pub use set_cover::{greedy_set_cover, partial_set_cover, SetCoverResult};
 pub use sieve::SieveStreaming;
 pub use stochastic_greedy::stochastic_greedy;
 

@@ -9,7 +9,7 @@
 //! sketches promise complete recall at these margins.
 
 use kcov_bench::{fmt, print_table};
-use kcov_sketch::{ContributingConfig, F2Contributing, F2HeavyHitter, L0Estimator, SpaceUsage};
+use kcov_sketch::{ContributingConfig, F2Contributing, L0Estimator, SpaceUsage};
 
 fn main() {
     println!("E7: sketch substrate accuracy/space (Theorems 2.10-2.12)");
@@ -43,16 +43,19 @@ fn main() {
         &rows,
     );
 
-    // F2 heavy hitters: recall of planted heavy items (Theorem 2.10).
-    // Noise items are ids 0..5000 and the heavy items follow them; the
-    // report enumerates that whole domain.
+    // F2 heavy hitters: recall of planted heavy items (Theorem 2.10), on
+    // a one-level finder: the unsampled level alone, at φ = γ, with the
+    // Theorem 2.10 shape (5 rows, width 32/φ). Noise items are ids
+    // 0..5000 and the heavy items follow them; the finder's domain is
+    // exactly those ids.
     let mut rows = Vec::new();
     for phi in [0.2f64, 0.05, 0.01] {
         let mut recall_hits = 0usize;
         let mut recall_total = 0usize;
         let mut space = 0usize;
+        let mut config = ContributingConfig::new(phi, 1);
+        config.phi_factor = 1.0;
         for seed in 0..10u64 {
-            let mut hh = F2HeavyHitter::for_phi(phi, seed);
             // Heavy items sized to be exactly phi-heavy with margin 2x.
             let noise_items = 5_000u64;
             let heavy_count = (0.5 / phi) as u64;
@@ -62,17 +65,15 @@ fn main() {
                     as u64
                     + 2,
             );
-            for h in 0..heavy_count {
-                for _ in 0..heavy_freq {
-                    hh.insert(noise_items + h);
-                }
-            }
-            for i in 0..noise_items {
-                hh.insert(i);
-            }
+            let domain = (noise_items + heavy_count) as usize;
+            let mut hh = F2Contributing::new(config.clone(), config.clone(), domain, domain, seed);
+            let heavy: Vec<u64> = (0..heavy_count)
+                .flat_map(|h| std::iter::repeat_n(noise_items + h, heavy_freq as usize))
+                .collect();
+            hh.insert_batch(&heavy);
+            hh.insert_batch(&(0..noise_items).collect::<Vec<u64>>());
             let f2 = heavy_count as f64 * (heavy_freq * heavy_freq) as f64 + f2_noise;
-            let domain: Vec<u64> = (0..noise_items + heavy_count).collect();
-            let out = hh.heavy_hitters(&domain);
+            let out = hh.report();
             for h in 0..heavy_count {
                 if (heavy_freq * heavy_freq) as f64 >= phi * f2 {
                     recall_total += 1;
@@ -108,18 +109,12 @@ fn main() {
         let mut found = 0usize;
         let trials = 10u64;
         for seed in 0..trials {
-            let mut fc =
-                F2Contributing::new(ContributingConfig::new(0.25, 1024), 100_000, 100_000, seed);
+            let config = ContributingConfig::new(0.25, 1024);
+            let mut fc = F2Contributing::new(config.clone(), config, 100_000, 100_000, seed);
             // class: class_size coords of frequency 64; noise: 3000 of 1.
-            for round in 0..64u64 {
-                let _ = round;
-                for c in 0..class_size {
-                    fc.insert(50_000 + c);
-                }
-            }
-            for i in 0..3000u64 {
-                fc.insert(i);
-            }
+            let class: Vec<u64> = (0..64).flat_map(|_| 50_000..50_000 + class_size).collect();
+            fc.insert_batch(&class);
+            fc.insert_batch(&(0..3000).collect::<Vec<u64>>());
             if fc
                 .report()
                 .iter()

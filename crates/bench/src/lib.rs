@@ -1,11 +1,7 @@
-//! Shared utilities for the experiment binaries (`src/bin/exp_*.rs`)
-//! and the dependency-free timing benches (`benches/*.rs`).
+//! Shared utilities for the experiment binaries (`src/bin/exp_*.rs`).
 //!
 //! Each experiment binary regenerates one row of the experiment index in
 //! DESIGN.md §5 / EXPERIMENTS.md, printing fixed-width tables to stdout.
-//! The benches use [`median_ns_per_op`] / [`time_once`] — a std-only
-//! harness (calibrated batch sizes, median of repeated batches) so the
-//! workspace builds offline with no external crates.
 
 use std::time::Instant;
 
@@ -23,61 +19,6 @@ pub fn bench_smoke() -> bool {
 /// committed ones.
 pub fn bench_out_path(default: &str) -> String {
     std::env::var("KCOV_BENCH_OUT").unwrap_or_else(|_| default.to_string())
-}
-
-/// Median nanoseconds per call of `op` (one logical element per call).
-/// Calibrates the batch size until one batch takes ≥ `min_batch_ms`,
-/// then reports the median over `runs` batches — the standard defense
-/// against timer granularity and transient noise without an external
-/// benchmarking dependency.
-pub fn median_ns_per_op<F: FnMut()>(mut op: F, runs: usize, min_batch_ms: u64) -> f64 {
-    assert!(runs >= 1);
-    // Calibration: double the batch until it runs long enough to time.
-    let mut batch: u64 = 16;
-    loop {
-        let t = Instant::now();
-        for _ in 0..batch {
-            op();
-        }
-        let el = t.elapsed();
-        if el.as_millis() >= min_batch_ms as u128 || batch >= 1 << 30 {
-            break;
-        }
-        batch *= 2;
-    }
-    let mut samples: Vec<f64> = (0..runs)
-        .map(|_| {
-            let t = Instant::now();
-            for _ in 0..batch {
-                op();
-            }
-            t.elapsed().as_nanos() as f64 / batch as f64
-        })
-        .collect();
-    samples.sort_by(|a, b| a.partial_cmp(b).expect("no NaN"));
-    samples[samples.len() / 2]
-}
-
-/// Wall-clock seconds of a single invocation (for end-to-end runs too
-/// slow to batch); returns `(seconds, result)`.
-pub fn time_once<T>(f: impl FnOnce() -> T) -> (f64, T) {
-    let t = Instant::now();
-    let out = f();
-    (t.elapsed().as_secs_f64(), out)
-}
-
-/// Median wall-clock seconds of `runs` invocations of `f`.
-pub fn median_secs(mut f: impl FnMut(), runs: usize) -> f64 {
-    assert!(runs >= 1);
-    let mut samples: Vec<f64> = (0..runs)
-        .map(|_| {
-            let t = Instant::now();
-            f();
-            t.elapsed().as_secs_f64()
-        })
-        .collect();
-    samples.sort_by(|a, b| a.partial_cmp(b).expect("no NaN"));
-    samples[samples.len() / 2]
 }
 
 /// An estimator config with a coarser z-guess grid (factor 4 instead of
@@ -318,33 +259,6 @@ mod tests {
         assert_eq!(fmt(12345.0), "12345");
         assert_eq!(fmt(12.34), "12.3");
         assert_eq!(fmt(1.2345), "1.234");
-    }
-
-    #[test]
-    fn median_ns_per_op_is_positive_and_sane() {
-        let mut x = 0u64;
-        let ns = median_ns_per_op(
-            || {
-                x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
-            },
-            3,
-            1,
-        );
-        assert!(ns > 0.0 && ns < 1e6, "ns/op {ns}");
-        assert!(x != 0);
-    }
-
-    #[test]
-    fn time_once_returns_result() {
-        let (secs, v) = time_once(|| 41 + 1);
-        assert_eq!(v, 42);
-        assert!(secs >= 0.0);
-    }
-
-    #[test]
-    fn median_secs_smoke() {
-        let s = median_secs(|| std::hint::black_box(()), 3);
-        assert!(s >= 0.0);
     }
 
     #[test]

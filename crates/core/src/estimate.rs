@@ -1087,7 +1087,7 @@ impl kcov_sketch::WireEncode for TrivialState {
     }
 
     fn decode(input: &mut &[u8]) -> Result<Self, kcov_sketch::WireError> {
-        use kcov_sketch::wire::{err, take_l0_full, take_u64};
+        use kcov_sketch::wire::{err, take_l0_full, take_u64, take_vec};
         if take_u64(input)? != TAG_TRIVIAL {
             return Err(err("bad TrivialState tag"));
         }
@@ -1096,9 +1096,7 @@ impl kcov_sketch::WireEncode for TrivialState {
         if n > input.len() {
             return Err(err("TrivialState group count exceeds input"));
         }
-        let groups = (0..n)
-            .map(|_| take_l0_full(input))
-            .collect::<Result<Vec<_>, _>>()?;
+        let groups = take_vec(input, n, take_l0_full)?;
         if groups.is_empty() {
             // `observe` indexes `groups.len() - 1`.
             return Err(err("TrivialState needs at least one group"));
@@ -1192,7 +1190,7 @@ impl kcov_sketch::WireEncode for MaxCoverEstimator {
 
     fn decode(input: &mut &[u8]) -> Result<Self, kcov_sketch::WireError> {
         use kcov_sketch::wire::{
-            err, expect_section_end, take_f64, take_header, take_section, take_u64,
+            err, expect_section_end, take_f64, take_header, take_section, take_u64, take_vec,
         };
         take_header(input, TAG_ESTIMATOR)?;
 
@@ -1222,18 +1220,16 @@ impl kcov_sketch::WireEncode for MaxCoverEstimator {
                 if num > state.len() {
                     return Err(err("estimator lane count exceeds input"));
                 }
-                let lanes = (0..num)
-                    .map(|_| {
-                        let lane = Lane::decode(&mut state)?;
-                        if lane.oracle.shape().1 != m {
-                            return Err(err(format!(
-                                "lane built for {} sets in an estimator over {m}",
-                                lane.oracle.shape().1
-                            )));
-                        }
-                        Ok(lane)
-                    })
-                    .collect::<Result<Vec<_>, _>>()?;
+                let lanes = take_vec(&mut state, num, |state| {
+                    let lane = Lane::decode(state)?;
+                    if lane.oracle.shape().1 != m {
+                        return Err(err(format!(
+                            "lane built for {} sets in an estimator over {m}",
+                            lane.oracle.shape().1
+                        )));
+                    }
+                    Ok(lane)
+                })?;
                 (None, Some(fps), lanes)
             }
             flag => return Err(err(format!("bad estimator regime flag {flag}"))),
@@ -1245,9 +1241,7 @@ impl kcov_sketch::WireEncode for MaxCoverEstimator {
         if num_snaps > telem.len() {
             return Err(err("estimator heartbeat count exceeds input"));
         }
-        let heartbeats = (0..num_snaps)
-            .map(|_| HeartbeatSnap::decode(&mut telem))
-            .collect::<Result<Vec<_>, _>>()?;
+        let heartbeats = take_vec(&mut telem, num_snaps, HeartbeatSnap::decode)?;
         let hists = IngestHists::decode(&mut telem)?;
         let last_stats = SketchStats::decode(&mut telem)?;
         let times = StageTimes::decode(&mut telem)?;

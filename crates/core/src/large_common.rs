@@ -438,7 +438,7 @@ impl kcov_sketch::WireEncode for LargeCommon {
     }
 
     fn decode(input: &mut &[u8]) -> Result<Self, kcov_sketch::WireError> {
-        use kcov_sketch::wire::{err, take_f64, take_kwise, take_l0_full, take_u64};
+        use kcov_sketch::wire::{err, take_f64, take_kwise, take_l0_full, take_u64, take_vec};
         if take_u64(input)? != TAG_LC {
             return Err(err("bad LargeCommon tag"));
         }
@@ -480,9 +480,7 @@ impl kcov_sketch::WireEncode for LargeCommon {
                     if n > input.len() {
                         return Err(err("LargeCommon group count exceeds input"));
                     }
-                    let counters = (0..n)
-                        .map(|_| take_l0_full(input))
-                        .collect::<Result<Vec<_>, _>>()?;
+                    let counters = take_vec(input, n, take_l0_full)?;
                     if counters.is_empty() {
                         return Err(err("LargeCommon reporting lane has no groups"));
                     }

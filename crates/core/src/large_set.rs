@@ -206,7 +206,7 @@ impl LargeSet {
                     keep_below,
                     shash: KWise::new(4, seq.next_seed()),
                     num_supersets,
-                    cntr: F2Contributing::new_paired(c1, c2, num_supersets as usize, u, cntr_seed),
+                    cntr: F2Contributing::new(c1, c2, num_supersets as usize, u, cntr_seed),
                     ssel_buckets,
                     ssel_hash: KWise::new(4, seq.next_seed()),
                     sampled: OaMap::new(),

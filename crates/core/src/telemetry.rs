@@ -205,7 +205,7 @@ pub fn crosses_beat(seen_before: u64, added: u64, every: u64) -> bool {
 // in-process replica's, so they are state as far as the wire format is
 // concerned.
 
-use kcov_sketch::wire::{err, put_u64, take_u64, WireEncode, WireError};
+use kcov_sketch::wire::{err, put_u64, take_u64, take_vec, WireEncode, WireError};
 
 const TAG_BEAT: u64 = 0x42454154; // "BEAT"
 const TAG_SNAP: u64 = 0x534e4150; // "SNAP"
@@ -302,9 +302,7 @@ impl WireEncode for HeartbeatSnap {
         if n > input.len() / 64 {
             return Err(err(format!("truncated heartbeat of {n} lane beats")));
         }
-        let lanes = (0..n)
-            .map(|_| LaneBeat::decode(input))
-            .collect::<Result<Vec<_>, _>>()?;
+        let lanes = take_vec(input, n, LaneBeat::decode)?;
         Ok(HeartbeatSnap {
             shard,
             at_edges,

@@ -62,10 +62,14 @@ impl KWise {
     /// Rebuild a function from its coefficient vector (the inverse of
     /// [`KWise::coefficients`]). Values are reduced mod p.
     pub fn from_coefficients(coeffs: &[u64]) -> Self {
+        KWise::from_field(coeffs.iter().map(|&c| Fp::new(c)).collect())
+    }
+
+    /// [`KWise::from_coefficients`] over field elements, taking the
+    /// vector as the function's own storage.
+    pub fn from_field(coeffs: Vec<Fp>) -> Self {
         assert!(!coeffs.is_empty(), "need at least one coefficient");
-        KWise {
-            coeffs: coeffs.iter().map(|&c| Fp::new(c)).collect(),
-        }
+        KWise { coeffs }
     }
 
     /// Space in 64-bit words used by this function (Lemma A.2 accounting).

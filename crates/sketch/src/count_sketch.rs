@@ -444,6 +444,26 @@ mod tests {
     }
 
     #[test]
+    fn f2_estimate_tracks_truth() {
+        // Single item of frequency f: every row holds ±f in one bucket,
+        // so each row's sum of squares is exactly f².
+        let mut cs = CountSketch::new(5, 320, 4);
+        cs.insert_batch(&[9; 50]);
+        assert_eq!(cs.f2_estimate(), 2500.0);
+        // Mixed stream: within AMS-style tolerance of the exact F2.
+        let mut cs = CountSketch::new(5, 3200, 2024);
+        let items: Vec<u64> = (0..500u64).flat_map(|i| [i; 10]).collect();
+        cs.insert_batch(&items);
+        let truth = 500.0 * 100.0;
+        let est = cs.f2_estimate();
+        let rel = (est - truth).abs() / truth;
+        assert!(
+            rel < 0.25,
+            "relative error {rel} (est {est}, truth {truth})"
+        );
+    }
+
+    #[test]
     fn signed_updates_cancel() {
         let mut cs = CountSketch::new(3, 8, 5);
         cs.update(4, 10);

@@ -9,10 +9,11 @@
 //! * [`count_sketch`] — the Charikar–Chen–Farach-Colton CountSketch
 //!   (reference \[18\]), the linear sketch behind `F2` heavy hitters; its
 //!   `F2` estimate also sets the heavy-hitter thresholds.
-//! * [`heavy_hitter`] — insertion-only `φ`-heavy-hitter tracking with
-//!   `(1 ± 1/2)`-approximate frequencies (Theorem 2.10).
 //! * [`contributing`] — `γ`-contributing class detection via per-level
-//!   subsampling + heavy hitters (Theorem 2.11, after Indyk–Woodruff \[29\]).
+//!   subsampling + heavy hitters (Theorem 2.11, after Indyk–Woodruff \[29\]);
+//!   each level's thresholded CountSketch query is the insertion-only
+//!   `φ`-heavy hitter with `(1 ± 1/2)`-approximate frequencies of
+//!   Theorem 2.10.
 //! * [`space`] — the [`SpaceUsage`] accounting trait every sketch and
 //!   every algorithm in the workspace implements, so the paper's
 //!   space/approximation trade-offs are *measured* in words, not assumed.
@@ -28,16 +29,14 @@
 pub mod arena;
 pub mod contributing;
 pub mod count_sketch;
-pub mod heavy_hitter;
 pub mod l0;
 pub mod scratch;
 pub mod space;
 pub mod wire;
 
 pub use arena::{probe_mix, OaMap, SortedSlab};
-pub use contributing::{ContributingConfig, ContributingReport, F2Contributing};
+pub use contributing::{ContributingConfig, ContributingReport, F2Contributing, HeavyItem};
 pub use count_sketch::CountSketch;
-pub use heavy_hitter::{F2HeavyHitter, HeavyHitterConfig, HeavyItem};
 pub use l0::{Kmv, L0Estimator};
 pub use space::{SpaceSink, SpaceUsage};
 pub use wire::{WireEncode, WireError};

@@ -14,12 +14,11 @@
 //! the decoded object is behaviorally identical, not just statistically
 //! equivalent.
 
-use kcov_hash::{KWise, MERSENNE_P};
+use kcov_hash::{Fp, KWise, MERSENNE_P};
 use kcov_obs::{Histogram, SketchStats};
 
 use crate::contributing::F2Contributing;
 use crate::count_sketch::{CountSketch, MAX_WIDTH};
-use crate::heavy_hitter::{F2HeavyHitter, HeavyHitterConfig};
 use crate::l0::{Kmv, L0Estimator};
 
 /// Decode error with context.
@@ -149,16 +148,41 @@ pub fn put_kwise(out: &mut Vec<u8>, h: &KWise) {
 /// so a non-canonical one is corruption, and accepting it would give one
 /// state two encodings.
 pub fn take_kwise(input: &mut &[u8]) -> Result<KWise, WireError> {
-    let coeffs = take_u64s(input)?;
+    let n = take_u64(input)? as usize;
+    let mut non_canonical = None;
+    let coeffs = take_words(input, n, |c| {
+        if c >= MERSENNE_P {
+            non_canonical.get_or_insert(c);
+        }
+        Fp::new(c)
+    })
+    .ok_or_else(|| err(format!("truncated vector of {n} u64s")))?;
     if coeffs.is_empty() {
         return Err(err("empty hash coefficient vector"));
     }
-    if let Some(&c) = coeffs.iter().find(|&&c| c >= MERSENNE_P) {
+    if let Some(c) = non_canonical {
         return Err(err(format!(
             "hash coefficient {c:#x} is not below 2^61 - 1"
         )));
     }
-    Ok(KWise::from_coefficients(&coeffs))
+    Ok(KWise::from_field(coeffs))
+}
+
+/// Decode `n` values with `f` into one vector, sized once: its capacity
+/// is `n`, capped at what the remaining input could hold if every value
+/// took at least its in-memory size on the wire, so a crafted count
+/// cannot allocate past its payload. Callers bound `n` first, with the
+/// typed error their format defines.
+pub fn take_vec<T>(
+    input: &mut &[u8],
+    n: usize,
+    mut f: impl FnMut(&mut &[u8]) -> Result<T, WireError>,
+) -> Result<Vec<T>, WireError> {
+    let mut out = Vec::with_capacity(n.min(input.len() / std::mem::size_of::<T>().max(1)));
+    for _ in 0..n {
+        out.push(f(input)?);
+    }
+    Ok(out)
 }
 
 // ---- full-state framing ---------------------------------------------
@@ -189,8 +213,10 @@ pub const WIRE_MAGIC: u64 = 0x4b43_4f56_5749_5245;
 /// coordinate domain; 6 = a CountSketch carries its ⌈rows/2⌉ 4-wise mix
 /// words instead of per-row bucket and sign hashes; 7 = a `SmallSet`
 /// repetition stores each kept edge once, in the bucket of the lowest
-/// γ level it passes, instead of once per γ lane.
-pub const WIRE_VERSION: u64 = 7;
+/// γ level it passes, instead of once per γ lane; 8 = a finder level is
+/// `(modulus, keep, threshold factor, CountSketch)`, without a
+/// heavy-hitter record of its own (tag, configuration, item count).
+pub const WIRE_VERSION: u64 = 8;
 
 /// Append the versioned full-state header: magic, version, payload tag.
 pub fn put_header(out: &mut Vec<u8>, tag: u64) {
@@ -269,7 +295,6 @@ pub fn expect_section_end(tag: u64, body: &[u8]) -> Result<(), WireError> {
 const TAG_KMV: u64 = 0x4b4d56; // "KMV"
 const TAG_CS: u64 = 0x4353; // "CS"
 const TAG_L0: u64 = 0x4c30; // "L0"
-const TAG_HH: u64 = 0x4848; // "HH"
 const TAG_FC: u64 = 0x4643; // "FC"
 const TAG_HIST: u64 = 0x48495354; // "HIST"
 
@@ -327,9 +352,7 @@ impl WireEncode for CountSketch {
                 "truncated list of {words} CountSketch mix words"
             )));
         }
-        let mix = (0..words)
-            .map(|_| take_kwise(input))
-            .collect::<Result<Vec<_>, _>>()?;
+        let mix = take_vec(input, words, take_kwise)?;
         let n = take_u64(input)? as usize;
         let table = (rows.checked_mul(width) == Some(n))
             .then(|| take_words(input, n, |w| w as i64))
@@ -358,38 +381,8 @@ impl WireEncode for L0Estimator {
             // so a corrupt length cannot drive a huge allocation loop.
             return Err(err("L0Estimator repetition count exceeds input"));
         }
-        let reps = (0..n)
-            .map(|_| Kmv::decode(input))
-            .collect::<Result<Vec<_>, _>>()?;
+        let reps = take_vec(input, n, Kmv::decode)?;
         L0Estimator::from_parts(reps).map_err(err)
-    }
-}
-
-impl WireEncode for F2HeavyHitter {
-    fn encode(&self, out: &mut Vec<u8>) {
-        put_u64(out, TAG_HH);
-        let c = self.config();
-        put_f64(out, c.phi);
-        put_u64(out, c.rows as u64);
-        put_f64(out, c.width_factor);
-        put_f64(out, c.report_slack);
-        self.sketch().encode(out);
-        put_u64(out, self.items_seen());
-    }
-
-    fn decode(input: &mut &[u8]) -> Result<Self, WireError> {
-        if take_u64(input)? != TAG_HH {
-            return Err(err("bad F2HeavyHitter tag"));
-        }
-        let config = HeavyHitterConfig {
-            phi: take_f64(input)?,
-            rows: take_u64(input)? as usize,
-            width_factor: take_f64(input)?,
-            report_slack: take_f64(input)?,
-        };
-        let sketch = CountSketch::decode(input)?;
-        let items_seen = take_u64(input)?;
-        F2HeavyHitter::from_parts(config, sketch, items_seen).map_err(err)
     }
 }
 
@@ -400,10 +393,11 @@ impl WireEncode for F2Contributing {
         put_kwise(out, self.sampling_hash());
         let levels = self.level_parts();
         put_u64(out, levels.len() as u64);
-        for (modulus, keep, hh) in levels {
+        for (modulus, keep, factor, sketch) in levels {
             put_u64(out, modulus);
             put_u64(out, keep);
-            hh.encode(out);
+            put_f64(out, factor);
+            sketch.encode(out);
         }
     }
 
@@ -417,15 +411,14 @@ impl WireEncode for F2Contributing {
         if n > input.len() {
             return Err(err("F2Contributing level count exceeds input"));
         }
-        let levels = (0..n)
-            .map(|_| {
-                Ok((
-                    take_u64(input)?,
-                    take_u64(input)?,
-                    F2HeavyHitter::decode(input)?,
-                ))
-            })
-            .collect::<Result<Vec<_>, WireError>>()?;
+        let levels = take_vec(input, n, |input| {
+            Ok((
+                take_u64(input)?,
+                take_u64(input)?,
+                take_f64(input)?,
+                CountSketch::decode(input)?,
+            ))
+        })?;
         F2Contributing::from_parts(hash, domain, levels).map_err(err)
     }
 }
@@ -459,9 +452,9 @@ impl WireEncode for Histogram {
                 "truncated histogram bucket list of {n} entries"
             )));
         }
-        let buckets = (0..n)
-            .map(|_| Ok((take_u64(input)? as usize, take_u64(input)?)))
-            .collect::<Result<Vec<_>, WireError>>()?;
+        let buckets = take_vec(input, n, |input| {
+            Ok((take_u64(input)? as usize, take_u64(input)?))
+        })?;
         Histogram::from_parts(&buckets, sum, min, max)
             .ok_or_else(|| err("inconsistent histogram parts"))
     }
@@ -526,9 +519,9 @@ pub fn take_l0_full(input: &mut &[u8]) -> Result<L0Estimator, WireError> {
             "truncated L0 telemetry sidecar of {n} entries"
         )));
     }
-    let counters = (0..n)
-        .map(|_| Ok((take_u64(input)?, take_u64(input)?, take_u64(input)?)))
-        .collect::<Result<Vec<_>, WireError>>()?;
+    let counters = take_vec(input, n, |input| {
+        Ok((take_u64(input)?, take_u64(input)?, take_u64(input)?))
+    })?;
     l0.restore_telemetry(&counters).map_err(err)?;
     Ok(l0)
 }
@@ -539,9 +532,9 @@ pub fn put_fc_full(out: &mut Vec<u8>, fc: &F2Contributing) {
     fc.encode(out);
     let levels = fc.level_parts();
     put_u64(out, levels.len() as u64);
-    for (_, _, hh) in levels {
-        put_u64(out, hh.stats().merges);
-        put_u64(out, hh.sketch().heat_updates());
+    for (_, _, _, sketch) in levels {
+        put_u64(out, sketch.stats().merges);
+        put_u64(out, sketch.heat_updates());
     }
 }
 
@@ -554,9 +547,7 @@ pub fn take_fc_full(input: &mut &[u8]) -> Result<F2Contributing, WireError> {
             "truncated F2C telemetry sidecar of {n} entries"
         )));
     }
-    let counters = (0..n)
-        .map(|_| Ok((take_u64(input)?, take_u64(input)?)))
-        .collect::<Result<Vec<_>, WireError>>()?;
+    let counters = take_vec(input, n, |input| Ok((take_u64(input)?, take_u64(input)?)))?;
     fc.restore_telemetry(&counters).map_err(err)?;
     Ok(fc)
 }
@@ -629,50 +620,31 @@ mod tests {
     }
 
     #[test]
-    fn heavy_hitter_roundtrip_and_continue() {
-        let mut hh = F2HeavyHitter::for_phi(0.05, 31);
-        for i in 0..3_000u64 {
-            hh.insert(i % 40);
-            hh.insert(7); // dominant item
-        }
-        let ids: Vec<u64> = (0..50).collect();
-        let mut back = F2HeavyHitter::from_bytes(&hh.to_bytes()).unwrap();
-        assert_eq!(hh.heavy_hitters(&ids), back.heavy_hitters(&ids));
-        assert_eq!(hh.items_seen(), back.items_seen());
-        assert_eq!(hh.f2_estimate().to_bits(), back.f2_estimate().to_bits());
-        let mut original = hh.clone();
-        for i in 0..1_000u64 {
-            original.insert(i % 13);
-            back.insert(i % 13);
-        }
-        assert_eq!(original.heavy_hitters(&ids), back.heavy_hitters(&ids));
-        assert_eq!(original.sketch().table(), back.sketch().table());
-    }
-
-    #[test]
     fn contributing_roundtrip_and_continue() {
         use crate::contributing::ContributingConfig;
-        let mut fc = F2Contributing::new(ContributingConfig::new(0.25, 64), 1000, 1000, 41);
-        for round in 0..300u64 {
-            fc.insert(5);
-            fc.insert(100 + round % 20);
-        }
+        let c = ContributingConfig::new(0.25, 64);
+        let mut fc = F2Contributing::new(c.clone(), c, 1000, 1000, 41);
+        let items: Vec<u64> = (0..300u64).flat_map(|r| [5, 100 + r % 20]).collect();
+        fc.insert_batch(&items);
         let mut back = F2Contributing::from_bytes(&fc.to_bytes()).unwrap();
         assert_eq!(fc.report(), back.report());
         let mut original = fc.clone();
-        for round in 0..200u64 {
-            original.insert(9);
-            back.insert(9);
-            original.insert(400 + round);
-            back.insert(400 + round);
-        }
+        let items: Vec<u64> = (0..200u64).flat_map(|r| [9, 400 + r]).collect();
+        original.insert_batch(&items);
+        back.insert_batch(&items);
         assert_eq!(original.report(), back.report());
+        for (a, b) in original.level_parts().iter().zip(back.level_parts()) {
+            assert_eq!(a.2.to_bits(), b.2.to_bits());
+            assert_eq!(a.3.table(), b.3.table());
+            assert_eq!(a.3.f2_estimate().to_bits(), b.3.f2_estimate().to_bits());
+        }
     }
 
     #[test]
     fn contributing_domain_above_the_cap_is_rejected() {
         use crate::contributing::{ContributingConfig, MAX_DOMAIN};
-        let fc = F2Contributing::new(ContributingConfig::new(0.5, 16), 100, 100, 2);
+        let c = ContributingConfig::new(0.5, 16);
+        let fc = F2Contributing::new(c.clone(), c, 100, 100, 2);
         let mut bytes = fc.to_bytes();
         // The domain word follows the tag.
         bytes[8..16].copy_from_slice(&(MAX_DOMAIN + 1).to_le_bytes());
@@ -687,19 +659,17 @@ mod tests {
 
     #[test]
     fn new_type_truncations_rejected() {
-        let mut hh = F2HeavyHitter::for_phi(0.2, 3);
-        hh.insert(1);
-        let bytes = hh.to_bytes();
+        use crate::contributing::ContributingConfig;
+        let c = ContributingConfig::new(0.5, 16);
+        let mut fc = F2Contributing::new(c.clone(), c, 100, 100, 2);
+        fc.insert_batch(&[1]);
+        let bytes = fc.to_bytes();
         for cut in [0usize, 1, 7, 16, bytes.len() / 2, bytes.len() - 1] {
             assert!(
-                F2HeavyHitter::from_bytes(&bytes[..cut]).is_err(),
+                F2Contributing::from_bytes(&bytes[..cut]).is_err(),
                 "cut {cut}"
             );
         }
-        use crate::contributing::ContributingConfig;
-        let fc = F2Contributing::new(ContributingConfig::new(0.5, 16), 100, 100, 2);
-        let bytes = fc.to_bytes();
-        assert!(F2Contributing::from_bytes(&bytes[..bytes.len() - 1]).is_err());
         let est = L0Estimator::new(8, 2, 1);
         let bytes = est.to_bytes();
         assert!(L0Estimator::from_bytes(&bytes[..bytes.len() - 1]).is_err());
@@ -713,8 +683,8 @@ mod tests {
         assert!(Kmv::from_bytes(&est.to_bytes()).is_err());
         let kmv = Kmv::new(8, 1);
         assert!(L0Estimator::from_bytes(&kmv.to_bytes()).is_err());
-        let hh = F2HeavyHitter::for_phi(0.5, 1);
-        assert!(F2Contributing::from_bytes(&hh.to_bytes()).is_err());
+        let cs = CountSketch::new(2, 8, 1);
+        assert!(F2Contributing::from_bytes(&cs.to_bytes()).is_err());
     }
 
     #[test]
@@ -816,11 +786,10 @@ mod tests {
         );
 
         use crate::contributing::ContributingConfig;
-        let mut fc = F2Contributing::new(ContributingConfig::new(0.25, 64), 1000, 1000, 41);
-        for round in 0..300u64 {
-            fc.insert(5);
-            fc.insert(100 + round % 20);
-        }
+        let c = ContributingConfig::new(0.25, 64);
+        let mut fc = F2Contributing::new(c.clone(), c, 1000, 1000, 41);
+        let items: Vec<u64> = (0..300u64).flat_map(|r| [5, 100 + r % 20]).collect();
+        fc.insert_batch(&items);
         let mut buf = Vec::new();
         put_fc_full(&mut buf, &fc);
         let mut input = buf.as_slice();

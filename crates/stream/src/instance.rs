@@ -4,6 +4,8 @@
 //! a materialized [`SetSystem`]; the streaming algorithms only ever see
 //! the edge stream derived from one (see [`crate::order`]).
 
+use std::collections::TryReserveError;
+
 use crate::edge::Edge;
 
 /// A set system: `n` ground elements and `m` sets over them.
@@ -36,7 +38,21 @@ impl SetSystem {
     /// Build from an edge list. `num_sets` fixes `m` (empty sets are
     /// allowed and preserved).
     pub fn from_edges(num_elements: usize, num_sets: usize, edges: &[Edge]) -> Self {
-        let mut sets = vec![Vec::new(); num_sets];
+        SetSystem::try_from_edges(num_elements, num_sets, edges)
+            .unwrap_or_else(|e| panic!("cannot allocate a table of {num_sets} sets: {e}"))
+    }
+
+    /// [`SetSystem::from_edges`] with the `num_sets`-entry set table
+    /// reserved fallibly, for a set count read from untrusted input: a
+    /// count no allocation can hold is an error, not an abort.
+    pub fn try_from_edges(
+        num_elements: usize,
+        num_sets: usize,
+        edges: &[Edge],
+    ) -> Result<Self, TryReserveError> {
+        let mut sets = Vec::new();
+        sets.try_reserve_exact(num_sets)?;
+        sets.resize_with(num_sets, Vec::new);
         for e in edges {
             assert!(
                 (e.set as usize) < num_sets,
@@ -45,7 +61,7 @@ impl SetSystem {
             );
             sets[e.set as usize].push(e.elem);
         }
-        SetSystem::new(num_elements, sets)
+        Ok(SetSystem::new(num_elements, sets))
     }
 
     /// Number of ground elements `n`.

@@ -186,10 +186,17 @@ impl<R: BufRead> EdgeChunkReader<R> {
     }
 }
 
-/// Read a materialized [`SetSystem`] from the text format.
+/// Read a materialized [`SetSystem`] from the text format. The header's
+/// set count sizes the set table, so a count no allocation can hold is
+/// an error, not an abort.
 pub fn read_set_system<R: BufRead>(reader: R) -> Result<SetSystem, ParseError> {
     let (n, m, edges) = read_edges(reader)?;
-    Ok(SetSystem::from_edges(n, m, &edges))
+    SetSystem::try_from_edges(n, m, &edges).map_err(|e| {
+        err(
+            0,
+            format!("header m = {m}: cannot allocate the set table ({e})"),
+        )
+    })
 }
 
 /// Write a set system (header + set-contiguous edges).

@@ -71,7 +71,7 @@
 
 use std::collections::HashMap;
 use std::fs::File;
-use std::io::{BufReader, BufWriter};
+use std::io::{BufReader, BufWriter, ErrorKind, Write};
 use std::process::ExitCode;
 use std::time::Instant;
 
@@ -85,6 +85,33 @@ use kcov_stream::{
     coverage_of, edge_stream, read_set_system, write_set_system, ArrivalOrder, CoverageStats,
     SetSystem,
 };
+
+// `print!` and `println!` for this binary: when stdout's reader has
+// gone away (`maxkcov greedy … | head`), the command stops at once with
+// status 0, as a filter ended by SIGPIPE would, instead of panicking.
+macro_rules! print {
+    ($($arg:tt)*) => {
+        write_stdout(format_args!($($arg)*))
+    };
+}
+
+macro_rules! println {
+    () => {
+        print!("\n")
+    };
+    ($($arg:tt)*) => {
+        print!("{}\n", format_args!($($arg)*))
+    };
+}
+
+fn write_stdout(args: std::fmt::Arguments) {
+    if let Err(e) = std::io::stdout().write_fmt(args) {
+        if e.kind() == ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        panic!("failed printing to stdout: {e}");
+    }
+}
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -110,7 +137,6 @@ const USAGE: &str = "usage:
                    [--threads T] [--batch B] [--shards S] [--metrics] [--trace FILE] [--heartbeat N]
   maxkcov twopass  --input FILE --k K --alpha A [--seed S] [--order ORDER] [--threads T] [--batch B]
                    [--shards S] [--metrics] [--trace FILE] [--heartbeat N]
-  maxkcov setcover --input FILE [--fraction F]
   maxkcov budget   --input FILE --k K --words W [--seed S] [--order ORDER] [--threads T] [--batch B]
                    [--shards S] [--metrics] [--trace FILE] [--heartbeat N]
   maxkcov worker   --input FILE --k K --alpha A --shards N --shard I --out FILE [--seed S]
@@ -225,8 +251,7 @@ const FLAG_SPECS: &[FlagSpec] = &[
         name: "input",
         kind: FlagKind::Value,
         commands: &[
-            "stats", "greedy", "exact", "setcover", "estimate", "report", "twopass", "budget",
-            "worker", "prof",
+            "stats", "greedy", "exact", "estimate", "report", "twopass", "budget", "worker", "prof",
         ],
     },
     FlagSpec {
@@ -238,11 +263,6 @@ const FLAG_SPECS: &[FlagSpec] = &[
         name: "words",
         kind: FlagKind::Value,
         commands: &["budget"],
-    },
-    FlagSpec {
-        name: "fraction",
-        kind: FlagKind::Value,
-        commands: &["setcover"],
     },
     FlagSpec {
         name: "top",
@@ -563,7 +583,6 @@ fn run(args: &[String]) -> Result<(), String> {
             | "estimate"
             | "report"
             | "twopass"
-            | "setcover"
             | "budget"
             | "worker"
     ) {
@@ -578,7 +597,6 @@ fn run(args: &[String]) -> Result<(), String> {
         "estimate" => cmd_estimate(&flags),
         "report" => cmd_report(&flags),
         "twopass" => cmd_twopass(&flags),
-        "setcover" => cmd_setcover(&flags),
         "budget" => cmd_budget(&flags),
         "worker" => cmd_worker(&flags),
         other => Err(format!("unknown subcommand '{other}'")),
@@ -1259,24 +1277,6 @@ fn cmd_trace_summarize(path: &str) -> Result<(), String> {
         Some("invariants OK"),
         &format!("trace invariant(s) violated in {path}"),
     )
-}
-
-fn cmd_setcover(flags: &HashMap<String, String>) -> Result<(), String> {
-    let system = load(flags)?;
-    let fraction: f64 = match flags.get("fraction") {
-        Some(s) => parse_num(s, "fraction")?,
-        None => 1.0,
-    };
-    if !(0.0..=1.0).contains(&fraction) {
-        return Err("fraction must be in [0, 1]".into());
-    }
-    let r = kcov_baselines::partial_set_cover(&system, fraction);
-    println!("target fraction = {fraction}");
-    println!("sets used       = {}", r.chosen.len());
-    println!("covered         = {}", r.covered);
-    println!("complete        = {}", r.complete);
-    println!("sets            = {:?}", r.chosen);
-    Ok(())
 }
 
 fn cmd_report(flags: &HashMap<String, String>) -> Result<(), String> {

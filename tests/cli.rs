@@ -2,7 +2,7 @@
 //! greedy/exact → estimate → report over the text format).
 
 use std::path::PathBuf;
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 fn bin() -> &'static str {
     env!("CARGO_BIN_EXE_maxkcov")
@@ -112,7 +112,7 @@ fn twopass_accepts_a_one_element_universe() {
 }
 
 #[test]
-fn twopass_and_setcover_subcommands() {
+fn twopass_subcommand() {
     let path = tmp_file("tp.txt");
     let out = run(&[
         "gen",
@@ -148,17 +148,37 @@ fn twopass_and_setcover_subcommands() {
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("real coverage"), "{text}");
 
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn closed_stdout_ends_the_command_cleanly() {
+    // A reader that stops early (`maxkcov greedy … | head -1`, or here a
+    // pipe closed before the first line) ends the command with status 0
+    // instead of a broken-pipe panic.
+    let path = tmp_file("pipe.txt");
+    let path_s = path.to_str().unwrap();
     let out = run(&[
-        "setcover",
-        "--input",
-        path.to_str().unwrap(),
-        "--fraction",
-        "0.9",
+        "gen", "--kind", "planted", "--n", "600", "--m", "90", "--k", "6", "--seed", "2", "--out",
+        path_s,
     ]);
     assert!(out.status.success());
-    let text = String::from_utf8_lossy(&out.stdout);
-    assert!(text.contains("sets used"), "{text}");
-
+    for args in [
+        &["greedy", "--input", path_s, "--k", "8"][..],
+        &["stats", "--input", path_s],
+    ] {
+        let mut child = Command::new(bin())
+            .args(args)
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("binary should execute");
+        drop(child.stdout.take());
+        let out = child.wait_with_output().unwrap();
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{args:?}: {:?} {err}", out.status);
+        assert!(!err.contains("panicked"), "{args:?}: {err}");
+    }
     std::fs::remove_file(&path).ok();
 }
 
@@ -1210,5 +1230,16 @@ fn oversized_instance_headers_are_rejected() {
             "exceeds the u32 id range",
         );
     }
+    // A set count at u32::MAX passes the id-range check, but its set
+    // table (~100 GB) cannot be allocated: a typed error, not an abort.
+    std::fs::write(&path, "4 4294967295\n0 0\n").unwrap();
+    assert_clean_rejection(
+        &["stats", "--input", path_s],
+        "cannot allocate the set table",
+    );
+    assert_clean_rejection(
+        &["estimate", "--input", path_s, "--k", "1", "--alpha", "2"],
+        "cannot allocate the set table",
+    );
     std::fs::remove_file(&path).ok();
 }

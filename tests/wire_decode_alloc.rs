@@ -1,5 +1,5 @@
-//! Untrusted-decode bounds for the contributing-class finder, the
-//! heavy-hitter sketch and the CountSketch's mix words, finalize bounds
+//! Untrusted-decode bounds for the contributing-class finder, its
+//! levels' threshold factors and the CountSketch's mix words, finalize bounds
 //! for `SmallSet`, whose set count `m` and universe `u` come off the
 //! wire too, and the bytes a whole replica's decode allocates.
 //!
@@ -20,9 +20,7 @@ use std::sync::Arc;
 use kcov_core::{EstimatorConfig, LargeSet, MaxCoverEstimator, Params, SmallSet};
 use kcov_hash::KWise;
 use kcov_sketch::wire::{put_kwise, put_u64};
-use kcov_sketch::{
-    ContributingConfig, CountSketch, F2Contributing, F2HeavyHitter, HeavyHitterConfig, WireEncode,
-};
+use kcov_sketch::{ContributingConfig, CountSketch, F2Contributing, WireEncode};
 use kcov_stream::gen::{many_small, planted_cover};
 use kcov_stream::{edge_stream, ArrivalOrder};
 
@@ -79,22 +77,26 @@ fn allocated_by<T>(f: impl FnOnce() -> T) -> (T, u64) {
     (value, ALLOCATED.with(Cell::get) - before)
 }
 
-/// Byte offsets of the `f64` factors in an `F2HeavyHitter` section
-/// (after the tag, φ and rows words).
-const WIDTH_FACTOR_AT: usize = 24;
-const REPORT_SLACK_AT: usize = 32;
+/// A finder for one search: the same config on both tiers.
+fn finder(c: ContributingConfig, m: usize, n: usize, seed: u64) -> F2Contributing {
+    F2Contributing::new(c.clone(), c, m, n, seed)
+}
 
-/// A benign one-row sketch (φ = 0.5, width factor 4) encoded, then one
-/// factor overwritten with `value`.
-fn crafted(field_at: usize, value: f64) -> Vec<u8> {
-    let config = HeavyHitterConfig {
-        phi: 0.5,
-        rows: 1,
-        width_factor: 4.0,
-        report_slack: 0.125,
-    };
-    let mut bytes = F2HeavyHitter::new(config, 7).to_bytes();
-    bytes[field_at..field_at + 8].copy_from_slice(&value.to_bits().to_le_bytes());
+/// A benign one-level, one-row finder (φ = 0.5, width factor 4)
+/// encoded, then its level's threshold factor overwritten with `value`.
+fn crafted(value: f64) -> Vec<u8> {
+    let mut c = ContributingConfig::new(0.5, 1);
+    c.phi_factor = 1.0;
+    c.hh_rows = 1;
+    c.hh_width_factor = 4.0;
+    let fc = finder(c, 100, 100, 7);
+    let factor = fc.level_parts()[0].2.to_bits().to_le_bytes();
+    let mut bytes = fc.to_bytes();
+    let at = bytes
+        .windows(8)
+        .position(|w| w == factor)
+        .expect("the level's factor word");
+    bytes[at..at + 8].copy_from_slice(&value.to_bits().to_le_bytes());
     bytes
 }
 
@@ -112,7 +114,7 @@ fn domain_at(bytes: &[u8], domain: u64) -> usize {
 
 #[test]
 fn huge_domain_is_rejected_without_presizing() {
-    let fc = F2Contributing::new(ContributingConfig::new(0.5, 16), 100, 100, 7);
+    let fc = finder(ContributingConfig::new(0.5, 16), 100, 100, 7);
     let mut bytes = fc.to_bytes();
     let at = domain_at(&bytes, 100);
     assert_eq!(at, 8, "the domain word follows the tag");
@@ -155,18 +157,23 @@ fn large_set_finder_domain_must_match_its_superset_count() {
 
 #[test]
 fn non_finite_or_non_positive_factors_are_wire_errors() {
-    for field_at in [WIDTH_FACTOR_AT, REPORT_SLACK_AT] {
-        for value in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0, -0.0, -1.0] {
-            let e = F2HeavyHitter::from_bytes(&crafted(field_at, value))
-                .expect_err("invalid factor must be rejected");
-            assert!(
-                e.message.contains("finite and > 0"),
-                "field at {field_at}, value {value}: {e}"
-            );
-        }
-        // The untouched encoding still decodes.
-        assert!(F2HeavyHitter::from_bytes(&crafted(field_at, 1.0)).is_ok());
+    for value in [
+        f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        0.0,
+        -0.0,
+        -1.0,
+        1.5,
+    ] {
+        let e = F2Contributing::from_bytes(&crafted(value))
+            .expect_err("invalid factor must be rejected");
+        assert!(e.message.contains("not in (0, 1]"), "value {value}: {e}");
     }
+    // The untouched encoding still decodes, and so does the largest
+    // factor (φ = 1 at no slack).
+    assert!(F2Contributing::from_bytes(&crafted(0.0625)).is_ok());
+    assert!(F2Contributing::from_bytes(&crafted(1.0)).is_ok());
 }
 
 /// A CountSketch encoding with the given shape, mix words and an empty
@@ -219,25 +226,26 @@ fn count_sketch_mix_words_and_width_are_pinned_at_decode() {
 
 #[test]
 fn finder_levels_must_share_one_mix() {
-    let fc = F2Contributing::new(ContributingConfig::new(0.1, 512), 500, 500, 3);
-    let encode = |last: &F2HeavyHitter| {
+    let fc = finder(ContributingConfig::new(0.1, 512), 500, 500, 3);
+    let encode = |last: &CountSketch| {
         let levels = fc.level_parts();
         let mut out = Vec::new();
         put_u64(&mut out, 0x4643);
         put_u64(&mut out, fc.domain());
         put_kwise(&mut out, fc.sampling_hash());
         put_u64(&mut out, levels.len() as u64);
-        for (i, &(modulus, keep, hh)) in levels.iter().enumerate() {
+        for (i, &(modulus, keep, factor, sketch)) in levels.iter().enumerate() {
             put_u64(&mut out, modulus);
             put_u64(&mut out, keep);
-            let hh = if i + 1 == levels.len() { last } else { hh };
-            hh.encode(&mut out);
+            put_u64(&mut out, factor.to_bits());
+            let sketch = if i + 1 == levels.len() { last } else { sketch };
+            sketch.encode(&mut out);
         }
         out
     };
-    let last = fc.level_parts().last().unwrap().2.clone();
+    let last = fc.level_parts().last().unwrap().3.clone();
     assert_eq!(encode(&last), fc.to_bytes());
-    let foreign = F2HeavyHitter::new(last.config().clone(), 99);
+    let foreign = CountSketch::new(last.rows(), last.width(), 99);
     let e = F2Contributing::from_bytes(&encode(&foreign)).unwrap_err();
     assert!(e.message.contains("different CountSketch mixes"), "{e}");
 }
@@ -314,6 +322,10 @@ fn replica_decode_allocates_its_payload_once() {
     let (decoded, allocated) = allocated_by(|| MaxCoverEstimator::from_bytes(&bytes));
     assert!(decoded.expect("a fed replica decodes").to_bytes() == bytes);
     let payload = bytes.len() as u64;
+    eprintln!(
+        "RATIO {allocated} / {payload} = {:.4}",
+        allocated as f64 / payload as f64
+    );
     assert!(
         allocated <= payload + payload / 16,
         "decoding a {payload}-byte replica allocated {allocated} bytes"

@@ -14,7 +14,7 @@ use maxkcov::core::{
 use maxkcov::hash::MERSENNE_P;
 use maxkcov::obs::{Histogram, Recorder, SketchStats};
 use maxkcov::sketch::{
-    ContributingConfig, CountSketch, F2Contributing, F2HeavyHitter, Kmv, L0Estimator, WireEncode,
+    ContributingConfig, CountSketch, F2Contributing, Kmv, L0Estimator, WireEncode,
 };
 use maxkcov::stream::gen::zipf_popularity;
 use maxkcov::stream::{edge_stream, ArrivalOrder};
@@ -84,24 +84,28 @@ fn exhaust<T: WireEncode>(label: &str, value: &T) {
 fn individual_sketches_roundtrip_and_reject_mangling() {
     let items: Vec<u64> = (0..300).map(|i| i * 2654435761 % 1000).collect();
 
+    // The skewed stream holds a genuinely heavy item.
+    let skewed: Vec<u64> = items.iter().copied().chain([42; 200]).collect();
     let mut kmv = Kmv::new(16, 7);
     let mut l0 = L0Estimator::new(8, 5, 3);
-    let mut hh = F2HeavyHitter::for_phi(0.05, 23);
-    let mut fc = F2Contributing::new(ContributingConfig::new(0.1, 64), 40, 1000, 29);
     for &x in &items {
         kmv.insert(x);
         l0.insert(x);
-        hh.insert(x);
-        fc.insert(x);
-    }
-    // Skew so the sketches hold a genuinely heavy item.
-    for _ in 0..200 {
-        hh.insert(42);
-        fc.insert(42);
     }
     exhaust("Kmv", &kmv);
     exhaust("L0Estimator", &l0);
-    exhaust("F2HeavyHitter", &hh);
+
+    // A one-level finder is Theorem 2.10's heavy hitter: the unsampled
+    // level alone, at φ = γ.
+    let mut one_level = ContributingConfig::new(0.05, 1);
+    one_level.phi_factor = 1.0;
+    let mut hh = F2Contributing::new(one_level.clone(), one_level, 1000, 1000, 23);
+    hh.insert_batch(&skewed);
+    assert_eq!(hh.num_levels(), 1);
+    exhaust("F2Contributing(one level)", &hh);
+    let c = ContributingConfig::new(0.1, 64);
+    let mut fc = F2Contributing::new(c.clone(), c, 40, 1000, 29);
+    fc.insert_batch(&skewed);
     exhaust("F2Contributing", &fc);
 
     // The paired two-tier finder (DESIGN.md §14): its level schedule
@@ -118,13 +122,8 @@ fn individual_sketches_roundtrip_and_reject_mangling() {
         c.hh_rows = 2;
     }
     wide.hh_width_factor = 2.0;
-    let mut paired = F2Contributing::new_paired(wide, narrow, 1000, 5000, 31);
-    for &x in &items {
-        paired.insert(x);
-    }
-    for _ in 0..200 {
-        paired.insert(42);
-    }
+    let mut paired = F2Contributing::new(wide, narrow, 1000, 5000, 31);
+    paired.insert_batch(&skewed);
     exhaust("F2Contributing(paired)", &paired);
 
     let mut cs = CountSketch::new(3, 32, 13);
