@@ -15,7 +15,7 @@
 //! | **Fig 7** `LargeSet` wrapper | [`crate::LargeSet`] (`large_set_reps` repetitions) | `large_set::tests` |
 //! | **Table 1** | `kcov-baselines` (each row) + this crate | `tests/baselines_vs_core.rs`, `exp_table1` |
 //! | **Table 2** | [`crate::Params`] (`Paper` and `Practical` modes) | `params::tests`, `tests/paper_mode.rs` |
-//! | **Thm 2.10** (F2 heavy hitters) | `kcov_sketch::F2HeavyHitter` | its unit tests + `exp_sketches` |
+//! | **Thm 2.10** (F2 heavy hitters) | each `kcov_sketch::F2Contributing` level: its CountSketch queried against `REPORT_SLACK · φ · F̂2` (`level_heavy_hitters`) | `contributing::tests` (one-level finders) + `exp_sketches` |
 //! | **Thm 2.11** (F2-Contributing) | `kcov_sketch::F2Contributing` | its unit tests + `exp_sketches` |
 //! | **Thm 2.12** (L0 estimation) | `kcov_sketch::L0Estimator` | its unit tests + `exp_sketches` |
 //! | **Def 2.1** (λ-common elements) | `kcov_stream::common_elements` | `coverage::tests` |

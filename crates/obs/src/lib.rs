@@ -501,12 +501,13 @@ impl Drop for PhaseSpan {
 /// repetitions): maintained as plain fields inside the sketches and
 /// harvested at finalize via [`Recorder::sketch`].
 ///
-/// `updates` is only filled where the sketch already tracked it
-/// (e.g. `F2HeavyHitter::items_seen`); `0` means "not tracked", not
-/// "no updates". Counters are merged by addition when sketch replicas
-/// merge, and reset to zero by wire-format reconstruction — they are
-/// telemetry, not state, and never participate in merge compatibility
-/// checks or `space_words` accounting.
+/// `updates` is only filled where the sketch already tracked it (e.g.
+/// the substream length of each `F2Contributing` level); `0` means "not
+/// tracked", not "no updates". Counters are merged by addition when
+/// sketch replicas merge, and reset to zero by wire-format
+/// reconstruction — they are telemetry, not state, and never
+/// participate in merge compatibility checks or `space_words`
+/// accounting.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SketchStats {
     /// Items observed, where the sketch already counts them.
