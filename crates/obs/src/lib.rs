@@ -403,7 +403,8 @@ impl Recorder {
 
     /// Write the full sink as NDJSON: every event in emission order,
     /// then one `"counter"` line per counter and one `"gauge"` line per
-    /// gauge (sorted by key), so a log is self-contained.
+    /// gauge (sorted by key), so a log is self-contained. Flushes `w`,
+    /// so a buffered writer's last write error is returned, not dropped.
     pub fn write_ndjson<W: Write>(&self, mut w: W) -> io::Result<()> {
         let Some(st) = self.state() else {
             return Ok(());
@@ -436,7 +437,7 @@ impl Recorder {
             writeln!(w, "{line}")?;
             seq += 1;
         }
-        Ok(())
+        w.flush()
     }
 
     /// Human summary: counters, gauges, and an event census by kind.

@@ -11,12 +11,35 @@
 //! 2 4
 //! ```
 //!
+//! The exact grammar:
+//!
+//! - Lines end at `'\n'`; the last may lack one. Every line must be
+//!   UTF-8.
+//! - A line's first `#` starts a comment that runs to the line's end.
+//! - What is left, trimmed of whitespace (`char::is_whitespace`, so
+//!   also vertical tab, form feed, U+00A0 and U+3000), is either empty
+//!   and skipped, or a data line: exactly two whitespace-separated
+//!   fields, each a `u64` as `str::parse` reads it (ASCII digits, an
+//!   optional leading `+`).
+//! - The first data line is the header `n m`, with both in
+//!   `1..=u32::MAX`. Every later one is an edge `set element`, with
+//!   `set < m` and `element < n`.
+//!
+//! Errors carry the 1-based line number (0 for a missing header).
+//!
+//! The common line, `digits blank+ digits blank*` with blank one of
+//! space, tab, CR or the closing LF, is parsed in place from the
+//! reader's buffer: no allocation, no UTF-8 check. Every other line
+//! (comments, `+5`, other whitespace, overflow, every malformed line)
+//! goes through the general rule above, so both routes give the same
+//! edges and the same errors. Only a line straddling the end of the
+//! reader's buffer is copied, into one reused buffer.
+//!
 //! The same format serves both materialized instances and raw edge
-//! streams; the loader validates ranges and reports line numbers on
-//! errors. Used by the `maxkcov` CLI and by anyone bringing real data.
+//! streams. Used by the `maxkcov` CLI and by anyone bringing real data.
 
 use std::fmt;
-use std::io::{BufRead, Write};
+use std::io::{BufRead, ErrorKind, Write};
 
 use crate::edge::Edge;
 use crate::instance::SetSystem;
@@ -97,22 +120,149 @@ fn check_edge(a: u64, b: u64, n: usize, m: usize, lineno: usize) -> Result<Edge,
     Ok(Edge::new(a as u32, b as u32))
 }
 
-/// Read `(n, m, edges)` from the text format.
-pub fn read_edges<R: BufRead>(reader: R) -> Result<(usize, usize, Vec<Edge>), ParseError> {
-    let mut header: Option<(usize, usize)> = None;
-    let mut edges = Vec::new();
-    for (idx, line) in reader.lines().enumerate() {
-        let lineno = idx + 1;
-        let line = line.map_err(|e| err(lineno, format!("io error: {e}")))?;
-        let Some((a, b)) = parse_pair(&line, lineno)? else {
-            continue;
-        };
-        match header {
-            None => header = Some(check_header(a, b, lineno)?),
-            Some((n, m)) => edges.push(check_edge(a, b, n, m, lineno)?),
+/// The one line reader behind [`read_edges`] and [`EdgeChunkReader`]:
+/// owns the `BufRead` and hands out each data line's `(line number, a,
+/// b)`. A line wholly inside the reader's buffer is parsed in place; only
+/// a line straddling the buffer's end is copied, into `spill`.
+#[derive(Debug)]
+struct LineReader<R> {
+    reader: R,
+    lineno: usize,
+    spill: Vec<u8>,
+}
+
+impl<R: BufRead> LineReader<R> {
+    fn new(reader: R) -> Self {
+        LineReader {
+            reader,
+            lineno: 0,
+            spill: Vec::new(),
         }
     }
-    let (n, m) = header.ok_or_else(|| err(0, "empty input: missing 'n m' header"))?;
+
+    /// Lines already buffered, capped at a quarter of the buffered bytes
+    /// (the shortest edge line, `0 0\n`, is four), so blank lines cannot
+    /// inflate a reservation sized from it. An in-memory reader buffers
+    /// its whole input.
+    fn buffered_lines(&mut self) -> Result<usize, ParseError> {
+        let buf = self.fill()?;
+        // Summed as bytes per 128-byte block, which vectorizes; a plain
+        // `filter().count()` widens every byte and reads ~10x slower.
+        let lines: usize = buf
+            .chunks(128)
+            .map(|c| usize::from(c.iter().map(|&b| u8::from(b == b'\n')).sum::<u8>()))
+            .sum();
+        Ok(lines.min(buf.len() / 4))
+    }
+
+    /// `fill_buf`, retrying interruptions as `BufRead::lines` does; an
+    /// error belongs to the line being read.
+    fn fill(&mut self) -> Result<&[u8], ParseError> {
+        while let Err(e) = self.reader.fill_buf() {
+            if e.kind() != ErrorKind::Interrupted {
+                return Err(io_err(self.lineno + 1, e));
+            }
+        }
+        self.reader
+            .fill_buf()
+            .map_err(|e| io_err(self.lineno + 1, e))
+    }
+
+    /// The `n m` header: the first data line.
+    fn header(&mut self) -> Result<(usize, usize), ParseError> {
+        let (lineno, n, m) = self
+            .next_pair()?
+            .ok_or_else(|| err(0, "empty input: missing 'n m' header"))?;
+        check_header(n, m, lineno)
+    }
+
+    /// The next data line's `(line number, a, b)`, skipping comments and
+    /// blanks; `Ok(None)` at end of input.
+    fn next_pair(&mut self) -> Result<Option<(usize, u64, u64)>, ParseError> {
+        loop {
+            let lineno = self.lineno + 1;
+            let buf = self.fill()?;
+            if buf.is_empty() {
+                return Ok(None);
+            }
+            let (pair, len) = if let Some((a, b, len)) = plain_pair(buf) {
+                (Some((a, b)), len)
+            } else if let Some(end) = buf.iter().position(|&c| c == b'\n') {
+                (parse_line(&buf[..end], lineno)?, end + 1)
+            } else {
+                self.spill.clear();
+                self.reader
+                    .read_until(b'\n', &mut self.spill)
+                    .map_err(|e| io_err(lineno, e))?;
+                (parse_line(&self.spill, lineno)?, 0)
+            };
+            self.reader.consume(len);
+            self.lineno = lineno;
+            if let Some((a, b)) = pair {
+                return Ok(Some((lineno, a, b)));
+            }
+        }
+    }
+}
+
+fn io_err(line: usize, e: impl fmt::Display) -> ParseError {
+    err(line, format!("io error: {e}"))
+}
+
+/// The common line, `digits blank+ digits blank* '\n'` with blank one of
+/// space, tab or CR, parsed without UTF-8 validation: the two numbers and
+/// the line's length with its `'\n'`. `None` for any other line, on
+/// overflow, or when `buf` ends before the `'\n'`; [`parse_line`] decides
+/// those.
+#[inline]
+fn plain_pair(buf: &[u8]) -> Option<(u64, u64, usize)> {
+    let blanks = |at: usize| {
+        at + buf[at..]
+            .iter()
+            .take_while(|c| matches!(c, b' ' | b'\t' | b'\r'))
+            .count()
+    };
+    let (a, end) = number(buf, 0)?;
+    // The first number stops at a non-digit, so `b` needs a blank first.
+    let (b, end) = number(buf, blanks(end))?;
+    let end = blanks(end);
+    (buf.get(end) == Some(&b'\n')).then_some((a, b, end + 1))
+}
+
+/// The decimal digits of `buf` from `at` on, and the index past them;
+/// `None` without a digit or on `u64` overflow.
+#[inline]
+fn number(buf: &[u8], at: usize) -> Option<(u64, usize)> {
+    let mut v = 0u64;
+    let mut end = at;
+    while let Some(d) = buf
+        .get(end)
+        .map(|c| c.wrapping_sub(b'0'))
+        .filter(|&d| d < 10)
+    {
+        v = v.checked_mul(10)?.checked_add(u64::from(d))?;
+        end += 1;
+    }
+    (end > at).then_some((v, end))
+}
+
+/// Any line, through [`parse_pair`]. A line that is not UTF-8 fails
+/// with the error `BufRead::lines` gives it.
+fn parse_line(line: &[u8], lineno: usize) -> Result<Option<(u64, u64)>, ParseError> {
+    let line = std::str::from_utf8(line)
+        .map_err(|_| io_err(lineno, "stream did not contain valid UTF-8"))?;
+    parse_pair(line, lineno)
+}
+
+/// Read `(n, m, edges)` from the text format. The edge vector is sized
+/// once, from the lines the reader has already buffered.
+pub fn read_edges<R: BufRead>(reader: R) -> Result<(usize, usize, Vec<Edge>), ParseError> {
+    let mut lines = LineReader::new(reader);
+    let mut edges = Vec::with_capacity(lines.buffered_lines()?);
+    let (n, m) = lines.header()?;
+    while let Some((lineno, a, b)) = lines.next_pair()? {
+        edges.push(check_edge(a, b, n, m, lineno)?);
+    }
     Ok((n, m, edges))
 }
 
@@ -122,7 +272,7 @@ pub fn read_edges<R: BufRead>(reader: R) -> Result<(usize, usize, Vec<Edge>), Pa
 /// most `chunk_size` edges in memory.
 #[derive(Debug)]
 pub struct EdgeChunkReader<R: BufRead> {
-    lines: std::iter::Enumerate<std::io::Lines<R>>,
+    lines: LineReader<R>,
     n: usize,
     m: usize,
     chunk_size: usize,
@@ -134,21 +284,12 @@ impl<R: BufRead> EdgeChunkReader<R> {
     /// header, so the shape is available before the first chunk.
     pub fn new(reader: R, chunk_size: usize) -> Result<Self, ParseError> {
         assert!(chunk_size >= 1, "chunk size must be >= 1");
-        let mut lines = reader.lines().enumerate();
-        let header = loop {
-            let Some((idx, line)) = lines.next() else {
-                return Err(err(0, "empty input: missing 'n m' header"));
-            };
-            let lineno = idx + 1;
-            let line = line.map_err(|e| err(lineno, format!("io error: {e}")))?;
-            if let Some((a, b)) = parse_pair(&line, lineno)? {
-                break check_header(a, b, lineno)?;
-            }
-        };
+        let mut lines = LineReader::new(reader);
+        let (n, m) = lines.header()?;
         Ok(EdgeChunkReader {
             lines,
-            n: header.0,
-            m: header.1,
+            n,
+            m,
             chunk_size,
             buf: Vec::with_capacity(chunk_size),
         })
@@ -169,14 +310,10 @@ impl<R: BufRead> EdgeChunkReader<R> {
     pub fn next_chunk(&mut self) -> Result<Option<&[Edge]>, ParseError> {
         self.buf.clear();
         while self.buf.len() < self.chunk_size {
-            let Some((idx, line)) = self.lines.next() else {
+            let Some((lineno, a, b)) = self.lines.next_pair()? else {
                 break;
             };
-            let lineno = idx + 1;
-            let line = line.map_err(|e| err(lineno, format!("io error: {e}")))?;
-            if let Some((a, b)) = parse_pair(&line, lineno)? {
-                self.buf.push(check_edge(a, b, self.n, self.m, lineno)?);
-            }
+            self.buf.push(check_edge(a, b, self.n, self.m, lineno)?);
         }
         if self.buf.is_empty() {
             Ok(None)
@@ -199,23 +336,25 @@ pub fn read_set_system<R: BufRead>(reader: R) -> Result<SetSystem, ParseError> {
     })
 }
 
-/// Write a set system (header + set-contiguous edges).
+/// Write a set system (header + set-contiguous edges), then flush `w`,
+/// so a buffered writer's last write error is returned, not dropped.
 pub fn write_set_system<W: Write>(system: &SetSystem, mut w: W) -> std::io::Result<()> {
     writeln!(w, "# maxkcov instance: n m, then 'set element' per line")?;
     writeln!(w, "{} {}", system.num_elements(), system.num_sets())?;
     for e in system.iter_edges() {
         writeln!(w, "{} {}", e.set, e.elem)?;
     }
-    Ok(())
+    w.flush()
 }
 
-/// Write a raw edge stream with an explicit shape header.
+/// Write a raw edge stream with an explicit shape header, then flush
+/// `w`.
 pub fn write_edges<W: Write>(n: usize, m: usize, edges: &[Edge], mut w: W) -> std::io::Result<()> {
     writeln!(w, "{n} {m}")?;
     for e in edges {
         writeln!(w, "{} {}", e.set, e.elem)?;
     }
-    Ok(())
+    w.flush()
 }
 
 #[cfg(test)]
@@ -326,6 +465,29 @@ mod tests {
         )
         .unwrap_err();
         assert!(e.message.contains("element id 4294967295"), "{e}");
+    }
+
+    #[test]
+    fn plain_pair_takes_only_the_common_line() {
+        assert_eq!(plain_pair(b"12 34\n5 6\n"), Some((12, 34, 6)));
+        assert_eq!(plain_pair(b"007\t\r8 \r\n"), Some((7, 8, 9)));
+        let max = format!("{} 0\n", u64::MAX);
+        assert_eq!(plain_pair(max.as_bytes()), Some((u64::MAX, 0, max.len())));
+        // Everything else is for `parse_line`: a line the buffer cuts
+        // short, a sign, a comment, other whitespace, overflow, a third
+        // field, a missing one.
+        for line in [
+            &b"1 2"[..],
+            b"+1 2\n",
+            b"1 2#\n",
+            b" 1 2\n",
+            b"1\x0b2\n",
+            b"18446744073709551616 0\n",
+            b"1 2 3\n",
+            b"1\n2\n",
+        ] {
+            assert_eq!(plain_pair(line), None, "{line:?}");
+        }
     }
 
     #[test]

@@ -3,35 +3,38 @@
 //! files are untrusted input, so `read_edges` must return `Ok` or a
 //! `ParseError` and never panic, and the streaming `EdgeChunkReader`
 //! must reach the same verdict: the same edges, or the same error.
+//! Both share one line reader, so each is also held to the
+//! `BufRead::lines` reader it replaced (`reference`), the chunked one
+//! through a buffer small enough that lines straddle its end.
 
+mod reference;
+
+use std::io::BufReader;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use kcov_hash::SplitMix64;
 use kcov_stream::gen::uniform_fixed_size;
-use kcov_stream::{read_edges, write_set_system, Edge, EdgeChunkReader, ParseError};
+use kcov_stream::{read_edges, write_set_system};
+use reference::read_chunked;
 
-type Parsed = Result<(usize, usize, Vec<Edge>), ParseError>;
-
-/// Drain an `EdgeChunkReader` into the shape `read_edges` returns.
-fn read_chunked(bytes: &[u8], chunk_size: usize) -> Parsed {
-    let mut reader = EdgeChunkReader::new(bytes, chunk_size)?;
-    let mut edges = Vec::new();
-    while let Some(chunk) = reader.next_chunk()? {
-        edges.extend_from_slice(chunk);
-    }
-    Ok((reader.n(), reader.m(), edges))
-}
-
-/// Parse `bytes` both ways, failing the test on a panic or a
+/// Parse `bytes` all three ways, failing the test on a panic or a
 /// disagreement. Returns whether the input parsed.
 fn check(bytes: &[u8], what: &str) -> bool {
     let whole = catch_unwind(AssertUnwindSafe(|| read_edges(bytes)))
         .unwrap_or_else(|_| panic!("read_edges panicked on {what}"));
-    let chunked = catch_unwind(AssertUnwindSafe(|| read_chunked(bytes, 7)))
-        .unwrap_or_else(|_| panic!("EdgeChunkReader panicked on {what}"));
+    // Through a 5-byte buffer most lines straddle its end.
+    let chunked = catch_unwind(AssertUnwindSafe(|| {
+        read_chunked(BufReader::with_capacity(5, bytes), 7)
+    }))
+    .unwrap_or_else(|_| panic!("EdgeChunkReader panicked on {what}"));
+    let want = reference::read_edges(bytes);
     assert_eq!(
-        whole, chunked,
-        "read_edges and EdgeChunkReader disagree on {what}"
+        whole, want,
+        "read_edges and the reference disagree on {what}"
+    );
+    assert_eq!(
+        chunked, want,
+        "EdgeChunkReader and the reference disagree on {what}"
     );
     whole.is_ok()
 }

@@ -1243,3 +1243,47 @@ fn oversized_instance_headers_are_rejected() {
     );
     std::fs::remove_file(&path).ok();
 }
+
+/// A write that fails only at the final flush (a file smaller than the
+/// writer's buffer, to a full device) is an error, not a silent success.
+#[cfg(target_os = "linux")]
+#[test]
+fn writes_to_a_full_device_fail() {
+    assert_clean_rejection(
+        &[
+            "gen",
+            "--kind",
+            "planted",
+            "--n",
+            "40",
+            "--m",
+            "8",
+            "--k",
+            "2",
+            "--seed",
+            "1",
+            "--out",
+            "/dev/full",
+        ],
+        "No space left",
+    );
+    // The trivial regime's trace is a few KB.
+    let path = tmp_file("full.txt");
+    let path_s = path.to_str().unwrap();
+    std::fs::write(&path, "2 1\n0 0\n").unwrap();
+    assert_clean_rejection(
+        &[
+            "estimate",
+            "--input",
+            path_s,
+            "--k",
+            "1",
+            "--alpha",
+            "2",
+            "--trace",
+            "/dev/full",
+        ],
+        "No space left",
+    );
+    std::fs::remove_file(&path).ok();
+}
