@@ -16,7 +16,11 @@ use std::time::Instant;
 use kcov_obs::{
     apportion_by_heat, audit, LedgerNode, Recorder, SketchStats, SpaceLedger, TimeLedger, Value,
 };
-use kcov_sketch::{SpaceSink, SpaceUsage};
+use kcov_sketch::wire::{
+    err, expect_section_end, put_f64, put_header, put_section, put_u64, take_f64, take_header,
+    take_section, take_u64, take_vec, take_words,
+};
+use kcov_sketch::{Kmv, SpaceSink, SpaceUsage, WireEncode, WireError, WireState};
 use kcov_stream::Edge;
 
 use crate::fingerprint::{EdgeFingerprints, FingerprintBlock};
@@ -123,6 +127,109 @@ impl EstimatorConfig {
     }
 }
 
+/// What an estimator's sketches are a function of: the instance shape
+/// and the [`EstimatorConfig`] fields that shape lanes. Two estimators
+/// with equal configs draw identical hash functions and tables, so they
+/// merge; a replica's SHAPE section is its config, and its decoder
+/// rebuilds the empty estimator from it with [`MaxCoverEstimator::new`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct ReplicaConfig {
+    /// Elements `n`.
+    pub n: usize,
+    /// Sets `m`.
+    pub m: usize,
+    /// Cover budget `k`.
+    pub k: usize,
+    /// Approximation target `α`.
+    pub alpha: f64,
+    /// [`EstimatorConfig::mode`].
+    pub mode: ParamMode,
+    /// [`EstimatorConfig::seed`].
+    pub seed: u64,
+    /// [`EstimatorConfig::reps`].
+    pub reps: Option<usize>,
+    /// [`EstimatorConfig::z_guesses`].
+    pub z_guesses: Option<Vec<u64>>,
+    /// [`EstimatorConfig::reporting`].
+    pub reporting: bool,
+}
+
+impl ReplicaConfig {
+    /// The config of `MaxCoverEstimator::new(n, m, k, alpha, config)`.
+    pub fn new(n: usize, m: usize, k: usize, alpha: f64, config: &EstimatorConfig) -> Self {
+        ReplicaConfig {
+            n,
+            m,
+            k,
+            alpha,
+            mode: config.mode,
+            seed: config.seed,
+            reps: config.reps,
+            z_guesses: config.z_guesses.clone(),
+            reporting: config.reporting,
+        }
+    }
+
+    /// The name of the first field in which `self` and `other` differ,
+    /// or `None` when the configs are equal.
+    pub fn differs_from(&self, other: &Self) -> Option<&'static str> {
+        [
+            ("n", self.n != other.n),
+            ("m", self.m != other.m),
+            ("k", self.k != other.k),
+            ("alpha", self.alpha.to_bits() != other.alpha.to_bits()),
+            ("mode", self.mode != other.mode),
+            ("seed", self.seed != other.seed),
+            ("reps", self.reps != other.reps),
+            ("z_guesses", self.z_guesses != other.z_guesses),
+            ("reporting", self.reporting != other.reporting),
+        ]
+        .into_iter()
+        .find_map(|(name, differs)| differs.then_some(name))
+    }
+
+    /// Whether the trivial branch answers (`k·α ≥ m`, Fig 1 line 1).
+    fn trivial(&self) -> bool {
+        (self.k as f64) * self.alpha >= self.m as f64
+    }
+
+    /// The `z` guesses: the configured ones, or powers of two `4, 8, …`
+    /// below `2n`.
+    fn z_grid(&self) -> Vec<u64> {
+        self.z_guesses.clone().unwrap_or_else(|| {
+            let n = self.n as u64;
+            std::iter::successors(Some(4u64), |z| Some(z * 2))
+                .take_while(|&z| z < 2 * n)
+                .collect()
+        })
+    }
+
+    /// The words of the STATE section of an unfed estimator built from
+    /// this config with the guesses `zs`: the trivial branch's
+    /// summaries, or every lane's subroutine states and time sidecar.
+    /// Sized with the functions the constructors share, so a decoder
+    /// checks them against its input before it builds anything. Fails
+    /// where the constructor would refuse the config, or on overflow.
+    fn state_words(&self, mut zs: impl Iterator<Item = u64>) -> Result<usize, WireError> {
+        if self.trivial() {
+            return Ok((self.m.div_ceil(self.k) + 1) * 3 * Kmv::EMPTY_STATE_WORDS);
+        }
+        let times = LaneTimes::default().to_bytes().len() / 8;
+        zs.try_fold(0usize, |words, z| {
+            let params = Params::for_mode(self.mode, self.m, z as usize, self.k, self.alpha);
+            let reps = self.reps.unwrap_or(params.reduction_reps).max(1);
+            let lane = Oracle::state_words(&params, self.reporting)? + times;
+            reps.checked_mul(lane)
+                .and_then(|lanes| lanes.checked_add(words))
+                .ok_or_else(|| {
+                    err(format!(
+                        "{reps} repetitions of z = {z} overflow the state words"
+                    ))
+                })
+        })
+    }
+}
+
 /// One `(z, repetition)` lane.
 #[derive(Debug, Clone)]
 struct Lane {
@@ -165,16 +272,8 @@ impl Lane {
         }
     }
 
-    /// Merge a sibling lane built from the same config and seed.
+    /// Merge a sibling lane built from the same config.
     fn merge(&mut self, other: &Self) {
-        assert_eq!(
-            self.z, other.z,
-            "Lane merge requires identical configuration (z guess)"
-        );
-        assert!(
-            self.reducer.same_function(&other.reducer),
-            "Lane merge requires identical hash functions"
-        );
         self.oracle.merge(&other.oracle);
         self.times.merge(&other.times);
     }
@@ -292,10 +391,7 @@ pub struct EstimateOutcome {
 /// coverage size of `Max k-Cover` in `Õ(m/α²)` space (Theorem 3.1).
 #[derive(Debug, Clone)]
 pub struct MaxCoverEstimator {
-    n: usize,
-    m: usize,
-    k: usize,
-    alpha: f64,
+    config: ReplicaConfig,
     threads: usize,
     trivial: Option<TrivialState>,
     /// The hash-once front end: one set and one element fingerprint per
@@ -339,7 +435,7 @@ impl MaxCoverEstimator {
     /// budget `k` and approximation target `α ∈ [1, √m]`.
     pub fn new(n: usize, m: usize, k: usize, alpha: f64, config: &EstimatorConfig) -> Self {
         // Fig 1 line 1: trivial regime.
-        if (k as f64) * alpha >= m as f64 {
+        if ReplicaConfig::new(n, m, k, alpha, config).trivial() {
             return MaxCoverEstimator {
                 trivial: Some(TrivialState::new(m, k, config.seed ^ 0x7121a1)),
                 ..Self::empty(n, m, k, alpha, config)
@@ -375,17 +471,8 @@ impl MaxCoverEstimator {
         let umix = UniverseReducer::shared_mix(
             kcov_hash::SeedSequence::labeled(config.seed, "universe-mix").next_seed(),
         );
-        let zs: Vec<u64> = config.z_guesses.clone().unwrap_or_else(|| {
-            let mut zs = Vec::new();
-            let mut z = 4u64;
-            while z < 2 * n as u64 {
-                zs.push(z);
-                z *= 2;
-            }
-            zs
-        });
         let mut lanes = Vec::new();
-        for &z in &zs {
+        for z in ReplicaConfig::new(n, m, k, alpha, config).z_grid() {
             let params = Params::for_mode(config.mode, m, z as usize, k, alpha);
             let reps = config.reps.unwrap_or(params.reduction_reps).max(1);
             for _ in 0..reps {
@@ -419,10 +506,7 @@ impl MaxCoverEstimator {
         assert!(n >= 1 && m >= 1 && k >= 1, "need n, m, k >= 1");
         assert!(alpha >= 1.0, "alpha must be >= 1");
         MaxCoverEstimator {
-            n,
-            m,
-            k,
-            alpha,
+            config: ReplicaConfig::new(n, m, k, alpha, config),
             threads: config.threads.max(1),
             trivial: None,
             fps: None,
@@ -608,38 +692,21 @@ impl MaxCoverEstimator {
     /// canonical-equivalence contract). Merge is commutative and
     /// associative; a freshly constructed replica is the identity.
     ///
-    /// Panics when the two estimators were built from different shapes,
-    /// configurations, or seeds.
+    /// Panics when the two estimators were built from different
+    /// configs ([`ReplicaConfig`]); replica files are compared by
+    /// config before they are merged.
     pub fn merge(&mut self, other: &Self) {
-        assert_eq!(
-            (self.n, self.m, self.k, self.alpha.to_bits()),
-            (other.n, other.m, other.k, other.alpha.to_bits()),
-            "MaxCoverEstimator merge requires identical configuration (instance shape)"
-        );
+        if let Some(field) = self.config.differs_from(&other.config) {
+            panic!("MaxCoverEstimator merge requires identical configuration ({field})");
+        }
         self.edges_seen += other.edges_seen;
         self.heartbeats.extend(other.heartbeats.iter().cloned());
         self.hists.merge(&other.hists);
         self.last_stats.absorb(other.last_stats);
         self.times.merge(&other.times);
-        match (&mut self.trivial, &other.trivial) {
-            (Some(a), Some(b)) => {
-                a.merge(b);
-                return;
-            }
-            (None, None) => {}
-            _ => panic!("MaxCoverEstimator merge requires identical configuration (regime)"),
+        if let (Some(a), Some(b)) = (&mut self.trivial, &other.trivial) {
+            a.merge(b);
         }
-        if let (Some(a), Some(b)) = (&self.fps, &other.fps) {
-            assert!(
-                a.same_function(b),
-                "MaxCoverEstimator merge requires identical hash functions (fingerprints)"
-            );
-        }
-        assert_eq!(
-            self.lanes.len(),
-            other.lanes.len(),
-            "MaxCoverEstimator merge requires identical configuration (lane count)"
-        );
         for (lane, other_lane) in self.lanes.iter_mut().zip(&other.lanes) {
             lane.merge(other_lane);
         }
@@ -744,7 +811,7 @@ impl MaxCoverEstimator {
     fn finalize_outcome(&self) -> EstimateOutcome {
         if let Some(t) = &self.trivial {
             return EstimateOutcome {
-                estimate: t.estimate().min(self.n as f64 / 1.0),
+                estimate: t.estimate().min(self.config.n as f64),
                 trivial: true,
                 winning_z: 0,
                 winner: None,
@@ -766,7 +833,7 @@ impl MaxCoverEstimator {
         let qualifying = per_lane
             .iter()
             .rev()
-            .find(|(_, z, out)| out.estimate >= *z as f64 / (4.0 * self.alpha));
+            .find(|(_, z, out)| out.estimate >= *z as f64 / (4.0 * self.config.alpha));
         let pick = qualifying.or_else(|| per_lane.last());
         match pick {
             Some(&(idx, z, ref out)) if out.estimate > 0.0 => EstimateOutcome {
@@ -832,7 +899,7 @@ impl MaxCoverEstimator {
             }
             for (i, lane) in self.lanes.iter().enumerate() {
                 let out = lane.oracle.finalize();
-                let qualifying = out.estimate >= lane.z as f64 / (4.0 * self.alpha);
+                let qualifying = out.estimate >= lane.z as f64 / (4.0 * self.config.alpha);
                 rec.event(
                     "lane",
                     &[
@@ -958,7 +1025,9 @@ impl MaxCoverEstimator {
 
     /// The trivial branch's best Observation-2.4 group, when active.
     pub(crate) fn trivial_best_group(&self) -> Option<Vec<u32>> {
-        self.trivial.as_ref().map(|t| t.best_group_sets(self.m))
+        self.trivial
+            .as_ref()
+            .map(|t| t.best_group_sets(self.config.m))
     }
 
     /// Number of `(z, rep)` lanes.
@@ -1000,7 +1069,14 @@ impl MaxCoverEstimator {
 
     /// The instance shape this estimator was built for.
     pub fn shape(&self) -> (usize, usize, usize, f64) {
-        (self.n, self.m, self.k, self.alpha)
+        let c = &self.config;
+        (c.n, c.m, c.k, c.alpha)
+    }
+
+    /// The config this estimator was built from: what a replica's
+    /// SHAPE section carries and what merging replicas compares.
+    pub fn config(&self) -> &ReplicaConfig {
+        &self.config
     }
 
     /// Build the space-attribution ledger for the current state: a tree
@@ -1064,118 +1140,142 @@ impl MaxCoverEstimator {
 // header (magic, version, payload tag) followed by length-prefixed
 // sections, so `merge-from` can reject foreign or stale replica files
 // before decoding anything and a corrupt section length cannot walk
-// into a neighbor. Inner types reuse the plain tagged encodings.
+// into a neighbor. SHAPE is the estimator's config plus its
+// process-level counters, STATE the state of every sketch the
+// constructor built (DESIGN.md §11), TELEM the ingest telemetry.
 
-const TAG_TRIVIAL: u64 = 0x5456; // "TV"
-const TAG_LANE: u64 = 0x4c4e; // "LN"
 /// Payload tag of a full `MaxCoverEstimator` replica.
 pub const TAG_ESTIMATOR: u64 = 0x4553_5449_4d41_5445; // "ESTIMATE"
 const SEC_SHAPE: u64 = 0x0053_4841_5045; // "SHAPE"
 const SEC_STATE: u64 = 0x0053_5441_5445; // "STATE"
 const SEC_TELEMETRY: u64 = 0x0054_454c_454d; // "TELEM"
+/// An absent optional (`reps`, `z_guesses`) in SHAPE.
+const NONE: u64 = u64::MAX;
 
-impl kcov_sketch::WireEncode for TrivialState {
-    fn encode(&self, out: &mut Vec<u8>) {
-        use kcov_sketch::wire::{put_l0_full, put_u64};
-        put_u64(out, TAG_TRIVIAL);
-        put_u64(out, self.k as u64);
-        put_u64(out, self.groups.len() as u64);
-        for g in &self.groups {
-            put_l0_full(out, g);
-        }
-        put_l0_full(out, &self.total);
+/// Every group's summary state, then the total's.
+impl WireState for TrivialState {
+    fn put_state(&self, out: &mut Vec<u8>) {
+        self.groups.iter().for_each(|g| g.put_state(out));
+        self.total.put_state(out);
     }
 
-    fn decode(input: &mut &[u8]) -> Result<Self, kcov_sketch::WireError> {
-        use kcov_sketch::wire::{err, take_l0_full, take_u64, take_vec};
-        if take_u64(input)? != TAG_TRIVIAL {
-            return Err(err("bad TrivialState tag"));
-        }
-        let k = take_u64(input)? as usize;
-        let n = take_u64(input)? as usize;
-        if n > input.len() {
-            return Err(err("TrivialState group count exceeds input"));
-        }
-        let groups = take_vec(input, n, take_l0_full)?;
-        if groups.is_empty() {
-            // `observe` indexes `groups.len() - 1`.
-            return Err(err("TrivialState needs at least one group"));
-        }
-        let total = take_l0_full(input)?;
-        Ok(TrivialState { k, groups, total })
+    fn take_state(&mut self, input: &mut &[u8]) -> Result<(), WireError> {
+        self.groups
+            .iter_mut()
+            .try_for_each(|g| g.take_state(input))?;
+        self.total.take_state(input)
     }
 }
 
-impl kcov_sketch::WireEncode for Lane {
-    fn encode(&self, out: &mut Vec<u8>) {
-        use kcov_sketch::wire::put_u64;
-        put_u64(out, TAG_LANE);
-        put_u64(out, self.z);
-        self.reducer.encode(out);
-        self.oracle.encode(out);
+/// The oracle's state, then the lane's time sidecar.
+impl WireState for Lane {
+    fn put_state(&self, out: &mut Vec<u8>) {
+        self.oracle.put_state(out);
         self.times.encode(out);
     }
 
-    fn decode(input: &mut &[u8]) -> Result<Self, kcov_sketch::WireError> {
-        use kcov_sketch::wire::{err, take_u64};
-        if take_u64(input)? != TAG_LANE {
-            return Err(err("bad Lane tag"));
-        }
-        let z = take_u64(input)?;
-        let reducer = UniverseReducer::decode(input)?;
-        if reducer.z() != z {
-            return Err(err(format!(
-                "Lane z {z} disagrees with its reducer's range {}",
-                reducer.z()
-            )));
-        }
-        let oracle = Oracle::decode(input)?;
-        if oracle.shape().0 as u64 != z {
-            return Err(err(format!(
-                "Lane z {z} disagrees with its oracle's universe {}",
-                oracle.shape().0
-            )));
-        }
-        let times = LaneTimes::decode(input)?;
-        Ok(Lane {
-            z,
-            reducer,
-            oracle,
-            times,
-        })
+    fn take_state(&mut self, input: &mut &[u8]) -> Result<(), WireError> {
+        self.oracle.take_state(input)?;
+        self.times = LaneTimes::decode(input)?;
+        Ok(())
     }
 }
 
-impl kcov_sketch::WireEncode for MaxCoverEstimator {
+/// Read and check a SHAPE section's config. The `z` guesses are
+/// checked in place and collected only once the STATE section, of
+/// `state_len` bytes, is known to hold what the config's lanes need.
+fn take_config(shape: &mut &[u8], state_len: usize) -> Result<ReplicaConfig, WireError> {
+    let max_id = u64::from(u32::MAX);
+    let [n, m, k] = [take_u64(shape)?, take_u64(shape)?, take_u64(shape)?];
+    if !(1..=max_id).contains(&n) || !(1..=max_id).contains(&m) || k < 1 {
+        return Err(err(format!(
+            "estimator shape (n {n}, m {m}, k {k}) needs 1 <= n, m <= {max_id} and k >= 1"
+        )));
+    }
+    let alpha = take_f64(shape)?;
+    if !(alpha.is_finite() && alpha >= 1.0) {
+        return Err(err(format!(
+            "estimator alpha {alpha} is not a finite number >= 1"
+        )));
+    }
+    let mode = match take_u64(shape)? {
+        0 => ParamMode::Practical,
+        1 => ParamMode::Paper,
+        flag => return Err(err(format!("bad estimator mode {flag}"))),
+    };
+    let seed = take_u64(shape)?;
+    let reps = Some(take_u64(shape)?).filter(|&r| r != NONE);
+    let reporting = match take_u64(shape)? {
+        flag @ (0 | 1) => flag == 1,
+        flag => return Err(err(format!("bad estimator reporting flag {flag}"))),
+    };
+    let mut config = ReplicaConfig {
+        n: n as usize,
+        m: m as usize,
+        k: k as usize,
+        alpha,
+        mode,
+        seed,
+        reps: reps.map(|r| r as usize),
+        z_guesses: None,
+        reporting,
+    };
+    let num_zs = take_u64(shape)?;
+    let zs = if num_zs == NONE {
+        None
+    } else {
+        // A pseudo-element is a `u32` id, so `z` spans at most 2^32.
+        let zs = take_words(shape, num_zs as usize)?;
+        if let Some(z) = zs.clone().find(|z| !(1..=1 << 32).contains(z)) {
+            return Err(err(format!("estimator z guess {z} is not in 1..=2^32")));
+        }
+        Some(zs)
+    };
+    let words = match &zs {
+        Some(zs) => config.state_words(zs.clone())?,
+        None => config.state_words(config.z_grid().into_iter())?,
+    };
+    if words > state_len / 8 {
+        return Err(err(format!(
+            "the config needs {words} state words, the STATE section holds {state_len} bytes"
+        )));
+    }
+    config.z_guesses = zs.map(Iterator::collect);
+    Ok(config)
+}
+
+impl WireEncode for MaxCoverEstimator {
     fn encode(&self, out: &mut Vec<u8>) {
-        use kcov_sketch::wire::{put_f64, put_header, put_section, put_u64};
+        let c = &self.config;
         put_header(out, TAG_ESTIMATOR);
         put_section(out, SEC_SHAPE, |out| {
-            put_u64(out, self.n as u64);
-            put_u64(out, self.m as u64);
-            put_u64(out, self.k as u64);
-            put_f64(out, self.alpha);
-            put_u64(out, self.threads as u64);
-            put_u64(out, self.edges_seen);
-            put_u64(out, self.heartbeat_every);
-            put_u64(out, self.shard_id);
+            for v in [c.n as u64, c.m as u64, c.k as u64] {
+                put_u64(out, v);
+            }
+            put_f64(out, c.alpha);
+            put_u64(out, u64::from(c.mode == ParamMode::Paper));
+            put_u64(out, c.seed);
+            put_u64(out, c.reps.map_or(NONE, |r| r as u64));
+            put_u64(out, u64::from(c.reporting));
+            match &c.z_guesses {
+                Some(zs) => {
+                    put_u64(out, zs.len() as u64);
+                    zs.iter().for_each(|&z| put_u64(out, z));
+                }
+                None => put_u64(out, NONE),
+            }
+            for v in [
+                self.threads as u64,
+                self.heartbeat_every,
+                self.shard_id,
+                self.edges_seen,
+            ] {
+                put_u64(out, v);
+            }
         });
         put_section(out, SEC_STATE, |out| match &self.trivial {
-            Some(t) => {
-                put_u64(out, 1);
-                t.encode(out);
-            }
-            None => {
-                put_u64(out, 0);
-                self.fps
-                    .as_ref()
-                    .expect("non-trivial estimator has fingerprints")
-                    .encode(out);
-                put_u64(out, self.lanes.len() as u64);
-                for lane in &self.lanes {
-                    lane.encode(out);
-                }
-            }
+            Some(t) => t.put_state(out),
+            None => self.lanes.iter().for_each(|lane| lane.put_state(out)),
         });
         put_section(out, SEC_TELEMETRY, |out| {
             put_u64(out, self.heartbeats.len() as u64);
@@ -1188,85 +1288,58 @@ impl kcov_sketch::WireEncode for MaxCoverEstimator {
         });
     }
 
-    fn decode(input: &mut &[u8]) -> Result<Self, kcov_sketch::WireError> {
-        use kcov_sketch::wire::{
-            err, expect_section_end, take_f64, take_header, take_section, take_u64, take_vec,
-        };
+    /// Check the config, build the empty estimator with
+    /// [`MaxCoverEstimator::new`], and read every sketch's state into
+    /// the constructor's own allocations.
+    fn decode(input: &mut &[u8]) -> Result<Self, WireError> {
         take_header(input, TAG_ESTIMATOR)?;
-
         let mut shape = take_section(input, SEC_SHAPE)?;
-        let n = take_u64(&mut shape)? as usize;
-        let m = take_u64(&mut shape)? as usize;
-        let k = take_u64(&mut shape)? as usize;
-        let alpha = take_f64(&mut shape)?;
-        let threads = take_u64(&mut shape)? as usize;
-        let edges_seen = take_u64(&mut shape)?;
+        let mut state = take_section(input, SEC_STATE)?;
+        let mut telem = take_section(input, SEC_TELEMETRY)?;
+
+        let config = take_config(&mut shape, state.len())?;
+        let threads = take_u64(&mut shape)?;
+        if threads == 0 {
+            return Err(err("estimator thread count must be >= 1"));
+        }
         let heartbeat_every = take_u64(&mut shape)?;
         let shard_id = take_u64(&mut shape)?;
+        let edges_seen = take_u64(&mut shape)?;
         expect_section_end(SEC_SHAPE, shape)?;
-        if n < 1 || m < 1 || k < 1 {
-            return Err(err("estimator shape needs n, m, k >= 1"));
-        }
-        if alpha.is_nan() || alpha < 1.0 {
-            return Err(err("estimator alpha must be >= 1"));
-        }
 
-        let mut state = take_section(input, SEC_STATE)?;
-        let (trivial, fps, lanes) = match take_u64(&mut state)? {
-            1 => (Some(TrivialState::decode(&mut state)?), None, Vec::new()),
-            0 => {
-                let fps = EdgeFingerprints::decode(&mut state)?;
-                let num = take_u64(&mut state)? as usize;
-                if num > state.len() {
-                    return Err(err("estimator lane count exceeds input"));
-                }
-                let lanes = take_vec(&mut state, num, |state| {
-                    let lane = Lane::decode(state)?;
-                    if lane.oracle.shape().1 != m {
-                        return Err(err(format!(
-                            "lane built for {} sets in an estimator over {m}",
-                            lane.oracle.shape().1
-                        )));
-                    }
-                    Ok(lane)
-                })?;
-                (None, Some(fps), lanes)
-            }
-            flag => return Err(err(format!("bad estimator regime flag {flag}"))),
+        let c = &config;
+        let built_with = EstimatorConfig {
+            mode: c.mode,
+            reps: c.reps,
+            z_guesses: c.z_guesses.clone(),
+            reporting: c.reporting,
+            ..EstimatorConfig::practical(c.seed)
         };
+        let mut est = MaxCoverEstimator::new(c.n, c.m, c.k, c.alpha, &built_with);
+        match &mut est.trivial {
+            Some(t) => t.take_state(&mut state)?,
+            None => est
+                .lanes
+                .iter_mut()
+                .try_for_each(|lane| lane.take_state(&mut state))?,
+        }
         expect_section_end(SEC_STATE, state)?;
 
-        let mut telem = take_section(input, SEC_TELEMETRY)?;
         let num_snaps = take_u64(&mut telem)? as usize;
         if num_snaps > telem.len() {
             return Err(err("estimator heartbeat count exceeds input"));
         }
-        let heartbeats = take_vec(&mut telem, num_snaps, HeartbeatSnap::decode)?;
-        let hists = IngestHists::decode(&mut telem)?;
-        let last_stats = SketchStats::decode(&mut telem)?;
-        let times = StageTimes::decode(&mut telem)?;
+        est.heartbeats = take_vec(&mut telem, num_snaps, HeartbeatSnap::decode)?;
+        est.hists = IngestHists::decode(&mut telem)?;
+        est.last_stats = SketchStats::decode(&mut telem)?;
+        est.times = StageTimes::decode(&mut telem)?;
         expect_section_end(SEC_TELEMETRY, telem)?;
 
-        Ok(MaxCoverEstimator {
-            n,
-            m,
-            k,
-            alpha,
-            threads: threads.max(1),
-            trivial,
-            fps,
-            block: FingerprintBlock::default(),
-            reduced: Vec::new(),
-            lanes,
-            rec: Recorder::disabled(),
-            edges_seen,
-            heartbeat_every,
-            shard_id,
-            heartbeats,
-            hists,
-            last_stats,
-            times,
-        })
+        est.threads = threads as usize;
+        est.heartbeat_every = heartbeat_every;
+        est.shard_id = shard_id;
+        est.edges_seen = edges_seen;
+        Ok(est)
     }
 }
 
@@ -1627,7 +1700,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "identical configuration (instance shape)")]
+    #[should_panic(expected = "identical configuration (k)")]
     fn merge_rejects_shape_mismatch() {
         let config = fast_config(3, 800);
         let mut a = MaxCoverEstimator::new(800, 120, 8, 3.0, &config);
@@ -1636,7 +1709,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "identical configuration (lane count)")]
+    #[should_panic(expected = "identical configuration (reps)")]
     fn merge_rejects_lane_count_mismatch() {
         let mut c1 = fast_config(3, 800);
         let mut c2 = c1.clone();
@@ -1645,6 +1718,43 @@ mod tests {
         let mut a = MaxCoverEstimator::new(800, 120, 8, 3.0, &c1);
         let b = MaxCoverEstimator::new(800, 120, 8, 3.0, &c2);
         a.merge(&b);
+    }
+
+    /// The decoder's size check predicts the STATE section of every
+    /// unfed estimator exactly: trivial and lane regimes, reporting
+    /// groups, paper mode, with and without `SmallSet`, default and
+    /// explicit guesses, several repetitions.
+    #[test]
+    fn state_words_match_the_unfed_state() {
+        let mut paper = fast_config(5, 2_000);
+        paper.mode = ParamMode::Paper;
+        let mut reporting = fast_config(6, 2_000);
+        reporting.reporting = true;
+        let mut many_reps = EstimatorConfig::practical(7);
+        many_reps.reps = Some(3);
+        let shapes = [
+            (2_000, 300, 10, 4.0, fast_config(1, 2_000)),
+            (2_000, 300, 10, 4.0, reporting),
+            (2_000, 300, 10, 4.0, paper),
+            (2_000, 300, 1, 64.0, EstimatorConfig::practical(3)),
+            (500, 4_000, 40, 2.0, many_reps),
+            (100, 20, 10, 4.0, EstimatorConfig::practical(4)),
+            (100, 20, 20, 1.0, EstimatorConfig::practical(4)),
+        ];
+        let mut regimes = [false; 2];
+        for (n, m, k, alpha, config) in shapes {
+            let est = MaxCoverEstimator::new(n, m, k, alpha, &config);
+            let mut state = Vec::new();
+            match &est.trivial {
+                Some(t) => t.put_state(&mut state),
+                None => est.lanes.iter().for_each(|l| l.put_state(&mut state)),
+            }
+            regimes[usize::from(est.trivial.is_some())] = true;
+            let c = est.config();
+            let words = c.state_words(c.z_grid().into_iter()).unwrap();
+            assert_eq!(8 * words, state.len(), "n {n}, m {m}, k {k}, alpha {alpha}");
+        }
+        assert_eq!(regimes, [true; 2]);
     }
 
     #[test]

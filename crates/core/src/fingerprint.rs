@@ -14,9 +14,9 @@
 //! reusable scratch holding one fingerprint pair per edge of a batch,
 //! filled with the blocked [`KWise::hash_batch`] evaluator (proven
 //! bit-identical to the scalar path by the `kcov-hash` equivalence
-//! suite). The block is pure scratch — never serialized, never merged —
-//! while the bases are part of replica state (wire section of the
-//! estimator) because every downstream gate decision depends on them.
+//! suite). The block is pure scratch — never serialized, never merged.
+//! The bases are drawn from the estimator seed, so a replica carries the
+//! seed in its configuration and its decoder draws them again.
 //!
 //! Soundness note: fingerprints are full 61-bit field points under a
 //! k-wise independent polynomial, so any downstream family composed as
@@ -31,7 +31,6 @@
 use std::sync::Arc;
 
 use kcov_hash::{KWise, SeedSequence};
-use kcov_sketch::wire::{err, put_kwise, take_kwise, WireError};
 use kcov_sketch::{SpaceSink, SpaceUsage};
 use kcov_stream::Edge;
 
@@ -76,8 +75,7 @@ impl EdgeFingerprints {
     }
 
     /// The set-id base. Every subroutine holds a clone of this `Arc`
-    /// (one shared coefficient table per process; wire payloads still
-    /// encode the coefficients per holder so they stay self-contained).
+    /// (one shared coefficient table per process).
     pub fn set_base(&self) -> &Arc<KWise> {
         &self.set
     }
@@ -85,34 +83,6 @@ impl EdgeFingerprints {
     /// The element-id base (consumed by the universe reducers).
     pub fn elem_base(&self) -> &Arc<KWise> {
         &self.elem
-    }
-
-    /// Whether both bases agree with `other` (probe-based, like every
-    /// merge precondition in the workspace).
-    pub fn same_function(&self, other: &EdgeFingerprints) -> bool {
-        (0..4).all(|i| {
-            let probe = 0x5eed_c0deu64 ^ (i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-            self.set.hash(probe) == other.set.hash(probe)
-                && self.elem.hash(probe) == other.elem.hash(probe)
-        })
-    }
-}
-
-/// Wire: both coefficient vectors, set base first (the draw order of
-/// [`EdgeFingerprints::new`]).
-impl kcov_sketch::WireEncode for EdgeFingerprints {
-    fn encode(&self, out: &mut Vec<u8>) {
-        put_kwise(out, &self.set);
-        put_kwise(out, &self.elem);
-    }
-
-    fn decode(input: &mut &[u8]) -> Result<Self, WireError> {
-        let set = take_kwise(input).map_err(|e| err(format!("fingerprint set base: {e}")))?;
-        let elem = take_kwise(input).map_err(|e| err(format!("fingerprint elem base: {e}")))?;
-        Ok(EdgeFingerprints {
-            set: Arc::new(set),
-            elem: Arc::new(elem),
-        })
     }
 }
 
@@ -150,7 +120,6 @@ impl FingerprintBlock {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kcov_sketch::WireEncode;
 
     #[test]
     fn block_matches_scalar_fingerprints() {
@@ -176,23 +145,10 @@ mod tests {
         let a = EdgeFingerprints::new(7, 8);
         let b = EdgeFingerprints::new(7, 8);
         let c = EdgeFingerprints::new(8, 8);
-        assert!(a.same_function(&b));
-        assert!(!a.same_function(&c));
+        let probe = Edge::new(3, 12345);
+        assert_eq!(a.fingerprint(probe), b.fingerprint(probe));
+        assert_ne!(a.fingerprint(probe), c.fingerprint(probe));
         // Set and element bases must differ from each other.
         assert_ne!(a.set_base().hash(12345), a.elem_base().hash(12345));
-    }
-
-    #[test]
-    fn wire_roundtrip_preserves_behavior() {
-        let fps = EdgeFingerprints::new(99, 8);
-        let mut buf = Vec::new();
-        fps.encode(&mut buf);
-        let mut input = buf.as_slice();
-        let back = EdgeFingerprints::decode(&mut input).unwrap();
-        assert!(input.is_empty());
-        assert!(fps.same_function(&back));
-        // Truncation fails cleanly.
-        let mut short = &buf[..buf.len() - 1];
-        assert!(EdgeFingerprints::decode(&mut short).is_err());
     }
 }

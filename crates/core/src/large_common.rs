@@ -16,7 +16,7 @@ use std::sync::Arc;
 
 use kcov_hash::{KWise, SeedSequence};
 use kcov_sketch::scratch::{at_least, with_columns};
-use kcov_sketch::{L0Estimator, SpaceSink, SpaceUsage};
+use kcov_sketch::{L0Estimator, SpaceSink, SpaceUsage, WireError, WireState};
 use kcov_stream::Edge;
 
 use crate::params::Params;
@@ -25,6 +25,11 @@ use crate::Witness;
 /// Set ids per block of the finalize-time gate pass
 /// ([`LargeCommon::for_each_set_gate`]).
 const GATE_BLOCK: u64 = 1024;
+
+/// The layers' `β_g = 2^i` guesses, `i ≤ ⌈log₂ max(α, 2)⌉`.
+fn betas(alpha: f64) -> impl Iterator<Item = f64> {
+    (0..=alpha.max(2.0).log2().ceil() as u32).map(|i| (1u64 << i) as f64)
+}
 
 /// One sampling layer (`β_g` guess).
 #[derive(Debug, Clone)]
@@ -59,12 +64,10 @@ pub struct LargeCommon {
     k: usize,
     alpha: f64,
     sigma: f64,
-    /// Shared set fingerprint base (hash-once hot path). Wire payloads
-    /// stay self-contained (the coefficients are re-encoded per holder)
-    /// and finalize can enumerate sampled sets without external state;
-    /// in memory every holder shares one `Arc`'d coefficient table and
-    /// counts a 1-word handle — the words belong to the owning
-    /// fingerprint front end.
+    /// Shared set fingerprint base (hash-once hot path), so finalize can
+    /// enumerate sampled sets without external state. Every holder
+    /// shares one `Arc`'d coefficient table and counts a 1-word handle —
+    /// the words belong to the owning fingerprint front end.
     set_base: Arc<KWise>,
     /// Per-subroutine 4-wise mix applied to the shared fingerprint —
     /// the layer-sampling gate (see [`BetaLane::buckets`]). Keeping the
@@ -108,11 +111,9 @@ impl LargeCommon {
         let m = params.m;
         let k = params.k;
         let alpha = params.alpha;
-        let max_i = alpha.max(2.0).log2().ceil() as u32;
         let set_mix = KWise::new(4, seq.next_seed());
         let mut lanes = Vec::new();
-        for i in 0..=max_i {
-            let beta = (1u64 << i) as f64;
+        for beta in betas(alpha) {
             // Sampling probability β·k/m (capped at 1), realized as a
             // power-of-two bucket count so the layers nest.
             let p = (beta * k as f64 / m.max(1) as f64).min(1.0);
@@ -188,8 +189,7 @@ impl LargeCommon {
             let mut surv: Option<usize> = None;
             let mut prev_buckets = 1;
             for lane in self.lanes.iter_mut().rev() {
-                // `with_base` builds and `decode` admits only nested
-                // schedules.
+                // `with_base` builds only nested schedules.
                 debug_assert!(lane.buckets >= prev_buckets, "layers nest");
                 prev_buckets = lane.buckets;
                 let mask = lane.buckets - 1;
@@ -311,11 +311,6 @@ impl LargeCommon {
         best
     }
 
-    /// Universe and set-id ranges `(u, m)` this subroutine was built for.
-    pub(crate) fn shape(&self) -> (usize, usize) {
-        (self.u, self.m)
-    }
-
     /// Number of β layers.
     pub fn num_lanes(&self) -> usize {
         self.lanes.len()
@@ -405,109 +400,39 @@ impl LargeCommon {
 
 // ---- wire format ----------------------------------------------------
 
-const TAG_LC: u64 = 0x4c43; // "LC"
+impl LargeCommon {
+    /// The words of the [`WireState`] of a `LargeCommon` that
+    /// [`LargeCommon::with_base`] builds from `params`: per layer, its
+    /// distinct counter and, when `reporting`, its `⌈β⌉` group counters
+    /// (three empty KMV summaries each).
+    pub(crate) fn state_words(params: &Params, reporting: bool) -> usize {
+        betas(params.alpha)
+            .map(|beta| 1 + if reporting { beta.ceil() as usize } else { 0 })
+            .sum::<usize>()
+            * 3
+            * kcov_sketch::Kmv::EMPTY_STATE_WORDS
+    }
+}
 
-impl kcov_sketch::WireEncode for LargeCommon {
-    fn encode(&self, out: &mut Vec<u8>) {
-        use kcov_sketch::wire::{put_f64, put_kwise, put_l0_full, put_u64};
-        put_u64(out, TAG_LC);
-        put_u64(out, self.u as u64);
-        put_u64(out, self.m as u64);
-        put_u64(out, self.k as u64);
-        put_f64(out, self.alpha);
-        put_f64(out, self.sigma);
-        put_kwise(out, &self.set_base);
-        put_kwise(out, &self.set_mix);
-        put_u64(out, self.lanes.len() as u64);
+/// Per layer, its distinct counter's state, then its group counters'.
+impl WireState for LargeCommon {
+    fn put_state(&self, out: &mut Vec<u8>) {
         for lane in &self.lanes {
-            put_f64(out, lane.beta);
-            put_u64(out, lane.buckets);
-            put_l0_full(out, &lane.de);
-            match &lane.groups {
-                None => put_u64(out, 0),
-                Some(g) => {
-                    put_u64(out, 1);
-                    put_kwise(out, &g.hash);
-                    put_u64(out, g.counters.len() as u64);
-                    for c in &g.counters {
-                        put_l0_full(out, c);
-                    }
-                }
+            lane.de.put_state(out);
+            for c in lane.groups.iter().flat_map(|g| &g.counters) {
+                c.put_state(out);
             }
         }
     }
 
-    fn decode(input: &mut &[u8]) -> Result<Self, kcov_sketch::WireError> {
-        use kcov_sketch::wire::{err, take_f64, take_kwise, take_l0_full, take_u64, take_vec};
-        if take_u64(input)? != TAG_LC {
-            return Err(err("bad LargeCommon tag"));
-        }
-        let u = take_u64(input)? as usize;
-        let m = take_u64(input)? as usize;
-        let k = take_u64(input)? as usize;
-        let alpha = take_f64(input)?;
-        let sigma = take_f64(input)?;
-        let set_base = Arc::new(take_kwise(input)?);
-        let set_mix = take_kwise(input)?;
-        let num_lanes = take_u64(input)? as usize;
-        if num_lanes > input.len() {
-            return Err(err("LargeCommon lane count exceeds input"));
-        }
-        let mut lanes: Vec<BetaLane> = Vec::with_capacity(num_lanes);
-        for _ in 0..num_lanes {
-            let beta = take_f64(input)?;
-            let buckets = take_u64(input)?;
-            if buckets < 1 || !buckets.is_power_of_two() {
-                return Err(err(format!(
-                    "LargeCommon lane buckets {buckets} not a positive power of two"
-                )));
+    fn take_state(&mut self, input: &mut &[u8]) -> Result<(), WireError> {
+        for lane in &mut self.lanes {
+            lane.de.take_state(input)?;
+            for c in lane.groups.iter_mut().flat_map(|g| &mut g.counters) {
+                c.take_state(input)?;
             }
-            // Ingest gathers each layer from the next-wider layer's
-            // survivors, which is only the layer's own sample if the
-            // bucket counts never grow in lane order.
-            if let Some(prev) = lanes.last().filter(|prev| buckets > prev.buckets) {
-                return Err(err(format!(
-                    "LargeCommon lane buckets {buckets} exceed the previous lane's {}",
-                    prev.buckets
-                )));
-            }
-            let de = take_l0_full(input)?;
-            let groups = match take_u64(input)? {
-                0 => None,
-                1 => {
-                    let hash = take_kwise(input)?;
-                    let n = take_u64(input)? as usize;
-                    if n > input.len() {
-                        return Err(err("LargeCommon group count exceeds input"));
-                    }
-                    let counters = take_vec(input, n, take_l0_full)?;
-                    if counters.is_empty() {
-                        return Err(err("LargeCommon reporting lane has no groups"));
-                    }
-                    Some(GroupTracker { hash, counters })
-                }
-                flag => return Err(err(format!("bad LargeCommon group flag {flag}"))),
-            };
-            lanes.push(BetaLane {
-                beta,
-                buckets,
-                de,
-                groups,
-            });
         }
-        if lanes.is_empty() {
-            return Err(err("LargeCommon has no lanes"));
-        }
-        Ok(LargeCommon {
-            u,
-            m,
-            k,
-            alpha,
-            sigma,
-            set_base,
-            set_mix,
-            lanes,
-        })
+        Ok(())
     }
 }
 

@@ -29,9 +29,12 @@
 use std::sync::Arc;
 
 use kcov_hash::{reduce_to_range, KWise, SeedSequence};
+use kcov_sketch::contributing::MAX_DOMAIN;
 use kcov_sketch::scratch::{at_least, with_columns};
+use kcov_sketch::wire::{err, put_u64, take_u64};
 use kcov_sketch::{
     probe_mix, ContributingConfig, F2Contributing, L0Estimator, OaMap, SpaceSink, SpaceUsage,
+    WireError, WireState,
 };
 use kcov_stream::Edge;
 
@@ -52,6 +55,58 @@ fn sorted_sampled(sampled: &OaMap<L0Estimator>) -> Vec<(u64, &L0Estimator)> {
     let mut out: Vec<(u64, &L0Estimator)> = sampled.iter().collect();
     out.sort_unstable_by_key(|&(sid, _)| sid);
     out
+}
+
+/// The superset count `B` and the Case-1/Case-2 finder configs every
+/// repetition of a `LargeSet` built from `params` uses.
+fn finder_configs(params: &Params) -> (u64, ContributingConfig, ContributingConfig) {
+    let num_supersets = params.num_supersets(params.large_set_w()) as u64;
+    let r1 = (3.0 * params.s_alpha).ceil() as u64;
+    // r₂: the largest class size the sparse finder handles; beyond it
+    // the direct superset-sampling branch takes over.
+    let r2 = (num_supersets / 8).max(8).min(num_supersets.max(1));
+    let mut c1 = ContributingConfig::new(params.phi1(), r1.max(1));
+    let mut c2 = ContributingConfig::new(params.phi2(), r2);
+    for c in [&mut c1, &mut c2] {
+        // Four survivors per size-guess level: enough for the ≥ thr/2
+        // median test (the class representative only has to be
+        // *sampled*, not measured precisely — the paired CountSketch
+        // supplies the load estimate), and each subsampled level admits
+        // `keep/modulus` of the kept elements, so each cut from the old
+        // 12 proportionally trims the expected heavy-hitter updates per
+        // survivor.
+        c.survivors_per_class = 4;
+        // Superset-id keys are already uniform hash outputs, so the
+        // finders' internal sampling hashes need only modest
+        // independence — pairwise instead of Θ(log mn) keeps the
+        // kept-element path cheap (the dyadic level split only needs
+        // pairwise concentration per level).
+        c.sampling_degree = Some(2);
+        // The Fig 6 thresholds carry 2× slack of their own, so the inner
+        // heavy hitters can run leaner than the standalone Theorem 2.10
+        // defaults; φ keeps all of γ and the width multiplier drops to 2
+        // (detection quality is gated by the regime tests, space by
+        // exp_tradeoff: the thresholds sit Ω(sα) above the per-row noise
+        // even at width 2/φ, and the table is the α²/m space driver).
+        c.phi_factor = 1.0;
+        c.hh_width_factor = 2.0;
+        // The thresholds compare CountSketch medians against
+        // Ω(|L|/sα)-sized loads, far above the per-row noise, so 2 rows
+        // give the same accept/reject decisions as the Theorem 2.10
+        // default of 5 at 40% of the update cost (the hot path pays one
+        // row-update per row per kept element; the even-row median
+        // rounds toward zero, which only makes the threshold test more
+        // conservative).
+        c.hh_rows = 2;
+    }
+    (num_supersets, c1, c2)
+}
+
+/// The distinct-element sketch of directly sampled superset `sid`:
+/// seeded by a pure function of the id, so the same id sampled on two
+/// shards carries compatible sketches.
+fn sampled_sketch(sample_seed: u64, sid: u64) -> L0Estimator {
+    L0Estimator::new(16, 2, sample_seed ^ sid.wrapping_mul(0x9e3779b97f4a7c15))
 }
 
 /// One repetition of the element-sampled pipeline.
@@ -144,69 +199,33 @@ impl LargeSet {
         let mut seq = SeedSequence::labeled(seed, "large-set-f");
         let m = params.m;
         let w = params.large_set_w();
-        let num_supersets = params.num_supersets(w) as u64;
         let rho = (params.large_set_sample / u.max(1) as f64).min(1.0);
         // Gate threshold on the full 64-bit mix range; the saturating
         // float cast maps ρ = 1 to `u64::MAX` (keep everything short of
         // one mix value in 2^64 — the same epsilon the old field-range
         // threshold carried).
         let keep_below = (rho * 2f64.powi(64)) as u64;
-        let r1 = (3.0 * params.s_alpha).ceil() as u64;
-        // r₂: the largest class size the sparse finder handles; beyond
-        // it the direct superset-sampling branch takes over.
-        let r2 = (num_supersets / 8).max(8).min(num_supersets.max(1));
         // Superset sampling rate for the fallback: expect ~2·B/r₂ = 16
         // sampled ids, each carrying an Õ(1) distinct-element sketch.
         // This branch must stay Õ(1) total or it flattens the m/α²
         // space curve (it is α-independent).
-        let ssel_buckets = (r2 / 2).max(1);
+        let (num_supersets, c1, c2) = finder_configs(params);
+        let ssel_buckets = (c2.max_class_size / 2).max(1);
         let reps = (0..params.large_set_reps.max(1))
             .map(|_| {
-                let mut c1 = ContributingConfig::new(params.phi1(), r1.max(1));
-                let mut c2 = ContributingConfig::new(params.phi2(), r2);
-                // Four survivors per size-guess level: enough for the
-                // ≥ thr/2 median test (the class representative only has
-                // to be *sampled*, not measured precisely — the paired
-                // CountSketch supplies the load estimate), and each
-                // subsampled level admits `keep/modulus` of the kept
-                // elements, so each cut from the old 12 proportionally
-                // trims the expected heavy-hitter updates per survivor.
-                c1.survivors_per_class = 4;
-                c2.survivors_per_class = 4;
-                // Superset-id keys are already uniform hash outputs, so
-                // the finders' internal sampling hashes need only modest
-                // independence — pairwise instead of Θ(log mn) keeps the
-                // kept-element path cheap (the dyadic level split only
-                // needs pairwise concentration per level).
-                c1.sampling_degree = Some(2);
-                c2.sampling_degree = Some(2);
-                // The Fig 6 thresholds carry 2× slack of their own, so
-                // the inner heavy hitters can run leaner than the
-                // standalone Theorem 2.10 defaults; φ keeps all of γ
-                // and the width multiplier drops to 2 (detection quality
-                // is gated by the regime tests, space by exp_tradeoff:
-                // the thresholds sit Ω(sα) above the per-row noise even
-                // at width 2/φ, and the table is the α²/m space driver).
-                for c in [&mut c1, &mut c2] {
-                    c.phi_factor = 1.0;
-                    c.hh_width_factor = 2.0;
-                    // The thresholds compare CountSketch medians against
-                    // Ω(|L|/sα)-sized loads, far above the per-row noise,
-                    // so 2 rows give the same accept/reject decisions as
-                    // the Theorem 2.10 default of 5 at 40% of the update
-                    // cost (the hot path pays one row-update per row per
-                    // kept element; the even-row median rounds toward
-                    // zero, which only makes the threshold test more
-                    // conservative).
-                    c.hh_rows = 2;
-                }
                 let cntr_seed = seq.next_seed();
                 Rep {
                     gate_salt: seq.next_seed(),
                     keep_below,
                     shash: KWise::new(4, seq.next_seed()),
                     num_supersets,
-                    cntr: F2Contributing::new(c1, c2, num_supersets as usize, u, cntr_seed),
+                    cntr: F2Contributing::new(
+                        c1.clone(),
+                        c2.clone(),
+                        num_supersets as usize,
+                        u,
+                        cntr_seed,
+                    ),
                     ssel_buckets,
                     ssel_hash: KWise::new(4, seq.next_seed()),
                     sampled: OaMap::new(),
@@ -277,9 +296,9 @@ impl LargeSet {
                 let below = bucket_zero_below(rep.ssel_buckets);
                 for ((&sid, &elem), &h) in sids.iter().zip(kept_elems).zip(sel.iter()) {
                     if h < below {
-                        let seed = rep.sample_seed ^ sid.wrapping_mul(0x9e3779b97f4a7c15);
+                        let seed = rep.sample_seed;
                         rep.sampled
-                            .get_or_insert_with(sid, || L0Estimator::new(16, 2, seed))
+                            .get_or_insert_with(sid, || sampled_sketch(seed, sid))
                             .insert(elem);
                     }
                 }
@@ -343,7 +362,7 @@ impl LargeSet {
         // Case 1's reports, and the deeper levels are enumerated only
         // when Case 1 finds no hit.
         let domain = rep.cntr.domain_hashes();
-        let moduli: Vec<u64> = rep.cntr.level_parts().iter().map(|l| l.0).collect();
+        let moduli: Vec<u64> = rep.cntr.level_moduli().collect();
         let mut reports = Vec::new();
         for (bound, thr) in [(r1p2, t1), (r2p2, t2)] {
             while reports.len() < moduli.len() && moduli[reports.len()] <= bound {
@@ -431,11 +450,6 @@ impl LargeSet {
             .collect()
     }
 
-    /// Universe and set-id ranges `(u, m)` this subroutine was built for.
-    pub(crate) fn shape(&self) -> (usize, usize) {
-        (self.u, self.m)
-    }
-
     /// Number of repetitions.
     pub fn num_reps(&self) -> usize {
         self.reps.len()
@@ -497,128 +511,64 @@ impl LargeSet {
 
 // ---- wire format ----------------------------------------------------
 
-const TAG_LS: u64 = 0x4c53; // "LS"
+impl LargeSet {
+    /// The words of the [`WireState`] of a `LargeSet` that
+    /// [`LargeSet::with_base`] builds from `params`: per repetition its
+    /// finder's state and an empty sampled-superset list. Fails when the
+    /// finder's domain, the superset count, exceeds [`MAX_DOMAIN`] (the
+    /// constructor would refuse it).
+    pub(crate) fn state_words(params: &Params) -> Result<usize, WireError> {
+        let (supersets, c1, c2) = finder_configs(params);
+        if supersets > MAX_DOMAIN {
+            return Err(err(format!(
+                "LargeSet finder domain {supersets} exceeds the cap {MAX_DOMAIN}"
+            )));
+        }
+        Ok(params.large_set_reps.max(1) * (F2Contributing::state_words(&c1, &c2) + 1))
+    }
+}
 
-impl kcov_sketch::WireEncode for LargeSet {
-    fn encode(&self, out: &mut Vec<u8>) {
-        use kcov_sketch::wire::{put_f64, put_fc_full, put_kwise, put_l0_full, put_u64};
-        put_u64(out, TAG_LS);
-        put_u64(out, self.u as u64);
-        put_u64(out, self.m as u64);
-        put_f64(out, self.alpha);
-        put_f64(out, self.eta);
-        put_f64(out, self.s_alpha);
-        put_f64(out, self.f);
-        put_f64(out, self.l_expected);
-        put_f64(out, self.rho);
-        put_f64(out, self.w);
-        put_u64(out, self.k as u64);
-        put_kwise(out, &self.set_base);
-        put_u64(out, self.reps.len() as u64);
+/// Per repetition, its finder's state, then its sampled supersets in
+/// ascending id order (the encoding of a state is unique, so replica
+/// files compare bytewise): the count, then each id and its sketch's
+/// state.
+impl WireState for LargeSet {
+    fn put_state(&self, out: &mut Vec<u8>) {
         for rep in &self.reps {
-            put_u64(out, rep.gate_salt);
-            put_u64(out, rep.keep_below);
-            put_kwise(out, &rep.shash);
-            put_u64(out, rep.num_supersets);
-            put_fc_full(out, &rep.cntr);
-            put_u64(out, rep.ssel_buckets);
-            put_kwise(out, &rep.ssel_hash);
-            put_u64(out, rep.sample_seed);
-            // Sampled supersets in ascending id order: the encoding of a
-            // state is unique, so replica files are comparable bytewise.
+            rep.cntr.put_state(out);
             put_u64(out, rep.sampled.len() as u64);
             for (sid, l0) in sorted_sampled(&rep.sampled) {
                 put_u64(out, sid);
-                put_l0_full(out, l0);
+                l0.put_state(out);
             }
         }
     }
 
-    fn decode(input: &mut &[u8]) -> Result<Self, kcov_sketch::WireError> {
-        use kcov_sketch::wire::{err, take_f64, take_fc_full, take_kwise, take_l0_full, take_u64};
-        if take_u64(input)? != TAG_LS {
-            return Err(err("bad LargeSet tag"));
-        }
-        let u = take_u64(input)? as usize;
-        let m = take_u64(input)? as usize;
-        let alpha = take_f64(input)?;
-        let eta = take_f64(input)?;
-        let s_alpha = take_f64(input)?;
-        let f = take_f64(input)?;
-        let l_expected = take_f64(input)?;
-        let rho = take_f64(input)?;
-        let w = take_f64(input)?;
-        let k = take_u64(input)? as usize;
-        let set_base = Arc::new(take_kwise(input)?);
-        let num_reps = take_u64(input)? as usize;
-        if num_reps > input.len() {
-            return Err(err("LargeSet repetition count exceeds input"));
-        }
-        let mut reps = Vec::with_capacity(num_reps);
-        for _ in 0..num_reps {
-            let gate_salt = take_u64(input)?;
-            let keep_below = take_u64(input)?;
-            let shash = take_kwise(input)?;
-            let num_supersets = take_u64(input)?;
-            if num_supersets < 1 {
-                return Err(err("LargeSet superset count must be positive"));
-            }
-            let cntr = take_fc_full(input)?;
-            if cntr.domain() != num_supersets {
-                return Err(err(format!(
-                    "LargeSet finder domain {} disagrees with its {num_supersets} supersets",
-                    cntr.domain()
-                )));
-            }
-            let ssel_buckets = take_u64(input)?;
-            if ssel_buckets < 1 {
-                return Err(err("LargeSet ssel bucket count must be positive"));
-            }
-            let ssel_hash = take_kwise(input)?;
-            let sample_seed = take_u64(input)?;
-            let n = take_u64(input)? as usize;
-            if n > input.len() {
-                return Err(err("LargeSet sampled-superset count exceeds input"));
-            }
-            let mut sampled = OaMap::new();
-            let mut last: Option<u64> = None;
+    fn take_state(&mut self, input: &mut &[u8]) -> Result<(), WireError> {
+        for rep in &mut self.reps {
+            rep.cntr.take_state(input)?;
+            let n = take_u64(input)?;
+            rep.sampled = OaMap::new();
+            let mut last = None;
             for _ in 0..n {
                 let sid = take_u64(input)?;
-                if last.is_some_and(|p| sid <= p) {
-                    return Err(err("LargeSet sampled supersets not strictly ascending"));
+                if sid >= rep.num_supersets || last.is_some_and(|p| sid <= p) {
+                    return Err(err(format!(
+                        "LargeSet sampled superset {sid} is out of order or not below {}",
+                        rep.num_supersets
+                    )));
                 }
                 last = Some(sid);
-                sampled.set(sid, take_l0_full(input)?);
+                let mut l0 = sampled_sketch(rep.sample_seed, sid);
+                l0.take_state(input)?;
+                // An id is sampled by the edge that inserts into it.
+                if l0.stats().fill == 0 {
+                    return Err(err(format!("LargeSet sampled superset {sid} is empty")));
+                }
+                rep.sampled.set(sid, l0);
             }
-            reps.push(Rep {
-                gate_salt,
-                keep_below,
-                shash,
-                num_supersets,
-                cntr,
-                ssel_buckets,
-                ssel_hash,
-                sampled,
-                sample_seed,
-            });
         }
-        if reps.is_empty() {
-            return Err(err("LargeSet has no repetitions"));
-        }
-        Ok(LargeSet {
-            u,
-            m,
-            alpha,
-            eta,
-            s_alpha,
-            f,
-            l_expected,
-            rho,
-            w,
-            k,
-            set_base,
-            reps,
-        })
+        Ok(())
     }
 }
 

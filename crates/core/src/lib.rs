@@ -72,7 +72,7 @@ pub mod two_pass;
 pub mod universe;
 
 pub use budget::{fit_alpha_to_budget, predict_space_words, BudgetFit};
-pub use estimate::{EstimateOutcome, EstimatorConfig, MaxCoverEstimator};
+pub use estimate::{EstimateOutcome, EstimatorConfig, MaxCoverEstimator, ReplicaConfig};
 pub use fingerprint::{EdgeFingerprints, FingerprintBlock};
 pub use large_common::LargeCommon;
 pub use large_set::LargeSet;
@@ -113,7 +113,7 @@ pub enum Witness {
 /// Shared checks for the subroutines' unit tests.
 #[cfg(test)]
 pub(crate) mod test_support {
-    use kcov_sketch::{SpaceUsage, WireEncode};
+    use kcov_sketch::{SpaceUsage, WireState};
     use kcov_stream::Edge;
 
     use crate::Witness;
@@ -121,8 +121,8 @@ pub(crate) mod test_support {
     /// Feed `proto` three ways through its `observe_fp_batch` (`feed`):
     /// one-edge chunks, ragged 7-edge chunks and the whole stream. All
     /// three must finalize identically, report equal `space_words` and
-    /// encode to equal wire bytes.
-    pub(crate) fn assert_chunking_invariant<T: Clone + SpaceUsage + WireEncode>(
+    /// encode to equal wire states.
+    pub(crate) fn assert_chunking_invariant<T: Clone + SpaceUsage + WireState>(
         proto: &T,
         edges: &[Edge],
         fps: &[u64],
@@ -147,11 +147,12 @@ pub(crate) mod test_support {
                 whole.space_words(),
                 "{name} chunks: words"
             );
-            assert_eq!(
-                fed.to_bytes(),
-                whole.to_bytes(),
-                "{name} chunks: wire bytes"
-            );
+            let state = |value: &T| {
+                let mut out = Vec::new();
+                value.put_state(&mut out);
+                out
+            };
+            assert_eq!(state(&fed), state(&whole), "{name} chunks: wire state");
         }
     }
 }

@@ -19,7 +19,7 @@ use std::sync::Arc;
 
 use kcov_hash::KWise;
 use kcov_obs::{Recorder, SketchStats, Value};
-use kcov_sketch::{SpaceSink, SpaceUsage};
+use kcov_sketch::{SpaceSink, SpaceUsage, WireError, WireState};
 use kcov_stream::Edge;
 
 use crate::large_common::LargeCommon;
@@ -205,12 +205,6 @@ impl Oracle {
         &self.large_set
     }
 
-    /// Universe and set-id ranges `(u, m)` every subroutine was built
-    /// for (decode checks that they agree).
-    pub(crate) fn shape(&self) -> (usize, usize) {
-        self.large_common.shape()
-    }
-
     /// Access to the case-III subroutine, when active.
     pub fn small_set(&self) -> Option<&SmallSet> {
         self.small_set.as_ref()
@@ -326,58 +320,41 @@ impl Oracle {
 
 // ---- wire format ----------------------------------------------------
 
-const TAG_ORACLE: u64 = 0x4f52_4143_4c45; // "ORACLE"
+impl Oracle {
+    /// The words of the [`WireState`] of an oracle that
+    /// [`Oracle::with_base`] builds from `params`: its subroutines'.
+    /// Fails where [`LargeSet::with_base`] would refuse `params`.
+    pub(crate) fn state_words(params: &Params, reporting: bool) -> Result<usize, WireError> {
+        let small_set = if params.small_set_active() {
+            SmallSet::state_words(params)
+        } else {
+            0
+        };
+        Ok(
+            LargeCommon::state_words(params, reporting)
+                + LargeSet::state_words(params)?
+                + small_set,
+        )
+    }
+}
 
-impl kcov_sketch::WireEncode for Oracle {
-    fn encode(&self, out: &mut Vec<u8>) {
-        use kcov_sketch::wire::{put_kwise, put_u64};
-        put_u64(out, TAG_ORACLE);
-        put_u64(out, self.u as u64);
-        put_kwise(out, &self.set_base);
-        self.large_common.encode(out);
-        self.large_set.encode(out);
-        match &self.small_set {
-            None => put_u64(out, 0),
-            Some(ss) => {
-                put_u64(out, 1);
-                ss.encode(out);
-            }
+/// Its subroutines' states in order.
+impl WireState for Oracle {
+    fn put_state(&self, out: &mut Vec<u8>) {
+        self.large_common.put_state(out);
+        self.large_set.put_state(out);
+        if let Some(ss) = &self.small_set {
+            ss.put_state(out);
         }
     }
 
-    fn decode(input: &mut &[u8]) -> Result<Self, kcov_sketch::WireError> {
-        use kcov_sketch::wire::{err, take_kwise, take_u64};
-        if take_u64(input)? != TAG_ORACLE {
-            return Err(err("bad Oracle tag"));
+    fn take_state(&mut self, input: &mut &[u8]) -> Result<(), WireError> {
+        self.large_common.take_state(input)?;
+        self.large_set.take_state(input)?;
+        match &mut self.small_set {
+            Some(ss) => ss.take_state(input),
+            None => Ok(()),
         }
-        let u = take_u64(input)? as usize;
-        let set_base = Arc::new(take_kwise(input)?);
-        let large_common = LargeCommon::decode(input)?;
-        let large_set = LargeSet::decode(input)?;
-        let small_set = match take_u64(input)? {
-            0 => None,
-            1 => Some(SmallSet::decode(input)?),
-            flag => return Err(err(format!("bad Oracle SmallSet flag {flag}"))),
-        };
-        // Finalize walks `m` set ids and sizes tables by `u`: a corrupt
-        // range must fail here, not stall or exhaust memory later.
-        let (lc_u, m) = large_common.shape();
-        let shapes = [
-            Some(large_set.shape()),
-            small_set.as_ref().map(SmallSet::shape),
-        ];
-        if lc_u != u || shapes.into_iter().flatten().any(|shape| shape != (u, m)) {
-            return Err(err(format!(
-                "Oracle subroutines disagree on their (u, m) ranges (oracle u {u})"
-            )));
-        }
-        Ok(Oracle {
-            u,
-            set_base,
-            large_common,
-            large_set,
-            small_set,
-        })
     }
 }
 

@@ -22,7 +22,8 @@ use kcov_baselines::{greedy_max_cover_by, GreedyResult};
 use kcov_hash::{KWise, SeedSequence, MERSENNE_P};
 use kcov_obs::Space;
 use kcov_sketch::scratch::{at_least, with_columns};
-use kcov_sketch::{SpaceSink, SpaceUsage};
+use kcov_sketch::wire::{err, put_u64, take_u64, take_words};
+use kcov_sketch::{SpaceSink, SpaceUsage, WireError, WireState};
 use kcov_stream::Edge;
 
 use crate::params::Params;
@@ -118,7 +119,7 @@ struct Members {
     /// Per list, the length up to which it is deduplicated.
     done: Vec<usize>,
     /// The largest stored element + 1: the range of the dedup bit set
-    /// and of greedy's cover marks, never the `u` read off the wire.
+    /// and of greedy's cover marks, never the configured `u`.
     universe: usize,
 }
 
@@ -208,6 +209,14 @@ impl Members {
     }
 }
 
+/// The γ guesses, one level each: the coverage of the surviving
+/// k'-cover is `|U|/γ` for some `γ ≤ Θ(sαη)`, and the levels try the
+/// powers of two up to that bound.
+fn num_levels(params: &Params) -> usize {
+    let gamma_max = (4.0 * params.s_alpha * params.eta).max(2.0);
+    gamma_max.log2().ceil() as usize + 1
+}
+
 /// Single-pass case-III subroutine (Fig 5).
 #[derive(Debug, Clone)]
 pub struct SmallSet {
@@ -217,7 +226,7 @@ pub struct SmallSet {
     k_sub: usize,
     m_buckets: u64,
     /// Derived threshold realizing the `1/m_buckets` set-sampling rate:
-    /// `MERSENNE_P / m_buckets` (recomputed at decode, never wired).
+    /// `MERSENNE_P / m_buckets`.
     /// `m_buckets = 1` gives `m_keep = P`, which every hash output
     /// (`< P`) passes — the always-sample case, where the set gate is
     /// skipped rather than evaluated.
@@ -256,12 +265,8 @@ impl SmallSet {
         let p_set = (2.0 / params.s_alpha).min(1.0);
         let m_buckets = ((1.0 / p_set).round() as u64).max(1);
         let lmn = ((m.max(2) * u.max(2)) as f64).ln().max(2.0);
-        // γ guesses: the coverage of the surviving k'-cover is |U|/γ for
-        // some γ ≤ Θ(sαη); try powers of two up to that bound.
-        let gamma_max = (4.0 * params.s_alpha * params.eta).max(2.0);
-        let num_gammas = gamma_max.log2().ceil() as u32;
         // Element sample target Θ̃(γ·k') (Lemma 2.5), non-decreasing in γ.
-        let p_elem: Vec<f64> = (0..=num_gammas)
+        let p_elem: Vec<f64> = (0..num_levels(params) as u32)
             .map(|i| {
                 let gamma = (1u64 << i) as f64;
                 let l_target = (2.0 * gamma * k_sub as f64 * lmn).min(u as f64);
@@ -425,11 +430,6 @@ impl SmallSet {
         self.k_sub
     }
 
-    /// Universe and set-id ranges `(u, m)` this subroutine was built for.
-    pub(crate) fn shape(&self) -> (usize, usize) {
-        (self.u, self.m)
-    }
-
     /// Number of (γ, repetition) lanes.
     pub fn num_lanes(&self) -> usize {
         self.reps.iter().map(|r| r.e_keep.len()).sum()
@@ -519,33 +519,24 @@ impl SmallSet {
 }
 
 // ---- wire format ----------------------------------------------------
-//
-// Per repetition: its two hashes, the level count, then per level its
-// threshold, rate, overflow flag and bucket. The flags are redundant
-// with the live prefix but kept on the wire so decode can check that
-// they form a suffix and that no overflowed level stores edges.
 
-const TAG_SS: u64 = 0x5353; // "SS"
+impl SmallSet {
+    /// The words of the [`WireState`] of a `SmallSet` that
+    /// [`SmallSet::with_base`] builds from `params`: per repetition, its
+    /// live count and one empty bucket per level.
+    pub(crate) fn state_words(params: &Params) -> usize {
+        params.small_set_reps.max(1) * (1 + num_levels(params))
+    }
+}
 
-impl kcov_sketch::WireEncode for SmallSet {
-    fn encode(&self, out: &mut Vec<u8>) {
-        use kcov_sketch::wire::{put_f64, put_kwise, put_u64};
-        put_u64(out, TAG_SS);
-        put_u64(out, self.u as u64);
-        put_u64(out, self.m as u64);
-        put_u64(out, self.k_sub as u64);
-        put_u64(out, self.m_buckets);
-        put_u64(out, self.edge_cap as u64);
-        put_kwise(out, &self.set_base);
-        put_u64(out, self.reps.len() as u64);
+/// Per repetition: its live lane count, then every level's bucket as a
+/// length and packed `(set << 32) | elem` edges. An overflowed level's
+/// bucket is empty.
+impl WireState for SmallSet {
+    fn put_state(&self, out: &mut Vec<u8>) {
         for rep in &self.reps {
-            put_kwise(out, &rep.mhash);
-            put_kwise(out, &rep.ehash);
-            put_u64(out, rep.e_keep.len() as u64);
-            for (i, bucket) in rep.buckets.iter().enumerate() {
-                put_u64(out, rep.e_keep[i]);
-                put_f64(out, rep.p_elem[i]);
-                put_u64(out, u64::from(i >= rep.live));
+            put_u64(out, rep.live as u64);
+            for bucket in &rep.buckets {
                 put_u64(out, bucket.len() as u64);
                 for e in bucket {
                     put_u64(out, (u64::from(e.set) << 32) | u64::from(e.elem));
@@ -554,105 +545,49 @@ impl kcov_sketch::WireEncode for SmallSet {
         }
     }
 
-    fn decode(input: &mut &[u8]) -> Result<Self, kcov_sketch::WireError> {
-        use kcov_sketch::wire::{err, take_f64, take_kwise, take_u64, take_words};
-        if take_u64(input)? != TAG_SS {
-            return Err(err("bad SmallSet tag"));
-        }
-        let u = take_u64(input)? as usize;
-        let m = take_u64(input)? as usize;
-        let k_sub = take_u64(input)? as usize;
-        let m_buckets = take_u64(input)?;
-        if m_buckets < 1 {
-            return Err(err("SmallSet set-bucket count must be positive"));
-        }
-        let edge_cap = take_u64(input)? as usize;
-        let set_base = Arc::new(take_kwise(input)?);
-        let num_reps = take_u64(input)? as usize;
-        if num_reps > input.len() {
-            return Err(err("SmallSet repetition count exceeds input"));
-        }
-        let mut reps = Vec::with_capacity(num_reps);
-        let mut levels_per_rep: Option<usize> = None;
-        for _ in 0..num_reps {
-            let mhash = take_kwise(input)?;
-            let ehash = take_kwise(input)?;
-            let num_levels = take_u64(input)? as usize;
-            if num_levels > input.len() {
-                return Err(err("SmallSet lane count exceeds input"));
+    fn take_state(&mut self, input: &mut &[u8]) -> Result<(), WireError> {
+        let (u, m, edge_cap) = (self.u as u64, self.m as u64, self.edge_cap);
+        for rep in &mut self.reps {
+            let live = take_u64(input)?;
+            if live > rep.buckets.len() as u64 {
+                return Err(err(format!(
+                    "SmallSet live lane count {live} exceeds its {} lanes",
+                    rep.buckets.len()
+                )));
             }
-            if *levels_per_rep.get_or_insert(num_levels) != num_levels {
-                return Err(err("SmallSet repetitions disagree on lane count"));
-            }
-            let mut rep = Rep {
-                mhash,
-                ehash,
-                e_keep: Vec::with_capacity(num_levels),
-                p_elem: Vec::with_capacity(num_levels),
-                buckets: Vec::with_capacity(num_levels),
-                live: 0,
-                stored: 0,
-            };
-            for i in 0..num_levels {
-                let e_keep = take_u64(input)?;
-                let p_elem = take_f64(input)?;
-                if rep.e_keep.last().is_some_and(|&below| e_keep < below) {
-                    return Err(err("SmallSet lane thresholds decrease with the level"));
-                }
-                let overflowed = match take_u64(input)? {
-                    0 => false,
-                    1 => true,
-                    flag => return Err(err(format!("bad SmallSet overflow flag {flag}"))),
-                };
-                if !overflowed && rep.live < i {
-                    return Err(err("SmallSet overflow flags are not a suffix of the lanes"));
-                }
+            rep.live = live as usize;
+            rep.stored = 0;
+            for (i, bucket) in rep.buckets.iter_mut().enumerate() {
                 let n = take_u64(input)? as usize;
-                let bucket = take_words(input, n, |packed| {
-                    Edge::new((packed >> 32) as u32, packed as u32)
-                })
-                .ok_or_else(|| err(format!("truncated SmallSet bucket of {n} edges")))?;
-                if overflowed && n != 0 {
+                if i >= rep.live && n != 0 {
                     return Err(err("overflowed SmallSet lane still stores edges"));
                 }
-                if rep.stored + n > edge_cap {
+                if n > edge_cap - rep.stored {
                     return Err(err(format!(
-                        "SmallSet lane stores {} edges above cap {edge_cap}",
-                        rep.stored + n
+                        "SmallSet lanes store {} edges above cap {edge_cap}",
+                        rep.stored as u64 + n as u64
                     )));
                 }
+                rep.stored += n;
                 // `finalize` indexes by these ids, so out-of-range ones
                 // would panic long after decode.
-                if let Some(e) = bucket
-                    .iter()
-                    .find(|e| e.set as usize >= m || e.elem as usize >= u)
-                {
+                let mut outside = None;
+                bucket.clear();
+                bucket.extend(take_words(input, n)?.map(|packed| {
+                    let (set, elem) = (packed >> 32, packed & u64::from(u32::MAX));
+                    if set >= m || elem >= u {
+                        outside.get_or_insert((set, elem));
+                    }
+                    Edge::new(set as u32, elem as u32)
+                }));
+                if let Some((set, elem)) = outside {
                     return Err(err(format!(
-                        "SmallSet stored edge ({}, {}) outside the {m} x {u} instance",
-                        e.set, e.elem
+                        "SmallSet stored edge ({set}, {elem}) outside the {m} x {u} instance"
                     )));
                 }
-                rep.e_keep.push(e_keep);
-                rep.p_elem.push(p_elem);
-                rep.buckets.push(bucket);
-                rep.live += usize::from(!overflowed);
-                rep.stored += n;
             }
-            reps.push(rep);
         }
-        if reps.is_empty() {
-            return Err(err("SmallSet has no repetitions"));
-        }
-        Ok(SmallSet {
-            u,
-            m,
-            k_sub,
-            m_buckets,
-            m_keep: MERSENNE_P / m_buckets,
-            edge_cap,
-            set_base,
-            reps,
-        })
+        Ok(())
     }
 }
 
@@ -1083,79 +1018,62 @@ mod tests {
         assert!(overflowed, "test instance must actually overflow some lane");
     }
 
-    /// One level's wire record: `(e_keep, overflow flag, bucket)`.
-    type LevelRecord = (u64, u64, Vec<Edge>);
-
-    /// A one-repetition, unfed `SmallSet` whose encoding ends with its
-    /// level records, and a builder that swaps those records for others.
-    fn level_records() -> (SmallSet, impl Fn(&[LevelRecord]) -> Vec<u8>) {
-        use kcov_sketch::wire::{put_f64, put_u64};
-        use kcov_sketch::WireEncode;
-        let mut params = Params::practical(100, 500, 20, 2.0);
-        params.small_set_reps = 1;
-        params.small_set_edge_cap = 4;
-        let ss = SmallSet::new(500, &params, 3);
-        let mut bytes = Vec::new();
-        ss.encode(&mut bytes);
-        let rep = &ss.reps[0];
-        bytes.truncate(bytes.len() - rep.e_keep.len() * 4 * 8);
-        let p_elem = rep.p_elem.clone();
-        let build = move |levels: &[LevelRecord]| {
-            let mut out = bytes.clone();
-            for ((keep, flag, edges), &p) in levels.iter().zip(&p_elem) {
-                put_u64(&mut out, *keep);
-                put_f64(&mut out, p);
-                put_u64(&mut out, *flag);
-                put_u64(&mut out, edges.len() as u64);
-                for e in edges {
-                    put_u64(&mut out, (u64::from(e.set) << 32) | u64::from(e.elem));
-                }
+    /// A one-repetition `SmallSet` state: the live count, then every
+    /// level's bucket.
+    fn nested_state(live: u64, buckets: &[Vec<Edge>]) -> Vec<u8> {
+        use kcov_sketch::wire::put_u64;
+        let mut out = Vec::new();
+        put_u64(&mut out, live);
+        for bucket in buckets {
+            put_u64(&mut out, bucket.len() as u64);
+            for e in bucket {
+                put_u64(&mut out, (u64::from(e.set) << 32) | u64::from(e.elem));
             }
-            out
-        };
-        (ss, build)
+        }
+        out
     }
 
     #[test]
-    fn decode_rejects_inconsistent_nested_store() {
-        use kcov_sketch::WireEncode;
-        let (ss, build) = level_records();
-        let keeps = ss.reps[0].e_keep.clone();
-        assert!(keeps.len() >= 3 && keeps[0] < keeps[1], "{keeps:?}");
+    fn state_rejects_inconsistent_nested_store() {
+        let mut params = Params::practical(100, 500, 20, 2.0);
+        params.small_set_reps = 1;
+        params.small_set_edge_cap = 4;
+        let fresh = || SmallSet::new(500, &params, 3);
+        let levels = fresh().reps[0].buckets.len();
+        assert!(levels >= 3, "{levels} levels");
         let edges = |n: u32| (0..n).map(|i| Edge::new(i, i)).collect::<Vec<_>>();
-        // Base case: every record as encoded, then two live buckets of
-        // 2 edges each (4 = cap) under overflowed upper levels.
-        let valid: Vec<LevelRecord> = keeps.iter().map(|&k| (k, 0, Vec::new())).collect();
+        let empty = vec![Vec::new(); levels];
+        // The unfed state, then two live buckets of 2 edges each (4 =
+        // cap) under overflowed upper levels.
         let mut encoded = Vec::new();
-        ss.encode(&mut encoded);
-        assert_eq!(build(&valid), encoded);
-        let mut full = valid.clone();
-        full[0].2 = edges(2);
-        full[1].2 = edges(2);
-        full.iter_mut().skip(2).for_each(|l| l.1 = 1);
-        let back = SmallSet::decode(&mut build(&full).as_slice()).expect("valid nested store");
+        fresh().put_state(&mut encoded);
+        assert_eq!(nested_state(levels as u64, &empty), encoded);
+        assert_eq!(encoded.len(), 8 * SmallSet::state_words(&params));
+        let mut full = empty.clone();
+        full[0] = edges(2);
+        full[1] = edges(2);
+        let mut back = fresh();
+        back.take_state(&mut nested_state(2, &full).as_slice())
+            .expect("valid nested store");
         assert_eq!((back.reps[0].live, back.reps[0].stored), (2, 4));
 
-        let decode_err = |levels: &[LevelRecord]| {
-            SmallSet::decode(&mut build(levels).as_slice())
+        let state_err = |live: usize, buckets: &[Vec<Edge>]| {
+            fresh()
+                .take_state(&mut nested_state(live as u64, buckets).as_slice())
                 .expect_err("must reject")
                 .message
         };
-        let mut holes = valid.clone();
-        holes[1].1 = 1;
-        assert!(decode_err(&holes).contains("not a suffix"));
-        let mut falling = valid.clone();
-        falling[1].0 = keeps[0] - 1;
-        assert!(decode_err(&falling).contains("decrease"));
-        let mut over = valid.clone();
-        over[0].2 = edges(3);
-        over[1].2 = edges(2);
-        assert!(decode_err(&over).contains("above cap"));
-        let mut ghost = valid.clone();
-        let top = ghost.len() - 1;
-        ghost[top].1 = 1;
-        ghost[top].2 = edges(1);
-        assert!(decode_err(&ghost).contains("still stores"));
+        assert!(state_err(levels + 1, &empty).contains("exceeds"));
+        let mut over = empty.clone();
+        over[0] = edges(3);
+        over[1] = edges(2);
+        assert!(state_err(levels, &over).contains("above cap"));
+        let mut ghost = empty.clone();
+        ghost[levels - 1] = edges(1);
+        assert!(state_err(levels - 1, &ghost).contains("still stores"));
+        let mut outside = empty.clone();
+        outside[0] = vec![Edge::new(100, 0)];
+        assert!(state_err(levels, &outside).contains("outside"));
     }
 
     #[test]

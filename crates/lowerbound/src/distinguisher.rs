@@ -12,6 +12,7 @@
 
 use kcov_hash::SeedSequence;
 use kcov_sketch::space::{Space, SpaceSink, SpaceUsage};
+use kcov_sketch::wire::{err, put_u64, take_u64, WireError, WireState};
 use kcov_sketch::CountSketch;
 use kcov_stream::gen::{dsj_max_cover_instance, DsjInstance, DsjKind};
 use kcov_stream::Edge;
@@ -56,54 +57,42 @@ impl L2Distinguisher {
     }
 
     /// Serialize the distinguisher's state — the literal one-way
-    /// protocol message a player would forward: the CountSketch (via
-    /// the sketch wire format) plus the candidate list. Another player
-    /// can [`L2Distinguisher::from_message`] it and keep streaming.
+    /// protocol message a player would forward: the CountSketch's state
+    /// (its counter table and counters) plus the candidate list. The
+    /// sketch's shape and hash functions are public coins: the receiver
+    /// builds its distinguisher from the sender's `(rows, width, seed)`
+    /// and [`L2Distinguisher::receive_message`]s the state into it, then
+    /// keeps streaming.
     pub fn message_bytes(&self) -> Vec<u8> {
-        use kcov_sketch::WireEncode;
-        let mut out = self.sketch.to_bytes();
-        out.extend_from_slice(&(self.candidates.len() as u64).to_le_bytes());
+        let mut out = Vec::new();
+        self.sketch.put_state(&mut out);
+        put_u64(&mut out, self.candidates.len() as u64);
         // Deterministic order for reproducible message sizes.
         let mut items: Vec<(u64, i64)> = self.candidates.iter().map(|(&k, &v)| (k, v)).collect();
         items.sort_unstable();
         for (k, v) in items {
-            out.extend_from_slice(&k.to_le_bytes());
-            out.extend_from_slice(&v.to_le_bytes());
+            put_u64(&mut out, k);
+            put_u64(&mut out, v as u64);
         }
         out
     }
 
-    /// Reconstruct a distinguisher from a forwarded message.
-    pub fn from_message(bytes: &[u8], capacity: usize) -> Result<Self, kcov_sketch::WireError> {
-        use kcov_sketch::WireEncode;
+    /// Take over the state a forwarded message carries. `self` must be
+    /// built from the sender's `(rows, width, seed)`.
+    pub fn receive_message(&mut self, bytes: &[u8]) -> Result<(), WireError> {
         let mut input = bytes;
-        let sketch = kcov_sketch::CountSketch::decode(&mut input)?;
-        let fail = |m: &str| kcov_sketch::WireError {
-            message: m.to_string(),
-        };
-        let take = |input: &mut &[u8]| -> Result<u64, kcov_sketch::WireError> {
-            if input.len() < 8 {
-                return Err(fail("truncated message"));
-            }
-            let (head, rest) = input.split_at(8);
-            *input = rest;
-            Ok(u64::from_le_bytes(head.try_into().expect("8 bytes")))
-        };
-        let n = take(&mut input)? as usize;
-        let mut candidates = std::collections::HashMap::with_capacity(n);
+        self.sketch.take_state(&mut input)?;
+        let n = take_u64(&mut input)?;
+        self.candidates.clear();
         for _ in 0..n {
-            let k = take(&mut input)?;
-            let v = take(&mut input)? as i64;
-            candidates.insert(k, v);
+            let k = take_u64(&mut input)?;
+            let v = take_u64(&mut input)? as i64;
+            self.candidates.insert(k, v);
         }
         if !input.is_empty() {
-            return Err(fail("trailing bytes"));
+            return Err(err("trailing bytes"));
         }
-        Ok(L2Distinguisher {
-            sketch,
-            candidates,
-            capacity,
-        })
+        Ok(())
     }
 
     /// The largest re-estimated candidate coordinate (≈ `L∞`).
@@ -292,16 +281,23 @@ mod tests {
             player1.observe(e);
         }
         let message = player1.message_bytes();
-        let mut player2 = L2Distinguisher::from_message(&message, 64).unwrap();
+        let mut player2 = L2Distinguisher::new(5, 256, 3);
+        player2.receive_message(&message).unwrap();
         for &e in &edges[mid..] {
             player2.observe(e);
         }
         assert_eq!(whole.linf_estimate(), player2.linf_estimate());
         assert_eq!(whole.decide_no_case(12), player2.decide_no_case(12));
-        // Message size tracks the word count (8 bytes/word + framing).
-        let words = player1.space_words();
-        assert!(message.len() >= words * 8 - 64);
-        assert!(message.len() <= words * 8 + 4096);
+        // Message size tracks the word count less the hash words, which
+        // stay home as public coins (8 bytes/word + framing).
+        let hashes: usize = player1.sketch.mix().iter().map(|g| g.space_words()).sum();
+        let words = player1.space_words() - hashes;
+        assert!(message.len() >= words * 8);
+        assert!(message.len() <= words * 8 + 64);
+        // A message for another sketch shape does not decode.
+        assert!(L2Distinguisher::new(5, 128, 3)
+            .receive_message(&message)
+            .is_err());
     }
 
     #[test]

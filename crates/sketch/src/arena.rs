@@ -127,6 +127,15 @@ impl SortedSlab {
         &self.vals
     }
 
+    /// Replace the kept values, in place, with `vals`, which the caller
+    /// has checked to be strictly ascending: a decoder refills the slab
+    /// its constructor sized. Panics when they exceed `cap`.
+    pub fn refill(&mut self, vals: impl Iterator<Item = u64>) {
+        self.vals.clear();
+        self.vals.extend(vals);
+        assert!(self.vals.len() <= self.cap, "values exceed slab capacity");
+    }
+
     /// Rebuild from values that are already strictly ascending (the
     /// caller's contract: a decoder checks it, a merge builds it), with
     /// no re-sort. Panics when they exceed `cap`.
@@ -134,9 +143,6 @@ impl SortedSlab {
         assert!(cap >= 1, "SortedSlab needs capacity >= 1");
         debug_assert!(vals.windows(2).all(|w| w[0] < w[1]), "unsorted values");
         assert!(vals.len() <= cap, "values exceed slab capacity");
-        // No up-front reservation: `cap` may come from untrusted wire
-        // bytes (the decoder validates value counts, not capacities),
-        // and the slab only ever grows to the values actually inserted.
         SortedSlab { cap, vals }
     }
 }

@@ -38,6 +38,7 @@ use kcov_obs::SketchStats;
 
 use crate::count_sketch::{CountSketch, MAX_WIDTH};
 use crate::space::{SpaceSink, SpaceUsage};
+use crate::wire::{WireError, WireState};
 
 /// Configuration for [`F2Contributing`].
 #[derive(Debug, Clone)]
@@ -123,7 +124,8 @@ pub struct ContributingReport {
 
 /// The largest coordinate domain a finder enumerates. `report` holds
 /// every domain id and its sampling hash, so this caps its working set
-/// at 256 MB; a decoded finder whose domain exceeds it is rejected.
+/// at 256 MB; a replica whose configuration implies a larger finder
+/// domain is rejected at decode, before anything is built.
 pub const MAX_DOMAIN: u64 = 1 << 24;
 
 /// Single-pass `γ`-contributing class finder (Theorem 2.11 interface).
@@ -153,6 +155,42 @@ struct Level {
     /// is positive with `est² ≥ factor · F̂2`.
     factor: f64,
     sketch: CountSketch,
+}
+
+/// The dyadic level schedule of a finder built from `wide` and
+/// `narrow`: each level's `(modulus, keep, config)`, in level order.
+/// Levels whose modulus does not exceed `survivors_per_class` sample
+/// with probability 1 and are therefore identical to the unsampled
+/// level, so there is one unsampled level plus the truly subsampled
+/// ones. (Classes of size ≤ survivors are caught by the unsampled heavy
+/// hitter directly, exactly as in the paper's small-i guesses.)
+fn schedule<'a>(
+    wide: &'a ContributingConfig,
+    narrow: &'a ContributingConfig,
+) -> impl Iterator<Item = (u64, u64, &'a ContributingConfig)> {
+    let wide_p2 = wide.max_class_size.max(1).next_power_of_two();
+    let max_class = wide.max_class_size.max(narrow.max_class_size);
+    let max_level = max_class.max(1).next_power_of_two().trailing_zeros();
+    let keep = wide.survivors_per_class;
+    let subsampled = (1..=max_level)
+        .map(|i| 1u64 << i)
+        .filter(move |&modulus| modulus > keep)
+        .map(move |modulus| (modulus, keep));
+    std::iter::once((1, 1))
+        .chain(subsampled)
+        .map(move |(modulus, keep)| {
+            let c = if modulus <= wide_p2 { wide } else { narrow };
+            (modulus, keep, c)
+        })
+}
+
+/// A level's heavy-hitter threshold `φ` and CountSketch width under `c`.
+fn level_shape(c: &ContributingConfig) -> (f64, usize) {
+    let phi = (c.gamma * c.phi_factor).clamp(1e-9, 1.0);
+    (
+        phi,
+        ((c.hh_width_factor / phi).ceil() as usize).clamp(8, MAX_WIDTH),
+    )
 }
 
 impl F2Contributing {
@@ -195,38 +233,22 @@ impl F2Contributing {
         );
         assert_eq!(wide.hh_rows, narrow.hh_rows, "paired finders share the mix");
         let mut seq = SeedSequence::labeled(seed, "f2-contributing");
-        let wide_p2 = wide.max_class_size.max(1).next_power_of_two();
-        let max_class = wide.max_class_size.max(narrow.max_class_size);
-        let max_level = max_class.max(1).next_power_of_two().trailing_zeros();
         let hash = match wide.sampling_degree {
             Some(d) => KWise::new(d, seq.next_seed()),
             None => log_wise(m, n, seq.next_seed()),
         };
         let mix = CountSketch::draw_mix(wide.hh_rows, seq.next_seed());
-        let level = |modulus: u64, keep: u64| {
-            let c = if modulus <= wide_p2 { &wide } else { &narrow };
-            let phi = (c.gamma * c.phi_factor).clamp(1e-9, 1.0);
-            let width = ((c.hh_width_factor / phi).ceil() as usize).clamp(8, MAX_WIDTH);
-            Level {
-                modulus,
-                keep,
-                factor: REPORT_SLACK * phi,
-                sketch: CountSketch::with_mix(c.hh_rows, width, mix.clone()),
-            }
-        };
-        // Levels whose modulus does not exceed `survivors_per_class`
-        // sample with probability 1 and are therefore identical to the
-        // unsampled level — build one unsampled level plus the truly
-        // subsampled ones. (Classes of size ≤ survivors are caught by
-        // the unsampled heavy hitter directly, exactly as in the paper's
-        // small-i guesses.)
-        let mut levels = vec![level(1, 1)];
-        for i in 1..=max_level {
-            let modulus = 1u64 << i;
-            if modulus > wide.survivors_per_class {
-                levels.push(level(modulus, wide.survivors_per_class));
-            }
-        }
+        let levels = schedule(&wide, &narrow)
+            .map(|(modulus, keep, c)| {
+                let (phi, width) = level_shape(c);
+                Level {
+                    modulus,
+                    keep,
+                    factor: REPORT_SLACK * phi,
+                    sketch: CountSketch::with_mix(c.hh_rows, width, mix.clone()),
+                }
+            })
+            .collect();
         F2Contributing {
             domain: m as u64,
             hash,
@@ -386,64 +408,25 @@ impl F2Contributing {
         self.domain
     }
 
-    /// The shared sampling hash (wire serialization).
+    /// The shared sampling hash.
     pub fn sampling_hash(&self) -> &KWise {
         &self.hash
     }
 
-    /// Every level's `(modulus, keep, threshold factor, sketch)`, in
-    /// level order (wire serialization).
-    pub fn level_parts(&self) -> Vec<(u64, u64, f64, &CountSketch)> {
-        self.levels
-            .iter()
-            .map(|l| (l.modulus, l.keep, l.factor, &l.sketch))
-            .collect()
+    /// Every level's sampling modulus, in level order (level `i`
+    /// guesses class size `modulus`).
+    pub fn level_moduli(&self) -> impl Iterator<Item = u64> + '_ {
+        self.levels.iter().map(|l| l.modulus)
     }
 
-    /// Rebuild from parts (inverse of the accessors). Fails on a domain
-    /// above [`MAX_DOMAIN`], an empty or malformed level schedule, a
-    /// threshold factor outside `(0, 1]`, or levels whose CountSketches
-    /// carry different mixes.
-    pub fn from_parts(
-        hash: KWise,
-        domain: u64,
-        levels: Vec<(u64, u64, f64, CountSketch)>,
-    ) -> Result<Self, String> {
-        if domain > MAX_DOMAIN {
-            return Err(format!("domain {domain} exceeds the cap {MAX_DOMAIN}"));
-        }
-        let Some(first) = levels.first() else {
-            return Err("need at least one level".into());
-        };
-        let mut prev = 0u64;
-        for &(modulus, keep, factor, ref sketch) in &levels {
-            if !modulus.is_power_of_two() || keep == 0 || keep > modulus {
-                return Err(format!("malformed level (modulus {modulus}, keep {keep})"));
-            }
-            if modulus <= prev {
-                return Err("level moduli must be strictly increasing".into());
-            }
-            prev = modulus;
-            if !(factor > 0.0 && factor <= 1.0) {
-                return Err(format!("level threshold factor {factor} is not in (0, 1]"));
-            }
-            if sketch.mix() != first.3.mix() {
-                return Err("finder levels carry different CountSketch mixes".into());
-            }
-        }
-        Ok(F2Contributing {
-            domain,
-            hash,
-            levels: levels
-                .into_iter()
-                .map(|(modulus, keep, factor, sketch)| Level {
-                    modulus,
-                    keep,
-                    factor,
-                    sketch,
-                })
-                .collect(),
-        })
+    /// The words of the [`WireState`] of a finder that
+    /// [`F2Contributing::new`] builds from `wide` and `narrow`: each
+    /// level's CountSketch table plus its two counters. A decoder checks
+    /// them against its input before it builds the finder.
+    pub fn state_words(wide: &ContributingConfig, narrow: &ContributingConfig) -> usize {
+        schedule(wide, narrow)
+            .map(|(_, _, c)| c.hh_rows * level_shape(c).1 + 2)
+            .sum()
     }
 
     /// Merge a finder built with the same configuration and seed over a
@@ -471,24 +454,6 @@ impl F2Contributing {
             );
             a.sketch.merge(&b.sketch);
         }
-    }
-
-    /// Restore per-level CountSketch telemetry counters
-    /// (`(merges, sketch_updates)` pairs, level order) after wire
-    /// reconstruction. Fails when the slice length disagrees with the
-    /// level count.
-    pub fn restore_telemetry(&mut self, counters: &[(u64, u64)]) -> Result<(), String> {
-        if counters.len() != self.levels.len() {
-            return Err(format!(
-                "{} telemetry entries for {} levels",
-                counters.len(),
-                self.levels.len()
-            ));
-        }
-        for (level, &(merges, cs_updates)) in self.levels.iter_mut().zip(counters) {
-            level.sketch.restore_telemetry(cs_updates, merges);
-        }
-        Ok(())
     }
 
     /// Telemetry snapshot aggregated over the levels: each level's
@@ -558,6 +523,19 @@ impl SpaceUsage for F2Contributing {
     }
 }
 
+/// Every level's CountSketch state, in level order.
+impl WireState for F2Contributing {
+    fn put_state(&self, out: &mut Vec<u8>) {
+        self.levels.iter().for_each(|l| l.sketch.put_state(out));
+    }
+
+    fn take_state(&mut self, input: &mut &[u8]) -> Result<(), WireError> {
+        self.levels
+            .iter_mut()
+            .try_for_each(|l| l.sketch.take_state(input))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -601,9 +579,19 @@ mod tests {
         fc.insert_batch(&round_robin(freqs));
     }
 
+    impl F2Contributing {
+        /// Every level's `(modulus, keep, threshold factor, sketch)`.
+        fn levels_for_test(&self) -> Vec<(u64, u64, f64, &CountSketch)> {
+            self.levels
+                .iter()
+                .map(|l| (l.modulus, l.keep, l.factor, &l.sketch))
+                .collect()
+        }
+    }
+
     /// Each level's counter table, in level order.
     fn tables(fc: &F2Contributing) -> Vec<Vec<i64>> {
-        fc.level_parts()
+        fc.levels_for_test()
             .iter()
             .map(|l| l.3.table().to_vec())
             .collect()
@@ -655,7 +643,7 @@ mod tests {
         // pass the strict threshold.
         let mut hh = heavy_hitter(0.3, 300, 5);
         feed(&mut hh, &(0..300).map(|i| (i, 3)).collect::<Vec<_>>());
-        let f2 = hh.level_parts()[0].3.f2_estimate();
+        let f2 = hh.levels_for_test()[0].3.f2_estimate();
         let strict: Vec<_> = heavy(&hh, 0)
             .into_iter()
             .filter(|h| (h.est as f64) * (h.est as f64) >= 0.3 * f2)
@@ -677,7 +665,8 @@ mod tests {
             assert_eq!(domain.0.len(), fc.domain() as usize);
             assert_eq!(domain.1.len(), 3 * fc.domain() as usize);
             let mut reported = 0;
-            for (i, (modulus, keep, factor, sketch)) in fc.level_parts().into_iter().enumerate() {
+            for (i, (modulus, keep, factor, sketch)) in fc.levels_for_test().into_iter().enumerate()
+            {
                 let thr = factor * sketch.f2_estimate();
                 let want: Vec<HeavyItem> = (0..fc.domain())
                     .filter(|&id| fc.sampling_hash().hash(id) % modulus < keep)
@@ -694,7 +683,7 @@ mod tests {
             assert!(reported > 0);
         }
         // The one level's factor is REPORT_SLACK · φ, bit for bit.
-        assert_eq!(hh.level_parts()[0].2, REPORT_SLACK * 0.02);
+        assert_eq!(hh.levels_for_test()[0].2, REPORT_SLACK * 0.02);
     }
 
     #[test]
@@ -785,7 +774,7 @@ mod tests {
         }
         let fc = F2Contributing::new(wide, narrow, 1000, 1000, 4);
         let shapes: Vec<(u64, f64, usize)> = fc
-            .level_parts()
+            .levels_for_test()
             .iter()
             .map(|l| (l.0, l.2, l.3.width()))
             .collect();
@@ -917,7 +906,7 @@ mod tests {
         // copy of the 4-word mix words, one per two rows) and the 2-word
         // (modulus, keep) schedule.
         let levels: usize = fc
-            .level_parts()
+            .levels_for_test()
             .iter()
             .map(|l| l.3.rows() * l.3.width() + 4 * l.3.rows().div_ceil(2) + 2)
             .sum();
@@ -936,57 +925,17 @@ mod tests {
         // aggregated subtree carries at least the full stream's heat.
         assert!(node.get("levels").unwrap().total_updates() >= 168);
 
-        // The restore path re-applies inner-sketch heat exactly.
-        let heat: Vec<(u64, u64)> = fc
-            .level_parts()
-            .iter()
-            .map(|l| (l.3.stats().merges, l.3.heat_updates()))
-            .collect();
-        let mut back =
-            F2Contributing::from_parts(fc.sampling_hash().clone(), fc.domain(), owned_levels(&fc))
-                .unwrap();
-        // Clones keep heat; clobber it to prove restore actually writes.
-        let zeros = vec![(0u64, 0); fc.num_levels()];
-        back.restore_telemetry(&zeros).unwrap();
-        let mut zeroed = LedgerNode::new();
-        back.space_ledger(&mut zeroed);
-        assert_ne!(zeroed, node, "zeroed heat must be visible in the ledger");
-        back.restore_telemetry(&heat).unwrap();
+        // The wire state carries the inner sketches' heat exactly, and
+        // its size is what `state_words` predicts from the configs.
+        let mut bytes = Vec::new();
+        fc.put_state(&mut bytes);
+        let c = ContributingConfig::new(0.25, 64);
+        assert_eq!(bytes.len(), 8 * F2Contributing::state_words(&c, &c));
+        let mut back = finder(c, 1000, 1000, 19);
+        back.take_state(&mut bytes.as_slice()).unwrap();
         let mut back_node = LedgerNode::new();
         back.space_ledger(&mut back_node);
         assert_eq!(back_node, node);
-        assert!(back.restore_telemetry(&heat[..1]).is_err());
-    }
-
-    /// The finder's level parts, cloned.
-    fn owned_levels(fc: &F2Contributing) -> Vec<(u64, u64, f64, CountSketch)> {
-        fc.level_parts()
-            .into_iter()
-            .map(|(m, k, f, cs)| (m, k, f, cs.clone()))
-            .collect()
-    }
-
-    #[test]
-    fn from_parts_roundtrips_and_validates() {
-        let mut fc = finder(ContributingConfig::new(0.3, 64), 500, 500, 3);
-        feed(&mut fc, &[(4, 128), (9, 40)]);
-        let levels = owned_levels(&fc);
-        let hash = fc.sampling_hash().clone();
-        let back = F2Contributing::from_parts(hash.clone(), 500, levels.clone()).unwrap();
-        assert_eq!(fc.report(), back.report());
-        assert!(F2Contributing::from_parts(hash.clone(), 500, Vec::new()).is_err());
-        let cs = levels[0].3.clone();
-        let bad = vec![(3u64, 1u64, 0.01, cs.clone())];
-        assert!(F2Contributing::from_parts(hash.clone(), 500, bad).is_err());
-        // A threshold factor must be finite and in (0, 1].
-        for factor in [0.0, -0.5, 1.5, f64::NAN, f64::INFINITY] {
-            let e = F2Contributing::from_parts(hash.clone(), 500, vec![(1, 1, factor, cs.clone())])
-                .unwrap_err();
-            assert!(e.contains("threshold factor"), "{factor}: {e}");
-        }
-        assert!(F2Contributing::from_parts(hash.clone(), 500, vec![(1, 1, 1.0, cs)]).is_ok());
-        let e = F2Contributing::from_parts(hash, MAX_DOMAIN + 1, levels).unwrap_err();
-        assert!(e.contains("exceeds the cap"), "{e}");
     }
 
     #[test]
@@ -1022,18 +971,6 @@ mod tests {
                 assert_eq!(batched.report(), serial.report());
             }
         }
-    }
-
-    #[test]
-    fn from_parts_rejects_levels_with_different_mixes() {
-        let fc = finder(ContributingConfig::new(0.1, 512), 500, 500, 3);
-        let mut levels = owned_levels(&fc);
-        let hash = fc.sampling_hash().clone();
-        assert!(F2Contributing::from_parts(hash.clone(), 500, levels.clone()).is_ok());
-        let last = levels.last_mut().unwrap();
-        last.3 = CountSketch::new(last.3.rows(), last.3.width(), 99);
-        let e = F2Contributing::from_parts(hash, 500, levels).unwrap_err();
-        assert!(e.contains("different CountSketch mixes"), "{e}");
     }
 
     #[test]

@@ -47,6 +47,7 @@ use kcov_hash::{four_wise, KWise, SeedSequence};
 use kcov_obs::{SketchStats, Space};
 
 use crate::space::{SpaceSink, SpaceUsage};
+use crate::wire::{put_i64, put_u64, take_u64, take_words, WireError, WireState};
 
 /// The widest row a mix-word field addresses with bucket probabilities
 /// within `(1 ± 2^-7)/width`.
@@ -90,8 +91,7 @@ pub struct CountSketch {
     table: Vec<i64>,
     /// Heat telemetry: update operations absorbed (one add per batch on
     /// the hot path; each update writes one counter per row). Merged by
-    /// addition, zeroed by plain wire reconstruction, restored by the
-    /// full-state sidecar.
+    /// addition, carried by the wire state.
     updates: u64,
     /// Telemetry: merge invocations absorbed.
     merges: u64,
@@ -120,7 +120,15 @@ impl CountSketch {
             (2..=MAX_WIDTH).contains(&width),
             "width must be in 2..=2^22"
         );
-        Self::from_parts(rows, width, mix, vec![0; rows * width]).expect("mix words fit the rows")
+        assert_eq!(mix.len(), rows.div_ceil(2), "one mix word per two rows");
+        CountSketch {
+            rows,
+            width,
+            mix,
+            table: vec![0; rows * width],
+            updates: 0,
+            merges: 0,
+        }
     }
 
     /// The mix words of one item, without allocating: the first
@@ -300,14 +308,6 @@ impl CountSketch {
         self.updates
     }
 
-    /// Restore the heat and merge counters after wire reconstruction
-    /// ([`CountSketch::from_parts`] deliberately zeroes them — telemetry
-    /// is not state).
-    pub fn restore_telemetry(&mut self, updates: u64, merges: u64) {
-        self.updates = updates;
-        self.merges = merges;
-    }
-
     /// Telemetry snapshot (fixed table: fill = capacity = cells).
     /// `updates` stays 0 here: the heat counter is surfaced through the
     /// space ledger, and the `"sketch"` event layout predates it (its
@@ -333,54 +333,14 @@ impl CountSketch {
         self.width
     }
 
-    /// The mix words (wire serialization).
+    /// The mix words.
     pub fn mix(&self) -> &[KWise] {
         &self.mix
     }
 
-    /// The raw counter table, row-major (wire serialization).
+    /// The raw counter table, row-major.
     pub fn table(&self) -> &[i64] {
         &self.table
-    }
-
-    /// Rebuild from parts. Fails on a shape outside `1..=32` rows and
-    /// `2..=MAX_WIDTH` counters, a mix-word count other than
-    /// `⌈rows/2⌉`, a mix word that is not 4-wise, or a table of the
-    /// wrong size.
-    pub fn from_parts(
-        rows: usize,
-        width: usize,
-        mix: Vec<KWise>,
-        table: Vec<i64>,
-    ) -> Result<Self, String> {
-        if !(1..=32).contains(&rows) || !(2..=MAX_WIDTH).contains(&width) {
-            return Err(format!(
-                "bad CountSketch shape ({rows} rows of width {width})"
-            ));
-        }
-        if mix.len() != rows.div_ceil(2) {
-            return Err(format!(
-                "{} mix words for {rows} CountSketch rows",
-                mix.len()
-            ));
-        }
-        if let Some(g) = mix.iter().find(|g| g.independence() != 4) {
-            return Err(format!(
-                "CountSketch mix word of degree {} (need 4)",
-                g.independence()
-            ));
-        }
-        if rows.checked_mul(width) != Some(table.len()) {
-            return Err("CountSketch table size mismatch".into());
-        }
-        Ok(CountSketch {
-            rows,
-            width,
-            mix,
-            table,
-            updates: 0,
-            merges: 0,
-        })
     }
 }
 
@@ -398,6 +358,28 @@ impl SpaceUsage for CountSketch {
             "hashes",
             self.mix.iter().map(KWise::space_words).sum::<usize>(),
         );
+    }
+}
+
+/// The counter table, row-major, then the update and merge counters:
+/// `rows × width + 2` words, the shape coming from the constructor.
+impl WireState for CountSketch {
+    fn put_state(&self, out: &mut Vec<u8>) {
+        for &c in &self.table {
+            put_i64(out, c);
+        }
+        put_u64(out, self.updates);
+        put_u64(out, self.merges);
+    }
+
+    fn take_state(&mut self, input: &mut &[u8]) -> Result<(), WireError> {
+        let words = take_words(input, self.table.len())?;
+        for (c, w) in self.table.iter_mut().zip(words) {
+            *c = w as i64;
+        }
+        self.updates = take_u64(input)?;
+        self.merges = take_u64(input)?;
+        Ok(())
     }
 }
 
@@ -597,19 +579,6 @@ mod tests {
         assert_eq!(rows.own.words, 48);
         assert_eq!(rows.own.updates, 18);
         assert_eq!(rows.own.touched_words, 18 * 3);
-        // Plain wire reconstruction starts the heat counter clean;
-        // restore re-applies it.
-        let mut back = CountSketch::from_parts(
-            cs.rows(),
-            cs.width(),
-            cs.mix().to_vec(),
-            cs.table().to_vec(),
-        )
-        .unwrap();
-        assert_eq!(back.heat_updates(), 0);
-        back.restore_telemetry(18, 1);
-        assert_eq!(back.heat_updates(), 18);
-        assert_eq!(back.stats().merges, 1);
     }
 
     #[test]
@@ -734,25 +703,9 @@ mod tests {
         let a = CountSketch::new(4, 8, 1);
         let other = CountSketch::new(4, 8, 2);
         let mix = vec![a.mix()[0].clone(), other.mix()[1].clone()];
-        let b = CountSketch::from_parts(4, 8, mix, vec![0; 32]).unwrap();
+        let b = CountSketch::with_mix(4, 8, mix);
         let mut a = a;
         a.merge(&b);
-    }
-
-    #[test]
-    fn from_parts_pins_the_mix_and_the_width() {
-        let cs = CountSketch::new(4, 8, 5);
-        let ok = |mix: Vec<KWise>, width: usize| {
-            CountSketch::from_parts(4, width, mix, vec![0; 4 * width])
-        };
-        assert!(ok(cs.mix().to_vec(), 8).is_ok());
-        let e = ok(cs.mix()[..1].to_vec(), 8).unwrap_err();
-        assert!(e.contains("1 mix words for 4"), "{e}");
-        let e = ok(vec![KWise::new(2, 1), cs.mix()[1].clone()], 8).unwrap_err();
-        assert!(e.contains("degree 2"), "{e}");
-        assert!(ok(cs.mix().to_vec(), MAX_WIDTH).is_ok());
-        let e = ok(cs.mix().to_vec(), MAX_WIDTH + 1).unwrap_err();
-        assert!(e.contains("bad CountSketch shape"), "{e}");
     }
 
     #[test]

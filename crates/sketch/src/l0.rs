@@ -18,6 +18,7 @@ use kcov_obs::{SketchStats, Space};
 
 use crate::arena::SortedSlab;
 use crate::space::{SpaceSink, SpaceUsage};
+use crate::wire::{err, put_u64, take_u64, take_words, WireError, WireState};
 
 /// A single bottom-k (KMV) distinct-count summary.
 #[derive(Debug, Clone)]
@@ -29,17 +30,20 @@ pub struct Kmv {
     smallest: SortedSlab,
     /// Heat telemetry: items offered to the summary (one add per batch
     /// on the hot path — same lifecycle as the other telemetry
-    /// counters: merged by addition, zeroed by plain wire
-    /// reconstruction, restored by the full-state sidecar).
+    /// counters: merged by addition, carried by the wire state).
     updates: u64,
-    /// Telemetry: values displaced after saturation (not state — merged
-    /// by addition, zeroed by wire reconstruction, never compared).
+    /// Telemetry: values displaced after saturation (merged by
+    /// addition, carried by the wire state, never compared).
     evictions: u64,
     /// Telemetry: merge invocations absorbed.
     merges: u64,
 }
 
 impl Kmv {
+    /// The words of an empty summary's [`WireState`]: the kept-value
+    /// count and the three telemetry counters.
+    pub const EMPTY_STATE_WORDS: usize = 4;
+
     /// Create a summary keeping the `k` smallest hash values. Relative
     /// error is `O(1/√k)`; `k = 64` gives roughly ±12%.
     pub fn new(k: usize, seed: u64) -> Self {
@@ -116,45 +120,9 @@ impl Kmv {
         self.k
     }
 
-    /// The rank hash (wire serialization).
-    pub fn hash(&self) -> &KWise {
-        &self.hash
-    }
-
-    /// The kept hash values, ascending (wire serialization).
-    pub fn kept_values(&self) -> Vec<u64> {
-        self.smallest.values().to_vec()
-    }
-
-    /// Rebuild from parts (inverse of the accessors). Fails when `k < 2`,
-    /// or when the values exceed `k`, are not strictly ascending or are
-    /// not hash outputs (below `2^61 - 1`): the accessors only give
-    /// canonical slabs, so anything else is corruption, and accepting it
-    /// would give one state two encodings.
-    pub fn from_parts(k: usize, hash: KWise, values: Vec<u64>) -> Result<Self, String> {
-        if k < 2 {
-            return Err("KMV needs k >= 2".into());
-        }
-        if values.len() > k {
-            return Err(format!("{} kept values exceed k = {k}", values.len()));
-        }
-        if let Some(w) = values.windows(2).find(|w| w[0] >= w[1]) {
-            return Err(format!(
-                "KMV kept values {} then {} are not strictly ascending",
-                w[0], w[1]
-            ));
-        }
-        if let Some(&v) = values.last().filter(|&&v| v >= MERSENNE_P) {
-            return Err(format!("KMV kept value {v:#x} is not below 2^61 - 1"));
-        }
-        Ok(Kmv {
-            k,
-            hash,
-            smallest: SortedSlab::from_sorted(k, values),
-            updates: 0,
-            evictions: 0,
-            merges: 0,
-        })
+    /// The kept hash values, ascending.
+    pub fn kept_values(&self) -> &[u64] {
+        self.smallest.values()
     }
 
     /// Merge a summary built with the *same `k` and seed* (bottom-k
@@ -197,17 +165,6 @@ impl Kmv {
         self.merges += 1 + other.merges;
         self.evictions += other.evictions;
         self.updates += other.updates;
-    }
-
-    /// Restore telemetry counters after wire reconstruction.
-    /// [`Kmv::from_parts`] deliberately zeroes them (telemetry is not
-    /// state); a full-state decode that wants the replica's finalize
-    /// snapshot to match in-process ingestion re-applies the serialized
-    /// counters with this.
-    pub fn restore_telemetry(&mut self, updates: u64, evictions: u64, merges: u64) {
-        self.updates = updates;
-        self.evictions = evictions;
-        self.merges = merges;
     }
 
     /// Heat counter: items offered to this summary so far.
@@ -306,7 +263,7 @@ impl L0Estimator {
         }
     }
 
-    /// The underlying KMV repetitions (wire serialization).
+    /// The underlying KMV repetitions.
     pub fn repetitions(&self) -> &[Kmv] {
         &self.reps
     }
@@ -319,37 +276,6 @@ impl L0Estimator {
         }
         agg
     }
-
-    /// Restore per-repetition telemetry counters
-    /// (`(updates, evictions, merges)` triples, repetition order) after
-    /// wire reconstruction. Fails when the slice length disagrees with
-    /// the repetition count.
-    pub fn restore_telemetry(&mut self, counters: &[(u64, u64, u64)]) -> Result<(), String> {
-        if counters.len() != self.reps.len() {
-            return Err(format!(
-                "{} telemetry entries for {} repetitions",
-                counters.len(),
-                self.reps.len()
-            ));
-        }
-        for (rep, &(updates, evictions, merges)) in self.reps.iter_mut().zip(counters) {
-            rep.restore_telemetry(updates, evictions, merges);
-        }
-        Ok(())
-    }
-
-    /// Rebuild from parts (inverse of [`L0Estimator::repetitions`]).
-    /// Fails when empty or when the repetitions disagree on `k`.
-    pub fn from_parts(reps: Vec<Kmv>) -> Result<Self, String> {
-        if reps.is_empty() {
-            return Err("need at least one repetition".into());
-        }
-        let k = reps[0].k();
-        if reps.iter().any(|r| r.k() != k) {
-            return Err("repetitions disagree on k".into());
-        }
-        Ok(L0Estimator { reps })
-    }
 }
 
 impl SpaceUsage for L0Estimator {
@@ -359,6 +285,58 @@ impl SpaceUsage for L0Estimator {
         for rep in &self.reps {
             rep.space_ledger(node);
         }
+    }
+}
+
+/// A bottom-k summary's state: its kept values (ascending, each below
+/// 2^61 − 1, at most k) and its three telemetry counters.
+impl WireState for Kmv {
+    fn put_state(&self, out: &mut Vec<u8>) {
+        put_u64(out, self.smallest.len() as u64);
+        for &v in self.smallest.values() {
+            put_u64(out, v);
+        }
+        for v in [self.updates, self.evictions, self.merges] {
+            put_u64(out, v);
+        }
+    }
+
+    fn take_state(&mut self, input: &mut &[u8]) -> Result<(), WireError> {
+        let n = take_u64(input)?;
+        if n > self.k as u64 {
+            return Err(err(format!("{n} kept values exceed k = {}", self.k)));
+        }
+        // The writer only emits canonical slabs, so anything else is
+        // corruption, and accepting it would give one state two
+        // encodings.
+        let (mut last, mut bad) = (None, None);
+        let kept = take_words(input, n as usize)?.inspect(|&v| {
+            if v >= MERSENNE_P {
+                bad.get_or_insert((v, "is not below 2^61 - 1"));
+            } else if last.is_some_and(|p| p >= v) {
+                bad.get_or_insert((v, "is not strictly ascending"));
+            }
+            last = Some(v);
+        });
+        self.smallest.refill(kept);
+        if let Some((v, why)) = bad {
+            return Err(err(format!("KMV kept value {v:#x} {why}")));
+        }
+        self.updates = take_u64(input)?;
+        self.evictions = take_u64(input)?;
+        self.merges = take_u64(input)?;
+        Ok(())
+    }
+}
+
+/// The repetitions' states in order.
+impl WireState for L0Estimator {
+    fn put_state(&self, out: &mut Vec<u8>) {
+        self.reps.iter().for_each(|r| r.put_state(out));
+    }
+
+    fn take_state(&mut self, input: &mut &[u8]) -> Result<(), WireError> {
+        self.reps.iter_mut().try_for_each(|r| r.take_state(input))
     }
 }
 
@@ -477,7 +455,7 @@ mod tests {
     /// dedup, count the values past `k` as evictions, truncate. Returns
     /// the kept values and the `(evictions, merges, updates)` counters.
     fn sort_merge(a: &Kmv, b: &Kmv) -> (Vec<u64>, [u64; 3]) {
-        let mut union = a.kept_values();
+        let mut union = a.kept_values().to_vec();
         union.extend(b.kept_values());
         union.sort_unstable();
         union.dedup();
@@ -490,7 +468,6 @@ mod tests {
     #[test]
     fn linear_merge_matches_sort_merge() {
         let k = 16;
-        let hash = pairwise(4);
         let mut x = 0x2545_f491_4f6c_dd1du64;
         let mut next = move || {
             x ^= x << 13;
@@ -507,8 +484,9 @@ mod tests {
             vals.sort_unstable();
             vals.dedup();
             vals.truncate(len);
-            let mut kmv = Kmv::from_parts(k, hash.clone(), vals).unwrap();
-            kmv.restore_telemetry(next() % 1000, next() % 100, next() % 10);
+            let mut kmv = Kmv::new(k, 4);
+            kmv.smallest = SortedSlab::from_sorted(k, vals);
+            [kmv.updates, kmv.evictions, kmv.merges] = [next() % 1000, next() % 100, next() % 10];
             kmv
         };
         for seed in 0..20u64 {
@@ -573,19 +551,6 @@ mod tests {
     }
 
     #[test]
-    fn estimator_from_parts_roundtrips() {
-        let mut est = L0Estimator::new(16, 3, 5);
-        for i in 0..500u64 {
-            est.insert(i);
-        }
-        let back = L0Estimator::from_parts(est.repetitions().to_vec()).unwrap();
-        assert_eq!(est.estimate(), back.estimate());
-        assert!(L0Estimator::from_parts(Vec::new()).is_err());
-        let mixed = vec![Kmv::new(8, 1), Kmv::new(16, 1)];
-        assert!(L0Estimator::from_parts(mixed).is_err());
-    }
-
-    #[test]
     fn stats_track_fill_evictions_and_merges() {
         let mut kmv = Kmv::new(8, 3);
         for i in 0..100u64 {
@@ -599,10 +564,6 @@ mod tests {
         let other = Kmv::new(8, 3);
         kmv.merge(&other);
         assert_eq!(kmv.stats().merges, 1);
-        // Telemetry is not state: wire reconstruction starts clean.
-        let back = Kmv::from_parts(kmv.k(), kmv.hash().clone(), kmv.kept_values()).unwrap();
-        assert_eq!(back.stats().evictions, 0);
-        assert_eq!(back.stats().fill, 8);
     }
 
     #[test]
@@ -622,18 +583,11 @@ mod tests {
             }
             assert_eq!(batched.heat_updates(), 500, "chunk {chunk}");
         }
-        // Merge is additive; wire reconstruction zeroes, restore
-        // re-applies.
+        // Merge is additive.
         let mut other = Kmv::new(8, 3);
         other.insert_batch(&items[..100]);
         scalar.merge(&other);
         assert_eq!(scalar.heat_updates(), 600);
-        let mut back =
-            Kmv::from_parts(scalar.k(), scalar.hash().clone(), scalar.kept_values()).unwrap();
-        assert_eq!(back.heat_updates(), 0);
-        back.restore_telemetry(600, 2, 1);
-        assert_eq!(back.heat_updates(), 600);
-        assert_eq!(back.stats().evictions, 2);
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! * [`space`] — the [`SpaceUsage`] accounting trait every sketch and
 //!   every algorithm in the workspace implements, so the paper's
 //!   space/approximation trade-offs are *measured* in words, not assumed.
-//! * [`wire`] — the binary encoding that ships sketches and replica
+//! * [`wire`] — the binary encoding that ships sketch states and replica
 //!   states between processes.
 //! * [`scratch`] — the per-thread reusable columns the batched kernels
 //!   work in (not state).
@@ -39,4 +39,4 @@ pub use contributing::{ContributingConfig, ContributingReport, F2Contributing, H
 pub use count_sketch::CountSketch;
 pub use l0::{Kmv, L0Estimator};
 pub use space::{SpaceSink, SpaceUsage};
-pub use wire::{WireEncode, WireError};
+pub use wire::{WireEncode, WireError, WireState};

@@ -1,25 +1,22 @@
-//! Wire format: compact, dependency-free binary serialization of every
-//! sketch.
+//! Wire format: compact, dependency-free binary serialization.
 //!
 //! Purpose: the lower-bound harness (`kcov-lowerbound`) simulates
 //! one-way communication protocols whose messages are algorithm states.
 //! `SpaceUsage` counts resident words; this module makes the message
-//! *literal* — a byte buffer another party can decode into an identical
-//! sketch and keep feeding. Also useful for checkpointing long streams
-//! and for shipping shard sketches in the distributed-merge pattern.
+//! *literal* — a byte buffer another party can decode and keep feeding.
+//! It also carries checkpoints and the shard replicas of the
+//! distributed-merge pattern.
 //!
-//! Format: little-endian, length-prefixed vectors, a one-byte tag per
-//! sketch type, no versioning (an in-workspace format, not an archive
-//! format). Hash functions travel as their full coefficient vectors, so
-//! the decoded object is behaviorally identical, not just statistically
-//! equivalent.
+//! A sketch is a function of its constructor arguments (shape and
+//! seeds) and of its input, so only the input-dependent half travels:
+//! [`WireState`] writes a value's *state* (kept values, counter tables,
+//! telemetry counters) and reads it back into a value the decoder built
+//! with the same constructor call — the public coins both parties hold.
+//! No hash coefficient, threshold, rate or table shape is ever encoded,
+//! so a decoded value has the constructor's shape by construction.
+//! Little-endian words, length prefixes only where a length is state.
 
-use kcov_hash::{Fp, KWise, MERSENNE_P};
 use kcov_obs::{Histogram, SketchStats};
-
-use crate::contributing::F2Contributing;
-use crate::count_sketch::{CountSketch, MAX_WIDTH};
-use crate::l0::{Kmv, L0Estimator};
 
 /// Decode error with context.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -44,7 +41,9 @@ pub fn err(message: impl Into<String>) -> WireError {
     }
 }
 
-/// A type with a self-describing binary encoding.
+/// A type with a self-describing binary encoding: the estimator root,
+/// whose encoding carries the config its decoder builds from, and the
+/// telemetry values, which no constructor shapes.
 pub trait WireEncode: Sized {
     /// Append the encoding of `self` to `out`.
     fn encode(&self, out: &mut Vec<u8>);
@@ -69,11 +68,24 @@ pub trait WireEncode: Sized {
     }
 }
 
+/// The state half of a value whose shape its constructor draws: the
+/// writer and the reader build the value from the same constructor
+/// arguments, and only what the input changed travels.
+pub trait WireState {
+    /// Append the state of `self`.
+    fn put_state(&self, out: &mut Vec<u8>);
+    /// Read a state written by [`WireState::put_state`] from the front
+    /// of `input` into `self`, a value built by the same constructor
+    /// call as the writer's, replacing whatever state it held. Fails on
+    /// a state that value cannot hold; `self` is then unspecified.
+    fn take_state(&mut self, input: &mut &[u8]) -> Result<(), WireError>;
+}
+
 // ---- primitives -----------------------------------------------------
 //
-// The primitives are `pub`: the full-state encodings (estimator, lanes,
-// oracle, subroutines) live next to their private fields in `kcov-core`
-// and compose these building blocks there.
+// The primitives are `pub`: the state codecs live next to their types'
+// private fields (in `kcov-core` for the estimator, lanes, oracle and
+// subroutines) and compose these building blocks there.
 
 /// Append a little-endian `u64`.
 pub fn put_u64(out: &mut Vec<u8>, v: u64) {
@@ -105,67 +117,21 @@ pub fn take_f64(input: &mut &[u8]) -> Result<f64, WireError> {
     Ok(f64::from_bits(take_u64(input)?))
 }
 
-/// Append a length-prefixed `u64` vector.
-pub fn put_u64s(out: &mut Vec<u8>, vs: &[u64]) {
-    put_u64(out, vs.len() as u64);
-    for &v in vs {
-        put_u64(out, v);
-    }
-}
-
-/// Consume `n` little-endian words as one exactly sized vector of
-/// `f(word)`: one bounds check against the remaining input before the
-/// allocation, then one straight loop. `None` when fewer than `n` words
-/// remain.
-pub fn take_words<T>(input: &mut &[u8], n: usize, mut f: impl FnMut(u64) -> T) -> Option<Vec<T>> {
+/// Consume `n` little-endian words: one bounds check against the
+/// remaining input, then an iterator over the consumed bytes, so the
+/// caller decodes them in place or into one exactly sized vector.
+pub fn take_words<'a>(
+    input: &mut &'a [u8],
+    n: usize,
+) -> Result<impl ExactSizeIterator<Item = u64> + Clone + 'a, WireError> {
     if n > input.len() / 8 {
-        return None;
+        return Err(err(format!("truncated vector of {n} words")));
     }
     let (head, rest) = input.split_at(8 * n);
     *input = rest;
-    let words = head.chunks_exact(8);
-    Some(
-        words
-            .map(|w| f(u64::from_le_bytes(w.try_into().expect("8 bytes"))))
-            .collect(),
-    )
-}
-
-/// Consume a length-prefixed `u64` vector.
-pub fn take_u64s(input: &mut &[u8]) -> Result<Vec<u64>, WireError> {
-    let n = take_u64(input)? as usize;
-    take_words(input, n, |w| w).ok_or_else(|| err(format!("truncated vector of {n} u64s")))
-}
-
-/// Append a hash function as its full coefficient vector.
-pub fn put_kwise(out: &mut Vec<u8>, h: &KWise) {
-    put_u64s(out, &h.coefficients());
-}
-
-/// Consume a hash function as its coefficient vector, rejecting an
-/// empty one (the polynomial-hash constructor would panic on it) and any
-/// coefficient `≥ p`: the encoder only writes canonical field elements,
-/// so a non-canonical one is corruption, and accepting it would give one
-/// state two encodings.
-pub fn take_kwise(input: &mut &[u8]) -> Result<KWise, WireError> {
-    let n = take_u64(input)? as usize;
-    let mut non_canonical = None;
-    let coeffs = take_words(input, n, |c| {
-        if c >= MERSENNE_P {
-            non_canonical.get_or_insert(c);
-        }
-        Fp::new(c)
-    })
-    .ok_or_else(|| err(format!("truncated vector of {n} u64s")))?;
-    if coeffs.is_empty() {
-        return Err(err("empty hash coefficient vector"));
-    }
-    if let Some(c) = non_canonical {
-        return Err(err(format!(
-            "hash coefficient {c:#x} is not below 2^61 - 1"
-        )));
-    }
-    Ok(KWise::from_field(coeffs))
+    Ok(head
+        .chunks_exact(8)
+        .map(|w| u64::from_le_bytes(w.try_into().expect("8 bytes"))))
 }
 
 /// Decode `n` values with `f` into one vector, sized once: its capacity
@@ -187,10 +153,9 @@ pub fn take_vec<T>(
 
 // ---- full-state framing ---------------------------------------------
 //
-// Individual sketches keep their original one-tag framing (an
-// in-workspace format). Full replica states — the payloads shipped
-// between worker processes and the coordinator — get a *versioned
-// header* plus length-prefixed sections, so a reader can reject a
+// Full replica states — the payloads shipped between worker processes
+// and the coordinator — get a *versioned header* plus length-prefixed
+// sections, so a reader can reject a
 // foreign or stale payload before decoding anything, and a corrupt
 // section length cannot walk the cursor into a neighboring section.
 
@@ -215,8 +180,11 @@ pub const WIRE_MAGIC: u64 = 0x4b43_4f56_5749_5245;
 /// repetition stores each kept edge once, in the bucket of the lowest
 /// γ level it passes, instead of once per γ lane; 8 = a finder level is
 /// `(modulus, keep, threshold factor, CountSketch)`, without a
-/// heavy-hitter record of its own (tag, configuration, item count).
-pub const WIRE_VERSION: u64 = 8;
+/// heavy-hitter record of its own (tag, configuration, item count); 9 =
+/// a replica is its configuration plus its state: no hash coefficient,
+/// threshold, rate, level count or table shape travels, and the decoder
+/// rebuilds all of them with the estimator's constructor.
+pub const WIRE_VERSION: u64 = 9;
 
 /// Append the versioned full-state header: magic, version, payload tag.
 pub fn put_header(out: &mut Vec<u8>, tag: u64) {
@@ -290,138 +258,11 @@ pub fn expect_section_end(tag: u64, body: &[u8]) -> Result<(), WireError> {
     }
 }
 
-// ---- sketches -------------------------------------------------------
+// ---- telemetry --------------------------------------------------------
+//
+// Telemetry values have no constructor-drawn shape: they travel whole.
 
-const TAG_KMV: u64 = 0x4b4d56; // "KMV"
-const TAG_CS: u64 = 0x4353; // "CS"
-const TAG_L0: u64 = 0x4c30; // "L0"
-const TAG_FC: u64 = 0x4643; // "FC"
 const TAG_HIST: u64 = 0x48495354; // "HIST"
-
-impl WireEncode for Kmv {
-    fn encode(&self, out: &mut Vec<u8>) {
-        put_u64(out, TAG_KMV);
-        put_u64(out, self.k() as u64);
-        put_kwise(out, self.hash());
-        put_u64s(out, &self.kept_values());
-    }
-
-    fn decode(input: &mut &[u8]) -> Result<Self, WireError> {
-        if take_u64(input)? != TAG_KMV {
-            return Err(err("bad KMV tag"));
-        }
-        let k = take_u64(input)? as usize;
-        let hash = take_kwise(input)?;
-        let vals = take_u64s(input)?;
-        Kmv::from_parts(k, hash, vals).map_err(err)
-    }
-}
-
-impl WireEncode for CountSketch {
-    fn encode(&self, out: &mut Vec<u8>) {
-        put_u64(out, TAG_CS);
-        put_u64(out, self.rows() as u64);
-        put_u64(out, self.width() as u64);
-        put_u64(out, self.mix().len() as u64);
-        for g in self.mix() {
-            put_kwise(out, g);
-        }
-        put_u64(out, self.table().len() as u64);
-        for &c in self.table() {
-            put_i64(out, c);
-        }
-    }
-
-    fn decode(input: &mut &[u8]) -> Result<Self, WireError> {
-        if take_u64(input)? != TAG_CS {
-            return Err(err("bad CountSketch tag"));
-        }
-        let rows = take_u64(input)? as usize;
-        let width = take_u64(input)? as usize;
-        if width > MAX_WIDTH {
-            return Err(err(format!(
-                "CountSketch width {width} exceeds the cap {MAX_WIDTH}"
-            )));
-        }
-        // The word count and each word's degree are checked by
-        // `from_parts`: a crafted degree would otherwise set the cost of
-        // every update.
-        let words = take_u64(input)? as usize;
-        if words > input.len() / 8 {
-            return Err(err(format!(
-                "truncated list of {words} CountSketch mix words"
-            )));
-        }
-        let mix = take_vec(input, words, take_kwise)?;
-        let n = take_u64(input)? as usize;
-        let table = (rows.checked_mul(width) == Some(n))
-            .then(|| take_words(input, n, |w| w as i64))
-            .flatten()
-            .ok_or_else(|| err("CountSketch table size mismatch"))?;
-        CountSketch::from_parts(rows, width, mix, table).map_err(err)
-    }
-}
-
-impl WireEncode for L0Estimator {
-    fn encode(&self, out: &mut Vec<u8>) {
-        put_u64(out, TAG_L0);
-        put_u64(out, self.repetitions().len() as u64);
-        for r in self.repetitions() {
-            r.encode(out);
-        }
-    }
-
-    fn decode(input: &mut &[u8]) -> Result<Self, WireError> {
-        if take_u64(input)? != TAG_L0 {
-            return Err(err("bad L0Estimator tag"));
-        }
-        let n = take_u64(input)? as usize;
-        if n > input.len() {
-            // Each repetition needs at least one byte; cheap sanity cap
-            // so a corrupt length cannot drive a huge allocation loop.
-            return Err(err("L0Estimator repetition count exceeds input"));
-        }
-        let reps = take_vec(input, n, Kmv::decode)?;
-        L0Estimator::from_parts(reps).map_err(err)
-    }
-}
-
-impl WireEncode for F2Contributing {
-    fn encode(&self, out: &mut Vec<u8>) {
-        put_u64(out, TAG_FC);
-        put_u64(out, self.domain());
-        put_kwise(out, self.sampling_hash());
-        let levels = self.level_parts();
-        put_u64(out, levels.len() as u64);
-        for (modulus, keep, factor, sketch) in levels {
-            put_u64(out, modulus);
-            put_u64(out, keep);
-            put_f64(out, factor);
-            sketch.encode(out);
-        }
-    }
-
-    fn decode(input: &mut &[u8]) -> Result<Self, WireError> {
-        if take_u64(input)? != TAG_FC {
-            return Err(err("bad F2Contributing tag"));
-        }
-        let domain = take_u64(input)?;
-        let hash = take_kwise(input)?;
-        let n = take_u64(input)? as usize;
-        if n > input.len() {
-            return Err(err("F2Contributing level count exceeds input"));
-        }
-        let levels = take_vec(input, n, |input| {
-            Ok((
-                take_u64(input)?,
-                take_u64(input)?,
-                take_f64(input)?,
-                CountSketch::decode(input)?,
-            ))
-        })?;
-        F2Contributing::from_parts(hash, domain, levels).map_err(err)
-    }
-}
 
 impl WireEncode for Histogram {
     fn encode(&self, out: &mut Vec<u8>) {
@@ -455,7 +296,19 @@ impl WireEncode for Histogram {
         let buckets = take_vec(input, n, |input| {
             Ok((take_u64(input)? as usize, take_u64(input)?))
         })?;
-        Histogram::from_parts(&buckets, sum, min, max)
+        // The writer lists non-empty buckets in index order and an empty
+        // histogram as all zeros: anything else would decode to a
+        // histogram with a second encoding.
+        let canonical = buckets.windows(2).all(|w| w[0].0 < w[1].0)
+            && buckets.iter().all(|&(_, c)| c > 0)
+            && (!buckets.is_empty() || min == 0)
+            && buckets
+                .iter()
+                .try_fold(0u64, |total, &(_, c)| total.checked_add(c))
+                .is_some();
+        canonical
+            .then(|| Histogram::from_parts(&buckets, sum, min, max))
+            .flatten()
             .ok_or_else(|| err("inconsistent histogram parts"))
     }
 }
@@ -488,97 +341,49 @@ impl WireEncode for SketchStats {
     }
 }
 
-// ---- telemetry-preserving composites --------------------------------
-//
-// `from_parts` deliberately zeroes telemetry counters ("telemetry is
-// not state"), which is right for the lower-bound harness but wrong for
-// replica shipping: a coordinator folding worker files must report the
-// same eviction/prune/merge counts as the equivalent in-process run.
-// These helpers pair the structural encoding with a counter sidecar and
-// restore it after reconstruction.
-
-/// Encode an `L0Estimator` plus its per-repetition telemetry counters
-/// (heat updates, evictions, merges — v3 layout).
-pub fn put_l0_full(out: &mut Vec<u8>, l0: &L0Estimator) {
-    l0.encode(out);
-    put_u64(out, l0.repetitions().len() as u64);
-    for rep in l0.repetitions() {
-        let st = rep.stats();
-        put_u64(out, rep.heat_updates());
-        put_u64(out, st.evictions);
-        put_u64(out, st.merges);
-    }
-}
-
-/// Decode an `L0Estimator` and restore its telemetry sidecar.
-pub fn take_l0_full(input: &mut &[u8]) -> Result<L0Estimator, WireError> {
-    let mut l0 = L0Estimator::decode(input)?;
-    let n = take_u64(input)? as usize;
-    if n > input.len() / 24 {
-        return Err(err(format!(
-            "truncated L0 telemetry sidecar of {n} entries"
-        )));
-    }
-    let counters = take_vec(input, n, |input| {
-        Ok((take_u64(input)?, take_u64(input)?, take_u64(input)?))
-    })?;
-    l0.restore_telemetry(&counters).map_err(err)?;
-    Ok(l0)
-}
-
-/// Encode an `F2Contributing` plus its per-level telemetry counters
-/// (CountSketch merges and heat updates — v5 layout).
-pub fn put_fc_full(out: &mut Vec<u8>, fc: &F2Contributing) {
-    fc.encode(out);
-    let levels = fc.level_parts();
-    put_u64(out, levels.len() as u64);
-    for (_, _, _, sketch) in levels {
-        put_u64(out, sketch.stats().merges);
-        put_u64(out, sketch.heat_updates());
-    }
-}
-
-/// Decode an `F2Contributing` and restore its telemetry sidecar.
-pub fn take_fc_full(input: &mut &[u8]) -> Result<F2Contributing, WireError> {
-    let mut fc = F2Contributing::decode(input)?;
-    let n = take_u64(input)? as usize;
-    if n > input.len() / 16 {
-        return Err(err(format!(
-            "truncated F2C telemetry sidecar of {n} entries"
-        )));
-    }
-    let counters = take_vec(input, n, |input| Ok((take_u64(input)?, take_u64(input)?)))?;
-    fc.restore_telemetry(&counters).map_err(err)?;
-    Ok(fc)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::contributing::{ContributingConfig, F2Contributing};
+    use crate::count_sketch::CountSketch;
+    use crate::l0::{Kmv, L0Estimator};
 
-    #[test]
-    fn non_canonical_hash_coefficients_are_rejected() {
-        let mut good = Vec::new();
-        put_u64s(&mut good, &[MERSENNE_P - 1, 3]);
-        assert!(take_kwise(&mut good.as_slice()).is_ok());
-        // `p + 5` reduces to 5, so accepting it would let `[p + 5, 3]`
-        // and `[5, 3]` decode to one state with two encodings.
-        for c in [MERSENNE_P, MERSENNE_P + 5, u64::MAX] {
-            let mut bad = Vec::new();
-            put_u64s(&mut bad, &[c, 3]);
-            let e = take_kwise(&mut bad.as_slice()).expect_err("non-canonical coefficient");
-            assert!(e.message.contains("not below"), "{e}");
+    fn state(value: &impl WireState) -> Vec<u8> {
+        let mut out = Vec::new();
+        value.put_state(&mut out);
+        out
+    }
+
+    /// `value`'s state read into `fresh` (a constructor twin), which
+    /// must consume it exactly and re-encode it byte for byte.
+    fn through_state<T: WireState>(value: &T, mut fresh: T) -> T {
+        let bytes = state(value);
+        let mut input = bytes.as_slice();
+        fresh
+            .take_state(&mut input)
+            .expect("a state decodes into its twin");
+        assert!(input.is_empty(), "{} bytes left over", input.len());
+        assert_eq!(state(&fresh), bytes);
+        fresh
+    }
+
+    /// Every strict prefix of `value`'s state fails to decode into a
+    /// fresh twin.
+    fn rejects_truncation<T: WireState>(value: &T, fresh: impl Fn() -> T) {
+        let bytes = state(value);
+        for cut in 0..bytes.len() {
+            let mut input = &bytes[..cut];
+            assert!(fresh().take_state(&mut input).is_err(), "cut {cut}");
         }
     }
 
     #[test]
-    fn kmv_roundtrip_preserves_behavior() {
+    fn kmv_state_preserves_behavior() {
         let mut kmv = Kmv::new(16, 7);
         for i in 0..5_000u64 {
             kmv.insert(i * 3);
         }
-        let bytes = kmv.to_bytes();
-        let mut back = Kmv::from_bytes(&bytes).unwrap();
+        let mut back = through_state(&kmv, Kmv::new(16, 7));
         assert_eq!(kmv.estimate(), back.estimate());
         // Continued streaming matches.
         let mut original = kmv.clone();
@@ -587,29 +392,45 @@ mod tests {
             back.insert(999_000 + i);
         }
         assert_eq!(original.estimate(), back.estimate());
+        rejects_truncation(&kmv, || Kmv::new(16, 7));
     }
 
     #[test]
-    fn count_sketch_roundtrip_and_continue() {
+    fn kmv_state_above_k_is_rejected() {
+        let mut kmv = Kmv::new(16, 7);
+        kmv.insert_batch(&(0..100).collect::<Vec<u64>>());
+        let mut input = state(&kmv);
+        let e = Kmv::new(8, 7)
+            .take_state(&mut input.as_slice())
+            .unwrap_err();
+        assert!(e.message.contains("exceed k = 8"), "{e}");
+        // A state of fewer values than k fits any summary of that k.
+        input = state(&Kmv::new(16, 7));
+        assert!(Kmv::new(8, 7).take_state(&mut input.as_slice()).is_ok());
+    }
+
+    #[test]
+    fn count_sketch_state_roundtrip_and_continue() {
         let mut cs = CountSketch::new(5, 64, 9);
         for i in 0..3_000u64 {
             cs.insert(i % 211);
         }
-        let mut back = CountSketch::from_bytes(&cs.to_bytes()).unwrap();
+        let mut back = through_state(&cs, CountSketch::new(5, 64, 9));
         for i in 0..211u64 {
             assert_eq!(cs.query(i), back.query(i));
         }
         back.insert(3);
         assert_eq!(back.query(3), cs.query(3) + 1);
+        rejects_truncation(&CountSketch::new(2, 8, 1), || CountSketch::new(2, 8, 1));
     }
 
     #[test]
-    fn l0_estimator_roundtrip_and_continue() {
+    fn l0_estimator_state_roundtrip_and_continue() {
         let mut est = L0Estimator::new(32, 3, 11);
         for i in 0..4_000u64 {
             est.insert(i * 7);
         }
-        let mut back = L0Estimator::from_bytes(&est.to_bytes()).unwrap();
+        let mut back = through_state(&est, L0Estimator::new(32, 3, 11));
         assert_eq!(est.estimate(), back.estimate());
         let mut original = est.clone();
         for i in 0..2_000u64 {
@@ -617,102 +438,39 @@ mod tests {
             back.insert(500_000 + i);
         }
         assert_eq!(original.estimate(), back.estimate());
+        rejects_truncation(&L0Estimator::new(8, 2, 1), || L0Estimator::new(8, 2, 1));
     }
 
     #[test]
-    fn contributing_roundtrip_and_continue() {
-        use crate::contributing::ContributingConfig;
+    fn contributing_state_roundtrip_and_continue() {
         let c = ContributingConfig::new(0.25, 64);
-        let mut fc = F2Contributing::new(c.clone(), c, 1000, 1000, 41);
+        let fresh = || F2Contributing::new(c.clone(), c.clone(), 1000, 1000, 41);
+        let mut fc = fresh();
         let items: Vec<u64> = (0..300u64).flat_map(|r| [5, 100 + r % 20]).collect();
         fc.insert_batch(&items);
-        let mut back = F2Contributing::from_bytes(&fc.to_bytes()).unwrap();
+        let mut back = through_state(&fc, fresh());
         assert_eq!(fc.report(), back.report());
         let mut original = fc.clone();
         let items: Vec<u64> = (0..200u64).flat_map(|r| [9, 400 + r]).collect();
         original.insert_batch(&items);
         back.insert_batch(&items);
         assert_eq!(original.report(), back.report());
-        for (a, b) in original.level_parts().iter().zip(back.level_parts()) {
-            assert_eq!(a.2.to_bits(), b.2.to_bits());
-            assert_eq!(a.3.table(), b.3.table());
-            assert_eq!(a.3.f2_estimate().to_bits(), b.3.f2_estimate().to_bits());
-        }
-    }
-
-    #[test]
-    fn contributing_domain_above_the_cap_is_rejected() {
-        use crate::contributing::{ContributingConfig, MAX_DOMAIN};
+        assert_eq!(state(&original), state(&back));
         let c = ContributingConfig::new(0.5, 16);
-        let fc = F2Contributing::new(c.clone(), c, 100, 100, 2);
-        let mut bytes = fc.to_bytes();
-        // The domain word follows the tag.
-        bytes[8..16].copy_from_slice(&(MAX_DOMAIN + 1).to_le_bytes());
-        let e = F2Contributing::from_bytes(&bytes).unwrap_err();
-        assert!(e.message.contains("exceeds the cap"), "{e}");
-        bytes[8..16].copy_from_slice(&MAX_DOMAIN.to_le_bytes());
-        assert_eq!(
-            F2Contributing::from_bytes(&bytes).unwrap().domain(),
-            MAX_DOMAIN
-        );
-    }
-
-    #[test]
-    fn new_type_truncations_rejected() {
-        use crate::contributing::ContributingConfig;
-        let c = ContributingConfig::new(0.5, 16);
-        let mut fc = F2Contributing::new(c.clone(), c, 100, 100, 2);
-        fc.insert_batch(&[1]);
-        let bytes = fc.to_bytes();
-        for cut in [0usize, 1, 7, 16, bytes.len() / 2, bytes.len() - 1] {
-            assert!(
-                F2Contributing::from_bytes(&bytes[..cut]).is_err(),
-                "cut {cut}"
-            );
-        }
-        let est = L0Estimator::new(8, 2, 1);
-        let bytes = est.to_bytes();
-        assert!(L0Estimator::from_bytes(&bytes[..bytes.len() - 1]).is_err());
-    }
-
-    #[test]
-    fn new_type_wrong_tags_rejected() {
-        // An `L0Estimator` nests `Kmv` encodings, so each must reject
-        // the other's outer tag.
-        let est = L0Estimator::new(8, 2, 1);
-        assert!(Kmv::from_bytes(&est.to_bytes()).is_err());
-        let kmv = Kmv::new(8, 1);
-        assert!(L0Estimator::from_bytes(&kmv.to_bytes()).is_err());
-        let cs = CountSketch::new(2, 8, 1);
-        assert!(F2Contributing::from_bytes(&cs.to_bytes()).is_err());
-    }
-
-    #[test]
-    fn truncated_input_rejected() {
-        let mut kmv = Kmv::new(8, 1);
-        kmv.insert(5);
-        let bytes = kmv.to_bytes();
-        for cut in [0, 1, 7, bytes.len() - 1] {
-            assert!(Kmv::from_bytes(&bytes[..cut]).is_err(), "cut {cut}");
-        }
-    }
-
-    #[test]
-    fn wrong_tag_rejected() {
-        let cs = CountSketch::new(2, 8, 1);
-        let bytes = cs.to_bytes();
-        assert!(Kmv::from_bytes(&bytes).is_err());
+        let mut small = F2Contributing::new(c.clone(), c.clone(), 100, 100, 2);
+        small.insert_batch(&[1]);
+        rejects_truncation(&small, || {
+            F2Contributing::new(c.clone(), c.clone(), 100, 100, 2)
+        });
     }
 
     #[test]
     fn trailing_bytes_rejected() {
-        let kmv = Kmv::new(8, 1);
-        let mut bytes = kmv.to_bytes();
+        let mut bytes = Histogram::new().to_bytes();
         bytes.push(0);
-        let e = Kmv::from_bytes(&bytes).unwrap_err();
+        let e = Histogram::from_bytes(&bytes).unwrap_err();
         assert!(e.message.contains("trailing"));
     }
-
     #[test]
     fn histogram_roundtrip_preserves_everything() {
         let mut h = Histogram::new();
@@ -748,21 +506,33 @@ mod tests {
         trailing.push(0);
         assert!(Histogram::from_bytes(&trailing).is_err());
         // Wrong tag.
-        let kmv = Kmv::new(8, 1);
-        assert!(Histogram::from_bytes(&kmv.to_bytes()).is_err());
+        assert!(Histogram::from_bytes(&SketchStats::default().to_bytes()).is_err());
         // Out-of-range bucket index: patch the first bucket entry.
         let mut corrupt = bytes.clone();
         let first_bucket_at = 8 * 5; // tag, sum, min, max, len
         corrupt[first_bucket_at..first_bucket_at + 8].copy_from_slice(&99u64.to_le_bytes());
         assert!(Histogram::from_bytes(&corrupt).is_err());
         // Inconsistent envelope: min > max.
-        let mut bad_env = bytes;
+        let mut bad_env = bytes.clone();
         bad_env[16..24].copy_from_slice(&u64::MAX.to_le_bytes()); // min field
         assert!(Histogram::from_bytes(&bad_env).is_err());
+        // Non-canonical bucket lists: an empty bucket, then two buckets
+        // out of index order.
+        let mut empty_bucket = bytes.clone();
+        empty_bucket[48..56].copy_from_slice(&0u64.to_le_bytes());
+        assert!(Histogram::from_bytes(&empty_bucket).is_err());
+        let mut swapped = bytes.clone();
+        swapped[40..56].copy_from_slice(&bytes[56..72]);
+        swapped[56..72].copy_from_slice(&bytes[40..56]);
+        assert!(Histogram::from_bytes(&swapped).is_err());
+        // An empty histogram with a minimum.
+        let mut empty = Histogram::new().to_bytes();
+        empty[16..24].copy_from_slice(&3u64.to_le_bytes());
+        assert!(Histogram::from_bytes(&empty).is_err());
     }
 
     #[test]
-    fn full_state_sidecars_restore_ledger_heat() {
+    fn states_carry_ledger_heat() {
         use crate::space::SpaceUsage;
         use kcov_obs::LedgerNode;
         fn ledger(s: &impl SpaceUsage) -> LedgerNode {
@@ -774,48 +544,30 @@ mod tests {
         for i in 0..4_000u64 {
             est.insert(i * 7);
         }
-        let mut buf = Vec::new();
-        put_l0_full(&mut buf, &est);
-        let mut input = buf.as_slice();
-        let back = take_l0_full(&mut input).unwrap();
-        assert!(input.is_empty());
+        let back = through_state(&est, L0Estimator::new(32, 3, 11));
         assert_eq!(ledger(&back), ledger(&est));
-        assert!(
-            ledger(&est).total_updates() > 0,
-            "heat must be nonzero to test restore"
-        );
+        assert!(ledger(&est).total_updates() > 0, "heat must be nonzero");
 
-        use crate::contributing::ContributingConfig;
         let c = ContributingConfig::new(0.25, 64);
-        let mut fc = F2Contributing::new(c.clone(), c, 1000, 1000, 41);
+        let fresh = || F2Contributing::new(c.clone(), c.clone(), 1000, 1000, 41);
+        let mut fc = fresh();
         let items: Vec<u64> = (0..300u64).flat_map(|r| [5, 100 + r % 20]).collect();
         fc.insert_batch(&items);
-        let mut buf = Vec::new();
-        put_fc_full(&mut buf, &fc);
-        let mut input = buf.as_slice();
-        let back = take_fc_full(&mut input).unwrap();
-        assert!(input.is_empty());
+        let back = through_state(&fc, fresh());
         assert_eq!(ledger(&back), ledger(&fc));
-        assert!(
-            ledger(&fc).total_updates() > 0,
-            "heat must be nonzero to test restore"
-        );
+        assert!(ledger(&fc).total_updates() > 0, "heat must be nonzero");
     }
 
     #[test]
-    fn encoded_size_tracks_space_words() {
+    fn state_size_tracks_space_words() {
         use crate::space::SpaceUsage;
         let mut kmv = Kmv::new(64, 2);
         for i in 0..10_000u64 {
             kmv.insert(i);
         }
-        let bytes = kmv.to_bytes().len();
-        let words = kmv.space_words();
-        // Encoding is words × 8 plus small framing overhead.
-        assert!(bytes >= words * 8, "bytes {bytes} vs words {words}");
-        assert!(
-            bytes <= words * 8 + 64,
-            "framing too heavy: {bytes} vs {words}"
-        );
+        // The kept values plus a length and three counters; the rank
+        // hash's 2 words stay home.
+        let bytes = state(&kmv).len();
+        assert_eq!(bytes, 8 * (kmv.space_words() - 2 + 4));
     }
 }

@@ -9,6 +9,7 @@
 //! failure names a reproducible case index.
 
 use kcov_hash::SplitMix64;
+use kcov_sketch::wire::WireState;
 use kcov_sketch::{ContributingConfig, CountSketch, F2Contributing, Kmv, L0Estimator, SpaceUsage};
 
 const CASES: u64 = 48;
@@ -270,9 +271,13 @@ fn contributing_batch_any_chunking_equals_sequential() {
                     "case {case} level {level}"
                 );
             }
-            for (a, b) in serial.level_parts().iter().zip(batched.level_parts()) {
-                assert_eq!(a.3.table(), b.3.table(), "case {case}");
-            }
+            // Every level's table and counters.
+            let state = |fc: &F2Contributing| {
+                let mut out = Vec::new();
+                fc.put_state(&mut out);
+                out
+            };
+            assert_eq!(state(&serial), state(&batched), "case {case}");
             assert_eq!(
                 serial.stats().updates,
                 batched.stats().updates,

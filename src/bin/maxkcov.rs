@@ -72,11 +72,14 @@
 use std::collections::HashMap;
 use std::fs::File;
 use std::io::{BufReader, BufWriter, ErrorKind, Write};
+use std::path::Path;
 use std::process::ExitCode;
 use std::time::Instant;
 
 use kcov_baselines::{greedy_max_cover, max_cover_exact};
-use kcov_core::{crosses_beat, EstimatorConfig, MaxCoverEstimator, MaxCoverReporter, ParamMode};
+use kcov_core::{
+    crosses_beat, EstimatorConfig, MaxCoverEstimator, MaxCoverReporter, ParamMode, ReplicaConfig,
+};
 use kcov_obs::audit::{self, Trace};
 use kcov_obs::{render_folded, render_report, Recorder, Row, Time, Value};
 use kcov_sketch::{SpaceUsage, WireEncode};
@@ -754,14 +757,25 @@ fn cmd_estimate(flags: &HashMap<String, String>) -> Result<(), String> {
     obs.emit(&rec)
 }
 
-/// Serialize a replica to `path` atomically (tmp + rename), so a
-/// crash mid-write never leaves a truncated snapshot behind. Returns
-/// the encoded size in bytes.
+/// Serialize a replica to `path` atomically and durably: write a tmp
+/// file and sync it, rename it over `path`, then sync the directory, so
+/// a crash never leaves a truncated snapshot or loses the rename.
+/// Returns the encoded size in bytes.
 fn write_replica(path: &str, est: &MaxCoverEstimator) -> Result<usize, String> {
     let bytes = est.to_bytes();
     let tmp = format!("{path}.tmp");
-    std::fs::write(&tmp, &bytes).map_err(|e| format!("write {tmp}: {e}"))?;
+    let mut file = File::create(&tmp).map_err(|e| format!("create {tmp}: {e}"))?;
+    file.write_all(&bytes)
+        .and_then(|()| file.sync_all())
+        .map_err(|e| format!("write {tmp}: {e}"))?;
     std::fs::rename(&tmp, path).map_err(|e| format!("rename {tmp} -> {path}: {e}"))?;
+    let dir = match Path::new(path).parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => dir,
+        _ => Path::new("."),
+    };
+    File::open(dir)
+        .and_then(|d| d.sync_all())
+        .map_err(|e| format!("sync {}: {e}", dir.display()))?;
     Ok(bytes.len())
 }
 
@@ -809,9 +823,12 @@ fn cmd_worker(flags: &HashMap<String, String>) -> Result<(), String> {
             let bytes = std::fs::read(path).map_err(|e| format!("read {path}: {e}"))?;
             let mut est =
                 MaxCoverEstimator::from_bytes(&bytes).map_err(|e| format!("decode {path}: {e}"))?;
-            if est.shape() != (n, m, k, alpha) {
+            if let Some(field) = est
+                .config()
+                .differs_from(&ReplicaConfig::new(n, m, k, alpha, &config))
+            {
                 return Err(format!(
-                    "snapshot {path} was built for a different instance shape"
+                    "snapshot {path} was built with a different configuration ({field})"
                 ));
             }
             if est.shard() != shard as u64 {
@@ -902,14 +919,10 @@ fn cmd_merge_from(files: &[String], flags: &HashMap<String, String>) -> Result<(
         let ns = start.map_or(0, |t| t.elapsed().as_nanos() as u64);
         replicas.push((est, ns));
     }
-    let (n0, m0, k0, alpha0) = replicas[0].0.shape();
     for (i, (est, _)) in replicas.iter().enumerate() {
-        let (n, m, k, alpha) = est.shape();
-        if (n, m, k, alpha.to_bits()) != (n0, m0, k0, alpha0.to_bits())
-            || est.num_lanes() != replicas[0].0.num_lanes()
-        {
+        if let Some(field) = est.config().differs_from(replicas[0].0.config()) {
             return Err(format!(
-                "replica {} was built for a different instance or configuration than {}",
+                "replica {} was built with a different configuration ({field}) than {}",
                 files[i], files[0]
             ));
         }

@@ -1287,3 +1287,80 @@ fn writes_to_a_full_device_fail() {
     );
     std::fs::remove_file(&path).ok();
 }
+
+/// Write one worker replica of `input` (`--shards 2`) with extra flags.
+fn write_worker(input: &str, shard: &str, out: &str, extra: &[&str]) {
+    let mut args = vec![
+        "worker", "--input", input, "--k", "6", "--alpha", "4", "--shards", "2", "--shard", shard,
+        "--out", out,
+    ];
+    args.extend(extra);
+    let run_out = run(&args);
+    assert!(
+        run_out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&run_out.stderr)
+    );
+}
+
+/// Replicas built with different configs do not merge: `merge-from`
+/// names the first differing config field and exits 1 instead of
+/// reaching the merge's panic.
+#[test]
+fn merge_from_rejects_replicas_of_another_configuration() {
+    let input = tmp_file("mergecfg.txt");
+    let input_s = input.to_str().unwrap();
+    let out = run(&[
+        "gen", "--kind", "zipf", "--n", "400", "--m", "60", "--k", "6", "--seed", "4", "--out",
+        input_s,
+    ]);
+    assert!(out.status.success());
+    let files: Vec<PathBuf> = ["a", "b", "c"]
+        .iter()
+        .map(|name| tmp_file(&format!("mergecfg-{name}.bin")))
+        .collect();
+    let [a, b, c] = [0, 1, 2].map(|i| files[i].to_str().unwrap());
+    write_worker(input_s, "0", a, &["--seed", "1"]);
+    write_worker(input_s, "1", b, &["--seed", "2"]);
+    write_worker(input_s, "1", c, &["--seed", "1", "--mode", "paper"]);
+    assert_clean_rejection(&["merge-from", a, b], "different configuration (seed)");
+    assert_clean_rejection(&["merge-from", a, c], "different configuration (mode)");
+    for f in files.iter().chain([&input]) {
+        std::fs::remove_file(f).ok();
+    }
+}
+
+/// `worker --resume` continues a snapshot only under the config it was
+/// built with: a snapshot of seed 1 does not resume as a seed-2 worker.
+#[test]
+fn worker_resume_refuses_a_snapshot_of_another_configuration() {
+    let input = tmp_file("resumecfg.txt");
+    let input_s = input.to_str().unwrap();
+    let out = run(&[
+        "gen", "--kind", "zipf", "--n", "400", "--m", "60", "--k", "6", "--seed", "4", "--out",
+        input_s,
+    ]);
+    assert!(out.status.success());
+    let snap = tmp_file("resumecfg-snap.bin");
+    let resumed = tmp_file("resumecfg-out.bin");
+    let (snap_s, resumed_s) = (snap.to_str().unwrap(), resumed.to_str().unwrap());
+    write_worker(input_s, "0", snap_s, &["--seed", "1"]);
+    let mut args = vec![
+        "worker", "--input", input_s, "--k", "6", "--alpha", "4", "--shards", "2", "--shard", "0",
+        "--out", resumed_s, "--resume", snap_s, "--seed",
+    ];
+    assert_clean_rejection(
+        &[args.as_slice(), &["2"]].concat(),
+        "different configuration (seed)",
+    );
+    assert!(
+        !resumed.exists(),
+        "a refused resume must not write a replica"
+    );
+    // The matching config resumes.
+    args.push("1");
+    assert!(run(&args).status.success());
+    for f in [&input, &snap, &resumed] {
+        std::fs::remove_file(f).ok();
+    }
+}

@@ -1,20 +1,22 @@
-//! Exhaustive wire-format hardening: every `WireEncode` type —
-//! individual sketches, telemetry, and the full estimator state that
-//! roots the distributed replica files — must (a)
-//! round-trip to byte-identical encodings, (b) reject **every** strict
-//! truncation with a typed error, and (c) survive a single-byte-flip
-//! corruption sweep without ever panicking (flips may decode
-//! successfully when they land in free payload like a counter value;
-//! they must never bring the process down).
+//! Exhaustive wire-format hardening. The full estimator state that
+//! roots the distributed replica files, the telemetry types, and the
+//! state of every sketch and subroutine decoded into a value its
+//! constructor built must (a) round-trip to byte-identical encodings,
+//! (b) reject **every** strict truncation with a typed error, and
+//! (c) survive a single-byte-flip corruption sweep without ever
+//! panicking. A flip may decode when it lands in free payload like a
+//! counter value; the value it decodes to must then re-encode to the
+//! flipped bytes, so each state has one encoding.
 
 use maxkcov::core::{
     EdgeFingerprints, EstimatorConfig, LargeCommon, LargeSet, MaxCoverEstimator, Oracle, Params,
-    SmallSet, UniverseReducer,
+    SmallSet,
 };
 use maxkcov::hash::MERSENNE_P;
 use maxkcov::obs::{Histogram, Recorder, SketchStats};
 use maxkcov::sketch::{
-    ContributingConfig, CountSketch, F2Contributing, Kmv, L0Estimator, WireEncode,
+    ContributingConfig, CountSketch, F2Contributing, Kmv, L0Estimator, WireEncode, WireError,
+    WireState,
 };
 use maxkcov::stream::gen::zipf_popularity;
 use maxkcov::stream::{edge_stream, ArrivalOrder};
@@ -43,21 +45,25 @@ fn flip_points(len: usize) -> Vec<usize> {
     flips
 }
 
-/// The full battery for one value: round-trip byte identity, the
-/// truncation sweep, and the corruption sweep.
-fn exhaust<T: WireEncode>(label: &str, value: &T) {
-    let bytes = value.to_bytes();
-    let decoded = T::from_bytes(&bytes).unwrap_or_else(|e| panic!("{label}: decode failed: {e}"));
-    assert_eq!(
-        decoded.to_bytes(),
-        bytes,
+/// The battery over one encoding: `decode` must give back a value whose
+/// `encode` is the input, on `bytes` and on every flip it accepts, and
+/// must reject every strict prefix with a non-empty typed error.
+fn sweep<T>(
+    label: &str,
+    bytes: &[u8],
+    decode: impl Fn(&[u8]) -> Result<T, WireError>,
+    encode: impl Fn(&T) -> Vec<u8>,
+) {
+    let decoded = decode(bytes).unwrap_or_else(|e| panic!("{label}: decode failed: {e}"));
+    assert!(
+        encode(&decoded) == bytes,
         "{label}: decoded value re-encodes differently"
     );
 
     // Decode consumes the whole buffer, so every strict prefix must
     // run out of input somewhere and surface a typed error.
     for cut in cut_points(bytes.len()) {
-        match T::from_bytes(&bytes[..cut]) {
+        match decode(&bytes[..cut]) {
             Err(e) => assert!(
                 !e.to_string().is_empty(),
                 "{label}: truncation to {cut} produced an empty error"
@@ -69,15 +75,41 @@ fn exhaust<T: WireEncode>(label: &str, value: &T) {
         }
     }
 
-    // Corruption never panics; when it happens to decode, the value
-    // must still be usable enough to re-encode.
     for flip in flip_points(bytes.len()) {
-        let mut corrupted = bytes.clone();
+        let mut corrupted = bytes.to_vec();
         corrupted[flip] ^= 0xa5;
-        if let Ok(v) = T::from_bytes(&corrupted) {
-            let _ = v.to_bytes();
+        if let Ok(v) = decode(&corrupted) {
+            assert!(
+                encode(&v) == corrupted,
+                "{label}: the flip at {flip} decodes to a state with another encoding"
+            );
         }
     }
+}
+
+/// The battery for one self-describing value.
+fn exhaust<T: WireEncode>(label: &str, value: &T) {
+    sweep(label, &value.to_bytes(), T::from_bytes, T::to_bytes);
+}
+
+/// The battery for one value's state, decoded into values `fresh`
+/// builds with the writer's constructor arguments.
+fn exhaust_state<T: WireState>(label: &str, value: &T, fresh: impl Fn() -> T) {
+    let state = |v: &T| {
+        let mut out = Vec::new();
+        v.put_state(&mut out);
+        out
+    };
+    let decode = |bytes: &[u8]| {
+        let mut input = bytes;
+        let mut v = fresh();
+        v.take_state(&mut input)?;
+        match input.len() {
+            0 => Ok(v),
+            n => Err(maxkcov::sketch::wire::err(format!("{n} trailing bytes"))),
+        }
+    };
+    sweep(label, &state(value), decode, state);
 }
 
 #[test]
@@ -92,28 +124,28 @@ fn individual_sketches_roundtrip_and_reject_mangling() {
         kmv.insert(x);
         l0.insert(x);
     }
-    exhaust("Kmv", &kmv);
-    exhaust("L0Estimator", &l0);
+    exhaust_state("Kmv", &kmv, || Kmv::new(16, 7));
+    exhaust_state("L0Estimator", &l0, || L0Estimator::new(8, 5, 3));
 
     // A one-level finder is Theorem 2.10's heavy hitter: the unsampled
     // level alone, at φ = γ.
     let mut one_level = ContributingConfig::new(0.05, 1);
     one_level.phi_factor = 1.0;
-    let mut hh = F2Contributing::new(one_level.clone(), one_level, 1000, 1000, 23);
+    let hh_fresh = || F2Contributing::new(one_level.clone(), one_level.clone(), 1000, 1000, 23);
+    let mut hh = hh_fresh();
     hh.insert_batch(&skewed);
     assert_eq!(hh.num_levels(), 1);
-    exhaust("F2Contributing(one level)", &hh);
+    exhaust_state("F2Contributing(one level)", &hh, hh_fresh);
     let c = ContributingConfig::new(0.1, 64);
-    let mut fc = F2Contributing::new(c.clone(), c, 40, 1000, 29);
+    let fc_fresh = || F2Contributing::new(c.clone(), c.clone(), 40, 1000, 29);
+    let mut fc = fc_fresh();
     fc.insert_batch(&skewed);
-    exhaust("F2Contributing", &fc);
+    exhaust_state("F2Contributing", &fc, fc_fresh);
 
     // The paired two-tier finder (DESIGN.md §14): its level schedule
-    // mixes the wide Case-1 heavy-hitter config on shallow levels with
-    // the narrow Case-2 config past the wide tier's class-size bound,
-    // so the per-level self-describing encoding is what keeps a
-    // round-trip honest — exercise it with deliberately divergent
-    // tier configs.
+    // mixes the wide Case-1 heavy-hitter shape on shallow levels with
+    // the narrow Case-2 shape past the wide tier's class-size bound,
+    // so its state holds tables of two widths.
     let mut wide = ContributingConfig::new(0.02, 8);
     let mut narrow = ContributingConfig::new(0.25, 256);
     for c in [&mut wide, &mut narrow] {
@@ -122,15 +154,16 @@ fn individual_sketches_roundtrip_and_reject_mangling() {
         c.hh_rows = 2;
     }
     wide.hh_width_factor = 2.0;
-    let mut paired = F2Contributing::new(wide, narrow, 1000, 5000, 31);
+    let paired_fresh = || F2Contributing::new(wide.clone(), narrow.clone(), 1000, 5000, 31);
+    let mut paired = paired_fresh();
     paired.insert_batch(&skewed);
-    exhaust("F2Contributing(paired)", &paired);
+    exhaust_state("F2Contributing(paired)", &paired, paired_fresh);
 
     let mut cs = CountSketch::new(3, 32, 13);
     for &x in &items {
         cs.update(x, (x % 7) as i64 - 3);
     }
-    exhaust("CountSketch", &cs);
+    exhaust_state("CountSketch", &cs, || CountSketch::new(3, 32, 13));
 }
 
 #[test]
@@ -151,87 +184,34 @@ fn telemetry_types_roundtrip_and_reject_mangling() {
         merges: 2,
     };
     exhaust("SketchStats", &stats);
-    exhaust("UniverseReducer", &UniverseReducer::new(64, 99));
 }
 
-/// The hash-once front end and every subroutine that now carries a
-/// shared set-fingerprint base section: these encodings were reshaped
-/// by the batched hot-path refactor (DESIGN.md §12), so each gets the
-/// full battery standalone, fed through its fingerprint entry points.
+/// Every subroutine, fed through its fingerprint entry points, has its
+/// state decoded into a twin built on the same shared set base.
 #[test]
 fn hash_once_structures_roundtrip_and_reject_mangling() {
-    exhaust("EdgeFingerprints(d8)", &EdgeFingerprints::new(77, 8));
-    exhaust("EdgeFingerprints(d16)", &EdgeFingerprints::new(78, 16));
-
     let system = zipf_popularity(500, 40, 12, 1.1, 11);
     let edges = edge_stream(&system, ArrivalOrder::Shuffled(4));
     let params = Params::practical(40, 500, 6, 3.0);
     let fps = EdgeFingerprints::new(91, Params::hash_degree(params.mode, 40, 500));
     let fp_sets: Vec<u64> = edges.iter().map(|e| fps.fingerprint(*e).0).collect();
+    let base = || fps.set_base().clone();
 
-    let mut oracle = Oracle::with_base(500, &params, false, 13, fps.set_base().clone());
-    let mut lc = LargeCommon::with_base(500, &params, false, 15, fps.set_base().clone());
-    let mut ls = LargeSet::with_base(500, &params, 17, fps.set_base().clone());
-    let mut ss = SmallSet::with_base(500, &params, 19, fps.set_base().clone());
+    let oracle_fresh = || Oracle::with_base(500, &params, false, 13, base());
+    let lc_fresh = || LargeCommon::with_base(500, &params, true, 15, base());
+    let ls_fresh = || LargeSet::with_base(500, &params, 17, base());
+    let ss_fresh = || SmallSet::with_base(500, &params, 19, base());
+    let (mut oracle, mut lc, mut ls, mut ss) = (oracle_fresh(), lc_fresh(), ls_fresh(), ss_fresh());
     for (chunk, fp_chunk) in edges.chunks(64).zip(fp_sets.chunks(64)) {
         oracle.observe_fp_batch(chunk, fp_chunk);
         lc.observe_fp_batch(chunk, fp_chunk);
         ls.observe_fp_batch(chunk, fp_chunk);
         ss.observe_fp_batch(chunk, fp_chunk);
     }
-    exhaust("Oracle", &oracle);
-    exhaust("LargeCommon", &lc);
-    exhaust("LargeSet", &ls);
-    exhaust("SmallSet", &ss);
-
-    // A hash coefficient written as its non-canonical twin `c + p` is
-    // the same field element, but the wire rejects it: a state has one
-    // encoding.
-    let c = fps.set_base().coefficients()[0];
-    reject_non_canonical_coefficient("Oracle", &oracle, c);
-    reject_non_canonical_coefficient("LargeCommon", &lc, c);
-    reject_non_canonical_coefficient("LargeSet", &ls, c);
-    reject_non_canonical_coefficient("SmallSet", &ss, c);
-}
-
-/// `LargeCommon` ingests each β layer from the next-wider layer's
-/// survivors, so its bucket counts must not grow in lane order. A
-/// snapshot whose schedule does (raise any later layer's count above
-/// the one before it) must fail at decode, not ingest a wrong sample
-/// on resume.
-#[test]
-fn large_common_growing_bucket_schedule_is_rejected() {
-    let (n, m) = (500usize, 2000usize);
-    let params = Params::practical(m, n, 4, 8.0);
-    let fps = EdgeFingerprints::new(91, Params::hash_degree(params.mode, m, n));
-    let lc = LargeCommon::with_base(n, &params, false, 15, fps.set_base().clone());
-    let bytes = lc.to_bytes();
-    let word = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
-    // Each layer's encoding opens with `(β, buckets)`, β = 1, 2, 4, ...:
-    // the byte offset of every layer's bucket count.
-    let mut at_buckets: Vec<usize> = Vec::new();
-    let mut at = 0;
-    while at + 16 <= bytes.len() {
-        let beta = (1u64 << at_buckets.len()) as f64;
-        if word(at) == beta.to_bits() && word(at + 8).is_power_of_two() {
-            at_buckets.push(at + 8);
-            at += 16;
-        } else {
-            at += 1;
-        }
-    }
-    assert_eq!(at_buckets.len(), 4, "α = 8 builds β = 1, 2, 4, 8");
-    let counts: Vec<u64> = at_buckets.iter().map(|&at| word(at)).collect();
-    assert!(counts.windows(2).all(|w| w[0] > w[1]), "{counts:?}");
-    assert!(LargeCommon::from_bytes(&bytes).is_ok());
-    for (i, &at) in at_buckets.iter().enumerate().skip(1) {
-        let mut corrupted = bytes.clone();
-        corrupted[at..at + 8].copy_from_slice(&(counts[i - 1] * 2).to_le_bytes());
-        match LargeCommon::from_bytes(&corrupted) {
-            Err(e) => assert!(e.to_string().contains("exceed"), "layer {i}: {e}"),
-            Ok(_) => panic!("layer {i}: a growing bucket schedule was accepted"),
-        }
-    }
+    exhaust_state("Oracle", &oracle, oracle_fresh);
+    exhaust_state("LargeCommon(reporting)", &lc, lc_fresh);
+    exhaust_state("LargeSet", &ls, ls_fresh);
+    exhaust_state("SmallSet", &ss, ss_fresh);
 }
 
 /// A KMV's kept values travel ascending, distinct and below `p`, so the
@@ -244,14 +224,15 @@ fn kmv_kept_values_must_be_canonical() {
     for i in 0..300u64 {
         kmv.insert(i * 2654435761 % 1000);
     }
-    let bytes = kmv.to_bytes();
-    let kept = kmv.kept_values();
+    let mut bytes = Vec::new();
+    kmv.put_state(&mut bytes);
+    let kept = kmv.kept_values().to_vec();
     assert_eq!(kept.len(), 16, "the summary must be saturated");
-    // The kept values close the encoding.
-    let at = bytes.len() - 8 * kept.len();
+    // The kept values follow their count and precede three counters.
     let with = |vals: &[u64]| {
-        let mut out = bytes[..at].to_vec();
+        let mut out = bytes[..8].to_vec();
         vals.iter().for_each(|v| out.extend(v.to_le_bytes()));
+        out.extend(&bytes[8 + 8 * kept.len()..]);
         out
     };
     assert_eq!(with(&kept), bytes);
@@ -266,28 +247,10 @@ fn kmv_kept_values_must_be_canonical() {
         ("repeated", repeated, "not strictly ascending"),
         ("above p", above, "not below"),
     ] {
-        match Kmv::from_bytes(&with(&vals)) {
+        match Kmv::new(16, 7).take_state(&mut with(&vals).as_slice()) {
             Err(e) => assert!(e.to_string().contains(message), "{what}: {e}"),
-            Ok(_) => panic!("{what}: non-canonical kept values were accepted"),
+            Ok(()) => panic!("{what}: non-canonical kept values were accepted"),
         }
-    }
-}
-
-/// Rewrite the first encoded occurrence of coefficient `c` as `c + p`
-/// and require a typed decode error.
-fn reject_non_canonical_coefficient<T: WireEncode>(label: &str, value: &T, c: u64) {
-    let mut bytes = value.to_bytes();
-    let at = bytes
-        .windows(8)
-        .position(|w| w == c.to_le_bytes())
-        .unwrap_or_else(|| panic!("{label}: coefficient {c:#x} not found in its encoding"));
-    bytes[at..at + 8].copy_from_slice(&(c + MERSENNE_P).to_le_bytes());
-    match T::from_bytes(&bytes) {
-        Err(e) => assert!(e.to_string().contains("not below"), "{label}: {e}"),
-        Ok(_) => panic!(
-            "{label}: non-canonical coefficient {:#x} was accepted",
-            c + MERSENNE_P
-        ),
     }
 }
 
@@ -387,25 +350,19 @@ fn trivial_regime_estimator_roundtrips_and_rejects_mangling() {
     exhaust("MaxCoverEstimator(trivial)", &est);
 }
 
-/// A replica whose lane ranges were corrupted must fail at decode: a
+/// A replica whose ranges were corrupted must fail at decode: a
 /// `LargeCommon` with `m` inflated by one flipped byte once decoded and
-/// then walked ~4.6·10¹⁶ set ids in finalize. Inflate, one at a time,
-/// the estimator's `m`, every oracle's `u` and every subroutine's
-/// `(u, m)` the way such a flip does (byte 6 XOR 0xa5), and require a
-/// typed error for each.
+/// then walked ~4.6·10¹⁶ set ids in finalize. The ranges now live in
+/// the SHAPE section alone: inflate, one at a time, the estimator's `n`,
+/// `m` and every `z` guess (a lane's universe) the way such a flip does
+/// (byte 6 XOR 0xa5), and require a typed error for each.
 #[test]
 fn inflated_lane_ranges_are_rejected() {
-    const TAG_ORACLE: u64 = 0x4f52_4143_4c45;
-    const SUBROUTINE_TAGS: [(&str, u64); 3] = [
-        ("LargeCommon", 0x4c43),
-        ("LargeSet", 0x4c53),
-        ("SmallSet", 0x5353),
-    ];
-    let (n, m, k) = (400usize, 32u64, 4usize);
-    let system = zipf_popularity(n, m as usize, 12, 1.1, 5);
+    let (n, m, k) = (400usize, 32usize, 4usize);
+    let system = zipf_popularity(n, m, 12, 1.1, 5);
     let edges = edge_stream(&system, ArrivalOrder::Shuffled(1));
     let config = fast_config(21, n);
-    let mut est = MaxCoverEstimator::new(n, m as usize, k, 2.0, &config);
+    let mut est = MaxCoverEstimator::new(n, m, k, 2.0, &config);
     for chunk in edges.chunks(64) {
         est.observe_batch(chunk);
     }
@@ -414,38 +371,18 @@ fn inflated_lane_ranges_are_rejected() {
         .z_guesses
         .clone()
         .expect("fast_config pins the z guesses");
-    let words = |at: usize, len: usize| -> Vec<u64> {
-        bytes[at..at + 8 * len]
-            .chunks(8)
-            .map(|w| u64::from_le_bytes(w.try_into().unwrap()))
-            .collect()
-    };
-    // (label, byte offset of the field) for every range field.
-    let mut fields: Vec<(String, usize)> = Vec::new();
-    let shape = (0..64).find(|&at| words(at, 3) == [n as u64, m, k as u64]);
-    fields.push((
-        "estimator m".into(),
-        shape.expect("shape section not found") + 8,
-    ));
-    for at in 0..bytes.len() - 24 {
-        let w = words(at, 3);
-        if w[0] == TAG_ORACLE && zs.contains(&w[1]) {
-            fields.push((format!("Oracle u at {at}"), at + 8));
-        }
-        for (name, tag) in SUBROUTINE_TAGS {
-            if w[0] == tag && zs.contains(&w[1]) && w[2] == m {
-                fields.push((format!("{name} u at {at}"), at + 8));
-                fields.push((format!("{name} m at {at}"), at + 16));
-            }
-        }
-    }
-    let lanes = zs.len() * 2;
-    for name in ["Oracle u", "LargeCommon m", "LargeSet u", "SmallSet m"] {
-        let found = fields
-            .iter()
-            .filter(|(label, _)| label.starts_with(name))
-            .count();
-        assert_eq!(found, lanes, "{name}: expected one field per lane");
+    let word = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
+    // The header (magic, version, tag) and the SHAPE section's tag and
+    // length, then n, m, k, α, mode, seed, reps, reporting, the guess
+    // count and the guesses.
+    let shape = 40;
+    assert_eq!([word(shape), word(shape + 8)], [n as u64, m as u64]);
+    assert_eq!(word(shape + 64), zs.len() as u64);
+    let mut fields = vec![("n".to_string(), shape), ("m".to_string(), shape + 8)];
+    for (i, &z) in zs.iter().enumerate() {
+        let at = shape + 72 + 8 * i;
+        assert_eq!(word(at), z);
+        fields.push((format!("z guess {z}"), at));
     }
     for (label, at) in fields {
         let mut corrupted = bytes.clone();
